@@ -47,7 +47,7 @@ def _cmd_verify(args) -> int:
     except (ParseError, SemanticError, NonManifoldError) as exc:
         print(f"INVALID {exc.code}: {exc}")
         return 2
-    verdict = verify(surface, parallel=args.parallel, collect_all=args.all)
+    verdict = verify(surface, collect_all=args.all)
     if verdict.kind == CONVEX:
         print("YES")
         code = 0
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a .pls or .off file")
     p_verify.add_argument("file")
     p_verify.add_argument("--oracle", action="store_true", help="cross-run the brute-force oracle")
-    p_verify.add_argument("--parallel", action="store_true", help="check stars concurrently")
     p_verify.add_argument("--witness", action="store_true", help="print the failing face")
     p_verify.add_argument("--all", action="store_true", help="list every failing face")
     p_verify.set_defaults(func=_cmd_verify)

@@ -2,8 +2,7 @@
 
 Every decision in the verifier reduces to the sign of a rational
 expression, so this module works over ``fractions.Fraction`` throughout.
-Floats appear only as heuristics elsewhere and every float-derived
-candidate is re-certified here with exact arithmetic.
+No decision anywhere in the package goes through a float.
 
 Vectors are plain tuples of ``Fraction``; matrices are sequences of such
 row vectors.

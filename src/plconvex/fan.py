@@ -35,17 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactgeom import (
-    Projection3,
-    Vec,
-    ZERO,
-    coords_in_2basis,
-    cross3,
-    dot,
-    is_zero_vec,
-    project,
-    vsub,
-)
+from .exactgeom import Projection3, Vec, is_zero_vec, project, vsub
 from .poset import Face, LinkCycle
 from .surface import PLSurface, interior_point
 
@@ -160,31 +150,23 @@ def _rank3(dirs: Sequence[IVec]) -> int:
     return 3 if any(_idot(normal, d) != 0 for d in dirs) else 2
 
 
-def _float_candidate(dirs: Sequence[IVec]) -> IVec | None:
-    """Sum of float-normalized directions, rounded back to an integer vector."""
-    acc = [0.0, 0.0, 0.0]
-    for d in dirs:
-        try:
-            f = [float(c) for c in d]
-        except OverflowError:
-            return None
-        norm = math.sqrt(sum(c * c for c in f))
-        if not math.isfinite(norm) or norm == 0.0:
-            return None
-        for k in range(3):
-            acc[k] += f[k] / norm
-    if not all(math.isfinite(c) for c in acc):
-        return None
-    fracs = [Fraction(c).limit_denominator(10**9) for c in acc]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    cand = tuple(f.numerator * (scale // f.denominator) for f in fracs)
-    return None if cand == (0, 0, 0) else cand
-
-
 def _int_reference_direction(dirs: Sequence[IVec]) -> IVec | None:
-    cand = _float_candidate(dirs)
-    if cand is not None and all(_idot(cand, d) > 0 for d in dirs):
-        return cand
+    """An integer s with s . d > 0 for every direction, or None if none exists.
+
+    The certificate comes first: the sum of the cyclic consecutive cross
+    products d[k-1] x d[k], tried with both signs.  For a convex
+    once-wound fan these products are nonnegative multiples of the facet
+    normals, so their sum is strictly feasible.  When it is not, strict
+    feasibility is decided exactly: when the directions span 3-space, the
+    dual cone {s : s . d >= 0} is generated by those pairwise cross
+    products that are weakly feasible, so their sum is interior whenever
+    the cone is full-dimensional, and otherwise no strict support exists.
+    """
+    crosses = [_icross(dirs[k - 1], dirs[k]) for k in range(len(dirs))]
+    cert = tuple(sum(c[a] for c in crosses) for a in range(3))
+    for s in (cert, (-cert[0], -cert[1], -cert[2])):
+        if all(_idot(s, d) > 0 for d in dirs):
+            return s
     found: list[IVec] = []
     m = len(dirs)
     for i in range(m):
@@ -207,12 +189,9 @@ def _int_reference_direction(dirs: Sequence[IVec]) -> IVec | None:
 def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
     """A rational s with s . d > 0 for every direction, or None if impossible.
 
-    The float heuristic (sum of unit vectors) is tried first and certified
-    by exact sign tests.  On failure the strict feasibility problem is
-    decided exactly: when the directions span 3-space, the dual cone
-    {s : s . d >= 0} is generated by those pairwise cross products that
-    are weakly feasible, so their sum is interior whenever the cone is
-    full-dimensional, and otherwise no strict support exists.
+    Exact throughout: the directions are rescaled to integers and the
+    support search of the fan classifier runs on them (a cyclic
+    cross-product certificate, then the exact pairwise decision).
     """
     s = _int_reference_direction([_int_dir(d) for d in dirs])
     if s is None:
@@ -252,33 +231,47 @@ def rotation_index(directions: Sequence[tuple[Fraction, Fraction]]) -> int:
     return total
 
 
-def _closed_edges_convex(edges: Sequence[tuple]) -> ConvexityCheck:
-    """Shared clause checks on the edge vectors of a closed polygon.
+def _turn_defect(pairs, straight_ok: bool) -> str | None:
+    """Why the turns u -> v over ``pairs`` do not share one sense, or None.
 
-    Works generically over exact numeric types (Fraction or int); a zero
-    edge must have been filtered out by the caller.
+    The pairs are visited in the given order and the first failing
+    clause names the reason: a zero turn that is not straight ahead is a
+    reversal (WRONG_TURN_SIGN); a straight-ahead one is allowed when
+    ``straight_ok`` and a ZERO_ANGLE_CONE otherwise; a turn against the
+    first nonzero one, or no nonzero turn at all, is WRONG_TURN_SIGN.
+    Works over any exact numeric type.
     """
-    m = len(edges)
     turn = 0
-    for i in range(m):
-        u = edges[i - 1]
-        v = edges[i]
+    for u, v in pairs:
         c = u[0] * v[1] - u[1] * v[0]
         if c == 0:
-            if u[0] * v[0] + u[1] * v[1] < 0:
-                return ConvexityCheck(False, WRONG_TURN_SIGN)
+            if u[0] * v[0] + u[1] * v[1] <= 0:
+                return WRONG_TURN_SIGN
+            if not straight_ok:
+                return ZERO_ANGLE_CONE
             continue
         s = 1 if c > 0 else -1
         if turn == 0:
             turn = s
         elif s != turn:
-            return ConvexityCheck(False, WRONG_TURN_SIGN)
-    if turn == 0:
-        # all turns zero cannot close a polygon; reachable only through junk
-        return ConvexityCheck(False, WRONG_TURN_SIGN)
-    if abs(rotation_index(edges)) != 1:
-        return ConvexityCheck(False, BAD_ROTATION_INDEX)
-    return ConvexityCheck(True, OK_POINTED)
+            return WRONG_TURN_SIGN
+    return None if turn else WRONG_TURN_SIGN
+
+
+def _wound_once(vecs: Sequence[tuple], pairs, straight_ok: bool, accept: str) -> ConvexityCheck:
+    """Consistent turns over ``pairs``, then rotation index +-1 of the cycle ``vecs``."""
+    reason = _turn_defect(pairs, straight_ok)
+    if reason is None and abs(rotation_index(vecs)) != 1:
+        reason = BAD_ROTATION_INDEX
+    return ConvexityCheck(reason is None, reason or accept)
+
+
+def _closed_edges_convex(edges: Sequence[tuple]) -> ConvexityCheck:
+    """Edge vectors of a closed polygon, visited as pairs (edges[i-1], edges[i]) from i = 0.
+
+    A zero edge must have been filtered out by the caller.
+    """
+    return _wound_once(edges, zip(edges[-1:] + edges[:-1], edges), True, OK_POINTED)
 
 
 def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityCheck:
@@ -302,89 +295,59 @@ def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityC
     return _closed_edges_convex(edges)
 
 
-def _flat_check(dirs2: Sequence[tuple]) -> ConvexityCheck:
-    """Directions confined to a plane must sweep it once, strictly monotonically."""
-    m = len(dirs2)
-    turn = 0
-    for i in range(m):
-        u = dirs2[i]
-        v = dirs2[(i + 1) % m]
-        c = u[0] * v[1] - u[1] * v[0]
-        if c == 0:
-            d = u[0] * v[0] + u[1] * v[1]
-            return ConvexityCheck(False, ZERO_ANGLE_CONE if d > 0 else WRONG_TURN_SIGN)
-        s = 1 if c > 0 else -1
-        if turn == 0:
-            turn = s
-        elif s != turn:
-            return ConvexityCheck(False, WRONG_TURN_SIGN)
-    if abs(rotation_index(dirs2)) != 1:
-        return ConvexityCheck(False, BAD_ROTATION_INDEX)
-    return ConvexityCheck(True, OK_FLAT)
+def _plane_coords(b1: IVec, b2: IVec, dirs: Sequence[IVec]) -> list[tuple[int, int]]:
+    """Coordinates (x, y) with d = x*b1 + y*b2, scaled by a common positive factor.
+
+    The factor is the absolute value of the first nonzero 2x2 minor of
+    (b1, b2), so no division is needed and every sign test survives:
+    y > 0 still means the side of b2.  Only directions inside span(b1, b2)
+    get meaningful coordinates; the caller guarantees or checks that.
+    """
+    i, j, det = next(
+        (i, j, b1[i] * b2[j] - b1[j] * b2[i])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        if b1[i] * b2[j] - b1[j] * b2[i] != 0
+    )
+    sign = 1 if det > 0 else -1
+    return [
+        (sign * (d[i] * b2[j] - d[j] * b2[i]), sign * (b1[i] * d[j] - b1[j] * d[i]))
+        for d in dirs
+    ]
 
 
-def _chain_is_half_sweep(start: Vec, end: Vec, between: Sequence[Vec]) -> bool:
+def _chain_is_half_sweep(start: IVec, between: Sequence[IVec]) -> bool:
     """Do the directions sweep monotonically through one half-plane?
 
-    ``start`` and ``end`` are antiparallel fold directions; the chain
-    must stay inside a single plane through the fold line, strictly on
-    one side of it, with strictly monotone angular order from start to
-    end.
+    ``start`` is a fold direction and the chain runs to its opposite;
+    the chain must stay inside a single plane through the fold line,
+    strictly on one side of it, with strictly monotone angular order
+    from start to end.
     """
     if not between:
         return False
-    b1, b2 = start, between[0]
-    seq = [(Fraction(1), ZERO)]
-    for u in between:
-        xy = coords_in_2basis(u, b1, b2)
-        if xy is None or xy[1] <= 0:
-            return False
-        seq.append(xy)
-    seq.append((Fraction(-1), ZERO))
-    turn = 0
-    for a, b in zip(seq, seq[1:]):
-        c = a[0] * b[1] - a[1] * b[0]
-        if c == 0:
-            return False
-        s = 1 if c > 0 else -1
-        if turn == 0:
-            turn = s
-        elif s != turn:
-            return False
-    return True
+    normal = _icross(start, between[0])
+    if any(_idot(normal, u) != 0 for u in between):
+        return False
+    seq = [(1, 0)] + _plane_coords(start, between[0], between) + [(-1, 0)]
+    if any(y <= 0 for _, y in seq[1:-1]):
+        return False
+    return _turn_defect(zip(seq, seq[1:]), False) is None
 
 
-def _wedge_check(fan: Fan3) -> ConvexityCheck:
+def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec]) -> ConvexityCheck:
     """Rank-3 fan without strict support: accept only a genuine dihedral wedge."""
-    entries = fan.entries
-    m = len(entries)
-    dirs = fan.directions()
-    pairs = []
-    for i in range(m):
-        if entries[i].kind != RAY:
-            continue
-        for j in range(i + 1, m):
-            if entries[j].kind != RAY:
+    m = len(dirs)
+    rays = [k for k in range(m) if entries[k].kind == RAY]
+    for a, i in enumerate(rays):
+        for j in rays[a + 1 :]:
+            if _icross(dirs[i], dirs[j]) != (0, 0, 0) or _idot(dirs[i], dirs[j]) >= 0:
                 continue
-            if is_zero_vec(cross3(dirs[i], dirs[j])) and dot(dirs[i], dirs[j]) < 0:
-                pairs.append((i, j))
-    for i, j in pairs:
-        axis = dirs[i]
-        cluttered = False
-        for k in range(m):
-            if k in (i, j):
-                continue
-            if is_zero_vec(cross3(dirs[k], axis)):
-                cluttered = True
-                break
-        if cluttered:
-            continue
-        chain_a = [dirs[k % m] for k in range(i + 1, i + ((j - i) % m))]
-        chain_b = [dirs[k % m] for k in range(j + 1, j + ((i - j) % m))]
-        if _chain_is_half_sweep(dirs[i], dirs[j], chain_a) and _chain_is_half_sweep(
-            dirs[j], dirs[i], chain_b
-        ):
-            return ConvexityCheck(True, OK_FLAT)
+            if any(k not in (i, j) and _icross(dirs[k], dirs[i]) == (0, 0, 0) for k in range(m)):
+                continue  # a third direction on the fold line
+            chain_a = [dirs[k] for k in range(i + 1, j)]
+            chain_b = [dirs[k % m] for k in range(j + 1, i + m)]
+            if _chain_is_half_sweep(dirs[i], chain_a) and _chain_is_half_sweep(dirs[j], chain_b):
+                return ConvexityCheck(True, OK_FLAT)
     return ConvexityCheck(False, NO_SUPPORT)
 
 
@@ -392,8 +355,10 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
     All sign tests run on integer-rescaled directions (rescaling along a
-    ray changes nothing), and the pointed branch works with homogeneous
-    coordinates of the section points so no divisions are needed.
+    ray changes nothing).  The pointed branch works with homogeneous
+    coordinates of the section points, the flat and wedge branches with
+    plane coordinates scaled by a positive minor, so no divisions are
+    needed.
     """
     dirs = [_int_dir(d) for d in fan.directions()]
     r = _rank3(dirs)
@@ -402,19 +367,12 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     if r == 2:
         first = next(d for d in dirs if d != (0, 0, 0))
         other = next(d for d in dirs if _icross(first, d) != (0, 0, 0))
-        # coordinate pair with a nonzero basis minor; every direction then
-        # gets plane coordinates scaled by that common minor
-        i, j, det = next(
-            (i, j, first[i] * other[j] - first[j] * other[i])
-            for i in range(3)
-            for j in range(3)
-            if first[i] * other[j] - first[j] * other[i] != 0
-        )
-        dirs2 = [(d[i] * other[j] - d[j] * other[i], first[i] * d[j] - first[j] * d[i]) for d in dirs]
-        return _flat_check(dirs2)
+        dirs2 = _plane_coords(first, other, dirs)
+        # directions confined to a plane must sweep it once, strictly monotonically
+        return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
     s = _int_reference_direction(dirs)
     if s is None:
-        return _wedge_check(fan)
+        return _wedge_check(fan.entries, dirs)
     b1 = next(
         c
         for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))

@@ -46,6 +46,10 @@ class NonManifoldError(Exception):
     code = "NON_MANIFOLD"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _frac(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
@@ -71,6 +75,8 @@ def _records(doc_faces, dim: int, where: str) -> list[dict]:
     for rec in recs:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError(f"{where}: face record without id")
+        if not _is_int(rec["id"]):
+            raise ParseError(f"{where}: face id {rec['id']!r} is not an integer")
         if rec["id"] in by_id:
             raise ParseError(f"{where}: duplicate face id {rec['id']}")
         by_id[rec["id"]] = rec
@@ -102,11 +108,11 @@ def parse_pls(text: str) -> PLSurface:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    try:
-        n = int(doc["n"])
-        mode = doc["mode"]
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("fields 'n' and 'mode' are required") from None
+    if "n" not in doc or "mode" not in doc:
+        raise ParseError("fields 'n' and 'mode' are required")
+    n, mode = doc["n"], doc["mode"]
+    if not _is_int(n):
+        raise ParseError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise ParseError(f"n must be >= 3, got {n}")
     if mode not in (VERTEX_MODE, EQUATION_MODE):
@@ -136,8 +142,8 @@ def parse_pls(text: str) -> PLSurface:
             per_dim[d] = {}
             for i, rec in enumerate(recs):
                 vs = rec.get("vertices")
-                if not isinstance(vs, list) or not all(isinstance(v, int) for v in vs):
-                    raise ParseError(f"faces[{d}][{i}]: 'vertices' must be a list of ints")
+                if not isinstance(vs, list) or not vs or not all(_is_int(v) for v in vs):
+                    raise ParseError(f"faces[{d}][{i}]: 'vertices' must be a nonempty list of ints")
                 if any(v < 0 or v >= nv for v in vs):
                     raise SemanticError(f"faces[{d}][{i}]: vertex index out of range")
                 per_dim[d][Face(d, i)] = tuple(sorted(set(vs)))
@@ -167,7 +173,7 @@ def parse_pls(text: str) -> PLSurface:
                 witnesses[face] = _vec(w, f"faces[{d}][{i}].witness")
                 if d < n - 1:
                     ups = rec.get("up")
-                    if not isinstance(ups, list) or not all(isinstance(u, int) for u in ups):
+                    if not isinstance(ups, list) or not all(_is_int(u) for u in ups):
                         raise ParseError(f"faces[{d}][{i}]: 'up' must be a list of ints")
                     if any(u < 0 or u >= counts.get(d + 1, 0) for u in ups):
                         raise SemanticError(f"faces[{d}][{i}]: up reference out of range")

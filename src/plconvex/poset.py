@@ -7,7 +7,7 @@ consecutive steps (n-3) -> (n-2) and (n-2) -> (n-1); everything else the
 algorithm needs is derived from those.
 
 The poset is immutable after construction; all operations here are pure
-reads, so per-face work may run concurrently without coordination.
+reads.
 """
 
 from __future__ import annotations

@@ -197,6 +197,8 @@ def check_realization(surface: PLSurface) -> ValidationReport:
         eq = surface.equations.get(h)
         if eq is None:
             bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
+        elif len(eq.normal) != n:
+            bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
         elif all(c == 0 for c in eq.normal):
             bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
     if bad:

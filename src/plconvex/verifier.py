@@ -7,15 +7,13 @@ when every star passes; compactness plus closedness supply the strictly
 convex point that makes local convexity everywhere sufficient, so no
 separate strictness test is run.
 
-Verdicts are deterministic: the reported witness is always the failing
-(n-3)-face of least index, regardless of evaluation order or
-parallelism.  Star checks are pure functions of the immutable surface,
-so parallel mode simply maps them over a thread pool and reduces.
+Verdicts are deterministic: stars are checked in face-index order, so
+the reported witness is always the failing (n-3)-face of least index,
+and an early-exit run reports the same witness as a ``collect_all`` run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .exactgeom import DegenerateFaceError, Projection3, complementary_projection
@@ -92,19 +90,14 @@ def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None =
     return _star_check(surface, face, projection)[0]
 
 
-def verify(
-    surface: PLSurface,
-    parallel: bool = False,
-    collect_all: bool = False,
-    max_workers: int | None = None,
-) -> Verdict:
+def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     """Decide whether the surface bounds a convex polyhedron.
 
     Returns CONVEX, or NOT_CONVEX with the least-index failing
     (n-3)-face as witness, or INVALID when the input violates the
     closed-connected-manifold / realization preconditions (no convexity
     claim is made then).  ``collect_all`` gathers every failing face in
-    ``failures``; otherwise sequential mode stops at the first failure.
+    ``failures``; otherwise the check stops at the first failure.
     ``entries_checked`` counts fan entries evaluated across all stars.
     """
     report = preflight(surface)
@@ -112,23 +105,16 @@ def verify(
         v = report.violations[0]
         return Verdict(INVALID, witness=v.face, reason=v.code)
 
-    faces = list(surface.poset.faces(surface.poset.dim_low))
-    results: list[tuple[Face, ConvexityCheck, int]] = []
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for face, (check, entries) in zip(
-                faces, pool.map(lambda f: _star_check(surface, f), faces)
-            ):
-                results.append((face, check, entries))
-    else:
-        for face in faces:
-            check, entries = _star_check(surface, face)
-            results.append((face, check, entries))
-            if not check.convex and not collect_all:
+    failing: list[tuple[Face, str]] = []
+    entries_total = 0
+    for face in surface.poset.faces(surface.poset.dim_low):
+        check, entries = _star_check(surface, face)
+        entries_total += entries
+        if not check.convex:
+            failing.append((face, check.reason))
+            if not collect_all:
                 break
 
-    entries_total = sum(e for _, _, e in results)
-    failing = [(f, c.reason) for f, c, _ in results if not c.convex]
     if not failing:
         return Verdict(CONVEX, entries_checked=entries_total)
     witness, reason = failing[0]

@@ -241,6 +241,9 @@ def test_criterion_7_flat_subdivision_accepted():
 
 
 def test_criterion_8_parallel_determinism():
+    # the verdict is a pure function of the input: repeated runs render
+    # byte-identically, and stopping at the first failure reports the
+    # same witness and reason as collecting them all
     def render(v):
         lines = [f"{v.kind} witness={v.witness} reason={v.reason}"]
         lines += [f"failing {f} {r}" for f, r in v.failures]
@@ -249,9 +252,8 @@ def test_criterion_8_parallel_determinism():
     surfaces = [pc.gen_schonhardt(), pc.gen_dented_cube(3)]
     ok = True
     for surface in surfaces:
-        outputs = set()
-        for _ in range(20):
-            outputs.add(render(verify(surface, parallel=False, collect_all=True)))
-            outputs.add(render(verify(surface, parallel=True, collect_all=True)))
-        ok = ok and len(outputs) == 1
-    report(8, ok, "20 parallel and sequential runs byte-identical on both instances")
+        outputs = {render(verify(surface, collect_all=True)) for _ in range(20)}
+        full = verify(surface, collect_all=True)
+        first = verify(surface)
+        ok = ok and len(outputs) == 1 and (first.witness, first.reason) == full.failures[0]
+    report(8, ok, "20 runs byte-identical, early exit reports failures[0], on both instances")

@@ -63,12 +63,14 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "INVALID PARSE_ERROR" in capsys.readouterr().out
 
 
-def test_verify_parallel_same_output(schonhardt_file, capsys):
-    run_cli(["verify", schonhardt_file, "--witness", "--all"])
-    seq = capsys.readouterr().out
-    run_cli(["verify", schonhardt_file, "--witness", "--all", "--parallel"])
-    par = capsys.readouterr().out
-    assert seq == par
+@pytest.mark.parametrize("face_key, bad", [("vertices", []), ("id", "0"), ("id", [0])])
+def test_verify_malformed_face_exit_2(tmp_path, cube, capsys, face_key, bad):
+    doc = json.loads(emit_pls(cube))
+    doc["faces"]["2"][0][face_key] = bad
+    p = tmp_path / "bad.pls"
+    p.write_text(json.dumps(doc))
+    assert run_cli(["verify", str(p)]) == 2
+    assert capsys.readouterr().out.startswith("INVALID PARSE_ERROR")
 
 
 def test_gen_families(tmp_path, capsys):

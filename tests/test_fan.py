@@ -17,6 +17,7 @@ from plconvex.fan import (
     reference_direction,
     rotation_index,
 )
+from plconvex.instances import circle_points
 from plconvex.poset import Face
 from plconvex.surface import direction_space
 from plconvex.verifier import verify_face
@@ -67,6 +68,13 @@ def fan_between(ray_dirs):
         a, b = ray_dirs[k], ray_dirs[(k + 1) % m]
         cells.append(tuple(x + y for x, y in zip(a, b)))
     return make_fan(ray_dirs, cells)
+
+
+def skewed_pyramid(m):
+    """Flat pyramid over a rational m-gon, apex near the rim: a nearly flat degree-m star."""
+    coords = [(x, y, F(0)) for x, y in circle_points(m)] + [(F(9, 10), F(0), F(1, 50))]
+    polygons = [list(range(m))] + [[i, (i + 1) % m, m] for i in range(m)]
+    return pc.surface_from_polygons(coords, polygons)
 
 
 class TestRotationIndex:
@@ -351,11 +359,14 @@ class TestFanIsConvex:
 
     def test_witness_in_ray_cone_for_polytopes(self, cube):
         # fans of genuinely convex bodies keep each witness strictly
-        # between its two neighboring rays
-        for surface in (cube, pc.gen_prism(7)):
+        # between its two neighboring rays; the skewed pyramid and the
+        # large prism have nearly flat stars, where the support search
+        # needs an exact certificate
+        for surface in (cube, pc.gen_prism(7), skewed_pyramid(64), pc.gen_prism(256)):
+            assert pc.verify(surface).kind == "CONVEX"
             for f in surface.poset.faces(0):
                 res = verify_face(surface, f)
-                assert res.convex
+                assert res == (True, "OK_POINTED")
                 cyc = pc.link_cycle(surface.poset, f)
                 kern = direction_space(surface, f)
                 fan = pc.build_fan(surface, f, cyc, pc.complementary_projection(kern, 3))

@@ -91,6 +91,26 @@ class TestPls:
         with pytest.raises(ParseError):
             parse_pls(json.dumps(doc))
 
+    def test_empty_vertex_list(self, cube):
+        doc = json.loads(emit_pls(cube))
+        doc["faces"]["1"][0]["vertices"] = []
+        with pytest.raises(ParseError):
+            parse_pls(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", ["0", [0], 0.0, True, None])
+    def test_non_integer_face_id(self, cube, bad):
+        doc = json.loads(emit_pls(cube))
+        doc["faces"]["2"][0]["id"] = bad
+        with pytest.raises(ParseError):
+            parse_pls(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True, "3", None])
+    def test_non_integer_n(self, cube, bad):
+        doc = json.loads(emit_pls(cube))
+        doc["n"] = bad
+        with pytest.raises(ParseError):
+            parse_pls(json.dumps(doc))
+
     def test_not_json(self):
         with pytest.raises(ParseError) as err:
             parse_pls("n: 3\nmode: vertices\n")

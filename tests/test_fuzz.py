@@ -124,3 +124,20 @@ def test_randomly_positioned_flat_splits_stay_convex():
             assert pc.oracle_verdict(s).convex
         wedge_reasons = {pc.verify_face(surface, pc.Face(0, i)).reason for i in (8, 9)}
         assert wedge_reasons == {"OK_FLAT"}
+
+
+def test_coordinates_beyond_float_range_match_oracle():
+    # past about 10**308 a coordinate no longer converts to a float; every
+    # decision must stay exact there
+    huge = F(10**400 + 1, 3)
+    bases = [pc.gen_prism(9), pc.gen_cross_polytope(3), pc.gen_schonhardt()]
+    bases.append(pc.dent(pc.gen_cross_polytope(3), 0, F(3, 2)))
+    kinds = set()
+    for base in bases:
+        surface = pc.scale(pc.rigid_motion(base, 5), huge)
+        assert max(abs(c) for v in surface.vertices for c in v) > 10**400
+        verdict = pc.verify(surface)
+        assert verdict.kind != "INVALID"
+        assert verdict.convex == pc.oracle_verdict(surface).convex
+        kinds.add(verdict.kind)
+    assert kinds == {"CONVEX", "NOT_CONVEX"}

@@ -6,6 +6,7 @@ import plconvex as pc
 from plconvex.exactgeom import DegenerateFaceError, as_vec, dot
 from plconvex.poset import Face, FacePoset
 from plconvex.surface import (
+    FacetEquation,
     PLSurface,
     as_equations,
     check_realization,
@@ -112,6 +113,20 @@ def test_as_equations_bad_witness_detected(cube):
     broken = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
     report = check_realization(broken)
     assert any(v.code == "BAD_WITNESS" for v in report.violations)
+
+
+def test_check_realization_rejects_wrong_length_normal(cube):
+    # one coordinate too many used to be dropped silently (a YES), one too
+    # few surfaced as a misleading BAD_WITNESS
+    eq = as_equations(cube)
+    h = Face(2, 3)
+    for normal in (eq.equations[h].normal + (F(0),), eq.equations[h].normal[:-1]):
+        equations = {**eq.equations, h: FacetEquation(normal, eq.equations[h].offset)}
+        broken = PLSurface(eq.poset, equations=equations, witnesses=eq.witnesses)
+        report = check_realization(broken)
+        assert [(v.code, v.face) for v in report.violations] == [("BAD_NORMAL", h)]
+        verdict = pc.verify(broken)
+        assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", h, "BAD_NORMAL")
 
 
 def test_as_equations_direction_space(tesseract):

@@ -108,19 +108,6 @@ def test_order_independence(schonhardt):
         assert (all(per_face) and bit == "CONVEX") or (not all(per_face) and bit == "NOT_CONVEX")
 
 
-def test_parallel_matches_sequential(schonhardt, cube):
-    for s in (schonhardt, cube, pc.gen_dented_cube(3)):
-        seq = verify(s, parallel=False, collect_all=True)
-        par = verify(s, parallel=True, collect_all=True)
-        assert (seq.kind, seq.witness, seq.reason, seq.failures) == (
-            par.kind,
-            par.witness,
-            par.reason,
-            par.failures,
-        )
-        assert seq.entries_checked == par.entries_checked
-
-
 def test_custom_projection_equals_fast_path(tesseract, schonhardt):
     rng = random.Random(11)
     for surface in (tesseract, schonhardt):
