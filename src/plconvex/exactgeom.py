@@ -43,10 +43,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def vscale(c: Fraction, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
@@ -99,7 +95,7 @@ class Eliminator:
 
     Feed row vectors with :meth:`add`; the instance keeps a growing set of
     pivot rows and reports whether each new row increased the rank.  Used
-    for ranks, greedy independent subsets and spanning tests.
+    for ranks and greedy independent subsets.
     """
 
     def __init__(self, width: int):
@@ -123,9 +119,6 @@ class Eliminator:
                 return True
         return False
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.residual(v))
-
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -139,24 +132,6 @@ def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     for v in vectors:
         elim.add(v)
     return elim.rank
-
-
-def independent_rows(vectors: Sequence[Sequence[Fraction]], stop_at: int | None = None) -> list[int]:
-    """Indices of a greedy maximal independent subset, in input order.
-
-    ``stop_at`` short-circuits the scan once that many independent rows
-    were found (the caller often only needs a spanning subset).
-    """
-    if not vectors:
-        return []
-    elim = Eliminator(len(vectors[0]))
-    picked: list[int] = []
-    for i, v in enumerate(vectors):
-        if elim.add(v):
-            picked.append(i)
-            if stop_at is not None and len(picked) == stop_at:
-                break
-    return picked
 
 
 def rref(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[int, Vec]]:

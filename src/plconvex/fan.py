@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactgeom import Projection3, Vec, is_zero_vec, project, vsub
 from .poset import Face, LinkCycle
-from .surface import PLSurface, interior_point
 
 RAY = "ray"
 CELL = "cell"
@@ -91,20 +90,21 @@ class OppositeDirectionsError(Exception):
     code = "OPPOSITE_DIRECTIONS"
 
 
-def build_fan(surface: PLSurface, center: Face, cycle: LinkCycle, proj: Projection3) -> Fan3:
+def build_fan(points: Mapping[Face, Vec], center: Face, cycle: LinkCycle, proj: Projection3) -> Fan3:
     """Project the star of ``center`` into 3-space along its direction space.
 
+    ``points`` maps faces to interior points (``prepare(surface).points``).
     The apex is the projected interior point of ``center``; every face of
     the link cycle contributes the direction from the apex to its own
     projected interior point, in cycle order.
     """
-    apex = project(proj, interior_point(surface, center))
+    apex = project(proj, points[center])
     entries = []
     for face in cycle.entries:
-        d = vsub(project(proj, interior_point(surface, face)), apex)
+        d = vsub(project(proj, points[face]), apex)
         if is_zero_vec(d):
             raise ZeroDirectionError(face)
-        kind = RAY if face.dim == surface.poset.dim_mid else CELL
+        kind = RAY if face.dim == center.dim + 1 else CELL
         entries.append(FanEntry(kind, d, face))
     return Fan3(apex, tuple(entries))
 

@@ -6,12 +6,19 @@ each facet carries an exact hyperplane (normal, offset) and every listed
 face of dims n-3, n-2, n-1 carries a witness point in its relative
 interior; vertex coordinates are not needed then.
 
-``check_realization`` enforces the geometric half of the input contract:
-each face's vertex set must affinely span exactly the face's dimension
+``prepare`` is the one geometry pass.  For every face of dims n-3, n-2,
+n-1 it runs one elimination that yields the face's interior point, its
+direction basis (kept for (n-3)-faces) and whether it spans its
+dimension; ``interior_point`` and ``direction_space`` answer single
+faces from the same per-face routine.  The pass also enforces the
+geometric half of the input contract (``check_realization``): each
+face's vertex set must affinely span exactly the face's dimension
 (vertex mode), respectively witnesses must satisfy the equations of all
 facets above them and the incident facet normals of every (n-3)-face
 must pin down its direction space (equations mode).  Inputs failing
-these checks are reported invalid rather than classified.
+these checks are reported invalid rather than classified.  Witnesses
+are trusted to lie in the relative interior of their faces; that part
+is not checked.
 """
 
 from __future__ import annotations
@@ -56,65 +63,70 @@ class PLSurface:
         return VERTEX_MODE if self.vertices else EQUATION_MODE
 
 
-def interior_point(surface: PLSurface, face: Face) -> Vec:
-    """A deterministic point in the relative interior of a face.
+def _face_geometry(
+    surface: PLSurface, face: Face, point_only: bool = False
+) -> tuple[Vec, tuple[Vec, ...], str | None]:
+    """A face's interior point, direction basis and rank defect, from one elimination.
 
-    Vertex mode returns the mean of a greedy affinely-spanning subset of
-    the face's vertices (scanned in index order).  For faces realized as
-    convex hulls of their vertices this lies in the relative interior,
-    and the subset has at most dim+1 points, so the cost per face is
-    bounded by the face dimension rather than its vertex count.
+    Vertex mode scans the differences from the least-index vertex in index
+    order and stops once the rank exceeds the face's dimension; the point
+    is the mean of that vertex and the first ``dim`` vertices that raised
+    the rank.  Equations mode gives the witness and, for an (n-3)-face,
+    the nullspace of the incident facet normals.  The defect is None
+    exactly when the face spans its dimension.  ``point_only`` stops as
+    soon as the point is known, skipping the rank check and the kernel.
     """
+    poset = surface.poset
     if surface.mode == EQUATION_MODE:
-        return surface.witnesses[face]
-    verts = surface.poset.vertex_lists[face]
-    first = surface.vertices[verts[0]]
-    if face.dim == 0 or len(verts) == 1:
-        return first
+        point = surface.witnesses.get(face)
+        if face.dim != poset.dim_low or point_only:
+            return point, (), None
+        normals = [surface.equations[h].normal for g in poset.up(face) for h in poset.up(g)]
+        basis = nullspace(normals, surface.n)
+        if len(basis) != surface.n - 3:
+            return point, basis, "incident facet equations do not determine the face's direction space"
+        return point, basis, None
+    verts = poset.vertex_lists[face]
+    base = surface.vertices[verts[0]]
+    if face.dim == 0:
+        return base, (), None
     elim = Eliminator(surface.n)
-    picked = [first]
+    picked = [base]
+    basis = []
     for v in verts[1:]:
         p = surface.vertices[v]
-        if elim.add(vsub(p, first)):
-            picked.append(p)
-            if len(picked) == face.dim + 1:
+        d = vsub(p, base)
+        if elim.add(d):
+            basis.append(d)
+            if len(basis) > face.dim:
                 break
-    return vmean(picked)
+            picked.append(p)
+            if point_only and len(basis) == face.dim:
+                break
+    defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
+    return vmean(picked), tuple(basis), defect
+
+
+def interior_point(surface: PLSurface, face: Face) -> Vec:
+    """A deterministic point in the relative interior of a face, as ``prepare`` tabulates it.
+
+    In vertex mode it is the mean of at most dim+1 affinely independent
+    vertices, inside the face when the face is their convex hull; the
+    scan stops there, so its cost is bounded by the face dimension.
+    """
+    return _face_geometry(surface, face, point_only=True)[0]
 
 
 def direction_space(surface: PLSurface, face: Face) -> tuple[Vec, ...]:
-    """Basis of the linear direction space of an (n-3)-face, size n-3.
+    """Basis of the direction space of an (n-3)-face, as ``prepare`` tabulates it.
 
-    Vertex mode spans the differences from the least-index vertex;
-    equations mode intersects the hyperplanes of the incident facets.
-    Raises DegenerateFaceError when the result does not have dimension
-    exactly n-3.
+    Raises DegenerateFaceError when it does not have dimension n-3.
     """
-    n = surface.n
-    want = n - 3
     if face.dim != surface.poset.dim_low:
         raise ValueError(f"{face} is not an (n-3)-face")
-    if surface.mode == VERTEX_MODE:
-        verts = surface.poset.vertex_lists[face]
-        base = surface.vertices[verts[0]]
-        elim = Eliminator(n)
-        basis = []
-        for v in verts[1:]:
-            d = vsub(surface.vertices[v], base)
-            if elim.add(d):
-                basis.append(d)
-        if len(basis) != want:
-            raise DegenerateFaceError(face, f"affine rank {len(basis)} != {want}")
-        return tuple(basis)
-    normals = []
-    for g in surface.poset.up(face):
-        for h in surface.poset.up(g):
-            normals.append(surface.equations[h].normal)
-    basis = nullspace(normals, n)
-    if len(basis) != want:
-        raise DegenerateFaceError(
-            face, f"facet equations leave a {len(basis)}-dimensional direction space"
-        )
+    _, basis, defect = _face_geometry(surface, face)
+    if defect is not None:
+        raise DegenerateFaceError(face, defect)
     return basis
 
 
@@ -147,96 +159,90 @@ def as_equations(surface: PLSurface) -> PLSurface:
         incidence_up=dict(poset.incidence_up),
     )
     equations = {h: facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
-    witnesses: dict[Face, Vec] = {}
-    for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
-        for f in poset.faces(d):
-            witnesses[f] = interior_point(surface, f)
+    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
+    witnesses = {f: interior_point(surface, f) for d in dims for f in poset.faces(d)}
     return PLSurface(new_poset, equations=equations, witnesses=witnesses)
 
 
-def check_realization(surface: PLSurface) -> ValidationReport:
-    """Geometric input validation (see module docstring)."""
+@dataclass(frozen=True)
+class PreparedSurface:
+    """Realization report plus per-face geometry, from one pass.
+
+    ``points`` holds the interior point of every face of dims n-3, n-2,
+    n-1 and ``kernels`` the direction basis of every (n-3)-face; both are
+    only meaningful when the report is ok.
+    """
+
+    report: ValidationReport
+    points: dict[Face, Vec] = field(default_factory=dict)
+    kernels: dict[Face, tuple[Vec, ...]] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok
+
+
+def prepare(surface: PLSurface) -> PreparedSurface:
+    """Geometric input validation and per-face geometry in one pass.
+
+    Every face of dims n-3, n-2, n-1 goes through ``_face_geometry``
+    once: its rank defect becomes a DEGENERATE_FACE violation, and its
+    interior point and (for (n-3)-faces) its kernel go into the table.
+    Equations mode first checks the facet equations and then that each
+    witness lies on every facet above its face.
+    """
     bad: list[Violation] = []
     poset = surface.poset
     n = surface.n
     if surface.mode == VERTEX_MODE:
         if len(surface.vertices) != poset.count(0):
-            bad.append(
-                Violation(
-                    "MISSING_COORDS",
-                    None,
-                    f"{poset.count(0)} vertices declared, {len(surface.vertices)} coordinates",
-                )
-            )
-            return ValidationReport(tuple(bad))
-        if any(len(v) != n for v in surface.vertices):
+            counts = f"{poset.count(0)} vertices declared, {len(surface.vertices)} coordinates"
+            bad.append(Violation("MISSING_COORDS", None, counts))
+        elif any(len(v) != n for v in surface.vertices):
             bad.append(Violation("MISSING_COORDS", None, "coordinate of wrong length"))
-            return ValidationReport(tuple(bad))
-        for d in sorted({n - 3, n - 2, n - 1}):
-            if d == 0:
-                continue
-            for face in poset.faces(d):
-                verts = poset.vertex_lists.get(face, ())
-                if not verts:
-                    continue  # reported by validate_poset
-                base = surface.vertices[verts[0]]
-                elim = Eliminator(n)
-                r = 0
-                for v in verts[1:]:
-                    if elim.add(vsub(surface.vertices[v], base)):
-                        r += 1
-                        if r > d:
-                            break
-                if r != d:
-                    bad.append(
-                        Violation("DEGENERATE_FACE", face, f"affine rank {r} != dim {d}")
-                    )
-        return ValidationReport(tuple(bad))
-
-    for h in poset.faces(poset.dim_top):
-        eq = surface.equations.get(h)
-        if eq is None:
-            bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
-        elif len(eq.normal) != n:
-            bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
-        elif all(c == 0 for c in eq.normal):
-            bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
+    else:
+        for h in poset.faces(poset.dim_top):
+            eq = surface.equations.get(h)
+            if eq is None:
+                bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
+            elif len(eq.normal) != n:
+                bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
+            elif all(c == 0 for c in eq.normal):
+                bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
     if bad:
-        return ValidationReport(tuple(bad))
+        return PreparedSurface(ValidationReport(tuple(bad)))
 
     def facets_above(face: Face) -> set[Face]:
-        if face.dim == poset.dim_top:
-            return {face}
-        if face.dim == poset.dim_mid:
-            return set(poset.up(face))
-        out: set[Face] = set()
-        for g in poset.up(face):
-            out.update(poset.up(g))
-        return out
+        faces = [face]
+        while faces and faces[0].dim < poset.dim_top:
+            faces = [h for g in faces for h in poset.up(g)]
+        return set(faces)
 
+    degenerate: list[Violation] = []
+    points: dict[Face, Vec] = {}
+    kernels: dict[Face, tuple[Vec, ...]] = {}
     for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
         for face in poset.faces(d):
-            w = surface.witnesses.get(face)
-            if w is None or len(w) != n:
+            if surface.mode == VERTEX_MODE and not poset.vertex_lists.get(face):
+                continue  # reported by validate_poset
+            point, basis, defect = _face_geometry(surface, face)
+            points[face] = point
+            if d == poset.dim_low:
+                kernels[face] = basis
+            if defect is not None:
+                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+            if surface.mode == VERTEX_MODE:
+                continue
+            if point is None or len(point) != n:
                 bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
                 continue
             for h in facets_above(face):
                 eq = surface.equations[h]
-                if dot(eq.normal, w) != eq.offset:
-                    bad.append(
-                        Violation("BAD_WITNESS", face, f"witness not on facet {h}")
-                    )
-    for face in poset.faces(poset.dim_low):
-        normals = []
-        for g in poset.up(face):
-            for h in poset.up(g):
-                normals.append(surface.equations[h].normal)
-        if len(nullspace(normals, n)) != n - 3:
-            bad.append(
-                Violation(
-                    "DEGENERATE_FACE",
-                    face,
-                    "incident facet equations do not determine the face's direction space",
-                )
-            )
-    return ValidationReport(tuple(bad))
+                if dot(eq.normal, point) != eq.offset:
+                    bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
+    return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
+
+
+def check_realization(surface: PLSurface) -> ValidationReport:
+    """Geometric input validation (see module docstring); the report of ``prepare``."""
+    return prepare(surface).report

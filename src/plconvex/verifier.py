@@ -2,10 +2,11 @@
 
 ``verify`` first validates the input (structure, closedness,
 connectedness, realization), then evaluates the star of every
-(n-3)-face.  The surface is the boundary of a convex polyhedron exactly
-when every star passes; compactness plus closedness supply the strictly
-convex point that makes local convexity everywhere sufficient, so no
-separate strictness test is run.
+(n-3)-face from the interior points and kernels that the realization
+pass (``prepare``) computed once per face.  The surface is the boundary
+of a convex polyhedron exactly when every star passes; compactness plus
+closedness supply the strictly convex point that makes local convexity
+everywhere sufficient, so no separate strictness test is run.
 
 Verdicts are deterministic: stars are checked in face-index order, so
 the reported witness is always the failing (n-3)-face of least index,
@@ -20,14 +21,14 @@ from .exactgeom import DegenerateFaceError, Projection3, complementary_projectio
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
 from .poset import (
     Face,
+    LinkCycle,
     LinkCycleError,
-    ValidationReport,
     check_closed,
     check_connected,
     link_cycle,
     validate_poset,
 )
-from .surface import PLSurface, check_realization, direction_space
+from .surface import PLSurface, PreparedSurface, direction_space, interior_point, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
@@ -50,26 +51,30 @@ class Verdict:
         return self.kind == CONVEX
 
 
-def preflight(surface: PLSurface) -> ValidationReport:
-    """Input validation chain; stops at the first failing stage."""
+def preflight(surface: PLSurface) -> PreparedSurface:
+    """Input validation chain; stops at the first failing stage.
+
+    The last stage is the geometry pass, so on success the result also
+    carries every face's interior point and every (n-3)-face's kernel.
+    """
     for stage in (
         lambda: validate_poset(surface.poset, surface.mode),
         lambda: check_closed(surface.poset),
         lambda: check_connected(surface.poset),
-        lambda: check_realization(surface),
     ):
         report = stage()
         if not report.ok:
-            return report
-    return ValidationReport()
+            return PreparedSurface(report)
+    return prepare(surface)
 
 
-def _star_check(surface: PLSurface, face: Face, projection: Projection3 | None = None):
+def _star_check(surface: PLSurface, face: Face, geometry, projection: Projection3 | None = None):
+    """Classify one star; ``geometry(face, cycle)`` gives its kernel and interior points."""
     try:
         cycle = link_cycle(surface.poset, face)
-        kernel = direction_space(surface, face)
+        kernel, points = geometry(face, cycle)
         proj = projection if projection is not None else complementary_projection(kernel, surface.n)
-        fan = build_fan(surface, face, cycle, proj)
+        fan = build_fan(points, face, cycle, proj)
     except LinkCycleError:
         return ConvexityCheck(False, "NOT_SINGLE_CYCLE"), 0
     except DegenerateFaceError:
@@ -82,12 +87,18 @@ def _star_check(surface: PLSurface, face: Face, projection: Projection3 | None =
 def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None = None) -> ConvexityCheck:
     """Local convexity of one (n-3)-face star.
 
+    Computes only the star's own kernel and interior points.
     ``projection`` overrides the default complementary projection; it
     must be a valid rank-3 map vanishing exactly on the face's direction
     space.  Structural defects of the star come back as non-accepting
     reasons (NOT_SINGLE_CYCLE, DEGENERATE_FACE, ZERO_DIRECTION).
     """
-    return _star_check(surface, face, projection)[0]
+
+    def star_geometry(center: Face, cycle: LinkCycle):
+        points = {f: interior_point(surface, f) for f in (center, *cycle.entries)}
+        return direction_space(surface, center), points
+
+    return _star_check(surface, face, star_geometry, projection)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -100,15 +111,19 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     ``failures``; otherwise the check stops at the first failure.
     ``entries_checked`` counts fan entries evaluated across all stars.
     """
-    report = preflight(surface)
-    if not report.ok:
-        v = report.violations[0]
+    prepared = preflight(surface)
+    if not prepared.ok:
+        v = prepared.report.violations[0]
         return Verdict(INVALID, witness=v.face, reason=v.code)
 
     failing: list[tuple[Face, str]] = []
     entries_total = 0
+
+    def table(face: Face, cycle: LinkCycle):
+        return prepared.kernels[face], prepared.points
+
     for face in surface.poset.faces(surface.poset.dim_low):
-        check, entries = _star_check(surface, face)
+        check, entries = _star_check(surface, face, table)
         entries_total += entries
         if not check.convex:
             failing.append((face, check.reason))

@@ -8,7 +8,6 @@ from plconvex.exactgeom import (
     complementary_projection,
     coords_in_2basis,
     dot,
-    independent_rows,
     nullspace,
     orient2d,
     orient3d,
@@ -34,15 +33,6 @@ def test_rank_bounds(rows):
     r = rank(rows)
     assert 0 <= r <= min(3, len(rows))
     assert rank(rows + rows) == r
-
-
-@given(vecs(3, 6))
-def test_independent_rows_span(rows):
-    picked = independent_rows(rows)
-    assert len(picked) == rank(rows)
-    assert rank([rows[i] for i in picked]) == len(picked)
-    # greedy subset is in input order
-    assert picked == sorted(picked)
 
 
 def test_orient2d_examples():

@@ -291,11 +291,12 @@ class TestFanIsConvex:
         fans = []
         for surface in (cube, schonhardt, pc.split_facet_cube()):
             poset = surface.poset
+            points = pc.prepare(surface).points
             for f in list(poset.faces(0))[:4]:
                 cyc = pc.link_cycle(poset, f)
                 kern = direction_space(surface, f)
                 proj = pc.complementary_projection(kern, 3)
-                fans.append(pc.build_fan(surface, f, cyc, proj))
+                fans.append(pc.build_fan(points, f, cyc, proj))
         for fan in fans:
             base = fan_is_convex(fan)
             m = len(fan.entries)
@@ -324,7 +325,7 @@ class TestFanIsConvex:
             f for f in cube.poset.faces(0) if cube.vertices[f.index] == as_vec([0, 0, 0])
         )
         cyc = pc.link_cycle(cube.poset, origin)
-        fan = pc.build_fan(cube, origin, cyc, pc.complementary_projection((), 3))
+        fan = pc.build_fan(pc.prepare(cube).points, origin, cyc, pc.complementary_projection((), 3))
         assert fan.apex == as_vec([0, 0, 0])
 
         def ray_of(d):
@@ -349,7 +350,7 @@ class TestFanIsConvex:
         proj = pc.complementary_projection(kern, 4)
         assert proj.axes == (1, 2, 3)
         cyc = pc.link_cycle(tesseract.poset, edge)
-        fan = pc.build_fan(tesseract, edge, cyc, proj)
+        fan = pc.build_fan(pc.prepare(tesseract).points, edge, cyc, proj)
         rays = set()
         for e in fan.entries:
             if e.kind == RAY:
@@ -364,12 +365,13 @@ class TestFanIsConvex:
         # needs an exact certificate
         for surface in (cube, pc.gen_prism(7), skewed_pyramid(64), pc.gen_prism(256)):
             assert pc.verify(surface).kind == "CONVEX"
+            points = pc.prepare(surface).points
             for f in surface.poset.faces(0):
                 res = verify_face(surface, f)
                 assert res == (True, "OK_POINTED")
                 cyc = pc.link_cycle(surface.poset, f)
                 kern = direction_space(surface, f)
-                fan = pc.build_fan(surface, f, cyc, pc.complementary_projection(kern, 3))
+                fan = pc.build_fan(points, f, cyc, pc.complementary_projection(kern, 3))
                 entries = fan.entries
                 m = len(entries)
                 for i in range(1, m, 2):

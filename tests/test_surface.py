@@ -12,6 +12,7 @@ from plconvex.surface import (
     check_realization,
     direction_space,
     interior_point,
+    prepare,
 )
 
 F = Fraction
@@ -105,6 +106,23 @@ def test_as_equations_cube_round(cube):
         assert dot(fe.normal, eq.witnesses[h]) == fe.offset
 
 
+def test_witness_moved_along_its_edge_is_trusted():
+    # witnesses are only checked against their facet planes: moving an
+    # edge's witness along the edge line keeps the input valid, and the
+    # verdict follows the moved point
+    eq = as_equations(pc.gen_hypercube(3))
+    edge, a, b = Face(1, 0), Face(0, 0), Face(0, 1)
+    assert {a, b} == {v for v in eq.poset.faces(0) if edge in eq.poset.up(v)}
+    step = tuple(y - x for x, y in zip(eq.witnesses[a], eq.witnesses[b]))
+    expected = {F(1, 2): ("INVALID", "ZERO_DIRECTION"), F(1): ("NOT_CONVEX", "WRONG_TURN_SIGN")}
+    for t, (kind, reason) in expected.items():
+        wits = {**eq.witnesses, edge: tuple(w + t * d for w, d in zip(eq.witnesses[edge], step))}
+        moved = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+        assert check_realization(moved).ok
+        verdict = pc.verify(moved)
+        assert (verdict.kind, verdict.witness, verdict.reason) == (kind, b, reason)
+
+
 def test_as_equations_bad_witness_detected(cube):
     eq = as_equations(cube)
     wits = dict(eq.witnesses)
@@ -127,6 +145,36 @@ def test_check_realization_rejects_wrong_length_normal(cube):
         assert [(v.code, v.face) for v in report.violations] == [("BAD_NORMAL", h)]
         verdict = pc.verify(broken)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", h, "BAD_NORMAL")
+
+
+def _moved_and_equations():
+    bases = [("prism8", pc.gen_prism(8))]
+    for n in range(3, 6):
+        bases += [
+            (f"hypercube{n}", pc.gen_hypercube(n)),
+            (f"cross{n}", pc.gen_cross_polytope(n)),
+            (f"simplex{n}", pc.gen_simplex(n)),
+        ]
+    for name, base in bases:
+        moved = pc.rigid_motion(base, 1)
+        yield pytest.param(base, id=name)
+        yield pytest.param(moved, id=f"{name}-moved")
+        yield pytest.param(as_equations(base), id=f"{name}-eq")
+        yield pytest.param(as_equations(moved), id=f"{name}-moved-eq")
+
+
+@pytest.mark.parametrize("surface", _moved_and_equations())
+def test_prepare_matches_single_face_entry_points(surface):
+    prepared = prepare(surface)
+    assert prepared.ok and prepared.report == check_realization(surface)
+    poset = surface.poset
+    faces = [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)]
+    assert list(prepared.points) == faces
+    for f in faces:
+        assert prepared.points[f] == interior_point(surface, f)
+    assert list(prepared.kernels) == list(poset.faces(poset.dim_low))
+    for f in poset.faces(poset.dim_low):
+        assert prepared.kernels[f] == direction_space(surface, f)
 
 
 def test_as_equations_direction_space(tesseract):

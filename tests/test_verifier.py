@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
+from plconvex.exactgeom import Eliminator
 from plconvex.poset import Face, FacePoset, LinkCycle
 from plconvex.surface import PLSurface, direction_space
 from plconvex.verifier import verify, verify_face
@@ -59,6 +60,26 @@ def test_dented_cube_witness_near_dent():
     }
     assert apex_facets & witness_facets
     assert pc.oracle_verdict(s).convex is False
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [pc.gen_hypercube(5), pc.gen_prism(64), pc.gen_cross_polytope(5)],
+    ids=["hypercube5", "prism64", "cross5"],
+)
+def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
+    built = []
+    init = Eliminator.__init__
+
+    def counting_init(self, width):
+        built.append(width)
+        init(self, width)
+
+    monkeypatch.setattr(Eliminator, "__init__", counting_init)
+    assert verify(surface).kind == "CONVEX"
+    poset = surface.poset
+    faces = sum(poset.count(d) for d in (poset.dim_low, poset.dim_mid, poset.dim_top))
+    assert len(built) <= faces
 
 
 def test_verify_face_cube_all_pointed(cube):
@@ -148,7 +169,7 @@ def test_zero_direction_guard():
     proj = pc.complementary_projection(kern, 4)
     cyc = LinkCycle(center, (g0, h0, g1, h1))
     with pytest.raises(pc.ZeroDirectionError):
-        pc.build_fan(s, center, cyc, proj)
+        pc.build_fan(pc.prepare(s).points, center, cyc, proj)
     assert verify_face(s, center).reason == "ZERO_DIRECTION"
 
 
