@@ -1,24 +1,29 @@
-"""Exact rational linear algebra and sign predicates.
+"""Exact linear algebra and sign predicates.
 
 Every decision in the verifier reduces to the sign of a rational
-expression, so this module works over ``fractions.Fraction`` throughout.
-No decision anywhere in the package goes through a float.
+expression, and no decision anywhere in the package goes through a
+float.  Inputs are ``fractions.Fraction`` coordinates; the verifier's
+hot path carries them in homogeneous form (``homogeneous``: integer
+numerators over one positive denominator), so elimination, nullspaces
+and projections run on Python integers, fraction-free.
 
-Vectors are plain tuples of ``Fraction``; matrices are sequences of such
-row vectors.
+Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
+matrices are sequences of such row vectors.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+IVec = tuple[int, ...]
+# a point as integer numerators over a positive weight: the point is nums / weight
+HomPoint = tuple[IVec, int]
 
 
 class DegenerateFaceError(Exception):
@@ -48,11 +53,7 @@ def vscale(c: Fraction, u: Vec) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+    return sum(map(operator.mul, u, v))
 
 
 def vmean(points: Sequence[Vec]) -> Vec:
@@ -90,41 +91,71 @@ def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
     return sign(dot(cross3(u, v), w))
 
 
-class Eliminator:
-    """Incremental exact Gaussian elimination.
+def homogeneous(v: Sequence) -> HomPoint:
+    """Integer numerators and their positive common denominator: v = nums / w."""
+    if set(map(type, v)) <= {int}:
+        return tuple(v), 1
+    w = math.lcm(*[x.denominator for x in v])
+    return tuple(x.numerator * (w // x.denominator) for x in v), w
 
-    Feed row vectors with :meth:`add`; the instance keeps a growing set of
-    pivot rows and reports whether each new row increased the rank.  Used
-    for ranks and greedy independent subsets.
+
+def dehomogenise(nums: Sequence[int], w: int) -> Vec:
+    """The rational vector nums / w, the inverse of ``homogeneous``."""
+    return tuple(Fraction(x, w) for x in nums)
+
+
+def _reduce(pivots: Sequence[tuple[int, IVec]], r: IVec) -> IVec:
+    """Fraction-free reduction of an integer row against echelon pivot rows.
+
+    Each pivot (col, row) with r[col] != 0 replaces r by p*r - c*row
+    (p = row[col], c = r[col], both divided by gcd(p, c)); the result is
+    divided by the gcd of its entries, so no division leaves the
+    integers.  Each pivot row must be zero at the pivot columns of the
+    rows before it.
+    """
+    for col, row in pivots:
+        c = r[col]
+        if c:
+            p = row[col]
+            g = math.gcd(p, c)
+            p, c = p // g, c // g
+            r = tuple(p * x - c * y for x, y in zip(r, row))
+    g = math.gcd(*r)
+    return r if g <= 1 else tuple(x // g for x in r)
+
+
+def _pivot(r: IVec) -> int | None:
+    return next((k for k, x in enumerate(r) if x), None)
+
+
+class Eliminator:
+    """Incremental exact Gaussian elimination over the integers.
+
+    Feed row vectors (integers or ``Fraction``s) with :meth:`add`; each
+    row is scaled to integers once (a positive multiple, same rank) and
+    reduced fraction-free against a growing set of pivot rows.  ``add``
+    reports whether the row increased the rank.  Used for ranks and
+    greedy independent subsets.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: list[tuple[int, Vec]] = []  # (pivot column, reduced row)
+        self.pivots: list[tuple[int, IVec]] = []  # (pivot column, reduced row)
 
-    def residual(self, v: Sequence[Fraction]) -> list[Fraction]:
-        r = list(v)
-        for col, row in self.pivots:
-            if r[col] != 0:
-                f = r[col] / row[col]
-                for k in range(col, self.width):
-                    r[k] -= f * row[k]
-        return r
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        r = self.residual(v)
-        for col in range(self.width):
-            if r[col] != 0:
-                self.pivots.append((col, tuple(r)))
-                return True
-        return False
+    def add(self, v: Sequence) -> bool:
+        r = _reduce(self.pivots, homogeneous(v)[0])
+        col = _pivot(r)
+        if col is None:
+            return False
+        self.pivots.append((col, r))
+        return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+def rank(vectors: Sequence[Sequence]) -> int:
     vectors = list(vectors)
     if not vectors:
         return 0
@@ -134,46 +165,38 @@ def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     return elim.rank
 
 
-def rref(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[int, Vec]]:
-    """Reduced row echelon form as (pivot column, row) pairs, pivots scaled to 1."""
-    work: list[list[Fraction]] = []
-    pivots: list[int] = []
+def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
+    """Deterministic integer basis of {x : row . x = 0 for each row}.
+
+    The rows are brought to reduced echelon form fraction-free (each new
+    pivot row is also cleared out of the earlier ones).  The basis has
+    one vector per free column f, in increasing order: L at f, 0 at the
+    other free columns and -L * row[f] / row[pivot] at each pivot
+    column, with one positive integer L for the whole basis.  It is L
+    times the basis read off the rational reduced row echelon form, and
+    each vector's last nonzero entry is L, at its own free column.
+    """
+    pivots: list[tuple[int, IVec]] = []
     for v in rows:
-        r = list(v)
-        for col, row in zip(pivots, work):
-            if r[col] != 0:
-                f = r[col]
-                for k in range(width):
-                    r[k] -= f * row[k]
-        for col in range(width):
-            if r[col] != 0:
-                f = r[col]
-                r = [x / f for x in r]
-                for col0, row0 in zip(pivots, work):
-                    if row0[col] != 0:
-                        g = row0[col]
-                        for k in range(width):
-                            row0[k] -= g * r[k]
-                pivots.append(col)
-                work.append(r)
-                break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [(pivots[i], tuple(work[i])) for i in order]
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[Vec, ...]:
-    """Deterministic basis of {x : row . x = 0 for each row}."""
-    reduced = rref(rows, width)
-    pivot_cols = [c for c, _ in reduced]
-    free_cols = [c for c in range(width) if c not in pivot_cols]
+        r = _reduce(pivots, homogeneous(v)[0])
+        col = _pivot(r)
+        if col is not None:
+            pivots = [(c, _reduce([(col, r)], row)) for c, row in pivots]
+            pivots.append((col, r))
+    pivots.sort()
+    scale = math.lcm(*[row[c] for c, row in pivots])  # lcm of the absolute values
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in free_cols:
-        x = [ZERO] * width
-        x[f] = ONE
-        for c, row in reduced:
-            x[c] = -row[f]
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        x = [0] * width
+        x[f] = scale
+        for c, row in pivots:
+            x[c] = -row[f] * (scale // row[c])
         basis.append(tuple(x))
-    return tuple(basis)
+    g = math.gcd(*[x for b in basis for x in b])
+    return tuple(tuple(x // g for x in b) for b in basis) if g > 1 else tuple(basis)
 
 
 def coords_in_2basis(v: Vec, b1: Vec, b2: Vec) -> tuple[Fraction, Fraction] | None:
@@ -191,8 +214,8 @@ def coords_in_2basis(v: Vec, b1: Vec, b2: Vec) -> tuple[Fraction, Fraction] | No
     if rows is None:
         return None  # b1, b2 dependent; caller guarantees otherwise
     i, j, det = rows
-    x = (v[i] * b2[j] - v[j] * b2[i]) / det
-    y = (b1[i] * v[j] - b1[j] * v[i]) / det
+    x = Fraction(v[i] * b2[j] - v[j] * b2[i], det)
+    y = Fraction(b1[i] * v[j] - b1[j] * v[i], det)
     for k in range(n):
         if x * b1[k] + y * b2[k] != v[k]:
             return None
@@ -203,8 +226,9 @@ def coords_in_2basis(v: Vec, b1: Vec, b2: Vec) -> tuple[Fraction, Fraction] | No
 class Projection3:
     """A rank-3 linear map R^n -> R^3 that vanishes exactly on span(kernel).
 
-    ``axes`` is set when the map is a plain coordinate extraction; it
-    lets ``project`` skip the dot products.
+    ``complementary_projection`` gives integer rows; a caller may pass
+    rational ones.  ``axes`` is set when the map is a plain coordinate
+    extraction; it lets ``project`` skip the dot products.
     """
 
     rows: tuple[Vec, Vec, Vec]
@@ -217,8 +241,9 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
 
     Fast path: when the kernel is spanned by coordinate axes outside some
     axis triple (scanned in lexicographic order), the map just extracts
-    those three coordinates.  Otherwise the rows are a basis of the
-    orthogonal complement of span(kernel), computed by exact elimination.
+    those three coordinates.  Otherwise the rows are the integer
+    ``nullspace`` basis of the kernel, which spans its orthogonal
+    complement.  Either way the rows are integers.
     """
     kernel = tuple(tuple(v) for v in kernel)
     if len(kernel) != n - 3:
@@ -226,7 +251,7 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
     for triple in combinations(range(n), 3):
         if all(all(v[i] == 0 for i in triple) for v in kernel):
             rows = tuple(
-                tuple(ONE if k == i else ZERO for k in range(n)) for i in triple
+                tuple(1 if k == i else 0 for k in range(n)) for i in triple
             )
             return Projection3(rows, kernel, axes=triple)
     comp = nullspace(kernel, n)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactgeom import Projection3, Vec, is_zero_vec, project, vsub
+from .exactgeom import HomPoint, Projection3, Vec, homogeneous, project
 from .poset import Face, LinkCycle
 
 RAY = "ray"
@@ -65,10 +65,14 @@ class FanEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Fan3:
-    """Apex plus the cyclic alternating ray/witness directions of a star."""
+    """Apex plus the cyclic alternating ray/witness directions of a star.
+
+    The apex point is ``apex`` divided by the positive ``weight``.
+    """
 
     apex: Vec
     entries: tuple[FanEntry, ...]
+    weight: int = 1
 
     def directions(self) -> list[Vec]:
         return [e.direction for e in self.entries]
@@ -90,23 +94,34 @@ class OppositeDirectionsError(Exception):
     code = "OPPOSITE_DIRECTIONS"
 
 
-def build_fan(points: Mapping[Face, Vec], center: Face, cycle: LinkCycle, proj: Projection3) -> Fan3:
-    """Project the star of ``center`` into 3-space along its direction space.
+def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, proj: Projection3) -> Fan3:
+    """Project the star of ``center`` into 3-space along its direction space, in integers.
 
-    ``points`` maps faces to interior points (``prepare(surface).points``).
-    The apex is the projected interior point of ``center``; every face of
-    the link cycle contributes the direction from the apex to its own
-    projected interior point, in cycle order.
+    ``points`` maps faces to interior points in homogeneous form, integer
+    numerators S over a positive weight w (``prepare(surface).points``).
+    A projection with rational rows is first scaled to integer rows by
+    one common positive integer, which scales the whole fan.  The apex
+    is P(S_c) over the weight w_c of ``center``; every face f of the link
+    cycle contributes, in cycle order, the integer direction
+    w_c * P(S_f) - w_f * P(S_c), the positive multiple w_c * w_f of the
+    direction from the apex to f's projected interior point.
     """
-    apex = project(proj, points[center])
+    if proj.axes is None:
+        flat, _ = homogeneous([x for row in proj.rows for x in row])
+        k = len(flat) // 3
+        proj = Projection3((flat[:k], flat[k : 2 * k], flat[2 * k :]), proj.kernel)
+    center_nums, wc = points[center]
+    a0, a1, a2 = apex = project(proj, center_nums)
     entries = []
     for face in cycle.entries:
-        d = vsub(project(proj, points[face]), apex)
-        if is_zero_vec(d):
+        nums, w = points[face]
+        p = project(proj, nums)
+        d = (wc * p[0] - w * a0, wc * p[1] - w * a1, wc * p[2] - w * a2)
+        if d == (0, 0, 0):
             raise ZeroDirectionError(face)
         kind = RAY if face.dim == center.dim + 1 else CELL
         entries.append(FanEntry(kind, d, face))
-    return Fan3(apex, tuple(entries))
+    return Fan3(apex, tuple(entries), wc)
 
 
 IVec = tuple[int, int, int]

@@ -6,34 +6,40 @@ each facet carries an exact hyperplane (normal, offset) and every listed
 face of dims n-3, n-2, n-1 carries a witness point in its relative
 interior; vertex coordinates are not needed then.
 
-``prepare`` is the one geometry pass.  For every face of dims n-3, n-2,
-n-1 it runs one elimination that yields the face's interior point, its
+``prepare`` is the one geometry pass.  It converts every vertex,
+witness and facet equation to integer homogeneous form once
+(``exactgeom.homogeneous``), and for every face of dims n-3, n-2, n-1
+runs one fraction-free elimination that yields the face's interior
+point (integer numerators over a positive weight), its integer
 direction basis (kept for (n-3)-faces) and whether it spans its
-dimension; ``interior_point`` and ``direction_space`` answer single
-faces from the same per-face routine.  The pass also enforces the
-geometric half of the input contract (``check_realization``): each
-face's vertex set must affinely span exactly the face's dimension
-(vertex mode), respectively witnesses must satisfy the equations of all
-facets above them and the incident facet normals of every (n-3)-face
-must pin down its direction space (equations mode).  Inputs failing
-these checks are reported invalid rather than classified.  Witnesses
-are trusted to lie in the relative interior of their faces; that part
-is not checked.
+dimension; ``interior_point`` (the same point as ``Fraction``s) and
+``direction_space`` answer single faces from the same per-face
+routine.  The pass also enforces the geometric half of the input
+contract (``check_realization``): each face's vertex set must affinely
+span exactly the face's dimension (vertex mode), respectively
+witnesses must satisfy the equations of all facets above them and the
+incident facet normals of every (n-3)-face must pin down its direction
+space (equations mode).  Inputs failing these checks are reported
+invalid rather than classified.  Witnesses are trusted to lie in the
+relative interior of their faces; that part is not checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactgeom import (
     DegenerateFaceError,
     Eliminator,
+    HomPoint,
+    IVec,
     Vec,
+    dehomogenise,
     dot,
+    homogeneous,
     nullspace,
-    vmean,
-    vsub,
 )
 from .poset import Face, FacePoset, ValidationReport, Violation
 
@@ -63,39 +69,52 @@ class PLSurface:
         return VERTEX_MODE if self.vertices else EQUATION_MODE
 
 
+def _difference(base: HomPoint, p: HomPoint) -> IVec:
+    """w_b * V_p - w_p * V_b: the positive multiple w_b * w_p of p - base, in integers."""
+    (vb, wb), (vp, wp) = base, p
+    return tuple(wb * x - wp * y for x, y in zip(vp, vb))
+
+
 def _face_geometry(
-    surface: PLSurface, face: Face, point_only: bool = False
-) -> tuple[Vec, tuple[Vec, ...], str | None]:
+    surface: PLSurface, face: Face, convert, point_only: bool = False
+) -> tuple[HomPoint | None, tuple[IVec, ...], str | None]:
     """A face's interior point, direction basis and rank defect, from one elimination.
 
-    Vertex mode scans the differences from the least-index vertex in index
-    order and stops once the rank exceeds the face's dimension; the point
-    is the mean of that vertex and the first ``dim`` vertices that raised
-    the rank.  Equations mode gives the witness and, for an (n-3)-face,
-    the nullspace of the incident facet normals.  The defect is None
-    exactly when the face spans its dimension.  ``point_only`` stops as
-    soon as the point is known, skipping the rank check and the kernel.
+    ``convert`` gives the input records in integer form: vertex i's
+    homogeneous coordinates in vertex mode, facet h's normal numerators
+    in equations mode.  Vertex mode scans the differences from the
+    least-index vertex in index order and stops once the rank exceeds
+    the face's dimension; the point is the mean of that vertex and the
+    first ``dim`` vertices that raised the rank, as the integer sum of
+    their numerators (each brought to the common weight W) over the
+    weight k*W for k points.  The basis vectors are those integer
+    differences.  Equations mode gives the witness and, for an
+    (n-3)-face, the integer nullspace of the incident facet normals
+    (each facet once).  The defect is None exactly when the face spans
+    its dimension.  ``point_only`` stops as soon as the point is known,
+    skipping the rank check and the kernel.
     """
     poset = surface.poset
     if surface.mode == EQUATION_MODE:
-        point = surface.witnesses.get(face)
+        witness = surface.witnesses.get(face)
+        point = None if witness is None else homogeneous(witness)
         if face.dim != poset.dim_low or point_only:
             return point, (), None
-        normals = [surface.equations[h].normal for g in poset.up(face) for h in poset.up(g)]
-        basis = nullspace(normals, surface.n)
+        facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
+        basis = nullspace([convert(h) for h in facets], surface.n)
         if len(basis) != surface.n - 3:
             return point, basis, "incident facet equations do not determine the face's direction space"
         return point, basis, None
     verts = poset.vertex_lists[face]
-    base = surface.vertices[verts[0]]
+    base = convert(verts[0])
     if face.dim == 0:
         return base, (), None
     elim = Eliminator(surface.n)
     picked = [base]
     basis = []
     for v in verts[1:]:
-        p = surface.vertices[v]
-        d = vsub(p, base)
+        p = convert(v)
+        d = _difference(base, p)
         if elim.add(d):
             basis.append(d)
             if len(basis) > face.dim:
@@ -104,41 +123,64 @@ def _face_geometry(
             if point_only and len(basis) == face.dim:
                 break
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
-    return vmean(picked), tuple(basis), defect
+    weight = math.lcm(*[w for _, w in picked])
+    total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
+    return (total, len(picked) * weight), tuple(basis), defect
+
+
+def _converter(surface: PLSurface):
+    """The input records converted on demand, for single-face queries (see ``_face_geometry``)."""
+    if surface.mode == VERTEX_MODE:
+        return lambda i: homogeneous(surface.vertices[i])
+    return lambda h: homogeneous(surface.equations[h].normal)[0]
+
+
+def homogeneous_point(surface: PLSurface, face: Face) -> HomPoint | None:
+    """``interior_point`` as integer numerators over a positive weight, as ``prepare`` tabulates it."""
+    return _face_geometry(surface, face, _converter(surface), point_only=True)[0]
 
 
 def interior_point(surface: PLSurface, face: Face) -> Vec:
-    """A deterministic point in the relative interior of a face, as ``prepare`` tabulates it.
+    """A deterministic point in the relative interior of a face.
 
     In vertex mode it is the mean of at most dim+1 affinely independent
     vertices, inside the face when the face is their convex hull; the
     scan stops there, so its cost is bounded by the face dimension.
+    In equations mode it is the face's witness (None when missing).
+    This is ``homogeneous_point`` divided out to ``Fraction``s.
     """
-    return _face_geometry(surface, face, point_only=True)[0]
+    point = homogeneous_point(surface, face)
+    return None if point is None else dehomogenise(*point)
 
 
-def direction_space(surface: PLSurface, face: Face) -> tuple[Vec, ...]:
-    """Basis of the direction space of an (n-3)-face, as ``prepare`` tabulates it.
+def direction_space(surface: PLSurface, face: Face) -> tuple[IVec, ...]:
+    """Integer basis of the direction space of an (n-3)-face, as ``prepare`` tabulates it.
 
     Raises DegenerateFaceError when it does not have dimension n-3.
     """
     if face.dim != surface.poset.dim_low:
         raise ValueError(f"{face} is not an (n-3)-face")
-    _, basis, defect = _face_geometry(surface, face)
+    _, basis, defect = _face_geometry(surface, face, _converter(surface))
     if defect is not None:
         raise DegenerateFaceError(face, defect)
     return basis
 
 
 def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
-    """Exact hyperplane through a facet's vertices (vertex mode)."""
-    verts = surface.poset.vertex_lists[facet]
-    base = surface.vertices[verts[0]]
-    diffs = [vsub(surface.vertices[v], base) for v in verts[1:]]
-    normals = nullspace(diffs, surface.n)
+    """Exact hyperplane through a facet's vertices (vertex mode).
+
+    The normal is the rational nullspace basis vector of the vertex
+    differences: the integer one divided by its last nonzero entry, its
+    free column's value (see ``nullspace``).
+    """
+    coords = [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[facet]]
+    normals = nullspace([_difference(coords[0], p) for p in coords[1:]], surface.n)
     if len(normals) != 1:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    return FacetEquation(normals[0], dot(normals[0], base))
+    normal = normals[0]
+    scale = next(x for x in reversed(normal) if x)
+    base, weight = coords[0]
+    return FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
 
 
 def as_equations(surface: PLSurface) -> PLSurface:
@@ -169,13 +211,14 @@ class PreparedSurface:
     """Realization report plus per-face geometry, from one pass.
 
     ``points`` holds the interior point of every face of dims n-3, n-2,
-    n-1 and ``kernels`` the direction basis of every (n-3)-face; both are
-    only meaningful when the report is ok.
+    n-1 in homogeneous form (``dehomogenise(*points[f])`` is
+    ``interior_point``) and ``kernels`` the integer direction basis of
+    every (n-3)-face; both are only meaningful when the report is ok.
     """
 
     report: ValidationReport
-    points: dict[Face, Vec] = field(default_factory=dict)
-    kernels: dict[Face, tuple[Vec, ...]] = field(default_factory=dict)
+    points: dict[Face, HomPoint] = field(default_factory=dict)
+    kernels: dict[Face, tuple[IVec, ...]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -188,8 +231,10 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     Every face of dims n-3, n-2, n-1 goes through ``_face_geometry``
     once: its rank defect becomes a DEGENERATE_FACE violation, and its
     interior point and (for (n-3)-faces) its kernel go into the table.
-    Equations mode first checks the facet equations and then that each
-    witness lies on every facet above its face.
+    Vertex coordinates, witnesses and facet equations are converted to
+    integers once.  Equations mode first checks the facet equations and
+    then that each witness lies on every facet above its face, an
+    integer comparison.
     """
     bad: list[Violation] = []
     poset = surface.poset
@@ -211,6 +256,16 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
+    if surface.mode == VERTEX_MODE:
+        convert = [homogeneous(v) for v in surface.vertices].__getitem__
+    else:
+        # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
+        equations = {}
+        for h in poset.faces(poset.dim_top):
+            eq = surface.equations[h]
+            normal, weight = homogeneous(eq.normal)
+            equations[h] = (normal, eq.offset.denominator, eq.offset.numerator * weight)
+        convert = lambda h: equations[h][0]
 
     def facets_above(face: Face) -> set[Face]:
         faces = [face]
@@ -219,13 +274,13 @@ def prepare(surface: PLSurface) -> PreparedSurface:
         return set(faces)
 
     degenerate: list[Violation] = []
-    points: dict[Face, Vec] = {}
-    kernels: dict[Face, tuple[Vec, ...]] = {}
+    points: dict[Face, HomPoint] = {}
+    kernels: dict[Face, tuple[IVec, ...]] = {}
     for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
         for face in poset.faces(d):
             if surface.mode == VERTEX_MODE and not poset.vertex_lists.get(face):
                 continue  # reported by validate_poset
-            point, basis, defect = _face_geometry(surface, face)
+            point, basis, defect = _face_geometry(surface, face, convert)
             points[face] = point
             if d == poset.dim_low:
                 kernels[face] = basis
@@ -233,12 +288,13 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 degenerate.append(Violation("DEGENERATE_FACE", face, defect))
             if surface.mode == VERTEX_MODE:
                 continue
-            if point is None or len(point) != n:
+            if point is None or len(point[0]) != n:
                 bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
                 continue
+            x, weight = point
             for h in facets_above(face):
-                eq = surface.equations[h]
-                if dot(eq.normal, point) != eq.offset:
+                normal, den, rhs = equations[h]
+                if dot(normal, x) * den != rhs * weight:
                     bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
     return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
 

@@ -28,7 +28,7 @@ from .poset import (
     link_cycle,
     validate_poset,
 )
-from .surface import PLSurface, PreparedSurface, direction_space, interior_point, prepare
+from .surface import PLSurface, PreparedSurface, direction_space, homogeneous_point, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
@@ -95,7 +95,7 @@ def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None =
     """
 
     def star_geometry(center: Face, cycle: LinkCycle):
-        points = {f: interior_point(surface, f) for f in (center, *cycle.entries)}
+        points = {f: homogeneous_point(surface, f) for f in (center, *cycle.entries)}
         return direction_space(surface, center), points
 
     return _star_check(surface, face, star_geometry, projection)[0]

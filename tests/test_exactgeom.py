@@ -15,6 +15,8 @@ from plconvex.exactgeom import (
     rank,
 )
 
+F = Fraction
+
 fr = st.fractions(min_value=-5, max_value=5, max_denominator=20)
 
 
@@ -26,6 +28,8 @@ def test_rank_examples():
     assert rank([as_vec([1, 0, 0]), as_vec([0, 1, 0])]) == 2
     assert rank([]) == 0
     assert rank([as_vec([1, 2]), as_vec([2, 4])]) == 1
+    # integer rows stay exact: the determinant is -1, which floats lose
+    assert rank([[2**60 + 1, 2**60], [2**60, 2**60 - 1]]) == 2
 
 
 @given(vecs(3, 6))
@@ -68,12 +72,38 @@ def test_orient2d_adversarial_cancellation():
     assert orient2d(a, b, (Fraction(2), Fraction(2))) == 0
 
 
+def _free_columns(rows, width):
+    # column j is a pivot column iff it raises the rank of the columns before it
+    prefix = lambda j: rank([r[:j] for r in rows]) if rows else 0
+    return [j for j in range(width) if prefix(j + 1) == prefix(j)]
+
+
+NULLSPACE_CASES = [
+    ([as_vec([1, 1, 1, 1])], 4),
+    ([[1, 2, 3]], 3),
+    ([[0, 2, 4, 6], [1, 0, 0, 5]], 4),
+    ([[F(1, 3), F(-2, 5), 0, 7, F(1, 2)], [2, 0, F(3, 4), 1, 0], [F(2, 3), F(-4, 5), 0, 14, 1]], 5),
+    ([[2**60 + 1, 2**60, 3], [2**60, 2**60 - 1, 5]], 3),
+    ([], 3),
+]
+
+
 def test_nullspace_orthogonality():
-    rows = [as_vec([1, 1, 1, 1])]
-    basis = nullspace(rows, 4)
-    assert len(basis) == 3
-    assert all(dot(rows[0], b) == 0 for b in basis)
-    assert rank(basis) == 3
+    for rows, width in NULLSPACE_CASES:
+        basis = nullspace(rows, width)
+        assert len(basis) == width - rank(rows)
+        assert all(type(x) is int for b in basis for x in b)
+        assert all(dot(r, b) == 0 for r in rows for b in basis)
+        assert rank(basis) == len(basis)
+        # the reduced row echelon shape: each vector holds one common
+        # positive L at its own free column and 0 at the other free columns
+        free = _free_columns(rows, width)
+        scale = basis[0][free[0]]
+        assert scale > 0
+        for b, f in zip(basis, free):
+            assert [b[g] for g in free] == [scale if g == f else 0 for g in free]
+    # integer rows stay integers, without a float division
+    assert nullspace([[1, 2, 3]], 3) == ((-2, 1, 0), (-3, 0, 1))
 
 
 def test_projection_identity_for_n3():
@@ -122,6 +152,10 @@ def test_coords_in_2basis():
     v = as_vec([2, 3, 5])
     assert coords_in_2basis(v, b1, b2) == (Fraction(2), Fraction(3))
     assert coords_in_2basis(as_vec([0, 0, 1]), b1, b2) is None
+    # integer inputs give exact fractions, not floats
+    xy = coords_in_2basis((1, 1, 2), (3, 0, 3), (0, 3, 3))
+    assert xy == (Fraction(1, 3), Fraction(1, 3))
+    assert all(type(c) is Fraction for c in xy)
 
 
 def test_orient3d():

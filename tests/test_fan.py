@@ -297,6 +297,11 @@ class TestFanIsConvex:
                 kern = direction_space(surface, f)
                 proj = pc.complementary_projection(kern, 3)
                 fans.append(pc.build_fan(points, f, cyc, proj))
+        # the geometry pass hands the classifier integer directions and rows
+        assert all(type(c) is int for fan in fans for e in fan.entries for c in e.direction)
+        rows = pc.complementary_projection([as_vec([1, 2, 0, -1])], 4).rows
+        assert all(type(c) is int for r in rows for c in r)
+        rng = random.Random(7)
         for fan in fans:
             base = fan_is_convex(fan)
             m = len(fan.entries)
@@ -307,6 +312,13 @@ class TestFanIsConvex:
             if rev[0].kind != RAY:
                 rev = rev[-1:] + rev[:-1]
             assert fan_is_convex(Fan3(fan.apex, rev)) == base
+            # each direction only stands for its ray: rescale every entry on its own
+            for _ in range(3):
+                scaled = []
+                for e in fan.entries:
+                    lam = rng.choice([rng.randint(1, 10**6), F(rng.randint(1, 99), rng.randint(1, 99))])
+                    scaled.append(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source))
+                assert fan_is_convex(Fan3(fan.apex, tuple(scaled))) == base
 
     def test_scaling_invariance(self):
         rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]

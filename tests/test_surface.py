@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import DegenerateFaceError, as_vec, dot
+from plconvex.exactgeom import DegenerateFaceError, as_vec, dehomogenise, dot
 from plconvex.poset import Face, FacePoset
 from plconvex.surface import (
     FacetEquation,
@@ -171,7 +171,7 @@ def test_prepare_matches_single_face_entry_points(surface):
     faces = [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)]
     assert list(prepared.points) == faces
     for f in faces:
-        assert prepared.points[f] == interior_point(surface, f)
+        assert dehomogenise(*prepared.points[f]) == interior_point(surface, f)
     assert list(prepared.kernels) == list(poset.faces(poset.dim_low))
     for f in poset.faces(poset.dim_low):
         assert prepared.kernels[f] == direction_space(surface, f)
