@@ -31,7 +31,10 @@ def face_label(face: Face) -> str:
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     head = text.lstrip()[:4]
     if path.endswith(".off") or head.startswith("OFF"):
         return parse_off(text)

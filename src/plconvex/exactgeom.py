@@ -199,29 +199,6 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
     return tuple(tuple(x // g for x in b) for b in basis) if g > 1 else tuple(basis)
 
 
-def coords_in_2basis(v: Vec, b1: Vec, b2: Vec) -> tuple[Fraction, Fraction] | None:
-    """Solve v = x*b1 + y*b2 exactly; None when v is outside span(b1, b2)."""
-    n = len(v)
-    rows = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = b1[i] * b2[j] - b1[j] * b2[i]
-            if det != 0:
-                rows = (i, j, det)
-                break
-        if rows:
-            break
-    if rows is None:
-        return None  # b1, b2 dependent; caller guarantees otherwise
-    i, j, det = rows
-    x = Fraction(v[i] * b2[j] - v[j] * b2[i], det)
-    y = Fraction(b1[i] * v[j] - b1[j] * v[i], det)
-    for k in range(n):
-        if x * b1[k] + y * b2[k] != v[k]:
-            return None
-    return (x, y)
-
-
 @dataclass(frozen=True)
 class Projection3:
     """A rank-3 linear map R^n -> R^3 that vanishes exactly on span(kernel).

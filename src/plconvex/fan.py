@@ -30,12 +30,11 @@ rejection reasons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactgeom import HomPoint, Projection3, Vec, homogeneous, project
+from .exactgeom import HomPoint, Projection3, Vec, cross3, homogeneous, project
 from .poset import Face, LinkCycle
 
 RAY = "ray"
@@ -127,24 +126,6 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
 IVec = tuple[int, int, int]
 
 
-def _int_dir(d: Vec) -> IVec:
-    """Scale a rational direction to a primitive-ish integer vector (same ray)."""
-    scale = math.lcm(d[0].denominator, d[1].denominator, d[2].denominator)
-    return (
-        d[0].numerator * (scale // d[0].denominator),
-        d[1].numerator * (scale // d[1].denominator),
-        d[2].numerator * (scale // d[2].denominator),
-    )
-
-
-def _icross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _idot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -156,7 +137,7 @@ def _rank3(dirs: Sequence[IVec]) -> int:
         return 0
     normal = None
     for d in dirs:
-        c = _icross(first, d)
+        c = cross3(first, d)
         if c != (0, 0, 0):
             normal = c
             break
@@ -165,8 +146,8 @@ def _rank3(dirs: Sequence[IVec]) -> int:
     return 3 if any(_idot(normal, d) != 0 for d in dirs) else 2
 
 
-def _int_reference_direction(dirs: Sequence[IVec]) -> IVec | None:
-    """An integer s with s . d > 0 for every direction, or None if none exists.
+def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
+    """An s with s . d > 0 for every direction, or None if none exists.
 
     The certificate comes first: the sum of the cyclic consecutive cross
     products d[k-1] x d[k], tried with both signs.  For a convex
@@ -176,17 +157,18 @@ def _int_reference_direction(dirs: Sequence[IVec]) -> IVec | None:
     dual cone {s : s . d >= 0} is generated by those pairwise cross
     products that are weakly feasible, so their sum is interior whenever
     the cone is full-dimensional, and otherwise no strict support exists.
+    Exact over any numeric type; ``fan_is_convex`` passes integers.
     """
-    crosses = [_icross(dirs[k - 1], dirs[k]) for k in range(len(dirs))]
+    crosses = [cross3(dirs[k - 1], dirs[k]) for k in range(len(dirs))]
     cert = tuple(sum(c[a] for c in crosses) for a in range(3))
     for s in (cert, (-cert[0], -cert[1], -cert[2])):
         if all(_idot(s, d) > 0 for d in dirs):
             return s
-    found: list[IVec] = []
+    found: list[Vec] = []
     m = len(dirs)
     for i in range(m):
         for j in range(i + 1, m):
-            c = _icross(dirs[i], dirs[j])
+            c = cross3(dirs[i], dirs[j])
             if c == (0, 0, 0):
                 continue
             for cc in (c, (-c[0], -c[1], -c[2])):
@@ -199,19 +181,6 @@ def _int_reference_direction(dirs: Sequence[IVec]) -> IVec | None:
         if s != (0, 0, 0) and all(_idot(s, d) > 0 for d in dirs):
             return s
     return None
-
-
-def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
-    """A rational s with s . d > 0 for every direction, or None if impossible.
-
-    Exact throughout: the directions are rescaled to integers and the
-    support search of the fan classifier runs on them (a cyclic
-    cross-product certificate, then the exact pairwise decision).
-    """
-    s = _int_reference_direction([_int_dir(d) for d in dirs])
-    if s is None:
-        return None
-    return (Fraction(s[0]), Fraction(s[1]), Fraction(s[2]))
 
 
 def _lower_half(u: tuple[Fraction, Fraction]) -> bool:
@@ -340,7 +309,7 @@ def _chain_is_half_sweep(start: IVec, between: Sequence[IVec]) -> bool:
     """
     if not between:
         return False
-    normal = _icross(start, between[0])
+    normal = cross3(start, between[0])
     if any(_idot(normal, u) != 0 for u in between):
         return False
     seq = [(1, 0)] + _plane_coords(start, between[0], between) + [(-1, 0)]
@@ -355,9 +324,9 @@ def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec]) -> Convexity
     rays = [k for k in range(m) if entries[k].kind == RAY]
     for a, i in enumerate(rays):
         for j in rays[a + 1 :]:
-            if _icross(dirs[i], dirs[j]) != (0, 0, 0) or _idot(dirs[i], dirs[j]) >= 0:
+            if cross3(dirs[i], dirs[j]) != (0, 0, 0) or _idot(dirs[i], dirs[j]) >= 0:
                 continue
-            if any(k not in (i, j) and _icross(dirs[k], dirs[i]) == (0, 0, 0) for k in range(m)):
+            if any(k not in (i, j) and cross3(dirs[k], dirs[i]) == (0, 0, 0) for k in range(m)):
                 continue  # a third direction on the fold line
             chain_a = [dirs[k] for k in range(i + 1, j)]
             chain_b = [dirs[k % m] for k in range(j + 1, i + m)]
@@ -375,17 +344,17 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     plane coordinates scaled by a positive minor, so no divisions are
     needed.
     """
-    dirs = [_int_dir(d) for d in fan.directions()]
+    dirs = [homogeneous(d)[0] for d in fan.directions()]
     r = _rank3(dirs)
     if r <= 1:
         return ConvexityCheck(False, DEGENERATE_RANK)
     if r == 2:
         first = next(d for d in dirs if d != (0, 0, 0))
-        other = next(d for d in dirs if _icross(first, d) != (0, 0, 0))
+        other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
         dirs2 = _plane_coords(first, other, dirs)
         # directions confined to a plane must sweep it once, strictly monotonically
         return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
-    s = _int_reference_direction(dirs)
+    s = reference_direction(dirs)
     if s is None:
         return _wedge_check(fan.entries, dirs)
     b1 = next(
@@ -393,7 +362,7 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
         for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))
         if c != (0, 0, 0)
     )
-    b2 = _icross(s, b1)
+    b2 = cross3(s, b1)
     # homogeneous section points (x, y, w), w > 0; the true point is (x/w, y/w)
     hom = [(_idot(d, b1), _idot(d, b2), _idot(d, s)) for d in dirs]
     m = len(hom)

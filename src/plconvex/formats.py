@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .exactgeom import Vec
 from .instances import surface_from_polygons
-from .poset import Face, FacePoset, validate_poset
+from .poset import Face, FacePoset
 from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE
 
 
@@ -101,11 +101,20 @@ def _derive_up(lower: dict[Face, tuple[int, ...]], upper: dict[Face, tuple[int, 
 
 
 def parse_pls(text: str) -> PLSurface:
-    """Parse a PLS document; exact round-trip partner of emit_pls."""
+    """Parse a PLS document; exact round-trip partner of emit_pls.
+
+    The parser checks the document's shape: fields, exact rationals,
+    dense ids, references in range, and a nonempty record list for
+    every required dimension (``MISSING_RANK``).  It builds every upward
+    incidence itself, so the poset checks (closedness, connectedness,
+    realization) are left to ``verify``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     if "n" not in doc or "mode" not in doc:
@@ -188,10 +197,9 @@ def parse_pls(text: str) -> PLSurface:
         poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=up)
         surface = PLSurface(poset, equations=equations, witnesses=witnesses)
 
-    report = validate_poset(surface.poset, surface.mode)
-    if not report.ok:
-        first = report.violations[0]
-        raise SemanticError(f"{first.code}: {first.message}")
+    empty = [d for d, c in sorted(counts.items()) if not c]
+    if empty:
+        raise SemanticError(f"MISSING_RANK: no faces of dimension {empty[0]}")
     return surface
 
 

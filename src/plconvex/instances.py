@@ -367,6 +367,8 @@ def rigid_motion(surface: PLSurface, seed: int) -> PLSurface:
 
 def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
     """Uniformly scale all coordinates by a positive rational."""
+    if surface.mode != "vertices":
+        raise ValueError("scale needs vertex coordinates")
     factor = Fraction(factor)
     if factor <= 0:
         raise ValueError("factor must be positive")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,41 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     p.write_text("{not json")
     assert run_cli(["verify", str(p)]) == 2
     assert "INVALID PARSE_ERROR" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000], ids=["not_utf8", "deep"])
+def test_verify_unreadable_document_exit_2(tmp_path, capsys, content):
+    p = tmp_path / "bad.pls"
+    p.write_bytes(content)
+    assert run_cli(["verify", str(p)]) == 2
+    assert capsys.readouterr().out.startswith("INVALID PARSE_ERROR: ")
+
+
+def test_example_gallery_script(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(pc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "make_example_surfaces.py"), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    verdicts = dict(line.split(": ") for line in run.stdout.splitlines()[:-1])
+    assert verdicts == {
+        "cube.pls": "CONVEX",
+        "tesseract.pls": "CONVEX",
+        "octahedron.pls": "CONVEX",
+        "simplex4.pls": "CONVEX",
+        "prism12.pls": "CONVEX",
+        "schonhardt.pls": "NOT_CONVEX",
+        "dented_cube.pls": "NOT_CONVEX",
+        "split_top_cube.pls": "CONVEX",
+        "cube_equations.pls": "CONVEX",
+        "tetrahedron.off": "CONVEX",
+    }
+    assert run.stdout.splitlines()[-1] == f"wrote 10 files to {tmp_path}/"
+    for name, kind in verdicts.items():
+        assert run_cli(["verify", str(tmp_path / name)]) == (0 if kind == "CONVEX" else 1)
 
 
 @pytest.mark.parametrize("face_key, bad", [("vertices", []), ("id", "0"), ("id", [0])])

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from plconvex.exactgeom import (
     as_vec,
     complementary_projection,
-    coords_in_2basis,
     dot,
     nullspace,
     orient2d,
@@ -144,18 +143,6 @@ def test_projection_kernel_is_exact(kern):
         if rank(list(kern) + [e]) == 3:
             assert project(p, e) != as_vec([0, 0, 0])
             break
-
-
-def test_coords_in_2basis():
-    b1 = as_vec([1, 0, 1])
-    b2 = as_vec([0, 1, 1])
-    v = as_vec([2, 3, 5])
-    assert coords_in_2basis(v, b1, b2) == (Fraction(2), Fraction(3))
-    assert coords_in_2basis(as_vec([0, 0, 1]), b1, b2) is None
-    # integer inputs give exact fractions, not floats
-    xy = coords_in_2basis((1, 1, 2), (3, 0, 3), (0, 3, 3))
-    assert xy == (Fraction(1, 3), Fraction(1, 3))
-    assert all(type(c) is Fraction for c in xy)
 
 
 def test_orient3d():

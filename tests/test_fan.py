@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plconvex as pc
-from plconvex.exactgeom import as_vec, coords_in_2basis, dot
+from plconvex.exactgeom import as_vec, cross3, dot
 from plconvex.fan import (
     CELL,
     RAY,
@@ -390,5 +390,8 @@ class TestFanIsConvex:
                     w = entries[i].direction
                     r1 = entries[i - 1].direction
                     r2 = entries[(i + 1) % m].direction
-                    xy = coords_in_2basis(w, r1, r2)
-                    assert xy is not None and xy[0] > 0 and xy[1] > 0
+                    # w = x*r1 + y*r2 with x, y > 0: w lies in the plane of
+                    # r1 and r2, strictly on the r2 side of r1 and the r1 side of r2
+                    normal = cross3(r1, r2)
+                    assert normal != (0, 0, 0) and dot(normal, w) == 0
+                    assert dot(cross3(r1, w), normal) > 0 and dot(cross3(w, r2), normal) > 0

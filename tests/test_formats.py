@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
+import plconvex.formats as formats
+import plconvex.verifier as verifier
+from plconvex.cli import run_cli
 from plconvex.formats import (
     NonManifoldError,
     ParseError,
@@ -12,6 +15,7 @@ from plconvex.formats import (
     parse_off,
     parse_pls,
 )
+from plconvex.poset import validate_poset
 from plconvex.surface import as_equations
 
 F = Fraction
@@ -84,6 +88,47 @@ class TestPls:
         del doc["faces"]["1"]
         with pytest.raises(ParseError):
             parse_pls(json.dumps(doc))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mode", ["vertices", "equations"])
+    def test_empty_rank(self, tmp_path, capsys, n, mode):
+        surface = pc.gen_hypercube(n)
+        if mode == "equations":
+            surface = as_equations(surface)
+        emptied = []
+        for d in surface.poset.required_dims(mode):
+            doc = json.loads(emit_pls(surface))
+            if str(d) not in doc["faces"]:
+                continue  # vertex-mode dimension 0 is the vertex list
+            doc["faces"][str(d)] = []
+            for rec in doc["faces"].get(str(d - 1), []):
+                if "up" in rec:
+                    rec["up"] = []  # nothing refers to the emptied rank
+            text = json.dumps(doc)
+            line = f"MISSING_RANK: no faces of dimension {d}"
+            with pytest.raises(SemanticError) as err:
+                parse_pls(text)
+            assert str(err.value) == line
+            p = tmp_path / "empty.pls"
+            p.write_text(text)
+            assert run_cli(["verify", str(p)]) == 2
+            assert capsys.readouterr().out == f"INVALID SEMANTIC_ERROR: {line}\n"
+            emptied.append(d)
+        assert emptied == list(range(n - 3 if mode == "equations" else 1, n))
+
+    @pytest.mark.parametrize("mode", ["vertices", "equations"])
+    def test_parse_and_verify_validate_poset_once(self, monkeypatch, cube, mode):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return validate_poset(*args, **kwargs)
+
+        monkeypatch.setattr(formats, "validate_poset", counting, raising=False)
+        monkeypatch.setattr(verifier, "validate_poset", counting)
+        surface = cube if mode == "vertices" else as_equations(cube)
+        assert pc.verify(parse_pls(emit_pls(surface))).kind == "CONVEX"
+        assert len(calls) == 1
 
     def test_duplicate_id(self, cube):
         doc = json.loads(emit_pls(cube))

@@ -100,6 +100,8 @@ def test_scale_invariance(cube):
     assert pc.verify(pc.scale(cube, F(7, 3))).kind == "CONVEX"
     with pytest.raises(ValueError):
         pc.scale(cube, F(-1))
+    with pytest.raises(ValueError, match="scale needs vertex coordinates"):
+        pc.scale(pc.as_equations(cube), 2)
 
 
 def test_relabel_preserves_verdict(cube, schonhardt):
