@@ -1,4 +1,4 @@
-"""Command line tool: verify surfaces, generate instances, run the scaling bench.
+"""Command line tool: verify surfaces and generate instances.
 
 Exit codes for `verify`: 0 convex, 1 not convex, 2 invalid input or
 parse failure.
@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .formats import NonManifoldError, ParseError, SemanticError, emit_pls, parse_off, parse_pls
 from .instances import (
     GenSpec,
     build_instance,
-    gen_prism,
     rigid_motion,
 )
 from .oracle import FlatSurfaceError, oracle_verdict
@@ -91,7 +89,7 @@ def _cmd_gen(args) -> int:
             return 2
         try:
             surface = rigid_motion(_load(args.input), args.seed)
-        except (ParseError, SemanticError, NonManifoldError, OSError) as exc:
+        except (ParseError, SemanticError, NonManifoldError, OSError, ValueError) as exc:
             print(f"INVALID: {exc}", file=sys.stderr)
             return 2
     else:
@@ -113,34 +111,6 @@ def _cmd_gen(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.family != "prism":
-        print("only --family prism is benchmarked", file=sys.stderr)
-        return 2
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = ["m,incidences,entries,seconds"]
-    for m in sizes:
-        surface = gen_prism(m)
-        poset = surface.poset
-        incidences = sum(len(poset.up(f)) for f in poset.faces(poset.dim_low))
-        best = None
-        verdict = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            verdict = verify(surface)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        assert verdict is not None and verdict.kind == CONVEX
-        rows.append(f"{m},{incidences},{verdict.entries_checked},{best:.6f}")
-    table = "\n".join(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-    else:
-        print(table)
     return 0
 
 
@@ -171,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="incidence-linear scaling table (CSV)")
-    p_bench.add_argument("--family", default="prism")
-    p_bench.add_argument("--sizes", required=True, help="comma-separated prism sizes")
-    p_bench.add_argument("--repeat", type=int, default=3)
-    p_bench.add_argument("-o", "--output")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra and sign predicates.
+"""Exact linear algebra for the verifier: elimination, nullspaces, projections.
 
 Every decision in the verifier reduces to the sign of a rational
 expression, and no decision anywhere in the package goes through a
@@ -40,28 +40,8 @@ def as_vec(xs: Iterable) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def dot(u: Vec, v: Vec) -> Fraction:
     return sum(map(operator.mul, u, v))
-
-
-def vmean(points: Sequence[Vec]) -> Vec:
-    inv = Fraction(1, len(points))
-    acc = points[0]
-    for p in points[1:]:
-        acc = vadd(acc, p)
-    return vscale(inv, acc)
 
 
 def cross3(u: Vec, v: Vec) -> Vec:
@@ -70,25 +50,6 @@ def cross3(u: Vec, v: Vec) -> Vec:
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-def sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
-def orient2d(a: Sequence[Fraction], b: Sequence[Fraction], c: Sequence[Fraction]) -> int:
-    """Sign of the determinant |b-a, c-a|: +1 left turn, -1 right turn, 0 collinear."""
-    return sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
-def orient3d(a: Vec, b: Vec, c: Vec, d: Vec) -> int:
-    """Sign of the determinant |b-a, c-a, d-a| (side of d w.r.t. plane abc)."""
-    u, v, w = vsub(b, a), vsub(c, a), vsub(d, a)
-    return sign(dot(cross3(u, v), w))
 
 
 def homogeneous(v: Sequence) -> HomPoint:

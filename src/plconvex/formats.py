@@ -86,7 +86,11 @@ def _records(doc_faces, dim: int, where: str) -> list[dict]:
 
 
 def _derive_up(lower: dict[Face, tuple[int, ...]], upper: dict[Face, tuple[int, ...]]):
-    """Upward incidence by vertex containment, via a vertex->cofaces index."""
+    """Upward incidence by vertex containment, via a vertex->cofaces index.
+
+    Every coface of a face is indexed at each of the face's vertices, so
+    scanning the shortest of those lists finds them all.
+    """
     cofaces_at: dict[int, list[Face]] = {}
     upper_sets = {f: frozenset(vs) for f, vs in upper.items()}
     for f, vs in upper.items():
@@ -94,7 +98,11 @@ def _derive_up(lower: dict[Face, tuple[int, ...]], upper: dict[Face, tuple[int, 
             cofaces_at.setdefault(v, []).append(f)
     out: dict[Face, tuple[Face, ...]] = {}
     for f, vs in lower.items():
-        cands = cofaces_at.get(vs[0], [])
+        cands = cofaces_at.get(vs[0], ())
+        for v in vs[1:]:
+            other = cofaces_at.get(v, ())
+            if len(other) < len(cands):
+                cands = other
         mine = frozenset(vs)
         out[f] = tuple(sorted(c for c in cands if mine <= upper_sets[c]))
     return out

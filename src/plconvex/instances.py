@@ -13,13 +13,34 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
-from .exactgeom import Vec, as_vec, dot, vmean, vscale, vsub, vadd
+from .exactgeom import Vec, as_vec, dot
 from .poset import Face, FacePoset
 from .surface import PLSurface
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def vadd(u: Vec, v: Vec) -> Vec:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(c: Fraction, u: Vec) -> Vec:
+    return tuple(c * a for a in u)
+
+
+def vmean(points: Sequence[Vec]) -> Vec:
+    inv = Fraction(1, len(points))
+    acc = points[0]
+    for p in points[1:]:
+        acc = vadd(acc, p)
+    return vscale(inv, acc)
 
 
 @dataclass(frozen=True)

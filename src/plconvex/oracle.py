@@ -7,9 +7,6 @@ least one vertex strictly off it.  Combined with the closed/connected
 preflight this decides convexity for vertex-mode inputs whose faces are
 convex polytopes, by a completely different principle than the verifier,
 which is the point: the two must agree on every valid instance.
-
-``hull_facets_3d`` is a second cross-check at n = 3: exact gift-wrapping
-convex hull with coplanar faces merged.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactgeom import Eliminator, Vec, dot, orient2d, orient3d, vsub
 from .poset import Face
 from .surface import PLSurface, facet_equation
 
@@ -27,10 +23,6 @@ class FlatSurfaceError(Exception):
     """All vertices lie in one hyperplane; the body would not be n-dimensional."""
 
     code = "FLAT_SURFACE"
-
-
-class DegenerateHullError(Exception):
-    code = "DEGENERATE"
 
 
 @dataclass(frozen=True)
@@ -83,115 +75,3 @@ def oracle_verdict(surface: PLSurface) -> OracleVerdict:
                 side = pos if min(pos) < min(neg) else neg
             return OracleVerdict(False, facet, min(side))
     return OracleVerdict(True)
-
-
-def _support_sign(points: list[Vec], a: int, b: int, c: int) -> int:
-    """0 unless plane(a,b,c) supports the point set; else the common side."""
-    found = 0
-    for i, p in enumerate(points):
-        s = orient3d(points[a], points[b], points[c], p)
-        if s == 0:
-            continue
-        if found == 0:
-            found = s
-        elif s != found:
-            return 0
-    return found if found != 0 else 0
-
-
-def _facet_points(points: list[Vec], a: int, b: int, c: int) -> frozenset[int]:
-    return frozenset(
-        i for i, p in enumerate(points) if orient3d(points[a], points[b], points[c], p) == 0
-    )
-
-
-def _facet_boundary_edges(points: list[Vec], facet: frozenset[int]) -> list[tuple[int, int]]:
-    """Edges of the 2D hull of a coplanar facet point set."""
-    idx = sorted(facet)
-    base = points[idx[0]]
-    elim = Eliminator(3)
-    basis = []
-    for i in idx[1:]:
-        d = vsub(points[i], base)
-        if elim.add(d):
-            basis.append(d)
-            if len(basis) == 2:
-                break
-    b1, b2 = basis
-    flat = sorted(
-        ((dot(vsub(points[i], base), b1), dot(vsub(points[i], base), b2)), i) for i in idx
-    )
-    # monotone chain, strict turns only (collinear points fall inside edges)
-    def chain(seq):
-        out = []
-        for q, i in seq:
-            while len(out) >= 2 and orient2d(out[-2][0], out[-1][0], q) <= 0:
-                out.pop()
-            out.append((q, i))
-        return out
-
-    lower = chain(flat)
-    upper = chain(list(reversed(flat)))
-    ring = [i for _, i in lower[:-1]] + [i for _, i in upper[:-1]]
-    return [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
-
-
-def hull_facets_3d(points: list[Vec]) -> set[frozenset[int]]:
-    """Facet vertex-index sets of the 3D convex hull, coplanar faces merged.
-
-    Gift wrapping with exact orientation predicates: find one supporting
-    plane by scanning triples at the lexicographically least point, then
-    wrap around facet boundary edges until every edge has two facets.
-    Intended for desk-scale cross-checks, not production hulls.
-    """
-    npts = len(points)
-    if npts < 4:
-        raise DegenerateHullError("need at least 4 points")
-    elim = Eliminator(3)
-    for p in points[1:]:
-        elim.add(vsub(p, points[0]))
-    if elim.rank < 3:
-        raise DegenerateHullError("points are coplanar")
-
-    start = min(range(npts), key=lambda i: points[i])
-    first: frozenset[int] | None = None
-    for b in range(npts):
-        if b == start:
-            continue
-        for c in range(b + 1, npts):
-            if c == start:
-                continue
-            if _support_sign(points, start, b, c) != 0:
-                first = _facet_points(points, start, b, c)
-                break
-        if first:
-            break
-    if first is None:
-        raise DegenerateHullError("no supporting plane at the extreme point")
-
-    facets = {first}
-    pending: list[tuple[int, int, frozenset[int]]] = [
-        (u, v, first) for u, v in _facet_boundary_edges(points, first)
-    ]
-    seen_edges: dict[frozenset[int], set[frozenset[int]]] = {}
-    while pending:
-        u, v, known = pending.pop()
-        key = frozenset((u, v))
-        owners = seen_edges.setdefault(key, set())
-        owners.add(known)
-        if len(owners) > 1:
-            continue
-        nxt: frozenset[int] | None = None
-        for w in range(npts):
-            if w in known or w == u or w == v:
-                continue
-            if _support_sign(points, u, v, w) != 0:
-                nxt = _facet_points(points, u, v, w)
-                break
-        if nxt is None:
-            raise DegenerateHullError(f"edge ({u}, {v}) has no second facet")
-        owners.add(nxt)
-        if nxt not in facets:
-            facets.add(nxt)
-            pending.extend((a, b, nxt) for a, b in _facet_boundary_edges(points, nxt))
-    return facets

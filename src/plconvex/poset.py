@@ -173,12 +173,17 @@ def validate_poset(poset: FacePoset, mode: str | None = None) -> ValidationRepor
                     continue
                 if any(v < 0 or v >= n_verts for v in verts):
                     bad.append(Violation("INVALID_ID", face, "vertex index out of range"))
+        # each upper face's set is built once, not once per incidence, so
+        # the loop stays linear in facet size
+        upper_sets: dict[Face, set[int]] = {}
         for face, ups in poset.incidence_up.items():
             mine = set(poset.vertex_lists.get(face, ()))
             if not mine:
                 continue
             for g in ups:
-                theirs = set(poset.vertex_lists.get(g, ()))
+                theirs = upper_sets.get(g)
+                if theirs is None:
+                    theirs = upper_sets[g] = set(poset.vertex_lists.get(g, ()))
                 if theirs and not mine <= theirs:
                     bad.append(
                         Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}")

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import Projection3, orient3d, vmean
+from plconvex.exactgeom import Projection3, cross3, dot
+from plconvex.instances import vmean, vsub
 
 
 @pytest.fixture
@@ -47,6 +48,15 @@ def float_winding(edges) -> float:
     return total / (2 * math.pi)
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _orient3d(a, b, c, d) -> int:
+    """Sign of the determinant |b-a, c-a, d-a| (side of d w.r.t. plane abc)."""
+    return _sign(dot(cross3(vsub(b, a), vsub(c, a)), vsub(d, a)))
+
+
 def reflex_adjacent_vertices(surface) -> set[int]:
     """Vertices touching a solid-reflex edge, for star-shaped n=3 surfaces.
 
@@ -63,8 +73,8 @@ def reflex_adjacent_vertices(surface) -> set[int]:
         h1, h2 = poset.up(e)
         tri = [surface.vertices[i] for i in poset.vertex_lists[h1][:3]]
         off = [i for i in poset.vertex_lists[h2] if i not in poset.vertex_lists[e]]
-        s_off = orient3d(tri[0], tri[1], tri[2], surface.vertices[off[0]])
-        s_in = orient3d(tri[0], tri[1], tri[2], centroid)
+        s_off = _orient3d(tri[0], tri[1], tri[2], surface.vertices[off[0]])
+        s_in = _orient3d(tri[0], tri[1], tri[2], centroid)
         if s_off != 0 and s_in != 0 and s_off != s_in:
             out.update(poset.vertex_lists[e])
     return out
@@ -77,7 +87,6 @@ def locally_nonconvex_vertices(surface) -> set[int]:
     plane has the whole local point set (all vertices of incident
     facets) weakly on one side.  This never touches the fan code.
     """
-    from plconvex.exactgeom import dot, sign
     from plconvex.surface import facet_equation
 
     poset = surface.poset
@@ -90,7 +99,7 @@ def locally_nonconvex_vertices(surface) -> set[int]:
         local = sorted({w for h in star_facets for w in poset.vertex_lists[h]})
         for h in sorted(star_facets):
             eq = facet_equation(surface, h)
-            signs = {sign(dot(eq.normal, surface.vertices[w]) - eq.offset) for w in local}
+            signs = {_sign(dot(eq.normal, surface.vertices[w]) - eq.offset) for w in local}
             if 1 in signs and -1 in signs:
                 out.add(v)
                 break

@@ -143,19 +143,17 @@ def test_gen_rigid_motion(tmp_path, cube, capsys):
     assert pc.verify(moved).kind == "CONVEX"
 
 
+def test_gen_rigid_motion_equations_mode_exit_2(tmp_path, cube, capsys):
+    src = tmp_path / "cube_eq.pls"
+    src.write_text(emit_pls(pc.as_equations(cube)))
+    assert run_cli(["gen", "rigid_motion", "-i", str(src), "--seed", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "INVALID: rigid_motion needs vertex coordinates\n"
+
+
 def test_gen_missing_params(capsys):
     assert run_cli(["gen", "hypercube"]) == 2
-
-
-def test_bench_csv(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert run_cli(["bench", "--sizes", "4,8", "--repeat", "1", "-o", str(out)]) == 0
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "m,incidences,entries,seconds"
-    m4 = rows[1].split(",")
-    assert m4[0] == "4" and m4[1] == "24" and m4[2] == "48"
-    m8 = rows[2].split(",")
-    assert int(m8[2]) == 2 * int(m8[1]) == 96
 
 
 def test_verify_equations_mode_skips_oracle(tmp_path, cube, capsys):

@@ -8,8 +8,6 @@ from plconvex.exactgeom import (
     complementary_projection,
     dot,
     nullspace,
-    orient2d,
-    orient3d,
     project,
     rank,
 )
@@ -36,39 +34,6 @@ def test_rank_bounds(rows):
     r = rank(rows)
     assert 0 <= r <= min(3, len(rows))
     assert rank(rows + rows) == r
-
-
-def test_orient2d_examples():
-    o = as_vec([0, 0])
-    assert orient2d(o, as_vec([1, 0]), as_vec([0, 1])) == 1
-    assert orient2d(o, as_vec([1, 0]), as_vec([2, 0])) == 0
-    assert orient2d(o, as_vec([0, 1]), as_vec([1, 0])) == -1
-
-
-@given(st.tuples(fr, fr), st.tuples(fr, fr), st.tuples(fr, fr), st.tuples(fr, fr), fr)
-def test_orient2d_invariance(a, b, c, t, s):
-    # translation and positive scaling never change an exact sign
-    base = orient2d(a, b, c)
-    shift = lambda p: (p[0] + t[0], p[1] + t[1])
-    assert orient2d(shift(a), shift(b), shift(c)) == base
-    lam = abs(s) + Fraction(1, 7)
-    scale = lambda p: (lam * p[0], lam * p[1])
-    assert orient2d(scale(a), scale(b), scale(c)) == base
-
-
-@given(st.tuples(fr, fr), st.tuples(fr, fr), st.tuples(fr, fr))
-def test_orient2d_antisymmetry(a, b, c):
-    assert orient2d(a, b, c) == -orient2d(a, c, b) == orient2d(b, c, a)
-
-
-def test_orient2d_adversarial_cancellation():
-    # nearly-collinear with huge denominators; floats would misjudge this
-    eps = Fraction(1, 10**40)
-    a = (Fraction(0), Fraction(0))
-    b = (Fraction(1), Fraction(1))
-    c = (Fraction(2), Fraction(2) + eps)
-    assert orient2d(a, b, c) == 1
-    assert orient2d(a, b, (Fraction(2), Fraction(2))) == 0
 
 
 def _free_columns(rows, width):
@@ -143,13 +108,6 @@ def test_projection_kernel_is_exact(kern):
         if rank(list(kern) + [e]) == 3:
             assert project(p, e) != as_vec([0, 0, 0])
             break
-
-
-def test_orient3d():
-    o = as_vec([0, 0, 0])
-    assert orient3d(o, as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([0, 0, 1])) == 1
-    assert orient3d(o, as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([0, 0, -1])) == -1
-    assert orient3d(o, as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([1, 1, 0])) == 0
 
 
 def test_projection_rejects_bad_kernel():

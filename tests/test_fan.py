@@ -125,10 +125,11 @@ class TestPolygonIsConvex:
     def test_pushed_in_vertex(self):
         # third vertex pushed inside the diagonal: turn signs disagree
         pts = [(F(0), F(0)), (F(1), F(0)), (F(2, 5), F(2, 5)), (F(0), F(1))]
-        signs = {
-            pc.orient2d(pts[i - 1], pts[i], pts[(i + 1) % 4]) for i in range(4)
-        }
-        assert {1, -1} <= signs  # derived: the defect really is a mixed sign
+        turns = [(pts[i - 1], pts[i], pts[(i + 1) % 4]) for i in range(4)]
+        crosses = [
+            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) for a, b, c in turns
+        ]
+        assert min(crosses) < 0 < max(crosses)  # derived: the defect really is a mixed sign
         assert polygon_is_convex(pts) == (False, "WRONG_TURN_SIGN")
 
     def test_pentagram_rejected(self):

@@ -130,11 +130,19 @@ def test_generated_convex_families_all_agree():
         assert pc.oracle_verdict(s).convex
 
 
-def test_hull_matches_facets_for_n3_instances(cube, octahedron):
+def test_convex_n3_facets_are_whole_hull_facets(cube, octahedron):
+    # on a convex surface each facet lies in a facet of the hull; when no
+    # two facets share a plane, each facet is a whole hull facet
+    def planes(s):
+        return {pc.facet_equation(s, h) for h in s.poset.faces(2)}
+
     for s in (cube, octahedron, pc.gen_prism(5)):
-        hull = pc.hull_facets_3d(list(s.vertices))
-        mine = {frozenset(s.poset.vertex_lists[h]) for h in s.poset.faces(2)}
-        assert hull == mine
+        assert pc.verify(s).kind == "CONVEX"
+        assert pc.oracle_verdict(s).convex
+        assert len(planes(s)) == s.poset.count(2)
+    split = pc.split_facet_cube(False)  # convex, but the top is cut in two
+    assert pc.verify(split).kind == "CONVEX"
+    assert len(planes(split)) == 6 < split.poset.count(2)
 
 
 def test_build_instance_dispatch():

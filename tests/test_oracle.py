@@ -3,11 +3,15 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import as_vec, dot, sign
-from plconvex.oracle import DegenerateHullError, FlatSurfaceError, hull_facets_3d, oracle_verdict
+from plconvex.exactgeom import dot
+from plconvex.oracle import FlatSurfaceError, oracle_verdict
 from plconvex.surface import facet_equation
 
 F = Fraction
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 def test_cube_convex(cube):
@@ -62,51 +66,3 @@ def test_oracle_invariance(cube, schonhardt):
             assert oracle_verdict(pc.relabel(s, seed)).convex == base
             assert oracle_verdict(pc.rigid_motion(s, seed)).convex == base
 
-
-class TestHull:
-    def test_cube(self, cube):
-        facets = hull_facets_3d(list(cube.vertices))
-        assert len(facets) == 6
-        assert all(len(f) == 4 for f in facets)
-        surface_facets = {
-            frozenset(cube.poset.vertex_lists[h]) for h in cube.poset.faces(2)
-        }
-        assert facets == surface_facets
-
-    def test_simplex(self):
-        pts = [as_vec(p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
-        facets = hull_facets_3d(pts)
-        assert len(facets) == 4
-        assert all(len(f) == 3 for f in facets)
-
-    def test_octahedron(self, octahedron):
-        facets = hull_facets_3d(list(octahedron.vertices))
-        assert len(facets) == 8
-        assert all(len(f) == 3 for f in facets)
-        surface_facets = {
-            frozenset(octahedron.poset.vertex_lists[h]) for h in octahedron.poset.faces(2)
-        }
-        assert facets == surface_facets
-
-    def test_prism(self):
-        s = pc.gen_prism(6)
-        facets = hull_facets_3d(list(s.vertices))
-        assert len(facets) == 8
-        surface_facets = {
-            frozenset(s.poset.vertex_lists[h]) for h in s.poset.faces(2)
-        }
-        assert facets == surface_facets
-
-    def test_coplanar_merging(self):
-        # a point in the middle of a cube facet joins that facet's set
-        pts = [as_vec([(v >> j) & 1 for j in range(3)]) for v in range(8)]
-        pts.append(as_vec([F(1, 2), F(1, 2), 1]))
-        facets = hull_facets_3d(pts)
-        assert len(facets) == 6
-        top = next(f for f in facets if 8 in f)
-        assert top == frozenset({4, 5, 6, 7, 8})
-
-    def test_degenerate(self):
-        pts = [as_vec([0, 0, 0]), as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([1, 1, 0])]
-        with pytest.raises(DegenerateHullError):
-            hull_facets_3d(pts)
