@@ -101,7 +101,7 @@ def _cmd_gen(args) -> int:
         if args.dents is not None:
             params["dents"] = args.dents
         try:
-            surface = build_instance(GenSpec(args.family, params, args.seed))
+            surface = build_instance(GenSpec(args.family, params))
         except (KeyError, ValueError) as exc:
             print(f"bad generator parameters: {exc}", file=sys.stderr)
             return 2
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="ambient dimension (hypercube/cross_polytope/simplex)")
     p_gen.add_argument("--m", type=int, help="base polygon size (prism)")
     p_gen.add_argument("--dents", type=int, help="number of dented facets (dented)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=0, help="motion seed (rigid_motion)")
     p_gen.add_argument("-i", "--input", help="input surface (rigid_motion)")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=_cmd_gen)

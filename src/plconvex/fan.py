@@ -146,24 +146,29 @@ def _rank3(dirs: Sequence[IVec]) -> int:
     return 3 if any(_idot(normal, d) != 0 for d in dirs) else 2
 
 
-def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
-    """An s with s . d > 0 for every direction, or None if none exists.
+def _certified_direction(dirs: Sequence[Vec]) -> Vec | None:
+    """The O(m) certificate: the sum of the cyclic cross products d[k-1] x d[k].
 
-    The certificate comes first: the sum of the cyclic consecutive cross
-    products d[k-1] x d[k], tried with both signs.  For a convex
-    once-wound fan these products are nonnegative multiples of the facet
-    normals, so their sum is strictly feasible.  When it is not, strict
-    feasibility is decided exactly: when the directions span 3-space, the
-    dual cone {s : s . d >= 0} is generated by those pairwise cross
-    products that are weakly feasible, so their sum is interior whenever
-    the cone is full-dimensional, and otherwise no strict support exists.
-    Exact over any numeric type; ``fan_is_convex`` passes integers.
+    For a convex once-wound fan these products are nonnegative multiples
+    of the facet normals, so their sum, with one of its two signs, is
+    strictly feasible.  Returns that s, or None when neither sign is.
     """
     crosses = [cross3(dirs[k - 1], dirs[k]) for k in range(len(dirs))]
     cert = tuple(sum(c[a] for c in crosses) for a in range(3))
     for s in (cert, (-cert[0], -cert[1], -cert[2])):
         if all(_idot(s, d) > 0 for d in dirs):
             return s
+    return None
+
+
+def _pairwise_support(dirs: Sequence[Vec]) -> Vec | None:
+    """Exact strict-support search over all pairwise cross products, O(m^3).
+
+    When the directions span 3-space, the dual cone {s : s . d >= 0} is
+    generated by those pairwise cross products that are weakly feasible,
+    so their sum is interior whenever the cone is full-dimensional, and
+    otherwise no strict support exists.
+    """
     found: list[Vec] = []
     m = len(dirs)
     for i in range(m):
@@ -181,6 +186,17 @@ def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
         if s != (0, 0, 0) and all(_idot(s, d) > 0 for d in dirs):
             return s
     return None
+
+
+def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
+    """An s with s . d > 0 for every direction, or None if none exists.
+
+    The O(m) certificate comes first; when it fails, strict feasibility
+    is decided exactly by the pairwise search.  Exact over any numeric
+    type; ``fan_is_convex`` passes integers.
+    """
+    s = _certified_direction(dirs)
+    return s if s is not None else _pairwise_support(dirs)
 
 
 def _lower_half(u: tuple[Fraction, Fraction]) -> bool:
@@ -354,9 +370,16 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
         dirs2 = _plane_coords(first, other, dirs)
         # directions confined to a plane must sweep it once, strictly monotonically
         return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
-    s = reference_direction(dirs)
+    s = _certified_direction(dirs)
     if s is None:
-        return _wedge_check(fan.entries, dirs)
+        # a wedge has an antipodal ray pair, so no strict support: test it
+        # before the pairwise search, which then only runs on rejected wedges
+        wedge = _wedge_check(fan.entries, dirs)
+        if wedge.convex:
+            return wedge
+        s = _pairwise_support(dirs)
+        if s is None:
+            return wedge
     b1 = next(
         c
         for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))

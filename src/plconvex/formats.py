@@ -2,8 +2,7 @@
 
 PLS documents carry exact rationals as strings "p/q" (or JSON integers);
 decimal floats are rejected so no rounding can sneak in.  Vertex-mode
-documents list coordinates plus per-face vertex lists, and upward
-incidences are derived from vertex containment.  Equations-mode
+documents list coordinates plus per-face vertex lists.  Equations-mode
 documents list facet hyperplanes plus explicit upward links and a
 relative-interior witness point per face.
 
@@ -20,7 +19,13 @@ Equations mode replaces vertex lists with records
 
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
-must each occur in exactly two facets.
+must each occur in exactly two facet cycles.
+
+Vertex-mode PLS, OFF and the generators share one incidence rule
+(``poset.vertex_poset``): a face lies in every face one rank up whose
+vertex set contains its own.  So a non-convex facet that holds both
+ends of another facet's edge also contains that edge, which then lies
+in three facets and ``verify`` answers INVALID NOT_CLOSED.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from .exactgeom import Vec
 from .instances import surface_from_polygons
-from .poset import Face, FacePoset
+from .poset import Face, FacePoset, vertex_poset
 from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE
 
 
@@ -85,29 +90,6 @@ def _records(doc_faces, dim: int, where: str) -> list[dict]:
     return [by_id[i] for i in range(len(by_id))]
 
 
-def _derive_up(lower: dict[Face, tuple[int, ...]], upper: dict[Face, tuple[int, ...]]):
-    """Upward incidence by vertex containment, via a vertex->cofaces index.
-
-    Every coface of a face is indexed at each of the face's vertices, so
-    scanning the shortest of those lists finds them all.
-    """
-    cofaces_at: dict[int, list[Face]] = {}
-    upper_sets = {f: frozenset(vs) for f, vs in upper.items()}
-    for f, vs in upper.items():
-        for v in vs:
-            cofaces_at.setdefault(v, []).append(f)
-    out: dict[Face, tuple[Face, ...]] = {}
-    for f, vs in lower.items():
-        cands = cofaces_at.get(vs[0], ())
-        for v in vs[1:]:
-            other = cofaces_at.get(v, ())
-            if len(other) < len(cands):
-                cands = other
-        mine = frozenset(vs)
-        out[f] = tuple(sorted(c for c in cands if mine <= upper_sets[c]))
-    return out
-
-
 def parse_pls(text: str) -> PLSurface:
     """Parse a PLS document; exact round-trip partner of emit_pls.
 
@@ -146,29 +128,19 @@ def parse_pls(text: str) -> PLSurface:
         if any(len(c) != n for c in coords):
             raise ParseError("every vertex needs exactly n coordinates")
         nv = len(coords)
-        dims = sorted({n - 3, n - 2, n - 1} - {0})
-        vertex_lists: dict[Face, tuple[int, ...]] = {}
-        for i in range(nv):
-            if n == 3:
-                vertex_lists[Face(0, i)] = (i,)
-        counts = {0: nv}
-        per_dim: dict[int, dict[Face, tuple[int, ...]]] = {}
-        for d in dims:
+        lists: dict[int, list[tuple[int, ...]]] = {}
+        for d in sorted({n - 3, n - 2, n - 1} - {0}):
             recs = _records(faces_doc, d, f"faces[{d}]")
-            counts[d] = len(recs)
-            per_dim[d] = {}
+            lists[d] = []
             for i, rec in enumerate(recs):
                 vs = rec.get("vertices")
                 if not isinstance(vs, list) or not vs or not all(_is_int(v) for v in vs):
                     raise ParseError(f"faces[{d}][{i}]: 'vertices' must be a nonempty list of ints")
                 if any(v < 0 or v >= nv for v in vs):
                     raise SemanticError(f"faces[{d}][{i}]: vertex index out of range")
-                per_dim[d][Face(d, i)] = tuple(sorted(set(vs)))
-            vertex_lists.update(per_dim[d])
-        low = {Face(0, i): (i,) for i in range(nv)} if n == 3 else per_dim[n - 3]
-        up = _derive_up(low, per_dim[n - 2])
-        up.update(_derive_up(per_dim[n - 2], per_dim[n - 1]))
-        poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
+                lists[d].append(tuple(sorted(set(vs))))
+        poset = vertex_poset(n, nv, lists)
+        counts = poset.faces_per_dim
         surface = PLSurface(poset, vertices=tuple(coords))
     else:
         dims = sorted({n - 3, n - 2, n - 1})
@@ -211,10 +183,6 @@ def parse_pls(text: str) -> PLSurface:
     return surface
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def emit_pls(surface: PLSurface) -> str:
     """Serialize to the canonical PLS document (parse_pls round-trips it)."""
     n = surface.n
@@ -222,7 +190,7 @@ def emit_pls(surface: PLSurface) -> str:
     doc: dict = {"n": n, "mode": surface.mode}
     faces: dict[str, list] = {}
     if surface.mode == VERTEX_MODE:
-        doc["vertices"] = [[_frac_str(c) for c in v] for v in surface.vertices]
+        doc["vertices"] = [[str(c) for c in v] for v in surface.vertices]
         for d in sorted({n - 3, n - 2, n - 1} - {0}):
             faces[str(d)] = [
                 {"id": f.index, "vertices": list(poset.vertex_lists[f])}
@@ -232,13 +200,13 @@ def emit_pls(surface: PLSurface) -> str:
         for d in sorted({n - 3, n - 2, n - 1}):
             recs = []
             for f in poset.faces(d):
-                rec: dict = {"id": f.index, "witness": [_frac_str(c) for c in surface.witnesses[f]]}
+                rec: dict = {"id": f.index, "witness": [str(c) for c in surface.witnesses[f]]}
                 if d < n - 1:
                     rec["up"] = [g.index for g in poset.up(f)]
                 else:
                     eq = surface.equations[f]
-                    rec["normal"] = [_frac_str(c) for c in eq.normal]
-                    rec["offset"] = _frac_str(eq.offset)
+                    rec["normal"] = [str(c) for c in eq.normal]
+                    rec["offset"] = str(eq.offset)
                 recs.append(rec)
             faces[str(d)] = recs
     doc["faces"] = faces

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot
-from .poset import Face, FacePoset
+from .poset import Face, FacePoset, vertex_poset
 from .surface import PLSurface
 
 F0 = Fraction(0)
@@ -45,93 +45,24 @@ def vmean(points: Sequence[Vec]) -> Vec:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Config for a generated instance; deterministic given (family, params, seed)."""
+    """Config for a generated instance; deterministic given (family, params)."""
 
     family: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def surface_from_polygons(coords: list[Vec], polygons: list[list[int]]) -> PLSurface:
     """Assemble an n=3 vertex-mode surface from facet vertex cycles.
 
     Edges are the consecutive vertex pairs of each cycle, deduplicated
-    and numbered in sorted order.
+    and numbered in sorted order; incidences come from vertex
+    containment (``vertex_poset``), like those of a parsed document.
     """
-    nv = len(coords)
-    edge_set = set()
-    for cyc in polygons:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            edge_set.add((min(a, b), max(a, b)))
-    edges = sorted(edge_set)
-    edge_id = {e: i for i, e in enumerate(edges)}
-
-    vertex_lists: dict[Face, tuple[int, ...]] = {}
-    up: dict[Face, tuple[Face, ...]] = {}
-    for v in range(nv):
-        vertex_lists[Face(0, v)] = (v,)
-    for i, (a, b) in enumerate(edges):
-        vertex_lists[Face(1, i)] = (a, b)
-    facet_of_edge: dict[int, list[Face]] = {i: [] for i in range(len(edges))}
-    edges_of_vertex: dict[int, set[Face]] = {v: set() for v in range(nv)}
-    for fi, cyc in enumerate(polygons):
-        vertex_lists[Face(2, fi)] = tuple(sorted(set(cyc)))
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            ei = edge_id[(min(a, b), max(a, b))]
-            facet_of_edge[ei].append(Face(2, fi))
-            edges_of_vertex[a].add(Face(1, ei))
-            edges_of_vertex[b].add(Face(1, ei))
-    for v in range(nv):
-        up[Face(0, v)] = tuple(sorted(edges_of_vertex[v]))
-    for ei in range(len(edges)):
-        up[Face(1, ei)] = tuple(sorted(set(facet_of_edge[ei])))
-
-    poset = FacePoset(
-        n=3,
-        faces_per_dim={0: nv, 1: len(edges), 2: len(polygons)},
-        incidence_up=up,
-        vertex_lists=vertex_lists,
+    edges = sorted(
+        {(min(a, b), max(a, b)) for cyc in polygons for a, b in zip(cyc, cyc[1:] + cyc[:1])}
     )
-    return PLSurface(poset, vertices=tuple(coords))
-
-
-def _assemble(n: int, per_dim: dict[int, list], vertex_sets, cofaces) -> PLSurface:
-    """Shared builder for the combinatorially-defined families.
-
-    ``per_dim`` maps each needed dim > 0 to the list of abstract face
-    keys in enumeration order; ``vertex_sets(dim, key)`` yields vertex
-    indices, ``cofaces(dim, key)`` yields abstract keys one rank up.
-    """
-    coords = per_dim.pop("coords")
-    dims = sorted(per_dim)
-    ids = {d: {key: i for i, key in enumerate(per_dim[d])} for d in dims}
-    counts = {0: len(coords)}
-    for d in dims:
-        counts[d] = len(per_dim[d])
-    vertex_lists: dict[Face, tuple[int, ...]] = {}
-    up: dict[Face, tuple[Face, ...]] = {}
-    if n == 3:
-        for v in range(len(coords)):
-            vertex_lists[Face(0, v)] = (v,)
-    for d in dims:
-        for key in per_dim[d]:
-            face = Face(d, ids[d][key])
-            vertex_lists[face] = tuple(sorted(vertex_sets(d, key)))
-            if d in (n - 3, n - 2):
-                up[face] = tuple(
-                    sorted(Face(d + 1, ids[d + 1][ck]) for ck in cofaces(d, key))
-                )
-    if n == 3:
-        # vertices are the (n-3)-rank; their cofaces are the edges
-        edge_up: dict[int, set[Face]] = {v: set() for v in range(len(coords))}
-        for key in per_dim[1]:
-            f = Face(1, ids[1][key])
-            for v in vertex_lists[f]:
-                edge_up[v].add(f)
-        for v in range(len(coords)):
-            up[Face(0, v)] = tuple(sorted(edge_up[v]))
-    poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
-    return PLSurface(poset, vertices=tuple(coords))
+    facets = [tuple(sorted(set(cyc))) for cyc in polygons]
+    return PLSurface(vertex_poset(3, len(coords), {1: edges, 2: facets}), vertices=tuple(coords))
 
 
 def gen_hypercube(n: int) -> PLSurface:
@@ -139,29 +70,20 @@ def gen_hypercube(n: int) -> PLSurface:
     if n < 3:
         raise ValueError("need n >= 3")
     coords = [as_vec([(v >> j) & 1 for j in range(n)]) for v in range(2**n)]
-    dims = sorted({n - 3, n - 2, n - 1} - {0})
-    per_dim: dict[int, list] = {"coords": coords}
-    for k in dims:
-        keys = []
+
+    def spread(bits, axes):
+        return sum(((bits >> t) & 1) << j for t, j in enumerate(axes))
+
+    lists = {}
+    for k in {n - 3, n - 2, n - 1} - {0}:
+        lists[k] = []
         for free in combinations(range(n), k):
             fixed = [j for j in range(n) if j not in free]
             for bits in range(2 ** len(fixed)):
-                base = sum(((bits >> t) & 1) << j for t, j in enumerate(fixed))
-                keys.append((free, base))
-        per_dim[k] = keys
-
-    def vertex_sets(k, key):
-        free, base = key
-        for bits in range(2 ** len(free)):
-            yield base + sum(((bits >> t) & 1) << j for t, j in enumerate(free))
-
-    def cofaces(k, key):
-        free, base = key
-        for a in range(n):
-            if a not in free:
-                yield (tuple(sorted(free + (a,))), base & ~(1 << a))
-
-    return _assemble(n, per_dim, vertex_sets, cofaces)
+                base = spread(bits, fixed)
+                # spreading bits over the free axes keeps their order, so the tuple is sorted
+                lists[k].append(tuple(base + spread(b, free) for b in range(2**k)))
+    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
 
 
 def gen_cross_polytope(n: int) -> PLSurface:
@@ -173,32 +95,15 @@ def gen_cross_polytope(n: int) -> PLSurface:
         for s in (F1, -F1):
             coords.append(tuple(s if j == i else F0 for j in range(n)))
     # vertex 2i is +e_i, vertex 2i+1 is -e_i
-    dims = sorted({n - 3, n - 2, n - 1} - {0})
-    per_dim: dict[int, list] = {"coords": coords}
-    for k in dims:
-        per_dim[k] = [
-            (supp, signs)
+    lists = {
+        k: [
+            tuple(2 * c + s for c, s in zip(supp, signs))
             for supp in combinations(range(n), k + 1)
             for signs in product((0, 1), repeat=k + 1)
         ]
-
-    def vertex_sets(k, key):
-        supp, signs = key
-        return [2 * c + s for c, s in zip(supp, signs)]
-
-    def cofaces(k, key):
-        supp, signs = key
-        for a in range(n):
-            if a in supp:
-                continue
-            pos = sum(1 for c in supp if c < a)
-            for s in (0, 1):
-                yield (
-                    tuple(sorted(supp + (a,))),
-                    signs[:pos] + (s,) + signs[pos:],
-                )
-
-    return _assemble(n, per_dim, vertex_sets, cofaces)
+        for k in {n - 3, n - 2, n - 1} - {0}
+    }
+    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
 
 
 def gen_simplex(n: int) -> PLSurface:
@@ -208,20 +113,8 @@ def gen_simplex(n: int) -> PLSurface:
     coords = [tuple(F0 for _ in range(n))]
     for i in range(n):
         coords.append(tuple(F1 if j == i else F0 for j in range(n)))
-    dims = sorted({n - 3, n - 2, n - 1} - {0})
-    per_dim: dict[int, list] = {"coords": coords}
-    for k in dims:
-        per_dim[k] = list(combinations(range(n + 1), k + 1))
-
-    def vertex_sets(k, key):
-        return key
-
-    def cofaces(k, key):
-        for a in range(n + 1):
-            if a not in key:
-                yield tuple(sorted(key + (a,)))
-
-    return _assemble(n, per_dim, vertex_sets, cofaces)
+    lists = {k: list(combinations(range(n + 1), k + 1)) for k in {n - 3, n - 2, n - 1} - {0}}
+    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
 
 
 def circle_points(m: int) -> list[tuple[Fraction, Fraction]]:

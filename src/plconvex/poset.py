@@ -93,6 +93,46 @@ class FacePoset:
         return tuple(sorted(low | {self.n - 2, self.n - 1}))
 
 
+def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]]) -> FacePoset:
+    """The face poset of a vertex-mode surface, derived from vertex lists.
+
+    ``lists`` maps each stored dimension above 0 to its faces' sorted
+    vertex tuples in index order (for n = 3 the vertices are the
+    (n-3)-faces and get the lists ``(i,)`` here).  A face lies in every
+    face one rank up whose vertex set contains its own; that rule is
+    the only source of upward incidences in vertex mode.  Every coface
+    of a face is indexed at each of the face's vertices, so scanning the
+    shortest of those coface lists finds them all.
+    """
+    if n == 3:
+        lists = {0: [(i,) for i in range(n_vertices)], **lists}
+    counts = {0: n_vertices}
+    faces: dict[int, list[Face]] = {}
+    vertex_lists: dict[Face, tuple[int, ...]] = {}
+    for d in sorted(lists):
+        counts[d] = len(lists[d])
+        faces[d] = [Face(d, i) for i in range(counts[d])]
+        vertex_lists.update(zip(faces[d], lists[d]))
+    up: dict[Face, tuple[Face, ...]] = {}
+    for d in (n - 3, n - 2):
+        upper = lists[d + 1]
+        upper_sets = [frozenset(vs) for vs in upper]
+        cofaces_at: dict[int, list[int]] = {}
+        for i, vs in enumerate(upper):
+            for v in vs:
+                cofaces_at.setdefault(v, []).append(i)
+        for f, vs in zip(faces[d], lists[d]):
+            cands = cofaces_at.get(vs[0], ())
+            for v in vs[1:]:
+                other = cofaces_at.get(v, ())
+                if len(other) < len(cands):
+                    cands = other
+            mine = frozenset(vs)
+            # candidate lists are in index order, so each tuple comes out sorted
+            up[f] = tuple(faces[d + 1][i] for i in cands if mine <= upper_sets[i])
+    return FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
+
+
 @dataclass(frozen=True)
 class LinkCycle:
     """Alternating cyclic sequence G1, H1, ..., Gk, Hk around an (n-3)-face.

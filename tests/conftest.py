@@ -162,6 +162,26 @@ def pinched_tube() -> pc.PLSurface:
     return pc.surface_from_polygons(coords, polygons)
 
 
+def wedge_cube(k: int) -> pc.PLSurface:
+    """Unit cube with P = (1/2, 0, 1), vertex 8, on its top front edge.
+
+    The top and front faces are fanned from P through k points on each
+    opposite edge, so P's star is a dihedral wedge of 4k + 12 entries.
+    The surface bounds the unit cube.
+    """
+    coords = [tuple(Fraction((v >> j) & 1) for j in range(3)) for v in range(8)]
+    coords.append((Fraction(1, 2), Fraction(0), Fraction(1)))
+    ts = [Fraction(i + 1, k + 1) for i in range(k)]
+    top = list(range(9, 9 + k))  # on the edge y = z = 1
+    bottom = list(range(9 + k, 9 + 2 * k))  # on the edge y = z = 0
+    coords += [(t, Fraction(1), Fraction(1)) for t in ts]
+    coords += [(t, Fraction(0), Fraction(0)) for t in ts]
+    polygons = [[0, 2, 6, 4], [1, 3, 7, 5], [2, 3, 7, *top[::-1], 6], [0, *bottom, 1, 3, 2]]
+    for chain in ([4, 6, *top, 7, 5], [4, 0, *bottom, 1, 5]):
+        polygons += [[8, a, b] for a, b in zip(chain, chain[1:])]
+    return pc.surface_from_polygons(coords, polygons)
+
+
 def cyclic_variants(seq):
     """All rotations of seq and of its reversal (cyclic-equality helper)."""
     seq = list(seq)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plconvex as pc
+import plconvex.fan as fan_mod
 from plconvex.exactgeom import as_vec, cross3, dot
 from plconvex.fan import (
     CELL,
@@ -22,7 +23,7 @@ from plconvex.poset import Face
 from plconvex.surface import direction_space
 from plconvex.verifier import verify_face
 
-from conftest import float_winding
+from conftest import float_winding, wedge_cube
 
 F = Fraction
 
@@ -279,6 +280,21 @@ class TestFanIsConvex:
         )
         res = fan_is_convex(fan)
         assert res == (False, "NO_SUPPORT")
+
+    def test_wedge_settled_before_support_search(self, monkeypatch):
+        # an accepting wedge has an antipodal ray pair, so it has no strict
+        # support; the wedge test runs first and the O(m^3) search never does
+        def no_search(dirs):
+            raise AssertionError("pairwise support search reached")
+
+        monkeypatch.setattr(fan_mod, "_pairwise_support", no_search)
+        split = pc.split_facet_cube(False)
+        for v in (8, 9):
+            assert verify_face(split, Face(0, v)) == (True, "OK_FLAT")
+        wedge = wedge_cube(16)
+        assert len(pc.link_cycle(wedge.poset, Face(0, 8)).entries) == 76
+        assert verify_face(wedge, Face(0, 8)) == (True, "OK_FLAT")
+        assert pc.verify(wedge).kind == "CONVEX"
 
     def test_zero_angle(self):
         fan = make_fan(

@@ -55,6 +55,18 @@ class TestPls:
     def test_round_trip_vertex_mode(self, cube, tesseract, schonhardt):
         for s in (cube, tesseract, schonhardt, pc.gen_cross_polytope(5)):
             assert parse_pls(emit_pls(s)) == s
+        # generators, OFF and PLS derive incidences by the same containment rule
+        families = [
+            gen(n)
+            for gen in (pc.gen_hypercube, pc.gen_cross_polytope, pc.gen_simplex)
+            for n in (3, 4, 5)
+        ]
+        families += [pc.gen_prism(m) for m in (3, 4, 7)] + [schonhardt]
+        families += [pc.gen_dented_cube(d) for d in range(1, 7)]
+        families += [pc.split_facet_cube(False), pc.split_facet_cube(True)]
+        families += [parse_off(CUBE_OFF), parse_off(TETRA_OFF)]
+        for s in families:
+            assert parse_pls(emit_pls(s)).poset == s.poset
 
     def test_round_trip_equations_mode(self, cube, schonhardt):
         for s in (cube, schonhardt, pc.gen_hypercube(4)):
@@ -171,6 +183,54 @@ class TestPls:
         del doc["faces"]["0"][0]["witness"]
         with pytest.raises(ParseError):
             parse_pls(json.dumps(doc))
+
+
+NOTCH_CUBE_OFF = """OFF
+9 7 0
+0 0 0
+1 0 0
+0 1 0
+1 1 0
+0 0 1
+1 0 1
+0 1 1
+1 1 1
+1/2 1/4 1
+5 4 8 5 7 6
+3 4 5 8
+4 0 1 3 2
+4 0 1 5 4
+4 2 3 7 6
+4 0 2 6 4
+4 1 3 7 5
+"""
+
+
+def test_notch_cube_is_not_closed_in_every_reader(tmp_path, capsys):
+    # the flat top is split into a non-convex pentagon and the triangle
+    # filling its notch; the pentagon holds both ends of the triangle's
+    # edge 4-5, so by containment that edge lies in three facets
+    s = parse_off(NOTCH_CUBE_OFF)
+    coords = list(s.vertices)
+    polygons = [
+        [4, 8, 5, 7, 6],
+        [4, 5, 8],
+        [0, 1, 3, 2],
+        [0, 1, 5, 4],
+        [2, 3, 7, 6],
+        [0, 2, 6, 4],
+        [1, 3, 7, 5],
+    ]
+    built = pc.surface_from_polygons(coords, polygons)
+    assert built == s
+    for surface in (s, built, parse_pls(emit_pls(built))):
+        v = pc.verify(surface)
+        assert (v.kind, v.witness, v.reason) == ("INVALID", pc.Face(1, 8), "NOT_CLOSED")
+        assert surface.poset.vertex_lists[v.witness] == (4, 5)
+    p = tmp_path / "notch.off"
+    p.write_text(NOTCH_CUBE_OFF)
+    assert run_cli(["verify", str(p)]) == 2
+    assert capsys.readouterr().out == "INVALID NOT_CLOSED at e8\n"
 
 
 class TestOff:
