@@ -88,10 +88,13 @@ def _cmd_gen(args) -> int:
             print("gen rigid_motion needs -i/--input", file=sys.stderr)
             return 2
         try:
-            surface = rigid_motion(_load(args.input), args.seed)
+            surface = rigid_motion(_load(args.input), args.seed or 0)
         except (ParseError, SemanticError, NonManifoldError, OSError, ValueError) as exc:
             print(f"INVALID: {exc}", file=sys.stderr)
             return 2
+    elif args.seed is not None:
+        print(f"gen {args.family} takes no --seed (only rigid_motion does)", file=sys.stderr)
+        return 2
     else:
         params = {}
         if args.n is not None:
@@ -136,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, help="ambient dimension (hypercube/cross_polytope/simplex)")
     p_gen.add_argument("--m", type=int, help="base polygon size (prism)")
     p_gen.add_argument("--dents", type=int, help="number of dented facets (dented)")
-    p_gen.add_argument("--seed", type=int, default=0, help="motion seed (rigid_motion)")
+    p_gen.add_argument("--seed", type=int, help="motion seed (rigid_motion only; default 0)")
     p_gen.add_argument("-i", "--input", help="input surface (rigid_motion)")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=_cmd_gen)

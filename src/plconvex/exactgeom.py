@@ -17,7 +17,6 @@ import math
 import operator
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -174,24 +173,33 @@ class Projection3:
     axes: tuple[int, int, int] | None = None
 
 
+_IDENTITY3 = Projection3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), axes=(0, 1, 2))
+
+
 def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
     """Rank-3 map killing exactly span(kernel), |kernel| = n - 3 independent vectors.
 
+    At n = 3 the kernel is empty and the map is one shared identity.
     Fast path: when the kernel is spanned by coordinate axes outside some
-    axis triple (scanned in lexicographic order), the map just extracts
-    those three coordinates.  Otherwise the rows are the integer
-    ``nullspace`` basis of the kernel, which spans its orthogonal
-    complement.  Either way the rows are integers.
+    axis triple, the map just extracts those three coordinates.  One pass
+    over the kernel's columns finds the first three that are zero in
+    every kernel vector; that is the lexicographically first such
+    triple.  Otherwise the rows are the integer ``nullspace`` basis of
+    the kernel, which spans its orthogonal complement.  Either way the
+    rows are integers.
     """
     kernel = tuple(tuple(v) for v in kernel)
     if len(kernel) != n - 3:
         raise ValueError(f"kernel size {len(kernel)} != n-3 = {n - 3}")
-    for triple in combinations(range(n), 3):
-        if all(all(v[i] == 0 for i in triple) for v in kernel):
-            rows = tuple(
-                tuple(1 if k == i else 0 for k in range(n)) for i in triple
-            )
-            return Projection3(rows, kernel, axes=triple)
+    if not kernel:
+        return _IDENTITY3
+    zero_cols = [i for i, col in enumerate(zip(*kernel)) if not any(col)]
+    if len(zero_cols) >= 3:
+        triple = tuple(zero_cols[:3])
+        rows = tuple(
+            tuple(1 if k == i else 0 for k in range(n)) for i in triple
+        )
+        return Projection3(rows, kernel, axes=triple)
     comp = nullspace(kernel, n)
     if len(comp) != 3:
         raise ValueError("kernel vectors are not linearly independent")
@@ -199,6 +207,9 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
 
 
 def project(p: Projection3, v: Vec) -> Vec:
+    """The image of v; the shared n = 3 identity hands v back unchanged."""
+    if p is _IDENTITY3:
+        return v
     if p.axes is not None:
         return (v[p.axes[0]], v[p.axes[1]], v[p.axes[2]])
     return tuple(dot(r, v) for r in p.rows)

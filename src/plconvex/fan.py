@@ -23,6 +23,13 @@ the boundary of a convex 3-dimensional body.  Three shapes qualify:
   wedge.  This covers subdividing vertices sitting on an edge line of
   an otherwise convex surface.
 
+The cyclic cross products d[k-1] x d[k] of the entry directions are
+computed once per fan.  Their sum is an O(m) strict-support certificate
+that settles every convex pointed fan, and the pointed branch reads the
+section polygon's edges off the same products.  The rank, the wedge test
+and the O(m^3) pairwise support search run only when the certificate
+fails.
+
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
@@ -146,18 +153,27 @@ def _rank3(dirs: Sequence[IVec]) -> int:
     return 3 if any(_idot(normal, d) != 0 for d in dirs) else 2
 
 
-def _certified_direction(dirs: Sequence[Vec]) -> Vec | None:
-    """The O(m) certificate: the sum of the cyclic cross products d[k-1] x d[k].
+def _cyclic_crosses(dirs: Sequence[Vec]) -> list[Vec]:
+    """The cyclic cross products d[k-1] x d[k], k = 0..m-1."""
+    return list(map(cross3, dirs[-1:] + dirs[:-1], dirs))
+
+
+def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> Vec | None:
+    """The O(m) certificate: the sum of the cyclic ``crosses`` d[k-1] x d[k].
 
     For a convex once-wound fan these products are nonnegative multiples
     of the facet normals, so their sum, with one of its two signs, is
     strictly feasible.  Returns that s, or None when neither sign is.
+    Never feasible below rank 3: on a rank-2 fan every product, and so
+    the sum, is normal to the fan's plane, and at rank <= 1 the sum is 0;
+    either way s . d = 0 for every direction.
     """
-    crosses = [cross3(dirs[k - 1], dirs[k]) for k in range(len(dirs))]
-    cert = tuple(sum(c[a] for c in crosses) for a in range(3))
-    for s in (cert, (-cert[0], -cert[1], -cert[2])):
-        if all(_idot(s, d) > 0 for d in dirs):
-            return s
+    cert = tuple(map(sum, zip(*crosses)))
+    dots = [_idot(cert, d) for d in dirs]
+    if min(dots, default=0) > 0:
+        return cert
+    if max(dots, default=0) < 0:
+        return (-cert[0], -cert[1], -cert[2])
     return None
 
 
@@ -195,7 +211,7 @@ def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
     is decided exactly by the pairwise search.  Exact over any numeric
     type; ``fan_is_convex`` passes integers.
     """
-    s = _certified_direction(dirs)
+    s = _certified_direction(dirs, _cyclic_crosses(dirs))
     return s if s is not None else _pairwise_support(dirs)
 
 
@@ -351,27 +367,61 @@ def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec]) -> Convexity
     return ConvexityCheck(False, NO_SUPPORT)
 
 
+def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
+    """Classify a fan with strict support s from its cyclic cross products.
+
+    Scaling each direction d onto the plane x . s = 1 gives the section
+    polygon; take its points in the coordinates (d . b1, d . b2) / (d . s),
+    where b1 is orthogonal to s and b2 = s x b1.  By the Binet-Cauchy
+    identity the edge from d[k-1] to d[k], times the positive
+    (s . d[k-1]) (s . d[k]), is (c . b2, -|s|^2 c . b1) with
+    c = d[k-1] x d[k].  Dropping |s|^2 scales the second coordinate of
+    every edge by one positive factor, which keeps each turn sign, each
+    parallel-or-antiparallel test and each half-axis crossing, so the
+    polygon test gives the same reason.  An edge vanishes exactly when
+    its c does: c is orthogonal to d[k] and s . d[k] > 0, so a nonzero c
+    is never a multiple of s.  The pairs are visited from the edge into
+    d[0]; every clause of the polygon test is a property of the whole
+    cycle, so the start does not change the reason.  Any strictly
+    feasible s gives the same reason.
+    """
+    if (0, 0, 0) in crosses:
+        return ConvexityCheck(False, ZERO_ANGLE_CONE)
+    b1 = next(
+        c
+        for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))
+        if c != (0, 0, 0)
+    )
+    b2 = cross3(s, b1)
+    return _closed_edges_convex([(_idot(c, b2), -_idot(c, b1)) for c in crosses])
+
+
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
     All sign tests run on integer-rescaled directions (rescaling along a
-    ray changes nothing).  The pointed branch works with homogeneous
-    coordinates of the section points, the flat and wedge branches with
-    plane coordinates scaled by a positive minor, so no divisions are
-    needed.
+    ray changes nothing).  The cyclic cross products d[k-1] x d[k] are
+    computed once.  Their sum is the O(m) support certificate, tried
+    first: it is never strictly feasible below rank 3 (see
+    ``_certified_direction``), so a fan it accepts is a rank-3 pointed
+    fan, and the rank is computed only when it fails.  The pointed
+    branch takes its section edges from the same products
+    (``_pointed_check``); the flat and wedge branches work with plane
+    coordinates scaled by a positive minor, so no divisions are needed.
     """
     dirs = [homogeneous(d)[0] for d in fan.directions()]
-    r = _rank3(dirs)
-    if r <= 1:
-        return ConvexityCheck(False, DEGENERATE_RANK)
-    if r == 2:
-        first = next(d for d in dirs if d != (0, 0, 0))
-        other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
-        dirs2 = _plane_coords(first, other, dirs)
-        # directions confined to a plane must sweep it once, strictly monotonically
-        return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
-    s = _certified_direction(dirs)
+    crosses = _cyclic_crosses(dirs)
+    s = _certified_direction(dirs, crosses)
     if s is None:
+        r = _rank3(dirs)
+        if r <= 1:
+            return ConvexityCheck(False, DEGENERATE_RANK)
+        if r == 2:
+            first = next(d for d in dirs if d != (0, 0, 0))
+            other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
+            dirs2 = _plane_coords(first, other, dirs)
+            # directions confined to a plane must sweep it once, strictly monotonically
+            return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
         # a wedge has an antipodal ray pair, so no strict support: test it
         # before the pairwise search, which then only runs on rejected wedges
         wedge = _wedge_check(fan.entries, dirs)
@@ -380,21 +430,4 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
         s = _pairwise_support(dirs)
         if s is None:
             return wedge
-    b1 = next(
-        c
-        for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))
-        if c != (0, 0, 0)
-    )
-    b2 = cross3(s, b1)
-    # homogeneous section points (x, y, w), w > 0; the true point is (x/w, y/w)
-    hom = [(_idot(d, b1), _idot(d, b2), _idot(d, s)) for d in dirs]
-    m = len(hom)
-    edges = []
-    for k in range(m):
-        a = hom[k]
-        b = hom[(k + 1) % m]
-        e = (a[2] * b[0] - b[2] * a[0], a[2] * b[1] - b[2] * a[1])
-        if e == (0, 0):
-            return ConvexityCheck(False, ZERO_ANGLE_CONE)
-        edges.append(e)
-    return _closed_edges_convex(edges)
+    return _pointed_check(crosses, s)

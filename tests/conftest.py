@@ -10,7 +10,7 @@ import pytest
 
 import plconvex as pc
 from plconvex.exactgeom import Projection3, cross3, dot
-from plconvex.instances import vmean, vsub
+from plconvex.instances import circle_points, vmean, vsub
 
 
 @pytest.fixture
@@ -189,3 +189,21 @@ def cyclic_variants(seq):
     for base in (seq, list(reversed(seq))):
         for r in range(m):
             yield tuple(base[r:] + base[:r])
+
+
+def zigzag_bipyramid(m: int) -> pc.PLSurface:
+    """Bipyramid over a zigzag rim of m (even) vertices: every star fails.
+
+    Rim vertex k is the k-th of ``circle_points(m)``, which run in angular
+    order over the half x > 0 of the unit circle, at height 1/5 for even
+    k and -1/5 for odd k.  The apexes (0, 0, 2) and (0, 0, -2) are
+    vertices m and m + 1.
+    """
+    rim = circle_points(m)
+    coords = [(x, y, Fraction(1 if k % 2 == 0 else -1, 5)) for k, (x, y) in enumerate(rim)]
+    coords += [(Fraction(0), Fraction(0), Fraction(2)), (Fraction(0), Fraction(0), Fraction(-2))]
+    polygons = []
+    for k in range(m):
+        j = (k + 1) % m
+        polygons += [[m, k, j], [m + 1, j, k]]
+    return pc.surface_from_polygons(coords, polygons)

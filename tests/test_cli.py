@@ -152,6 +152,13 @@ def test_gen_rigid_motion_equations_mode_exit_2(tmp_path, cube, capsys):
     assert captured.err == "INVALID: rigid_motion needs vertex coordinates\n"
 
 
+def test_gen_seed_rejected_outside_rigid_motion(capsys):
+    assert run_cli(["gen", "hypercube", "--n", "3", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gen hypercube takes no --seed (only rigid_motion does)\n"
+
+
 def test_gen_missing_params(capsys):
     assert run_cli(["gen", "hypercube"]) == 2
 

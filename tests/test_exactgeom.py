@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,8 +75,40 @@ def test_nullspace_orthogonality():
 def test_projection_identity_for_n3():
     p = complementary_projection([], 3)
     assert p.axes == (0, 1, 2)
+    assert complementary_projection((), 3) is p  # one shared identity
     v = as_vec([1, 2, 3])
-    assert project(p, v) == v
+    assert project(p, v) is v
+
+
+def _lexicographic_zero_triple(kernel, n):
+    """The first axis triple, in ``combinations`` order, zero in every kernel vector."""
+    for triple in combinations(range(n), 3):
+        if all(all(v[i] == 0 for i in triple) for v in kernel):
+            return triple
+    return None
+
+
+def test_axis_triple_is_the_lexicographic_zero_triple():
+    rng = random.Random(11)
+    hits = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        # up to three columns forced to zero; more would leave too few for n - 3 independent rows
+        zero = set(rng.sample(range(n), rng.randint(0, 3)))
+        while True:
+            kernel = [
+                tuple(0 if i in zero else rng.choice([0, 0, 1, -1, 2, F(1, 3)]) for i in range(n))
+                for _ in range(n - 3)
+            ]
+            if rank(kernel) == n - 3:
+                break
+        expected = _lexicographic_zero_triple(kernel, n)
+        p = complementary_projection(kernel, n)
+        assert p.axes == expected
+        hits[expected is not None] += 1
+        if expected is None:
+            assert rank(p.rows) == 3 and all(dot(r, v) == 0 for r in p.rows for v in kernel)
+    assert min(hits.values()) >= 50  # both the axis path and the nullspace path ran
 
 
 def test_projection_axis_kernel():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import plconvex as pc
 import plconvex.fan as fan_mod
-from plconvex.exactgeom import as_vec, cross3, dot
+import plconvex.verifier as verifier_mod
+from plconvex.exactgeom import as_vec, cross3, dot, homogeneous
 from plconvex.fan import (
     CELL,
     RAY,
@@ -23,7 +25,7 @@ from plconvex.poset import Face
 from plconvex.surface import direction_space
 from plconvex.verifier import verify_face
 
-from conftest import float_winding, wedge_cube
+from conftest import float_winding, wedge_cube, zigzag_bipyramid
 
 F = Fraction
 
@@ -412,3 +414,281 @@ class TestFanIsConvex:
                     normal = cross3(r1, r2)
                     assert normal != (0, 0, 0) and dot(normal, w) == 0
                     assert dot(cross3(r1, w), normal) > 0 and dot(cross3(w, r2), normal) > 0
+
+
+def section_point_classifier(fan):
+    """Reference: the classifier that built homogeneous section points.
+
+    Rank first, then the certificate, then the wedge test and the pairwise
+    search; the pointed branch scales each direction onto x . s = 1 as the
+    homogeneous point (d . b1, d . b2, d . s) and takes edges between
+    consecutive points.  ``fan_is_convex`` must give the same result.
+    """
+    dirs = [homogeneous(d)[0] for d in fan.directions()]
+    r = fan_mod._rank3(dirs)
+    if r <= 1:
+        return (False, "DEGENERATE_RANK")
+    if r == 2:
+        first = next(d for d in dirs if d != (0, 0, 0))
+        other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
+        dirs2 = fan_mod._plane_coords(first, other, dirs)
+        return fan_mod._wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, "OK_FLAT")
+    m = len(dirs)
+    cert = tuple(sum(cross3(dirs[k - 1], dirs[k])[a] for k in range(m)) for a in range(3))
+    s = next((c for c in (cert, tuple(-x for x in cert)) if all(dot(c, d) > 0 for d in dirs)), None)
+    if s is None:
+        wedge = fan_mod._wedge_check(fan.entries, dirs)
+        if wedge.convex:
+            return wedge
+        s = fan_mod._pairwise_support(dirs)
+        if s is None:
+            return wedge
+    b1 = next(c for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1])) if c != (0, 0, 0))
+    b2 = cross3(s, b1)
+    hom = [(dot(d, b1), dot(d, b2), dot(d, s)) for d in dirs]
+    edges = []
+    for k in range(m):
+        a, b = hom[k], hom[(k + 1) % m]
+        e = (a[2] * b[0] - b[2] * a[0], a[2] * b[1] - b[2] * a[1])
+        if e == (0, 0):
+            return (False, "ZERO_ANGLE_CONE")
+        edges.append(e)
+    return fan_mod._closed_edges_convex(edges)
+
+
+def alternating_fan(dirs):
+    """Rays at the even and witnesses at the odd positions of the cyclic list."""
+    entries = tuple(
+        FanEntry(RAY if k % 2 == 0 else CELL, tuple(d), Face(1 + k % 2, k)) for k, d in enumerate(dirs)
+    )
+    return Fan3((0, 0, 0), entries)
+
+
+def full_circle(k):
+    """k >= 4 exact rational points once around the unit circle, in angular order."""
+    half = circle_points(k // 2)
+    return half + [(-x, -y) for x, y in circle_points(k - k // 2)]
+
+
+def random_map(rng):
+    """A random invertible integer 3x3 map, as a function on 3-vectors."""
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if dot(rows[0], cross3(rows[1], rows[2])) != 0:
+            return lambda d: tuple(dot(r, d) for r in rows)
+
+
+def with_witnesses(rays, rng):
+    """Each ray followed by a positive combination of it and the next ray."""
+    out = []
+    for k, r in enumerate(rays):
+        nxt = rays[(k + 1) % len(rays)]
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        out += [r, tuple(a * x + b * y for x, y in zip(r, nxt))]
+    return out
+
+
+def random_small(rng):
+    dirs = []
+    while len(dirs) < rng.randint(3, 10):
+        d = tuple(rng.randint(-3, 3) for _ in range(3))
+        if d != (0, 0, 0):
+            dirs.append(d)
+    return dirs
+
+
+def random_pointed(rng):
+    s0 = (0, 0, 0)
+    while s0 == (0, 0, 0):
+        s0 = tuple(rng.randint(-3, 3) for _ in range(3))
+    dirs = []
+    while len(dirs) < rng.randint(3, 10):
+        d = tuple(rng.randint(-5, 5) for _ in range(3))
+        if dot(s0, d) > 0:
+            dirs.append(d)
+    return dirs
+
+
+def convex_pointed(rng):
+    """A lifted convex polygon with witnesses, at times with one entry disturbed."""
+    pts = sorted(rng.sample(range(24), rng.randint(3, 6)))
+    circle = full_circle(24)
+    rays = [(*circle[i], F(1)) for i in pts]
+    if rng.random() < 0.5:
+        rays.reverse()
+    dirs = with_witnesses(rays, rng)
+    roll = rng.random()
+    k = rng.randrange(len(dirs))
+    if roll < 0.2:
+        dirs[k] = tuple(x + F(rng.randint(-3, 3), 7) for x in dirs[k])
+    elif roll < 0.3:
+        dirs[k] = dirs[k - 1]  # a witness or ray on its neighbor: a zero-angle cone
+    move = random_map(rng)
+    return [move(d) for d in dirs]
+
+
+def zigzag(rng):
+    """Apex star of a zigzag bipyramid over a half-circle, moved."""
+    rim = circle_points(rng.randint(4, 6))
+    rays = [(x, y, F(-9, 5) if k % 2 == 0 else F(-11, 5)) for k, (x, y) in enumerate(rim)]
+    move = random_map(rng)
+    return [move(d) for d in with_witnesses(rays, rng)]
+
+
+def star_polygon_lift(rng):
+    """A lifted star polygon {k/j} (a pentagram for k = 5, j = 2), or a convex one wound twice."""
+    k = rng.choice([5, 7])
+    j = rng.randint(2, (k - 1) // 2)
+    circle = full_circle(k)
+    rays = [(*circle[(i * j) % k], F(1)) for i in range(k)]
+    if rng.random() < 0.25:
+        rays = [(*p, F(1)) for p in full_circle(4)] * 2
+    dirs = []
+    for r, nxt in zip(rays, rays[1:] + rays[:1]):
+        dirs += [r, tuple(x + y for x, y in zip(r, nxt))]
+    move = random_map(rng)
+    return [move(d) for d in dirs]
+
+
+def planar(rng):
+    """Directions in one plane: a once-around sweep, a shuffle, or one line."""
+    while True:
+        u = tuple(rng.randint(-3, 3) for _ in range(3))
+        w = tuple(rng.randint(-3, 3) for _ in range(3))
+        if cross3(u, w) != (0, 0, 0):
+            break
+    coeffs = full_circle(rng.randint(4, 10))
+    roll = rng.random()
+    if roll < 0.3:
+        rng.shuffle(coeffs)
+    elif roll < 0.4:
+        coeffs = [(F(rng.choice([-3, -1, 1, 2])), F(0)) for _ in coeffs]
+    return [tuple(a * x + b * y for x, y in zip(u, w)) for a, b in coeffs]
+
+
+def near_wedge(rng):
+    """A fold line +-x with a chain in each of two half-planes, at times disturbed."""
+    x = (1, 0, 0)
+    dirs = [x]
+    for sign in (1, -1):
+        n = (0, 0, 0)
+        while cross3(x, n) == (0, 0, 0):
+            n = tuple(rng.randint(-3, 3) for _ in range(3))
+        chain = circle_points(2 * rng.randint(1, 2) + 1)  # angles in (-pi/2, pi/2)
+        for px, py in chain:  # turned to angles in (0, pi) from x towards n
+            dirs.append(tuple(sign * -py * a + px * b for a, b in zip(x, n)))
+        if sign == 1:
+            dirs.append((-1, 0, 0))
+    if rng.random() < 0.5:
+        k = rng.randrange(len(dirs))
+        dirs[k] = tuple(c + F(rng.randint(-2, 2), 5) for c in dirs[k])
+    return dirs
+
+
+FAMILIES = (random_small, random_pointed, convex_pointed, zigzag, star_polygon_lift, planar, near_wedge)
+
+
+def seeded_fans(seed, count):
+    """``count`` base fans over all families, each followed by three variants:
+    every entry rescaled by its own ``Fraction``, one entry rescaled by a
+    multiple of 10**400, and a cyclic shift."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dirs = FAMILIES[i % len(FAMILIES)](rng)
+        yield alternating_fan(dirs)
+        yield alternating_fan([tuple(F(rng.randint(1, 99), rng.randint(1, 99)) * c for c in d) for d in dirs])
+        huge = list(dirs)
+        k = rng.randrange(len(huge))
+        huge[k] = tuple(10**400 * rng.randint(1, 9) * c for c in huge[k])
+        yield alternating_fan(huge)
+        shift = 2 * rng.randrange((len(dirs) + 1) // 2)
+        yield alternating_fan(dirs[shift:] + dirs[:shift])
+
+
+class TestCrossProductClassifier:
+    def test_matches_section_points_on_seeded_fans(self):
+        reasons = Counter()
+        for fan in seeded_fans(2024, 3000):
+            res = fan_is_convex(fan)
+            assert res == section_point_classifier(fan), fan.directions()
+            reasons[res.reason] += 1
+        assert sum(reasons.values()) >= 12_000
+        # every branch and every reason code is reached
+        assert set(reasons) == set(fan_mod.ACCEPT_REASONS) | {
+            "NO_SUPPORT",
+            "BAD_ROTATION_INDEX",
+            "WRONG_TURN_SIGN",
+            "ZERO_ANGLE_CONE",
+            "DEGENERATE_RANK",
+        }
+        assert min(reasons.values()) >= 30, reasons
+
+    def test_matches_section_points_on_generated_stars(self, monkeypatch):
+        # every fan that verify_face classifies, on valid and invalid variants alike
+        fans = []
+
+        def recording(fan):
+            fans.append(fan)
+            return fan_is_convex(fan)
+
+        monkeypatch.setattr(verifier_mod, "fan_is_convex", recording)
+        bases = [pc.gen_hypercube(n) for n in (3, 4)] + [pc.gen_cross_polytope(n) for n in (3, 4)]
+        bases += [pc.gen_simplex(n) for n in (3, 4, 5, 6)] + [pc.gen_prism(m) for m in (3, 7, 20)]
+        bases += [pc.gen_schonhardt(), pc.gen_dented_cube(1), pc.gen_dented_cube(3)]
+        bases += [pc.split_facet_cube(False), pc.split_facet_cube(True), wedge_cube(8)]
+        bases += [skewed_pyramid(32), zigzag_bipyramid(8), zigzag_bipyramid(16)]
+        for base in bases:
+            for moved in (base, pc.rigid_motion(base, 3)):
+                dented = [pc.dent(moved, 0, t) for t in (F(1, 4), F(1, 1000), F(-1, 3))]
+                for surface in [moved, *dented, pc.as_equations(moved)]:
+                    for face in surface.poset.faces(surface.poset.dim_low):
+                        verify_face(surface, face)
+        monkeypatch.undo()
+        reasons = Counter()
+        for fan in fans:
+            res = fan_is_convex(fan)
+            assert res == section_point_classifier(fan)
+            reasons[res.reason] += 1
+        assert sum(reasons.values()) >= 2500
+        assert {"OK_POINTED", "OK_FLAT", "WRONG_TURN_SIGN", "NO_SUPPORT", "ZERO_ANGLE_CONE"} <= set(reasons), reasons
+
+    def test_pointed_reason_does_not_depend_on_support(self):
+        rng = random.Random(77)
+        reasons = Counter()
+        for fan in seeded_fans(99, 500):
+            dirs = [homogeneous(d)[0] for d in fan.directions()]
+            s_pair = fan_mod._pairwise_support(dirs)
+            if s_pair is None:
+                continue
+            crosses = fan_mod._cyclic_crosses(dirs)
+            supports = [s_pair]
+            s_cert = fan_mod._certified_direction(dirs, crosses)
+            if s_cert is not None:
+                supports.append(s_cert)
+            for _ in range(3):
+                a, b = rng.randint(1, 9), rng.randint(1, 9)
+                t = supports[rng.randrange(len(supports))]
+                # a positive combination, and a disturbed s kept only while strictly feasible
+                supports.append(tuple(a * x + b * y for x, y in zip(s_pair, t)))
+                bent = tuple(50 * x + rng.randint(-9, 9) * max(map(abs, s_pair)) for x in s_pair)
+                if all(dot(bent, d) > 0 for d in dirs):
+                    supports.append(bent)
+            expected = fan_is_convex(fan)
+            for s in supports:
+                assert fan_mod._pointed_check(crosses, s) == expected
+            reasons[expected.reason] += len(supports)
+        assert {"OK_POINTED", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX", "ZERO_ANGLE_CONE"} <= set(reasons)
+
+    def test_certificate_never_feasible_below_rank_3(self):
+        rng = random.Random(13)
+        ranks = Counter()
+        for _ in range(2000):
+            dirs = [homogeneous(d)[0] for d in planar(rng)]
+            if rng.random() < 0.2:
+                dirs.append((0, 0, 0))
+            r = fan_mod._rank3(dirs)
+            assert r <= 2
+            ranks[r] += 1
+            crosses = fan_mod._cyclic_crosses(dirs)
+            assert fan_mod._certified_direction(dirs, crosses) is None
+        assert ranks[1] >= 100 and ranks[2] >= 1000

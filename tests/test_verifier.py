@@ -14,6 +14,7 @@ from conftest import (
     pinched_tube,
     random_same_kernel_projection,
     reflex_adjacent_vertices,
+    zigzag_bipyramid,
 )
 
 F = Fraction
@@ -42,6 +43,16 @@ def test_schonhardt_not_convex(schonhardt):
     assert expected == reflex_adjacent_vertices(schonhardt)
     assert v.witness == Face(0, min(expected))
     assert pc.oracle_verdict(schonhardt).convex is False
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_zigzag_bipyramid_fails_at_every_star(m):
+    s = zigzag_bipyramid(m)
+    v = verify(s, collect_all=True)
+    assert v.kind == "NOT_CONVEX"
+    expected = locally_nonconvex_vertices(s)
+    assert {f.index for f, _ in v.failures} == expected == set(range(m + 2))
+    assert pc.oracle_verdict(s).convex is False
 
 
 def test_dented_cube_witness_near_dent():
