@@ -82,30 +82,50 @@ def _cmd_verify(args) -> int:
     return code
 
 
+# per family, the generator flags it takes (by argparse dest), each with
+# whether it is required; every other generator flag is an error
+_GEN_FLAGS = {
+    "hypercube": {"n": True},
+    "cross_polytope": {"n": True},
+    "simplex": {"n": True},
+    "prism": {"m": True},
+    "schonhardt": {},
+    "dented": {"dents": False},
+    "rigid_motion": {"input": True, "seed": False},
+}
+_FLAG_NAMES = {"n": "--n", "m": "--m", "dents": "--dents", "seed": "--seed", "input": "-i/--input"}
+
+
+def _gen_flag_error(args) -> str | None:
+    """Why the generator flags do not fit the family, or None."""
+    takes = _GEN_FLAGS[args.family]
+    for dest, flag in _FLAG_NAMES.items():
+        if getattr(args, dest) is not None and dest not in takes:
+            takers = [fam for fam, flags in _GEN_FLAGS.items() if dest in flags]
+            verb = "does" if len(takers) == 1 else "do"
+            return f"gen {args.family} takes no {flag} (only {', '.join(takers)} {verb})"
+    for dest, required in takes.items():
+        if required and getattr(args, dest) is None:
+            return f"gen {args.family} needs {_FLAG_NAMES[dest]}"
+    return None
+
+
 def _cmd_gen(args) -> int:
+    error = _gen_flag_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     if args.family == "rigid_motion":
-        if not args.input:
-            print("gen rigid_motion needs -i/--input", file=sys.stderr)
-            return 2
         try:
             surface = rigid_motion(_load(args.input), args.seed or 0)
         except (ParseError, SemanticError, NonManifoldError, OSError, ValueError) as exc:
             print(f"INVALID: {exc}", file=sys.stderr)
             return 2
-    elif args.seed is not None:
-        print(f"gen {args.family} takes no --seed (only rigid_motion does)", file=sys.stderr)
-        return 2
     else:
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
-        if args.m is not None:
-            params["m"] = args.m
-        if args.dents is not None:
-            params["dents"] = args.dents
+        params = {k: getattr(args, k) for k in _GEN_FLAGS[args.family] if getattr(args, k) is not None}
         try:
             surface = build_instance(GenSpec(args.family, params))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             print(f"bad generator parameters: {exc}", file=sys.stderr)
             return 2
     text = emit_pls(surface)
@@ -132,10 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a test surface")
-    p_gen.add_argument(
-        "family",
-        choices=["hypercube", "cross_polytope", "simplex", "prism", "schonhardt", "dented", "rigid_motion"],
-    )
+    p_gen.add_argument("family", choices=list(_GEN_FLAGS))
     p_gen.add_argument("--n", type=int, help="ambient dimension (hypercube/cross_polytope/simplex)")
     p_gen.add_argument("--m", type=int, help="base polygon size (prism)")
     p_gen.add_argument("--dents", type=int, help="number of dented facets (dented)")

@@ -91,19 +91,19 @@ def _pivot(r: IVec) -> int | None:
 class Eliminator:
     """Incremental exact Gaussian elimination over the integers.
 
-    Feed row vectors (integers or ``Fraction``s) with :meth:`add`; each
-    row is scaled to integers once (a positive multiple, same rank) and
-    reduced fraction-free against a growing set of pivot rows.  ``add``
-    reports whether the row increased the rank.  Used for ranks and
-    greedy independent subsets.
+    Feed integer row tuples with :meth:`add`; a rational row must first
+    be scaled to integers (``homogeneous``, a positive multiple with the
+    same rank), as ``rank`` does.  Each row is reduced fraction-free
+    against a growing set of pivot rows, and ``add`` reports whether it
+    increased the rank.  Used for ranks and greedy independent subsets.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[tuple[int, IVec]] = []  # (pivot column, reduced row)
 
-    def add(self, v: Sequence) -> bool:
-        r = _reduce(self.pivots, homogeneous(v)[0])
+    def add(self, v: IVec) -> bool:
+        r = _reduce(self.pivots, v)
         col = _pivot(r)
         if col is None:
             return False
@@ -116,12 +116,13 @@ class Eliminator:
 
 
 def rank(vectors: Sequence[Sequence]) -> int:
+    """Rank of rows of exact numbers (``int`` or ``Fraction``)."""
     vectors = list(vectors)
     if not vectors:
         return 0
     elim = Eliminator(len(vectors[0]))
     for v in vectors:
-        elim.add(v)
+        elim.add(homogeneous(v)[0])
     return elim.rank
 
 

@@ -28,7 +28,9 @@ computed once per fan.  Their sum is an O(m) strict-support certificate
 that settles every convex pointed fan, and the pointed branch reads the
 section polygon's edges off the same products.  The rank, the wedge test
 and the O(m^3) pairwise support search run only when the certificate
-fails.
+fails.  The pointed and flat branches then walk their polygon once
+(``_wound_once``): one loop checks that every turn has the same sense
+and counts the half-axis crossings that give the rotation index.
 
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
@@ -118,15 +120,15 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
         proj = Projection3((flat[:k], flat[k : 2 * k], flat[2 * k :]), proj.kernel)
     center_nums, wc = points[center]
     a0, a1, a2 = apex = project(proj, center_nums)
+    ray_dim = center.dim + 1
     entries = []
     for face in cycle.entries:
         nums, w = points[face]
-        p = project(proj, nums)
-        d = (wc * p[0] - w * a0, wc * p[1] - w * a1, wc * p[2] - w * a2)
+        p0, p1, p2 = project(proj, nums)
+        d = (wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2)
         if d == (0, 0, 0):
             raise ZeroDirectionError(face)
-        kind = RAY if face.dim == center.dim + 1 else CELL
-        entries.append(FanEntry(kind, d, face))
+        entries.append(FanEntry(RAY if face.dim == ray_dim else CELL, d, face))
     return Fan3(apex, tuple(entries), wc)
 
 
@@ -247,47 +249,50 @@ def rotation_index(directions: Sequence[tuple[Fraction, Fraction]]) -> int:
     return total
 
 
-def _turn_defect(pairs, straight_ok: bool) -> str | None:
-    """Why the turns u -> v over ``pairs`` do not share one sense, or None.
+def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> ConvexityCheck:
+    """Do the turns of the cycle ``vecs`` share one sense and wind it exactly once?
 
-    The pairs are visited in the given order and the first failing
-    clause names the reason: a zero turn that is not straight ahead is a
-    reversal (WRONG_TURN_SIGN); a straight-ahead one is allowed when
+    One pass over the consecutive pairs (vecs[i-1], vecs[i]), i = 0..m-1,
+    so the pair into vecs[0] comes first.  Each pair's turn goes through
+    the clauses in this order, and the first failing clause names the
+    reason: a zero turn that is not straight ahead is a reversal
+    (WRONG_TURN_SIGN); a straight-ahead one is allowed when
     ``straight_ok`` and a ZERO_ANGLE_CONE otherwise; a turn against the
-    first nonzero one, or no nonzero turn at all, is WRONG_TURN_SIGN.
-    Works over any exact numeric type.
+    first nonzero one is WRONG_TURN_SIGN.  The same pass counts the
+    signed crossings of the positive x half-axis, as ``rotation_index``
+    does.  After the pass, no nonzero turn at all is WRONG_TURN_SIGN and
+    a rotation index other than +-1 is BAD_ROTATION_INDEX.  Works over
+    any exact numeric type.
     """
     turn = 0
-    for u, v in pairs:
+    winding = 0
+    u = vecs[-1]
+    u_low = u[1] < 0 or (u[1] == 0 and u[0] < 0)  # see _lower_half
+    for v in vecs:
+        v_low = v[1] < 0 or (v[1] == 0 and v[0] < 0)
         c = u[0] * v[1] - u[1] * v[0]
-        if c == 0:
-            if u[0] * v[0] + u[1] * v[1] <= 0:
-                return WRONG_TURN_SIGN
-            if not straight_ok:
-                return ZERO_ANGLE_CONE
-            continue
-        s = 1 if c > 0 else -1
-        if turn == 0:
-            turn = s
-        elif s != turn:
-            return WRONG_TURN_SIGN
-    return None if turn else WRONG_TURN_SIGN
-
-
-def _wound_once(vecs: Sequence[tuple], pairs, straight_ok: bool, accept: str) -> ConvexityCheck:
-    """Consistent turns over ``pairs``, then rotation index +-1 of the cycle ``vecs``."""
-    reason = _turn_defect(pairs, straight_ok)
-    if reason is None and abs(rotation_index(vecs)) != 1:
-        reason = BAD_ROTATION_INDEX
-    return ConvexityCheck(reason is None, reason or accept)
-
-
-def _closed_edges_convex(edges: Sequence[tuple]) -> ConvexityCheck:
-    """Edge vectors of a closed polygon, visited as pairs (edges[i-1], edges[i]) from i = 0.
-
-    A zero edge must have been filtered out by the caller.
-    """
-    return _wound_once(edges, zip(edges[-1:] + edges[:-1], edges), True, OK_POINTED)
+        if c > 0:
+            if turn < 0:
+                return ConvexityCheck(False, WRONG_TURN_SIGN)
+            turn = 1
+            if u_low and not v_low:
+                winding += 1
+        elif c < 0:
+            if turn > 0:
+                return ConvexityCheck(False, WRONG_TURN_SIGN)
+            turn = -1
+            if v_low and not u_low:
+                winding -= 1
+        elif u[0] * v[0] + u[1] * v[1] <= 0:
+            return ConvexityCheck(False, WRONG_TURN_SIGN)
+        elif not straight_ok:
+            return ConvexityCheck(False, ZERO_ANGLE_CONE)
+        u, u_low = v, v_low
+    if not turn:
+        return ConvexityCheck(False, WRONG_TURN_SIGN)
+    if winding != 1 and winding != -1:
+        return ConvexityCheck(False, BAD_ROTATION_INDEX)
+    return ConvexityCheck(True, accept)
 
 
 def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityCheck:
@@ -308,7 +313,7 @@ def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityC
         if e[0] == 0 and e[1] == 0:
             return ConvexityCheck(False, ZERO_ANGLE_CONE)
         edges.append(e)
-    return _closed_edges_convex(edges)
+    return _wound_once(edges, True, OK_POINTED)
 
 
 def _plane_coords(b1: IVec, b2: IVec, dirs: Sequence[IVec]) -> list[tuple[int, int]]:
@@ -337,7 +342,11 @@ def _chain_is_half_sweep(start: IVec, between: Sequence[IVec]) -> bool:
     ``start`` is a fold direction and the chain runs to its opposite;
     the chain must stay inside a single plane through the fold line,
     strictly on one side of it, with strictly monotone angular order
-    from start to end.
+    from start to end.  In plane coordinates with ``start`` at (1, 0)
+    and the chain at y > 0, every angle lies in [0, pi], so the order is
+    strictly monotone exactly when every turn of the open chain
+    (1, 0), ..., (-1, 0) is strictly counterclockwise; the first one,
+    into the upper half-plane, always is.
     """
     if not between:
         return False
@@ -347,7 +356,7 @@ def _chain_is_half_sweep(start: IVec, between: Sequence[IVec]) -> bool:
     seq = [(1, 0)] + _plane_coords(start, between[0], between) + [(-1, 0)]
     if any(y <= 0 for _, y in seq[1:-1]):
         return False
-    return _turn_defect(zip(seq, seq[1:]), False) is None
+    return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(seq, seq[1:]))
 
 
 def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec]) -> ConvexityCheck:
@@ -380,10 +389,12 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
     parallel-or-antiparallel test and each half-axis crossing, so the
     polygon test gives the same reason.  An edge vanishes exactly when
     its c does: c is orthogonal to d[k] and s . d[k] > 0, so a nonzero c
-    is never a multiple of s.  The pairs are visited from the edge into
-    d[0]; every clause of the polygon test is a property of the whole
-    cycle, so the start does not change the reason.  Any strictly
-    feasible s gives the same reason.
+    is never a multiple of s.  The edges go through ``_wound_once``,
+    one pass that checks every turn and counts the half-axis crossings
+    together, from the turn onto the edge into d[0]; with straight turns
+    allowed every failing clause is a property of the whole cycle, so
+    the start does not change the reason.  Any strictly feasible s gives
+    the same reason.
     """
     if (0, 0, 0) in crosses:
         return ConvexityCheck(False, ZERO_ANGLE_CONE)
@@ -393,15 +404,17 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
         if c != (0, 0, 0)
     )
     b2 = cross3(s, b1)
-    return _closed_edges_convex([(_idot(c, b2), -_idot(c, b1)) for c in crosses])
+    return _wound_once([(_idot(c, b2), -_idot(c, b1)) for c in crosses], True, OK_POINTED)
 
 
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
-    All sign tests run on integer-rescaled directions (rescaling along a
-    ray changes nothing).  The cyclic cross products d[k-1] x d[k] are
-    computed once.  Their sum is the O(m) support certificate, tried
+    All sign tests run on integer directions.  ``build_fan``'s integer
+    fans are taken as they are; a fan with any non-integer coordinate,
+    such as a hand-built ``Fraction`` fan, is rescaled to integers first
+    (rescaling along a ray changes nothing).  The cyclic cross products
+    d[k-1] x d[k] are computed once.  Their sum is the O(m) support certificate, tried
     first: it is never strictly feasible below rank 3 (see
     ``_certified_direction``), so a fan it accepts is a rank-3 pointed
     fan, and the rank is computed only when it fails.  The pointed
@@ -409,7 +422,9 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     (``_pointed_check``); the flat and wedge branches work with plane
     coordinates scaled by a positive minor, so no divisions are needed.
     """
-    dirs = [homogeneous(d)[0] for d in fan.directions()]
+    dirs = fan.directions()
+    if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
+        dirs = [homogeneous(d)[0] for d in dirs]
     crosses = _cyclic_crosses(dirs)
     s = _certified_direction(dirs, crosses)
     if s is None:
@@ -420,8 +435,9 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
             first = next(d for d in dirs if d != (0, 0, 0))
             other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
             dirs2 = _plane_coords(first, other, dirs)
-            # directions confined to a plane must sweep it once, strictly monotonically
-            return _wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, OK_FLAT)
+            # directions confined to a plane must sweep it once, strictly
+            # monotonically; the turns are visited from (dirs2[0], dirs2[1])
+            return _wound_once(dirs2[1:] + dirs2[:1], False, OK_FLAT)
         # a wedge has an antipodal ray pair, so no strict support: test it
         # before the pairwise search, which then only runs on rejected wedges
         wedge = _wedge_check(fan.entries, dirs)

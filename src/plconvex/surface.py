@@ -76,26 +76,27 @@ def _difference(base: HomPoint, p: HomPoint) -> IVec:
 
 
 def _face_geometry(
-    surface: PLSurface, face: Face, convert, point_only: bool = False
+    surface: PLSurface, face: Face, convert, verts: tuple[int, ...] | None, point_only: bool = False
 ) -> tuple[HomPoint | None, tuple[IVec, ...], str | None]:
     """A face's interior point, direction basis and rank defect, from one elimination.
 
     ``convert`` gives the input records in integer form: vertex i's
     homogeneous coordinates in vertex mode, facet h's normal numerators
-    in equations mode.  Vertex mode scans the differences from the
-    least-index vertex in index order and stops once the rank exceeds
-    the face's dimension; the point is the mean of that vertex and the
-    first ``dim`` vertices that raised the rank, as the integer sum of
-    their numerators (each brought to the common weight W) over the
-    weight k*W for k points.  The basis vectors are those integer
-    differences.  Equations mode gives the witness and, for an
-    (n-3)-face, the integer nullspace of the incident facet normals
-    (each facet once).  The defect is None exactly when the face spans
-    its dimension.  ``point_only`` stops as soon as the point is known,
-    skipping the rank check and the kernel.
+    in equations mode.  ``verts`` is the face's vertex list in vertex
+    mode and None in equations mode, so the caller reads the mode once.
+    Vertex mode scans the differences from the least-index vertex in
+    index order and stops once the rank exceeds the face's dimension;
+    the point is the mean of that vertex and the first ``dim`` vertices
+    that raised the rank, as the integer sum of their numerators (each
+    brought to the common weight W) over the weight k*W for k points.
+    The basis vectors are those integer differences.  Equations mode
+    gives the witness and, for an (n-3)-face, the integer nullspace of
+    the incident facet normals (each facet once).  The defect is None
+    exactly when the face spans its dimension.  ``point_only`` stops as
+    soon as the point is known, skipping the rank check and the kernel.
     """
-    poset = surface.poset
-    if surface.mode == EQUATION_MODE:
+    if verts is None:
+        poset = surface.poset
         witness = surface.witnesses.get(face)
         point = None if witness is None else homogeneous(witness)
         if face.dim != poset.dim_low or point_only:
@@ -105,7 +106,6 @@ def _face_geometry(
         if len(basis) != surface.n - 3:
             return point, basis, "incident facet equations do not determine the face's direction space"
         return point, basis, None
-    verts = poset.vertex_lists[face]
     base = convert(verts[0])
     if face.dim == 0:
         return base, (), None
@@ -128,16 +128,16 @@ def _face_geometry(
     return (total, len(picked) * weight), tuple(basis), defect
 
 
-def _converter(surface: PLSurface):
-    """The input records converted on demand, for single-face queries (see ``_face_geometry``)."""
+def _single_face(surface: PLSurface, face: Face):
+    """``convert`` and ``verts`` of ``_face_geometry`` for one face, records converted on demand."""
     if surface.mode == VERTEX_MODE:
-        return lambda i: homogeneous(surface.vertices[i])
-    return lambda h: homogeneous(surface.equations[h].normal)[0]
+        return (lambda i: homogeneous(surface.vertices[i])), surface.poset.vertex_lists[face]
+    return (lambda h: homogeneous(surface.equations[h].normal)[0]), None
 
 
 def homogeneous_point(surface: PLSurface, face: Face) -> HomPoint | None:
     """``interior_point`` as integer numerators over a positive weight, as ``prepare`` tabulates it."""
-    return _face_geometry(surface, face, _converter(surface), point_only=True)[0]
+    return _face_geometry(surface, face, *_single_face(surface, face), point_only=True)[0]
 
 
 def interior_point(surface: PLSurface, face: Face) -> Vec:
@@ -160,7 +160,7 @@ def direction_space(surface: PLSurface, face: Face) -> tuple[IVec, ...]:
     """
     if face.dim != surface.poset.dim_low:
         raise ValueError(f"{face} is not an (n-3)-face")
-    _, basis, defect = _face_geometry(surface, face, _converter(surface))
+    _, basis, defect = _face_geometry(surface, face, *_single_face(surface, face))
     if defect is not None:
         raise DegenerateFaceError(face, defect)
     return basis
@@ -232,14 +232,16 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     once: its rank defect becomes a DEGENERATE_FACE violation, and its
     interior point and (for (n-3)-faces) its kernel go into the table.
     Vertex coordinates, witnesses and facet equations are converted to
-    integers once.  Equations mode first checks the facet equations and
-    then that each witness lies on every facet above its face, an
-    integer comparison.
+    integers once, and the mode and the vertex lists are read once per
+    surface, not per face.  Equations mode first checks the facet
+    equations and then that each witness lies on every facet above its
+    face, an integer comparison.
     """
     bad: list[Violation] = []
     poset = surface.poset
     n = surface.n
-    if surface.mode == VERTEX_MODE:
+    vertex_mode = surface.mode == VERTEX_MODE
+    if vertex_mode:
         if len(surface.vertices) != poset.count(0):
             counts = f"{poset.count(0)} vertices declared, {len(surface.vertices)} coordinates"
             bad.append(Violation("MISSING_COORDS", None, counts))
@@ -256,7 +258,7 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
-    if surface.mode == VERTEX_MODE:
+    if vertex_mode:
         convert = [homogeneous(v) for v in surface.vertices].__getitem__
     else:
         # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
@@ -276,17 +278,22 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     degenerate: list[Violation] = []
     points: dict[Face, HomPoint] = {}
     kernels: dict[Face, tuple[IVec, ...]] = {}
-    for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
+    vertex_lists = poset.vertex_lists
+    verts = None  # stays None in equations mode
+    low = poset.dim_low
+    for d in (low, poset.dim_mid, poset.dim_top):
         for face in poset.faces(d):
-            if surface.mode == VERTEX_MODE and not poset.vertex_lists.get(face):
-                continue  # reported by validate_poset
-            point, basis, defect = _face_geometry(surface, face, convert)
+            if vertex_mode:
+                verts = vertex_lists.get(face)
+                if not verts:
+                    continue  # reported by validate_poset
+            point, basis, defect = _face_geometry(surface, face, convert, verts)
             points[face] = point
-            if d == poset.dim_low:
+            if d == low:
                 kernels[face] = basis
             if defect is not None:
                 degenerate.append(Violation("DEGENERATE_FACE", face, defect))
-            if surface.mode == VERTEX_MODE:
+            if vertex_mode:
                 continue
             if point is None or len(point[0]) != n:
                 bad.append(Violation("BAD_WITNESS", face, "missing witness point"))

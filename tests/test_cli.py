@@ -159,8 +159,40 @@ def test_gen_seed_rejected_outside_rigid_motion(capsys):
     assert captured.err == "gen hypercube takes no --seed (only rigid_motion does)\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["hypercube", "--n", "3", "--m", "5"], "gen hypercube takes no --m (only prism does)"),
+        (
+            ["schonhardt", "--m", "5", "--n", "7", "--dents", "2"],
+            "gen schonhardt takes no --n (only hypercube, cross_polytope, simplex do)",
+        ),
+        (["prism", "--m", "5", "--dents", "1"], "gen prism takes no --dents (only dented does)"),
+        (["dented", "-i", "cube.pls"], "gen dented takes no -i/--input (only rigid_motion does)"),
+        (
+            ["rigid_motion", "-i", "cube.pls", "--n", "3"],
+            "gen rigid_motion takes no --n (only hypercube, cross_polytope, simplex do)",
+        ),
+    ],
+)
+def test_gen_rejects_flags_the_family_does_not_take(capsys, args, message):
+    assert run_cli(["gen", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_gen_missing_params(capsys):
-    assert run_cli(["gen", "hypercube"]) == 2
+    for family, flag in [("hypercube", "--n"), ("prism", "--m"), ("rigid_motion", "-i/--input")]:
+        assert run_cli(["gen", family]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gen {family} needs {flag}\n"
+
+
+def test_gen_bad_param_value(capsys):
+    assert run_cli(["gen", "prism", "--m", "2"]) == 2
+    assert capsys.readouterr().err == "bad generator parameters: need m >= 3\n"
 
 
 def test_verify_equations_mode_skips_oracle(tmp_path, cube, capsys):

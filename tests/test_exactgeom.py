@@ -31,6 +31,14 @@ def test_rank_examples():
     assert rank([[2**60 + 1, 2**60], [2**60, 2**60 - 1]]) == 2
 
 
+def test_rank_takes_fraction_rows():
+    rows = [(F(1, 2), F(1, 3), F(0)), (F(3), F(2), F(0)), (1, F(-1, 7), 2)]
+    assert rank(rows) == 2
+    # the same rows as integers, each by its own positive factor
+    assert rank([(3, 2, 0), (6, 4, 0), (7, -1, 14)]) == 2
+    assert rank(rows[:2]) == 1
+
+
 @given(vecs(3, 6))
 def test_rank_bounds(rows):
     r = rank(rows)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -416,6 +417,46 @@ class TestFanIsConvex:
                     assert dot(cross3(r1, w), normal) > 0 and dot(cross3(w, r2), normal) > 0
 
 
+def turn_defect_reference(pairs, straight_ok):
+    """Reference for the turn clauses of ``_wound_once``, in a pass of their own.
+
+    The pairs are visited in the given order and the first failing
+    clause names the reason: a zero turn that is not straight ahead is a
+    reversal (WRONG_TURN_SIGN); a straight-ahead one is allowed when
+    ``straight_ok`` and a ZERO_ANGLE_CONE otherwise; a turn against the
+    first nonzero one, or no nonzero turn at all, is WRONG_TURN_SIGN.
+    """
+    turn = 0
+    for u, v in pairs:
+        c = u[0] * v[1] - u[1] * v[0]
+        if c == 0:
+            if u[0] * v[0] + u[1] * v[1] <= 0:
+                return "WRONG_TURN_SIGN"
+            if not straight_ok:
+                return "ZERO_ANGLE_CONE"
+            continue
+        s = 1 if c > 0 else -1
+        if turn == 0:
+            turn = s
+        elif s != turn:
+            return "WRONG_TURN_SIGN"
+    return None if turn else "WRONG_TURN_SIGN"
+
+
+def two_pass_wound_once(vecs, pairs, straight_ok, accept):
+    """Reference for ``_wound_once``: the turn clauses over ``pairs``, then
+    ``rotation_index`` of the cycle ``vecs`` in a second pass."""
+    reason = turn_defect_reference(pairs, straight_ok)
+    if reason is None and abs(rotation_index(vecs)) != 1:
+        reason = "BAD_ROTATION_INDEX"
+    return (reason is None, reason or accept)
+
+
+def cyclic_pairs(vecs):
+    """The pairs (vecs[i-1], vecs[i]) for i = 0..m-1, the order ``_wound_once`` visits."""
+    return zip(vecs[-1:] + vecs[:-1], vecs)
+
+
 def section_point_classifier(fan):
     """Reference: the classifier that built homogeneous section points.
 
@@ -432,7 +473,7 @@ def section_point_classifier(fan):
         first = next(d for d in dirs if d != (0, 0, 0))
         other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
         dirs2 = fan_mod._plane_coords(first, other, dirs)
-        return fan_mod._wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, "OK_FLAT")
+        return two_pass_wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, "OK_FLAT")
     m = len(dirs)
     cert = tuple(sum(cross3(dirs[k - 1], dirs[k])[a] for k in range(m)) for a in range(3))
     s = next((c for c in (cert, tuple(-x for x in cert)) if all(dot(c, d) > 0 for d in dirs)), None)
@@ -453,7 +494,7 @@ def section_point_classifier(fan):
         if e == (0, 0):
             return (False, "ZERO_ANGLE_CONE")
         edges.append(e)
-    return fan_mod._closed_edges_convex(edges)
+    return two_pass_wound_once(edges, cyclic_pairs(edges), True, "OK_POINTED")
 
 
 def alternating_fan(dirs):
@@ -692,3 +733,171 @@ class TestCrossProductClassifier:
             crosses = fan_mod._cyclic_crosses(dirs)
             assert fan_mod._certified_direction(dirs, crosses) is None
         assert ranks[1] >= 100 and ranks[2] >= 1000
+
+
+def splice(vecs, rng):
+    """Maybe splice a defect into a cyclic vector sequence at a random place:
+    a straight turn (a positive multiple of an entry after it), a reversal
+    (a negative multiple after it) or one entry replaced at random."""
+    vecs = list(vecs)
+    k = rng.randrange(len(vecs))
+    roll = rng.random()
+    if roll < 0.2:
+        vecs.insert(k + 1, tuple(rng.randint(1, 3) * x for x in vecs[k]))
+    elif roll < 0.35:
+        vecs.insert(k + 1, tuple(-rng.randint(1, 3) * x for x in vecs[k]))
+    elif roll < 0.5:
+        vecs[k] = (F(rng.randint(-4, 4), 3), F(rng.choice([-2, -1, 1, 2]), 5))
+    return vecs
+
+
+def seeded_edge_cycles(seed, count):
+    """Cycles of nonzero plane vectors, each followed by a cyclic shift and its reversal.
+
+    The bases rotate through small random integer vectors (mostly mixed
+    turn signs), the edges of a convex rational polygon in either sense,
+    and star polygons {k/j} or a doubled convex cycle (wound two or more
+    times); half of them get a straight turn, a reversal or a disturbed
+    entry spliced in.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        roll = i % 3
+        if roll == 0:
+            vecs = []
+            while len(vecs) < rng.randint(2, 8):
+                v = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if v != (0, 0):
+                    vecs.append(v)
+        elif roll == 1:
+            vecs = edge_dirs(full_circle(rng.randint(4, 9)))
+            if rng.random() < 0.5:
+                vecs = [(-x, -y) for x, y in reversed(vecs)]
+        else:
+            k = rng.choice([5, 7, 9])
+            j = rng.choice([j for j in range(2, (k + 1) // 2) if math.gcd(j, k) == 1])
+            circle = full_circle(k)
+            vecs = edge_dirs([circle[(n * j) % k] for n in range(k)])
+            if rng.random() < 0.25:
+                vecs = edge_dirs(full_circle(rng.randint(4, 6))) * 2
+        if rng.random() < 0.5:
+            vecs = splice(vecs, rng)
+        yield vecs
+        shift = rng.randrange(len(vecs))
+        yield vecs[shift:] + vecs[:shift]
+        yield vecs[::-1]
+
+
+def half_sweep_reference(start, between):
+    """Reference for ``_chain_is_half_sweep``: the turn clauses over the open chain."""
+    if not between:
+        return False
+    normal = cross3(start, between[0])
+    if any(dot(normal, u) != 0 for u in between):
+        return False
+    seq = [(1, 0)] + fan_mod._plane_coords(start, between[0], between) + [(-1, 0)]
+    if any(y <= 0 for _, y in seq[1:-1]):
+        return False
+    return turn_defect_reference(zip(seq, seq[1:]), False) is None
+
+
+class TestOnePassWinding:
+    def test_matches_two_pass_reference(self):
+        reasons = Counter()
+        for vecs in seeded_edge_cycles(31, 600):
+            for straight_ok in (True, False):
+                got = fan_mod._wound_once(vecs, straight_ok, "ACCEPT")
+                assert got == two_pass_wound_once(vecs, cyclic_pairs(vecs), straight_ok, "ACCEPT"), vecs
+                reasons[straight_ok, got.reason] += 1
+                # the flat branch's order: the pairs from (vecs[0], vecs[1]) on
+                flat = two_pass_wound_once(vecs, zip(vecs, vecs[1:] + vecs[:1]), straight_ok, "ACCEPT")
+                assert fan_mod._wound_once(vecs[1:] + vecs[:1], straight_ok, "ACCEPT") == flat
+        for straight_ok in (True, False):
+            for reason in ("ACCEPT", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX"):
+                assert reasons[straight_ok, reason] >= 100, reasons
+        assert reasons[False, "ZERO_ANGLE_CONE"] >= 100, reasons
+        assert reasons[True, "ZERO_ANGLE_CONE"] == 0
+
+    def test_polygon_is_convex_unchanged(self):
+        rng = random.Random(5)
+        polygons = [pentagram_points(), full_circle(6), full_circle(6)[::-1]]
+        for _ in range(1500):
+            m = rng.randint(3, 8)
+            polygons.append([(F(rng.randint(-3, 3)), F(rng.randint(-3, 3), rng.randint(1, 3)))
+                             for _ in range(m)])
+            pts = full_circle(rng.randint(4, 8))
+            k = rng.randrange(len(pts))
+            pts.insert(k, pts[k] if rng.random() < 0.3 else (pts[k][0] / 2, pts[k][1] / 2))
+            polygons.append(pts)
+        reasons = Counter()
+        for pts in polygons:
+            edges = edge_dirs(pts)
+            if (0, 0) in edges:
+                expected = (False, "ZERO_ANGLE_CONE")
+            else:
+                expected = two_pass_wound_once(edges, cyclic_pairs(edges), True, "OK_POINTED")
+            got = polygon_is_convex(pts)
+            assert got == expected, pts
+            reasons[got.reason] += 1
+        assert {"OK_POINTED", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX", "ZERO_ANGLE_CONE"} <= set(reasons)
+
+    def test_half_sweep_matches_turn_clauses(self):
+        rng = random.Random(8)
+        outcomes = Counter()
+        for _ in range(1500):
+            x = (0, 0, 0)
+            while x == (0, 0, 0):
+                x = tuple(rng.randint(-3, 3) for _ in range(3))
+            w = x
+            while cross3(x, w) == (0, 0, 0):
+                w = tuple(rng.randint(-3, 3) for _ in range(3))
+            # a strictly monotone sweep from x towards w, angles in (0, pi)
+            coeffs = [(-py, px) for px, py in circle_points(rng.randint(1, 5))]
+            roll = rng.random()
+            if roll < 0.2:
+                rng.shuffle(coeffs)
+            elif roll < 0.35:
+                k = rng.randrange(len(coeffs))
+                coeffs.insert(k, tuple(2 * c for c in coeffs[k]))
+            elif roll < 0.5:
+                k = rng.randrange(len(coeffs))
+                coeffs[k] = (F(rng.randint(-3, 3)), F(rng.randint(-1, 1)))
+            between = [tuple(a * p + b * q for p, q in zip(x, w)) for a, b in coeffs]
+            if rng.random() < 0.1:
+                k = rng.randrange(len(between))
+                between[k] = tuple(c + rng.randint(-1, 1) for c in between[k])
+            # as in _wedge_check, no direction of the chain lies on the fold line
+            between = [d for d in between if cross3(x, d) != (0, 0, 0)]
+            got = fan_mod._chain_is_half_sweep(x, between)
+            assert got == half_sweep_reference(x, between), (x, between)
+            outcomes[got] += 1
+        assert min(outcomes[True], outcomes[False]) >= 300, outcomes
+
+
+class TestIntegerContract:
+    def test_fraction_mixed_and_integer_fans_agree(self, monkeypatch):
+        rng = random.Random(17)
+        conversions = []
+        real = fan_mod.homogeneous
+
+        def spy(v):
+            conversions.append(v)
+            return real(v)
+
+        monkeypatch.setattr(fan_mod, "homogeneous", spy)
+        reasons = Counter()
+        for i in range(1400):
+            dirs = FAMILIES[i % len(FAMILIES)](rng)
+            # each direction rescaled by its own positive factor
+            scales = [rng.randint(1, 9) for _ in dirs]
+            fractions = [tuple(F(c, k) for c in d) for d, k in zip(dirs, scales)]
+            mixed = fractions[:1] + [d if rng.random() < 0.5 else real(d)[0] for d in fractions[1:]]
+            integers = [tuple(k * x for x in real(d)[0]) for d, k in zip(fractions, scales[::-1])]
+            conversions.clear()
+            expected = fan_is_convex(alternating_fan(integers))
+            assert conversions == []  # an all-integer fan is taken as it is
+            assert fan_is_convex(alternating_fan(fractions)) == expected
+            assert fan_is_convex(alternating_fan(mixed)) == expected
+            assert len(conversions) == 2 * len(dirs)
+            reasons[expected.reason] += 1
+        assert len(reasons) == 7, reasons

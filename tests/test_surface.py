@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import DegenerateFaceError, as_vec, dehomogenise, dot
+from plconvex.exactgeom import DegenerateFaceError, Eliminator, as_vec, dehomogenise, dot
 from plconvex.poset import Face, FacePoset
 from plconvex.surface import (
     FacetEquation,
@@ -175,6 +175,26 @@ def test_prepare_matches_single_face_entry_points(surface):
     assert list(prepared.kernels) == list(poset.faces(poset.dim_low))
     for f in poset.faces(poset.dim_low):
         assert prepared.kernels[f] == direction_space(surface, f)
+
+
+def test_eliminator_gets_integer_rows(monkeypatch):
+    rows = []
+    add = Eliminator.add
+
+    def spy(self, v):
+        rows.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(Eliminator, "add", spy)
+    surfaces = [pc.gen_prism(8), pc.rigid_motion(pc.gen_hypercube(4), 1)]
+    surfaces += [pc.rigid_motion(pc.gen_simplex(5), 2), pc.dent(pc.gen_cross_polytope(3), 0, F(1, 3))]
+    for surface in surfaces:
+        assert prepare(surface).ok
+        for f in surface.poset.faces(surface.poset.dim_low):
+            direction_space(surface, f)
+            interior_point(surface, f)
+    assert len(rows) > 500
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
 
 
 def test_as_equations_direction_space(tesseract):
