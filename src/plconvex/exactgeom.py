@@ -7,6 +7,15 @@ hot path carries them in homogeneous form (``homogeneous``: integer
 numerators over one positive denominator), so elimination, nullspaces
 and projections run on Python integers, fraction-free.
 
+Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
+are the one elimination routine, and they, like ``Eliminator.add``,
+take rows of ints as they are and never convert.  The public
+entry points accept any exact rows: ``rank`` converts every row with
+``homogeneous``, and ``nullspace`` converts only a row with a non-int
+entry, so the integer rows of the geometry pass (``surface``) and of
+``complementary_projection``'s kernels go straight to ``_reduce``.
+``complementary_projection`` always returns integer rows.
+
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
 matrices are sequences of such row vectors.
 """
@@ -71,21 +80,30 @@ def _reduce(pivots: Sequence[tuple[int, IVec]], r: IVec) -> IVec:
     (p = row[col], c = r[col], both divided by gcd(p, c)); the result is
     divided by the gcd of its entries, so no division leaves the
     integers.  Each pivot row must be zero at the pivot columns of the
-    rows before it.
+    rows before it.  This and ``_pivot`` are the package's one
+    elimination routine; every entry must already be an ``int``.
     """
     for col, row in pivots:
         c = r[col]
         if c:
             p = row[col]
             g = math.gcd(p, c)
-            p, c = p // g, c // g
-            r = tuple(p * x - c * y for x, y in zip(r, row))
+            if g != 1:
+                p //= g
+                c //= g
+            r = tuple([p * x - c * y for x, y in zip(r, row)])
     g = math.gcd(*r)
-    return r if g <= 1 else tuple(x // g for x in r)
+    if g > 1:
+        r = tuple([x // g for x in r])
+    return r
 
 
 def _pivot(r: IVec) -> int | None:
-    return next((k for k, x in enumerate(r) if x), None)
+    """The column of the first nonzero entry of r, None for a zero row."""
+    for k, x in enumerate(r):
+        if x:
+            return k
+    return None
 
 
 class Eliminator:
@@ -95,7 +113,8 @@ class Eliminator:
     be scaled to integers (``homogeneous``, a positive multiple with the
     same rank), as ``rank`` does.  Each row is reduced fraction-free
     against a growing set of pivot rows, and ``add`` reports whether it
-    increased the rank.  Used for ranks and greedy independent subsets.
+    increased the rank.  This is ``rank``'s wrapper around ``_reduce``;
+    the geometry pass keeps its own pivot list instead.
     """
 
     def __init__(self, width: int):
@@ -136,10 +155,12 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
     column, with one positive integer L for the whole basis.  It is L
     times the basis read off the rational reduced row echelon form, and
     each vector's last nonzero entry is L, at its own free column.
+    Rows of ints are reduced as they are; a row with any other entry is
+    scaled to integers first.
     """
     pivots: list[tuple[int, IVec]] = []
     for v in rows:
-        r = _reduce(pivots, homogeneous(v)[0])
+        r = _reduce(pivots, v if all(type(x) is int for x in v) else homogeneous(v)[0])
         col = _pivot(r)
         if col is not None:
             pivots = [(c, _reduce([(col, r)], row)) for c, row in pivots]

@@ -35,15 +35,23 @@ and counts the half-axis crossings that give the rotation index.
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
+
+Who converts and who trusts integers: ``build_fan`` trusts the integer
+homogeneous points of ``surface.prepare`` and uses integer projection
+rows (``complementary_projection``'s) as they are; it scales the rows
+to integers only when some entry is not an ``int``.  ``fan_is_convex``
+likewise takes all-``int`` directions as they are and scales any other
+fan to integers, so every sign test below runs on Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactgeom import HomPoint, Projection3, Vec, cross3, homogeneous, project
+from .exactgeom import HomPoint, Projection3, Vec, cross3, homogeneous
 from .poset import Face, LinkCycle
 
 RAY = "ray"
@@ -107,29 +115,42 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
 
     ``points`` maps faces to interior points in homogeneous form, integer
     numerators S over a positive weight w (``prepare(surface).points``).
-    A projection with rational rows is first scaled to integer rows by
-    one common positive integer, which scales the whole fan.  The apex
-    is P(S_c) over the weight w_c of ``center``; every face f of the link
-    cycle contributes, in cycle order, the integer direction
-    w_c * P(S_f) - w_f * P(S_c), the positive multiple w_c * w_f of the
-    direction from the apex to f's projected interior point.
+    Integer projection rows (``complementary_projection``'s) are used as
+    they are; rows with any non-integer entry are first scaled to integer
+    rows by one common positive integer, which scales the whole fan.  An
+    axis projection picks three coordinates, any other takes three row
+    products.  The apex is P(S_c) over the weight w_c of ``center``;
+    every face f of the link cycle contributes, in cycle order, the
+    integer direction w_c * P(S_f) - w_f * P(S_c), the positive multiple
+    w_c * w_f of the direction from the apex to f's projected interior
+    point.
     """
-    if proj.axes is None:
-        flat, _ = homogeneous([x for row in proj.rows for x in row])
-        k = len(flat) // 3
-        proj = Projection3((flat[:k], flat[k : 2 * k], flat[2 * k :]), proj.kernel)
     center_nums, wc = points[center]
-    a0, a1, a2 = apex = project(proj, center_nums)
+    rows = None
+    if proj.axes is not None:
+        i, j, k = proj.axes
+        a0, a1, a2 = center_nums[i], center_nums[j], center_nums[k]
+    else:
+        rows = proj.rows
+        if not all(type(x) is int for row in rows for x in row):
+            flat, _ = homogeneous([x for row in rows for x in row])
+            n = len(flat) // 3
+            rows = (flat[:n], flat[n : 2 * n], flat[2 * n :])
+        r0, r1, r2 = rows
+        a0, a1, a2 = sum(map(mul, r0, center_nums)), sum(map(mul, r1, center_nums)), sum(map(mul, r2, center_nums))
     ray_dim = center.dim + 1
     entries = []
     for face in cycle.entries:
         nums, w = points[face]
-        p0, p1, p2 = project(proj, nums)
+        if rows is None:
+            p0, p1, p2 = nums[i], nums[j], nums[k]
+        else:
+            p0, p1, p2 = sum(map(mul, r0, nums)), sum(map(mul, r1, nums)), sum(map(mul, r2, nums))
         d = (wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2)
         if d == (0, 0, 0):
             raise ZeroDirectionError(face)
         entries.append(FanEntry(RAY if face.dim == ray_dim else CELL, d, face))
-    return Fan3(apex, tuple(entries), wc)
+    return Fan3((a0, a1, a2), tuple(entries), wc)
 
 
 IVec = tuple[int, int, int]
@@ -170,12 +191,12 @@ def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> Vec | N
     the sum, is normal to the fan's plane, and at rank <= 1 the sum is 0;
     either way s . d = 0 for every direction.
     """
-    cert = tuple(map(sum, zip(*crosses)))
-    dots = [_idot(cert, d) for d in dirs]
+    s0, s1, s2 = cert = tuple(map(sum, zip(*crosses)))
+    dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
     if min(dots, default=0) > 0:
         return cert
     if max(dots, default=0) < 0:
-        return (-cert[0], -cert[1], -cert[2])
+        return (-s0, -s1, -s2)
     return None
 
 
@@ -403,8 +424,10 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
         for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))
         if c != (0, 0, 0)
     )
-    b2 = cross3(s, b1)
-    return _wound_once([(_idot(c, b2), -_idot(c, b1)) for c in crosses], True, OK_POINTED)
+    u0, u1, u2 = b1
+    v0, v1, v2 = cross3(s, b1)  # b2
+    edges = [(c0 * v0 + c1 * v1 + c2 * v2, -(c0 * u0 + c1 * u1 + c2 * u2)) for c0, c1, c2 in crosses]
+    return _wound_once(edges, True, OK_POINTED)
 
 
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:

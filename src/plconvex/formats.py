@@ -59,6 +59,16 @@ def _frac(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
     try:
+        if type(value) is str:
+            # the strict form -?digits(/digits)? skips Fraction's regex; any
+            # other string (sign '+', spaces, '_', non-ASCII digits, '1.5',
+            # '1e3') goes to Fraction(value), which gives the same value or error
+            num, slash, den = value.partition("/")
+            neg = num[:1] == "-"
+            digits = num[1:] if neg else num
+            if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+                p = -int(digits) if neg else int(digits)
+                return Fraction(p, int(den)) if slash else Fraction(p)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None

@@ -14,12 +14,16 @@ point (integer numerators over a positive weight), its integer
 direction basis (kept for (n-3)-faces) and whether it spans its
 dimension; ``interior_point`` (the same point as ``Fraction``s) and
 ``direction_space`` answer single faces from the same per-face
-routine.  The pass also enforces the geometric half of the input
-contract (``check_realization``): each face's vertex set must affinely
-span exactly the face's dimension (vertex mode), respectively
-witnesses must satisfy the equations of all facets above them and the
-incident facet normals of every (n-3)-face must pin down its direction
-space (equations mode).  Inputs failing these checks are reported
+routine.  Conversion happens only there, at the boundary: the per-face
+routine trusts its integer input, forms integer differences and
+reduces them with ``exactgeom._reduce`` against its own pivot list,
+and hands integer rows to ``nullspace``, which takes them as they
+are.  The pass also enforces the geometric half of the input contract
+(``check_realization``): each face's vertex set must affinely span
+exactly the face's dimension (vertex mode), respectively witnesses
+must satisfy the equations of all facets above them and the incident
+facet normals of every (n-3)-face must pin down its direction space
+(equations mode).  Inputs failing these checks are reported
 invalid rather than classified.  Witnesses are trusted to lie in the
 relative interior of their faces; that part is not checked.
 """
@@ -32,10 +36,11 @@ from fractions import Fraction
 
 from .exactgeom import (
     DegenerateFaceError,
-    Eliminator,
     HomPoint,
     IVec,
     Vec,
+    _pivot,
+    _reduce,
     dehomogenise,
     dot,
     homogeneous,
@@ -85,10 +90,13 @@ def _face_geometry(
     in equations mode.  ``verts`` is the face's vertex list in vertex
     mode and None in equations mode, so the caller reads the mode once.
     Vertex mode scans the differences from the least-index vertex in
-    index order and stops once the rank exceeds the face's dimension;
-    the point is the mean of that vertex and the first ``dim`` vertices
-    that raised the rank, as the integer sum of their numerators (each
-    brought to the common weight W) over the weight k*W for k points.
+    index order, reducing each with ``_reduce`` against the pivots of
+    the differences before it, and stops once the rank exceeds the
+    face's dimension; the point is the mean of that vertex and the
+    first ``dim`` vertices that raised the rank, as the integer sum of
+    their numerators (each brought to the common weight W, the lcm of
+    their weights, which is skipped when they all share one) over the
+    weight k*W for k points.
     The basis vectors are those integer differences.  Equations mode
     gives the witness and, for an (n-3)-face, the integer nullspace of
     the incident facet normals (each facet once).  The defect is None
@@ -109,13 +117,18 @@ def _face_geometry(
     base = convert(verts[0])
     if face.dim == 0:
         return base, (), None
-    elim = Eliminator(surface.n)
+    vb, wb = base
+    pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
     picked = [base]
     basis = []
     for v in verts[1:]:
         p = convert(v)
-        d = _difference(base, p)
-        if elim.add(d):
+        vp, wp = p
+        d = tuple([wb * x - wp * y for x, y in zip(vp, vb)])  # _difference(base, p)
+        r = _reduce(pivots, d)
+        col = _pivot(r)
+        if col is not None:
+            pivots.append((col, r))
             basis.append(d)
             if len(basis) > face.dim:
                 break
@@ -123,6 +136,8 @@ def _face_geometry(
             if point_only and len(basis) == face.dim:
                 break
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
+    if len({w for _, w in picked}) == 1:
+        return (tuple(map(sum, zip(*[x for x, _ in picked]))), len(picked) * wb), tuple(basis), defect
     weight = math.lcm(*[w for _, w in picked])
     total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
     return (total, len(picked) * weight), tuple(basis), defect

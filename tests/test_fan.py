@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import plconvex as pc
 import plconvex.fan as fan_mod
 import plconvex.verifier as verifier_mod
-from plconvex.exactgeom import as_vec, cross3, dot, homogeneous
+from plconvex.exactgeom import Projection3, as_vec, cross3, dot, homogeneous
 from plconvex.fan import (
     CELL,
     RAY,
@@ -26,7 +26,7 @@ from plconvex.poset import Face
 from plconvex.surface import direction_space
 from plconvex.verifier import verify_face
 
-from conftest import float_winding, wedge_cube, zigzag_bipyramid
+from conftest import float_winding, random_same_kernel_projection, wedge_cube, zigzag_bipyramid
 
 F = Fraction
 
@@ -901,3 +901,44 @@ class TestIntegerContract:
             assert len(conversions) == 2 * len(dirs)
             reasons[expected.reason] += 1
         assert len(reasons) == 7, reasons
+
+    def test_build_fan_scales_only_fraction_rows(self, monkeypatch):
+        # integer projection rows are used as given; rows with a Fraction
+        # entry are scaled to integers by one common factor first
+        rng = random.Random(29)
+        calls = []
+        real = fan_mod.homogeneous
+
+        def spy(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(fan_mod, "homogeneous", spy)
+        surfaces = [pc.rigid_motion(pc.gen_hypercube(5), 1), pc.rigid_motion(pc.gen_cross_polytope(4), 2)]
+        surfaces += [pc.dent(pc.rigid_motion(pc.gen_simplex(5), 1), 0, F(3, 2)), pc.gen_schonhardt()]
+        surfaces += [zigzag_bipyramid(6), wedge_cube(3), pc.split_facet_cube()]
+        reasons = Counter()
+        for surface in surfaces:
+            prepared = pc.prepare(surface)
+            assert prepared.ok
+            n = surface.n
+            for f in surface.poset.faces(surface.poset.dim_low):
+                cycle = pc.link_cycle(surface.poset, f)
+                mixed = random_same_kernel_projection(prepared.kernels[f], n, rng)
+                flat = real([x for row in mixed.rows for x in row])[0]
+                scaled = Projection3((flat[:n], flat[n : 2 * n], flat[2 * n :]), mixed.kernel)
+                k = rng.randint(2, 9)
+                base = pc.complementary_projection(prepared.kernels[f], n)
+                divided = Projection3(tuple(tuple(F(x, k) for x in row) for row in base.rows), base.kernel)
+                integer = Projection3(base.rows, base.kernel)  # rows products, not the axis shortcut
+                calls.clear()
+                want = pc.build_fan(prepared.points, f, cycle, scaled)
+                expected = fan_is_convex(want)
+                assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, integer)) == expected
+                assert calls == []
+                got = pc.build_fan(prepared.points, f, cycle, mixed)
+                assert len(calls) == 1
+                assert got == want and fan_is_convex(got) == expected
+                assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, divided)) == expected
+                reasons[expected.reason] += 1
+        assert reasons["OK_POINTED"] >= 100 and len(reasons) >= 3, reasons

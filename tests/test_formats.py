@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,42 @@ class TestPls:
         scaled = pc.scale(cube, F(1, 3))
         back = parse_pls(emit_pls(scaled))
         assert back.vertices[7] == (F(1, 3), F(1, 3), F(1, 3))
+
+    def test_frac_matches_fraction(self):
+        # _frac reads -?digits(/digits)? with int() and hands every other
+        # value to Fraction; either way the value, or the ParseError text
+        # built from Fraction's own exception, must be Fraction(value)'s
+        def expected(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return f"at: bad rational {value!r} ({exc})"
+
+        def got(value):
+            try:
+                return formats._frac(value, "at")
+            except ParseError as exc:
+                return str(exc)
+
+        long = "7" * 4301
+        values = ["1/0", "-0/5", "007/3", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1.5", "1e3", "-", "", "/3"]
+        values += ["1/", "1/-2", "--1", "-0/0", "-5/0", "12", "-12", "4/6", "-4/6", "0", "1/2 ", "1//2", "1/2/3"]
+        values += ["1/ 2", "1 /2", "1/+2", "1/2_", "_1"]  # int() takes these parts, Fraction not
+        values += [long, "-" + long, long + "/3", "3/" + long, "-3/" + long, long + "/0", "0/" + long]
+        values += [0, -7, 10**40, -(10**40)]  # JSON integers
+        rng = random.Random(31)
+        alphabet = "0123456789-/+ _.e\u0663"
+        for _ in range(3000):
+            values.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7))))
+            values.append(f"{rng.choice(['', '-'])}{rng.randint(0, 10**12)}/{rng.randint(0, 10**12)}")
+            values.append(rng.randint(-(10**30), 10**30))
+        outcomes = Counter()
+        for value in values:
+            want = expected(value)
+            assert got(value) == want, value
+            assert type(got(value)) is type(want)
+            outcomes[type(want)] += 1
+        assert min(outcomes.values()) >= 1000, outcomes
 
     def test_equations_mode_requires_witness(self, cube):
         doc = json.loads(emit_pls(as_equations(cube)))

@@ -1,9 +1,22 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import DegenerateFaceError, Eliminator, as_vec, dehomogenise, dot
+import plconvex.surface as surface_mod
+from plconvex.exactgeom import (
+    DegenerateFaceError,
+    Eliminator,
+    as_vec,
+    dehomogenise,
+    dot,
+    homogeneous,
+    nullspace,
+)
 from plconvex.poset import Face, FacePoset
 from plconvex.surface import (
     FacetEquation,
@@ -178,14 +191,15 @@ def test_prepare_matches_single_face_entry_points(surface):
 
 
 def test_eliminator_gets_integer_rows(monkeypatch):
+    # the geometry pass reduces its rows with exactgeom._reduce directly
     rows = []
-    add = Eliminator.add
+    reduce = surface_mod._reduce
 
-    def spy(self, v):
-        rows.append(v)
-        return add(self, v)
+    def spy(pivots, r):
+        rows.append(r)
+        return reduce(pivots, r)
 
-    monkeypatch.setattr(Eliminator, "add", spy)
+    monkeypatch.setattr(surface_mod, "_reduce", spy)
     surfaces = [pc.gen_prism(8), pc.rigid_motion(pc.gen_hypercube(4), 1)]
     surfaces += [pc.rigid_motion(pc.gen_simplex(5), 2), pc.dent(pc.gen_cross_polytope(3), 0, F(1, 3))]
     for surface in surfaces:
@@ -216,3 +230,121 @@ def test_equations_mode_underdetermined_face():
     assert any(
         v.code == "DEGENERATE_FACE" and v.face == Face(0, 8) for v in report.violations
     )
+
+
+def reference_face_geometry(surface, face, convert, verts, point_only=False):
+    """Reference: ``_face_geometry`` as it was with one ``Eliminator`` per face.
+
+    Vertex mode feeds each ``_difference`` to a fresh Eliminator and
+    brings every picked point to the lcm of the picked weights.
+    """
+    if verts is None:
+        poset = surface.poset
+        witness = surface.witnesses.get(face)
+        point = None if witness is None else homogeneous(witness)
+        if face.dim != poset.dim_low or point_only:
+            return point, (), None
+        facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
+        basis = nullspace([convert(h) for h in facets], surface.n)
+        if len(basis) != surface.n - 3:
+            return point, basis, "incident facet equations do not determine the face's direction space"
+        return point, basis, None
+    base = convert(verts[0])
+    if face.dim == 0:
+        return base, (), None
+    elim = Eliminator(surface.n)
+    picked = [base]
+    basis = []
+    for v in verts[1:]:
+        p = convert(v)
+        d = surface_mod._difference(base, p)
+        if elim.add(d):
+            basis.append(d)
+            if len(basis) > face.dim:
+                break
+            picked.append(p)
+            if point_only and len(basis) == face.dim:
+                break
+    defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
+    weight = math.lcm(*[w for _, w in picked])
+    total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
+    return (total, len(picked) * weight), tuple(basis), defect
+
+
+def _geometry_families():
+    bases = {
+        "cube": pc.gen_hypercube(3),
+        "hypercube5": pc.gen_hypercube(5),
+        "cross4": pc.gen_cross_polytope(4),
+        "simplex6": pc.gen_simplex(6),
+        "prism7": pc.gen_prism(7),
+        "schonhardt": pc.gen_schonhardt(),
+        "split": pc.split_facet_cube(diagonal=True),
+    }
+    for name, base in bases.items():
+        moved = pc.rigid_motion(base, 2)
+        variants = {"plain": base, "moved": moved}
+        for t in (F(1, 4), F(3, 2)):
+            variants[f"dent{t}"] = pc.dent(moved, 1, t)
+        for label, s in variants.items():
+            yield f"{name}-{label}", s
+            if prepare(s).ok:  # a dent can warp a facet, and then there is no equation
+                yield f"{name}-{label}-eq", as_equations(s)
+        # an equations-mode witness moved off its facets
+        eq = as_equations(moved)
+        face = next(iter(eq.witnesses))
+        wits = {**eq.witnesses, face: tuple(x + F(1, 3) for x in eq.witnesses[face])}
+        yield f"{name}-bad-witness", PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+
+
+def test_face_geometry_matches_reference():
+    # every face of dims n-3, n-2, n-1, both as prepare sees it and alone
+    defects = Counter()
+    for label, s in _geometry_families():
+        poset = s.poset
+        for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
+            for f in poset.faces(d):
+                args = surface_mod._single_face(s, f)
+                for point_only in (False, True):
+                    got = surface_mod._face_geometry(s, f, *args, point_only)
+                    assert got == reference_face_geometry(s, f, *args, point_only), (label, f)
+                    defects[got[2] is None] += 1
+    assert min(defects.values()) >= 50, defects
+
+
+def test_prepare_matches_reference(monkeypatch):
+    prepared = {label: prepare(s) for label, s in _geometry_families()}
+    monkeypatch.setattr(surface_mod, "_face_geometry", reference_face_geometry)
+    outcomes = Counter()
+    for label, s in _geometry_families():
+        want = prepare(s)
+        got = prepared[label]
+        assert got.report == want.report, label
+        assert got.points == want.points and got.kernels == want.kernels, label
+        outcomes[got.ok] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_face_geometry_repeated_and_collinear_vertices():
+    # faces whose vertex lists repeat a vertex or hold collinear vertices,
+    # over integer points, points with one shared weight and mixed weights
+    rng = random.Random(41)
+    defects = Counter()
+    for trial in range(3000):
+        n = rng.randint(3, 6)
+        dim = rng.randint(0, n - 1)
+        dens = rng.choice([(1,), (3,), (1, 2, 3, 6)])
+        pts = [tuple(F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)) for _ in range(rng.randint(1, dim + 3))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(pts), rng.choice(pts)
+            t = F(rng.randint(-3, 3), rng.choice(dens))
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+        verts = [rng.randrange(len(pts)) for _ in range(rng.randint(1, len(pts) + 2))]
+        convert = [homogeneous(p) for p in pts].__getitem__
+        surface = SimpleNamespace(n=n)
+        face = Face(dim, trial)
+        for point_only in (False, True):
+            got = surface_mod._face_geometry(surface, face, convert, verts, point_only)
+            assert got == reference_face_geometry(surface, face, convert, verts, point_only), (pts, verts, dim)
+            defects[got[2] is None] += 1
+    assert min(defects.values()) >= 1000, defects

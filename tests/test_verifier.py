@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import Eliminator
+import plconvex.surface as surface_mod
 from plconvex.poset import Face, FacePoset, LinkCycle
 from plconvex.surface import PLSurface, direction_space
 from plconvex.verifier import verify, verify_face
@@ -79,18 +80,20 @@ def test_dented_cube_witness_near_dent():
     ids=["hypercube5", "prism64", "cross5"],
 )
 def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
-    built = []
-    init = Eliminator.__init__
+    # surface._face_geometry runs one face's elimination
+    eliminated = Counter()
+    face_geometry = surface_mod._face_geometry
 
-    def counting_init(self, width):
-        built.append(width)
-        init(self, width)
+    def counting(surf, face, *args, **kwargs):
+        eliminated[face] += 1
+        return face_geometry(surf, face, *args, **kwargs)
 
-    monkeypatch.setattr(Eliminator, "__init__", counting_init)
+    monkeypatch.setattr(surface_mod, "_face_geometry", counting)
     assert verify(surface).kind == "CONVEX"
     poset = surface.poset
     faces = sum(poset.count(d) for d in (poset.dim_low, poset.dim_mid, poset.dim_top))
-    assert len(built) <= faces
+    assert sum(eliminated.values()) == faces
+    assert max(eliminated.values()) == 1
 
 
 def test_verify_face_cube_all_pointed(cube):
