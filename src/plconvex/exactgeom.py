@@ -8,13 +8,15 @@ numerators over one positive denominator), so elimination, nullspaces
 and projections run on Python integers, fraction-free.
 
 Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
-are the one elimination routine, and they, like ``Eliminator.add``,
-take rows of ints as they are and never convert.  The public
-entry points accept any exact rows: ``rank`` converts every row with
-``homogeneous``, and ``nullspace`` converts only a row with a non-int
-entry, so the integer rows of the geometry pass (``surface``) and of
-``complementary_projection``'s kernels go straight to ``_reduce``.
-``complementary_projection`` always returns integer rows.
+are the one elimination routine; they take rows of ints as they are
+and never convert.  ``homogeneous`` alone decides when a row needs
+converting: it hands a row of ints back as it is and scales any other
+row to integers.  The public entry points ``rank`` and ``nullspace``
+accept any exact rows and pass each through ``homogeneous`` before
+reducing it, so the integer rows of the geometry pass (``surface``)
+and of ``complementary_projection``'s kernels reach ``_reduce``
+unchanged.  ``complementary_projection`` always returns integer rows;
+``fan.build_fan`` applies them.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
 matrices are sequences of such row vectors.
@@ -61,8 +63,11 @@ def cross3(u: Vec, v: Vec) -> Vec:
 
 
 def homogeneous(v: Sequence) -> HomPoint:
-    """Integer numerators and their positive common denominator: v = nums / w."""
-    if set(map(type, v)) <= {int}:
+    """Integer numerators and their positive common denominator: v = nums / w.
+
+    A row of ints is handed back as it is, over weight 1.
+    """
+    if all(type(x) is int for x in v):
         return tuple(v), 1
     w = math.lcm(*[x.denominator for x in v])
     return tuple(x.numerator * (w // x.denominator) for x in v), w
@@ -106,43 +111,15 @@ def _pivot(r: IVec) -> int | None:
     return None
 
 
-class Eliminator:
-    """Incremental exact Gaussian elimination over the integers.
-
-    Feed integer row tuples with :meth:`add`; a rational row must first
-    be scaled to integers (``homogeneous``, a positive multiple with the
-    same rank), as ``rank`` does.  Each row is reduced fraction-free
-    against a growing set of pivot rows, and ``add`` reports whether it
-    increased the rank.  This is ``rank``'s wrapper around ``_reduce``;
-    the geometry pass keeps its own pivot list instead.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: list[tuple[int, IVec]] = []  # (pivot column, reduced row)
-
-    def add(self, v: IVec) -> bool:
-        r = _reduce(self.pivots, v)
-        col = _pivot(r)
-        if col is None:
-            return False
-        self.pivots.append((col, r))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def rank(vectors: Sequence[Sequence]) -> int:
     """Rank of rows of exact numbers (``int`` or ``Fraction``)."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    elim = Eliminator(len(vectors[0]))
+    pivots: list[tuple[int, IVec]] = []
     for v in vectors:
-        elim.add(homogeneous(v)[0])
-    return elim.rank
+        r = _reduce(pivots, homogeneous(v)[0])
+        col = _pivot(r)
+        if col is not None:
+            pivots.append((col, r))
+    return len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
@@ -155,12 +132,12 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
     column, with one positive integer L for the whole basis.  It is L
     times the basis read off the rational reduced row echelon form, and
     each vector's last nonzero entry is L, at its own free column.
-    Rows of ints are reduced as they are; a row with any other entry is
-    scaled to integers first.
+    Each row goes through ``homogeneous``, so rows of ints are reduced
+    as they are.
     """
     pivots: list[tuple[int, IVec]] = []
     for v in rows:
-        r = _reduce(pivots, v if all(type(x) is int for x in v) else homogeneous(v)[0])
+        r = _reduce(pivots, homogeneous(v)[0])
         col = _pivot(r)
         if col is not None:
             pivots = [(c, _reduce([(col, r)], row)) for c, row in pivots]
@@ -187,7 +164,7 @@ class Projection3:
 
     ``complementary_projection`` gives integer rows; a caller may pass
     rational ones.  ``axes`` is set when the map is a plain coordinate
-    extraction; it lets ``project`` skip the dot products.
+    extraction; it lets ``fan.build_fan`` skip the row products.
     """
 
     rows: tuple[Vec, Vec, Vec]
@@ -226,12 +203,3 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
     if len(comp) != 3:
         raise ValueError("kernel vectors are not linearly independent")
     return Projection3((comp[0], comp[1], comp[2]), kernel)
-
-
-def project(p: Projection3, v: Vec) -> Vec:
-    """The image of v; the shared n = 3 identity hands v back unchanged."""
-    if p is _IDENTITY3:
-        return v
-    if p.axes is not None:
-        return (v[p.axes[0]], v[p.axes[1]], v[p.axes[2]])
-    return tuple(dot(r, v) for r in p.rows)

@@ -115,6 +115,7 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
 
     ``points`` maps faces to interior points in homogeneous form, integer
     numerators S over a positive weight w (``prepare(surface).points``).
+    This is the package's one application of a ``Projection3``.
     Integer projection rows (``complementary_projection``'s) are used as
     they are; rows with any non-integer entry are first scaled to integer
     rows by one common positive integer, which scales the whole fan.  An
@@ -189,13 +190,16 @@ def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> Vec | N
     strictly feasible.  Returns that s, or None when neither sign is.
     Never feasible below rank 3: on a rank-2 fan every product, and so
     the sum, is normal to the fan's plane, and at rank <= 1 the sum is 0;
-    either way s . d = 0 for every direction.
+    either way s . d = 0 for every direction.  A fan with no entries
+    has no certificate.
     """
+    if not crosses:
+        return None
     s0, s1, s2 = cert = tuple(map(sum, zip(*crosses)))
     dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
-    if min(dots, default=0) > 0:
+    if min(dots) > 0:
         return cert
-    if max(dots, default=0) < 0:
+    if max(dots) < 0:
         return (-s0, -s1, -s2)
     return None
 

@@ -95,8 +95,7 @@ def _face_geometry(
     face's dimension; the point is the mean of that vertex and the
     first ``dim`` vertices that raised the rank, as the integer sum of
     their numerators (each brought to the common weight W, the lcm of
-    their weights, which is skipped when they all share one) over the
-    weight k*W for k points.
+    their weights) over the weight k*W for k points.
     The basis vectors are those integer differences.  Equations mode
     gives the witness and, for an (n-3)-face, the integer nullspace of
     the incident facet normals (each facet once).  The defect is None
@@ -117,14 +116,12 @@ def _face_geometry(
     base = convert(verts[0])
     if face.dim == 0:
         return base, (), None
-    vb, wb = base
     pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
     picked = [base]
     basis = []
     for v in verts[1:]:
         p = convert(v)
-        vp, wp = p
-        d = tuple([wb * x - wp * y for x, y in zip(vp, vb)])  # _difference(base, p)
+        d = _difference(base, p)
         r = _reduce(pivots, d)
         col = _pivot(r)
         if col is not None:
@@ -136,8 +133,6 @@ def _face_geometry(
             if point_only and len(basis) == face.dim:
                 break
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
-    if len({w for _, w in picked}) == 1:
-        return (tuple(map(sum, zip(*[x for x, _ in picked]))), len(picked) * wb), tuple(basis), defect
     weight = math.lcm(*[w for _, w in picked])
     total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
     return (total, len(picked) * weight), tuple(basis), defect

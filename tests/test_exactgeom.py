@@ -8,11 +8,14 @@ from hypothesis import given, strategies as st
 from plconvex.exactgeom import (
     as_vec,
     complementary_projection,
+    dehomogenise,
     dot,
+    homogeneous,
     nullspace,
-    project,
     rank,
 )
+from plconvex.fan import ZeroDirectionError, build_fan
+from plconvex.poset import Face, LinkCycle
 
 F = Fraction
 
@@ -80,12 +83,24 @@ def test_nullspace_orthogonality():
     assert nullspace([[1, 2, 3]], 3) == ((-2, 1, 0), (-3, 0, 1))
 
 
+def image(p, v):
+    """v's image under p as ``build_fan`` applies it: the direction from an apex at the origin to v."""
+    center, face = Face(0, 0), Face(1, 0)
+    nums, w = homogeneous(v)
+    points = {center: ((0,) * len(v), 1), face: (nums, w)}
+    try:
+        fan = build_fan(points, center, LinkCycle(center, (face,)), p)
+    except ZeroDirectionError:
+        return as_vec([0, 0, 0])
+    return dehomogenise(fan.entries[0].direction, w)
+
+
 def test_projection_identity_for_n3():
     p = complementary_projection([], 3)
     assert p.axes == (0, 1, 2)
     assert complementary_projection((), 3) is p  # one shared identity
-    v = as_vec([1, 2, 3])
-    assert project(p, v) is v
+    v = as_vec([1, F(-2, 3), 3])
+    assert image(p, v) == v
 
 
 def _lexicographic_zero_triple(kernel, n):
@@ -123,15 +138,15 @@ def test_projection_axis_kernel():
     e1 = as_vec([1, 0, 0, 0])
     p = complementary_projection([e1], 4)
     assert p.axes == (1, 2, 3)
-    assert project(p, as_vec([5, 1, 2, 3])) == as_vec([1, 2, 3])
-    assert project(p, e1) == as_vec([0, 0, 0])
+    assert image(p, as_vec([5, 1, 2, 3])) == as_vec([1, 2, 3])
+    assert image(p, e1) == as_vec([0, 0, 0])
 
 
 def test_projection_general_kernel():
     k = as_vec([1, 1, 1, 1])
     p = complementary_projection([k], 4)
     assert p.axes is None
-    assert project(p, k) == as_vec([0, 0, 0])
+    assert image(p, k) == as_vec([0, 0, 0])
     assert rank(p.rows) == 3
     # rows are orthogonal to the kernel by construction
     assert all(dot(r, k) == 0 for r in p.rows)
@@ -144,11 +159,11 @@ def test_projection_kernel_is_exact(kern):
     p = complementary_projection(kern, 5)
     assert rank(p.rows) == 3
     for v in kern:
-        assert project(p, v) == as_vec([0, 0, 0])
+        assert image(p, v) == as_vec([0, 0, 0])
     # a vector outside the span must not be killed
     for e in (as_vec([1, 0, 0, 0, 0]), as_vec([0, 1, 0, 0, 0]), as_vec([0, 0, 1, 0, 0])):
         if rank(list(kern) + [e]) == 3:
-            assert project(p, e) != as_vec([0, 0, 0])
+            assert image(p, e) != as_vec([0, 0, 0])
             break
 
 

@@ -176,6 +176,10 @@ class TestReferenceDirection:
         dirs = [as_vec(d) for d in [(1, 0, 1), (0, 1, -1), (-1, 0, 1), (0, -1, -1)]]
         assert reference_direction(dirs) is None
 
+    def test_no_directions(self):
+        assert reference_direction([]) is None
+        assert fan_is_convex(Fan3((0, 0, 0), ())) == (False, "DEGENERATE_RANK")
+
     def test_axes(self):
         dirs = [as_vec(d) for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
         s = reference_direction(dirs)

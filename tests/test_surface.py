@@ -10,12 +10,12 @@ import plconvex as pc
 import plconvex.surface as surface_mod
 from plconvex.exactgeom import (
     DegenerateFaceError,
-    Eliminator,
     as_vec,
     dehomogenise,
     dot,
     homogeneous,
     nullspace,
+    rank,
 )
 from plconvex.poset import Face, FacePoset
 from plconvex.surface import (
@@ -233,10 +233,11 @@ def test_equations_mode_underdetermined_face():
 
 
 def reference_face_geometry(surface, face, convert, verts, point_only=False):
-    """Reference: ``_face_geometry`` as it was with one ``Eliminator`` per face.
+    """Reference: ``_face_geometry`` with the rank of the differences recomputed per step.
 
-    Vertex mode feeds each ``_difference`` to a fresh Eliminator and
-    brings every picked point to the lcm of the picked weights.
+    Vertex mode keeps a ``_difference`` when ``rank`` of the kept ones
+    plus it exceeds their count, and brings every picked point to the
+    lcm of the picked weights.
     """
     if verts is None:
         poset = surface.poset
@@ -252,13 +253,12 @@ def reference_face_geometry(surface, face, convert, verts, point_only=False):
     base = convert(verts[0])
     if face.dim == 0:
         return base, (), None
-    elim = Eliminator(surface.n)
     picked = [base]
     basis = []
     for v in verts[1:]:
         p = convert(v)
         d = surface_mod._difference(base, p)
-        if elim.add(d):
+        if rank(basis + [d]) > len(basis):
             basis.append(d)
             if len(basis) > face.dim:
                 break
