@@ -25,12 +25,12 @@ the boundary of a convex 3-dimensional body.  Three shapes qualify:
 
 The cyclic cross products d[k-1] x d[k] of the entry directions are
 computed once per fan.  Their sum is an O(m) strict-support certificate
-that settles every convex pointed fan, and the pointed branch reads the
-section polygon's edges off the same products.  The rank, the wedge test
-and the O(m^3) pairwise support search run only when the certificate
-fails.  The pointed and flat branches then walk their polygon once
-(``_wound_once``): one loop checks that every turn has the same sense
-and counts the half-axis crossings that give the rotation index.
+that settles every convex pointed fan; the pointed branch reads the
+section polygon's edges off the same products, and the wedge is read
+off the certificate's zeros in O(m).  Only rejected stars reach the
+O(m^3) pairwise support search.  The pointed and flat branches walk
+their polygon once (``_wound_once``), checking every turn's sense and
+counting the half-axis crossings that give the rotation index.
 
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
@@ -361,42 +361,45 @@ def _plane_coords(b1: IVec, b2: IVec, dirs: Sequence[IVec]) -> list[tuple[int, i
     ]
 
 
-def _chain_is_half_sweep(start: IVec, between: Sequence[IVec]) -> bool:
-    """Do the directions sweep monotonically through one half-plane?
+def _one_direction(crosses: Sequence[IVec]) -> bool:
+    """Are the products all nonzero positive multiples of the first one?"""
+    c = crosses[0]
+    return all(v != (0, 0, 0) and cross3(c, v) == (0, 0, 0) and _idot(c, v) > 0 for v in crosses)
 
-    ``start`` is a fold direction and the chain runs to its opposite;
-    the chain must stay inside a single plane through the fold line,
-    strictly on one side of it, with strictly monotone angular order
-    from start to end.  In plane coordinates with ``start`` at (1, 0)
-    and the chain at y > 0, every angle lies in [0, pi], so the order is
-    strictly monotone exactly when every turn of the open chain
-    (1, 0), ..., (-1, 0) is strictly counterclockwise; the first one,
-    into the upper half-plane, always is.
+
+def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec], crosses: Sequence[IVec]) -> ConvexityCheck:
+    """Accept a dihedral wedge (see the module docstring) in one O(m) pass.
+
+    Let s be the sum of the cyclic ``crosses`` c_k = d_k-1 x d_k.  At rank
+    3 the fan is a wedge with fold pair i < j exactly when (1) s . d_k
+    vanishes for k = i, j only, and its other values share a sign;
+    (2) entries i, j are antipodal rays; (3) c_i+1..c_j are nonzero
+    positive multiples of one vector, and so are c_j+1..c_m-1, c_0..c_i.
+
+    Wedge => (1)-(3): the chains turn about normals N_a, N_b by angles in
+    (0, pi), which is (3), and s = a N_a + b N_b with a, b > 0, N_a and
+    N_b not parallel at rank 3.  With f = d_i and e_a, e_b pointing into
+    the chains' half-planes, N_a ~ f x e_a and N_b ~ -f x e_b, so s . d
+    is 0 on the fold, b N_b . d on chain a and a N_a . d on chain b,
+    both of the sign of det(f, e_a, e_b).
+
+    (1)-(3) => wedge: by (3) each chain lies in one plane through the
+    fold, turns one way by less than pi per step, and has interior
+    directions (else c = d_i x d_j = 0).  On chain a, s . d = b N_b . d
+    vanishes only on the fold line, so by (1) the interior lies in one
+    open half-plane bounded by the fold and no third direction is on
+    the fold.  The first step turns into that half-plane and a step of
+    less than pi leaves it only onto d_j, so the chain sweeps exactly
+    half its plane.  At rank <= 2 every dot is 0, so (1) never holds.
     """
-    if not between:
-        return False
-    normal = cross3(start, between[0])
-    if any(_idot(normal, u) != 0 for u in between):
-        return False
-    seq = [(1, 0)] + _plane_coords(start, between[0], between) + [(-1, 0)]
-    if any(y <= 0 for _, y in seq[1:-1]):
-        return False
-    return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(seq, seq[1:]))
-
-
-def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec]) -> ConvexityCheck:
-    """Rank-3 fan without strict support: accept only a genuine dihedral wedge."""
-    m = len(dirs)
-    rays = [k for k in range(m) if entries[k].kind == RAY]
-    for a, i in enumerate(rays):
-        for j in rays[a + 1 :]:
-            if cross3(dirs[i], dirs[j]) != (0, 0, 0) or _idot(dirs[i], dirs[j]) >= 0:
-                continue
-            if any(k not in (i, j) and cross3(dirs[k], dirs[i]) == (0, 0, 0) for k in range(m)):
-                continue  # a third direction on the fold line
-            chain_a = [dirs[k] for k in range(i + 1, j)]
-            chain_b = [dirs[k % m] for k in range(j + 1, i + m)]
-            if _chain_is_half_sweep(dirs[i], chain_a) and _chain_is_half_sweep(dirs[j], chain_b):
+    s0, s1, s2 = map(sum, zip(*crosses))
+    dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
+    zeros = [k for k, t in enumerate(dots) if t == 0]
+    if len(zeros) == 2 and not min(dots) < 0 < max(dots):
+        i, j = zeros
+        rays = entries[i].kind == entries[j].kind == RAY
+        if rays and cross3(dirs[i], dirs[j]) == (0, 0, 0) and _idot(dirs[i], dirs[j]) < 0:
+            if _one_direction(crosses[i + 1 : j + 1]) and _one_direction(crosses[j + 1 :] + crosses[: i + 1]):
                 return ConvexityCheck(True, OK_FLAT)
     return ConvexityCheck(False, NO_SUPPORT)
 
@@ -437,17 +440,14 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
-    All sign tests run on integer directions.  ``build_fan``'s integer
-    fans are taken as they are; a fan with any non-integer coordinate,
-    such as a hand-built ``Fraction`` fan, is rescaled to integers first
-    (rescaling along a ray changes nothing).  The cyclic cross products
-    d[k-1] x d[k] are computed once.  Their sum is the O(m) support certificate, tried
-    first: it is never strictly feasible below rank 3 (see
-    ``_certified_direction``), so a fan it accepts is a rank-3 pointed
-    fan, and the rank is computed only when it fails.  The pointed
-    branch takes its section edges from the same products
-    (``_pointed_check``); the flat and wedge branches work with plane
-    coordinates scaled by a positive minor, so no divisions are needed.
+    All sign tests run on integers: a fan with any non-integer coordinate,
+    such as a hand-built ``Fraction`` fan, is rescaled first (rescaling
+    along a ray changes nothing).  The O(m) support certificate, the sum
+    of the cyclic cross products, is tried first; it is never strictly
+    feasible below rank 3 (see ``_certified_direction``), so the rank is
+    computed only when it fails.  Then the flat branch (plane coordinates
+    scaled by a positive minor) or the O(m) wedge test runs; only a star
+    that both reject reaches the O(m^3) ``_pairwise_support``.
     """
     dirs = fan.directions()
     if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
@@ -465,9 +465,8 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
             # directions confined to a plane must sweep it once, strictly
             # monotonically; the turns are visited from (dirs2[0], dirs2[1])
             return _wound_once(dirs2[1:] + dirs2[:1], False, OK_FLAT)
-        # a wedge has an antipodal ray pair, so no strict support: test it
-        # before the pairwise search, which then only runs on rejected wedges
-        wedge = _wedge_check(fan.entries, dirs)
+        # a wedge has no strict support: read it off the certificate first
+        wedge = _wedge_check(fan.entries, dirs, crosses)
         if wedge.convex:
             return wedge
         s = _pairwise_support(dirs)

@@ -21,11 +21,11 @@ and hands integer rows to ``nullspace``, which takes them as they
 are.  The pass also enforces the geometric half of the input contract
 (``check_realization``): each face's vertex set must affinely span
 exactly the face's dimension (vertex mode), respectively witnesses
-must satisfy the equations of all facets above them and the incident
-facet normals of every (n-3)-face must pin down its direction space
-(equations mode).  Inputs failing these checks are reported
-invalid rather than classified.  Witnesses are trusted to lie in the
-relative interior of their faces; that part is not checked.
+must satisfy the equations of all facets above them and, for n >= 4,
+the incident facet normals of every (n-3)-face must pin down its
+direction space (equations mode).  Inputs failing these checks are
+reported invalid rather than classified.  Witnesses are trusted to
+lie in the relative interior of their faces; that part is not checked.
 """
 
 from __future__ import annotations
@@ -97,16 +97,17 @@ def _face_geometry(
     their numerators (each brought to the common weight W, the lcm of
     their weights) over the weight k*W for k points.
     The basis vectors are those integer differences.  Equations mode
-    gives the witness and, for an (n-3)-face, the integer nullspace of
-    the incident facet normals (each facet once).  The defect is None
-    exactly when the face spans its dimension.  ``point_only`` stops as
+    gives the witness and, for an (n-3)-face with n >= 4, the integer
+    nullspace of the incident facet normals (each facet once); at n = 3
+    the face is a vertex and its kernel is (), as in vertex mode.  The
+    defect is None exactly when the face spans its dimension.  ``point_only`` stops as
     soon as the point is known, skipping the rank check and the kernel.
     """
     if verts is None:
         poset = surface.poset
         witness = surface.witnesses.get(face)
         point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or point_only:
+        if face.dim != poset.dim_low or point_only or surface.n == 3:
             return point, (), None
         facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
         basis = nullspace([convert(h) for h in facets], surface.n)

@@ -35,7 +35,8 @@ NOT_CONVEX = "NOT_CONVEX"
 INVALID = "INVALID"
 
 # star-level defects that invalidate the input rather than disprove convexity
-INVALID_STAR_REASONS = frozenset({"NOT_SINGLE_CYCLE", "DEGENERATE_FACE", "ZERO_DIRECTION"})
+_STAR_ERRORS = (LinkCycleError, DegenerateFaceError, ZeroDirectionError)
+INVALID_STAR_REASONS = frozenset(e.code for e in _STAR_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,8 @@ def _star_check(surface: PLSurface, face: Face, geometry, projection: Projection
         kernel, points = geometry(face, cycle)
         proj = projection if projection is not None else complementary_projection(kernel, surface.n)
         fan = build_fan(points, face, cycle, proj)
-    except LinkCycleError:
-        return ConvexityCheck(False, "NOT_SINGLE_CYCLE"), 0
-    except DegenerateFaceError:
-        return ConvexityCheck(False, "DEGENERATE_FACE"), 0
-    except ZeroDirectionError:
-        return ConvexityCheck(False, "ZERO_DIRECTION"), 0
+    except _STAR_ERRORS as exc:
+        return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.entries)
 
 

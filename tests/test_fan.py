@@ -288,6 +288,16 @@ class TestFanIsConvex:
         res = fan_is_convex(fan)
         assert res == (False, "NO_SUPPORT")
 
+    def test_wedge_chain_wound_past_the_fold_rejected(self):
+        # the chain in z = 0 turns counterclockwise at every step but jumps
+        # over the fold line twice, sweeping one and a half turns: only the
+        # fold pair has s . d = 0, yet s . d changes sign along that chain
+        dirs = [(1, 0, 0), (0, 1, 0), (-6, -1, 0), (1, -2, 0), (1, 1, 0), (-1, 0, 0), (0, 0, -1)]
+        kinds = [RAY, CELL, RAY, CELL, RAY, RAY, CELL]
+        fan = Fan3((0, 0, 0), tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
+        assert wedge_outcome(fan) is False
+        assert fan_is_convex(fan) == (False, "NO_SUPPORT")
+
     def test_wedge_settled_before_support_search(self, monkeypatch):
         # an accepting wedge has an antipodal ray pair, so it has no strict
         # support; the wedge test runs first and the O(m^3) search never does
@@ -302,6 +312,25 @@ class TestFanIsConvex:
         assert len(pc.link_cycle(wedge.poset, Face(0, 8)).entries) == 76
         assert verify_face(wedge, Face(0, 8)) == (True, "OK_FLAT")
         assert pc.verify(wedge).kind == "CONVEX"
+
+    def test_wedge_test_is_linear_wherever_the_fold_lands(self, monkeypatch):
+        # relabelling moves the fold pair of the wedge star anywhere in its
+        # cycle; the classifier still makes O(m) cross products, not O(r^2)
+        real = fan_mod.cross3
+        calls = []
+
+        def counting(u, v):
+            calls.append(None)
+            return real(u, v)
+
+        for seed in range(1, 7):
+            fan = max(star_fans(pc.relabel(wedge_cube(64), seed)), key=lambda f: len(f.entries))
+            assert len(fan.entries) == 4 * 64 + 12
+            calls.clear()
+            monkeypatch.setattr(fan_mod, "cross3", counting)
+            assert fan_is_convex(fan) == (True, "OK_FLAT")
+            monkeypatch.undo()
+            assert len(calls) <= 3 * len(fan.entries), (seed, len(calls))
 
     def test_zero_angle(self):
         fan = make_fan(
@@ -461,13 +490,74 @@ def cyclic_pairs(vecs):
     return zip(vecs[-1:] + vecs[:-1], vecs)
 
 
+def half_sweep_reference(start, between):
+    """The chain test of ``ray_pair_wedge_check``.
+
+    The chain must stay in one plane through the fold line, strictly on
+    one side of it, and turn strictly counterclockwise from (1, 0) to
+    (-1, 0) in plane coordinates with ``start`` at (1, 0).
+    """
+    if not between:
+        return False
+    normal = cross3(start, between[0])
+    if any(dot(normal, u) != 0 for u in between):
+        return False
+    seq = [(1, 0)] + fan_mod._plane_coords(start, between[0], between) + [(-1, 0)]
+    if any(y <= 0 for _, y in seq[1:-1]):
+        return False
+    return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(seq, seq[1:]))
+
+
+def ray_pair_wedge_check(entries, dirs):
+    """Reference for ``_wedge_check``: the O(r^2) search over antipodal ray pairs."""
+    m = len(dirs)
+    rays = [k for k in range(m) if entries[k].kind == RAY]
+    for a, i in enumerate(rays):
+        for j in rays[a + 1 :]:
+            if cross3(dirs[i], dirs[j]) != (0, 0, 0) or dot(dirs[i], dirs[j]) >= 0:
+                continue
+            if any(k not in (i, j) and cross3(dirs[k], dirs[i]) == (0, 0, 0) for k in range(m)):
+                continue  # a third direction on the fold line
+            chain_a = [dirs[k] for k in range(i + 1, j)]
+            chain_b = [dirs[k % m] for k in range(j + 1, i + m)]
+            if half_sweep_reference(dirs[i], chain_a) and half_sweep_reference(dirs[j], chain_b):
+                return (True, "OK_FLAT")
+    return (False, "NO_SUPPORT")
+
+
+def wedge_outcome(fan):
+    """``_wedge_check`` against the reference, on a fan that reaches it.
+
+    Returns its verdict (True for OK_FLAT), or None when ``fan_is_convex``
+    never runs the wedge test on the fan: rank below 3, or a strictly
+    feasible certificate.
+    """
+    dirs = [homogeneous(d)[0] for d in fan.directions()]
+    crosses = fan_mod._cyclic_crosses(dirs)
+    if fan_mod._rank3(dirs) != 3 or fan_mod._certified_direction(dirs, crosses) is not None:
+        return None
+    got = fan_mod._wedge_check(fan.entries, dirs, crosses)
+    assert got == ray_pair_wedge_check(fan.entries, dirs), dirs
+    return got.convex
+
+
+def star_fans(surface):
+    """The projected fan of every (n-3)-face star, as ``verify`` builds it."""
+    prepared = pc.prepare(surface)
+    for f in surface.poset.faces(surface.poset.dim_low):
+        cycle = pc.link_cycle(surface.poset, f)
+        proj = pc.complementary_projection(prepared.kernels[f], surface.n)
+        yield pc.build_fan(prepared.points, f, cycle, proj)
+
+
 def section_point_classifier(fan):
     """Reference: the classifier that built homogeneous section points.
 
-    Rank first, then the certificate, then the wedge test and the pairwise
-    search; the pointed branch scales each direction onto x . s = 1 as the
-    homogeneous point (d . b1, d . b2, d . s) and takes edges between
-    consecutive points.  ``fan_is_convex`` must give the same result.
+    Rank first, then the certificate, then the ray-pair wedge search and
+    the pairwise search; the pointed branch scales each direction onto
+    x . s = 1 as the homogeneous point (d . b1, d . b2, d . s) and takes
+    edges between consecutive points.  ``fan_is_convex`` must give the
+    same result.
     """
     dirs = [homogeneous(d)[0] for d in fan.directions()]
     r = fan_mod._rank3(dirs)
@@ -482,8 +572,8 @@ def section_point_classifier(fan):
     cert = tuple(sum(cross3(dirs[k - 1], dirs[k])[a] for k in range(m)) for a in range(3))
     s = next((c for c in (cert, tuple(-x for x in cert)) if all(dot(c, d) > 0 for d in dirs)), None)
     if s is None:
-        wedge = fan_mod._wedge_check(fan.entries, dirs)
-        if wedge.convex:
+        wedge = ray_pair_wedge_check(fan.entries, dirs)
+        if wedge[0]:
             return wedge
         s = fan_mod._pairwise_support(dirs)
         if s is None:
@@ -627,16 +717,18 @@ def near_wedge(rng):
     if rng.random() < 0.5:
         k = rng.randrange(len(dirs))
         dirs[k] = tuple(c + F(rng.randint(-2, 2), 5) for c in dirs[k])
-    return dirs
+    shift = 2 * rng.randrange(len(dirs) // 2)  # the fold rays stay at even positions
+    return dirs[shift:] + dirs[:shift]
 
 
 FAMILIES = (random_small, random_pointed, convex_pointed, zigzag, star_polygon_lift, planar, near_wedge)
 
 
 def seeded_fans(seed, count):
-    """``count`` base fans over all families, each followed by three variants:
+    """``count`` base fans over all families, each followed by four variants:
     every entry rescaled by its own ``Fraction``, one entry rescaled by a
-    multiple of 10**400, and a cyclic shift."""
+    multiple of 10**400, a cyclic shift, and the reversed cycle (entry 0
+    kept in place, so rays stay at even positions)."""
     rng = random.Random(seed)
     for i in range(count):
         dirs = FAMILIES[i % len(FAMILIES)](rng)
@@ -648,6 +740,7 @@ def seeded_fans(seed, count):
         yield alternating_fan(huge)
         shift = 2 * rng.randrange((len(dirs) + 1) // 2)
         yield alternating_fan(dirs[shift:] + dirs[:shift])
+        yield alternating_fan(dirs[:1] + dirs[:0:-1])
 
 
 class TestCrossProductClassifier:
@@ -696,6 +789,21 @@ class TestCrossProductClassifier:
             reasons[res.reason] += 1
         assert sum(reasons.values()) >= 2500
         assert {"OK_POINTED", "OK_FLAT", "WRONG_TURN_SIGN", "NO_SUPPORT", "ZERO_ANGLE_CONE"} <= set(reasons), reasons
+
+    def test_wedge_test_matches_ray_pair_search_on_wedge_cubes(self):
+        # every star of relabelled wedge cubes, as built and with the wedge
+        # vertex pushed inwards or outwards, that reaches the wedge test; the
+        # vertices on the cube's edges are wedges too
+        outcomes = Counter()
+        for k in (4, 16, 64):
+            for seed in range(7):
+                surface = pc.relabel(wedge_cube(k), seed)
+                apex = max(surface.poset.faces(0), key=lambda f: len(pc.link_cycle(surface.poset, f).entries))
+                for t in (None, F(1, 4), F(-1, 3)):
+                    moved = surface if t is None else pc.dent(surface, apex.index, t)
+                    for fan in star_fans(moved):
+                        outcomes[wedge_outcome(fan)] += 1
+        assert outcomes[True] >= 3000 and outcomes[False] >= 50, outcomes
 
     def test_pointed_reason_does_not_depend_on_support(self):
         rng = random.Random(77)
@@ -792,17 +900,28 @@ def seeded_edge_cycles(seed, count):
         yield vecs[::-1]
 
 
-def half_sweep_reference(start, between):
-    """Reference for ``_chain_is_half_sweep``: the turn clauses over the open chain."""
-    if not between:
-        return False
-    normal = cross3(start, between[0])
-    if any(dot(normal, u) != 0 for u in between):
-        return False
-    seq = [(1, 0)] + fan_mod._plane_coords(start, between[0], between) + [(-1, 0)]
-    if any(y <= 0 for _, y in seq[1:-1]):
-        return False
-    return turn_defect_reference(zip(seq, seq[1:]), False) is None
+def half_sweep_chain(rng, start, towards, disturb):
+    """A strictly monotone sweep from ``start`` towards ``towards``, angles in (0, pi).
+
+    With ``disturb`` it is, at times, shuffled, given a repeated
+    direction, an entry replaced at random or an entry moved off the
+    plane; directions on the fold line are dropped.
+    """
+    coeffs = [(-py, px) for px, py in circle_points(rng.randint(1, 5))]
+    roll = rng.random() if disturb else 1
+    if roll < 0.2:
+        rng.shuffle(coeffs)
+    elif roll < 0.35:
+        k = rng.randrange(len(coeffs))
+        coeffs.insert(k, tuple(2 * c for c in coeffs[k]))
+    elif roll < 0.5:
+        k = rng.randrange(len(coeffs))
+        coeffs[k] = (F(rng.randint(-3, 3)), F(rng.randint(-1, 1)))
+    chain = [tuple(a * p + b * q for p, q in zip(start, towards)) for a, b in coeffs]
+    if disturb and rng.random() < 0.1:
+        k = rng.randrange(len(chain))
+        chain[k] = tuple(c + rng.randint(-1, 1) for c in chain[k])
+    return [d for d in chain if cross3(start, d) != (0, 0, 0)]
 
 
 class TestOnePassWinding:
@@ -846,35 +965,30 @@ class TestOnePassWinding:
         assert {"OK_POINTED", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX", "ZERO_ANGLE_CONE"} <= set(reasons)
 
     def test_half_sweep_matches_turn_clauses(self):
+        # each chain, wrapped into a wedge fan whose other chain is a clean
+        # half sweep in a second plane and rotated at random: the O(m) wedge
+        # test agrees with the ray-pair search and its chain turn clauses
         rng = random.Random(8)
         outcomes = Counter()
         for _ in range(1500):
             x = (0, 0, 0)
             while x == (0, 0, 0):
                 x = tuple(rng.randint(-3, 3) for _ in range(3))
-            w = x
+            w = v = x
             while cross3(x, w) == (0, 0, 0):
                 w = tuple(rng.randint(-3, 3) for _ in range(3))
-            # a strictly monotone sweep from x towards w, angles in (0, pi)
-            coeffs = [(-py, px) for px, py in circle_points(rng.randint(1, 5))]
-            roll = rng.random()
-            if roll < 0.2:
-                rng.shuffle(coeffs)
-            elif roll < 0.35:
-                k = rng.randrange(len(coeffs))
-                coeffs.insert(k, tuple(2 * c for c in coeffs[k]))
-            elif roll < 0.5:
-                k = rng.randrange(len(coeffs))
-                coeffs[k] = (F(rng.randint(-3, 3)), F(rng.randint(-1, 1)))
-            between = [tuple(a * p + b * q for p, q in zip(x, w)) for a, b in coeffs]
-            if rng.random() < 0.1:
-                k = rng.randrange(len(between))
-                between[k] = tuple(c + rng.randint(-1, 1) for c in between[k])
-            # as in _wedge_check, no direction of the chain lies on the fold line
-            between = [d for d in between if cross3(x, d) != (0, 0, 0)]
-            got = fan_mod._chain_is_half_sweep(x, between)
-            assert got == half_sweep_reference(x, between), (x, between)
-            outcomes[got] += 1
+            while dot(cross3(x, w), v) == 0:
+                v = tuple(rng.randint(-3, 3) for _ in range(3))
+            minus_x = tuple(-c for c in x)
+            between = half_sweep_chain(rng, x, w, True)
+            dirs = [x, *between, minus_x, *half_sweep_chain(rng, minus_x, v, False)]
+            fold = len(between) + 1
+            entries = [
+                FanEntry(RAY, d, Face(1, k)) if k % 2 == 0 or k == fold else FanEntry(CELL, d, Face(2, k))
+                for k, d in enumerate(dirs)
+            ]
+            shift = rng.randrange(len(dirs))
+            outcomes[wedge_outcome(Fan3((0, 0, 0), tuple(entries[shift:] + entries[:shift])))] += 1
         assert min(outcomes[True], outcomes[False]) >= 300, outcomes
 
 

@@ -74,8 +74,8 @@ def test_equations_mode_matches_vertex_mode_on_random_dents():
         if not pc.preflight(surface).ok:
             continue
         eq = as_equations(surface)
-        if not pc.preflight(eq).ok:
-            continue  # equations mode cannot pin down some direction spaces
+        if eq.n >= 4 and not pc.preflight(eq).ok:
+            continue  # at n >= 4 equations mode cannot pin down some direction spaces
         assert pc.verify(eq).kind == pc.verify(surface).kind
         compared += 1
     assert compared >= 30

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations, product
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from plconvex.exactgeom import (
     nullspace,
     rank,
 )
-from plconvex.poset import Face, FacePoset
+from plconvex.poset import Face, FacePoset, vertex_poset
 from plconvex.surface import (
     FacetEquation,
     PLSurface,
@@ -27,6 +28,9 @@ from plconvex.surface import (
     interior_point,
     prepare,
 )
+from plconvex.verifier import verify_face
+
+from conftest import wedge_cube
 
 F = Fraction
 
@@ -220,16 +224,49 @@ def test_as_equations_direction_space(tesseract):
     assert pc.verify(eq).kind == pc.verify(tesseract).kind == "CONVEX"
 
 
+def split_tesseract():
+    """The box [0, 2] x [0, 1]^3, every face that crosses x = 1 cut there.
+
+    Its boundary is convex.  An edge in x = 1 that lies on a crease of the
+    box has four incident facets with only two normals.
+    """
+    axes = [range(3), range(2), range(2), range(2)]
+    index = {p: i for i, p in enumerate(product(*axes))}
+    lists = {}
+    for k in (1, 2, 3):
+        cells = set()
+        for corner in product(*axes):
+            for free in combinations(range(4), k):
+                if any(corner[j] + 1 == len(axes[j]) for j in free) or (free == (1, 2, 3) and corner[0] == 1):
+                    continue  # past the box, or the wall between its two cubes
+                span = [(c, c + 1) if j in free else (c,) for j, c in enumerate(corner)]
+                cells.add(tuple(sorted(index[p] for p in product(*span))))
+        lists[k] = sorted(cells)
+    return PLSurface(vertex_poset(4, len(index), lists), vertices=tuple(as_vec(p) for p in index))
+
+
 def test_equations_mode_underdetermined_face():
-    # two coplanar facets cannot pin down their shared vertex's direction space
-    split = pc.split_facet_cube()
-    eq = as_equations(split)
-    # vertex 8 sits between the two coplanar top rectangles and the
-    # pentagon; its incident facet normals span only rank 2
-    report = check_realization(eq)
-    assert any(
-        v.code == "DEGENERATE_FACE" and v.face == Face(0, 8) for v in report.violations
-    )
+    # at n >= 4 the incident facet normals of an (n-3)-face must pin down its
+    # direction space; an edge on a crease of the cut box has normals of rank 2
+    split = split_tesseract()
+    assert pc.verify(split).kind == "CONVEX"
+    verdict = pc.verify(as_equations(split))
+    assert (verdict.kind, verdict.reason) == ("INVALID", "DEGENERATE_FACE")
+    assert all(split.vertices[v][0] == 1 for v in split.poset.vertex_lists[verdict.witness])
+
+
+def test_equations_mode_matches_vertex_mode_on_flat_vertices():
+    # at n = 3 an (n-3)-face is a vertex, whose kernel is () in both modes, so
+    # incident facet normals of rank 2 (coplanar facets, a wedge's two planes)
+    # do not make it degenerate: both modes give the same verdicts
+    for surface in (pc.split_facet_cube(False), pc.split_facet_cube(True), wedge_cube(4), wedge_cube(16)):
+        eq = as_equations(surface)
+        assert check_realization(eq).ok
+        assert pc.verify(eq, collect_all=True) == pc.verify(surface, collect_all=True)
+        assert pc.verify(eq).kind == "CONVEX"
+        for f in surface.poset.faces(0):
+            assert direction_space(eq, f) == direction_space(surface, f) == ()
+            assert verify_face(eq, f) == verify_face(surface, f)
 
 
 def reference_face_geometry(surface, face, convert, verts, point_only=False):
@@ -243,7 +280,7 @@ def reference_face_geometry(surface, face, convert, verts, point_only=False):
         poset = surface.poset
         witness = surface.witnesses.get(face)
         point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or point_only:
+        if face.dim != poset.dim_low or point_only or surface.n == 3:
             return point, (), None
         facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
         basis = nullspace([convert(h) for h in facets], surface.n)
