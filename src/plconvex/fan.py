@@ -23,14 +23,14 @@ the boundary of a convex 3-dimensional body.  Three shapes qualify:
   wedge.  This covers subdividing vertices sitting on an edge line of
   an otherwise convex surface.
 
-The cyclic cross products d[k-1] x d[k] of the entry directions are
-computed once per fan.  Their sum is an O(m) strict-support certificate
-that settles every convex pointed fan; the pointed branch reads the
-section polygon's edges off the same products, and the wedge is read
-off the certificate's zeros in O(m).  Only rejected stars reach the
-O(m^3) pairwise support search.  The pointed and flat branches walk
-their polygon once (``_wound_once``), checking every turn's sense and
-counting the half-axis crossings that give the rotation index.
+The cyclic cross products d[k-1] x d[k] of the entry directions, and
+the dot products of their sum with the directions, are computed once
+per fan.  The sum is an O(m) strict-support certificate, complete for
+convex pointed fans; the pointed branch reads the section polygon's
+edges off the same products, and the wedge is read off the zeros of
+the same dots.  Only rejected stars reach the O(m^3) pairwise support
+search.  The pointed and flat branches take plane coordinates from one
+frame (``_plane_frame``) and walk their polygon once (``_wound_once``).
 
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
@@ -161,47 +161,41 @@ def _idot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _rank3(dirs: Sequence[IVec]) -> int:
-    """Rank of a set of integer 3-vectors."""
-    first = next((d for d in dirs if d != (0, 0, 0)), None)
-    if first is None:
-        return 0
-    normal = None
-    for d in dirs:
-        c = cross3(first, d)
-        if c != (0, 0, 0):
-            normal = c
-            break
-    if normal is None:
-        return 1
-    return 3 if any(_idot(normal, d) != 0 for d in dirs) else 2
-
-
 def _cyclic_crosses(dirs: Sequence[Vec]) -> list[Vec]:
     """The cyclic cross products d[k-1] x d[k], k = 0..m-1."""
     return list(map(cross3, dirs[-1:] + dirs[:-1], dirs))
 
 
-def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> Vec | None:
-    """The O(m) certificate: the sum of the cyclic ``crosses`` d[k-1] x d[k].
+def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> tuple[Vec | None, list]:
+    """The O(m) certificate: the sum of the cyclic ``crosses`` c_k = d[k-1] x d[k].
 
-    For a convex once-wound fan these products are nonnegative multiples
-    of the facet normals, so their sum, with one of its two signs, is
-    strictly feasible.  Returns that s, or None when neither sign is.
-    Never feasible below rank 3: on a rank-2 fan every product, and so
-    the sum, is normal to the fan's plane, and at rank <= 1 the sum is 0;
-    either way s . d = 0 for every direction.  A fan with no entries
-    has no certificate.
+    Returns the sum with whichever of its two signs is strictly feasible
+    (None when neither is, or when the fan has no entries) and the dots
+    of the unsigned sum with ``dirs``.  Below rank 3 every dot is 0:
+    at rank 2 each product is normal to the fan's plane, at rank <= 1
+    each product is 0.
+
+    Complete for accepted pointed fans: suppose some strict s makes
+    ``_pointed_check`` return OK_POINTED.  Then the section polygon
+    p_k = d_k / (s . d_k) is convex and wound once, so every p_j lies
+    weakly on the inner side of every edge line.  Hence
+    c_k . d_j = det(d[k-1], d[k], d[j]) is >= 0 for all k and j, or
+    <= 0 for all.  For each j it is nonzero for some k, since the
+    polygon has a nonzero turn: at a corner p_i != p_j with a nonzero
+    turn the two edge lines meet only in p_i.  Summing over k, one of
+    +-sum(c_k) is strictly feasible.  So a fan whose certificate fails
+    never comes back OK_POINTED: the pairwise search only decides
+    NO_SUPPORT against a rejection reason.
     """
     if not crosses:
-        return None
+        return None, []
     s0, s1, s2 = cert = tuple(map(sum, zip(*crosses)))
     dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
     if min(dots) > 0:
-        return cert
+        return cert, dots
     if max(dots) < 0:
-        return (-s0, -s1, -s2)
-    return None
+        return (-s0, -s1, -s2), dots
+    return None, dots
 
 
 def _pairwise_support(dirs: Sequence[Vec]) -> Vec | None:
@@ -238,7 +232,7 @@ def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
     is decided exactly by the pairwise search.  Exact over any numeric
     type; ``fan_is_convex`` passes integers.
     """
-    s = _certified_direction(dirs, _cyclic_crosses(dirs))
+    s, _ = _certified_direction(dirs, _cyclic_crosses(dirs))
     return s if s is not None else _pairwise_support(dirs)
 
 
@@ -341,24 +335,18 @@ def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityC
     return _wound_once(edges, True, OK_POINTED)
 
 
-def _plane_coords(b1: IVec, b2: IVec, dirs: Sequence[IVec]) -> list[tuple[int, int]]:
-    """Coordinates (x, y) with d = x*b1 + y*b2, scaled by a common positive factor.
+def _plane_frame(axis: IVec, vecs: Sequence[IVec]) -> list[tuple[int, int]]:
+    """The coordinates (v . b2, -v . b1) of each v, with b1, b2 and ``axis`` orthogonal.
 
-    The factor is the absolute value of the first nonzero 2x2 minor of
-    (b1, b2), so no division is needed and every sign test survives:
-    y > 0 still means the side of b2.  Only directions inside span(b1, b2)
-    get meaningful coordinates; the caller guarantees or checks that.
+    b1 is the first nonzero of (-a1, a0, 0), (-a2, 0, a0), (0, -a2, a1)
+    and b2 = axis x b1.  On the plane orthogonal to ``axis`` this is a
+    linear bijection onto R^2: every turn keeps its sign up to one
+    global sign, every parallel pair the sign of its dot product.
     """
-    i, j, det = next(
-        (i, j, b1[i] * b2[j] - b1[j] * b2[i])
-        for i, j in ((0, 1), (0, 2), (1, 2))
-        if b1[i] * b2[j] - b1[j] * b2[i] != 0
-    )
-    sign = 1 if det > 0 else -1
-    return [
-        (sign * (d[i] * b2[j] - d[j] * b2[i]), sign * (b1[i] * d[j] - b1[j] * d[i]))
-        for d in dirs
-    ]
+    b1 = next(c for c in ((-axis[1], axis[0], 0), (-axis[2], 0, axis[0]), (0, -axis[2], axis[1])) if any(c))
+    u0, u1, u2 = b1
+    v0, v1, v2 = cross3(axis, b1)  # b2
+    return [(x0 * v0 + x1 * v1 + x2 * v2, -(x0 * u0 + x1 * u1 + x2 * u2)) for x0, x1, x2 in vecs]
 
 
 def _one_direction(crosses: Sequence[IVec]) -> bool:
@@ -367,13 +355,16 @@ def _one_direction(crosses: Sequence[IVec]) -> bool:
     return all(v != (0, 0, 0) and cross3(c, v) == (0, 0, 0) and _idot(c, v) > 0 for v in crosses)
 
 
-def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec], crosses: Sequence[IVec]) -> ConvexityCheck:
+def _wedge_check(
+    entries: Sequence[FanEntry], dirs: Sequence[IVec], crosses: Sequence[IVec], dots: Sequence[int]
+) -> ConvexityCheck:
     """Accept a dihedral wedge (see the module docstring) in one O(m) pass.
 
-    Let s be the sum of the cyclic ``crosses`` c_k = d_k-1 x d_k.  At rank
-    3 the fan is a wedge with fold pair i < j exactly when (1) s . d_k
-    vanishes for k = i, j only, and its other values share a sign;
-    (2) entries i, j are antipodal rays; (3) c_i+1..c_j are nonzero
+    Let s be the sum of the cyclic ``crosses`` c_k = d_k-1 x d_k, and
+    ``dots`` the values s . d_k that ``_certified_direction`` returned.
+    At rank 3 the fan is a wedge with fold pair i < j exactly when
+    (1) s . d_k vanishes for k = i, j only, and its other values share a
+    sign; (2) entries i, j are antipodal rays; (3) c_i+1..c_j are nonzero
     positive multiples of one vector, and so are c_j+1..c_m-1, c_0..c_i.
 
     Wedge => (1)-(3): the chains turn about normals N_a, N_b by angles in
@@ -392,8 +383,6 @@ def _wedge_check(entries: Sequence[FanEntry], dirs: Sequence[IVec], crosses: Seq
     less than pi leaves it only onto d_j, so the chain sweeps exactly
     half its plane.  At rank <= 2 every dot is 0, so (1) never holds.
     """
-    s0, s1, s2 = map(sum, zip(*crosses))
-    dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
     zeros = [k for k, t in enumerate(dots) if t == 0]
     if len(zeros) == 2 and not min(dots) < 0 < max(dots):
         i, j = zeros
@@ -408,33 +397,25 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
     """Classify a fan with strict support s from its cyclic cross products.
 
     Scaling each direction d onto the plane x . s = 1 gives the section
-    polygon; take its points in the coordinates (d . b1, d . b2) / (d . s),
-    where b1 is orthogonal to s and b2 = s x b1.  By the Binet-Cauchy
+    polygon; take its points in the coordinates (d . b1, d . b2) / (d . s)
+    of ``_plane_frame(s, .)``'s b1 and b2 = s x b1.  By the Binet-Cauchy
     identity the edge from d[k-1] to d[k], times the positive
     (s . d[k-1]) (s . d[k]), is (c . b2, -|s|^2 c . b1) with
     c = d[k-1] x d[k].  Dropping |s|^2 scales the second coordinate of
     every edge by one positive factor, which keeps each turn sign, each
-    parallel-or-antiparallel test and each half-axis crossing, so the
-    polygon test gives the same reason.  An edge vanishes exactly when
-    its c does: c is orthogonal to d[k] and s . d[k] > 0, so a nonzero c
-    is never a multiple of s.  The edges go through ``_wound_once``,
-    one pass that checks every turn and counts the half-axis crossings
-    together, from the turn onto the edge into d[0]; with straight turns
-    allowed every failing clause is a property of the whole cycle, so
-    the start does not change the reason.  Any strictly feasible s gives
-    the same reason.
+    parallel-or-antiparallel test and each half-axis crossing, so
+    ``_plane_frame(s, crosses)`` gives the same reason.  An edge
+    vanishes exactly when its c does: c is orthogonal to d[k] and
+    s . d[k] > 0, so a nonzero c is never a multiple of s.
+    ``_wound_once`` checks every turn and counts the half-axis crossings
+    in one pass, from the turn onto the edge into d[0]; with straight
+    turns allowed every failing clause is a property of the whole cycle,
+    so the start does not change the reason.  Any strictly feasible s
+    gives the same reason.
     """
     if (0, 0, 0) in crosses:
         return ConvexityCheck(False, ZERO_ANGLE_CONE)
-    b1 = next(
-        c
-        for c in ((-s[1], s[0], 0), (-s[2], 0, s[0]), (0, -s[2], s[1]))
-        if c != (0, 0, 0)
-    )
-    u0, u1, u2 = b1
-    v0, v1, v2 = cross3(s, b1)  # b2
-    edges = [(c0 * v0 + c1 * v1 + c2 * v2, -(c0 * u0 + c1 * u1 + c2 * u2)) for c0, c1, c2 in crosses]
-    return _wound_once(edges, True, OK_POINTED)
+    return _wound_once(_plane_frame(s, crosses), True, OK_POINTED)
 
 
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
@@ -442,31 +423,34 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
 
     All sign tests run on integers: a fan with any non-integer coordinate,
     such as a hand-built ``Fraction`` fan, is rescaled first (rescaling
-    along a ray changes nothing).  The O(m) support certificate, the sum
-    of the cyclic cross products, is tried first; it is never strictly
-    feasible below rank 3 (see ``_certified_direction``), so the rank is
-    computed only when it fails.  Then the flat branch (plane coordinates
-    scaled by a positive minor) or the O(m) wedge test runs; only a star
-    that both reject reaches the O(m^3) ``_pairwise_support``.
+    along a ray changes nothing).  The O(m) support certificate comes
+    first.  When it fails, the first nonzero cross product of the first
+    nonzero direction with another is the plane normal: none means rank
+    <= 1, and a normal orthogonal to every direction means the flat
+    branch, in ``_plane_frame`` coordinates about the normal.  A linear
+    bijection of the plane keeps every turn clause, and once every turn
+    is strict and of one sign the half-axis crossing count is the
+    rotation index in any frame.  At rank 3 the O(m) wedge test reads
+    the certificate's dots; only a star that it rejects reaches the
+    O(m^3) ``_pairwise_support``.
     """
     dirs = fan.directions()
     if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
         dirs = [homogeneous(d)[0] for d in dirs]
     crosses = _cyclic_crosses(dirs)
-    s = _certified_direction(dirs, crosses)
+    s, dots = _certified_direction(dirs, crosses)
     if s is None:
-        r = _rank3(dirs)
-        if r <= 1:
+        first = next((d for d in dirs if d != (0, 0, 0)), None)
+        crossed = () if first is None else (cross3(first, d) for d in dirs)
+        normal = next((c for c in crossed if c != (0, 0, 0)), None)
+        if normal is None:
             return ConvexityCheck(False, DEGENERATE_RANK)
-        if r == 2:
-            first = next(d for d in dirs if d != (0, 0, 0))
-            other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
-            dirs2 = _plane_coords(first, other, dirs)
+        if not any(_idot(normal, d) for d in dirs):
             # directions confined to a plane must sweep it once, strictly
-            # monotonically; the turns are visited from (dirs2[0], dirs2[1])
-            return _wound_once(dirs2[1:] + dirs2[:1], False, OK_FLAT)
+            # monotonically; the turns are visited from (dirs[0], dirs[1])
+            return _wound_once(_plane_frame(normal, dirs[1:] + dirs[:1]), False, OK_FLAT)
         # a wedge has no strict support: read it off the certificate first
-        wedge = _wedge_check(fan.entries, dirs, crosses)
+        wedge = _wedge_check(fan.entries, dirs, crosses, dots)
         if wedge.convex:
             return wedge
         s = _pairwise_support(dirs)

@@ -20,6 +20,8 @@ Equations mode replaces vertex lists with records
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
 must each occur in exactly two facet cycles.
+An integer literal longer than ``int()`` takes (4,300 digits) and a
+decimal exponent above 4,300 in magnitude are parse errors in both.
 
 Vertex-mode PLS, OFF and the generators share one incidence rule
 (``poset.vertex_poset``): a face lies in every face one rank up whose
@@ -55,6 +57,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _decimal(text: str) -> Fraction:
+    """``Fraction(text)``, but ValueError for a text whose part after its first
+    e or E is a signed decimal integer above 4300, before 10**exp is built:
+    1e5000 stands for a digit string longer than ``int()`` takes."""
+    _, marker, exp = text.replace("E", "e").partition("e")
+    digits = (exp[1:] if exp[:1] in ("+", "-") else exp).rstrip().replace("_", "")
+    if marker and digits.isdecimal() and int(digits) > 4300:
+        raise ValueError("exponent beyond 4300")
+    return Fraction(text)
+
+
 def _frac(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
@@ -62,13 +75,15 @@ def _frac(value, where: str) -> Fraction:
         if type(value) is str:
             # the strict form -?digits(/digits)? skips Fraction's regex; any
             # other string (sign '+', spaces, '_', non-ASCII digits, '1.5',
-            # '1e3') goes to Fraction(value), which gives the same value or error
+            # '1e3') goes to Fraction(value) through _decimal, which gives
+            # the same value or error unless the exponent exceeds 4300
             num, slash, den = value.partition("/")
             neg = num[:1] == "-"
             digits = num[1:] if neg else num
             if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
                 p = -int(digits) if neg else int(digits)
                 return Fraction(p, int(den)) if slash else Fraction(p)
+            return _decimal(value)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
@@ -113,6 +128,8 @@ def parse_pls(text: str) -> PLSurface:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal longer than int() takes
+        raise ParseError(str(exc)) from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
@@ -251,7 +268,7 @@ def parse_off(text: str) -> PLSurface:
         if len(toks) != 3:
             raise ParseError(f"line {ln}: expected 3 coordinates")
         try:
-            coords.append(tuple(Fraction(t) for t in toks))
+            coords.append(tuple(_decimal(t) for t in toks))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"line {ln}: bad coordinate in {row!r}") from None
     polygons = []

@@ -11,10 +11,9 @@ which is the point: the two must agree on every valid instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .exactgeom import homogeneous
 from .poset import Face
 from .surface import PLSurface, facet_equation
 
@@ -32,12 +31,6 @@ class OracleVerdict:
     violating_vertex: int | None = None
 
 
-def _scaled_int(vec, extra) -> tuple:
-    den = math.lcm(extra.denominator, *(c.denominator for c in vec))
-    ints = tuple(c.numerator * (den // c.denominator) for c in vec)
-    return ints, extra.numerator * (den // extra.denominator)
-
-
 def oracle_verdict(surface: PLSurface) -> OracleVerdict:
     """Supporting-hyperplane test over every facet, scanned in index order.
 
@@ -53,11 +46,10 @@ def oracle_verdict(surface: PLSurface) -> OracleVerdict:
     if surface.mode != "vertices":
         raise ValueError("the oracle needs vertex coordinates")
     poset = surface.poset
-    one = Fraction(1)
-    scaled_vertices = [_scaled_int(v, one) for v in surface.vertices]
+    scaled_vertices = [homogeneous(v) for v in surface.vertices]
     for facet in poset.faces(poset.dim_top):
         eq = facet_equation(surface, facet)
-        normal, offset = _scaled_int(eq.normal, eq.offset)
+        *normal, offset = homogeneous((*eq.normal, eq.offset))[0]
         pos: list[int] = []
         neg: list[int] = []
         for idx, (vi, dv) in enumerate(scaled_vertices):

@@ -81,7 +81,7 @@ def _difference(base: HomPoint, p: HomPoint) -> IVec:
 
 
 def _face_geometry(
-    surface: PLSurface, face: Face, convert, verts: tuple[int, ...] | None, point_only: bool = False
+    surface: PLSurface, face: Face, convert, verts: tuple[int, ...] | None
 ) -> tuple[HomPoint | None, tuple[IVec, ...], str | None]:
     """A face's interior point, direction basis and rank defect, from one elimination.
 
@@ -100,14 +100,13 @@ def _face_geometry(
     gives the witness and, for an (n-3)-face with n >= 4, the integer
     nullspace of the incident facet normals (each facet once); at n = 3
     the face is a vertex and its kernel is (), as in vertex mode.  The
-    defect is None exactly when the face spans its dimension.  ``point_only`` stops as
-    soon as the point is known, skipping the rank check and the kernel.
+    defect is None exactly when the face spans its dimension.
     """
     if verts is None:
         poset = surface.poset
         witness = surface.witnesses.get(face)
         point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or point_only or surface.n == 3:
+        if face.dim != poset.dim_low or surface.n == 3:
             return point, (), None
         facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
         basis = nullspace([convert(h) for h in facets], surface.n)
@@ -131,8 +130,6 @@ def _face_geometry(
             if len(basis) > face.dim:
                 break
             picked.append(p)
-            if point_only and len(basis) == face.dim:
-                break
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
     weight = math.lcm(*[w for _, w in picked])
     total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
@@ -148,7 +145,7 @@ def _single_face(surface: PLSurface, face: Face):
 
 def homogeneous_point(surface: PLSurface, face: Face) -> HomPoint | None:
     """``interior_point`` as integer numerators over a positive weight, as ``prepare`` tabulates it."""
-    return _face_geometry(surface, face, *_single_face(surface, face), point_only=True)[0]
+    return _face_geometry(surface, face, *_single_face(surface, face))[0]
 
 
 def interior_point(surface: PLSurface, face: Face) -> Vec:
@@ -156,7 +153,7 @@ def interior_point(surface: PLSurface, face: Face) -> Vec:
 
     In vertex mode it is the mean of at most dim+1 affinely independent
     vertices, inside the face when the face is their convex hull; the
-    scan stops there, so its cost is bounded by the face dimension.
+    scan reads the whole vertex list, as ``prepare``'s does.
     In equations mode it is the face's witness (None when missing).
     This is ``homogeneous_point`` divided out to ``Fraction``s.
     """
@@ -198,8 +195,8 @@ def as_equations(surface: PLSurface) -> PLSurface:
     """Convert a vertex-mode surface to equations mode.
 
     Facets get their exact hyperplanes, every face of dims n-3, n-2, n-1
-    gets its deterministic interior point as witness, and vertex lists
-    are dropped (dim 0 disappears entirely for n > 3).
+    gets its interior point from ``prepare``'s table as witness, and
+    vertex lists are dropped (dim 0 disappears entirely for n > 3).
     """
     if surface.mode != VERTEX_MODE:
         return surface
@@ -213,7 +210,8 @@ def as_equations(surface: PLSurface) -> PLSurface:
     )
     equations = {h: facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
     dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
-    witnesses = {f: interior_point(surface, f) for d in dims for f in poset.faces(d)}
+    points = prepare(surface).points
+    witnesses = {f: dehomogenise(*points[f]) for d in dims for f in poset.faces(d)}
     return PLSurface(new_poset, equations=equations, witnesses=witnesses)
 
 

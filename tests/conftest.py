@@ -207,3 +207,34 @@ def zigzag_bipyramid(m: int) -> pc.PLSurface:
         j = (k + 1) % m
         polygons += [[m, k, j], [m + 1, j, k]]
     return pc.surface_from_polygons(coords, polygons)
+
+
+STACK_HEIGHTS = (Fraction(1, 10**6), Fraction(1, 50), Fraction(0), Fraction(-1, 50), Fraction(1, 3))
+
+
+def stacked_cube(seed: int, stacks: int) -> pc.PLSurface:
+    """The unit cube with ``stacks`` seeded facets replaced by pyramids over them.
+
+    Each stack picks a facet and a height eps from ``STACK_HEIGHTS`` and
+    puts the apex at the facet's centroid + eps * n, where n is the
+    facet's cross-product normal (v1 - v0) x (v2 - v0), pointed away
+    from the cube's center (Grünbaum's stacked polytopes).  A small
+    eps gives nearly flat corners, eps = 0 a flat subdivision and
+    eps < 0 a dent.
+    """
+    rng = random.Random(seed)
+    coords = [tuple(Fraction((v >> j) & 1) for j in range(3)) for v in range(8)]
+    polygons = [[0, 2, 6, 4], [1, 3, 7, 5], [0, 1, 5, 4], [2, 3, 7, 6], [0, 1, 3, 2], [4, 5, 7, 6]]
+    center = (Fraction(1, 2),) * 3
+    for _ in range(stacks):
+        facet = polygons.pop(rng.randrange(len(polygons)))
+        eps = rng.choice(STACK_HEIGHTS)
+        pts = [coords[v] for v in facet]
+        normal = cross3(vsub(pts[1], pts[0]), vsub(pts[2], pts[0]))
+        centroid = vmean(pts)
+        if dot(normal, vsub(centroid, center)) < 0:
+            normal = tuple(-x for x in normal)
+        coords.append(tuple(c + eps * x for c, x in zip(centroid, normal)))
+        apex = len(coords) - 1
+        polygons += [[apex, a, b] for a, b in zip(facet, facet[1:] + facet[:1])]
+    return pc.surface_from_polygons(coords, polygons)

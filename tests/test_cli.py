@@ -67,7 +67,10 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "INVALID PARSE_ERROR" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000], ids=["not_utf8", "deep"])
+# json.loads raises a plain ValueError, not a JSONDecodeError, on a 4,301-digit integer
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe", b"[" * 200_000, b'{"n": ' + b"1" * 4301 + b"}"], ids=["not_utf8", "deep", "long_int"]
+)
 def test_verify_unreadable_document_exit_2(tmp_path, capsys, content):
     p = tmp_path / "bad.pls"
     p.write_bytes(content)

@@ -490,6 +490,44 @@ def cyclic_pairs(vecs):
     return zip(vecs[-1:] + vecs[:-1], vecs)
 
 
+def rank3_reference(dirs):
+    """Rank of a set of integer 3-vectors, as the classifier computed it
+    before the rank scan moved into ``fan_is_convex``."""
+    first = next((d for d in dirs if d != (0, 0, 0)), None)
+    if first is None:
+        return 0
+    normal = None
+    for d in dirs:
+        c = cross3(first, d)
+        if c != (0, 0, 0):
+            normal = c
+            break
+    if normal is None:
+        return 1
+    return 3 if any(dot(normal, d) != 0 for d in dirs) else 2
+
+
+def plane_coords_reference(b1, b2, dirs):
+    """Coordinates (x, y) with d = x*b1 + y*b2, scaled by a common positive factor.
+
+    The factor is the absolute value of the first nonzero 2x2 minor of
+    (b1, b2), so no division is needed and every sign test survives:
+    y > 0 still means the side of b2.  Only directions inside span(b1, b2)
+    get meaningful coordinates.  The flat branch's coordinates before
+    ``_plane_frame``.
+    """
+    i, j, det = next(
+        (i, j, b1[i] * b2[j] - b1[j] * b2[i])
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        if b1[i] * b2[j] - b1[j] * b2[i] != 0
+    )
+    sign = 1 if det > 0 else -1
+    return [
+        (sign * (d[i] * b2[j] - d[j] * b2[i]), sign * (b1[i] * d[j] - b1[j] * d[i]))
+        for d in dirs
+    ]
+
+
 def half_sweep_reference(start, between):
     """The chain test of ``ray_pair_wedge_check``.
 
@@ -502,7 +540,7 @@ def half_sweep_reference(start, between):
     normal = cross3(start, between[0])
     if any(dot(normal, u) != 0 for u in between):
         return False
-    seq = [(1, 0)] + fan_mod._plane_coords(start, between[0], between) + [(-1, 0)]
+    seq = [(1, 0)] + plane_coords_reference(start, between[0], between) + [(-1, 0)]
     if any(y <= 0 for _, y in seq[1:-1]):
         return False
     return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(seq, seq[1:]))
@@ -534,9 +572,10 @@ def wedge_outcome(fan):
     """
     dirs = [homogeneous(d)[0] for d in fan.directions()]
     crosses = fan_mod._cyclic_crosses(dirs)
-    if fan_mod._rank3(dirs) != 3 or fan_mod._certified_direction(dirs, crosses) is not None:
+    s, dots = fan_mod._certified_direction(dirs, crosses)
+    if rank3_reference(dirs) != 3 or s is not None:
         return None
-    got = fan_mod._wedge_check(fan.entries, dirs, crosses)
+    got = fan_mod._wedge_check(fan.entries, dirs, crosses, dots)
     assert got == ray_pair_wedge_check(fan.entries, dirs), dirs
     return got.convex
 
@@ -560,13 +599,13 @@ def section_point_classifier(fan):
     same result.
     """
     dirs = [homogeneous(d)[0] for d in fan.directions()]
-    r = fan_mod._rank3(dirs)
+    r = rank3_reference(dirs)
     if r <= 1:
         return (False, "DEGENERATE_RANK")
     if r == 2:
         first = next(d for d in dirs if d != (0, 0, 0))
         other = next(d for d in dirs if cross3(first, d) != (0, 0, 0))
-        dirs2 = fan_mod._plane_coords(first, other, dirs)
+        dirs2 = plane_coords_reference(first, other, dirs)
         return two_pass_wound_once(dirs2, zip(dirs2, dirs2[1:] + dirs2[:1]), False, "OK_FLAT")
     m = len(dirs)
     cert = tuple(sum(cross3(dirs[k - 1], dirs[k])[a] for k in range(m)) for a in range(3))
@@ -815,7 +854,7 @@ class TestCrossProductClassifier:
                 continue
             crosses = fan_mod._cyclic_crosses(dirs)
             supports = [s_pair]
-            s_cert = fan_mod._certified_direction(dirs, crosses)
+            s_cert, _ = fan_mod._certified_direction(dirs, crosses)
             if s_cert is not None:
                 supports.append(s_cert)
             for _ in range(3):
@@ -832,6 +871,25 @@ class TestCrossProductClassifier:
             reasons[expected.reason] += len(supports)
         assert {"OK_POINTED", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX", "ZERO_ANGLE_CONE"} <= set(reasons)
 
+    def test_certificate_complete_for_accepted_pointed_fans(self):
+        # a strictly feasible fan whose certificate fails is never OK_POINTED,
+        # whatever support the pairwise search finds (see _certified_direction)
+        reasons = Counter()
+        certified = 0
+        for fan in seeded_fans(4242, 1500):
+            dirs = [homogeneous(d)[0] for d in fan.directions()]
+            crosses = fan_mod._cyclic_crosses(dirs)
+            s_cert, _ = fan_mod._certified_direction(dirs, crosses)
+            if s_cert is not None:
+                certified += fan_mod._pointed_check(crosses, s_cert).convex
+                continue
+            s = fan_mod._pairwise_support(dirs)
+            if s is not None:
+                reason = fan_mod._pointed_check(crosses, s).reason
+                assert reason != "OK_POINTED", dirs
+                reasons[reason] += 1
+        assert certified >= 1000 and sum(reasons.values()) >= 300, (certified, reasons)
+
     def test_certificate_never_feasible_below_rank_3(self):
         rng = random.Random(13)
         ranks = Counter()
@@ -839,11 +897,12 @@ class TestCrossProductClassifier:
             dirs = [homogeneous(d)[0] for d in planar(rng)]
             if rng.random() < 0.2:
                 dirs.append((0, 0, 0))
-            r = fan_mod._rank3(dirs)
+            r = rank3_reference(dirs)
             assert r <= 2
             ranks[r] += 1
             crosses = fan_mod._cyclic_crosses(dirs)
-            assert fan_mod._certified_direction(dirs, crosses) is None
+            s, dots = fan_mod._certified_direction(dirs, crosses)
+            assert s is None and not any(dots)
         assert ranks[1] >= 100 and ranks[2] >= 1000
 
 

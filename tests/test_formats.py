@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -183,7 +184,15 @@ class TestPls:
     def test_frac_matches_fraction(self):
         # _frac reads -?digits(/digits)? with int() and hands every other
         # value to Fraction; either way the value, or the ParseError text
-        # built from Fraction's own exception, must be Fraction(value)'s
+        # built from Fraction's own exception, must be Fraction(value)'s.
+        # The one exception: a string whose exponent exceeds 4,300 in
+        # magnitude is a ParseError before Fraction builds 10**exponent.
+        def exponent_beyond_limit(value):
+            # the text after the first e or E is a signed decimal integer above 4,300
+            m = isinstance(value, str) and re.fullmatch(r"[^eE]*[eE][-+]?([\d_]*)\s*", value)
+            digits = m.group(1).replace("_", "") if m else ""
+            return digits != "" and int(digits) > 4300
+
         def expected(value):
             try:
                 return Fraction(value)
@@ -202,6 +211,8 @@ class TestPls:
         values += ["1/ 2", "1 /2", "1/+2", "1/2_", "_1"]  # int() takes these parts, Fraction not
         values += [long, "-" + long, long + "/3", "3/" + long, "-3/" + long, long + "/0", "0/" + long]
         values += [0, -7, 10**40, -(10**40)]  # JSON integers
+        values += ["1e4300", "-1E-4300", "1e4301", "1e-4301", "1E+4_301", "1e\u0664\u0663\u0660\u0661", "e5000 "]
+        values += ["1e999999999", "-1E+99999_9999", "2.5e-10000000"]  # Fraction would hang on these
         rng = random.Random(31)
         alphabet = "0123456789-/+ _.e\u0663"
         for _ in range(3000):
@@ -209,12 +220,19 @@ class TestPls:
             values.append(f"{rng.choice(['', '-'])}{rng.randint(0, 10**12)}/{rng.randint(0, 10**12)}")
             values.append(rng.randint(-(10**30), 10**30))
         outcomes = Counter()
+        refused = set()
         for value in values:
+            if exponent_beyond_limit(value):
+                assert got(value).startswith(f"at: bad rational {value!r} ("), value
+                refused.add(value)
+                continue
             want = expected(value)
             assert got(value) == want, value
             assert type(got(value)) is type(want)
             outcomes[type(want)] += 1
         assert min(outcomes.values()) >= 1000, outcomes
+        # among them the seeded 6e5619\u0663 and 5e5561
+        assert {"1e4301", "1e-4301", "1e999999999", "6e5619\u0663", "5e5561"} <= refused, refused
 
     def test_equations_mode_requires_witness(self, cube):
         doc = json.loads(emit_pls(as_equations(cube)))
@@ -295,6 +313,11 @@ class TestOff:
         text = text.replace("4 1 3 7 5", "4 1 3 7 5\n4 1 3 7 5").replace("8 6 12", "8 7 12")
         with pytest.raises(NonManifoldError):
             parse_off(text)
+
+    @pytest.mark.parametrize("coord", ["1e5000", "1e-5000", "1e999999999"])
+    def test_exponent_beyond_limit_refused(self, coord):
+        with pytest.raises(ParseError, match="bad coordinate"):
+            parse_off(CUBE_OFF.replace("1 1 1", f"{coord} 1 1"))
 
     def test_comments_ignored(self):
         text = "# a cube\n" + CUBE_OFF.replace("OFF", "OFF\n# counts follow")

@@ -269,7 +269,7 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
             assert verify_face(eq, f) == verify_face(surface, f)
 
 
-def reference_face_geometry(surface, face, convert, verts, point_only=False):
+def reference_face_geometry(surface, face, convert, verts):
     """Reference: ``_face_geometry`` with the rank of the differences recomputed per step.
 
     Vertex mode keeps a ``_difference`` when ``rank`` of the kept ones
@@ -280,7 +280,7 @@ def reference_face_geometry(surface, face, convert, verts, point_only=False):
         poset = surface.poset
         witness = surface.witnesses.get(face)
         point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or point_only or surface.n == 3:
+        if face.dim != poset.dim_low or surface.n == 3:
             return point, (), None
         facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
         basis = nullspace([convert(h) for h in facets], surface.n)
@@ -300,8 +300,6 @@ def reference_face_geometry(surface, face, convert, verts, point_only=False):
             if len(basis) > face.dim:
                 break
             picked.append(p)
-            if point_only and len(basis) == face.dim:
-                break
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
     weight = math.lcm(*[w for _, w in picked])
     total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
@@ -342,10 +340,9 @@ def test_face_geometry_matches_reference():
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
             for f in poset.faces(d):
                 args = surface_mod._single_face(s, f)
-                for point_only in (False, True):
-                    got = surface_mod._face_geometry(s, f, *args, point_only)
-                    assert got == reference_face_geometry(s, f, *args, point_only), (label, f)
-                    defects[got[2] is None] += 1
+                got = surface_mod._face_geometry(s, f, *args)
+                assert got == reference_face_geometry(s, f, *args), (label, f)
+                defects[got[2] is None] += 1
     assert min(defects.values()) >= 50, defects
 
 
@@ -380,8 +377,7 @@ def test_face_geometry_repeated_and_collinear_vertices():
         convert = [homogeneous(p) for p in pts].__getitem__
         surface = SimpleNamespace(n=n)
         face = Face(dim, trial)
-        for point_only in (False, True):
-            got = surface_mod._face_geometry(surface, face, convert, verts, point_only)
-            assert got == reference_face_geometry(surface, face, convert, verts, point_only), (pts, verts, dim)
-            defects[got[2] is None] += 1
+        got = surface_mod._face_geometry(surface, face, convert, verts)
+        assert got == reference_face_geometry(surface, face, convert, verts), (pts, verts, dim)
+        defects[got[2] is None] += 1
     assert min(defects.values()) >= 1000, defects
