@@ -36,22 +36,20 @@ Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
 
-Who converts and who trusts integers: ``build_fan`` trusts the integer
-homogeneous points of ``surface.prepare`` and uses integer projection
-rows (``complementary_projection``'s) as they are; it scales the rows
-to integers only when some entry is not an ``int``.  ``fan_is_convex``
-likewise takes all-``int`` directions as they are and scales any other
-fan to integers, so every sign test below runs on Python integers.
+Who converts and who trusts integers: ``Fan3`` holds integers.
+``build_fan`` trusts ``surface.prepare``'s integer points and scales
+projection rows to integers only when some entry is not an ``int``;
+``Fan3.from_entries`` scales the directions of a hand-built fan with any
+non-``int`` coordinate.  ``fan_is_convex`` trusts ``fan.dirs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactgeom import HomPoint, Projection3, Vec, cross3, homogeneous
+from .exactgeom import HomPoint, IVec, Projection3, Vec, cross3, homogeneous
 from .poset import Face, LinkCycle
 
 RAY = "ray"
@@ -79,19 +77,36 @@ class FanEntry(NamedTuple):
     source: Face
 
 
-@dataclass(frozen=True)
-class Fan3:
+class Fan3(NamedTuple):
     """Apex plus the cyclic alternating ray/witness directions of a star.
 
-    The apex point is ``apex`` divided by the positive ``weight``.
+    The apex point is ``apex`` divided by the positive ``weight``.  Entry k
+    is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY or CELL)
+    from the link-cycle face ``sources[k]``; ``entries`` zips them on demand.
+    A direct call must pass ``int`` triples, unchecked and trusted by
+    ``fan_is_convex``; ``from_entries`` converts any other coordinates.
     """
 
     apex: Vec
-    entries: tuple[FanEntry, ...]
+    dirs: tuple[IVec, ...]
+    kinds: tuple[str, ...]
+    sources: tuple[Face, ...]
     weight: int = 1
 
-    def directions(self) -> list[Vec]:
-        return [e.direction for e in self.entries]
+    @classmethod
+    def from_entries(cls, apex: Vec, entries: Sequence[FanEntry], weight: int = 1) -> Fan3:
+        """A fan from ``FanEntry``s; any non-``int`` coordinate rescales every direction to integers."""
+        dirs = tuple(e.direction for e in entries)
+        if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
+            dirs = tuple(homogeneous(d)[0] for d in dirs)
+        return cls(apex, dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries), weight)
+
+    @property
+    def entries(self) -> tuple[FanEntry, ...]:
+        return tuple(map(FanEntry, self.kinds, self.dirs, self.sources))
+
+    def directions(self) -> list[IVec]:
+        return list(self.dirs)
 
 
 class ZeroDirectionError(Exception):
@@ -124,7 +139,8 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
     every face f of the link cycle contributes, in cycle order, the
     integer direction w_c * P(S_f) - w_f * P(S_c), the positive multiple
     w_c * w_f of the direction from the apex to f's projected interior
-    point.
+    point.  One loop fills ``dirs`` and ``kinds`` (RAY one rank above
+    ``center``); ``sources`` is the cycle's tuple: no object per entry.
     """
     center_nums, wc = points[center]
     rows = None
@@ -140,34 +156,41 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
         r0, r1, r2 = rows
         a0, a1, a2 = sum(map(mul, r0, center_nums)), sum(map(mul, r1, center_nums)), sum(map(mul, r2, center_nums))
     ray_dim = center.dim + 1
-    entries = []
+    dirs = []
+    kinds = []
     for face in cycle.entries:
         nums, w = points[face]
         if rows is None:
             p0, p1, p2 = nums[i], nums[j], nums[k]
         else:
             p0, p1, p2 = sum(map(mul, r0, nums)), sum(map(mul, r1, nums)), sum(map(mul, r2, nums))
-        d = (wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2)
-        if d == (0, 0, 0):
+        d0, d1, d2 = wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2
+        if not (d0 or d1 or d2):
             raise ZeroDirectionError(face)
-        entries.append(FanEntry(RAY if face.dim == ray_dim else CELL, d, face))
-    return Fan3((a0, a1, a2), tuple(entries), wc)
-
-
-IVec = tuple[int, int, int]
+        dirs.append((d0, d1, d2))
+        kinds.append(RAY if face.dim == ray_dim else CELL)
+    return Fan3((a0, a1, a2), tuple(dirs), tuple(kinds), cycle.entries, wc)
 
 
 def _idot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cyclic_crosses(dirs: Sequence[Vec]) -> list[Vec]:
-    """The cyclic cross products d[k-1] x d[k], k = 0..m-1."""
-    return list(map(cross3, dirs[-1:] + dirs[:-1], dirs))
+def _crosses_and_sum(dirs: Sequence[Vec]) -> tuple[list[Vec], Vec]:
+    """The cyclic cross products c_k = d[k-1] x d[k], k = 0..m-1, and their sum; exact over any numeric type."""
+    crosses = []
+    s0 = s1 = s2 = 0
+    a0, a1, a2 = dirs[-1] if dirs else (0, 0, 0)
+    for b0, b1, b2 in dirs:
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        crosses.append((c0, c1, c2))
+        s0, s1, s2 = s0 + c0, s1 + c1, s2 + c2
+        a0, a1, a2 = b0, b1, b2
+    return crosses, (s0, s1, s2)
 
 
-def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> tuple[Vec | None, list]:
-    """The O(m) certificate: the sum of the cyclic ``crosses`` c_k = d[k-1] x d[k].
+def _certified_direction(dirs: Sequence[Vec], cert: Vec) -> tuple[Vec | None, list]:
+    """The O(m) certificate: ``cert``, the sum of the cyclic cross products c_k = d[k-1] x d[k].
 
     Returns the sum with whichever of its two signs is strictly feasible
     (None when neither is, or when the fan has no entries) and the dots
@@ -187,9 +210,9 @@ def _certified_direction(dirs: Sequence[Vec], crosses: Sequence[Vec]) -> tuple[V
     never comes back OK_POINTED: the pairwise search only decides
     NO_SUPPORT against a rejection reason.
     """
-    if not crosses:
+    if not dirs:
         return None, []
-    s0, s1, s2 = cert = tuple(map(sum, zip(*crosses)))
+    s0, s1, s2 = cert
     dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
     if min(dots) > 0:
         return cert, dots
@@ -232,7 +255,7 @@ def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
     is decided exactly by the pairwise search.  Exact over any numeric
     type; ``fan_is_convex`` passes integers.
     """
-    s, _ = _certified_direction(dirs, _cyclic_crosses(dirs))
+    s, _ = _certified_direction(dirs, _crosses_and_sum(dirs)[1])
     return s if s is not None else _pairwise_support(dirs)
 
 
@@ -356,7 +379,7 @@ def _one_direction(crosses: Sequence[IVec]) -> bool:
 
 
 def _wedge_check(
-    entries: Sequence[FanEntry], dirs: Sequence[IVec], crosses: Sequence[IVec], dots: Sequence[int]
+    kinds: Sequence[str], dirs: Sequence[IVec], crosses: Sequence[IVec], dots: Sequence[int]
 ) -> ConvexityCheck:
     """Accept a dihedral wedge (see the module docstring) in one O(m) pass.
 
@@ -364,7 +387,7 @@ def _wedge_check(
     ``dots`` the values s . d_k that ``_certified_direction`` returned.
     At rank 3 the fan is a wedge with fold pair i < j exactly when
     (1) s . d_k vanishes for k = i, j only, and its other values share a
-    sign; (2) entries i, j are antipodal rays; (3) c_i+1..c_j are nonzero
+    sign; (2) entries i, j are antipodal rays (by ``kinds``); (3) c_i+1..c_j are nonzero
     positive multiples of one vector, and so are c_j+1..c_m-1, c_0..c_i.
 
     Wedge => (1)-(3): the chains turn about normals N_a, N_b by angles in
@@ -386,7 +409,7 @@ def _wedge_check(
     zeros = [k for k, t in enumerate(dots) if t == 0]
     if len(zeros) == 2 and not min(dots) < 0 < max(dots):
         i, j = zeros
-        rays = entries[i].kind == entries[j].kind == RAY
+        rays = kinds[i] == kinds[j] == RAY
         if rays and cross3(dirs[i], dirs[j]) == (0, 0, 0) and _idot(dirs[i], dirs[j]) < 0:
             if _one_direction(crosses[i + 1 : j + 1]) and _one_direction(crosses[j + 1 :] + crosses[: i + 1]):
                 return ConvexityCheck(True, OK_FLAT)
@@ -421,24 +444,22 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
-    All sign tests run on integers: a fan with any non-integer coordinate,
-    such as a hand-built ``Fraction`` fan, is rescaled first (rescaling
-    along a ray changes nothing).  The O(m) support certificate comes
-    first.  When it fails, the first nonzero cross product of the first
-    nonzero direction with another is the plane normal: none means rank
-    <= 1, and a normal orthogonal to every direction means the flat
-    branch, in ``_plane_frame`` coordinates about the normal.  A linear
-    bijection of the plane keeps every turn clause, and once every turn
-    is strict and of one sign the half-axis crossing count is the
-    rotation index in any frame.  At rank 3 the O(m) wedge test reads
-    the certificate's dots; only a star that it rejects reaches the
-    O(m^3) ``_pairwise_support``.
+    Every sign test runs on the fan's ``dirs`` as they are, which must be
+    ``int`` triples (``Fan3.from_entries`` converts others).  The sum of
+    the cyclic cross products (``_crosses_and_sum``), the O(m) support
+    certificate, is tried first.  When it fails, the first nonzero cross
+    product of the first nonzero direction with another is the plane
+    normal: none means rank <= 1, and a normal orthogonal to every
+    direction means the flat branch, in ``_plane_frame`` coordinates
+    about the normal.  A linear bijection of the plane keeps every turn
+    clause, and once every turn is strict and of one sign the half-axis
+    crossing count is the rotation index in any frame.  At rank 3 the
+    O(m) wedge test reads the certificate's dots and the fan's ``kinds``;
+    only a star that it rejects reaches the O(m^3) ``_pairwise_support``.
     """
-    dirs = fan.directions()
-    if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
-        dirs = [homogeneous(d)[0] for d in dirs]
-    crosses = _cyclic_crosses(dirs)
-    s, dots = _certified_direction(dirs, crosses)
+    dirs = fan.dirs
+    crosses, cert = _crosses_and_sum(dirs)
+    s, dots = _certified_direction(dirs, cert)
     if s is None:
         first = next((d for d in dirs if d != (0, 0, 0)), None)
         crossed = () if first is None else (cross3(first, d) for d in dirs)
@@ -450,7 +471,7 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
             # monotonically; the turns are visited from (dirs[0], dirs[1])
             return _wound_once(_plane_frame(normal, dirs[1:] + dirs[:1]), False, OK_FLAT)
         # a wedge has no strict support: read it off the certificate first
-        wedge = _wedge_check(fan.entries, dirs, crosses, dots)
+        wedge = _wedge_check(fan.kinds, dirs, crosses, dots)
         if wedge.convex:
             return wedge
         s = _pairwise_support(dirs)

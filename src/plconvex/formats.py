@@ -161,9 +161,10 @@ def parse_pls(text: str) -> PLSurface:
             lists[d] = []
             for i, rec in enumerate(recs):
                 vs = rec.get("vertices")
-                if not isinstance(vs, list) or not vs or not all(_is_int(v) for v in vs):
+                # json.loads gives no int subclass but bool, so this is _is_int per entry
+                if not isinstance(vs, list) or not vs or not all(type(v) is int for v in vs):
                     raise ParseError(f"faces[{d}][{i}]: 'vertices' must be a nonempty list of ints")
-                if any(v < 0 or v >= nv for v in vs):
+                if min(vs) < 0 or max(vs) >= nv:
                     raise SemanticError(f"faces[{d}][{i}]: vertex index out of range")
                 lists[d].append(tuple(sorted(set(vs))))
         poset = vertex_poset(n, nv, lists)

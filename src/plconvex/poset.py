@@ -182,62 +182,59 @@ def validate_poset(poset: FacePoset, mode: str | None = None) -> ValidationRepor
         if d not in required and d != 0:
             bad.append(Violation("EXTRA_RANK", None, f"unexpected rank of dimension {d}"))
 
-    def in_range(f: Face) -> bool:
-        return 0 <= f.index < poset.count(f.dim)
-
-    for face, ups in poset.incidence_up.items():
-        if face.dim not in (n - 3, n - 2):
+    # look faces up by (dim, index) tuples, hash-equal to Faces; make a Face only for a violation
+    counts, up = poset.faces_per_dim, poset.incidence_up
+    for face, ups in up.items():
+        d, i = face
+        if d != n - 3 and d != n - 2:
             bad.append(Violation("INVALID_ID", face, "incidences recorded at unexpected rank"))
             continue
-        if not in_range(face):
+        if not 0 <= i < counts.get(d, 0):
             bad.append(Violation("INVALID_ID", face, "face index out of range"))
             continue
         if len(set(ups)) != len(ups):
             bad.append(Violation("INVALID_ID", face, "duplicate upward reference"))
+        above, n_above = d + 1, counts.get(d + 1, 0)
         for g in ups:
-            if g.dim != face.dim + 1 or not in_range(g):
+            gd, gi = g
+            if gd != above or not 0 <= gi < n_above:
                 bad.append(Violation("INVALID_ID", face, f"bad upward reference {g}"))
 
     for d in (n - 3, n - 2):
-        for face in poset.faces(d):
-            if face not in poset.incidence_up:
-                bad.append(Violation("INVALID_ID", face, "missing upward incidence record"))
+        missing = [i for i in range(counts.get(d, 0)) if (d, i) not in up]
+        bad += [Violation("INVALID_ID", Face(d, i), "missing upward incidence record") for i in missing]
 
     if mode == "vertices":
         n_verts = poset.count(0)
+        vertex_lists = poset.vertex_lists
         for d in sorted({n - 3, n - 2, n - 1}):
-            for face in poset.faces(d):
-                verts = poset.vertex_lists.get(face)
-                if verts is None:
-                    bad.append(Violation("MISSING_VERTEX_LIST", face, "no vertex list"))
-                    continue
-                if any(v < 0 or v >= n_verts for v in verts):
-                    bad.append(Violation("INVALID_ID", face, "vertex index out of range"))
+            for i in range(counts.get(d, 0)):
+                verts = vertex_lists.get((d, i))
+                if not verts:  # absent or empty
+                    bad.append(Violation("MISSING_VERTEX_LIST", Face(d, i), "no vertex list"))
+                elif min(verts) < 0 or max(verts) >= n_verts:
+                    bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
         # each upper face's set is built once, not once per incidence, so
         # the loop stays linear in facet size
         upper_sets: dict[Face, set[int]] = {}
-        for face, ups in poset.incidence_up.items():
-            mine = set(poset.vertex_lists.get(face, ()))
+        for face, ups in up.items():
+            mine = vertex_lists.get(face)
             if not mine:
                 continue
             for g in ups:
                 theirs = upper_sets.get(g)
                 if theirs is None:
-                    theirs = upper_sets[g] = set(poset.vertex_lists.get(g, ()))
-                if theirs and not mine <= theirs:
-                    bad.append(
-                        Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}")
-                    )
+                    theirs = upper_sets[g] = set(vertex_lists.get(g, ()))
+                if theirs and not theirs.issuperset(mine):
+                    bad.append(Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}"))
     return ValidationReport(tuple(bad))
 
 
 def check_closed(poset: FacePoset) -> ValidationReport:
     """Every (n-2)-face must lie in exactly two facets."""
-    bad = [
-        Violation("NOT_CLOSED", g, f"(n-2)-face lies in {len(poset.up(g))} facets")
-        for g in poset.faces(poset.dim_mid)
-        if len(poset.up(g)) != 2
-    ]
+    up, mid = poset.incidence_up, poset.dim_mid
+    facets = [len(up.get((mid, i), ())) for i in range(poset.count(mid))]
+    bad = [Violation("NOT_CLOSED", Face(mid, i), f"(n-2)-face lies in {k} facets") for i, k in enumerate(facets) if k != 2]
     return ValidationReport(tuple(bad))
 
 
@@ -246,18 +243,17 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     total = poset.count(poset.dim_top)
     if total == 0:
         return ValidationReport((Violation("NOT_CONNECTED", None, "no facets"),))
-    neighbors: dict[int, set[int]] = {i: set() for i in range(total)}
-    for g in poset.faces(poset.dim_mid):
-        ups = poset.up(g)
+    up, mid = poset.incidence_up, poset.dim_mid
+    neighbors: dict[int, list[int]] = {i: [] for i in range(total)}
+    for i in range(poset.count(mid)):
+        ups = up.get((mid, i), ())
         if len(ups) == 2:
-            a, b = ups
-            neighbors[a.index].add(b.index)
-            neighbors[b.index].add(a.index)
-    seen = {0}
-    stack = [0]
+            (_, a), (_, b) = ups
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    seen, stack = {0}, [0]
     while stack:
-        i = stack.pop()
-        for j in neighbors[i]:
+        for j in neighbors[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -277,19 +273,18 @@ def link_cycle(poset: FacePoset, center: Face) -> LinkCycle:
     """
     if center.dim != poset.dim_low:
         raise ValueError(f"{center} is not an (n-3)-face")
-    mid_faces = poset.up(center)
+    up = poset.incidence_up
+    mid_faces = up.get(center, ())
     if len(mid_faces) < 2:
         raise LinkCycleError(center, "fewer than two (n-2)-faces at center")
-    mid_set = set(mid_faces)
     cells_of: dict[Face, tuple[Face, ...]] = {}
+    rim: dict[Face, list[Face]] = {}
     for g in mid_faces:
-        ups = poset.up(g)
+        ups = up.get(g, ())
         if len(ups) != 2:
             raise LinkCycleError(center, f"{g} lies in {len(ups)} facets")
         cells_of[g] = ups
-    rim: dict[Face, list[Face]] = {}
-    for g in mid_faces:
-        for h in cells_of[g]:
+        for h in ups:
             rim.setdefault(h, []).append(g)
     for h, gs in rim.items():
         if len(gs) != 2:
@@ -304,7 +299,7 @@ def link_cycle(poset: FacePoset, center: Face) -> LinkCycle:
         entries.append(h)
         a, b = rim[h]
         g = b if a == g else a
-        if g not in mid_set:
+        if g not in cells_of:
             raise LinkCycleError(center, "walk left the star")
         if g == start:
             break

@@ -139,7 +139,10 @@ def _face_geometry(
 def _single_face(surface: PLSurface, face: Face):
     """``convert`` and ``verts`` of ``_face_geometry`` for one face, records converted on demand."""
     if surface.mode == VERTEX_MODE:
-        return (lambda i: homogeneous(surface.vertices[i])), surface.poset.vertex_lists[face]
+        verts = surface.poset.vertex_lists.get(face)
+        if not verts:  # spans nothing
+            raise DegenerateFaceError(face, "no vertices")
+        return (lambda i: homogeneous(surface.vertices[i])), verts
     return (lambda h: homogeneous(surface.equations[h].normal)[0]), None
 
 
@@ -295,7 +298,7 @@ def prepare(surface: PLSurface) -> PreparedSurface:
             if vertex_mode:
                 verts = vertex_lists.get(face)
                 if not verts:
-                    continue  # reported by validate_poset
+                    continue  # validate_poset reports it: MISSING_VERTEX_LIST
             point, basis, defect = _face_geometry(surface, face, convert, verts)
             points[face] = point
             if d == low:

@@ -78,7 +78,7 @@ def _star_check(surface: PLSurface, face: Face, geometry, projection: Projection
         fan = build_fan(points, face, cycle, proj)
     except _STAR_ERRORS as exc:
         return ConvexityCheck(False, exc.code), 0
-    return fan_is_convex(fan), len(fan.entries)
+    return fan_is_convex(fan), len(fan.dirs)
 
 
 def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None = None) -> ConvexityCheck:

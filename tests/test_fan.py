@@ -61,7 +61,7 @@ def make_fan(ray_dirs, cell_dirs, apex=(F(0), F(0), F(0))):
     for k, r in enumerate(ray_dirs):
         entries.append(FanEntry(RAY, as_vec(r), Face(1, k)))
         entries.append(FanEntry(CELL, as_vec(cell_dirs[k]), Face(2, k)))
-    return Fan3(as_vec(apex), tuple(entries))
+    return Fan3.from_entries(as_vec(apex), tuple(entries))
 
 
 def fan_between(ray_dirs):
@@ -178,7 +178,7 @@ class TestReferenceDirection:
 
     def test_no_directions(self):
         assert reference_direction([]) is None
-        assert fan_is_convex(Fan3((0, 0, 0), ())) == (False, "DEGENERATE_RANK")
+        assert fan_is_convex(Fan3.from_entries((0, 0, 0), ())) == (False, "DEGENERATE_RANK")
 
     def test_axes(self):
         dirs = [as_vec(d) for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
@@ -294,7 +294,7 @@ class TestFanIsConvex:
         # fold pair has s . d = 0, yet s . d changes sign along that chain
         dirs = [(1, 0, 0), (0, 1, 0), (-6, -1, 0), (1, -2, 0), (1, 1, 0), (-1, 0, 0), (0, 0, -1)]
         kinds = [RAY, CELL, RAY, CELL, RAY, RAY, CELL]
-        fan = Fan3((0, 0, 0), tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
+        fan = Fan3.from_entries((0, 0, 0), tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
         assert wedge_outcome(fan) is False
         assert fan_is_convex(fan) == (False, "NO_SUPPORT")
 
@@ -359,25 +359,25 @@ class TestFanIsConvex:
             base = fan_is_convex(fan)
             m = len(fan.entries)
             for shift in range(2, m, 2):
-                rotated = Fan3(fan.apex, fan.entries[shift:] + fan.entries[:shift])
+                rotated = Fan3.from_entries(fan.apex, fan.entries[shift:] + fan.entries[:shift])
                 assert fan_is_convex(rotated) == base
             rev = tuple(reversed(fan.entries))
             if rev[0].kind != RAY:
                 rev = rev[-1:] + rev[:-1]
-            assert fan_is_convex(Fan3(fan.apex, rev)) == base
+            assert fan_is_convex(Fan3.from_entries(fan.apex, rev)) == base
             # each direction only stands for its ray: rescale every entry on its own
             for _ in range(3):
                 scaled = []
                 for e in fan.entries:
                     lam = rng.choice([rng.randint(1, 10**6), F(rng.randint(1, 99), rng.randint(1, 99))])
                     scaled.append(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source))
-                assert fan_is_convex(Fan3(fan.apex, tuple(scaled))) == base
+                assert fan_is_convex(Fan3.from_entries(fan.apex, tuple(scaled))) == base
 
     def test_scaling_invariance(self):
         rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
         fan = fan_between(rays)
         for lam in (F(3), F(1, 7), F(12, 5)):
-            scaled = Fan3(
+            scaled = Fan3.from_entries(
                 fan.apex,
                 tuple(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source) for e in fan.entries),
             )
@@ -571,11 +571,11 @@ def wedge_outcome(fan):
     feasible certificate.
     """
     dirs = [homogeneous(d)[0] for d in fan.directions()]
-    crosses = fan_mod._cyclic_crosses(dirs)
-    s, dots = fan_mod._certified_direction(dirs, crosses)
+    crosses, cert = fan_mod._crosses_and_sum(dirs)
+    s, dots = fan_mod._certified_direction(dirs, cert)
     if rank3_reference(dirs) != 3 or s is not None:
         return None
-    got = fan_mod._wedge_check(fan.entries, dirs, crosses, dots)
+    got = fan_mod._wedge_check(fan.kinds, dirs, crosses, dots)
     assert got == ray_pair_wedge_check(fan.entries, dirs), dirs
     return got.convex
 
@@ -635,7 +635,7 @@ def alternating_fan(dirs):
     entries = tuple(
         FanEntry(RAY if k % 2 == 0 else CELL, tuple(d), Face(1 + k % 2, k)) for k, d in enumerate(dirs)
     )
-    return Fan3((0, 0, 0), entries)
+    return Fan3.from_entries((0, 0, 0), entries)
 
 
 def full_circle(k):
@@ -852,9 +852,9 @@ class TestCrossProductClassifier:
             s_pair = fan_mod._pairwise_support(dirs)
             if s_pair is None:
                 continue
-            crosses = fan_mod._cyclic_crosses(dirs)
+            crosses, cert = fan_mod._crosses_and_sum(dirs)
             supports = [s_pair]
-            s_cert, _ = fan_mod._certified_direction(dirs, crosses)
+            s_cert, _ = fan_mod._certified_direction(dirs, cert)
             if s_cert is not None:
                 supports.append(s_cert)
             for _ in range(3):
@@ -878,8 +878,8 @@ class TestCrossProductClassifier:
         certified = 0
         for fan in seeded_fans(4242, 1500):
             dirs = [homogeneous(d)[0] for d in fan.directions()]
-            crosses = fan_mod._cyclic_crosses(dirs)
-            s_cert, _ = fan_mod._certified_direction(dirs, crosses)
+            crosses, cert = fan_mod._crosses_and_sum(dirs)
+            s_cert, _ = fan_mod._certified_direction(dirs, cert)
             if s_cert is not None:
                 certified += fan_mod._pointed_check(crosses, s_cert).convex
                 continue
@@ -900,8 +900,8 @@ class TestCrossProductClassifier:
             r = rank3_reference(dirs)
             assert r <= 2
             ranks[r] += 1
-            crosses = fan_mod._cyclic_crosses(dirs)
-            s, dots = fan_mod._certified_direction(dirs, crosses)
+            crosses, cert = fan_mod._crosses_and_sum(dirs)
+            s, dots = fan_mod._certified_direction(dirs, cert)
             assert s is None and not any(dots)
         assert ranks[1] >= 100 and ranks[2] >= 1000
 
@@ -1047,7 +1047,7 @@ class TestOnePassWinding:
                 for k, d in enumerate(dirs)
             ]
             shift = rng.randrange(len(dirs))
-            outcomes[wedge_outcome(Fan3((0, 0, 0), tuple(entries[shift:] + entries[:shift])))] += 1
+            outcomes[wedge_outcome(Fan3.from_entries((0, 0, 0), tuple(entries[shift:] + entries[:shift])))] += 1
         assert min(outcomes[True], outcomes[False]) >= 300, outcomes
 
 
@@ -1119,3 +1119,49 @@ class TestIntegerContract:
                 assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, divided)) == expected
                 reasons[expected.reason] += 1
         assert reasons["OK_POINTED"] >= 100 and len(reasons) >= 3, reasons
+
+
+def entry_by_entry(points, center, cycle, proj):
+    """Reference for ``build_fan``: each entry's (kind, direction, source), one at a time."""
+
+    def image(nums):
+        if proj.axes is not None:
+            return tuple(nums[a] for a in proj.axes)
+        return tuple(sum(r * x for r, x in zip(row, nums)) for row in proj.rows)
+
+    center_nums, wc = points[center]
+    apex = image(center_nums)
+    entries = []
+    for face in cycle.entries:
+        nums, w = points[face]
+        direction = tuple(wc * p - w * a for p, a in zip(image(nums), apex))
+        entries.append((RAY if face.dim == center.dim + 1 else CELL, direction, face))
+    return apex, tuple(entries)
+
+
+class TestFanView:
+    def test_entries_view_and_rebuild(self, monkeypatch):
+        # every fan that build_fan returns for verify_face, as built, moved and dented
+        built = []
+
+        def recording(points, center, cycle, proj):
+            fan = pc.build_fan(points, center, cycle, proj)
+            built.append((entry_by_entry(points, center, cycle, proj), fan))
+            return fan
+
+        monkeypatch.setattr(verifier_mod, "build_fan", recording)
+        bases = [pc.gen_hypercube(n) for n in (3, 4)] + [pc.gen_cross_polytope(n) for n in (3, 4)]
+        bases += [pc.gen_simplex(n) for n in (3, 4, 5)] + [pc.gen_prism(m) for m in (3, 7)]
+        bases += [pc.gen_schonhardt(), pc.split_facet_cube(True), wedge_cube(4), zigzag_bipyramid(6)]
+        for base in bases:
+            for moved in (base, pc.rigid_motion(base, 5)):
+                for surface in (moved, pc.dent(moved, 0, F(1, 4)), pc.dent(moved, 0, F(-1, 3))):
+                    for face in surface.poset.faces(surface.poset.dim_low):
+                        verify_face(surface, face)
+        monkeypatch.undo()
+        assert len(built) >= 500
+        for (apex, expected), fan in built:
+            assert fan.apex == apex and fan.entries == expected
+            assert all(type(e) is FanEntry for e in fan.entries)
+            assert fan.directions() == [d for _, d, _ in expected]
+            assert Fan3.from_entries(fan.apex, fan.entries, fan.weight) == fan

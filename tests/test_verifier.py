@@ -6,9 +6,10 @@ import pytest
 
 import plconvex as pc
 import plconvex.surface as surface_mod
+import plconvex.verifier as verifier_mod
 from plconvex.poset import Face, FacePoset, LinkCycle
 from plconvex.surface import PLSurface, direction_space
-from plconvex.verifier import verify, verify_face
+from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
 
 from conftest import (
     locally_nonconvex_vertices,
@@ -191,3 +192,52 @@ def test_verdict_flags():
     v = pc.Verdict("CONVEX")
     assert v.convex
     assert not pc.Verdict("NOT_CONVEX", witness=Face(0, 0), reason="NO_SUPPORT").convex
+
+
+def test_empty_vertex_list_invalid(cube):
+    # an empty vertex list is a missing one: validate_poset reports it
+    # and the stars through the face answer instead of raising
+    poset = cube.poset
+    edge = Face(1, 0)
+    ends = poset.vertex_lists[edge]
+    lists = {**poset.vertex_lists, edge: ()}
+    bad = PLSurface(FacePoset(3, dict(poset.faces_per_dim), dict(poset.incidence_up), lists), vertices=cube.vertices)
+    report = pc.validate_poset(bad.poset)
+    assert [(v.code, v.face) for v in report.violations] == [("MISSING_VERTEX_LIST", edge)]
+    v = verify(bad, collect_all=True)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", edge, "MISSING_VERTEX_LIST")
+    for i in ends:
+        assert verify_face(bad, Face(0, i)) == (False, "DEGENERATE_FACE")
+        assert verify_face(bad, Face(0, i)).reason in INVALID_STAR_REASONS
+    with pytest.raises(pc.DegenerateFaceError):
+        pc.interior_point(bad, edge)
+
+
+# the names perfbench's tracer wraps in the verifier's module globals
+PREFLIGHT_STAGES = ("validate_poset", "check_closed", "check_connected")
+STAR_STAGES = ("link_cycle", "complementary_projection", "build_fan", "fan_is_convex")
+
+
+@pytest.mark.parametrize("surface", [pc.gen_hypercube(3), pc.gen_cross_polytope(4)], ids=["cube", "cross4"])
+def test_verify_calls_its_stages_through_module_globals(surface, monkeypatch):
+    calls = Counter()
+    fan_sizes = []
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            result = real(*args, **kwargs)
+            if name == "build_fan":
+                fan_sizes.append(len(result.entries))
+            return result
+
+        return wrapped
+
+    for name in PREFLIGHT_STAGES + STAR_STAGES:
+        monkeypatch.setattr(verifier_mod, name, counting(name, getattr(verifier_mod, name)))
+    assert verify(surface).kind == "CONVEX"
+    poset = surface.poset
+    stars = list(poset.faces(poset.dim_low))
+    assert {name: calls[name] for name in PREFLIGHT_STAGES} == dict.fromkeys(PREFLIGHT_STAGES, 1)
+    assert {name: calls[name] for name in STAR_STAGES} == dict.fromkeys(STAR_STAGES, len(stars))
+    assert fan_sizes == [2 * len(poset.up(f)) for f in stars]
