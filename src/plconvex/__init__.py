@@ -21,7 +21,6 @@ from .fan import (
     ZeroDirectionError,
     build_fan,
     fan_is_convex,
-    polygon_is_convex,
     reference_direction,
     rotation_index,
 )
@@ -46,7 +45,6 @@ from .oracle import FlatSurfaceError, OracleVerdict, oracle_verdict
 from .poset import (
     Face,
     FacePoset,
-    LinkCycle,
     LinkCycleError,
     ValidationReport,
     Violation,
@@ -60,7 +58,6 @@ from .surface import (
     PLSurface,
     PreparedSurface,
     as_equations,
-    check_realization,
     direction_space,
     facet_equation,
     interior_point,
@@ -80,7 +77,6 @@ __all__ = [
     "FlatSurfaceError",
     "GenSpec",
     "INVALID",
-    "LinkCycle",
     "LinkCycleError",
     "NOT_CONVEX",
     "NonManifoldError",
@@ -101,7 +97,6 @@ __all__ = [
     "facet_equation",
     "check_closed",
     "check_connected",
-    "check_realization",
     "complementary_projection",
     "dent",
     "direction_space",
@@ -118,7 +113,6 @@ __all__ = [
     "oracle_verdict",
     "parse_off",
     "parse_pls",
-    "polygon_is_convex",
     "preflight",
     "prepare",
     "rank",

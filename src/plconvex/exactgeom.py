@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
@@ -158,9 +157,8 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
     return tuple(tuple(x // g for x in b) for b in basis) if g > 1 else tuple(basis)
 
 
-@dataclass(frozen=True)
-class Projection3:
-    """A rank-3 linear map R^n -> R^3 that vanishes exactly on span(kernel).
+class Projection3(NamedTuple):
+    """A rank-3 linear map R^n -> R^3, given by its three rows.
 
     ``complementary_projection`` gives integer rows; a caller may pass
     rational ones.  ``axes`` is set when the map is a plain coordinate
@@ -168,11 +166,10 @@ class Projection3:
     """
 
     rows: tuple[Vec, Vec, Vec]
-    kernel: tuple[Vec, ...]
     axes: tuple[int, int, int] | None = None
 
 
-_IDENTITY3 = Projection3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), axes=(0, 1, 2))
+_IDENTITY3 = Projection3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 2))
 
 
 def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
@@ -187,7 +184,6 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
     the kernel, which spans its orthogonal complement.  Either way the
     rows are integers.
     """
-    kernel = tuple(tuple(v) for v in kernel)
     if len(kernel) != n - 3:
         raise ValueError(f"kernel size {len(kernel)} != n-3 = {n - 3}")
     if not kernel:
@@ -198,8 +194,8 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
         rows = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in triple
         )
-        return Projection3(rows, kernel, axes=triple)
+        return Projection3(rows, triple)
     comp = nullspace(kernel, n)
     if len(comp) != 3:
         raise ValueError("kernel vectors are not linearly independent")
-    return Projection3((comp[0], comp[1], comp[2]), kernel)
+    return Projection3((comp[0], comp[1], comp[2]))

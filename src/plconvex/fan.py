@@ -50,7 +50,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactgeom import HomPoint, IVec, Projection3, Vec, cross3, homogeneous
-from .poset import Face, LinkCycle
+from .poset import Face
 
 RAY = "ray"
 CELL = "cell"
@@ -62,8 +62,6 @@ BAD_ROTATION_INDEX = "BAD_ROTATION_INDEX"
 WRONG_TURN_SIGN = "WRONG_TURN_SIGN"
 ZERO_ANGLE_CONE = "ZERO_ANGLE_CONE"
 DEGENERATE_RANK = "DEGENERATE_RANK"
-
-ACCEPT_REASONS = frozenset({OK_POINTED, OK_FLAT})
 
 
 class ConvexityCheck(NamedTuple):
@@ -105,9 +103,6 @@ class Fan3(NamedTuple):
     def entries(self) -> tuple[FanEntry, ...]:
         return tuple(map(FanEntry, self.kinds, self.dirs, self.sources))
 
-    def directions(self) -> list[IVec]:
-        return list(self.dirs)
-
 
 class ZeroDirectionError(Exception):
     """A face's interior point projects onto the apex."""
@@ -125,7 +120,7 @@ class OppositeDirectionsError(Exception):
     code = "OPPOSITE_DIRECTIONS"
 
 
-def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, proj: Projection3) -> Fan3:
+def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, ...], proj: Projection3) -> Fan3:
     """Project the star of ``center`` into 3-space along its direction space, in integers.
 
     ``points`` maps faces to interior points in homogeneous form, integer
@@ -158,7 +153,7 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
     ray_dim = center.dim + 1
     dirs = []
     kinds = []
-    for face in cycle.entries:
+    for face in cycle:
         nums, w = points[face]
         if rows is None:
             p0, p1, p2 = nums[i], nums[j], nums[k]
@@ -169,7 +164,7 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: LinkCycle, p
             raise ZeroDirectionError(face)
         dirs.append((d0, d1, d2))
         kinds.append(RAY if face.dim == ray_dim else CELL)
-    return Fan3((a0, a1, a2), tuple(dirs), tuple(kinds), cycle.entries, wc)
+    return Fan3((a0, a1, a2), tuple(dirs), tuple(kinds), cycle, wc)
 
 
 def _idot(u, v):
@@ -335,27 +330,6 @@ def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> Convex
     if winding != 1 and winding != -1:
         return ConvexityCheck(False, BAD_ROTATION_INDEX)
     return ConvexityCheck(True, accept)
-
-
-def polygon_is_convex(points: Sequence[tuple[Fraction, Fraction]]) -> ConvexityCheck:
-    """Weak convexity of a closed polygon, wound exactly once.
-
-    Checked clause by clause over the whole cycle (so the reported reason
-    does not depend on the starting point): no repeated consecutive
-    points; no reversal and no mixed turn signs (zero turns are allowed:
-    collinear points are fine); rotation index of the edge directions
-    exactly +-1.
-    """
-    m = len(points)
-    if m < 3:
-        raise ValueError("polygon needs at least 3 points")
-    edges = []
-    for i in range(m):
-        e = (points[(i + 1) % m][0] - points[i][0], points[(i + 1) % m][1] - points[i][1])
-        if e[0] == 0 and e[1] == 0:
-            return ConvexityCheck(False, ZERO_ANGLE_CONE)
-        edges.append(e)
-    return _wound_once(edges, True, OK_POINTED)
 
 
 def _plane_frame(axis: IVec, vecs: Sequence[IVec]) -> list[tuple[int, int]]:

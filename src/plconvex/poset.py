@@ -133,31 +133,6 @@ def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]
     return FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
 
 
-@dataclass(frozen=True)
-class LinkCycle:
-    """Alternating cyclic sequence G1, H1, ..., Gk, Hk around an (n-3)-face.
-
-    The G's are the incident (n-2)-faces, the H's the incident facets;
-    consecutive entries are incident and H_i contains exactly G_i and
-    G_{i+1} among the G's.  The start and orientation are normalised:
-    G1 is the incident (n-2)-face of least index and H1 the facet of
-    least index containing G1.
-    """
-
-    center: Face
-    entries: tuple[Face, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.entries) // 2
-
-    def rays(self) -> tuple[Face, ...]:
-        return self.entries[0::2]
-
-    def cells(self) -> tuple[Face, ...]:
-        return self.entries[1::2]
-
-
 def _infer_mode(poset: FacePoset) -> str:
     return "vertices" if poset.vertex_lists else "equations"
 
@@ -239,7 +214,12 @@ def check_closed(poset: FacePoset) -> ValidationReport:
 
 
 def check_connected(poset: FacePoset) -> ValidationReport:
-    """The facet adjacency graph (edges = shared (n-2)-faces) must be connected."""
+    """The facet adjacency graph (edges = shared (n-2)-faces) must be connected.
+
+    Always returns a report, on any poset: a reference outside facets
+    0..count-1 is not a facet and joins nothing (``validate_poset``
+    reports it as INVALID_ID).
+    """
     total = poset.count(poset.dim_top)
     if total == 0:
         return ValidationReport((Violation("NOT_CONNECTED", None, "no facets"),))
@@ -249,8 +229,9 @@ def check_connected(poset: FacePoset) -> ValidationReport:
         ups = up.get((mid, i), ())
         if len(ups) == 2:
             (_, a), (_, b) = ups
-            neighbors[a].append(b)
-            neighbors[b].append(a)
+            if 0 <= a < total and 0 <= b < total:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
     seen, stack = {0}, [0]
     while stack:
         for j in neighbors[stack.pop()]:
@@ -264,8 +245,15 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     return ValidationReport()
 
 
-def link_cycle(poset: FacePoset, center: Face) -> LinkCycle:
+def link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:
     """Walk the faces incident to an (n-3)-face into their unique cycle.
+
+    Returns the alternating cyclic sequence G1, H1, ..., Gk, Hk: the G's
+    are the incident (n-2)-faces, the H's the incident facets;
+    consecutive entries are incident and H_i contains exactly G_i and
+    G_{i+1} among the G's.  The start and orientation are normalised:
+    G1 is the incident (n-2)-face of least index and H1 the facet of
+    least index containing G1.
 
     Raises LinkCycleError when the walk closes early, a face has the
     wrong local valence, or faces are left over; any of those means the
@@ -309,4 +297,4 @@ def link_cycle(poset: FacePoset, center: Face) -> LinkCycle:
             raise LinkCycleError(center, "walk does not close")
     if len(entries) != 2 * len(mid_faces) or len(set(entries)) != len(entries):
         raise LinkCycleError(center, "walk closed before exhausting the star")
-    return LinkCycle(center, tuple(entries))
+    return tuple(entries)

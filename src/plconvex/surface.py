@@ -19,11 +19,11 @@ routine trusts its integer input, forms integer differences and
 reduces them with ``exactgeom._reduce`` against its own pivot list,
 and hands integer rows to ``nullspace``, which takes them as they
 are.  The pass also enforces the geometric half of the input contract
-(``check_realization``): each face's vertex set must affinely span
-exactly the face's dimension (vertex mode), respectively witnesses
-must satisfy the equations of all facets above them and, for n >= 4,
-the incident facet normals of every (n-3)-face must pin down its
-direction space (equations mode).  Inputs failing these checks are
+in its ``report``: each face's vertex set must affinely span exactly
+the face's dimension (vertex mode), respectively witnesses must
+satisfy the equations of all facets above them and, for n >= 4, the
+incident facet normals of every (n-3)-face must pin down its direction
+space (equations mode).  Inputs failing these checks are
 reported invalid rather than classified.  Witnesses are trusted to
 lie in the relative interior of their faces; that part is not checked.
 """
@@ -316,8 +316,3 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 if dot(normal, x) * den != rhs * weight:
                     bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
     return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
-
-
-def check_realization(surface: PLSurface) -> ValidationReport:
-    """Geometric input validation (see module docstring); the report of ``prepare``."""
-    return prepare(surface).report

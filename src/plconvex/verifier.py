@@ -21,21 +21,31 @@ from .exactgeom import DegenerateFaceError, Projection3, complementary_projectio
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
 from .poset import (
     Face,
-    LinkCycle,
     LinkCycleError,
     check_closed,
     check_connected,
     link_cycle,
     validate_poset,
 )
-from .surface import PLSurface, PreparedSurface, direction_space, homogeneous_point, prepare
+from .surface import EQUATION_MODE, PLSurface, PreparedSurface, direction_space, homogeneous_point, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
 INVALID = "INVALID"
 
+
+class WitnessError(Exception):
+    """An equations-mode face has no witness point, or one of the wrong length."""
+
+    code = "BAD_WITNESS"
+
+    def __init__(self, face: Face):
+        super().__init__(f"missing or wrong-length witness point at {face}")
+        self.face = face
+
+
 # star-level defects that invalidate the input rather than disprove convexity
-_STAR_ERRORS = (LinkCycleError, DegenerateFaceError, ZeroDirectionError)
+_STAR_ERRORS = (LinkCycleError, DegenerateFaceError, ZeroDirectionError, WitnessError)
 INVALID_STAR_REASONS = frozenset(e.code for e in _STAR_ERRORS)
 
 
@@ -88,11 +98,18 @@ def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None =
     ``projection`` overrides the default complementary projection; it
     must be a valid rank-3 map vanishing exactly on the face's direction
     space.  Structural defects of the star come back as non-accepting
-    reasons (NOT_SINGLE_CYCLE, DEGENERATE_FACE, ZERO_DIRECTION).
+    reasons (NOT_SINGLE_CYCLE, DEGENERATE_FACE, ZERO_DIRECTION), and so
+    does, in equations mode, a missing or wrong-length witness on any
+    face of the star (BAD_WITNESS, the code ``verify`` gives from
+    ``prepare``).
     """
 
-    def star_geometry(center: Face, cycle: LinkCycle):
-        points = {f: homogeneous_point(surface, f) for f in (center, *cycle.entries)}
+    def star_geometry(center: Face, cycle: tuple[Face, ...]):
+        points = {f: homogeneous_point(surface, f) for f in (center, *cycle)}
+        if surface.mode == EQUATION_MODE:
+            for f, point in points.items():
+                if point is None or len(point[0]) != surface.n:
+                    raise WitnessError(f)
         return direction_space(surface, center), points
 
     return _star_check(surface, face, star_geometry, projection)[0]
@@ -116,7 +133,7 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     failing: list[tuple[Face, str]] = []
     entries_total = 0
 
-    def table(face: Face, cycle: LinkCycle):
+    def table(face: Face, cycle: tuple[Face, ...]):
         return prepared.kernels[face], prepared.points
 
     for face in surface.poset.faces(surface.poset.dim_low):

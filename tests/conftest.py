@@ -125,7 +125,7 @@ def random_same_kernel_projection(kernel, n: int, rng: random.Random) -> Project
         tuple(sum(mix[i][k] * base.rows[k][j] for k in range(3)) for j in range(n))
         for i in range(3)
     )
-    return Projection3(rows, base.kernel)
+    return Projection3(rows)
 
 
 def pinched_tube() -> pc.PLSurface:

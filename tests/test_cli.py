@@ -213,3 +213,20 @@ def test_verify_off_file(tmp_path, capsys):
     )
     assert run_cli(["verify", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "YES"
+
+
+def test_module_entry_point(tmp_path):
+    # python -m plconvex: __main__, cli.main and the unreadable-path branch of verify
+    src = str(Path(pc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def plconvex(*args):
+        return subprocess.run([sys.executable, "-m", "plconvex", *args], capture_output=True, text=True, env=env)
+
+    out = tmp_path / "prism.pls"
+    assert plconvex("gen", "prism", "--m", "5", "-o", str(out)).returncode == 0
+    assert parse_pls(out.read_text()) == pc.gen_prism(5)
+    run = plconvex("verify", str(out))
+    assert (run.returncode, run.stdout) == (0, "YES\n")
+    run = plconvex("verify", str(tmp_path / "missing.pls"))
+    assert run.returncode == 2 and run.stdout.startswith("INVALID PARSE_ERROR: ")

@@ -15,7 +15,7 @@ from plconvex.exactgeom import (
     rank,
 )
 from plconvex.fan import ZeroDirectionError, build_fan
-from plconvex.poset import Face, LinkCycle
+from plconvex.poset import Face
 
 F = Fraction
 
@@ -89,7 +89,7 @@ def image(p, v):
     nums, w = homogeneous(v)
     points = {center: ((0,) * len(v), 1), face: (nums, w)}
     try:
-        fan = build_fan(points, center, LinkCycle(center, (face,)), p)
+        fan = build_fan(points, center, (face,), p)
     except ZeroDirectionError:
         return as_vec([0, 0, 0])
     return dehomogenise(fan.entries[0].direction, w)

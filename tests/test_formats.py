@@ -323,3 +323,68 @@ class TestOff:
         text = "# a cube\n" + CUBE_OFF.replace("OFF", "OFF\n# counts follow")
         s = parse_off(text)
         assert s.poset.faces_per_dim[2] == 6
+
+
+def _pls(**fields):
+    return json.dumps(fields)
+
+
+_V = ["0", "0", "0"]
+_EQ_FACES = {"0": [{"id": 0, "witness": _V, "up": [0]}], "1": [{"id": 0, "witness": _V, "up": [0]}]}
+
+# one minimal document per parse error: (parser, text, exception type, exact text)
+PARSE_ERRORS = [
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[5], faces={}), ParseError, "vertices[0]: expected a coordinate list"),
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[_V], faces={"1": {}}), ParseError, "faces[1]: face records must be a list"),
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[_V], faces={"1": [{}]}), ParseError, "faces[1]: face record without id"),
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[_V], faces={"1": [{"id": 1}]}), ParseError, "faces[1]: face ids must be dense 0..0"),
+    (parse_pls, "[]", ParseError, "top level must be an object"),
+    (parse_pls, "{}", ParseError, "fields 'n' and 'mode' are required"),
+    (parse_pls, _pls(n=2, mode="vertices"), ParseError, "n must be >= 3, got 2"),
+    (parse_pls, _pls(n=3, mode="x"), ParseError, "unknown mode 'x'"),
+    (parse_pls, _pls(n=3, mode="vertices"), ParseError, "field 'faces' must be an object keyed by dimension"),
+    (parse_pls, _pls(n=3, mode="vertices", faces={}), ParseError, "vertex mode needs a nonempty 'vertices' list"),
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[["0", "0"]], faces={}), ParseError, "every vertex needs exactly n coordinates"),
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "0": [{"id": 0, "witness": _V, "up": "x"}], "2": [{"id": 0, "witness": _V}]}),
+        ParseError,
+        "faces[0][0]: 'up' must be a list of ints",
+    ),
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "0": [{"id": 0, "witness": _V, "up": [5]}], "2": [{"id": 0, "witness": _V}]}),
+        SemanticError,
+        "faces[0][0]: up reference out of range",
+    ),
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "2": [{"id": 0, "witness": _V}]}),
+        ParseError,
+        "faces[2][0]: facet needs 'normal' and 'offset'",
+    ),
+    (parse_off, "OFF\n", ParseError, "missing counts line"),
+    (parse_off, "OFF\n1 2\n", ParseError, "line 2: counts line needs three numbers"),
+    (parse_off, "OFF\na b c\n", ParseError, "line 2: bad counts 'a b c'"),
+    (parse_off, "OFF\n1 1 0\n", ParseError, "expected 1 vertex and 1 facet lines"),
+    (parse_off, "OFF\n1 1 0\n0 0\n3 0 0 0\n", ParseError, "line 3: expected 3 coordinates"),
+    (parse_off, "OFF\n1 1 0\n0 0 0\nx\n", ParseError, "line 4: bad facet row 'x'"),
+    (parse_off, "OFF\n1 1 0\n0 0 0\n2 0 0\n", ParseError, "line 4: facet row '2 0 0' is inconsistent"),
+    (parse_off, "OFF\n1 1 0\n0 0 0\n3 0 0 5\n", SemanticError, "line 4: facet lists unknown vertex"),
+]
+
+
+@pytest.mark.parametrize("parser, text, error, message", PARSE_ERRORS)
+def test_parse_error_texts(parser, text, error, message):
+    with pytest.raises(error) as info:
+        parser(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("index, name", [(4, "top.pls"), (21, "facet.off")])
+def test_parse_errors_through_verify_cli(tmp_path, capsys, index, name):
+    _, text, error, message = PARSE_ERRORS[index]
+    p = tmp_path / name
+    p.write_text(text)
+    assert run_cli(["verify", str(p)]) == 2
+    assert capsys.readouterr().out.strip() == f"INVALID {error.code}: {message}"

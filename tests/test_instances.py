@@ -160,3 +160,20 @@ def test_dented_cube_multi():
     v = pc.verify(s, collect_all=True)
     assert v.kind == "NOT_CONVEX"
     assert len(v.failures) > 4
+
+
+def test_relabel_equations_mode_keeps_verdict():
+    # relabel renames the equations and witnesses of an equations-mode surface
+    moved = [pc.rigid_motion(s, 2) for s in (pc.gen_hypercube(3), pc.gen_cross_polytope(4), pc.gen_prism(5))]
+    dented = [pc.gen_dented_cube(2), pc.gen_schonhardt(), pc.dent(moved[1], 0, F(3, 2))]
+    kinds = set()
+    for s in moved + dented:
+        eq = pc.as_equations(s)
+        base = pc.verify(eq)
+        kinds.add(base.kind)
+        for seed in (3, 4):
+            shuffled = pc.relabel(eq, seed)
+            assert shuffled.mode == "equations"
+            verdict = pc.verify(shuffled)
+            assert (verdict.kind, verdict.reason) == (base.kind, base.reason)
+    assert kinds == {"CONVEX", "NOT_CONVEX"}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.poset import Face, FacePoset, LinkCycleError, link_cycle
+from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle
 
 from conftest import cyclic_variants, pinched_tube
 
@@ -113,20 +113,19 @@ def test_disjoint_union_not_connected(cube):
 
 def test_link_cycle_cube_vertex(cube):
     cyc = link_cycle(cube.poset, Face(0, 0))
-    assert cyc.k == 3
-    assert len(cyc.entries) == 6
-    assert cyc.entries[0] == min(cube.poset.up(Face(0, 0)))
-    assert {f.dim for f in cyc.rays()} == {1}
-    assert {f.dim for f in cyc.cells()} == {2}
+    assert len(cyc) == 6
+    assert cyc[0] == min(cube.poset.up(Face(0, 0)))
+    assert {f.dim for f in cyc[0::2]} == {1}
+    assert {f.dim for f in cyc[1::2]} == {2}
     # alternation and incidence
-    for g in cyc.rays():
+    for g in cyc[0::2]:
         assert Face(0, 0).index in cube.poset.vertex_lists[g]
 
 
 def test_link_cycle_tesseract_edge(tesseract):
     for e in tesseract.poset.faces(1):
         cyc = link_cycle(tesseract.poset, e)
-        assert cyc.k == 3
+        assert len(cyc) // 2 == 3
 
 
 def test_link_cycle_entry_count_invariant():
@@ -135,7 +134,7 @@ def test_link_cycle_entry_count_invariant():
         total = 0
         for f in poset.faces(poset.dim_low):
             cyc = link_cycle(poset, f)
-            assert len(cyc.entries) == 2 * len(poset.up(f))
+            assert len(cyc) == 2 * len(poset.up(f))
             total += len(poset.up(f))
         incidences = sum(len(poset.up(f)) for f in poset.faces(poset.dim_low))
         assert total == incidences
@@ -160,7 +159,7 @@ def test_link_cycle_relabel_equivariance(cube):
             new_center = Face(0, where[cube.vertices[v]])
             new = link_cycle(shuffled.poset, new_center)
             mapped = []
-            for f in old.entries:
+            for f in old:
                 verts = tuple(sorted(where[cube.vertices[i]] for i in poset.vertex_lists[f]))
                 match = [
                     g
@@ -169,4 +168,63 @@ def test_link_cycle_relabel_equivariance(cube):
                 ]
                 assert len(match) == 1
                 mapped.append(match[0])
-            assert tuple(new.entries) in set(cyclic_variants(mapped))
+            assert new in set(cyclic_variants(mapped))
+
+
+def _cube_with(cube, up=(), lists=(), counts=None):
+    """The cube's poset with some upward records, vertex lists or counts replaced."""
+    p = cube.poset
+    return FacePoset(
+        3,
+        dict(counts if counts is not None else p.faces_per_dim),
+        {**p.incidence_up, **dict(up)},
+        {**p.vertex_lists, **dict(lists)},
+    )
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_check_connected_reports_out_of_range_facet(cube, bad):
+    # an out-of-range facet reference used to raise KeyError; it is not a
+    # facet, joins nothing, and validate_poset reports it
+    poset = _cube_with(cube, up={Face(1, 0): (Face(2, 0), Face(2, bad))})
+    violation = Violation("INVALID_ID", Face(1, 0), f"bad upward reference {Face(2, bad)}")
+    assert pc.validate_poset(poset).violations == (violation,)
+    assert pc.check_connected(poset) == ValidationReport()
+
+
+@pytest.mark.parametrize(
+    "up, lists, expected",
+    [
+        ({Face(2, 0): ()}, {}, ("INVALID_ID", Face(2, 0), "incidences recorded at unexpected rank")),
+        ({Face(1, 12): (Face(2, 0), Face(2, 1))}, {}, ("INVALID_ID", Face(1, 12), "face index out of range")),
+        ({Face(1, 0): (Face(2, 0), Face(2, 0))}, {}, ("INVALID_ID", Face(1, 0), "duplicate upward reference")),
+        ({}, {Face(1, 0): (0, 8)}, ("INVALID_ID", Face(1, 0), "vertex index out of range")),
+    ],
+)
+def test_validate_poset_invalid_id_texts(cube, up, lists, expected):
+    report = pc.validate_poset(_cube_with(cube, up=up, lists=lists))
+    assert report.violations[0] == Violation(*expected)
+
+
+def test_validate_poset_ambient_dimension_below_3():
+    report = pc.validate_poset(FacePoset(2, {0: 3, 1: 3}, {}, {}))
+    assert report.violations == (Violation("MISSING_RANK", None, "ambient dimension 2 < 3"),)
+
+
+def test_check_connected_no_facets(cube):
+    report = pc.check_connected(_cube_with(cube, counts={0: 8, 1: 12}))
+    assert report.violations == (Violation("NOT_CONNECTED", None, "no facets"),)
+
+
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ({Face(0, 0): (Face(1, 0),)}, "fewer than two (n-2)-faces at center"),
+        ({Face(1, 0): (Face(2, 0),)}, "Face(dim=1, index=0) lies in 1 facets"),
+        ({Face(1, 0): (Face(2, 0), Face(2, 1))}, "Face(dim=2, index=1) touches 1 incident (n-2)-faces"),
+    ],
+)
+def test_link_cycle_valence_errors(cube, up, message):
+    with pytest.raises(LinkCycleError) as info:
+        link_cycle(_cube_with(cube, up=up), Face(0, 0))
+    assert str(info.value) == message and info.value.face == Face(0, 0)

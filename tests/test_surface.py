@@ -23,7 +23,6 @@ from plconvex.surface import (
     FacetEquation,
     PLSurface,
     as_equations,
-    check_realization,
     direction_space,
     interior_point,
     prepare,
@@ -93,12 +92,12 @@ def test_direction_space_degenerate():
 
 
 def test_check_realization_accepts_cube(cube):
-    assert check_realization(cube).ok
+    assert prepare(cube).report.ok
 
 
 def test_check_realization_rejects_warped_facet(cube):
     dented = pc.dent(cube, 0, F(1, 4))
-    report = check_realization(dented)
+    report = prepare(dented).report
     assert not report.ok
     assert all(v.code == "DEGENERATE_FACE" for v in report.violations)
     # every complaint involves a nonplanar quad touching the moved vertex
@@ -110,14 +109,14 @@ def test_check_realization_rejects_collapsed_edge(cube):
     verts = list(cube.vertices)
     verts[1] = verts[0]
     broken = PLSurface(cube.poset, vertices=tuple(verts))
-    report = check_realization(broken)
+    report = prepare(broken).report
     assert any(v.code == "DEGENERATE_FACE" for v in report.violations)
 
 
 def test_as_equations_cube_round(cube):
     eq = as_equations(cube)
     assert eq.mode == "equations"
-    assert check_realization(eq).ok
+    assert prepare(eq).report.ok
     # every witness satisfies its facet's equation
     for h, fe in eq.equations.items():
         assert dot(fe.normal, eq.witnesses[h]) == fe.offset
@@ -135,7 +134,7 @@ def test_witness_moved_along_its_edge_is_trusted():
     for t, (kind, reason) in expected.items():
         wits = {**eq.witnesses, edge: tuple(w + t * d for w, d in zip(eq.witnesses[edge], step))}
         moved = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
-        assert check_realization(moved).ok
+        assert prepare(moved).report.ok
         verdict = pc.verify(moved)
         assert (verdict.kind, verdict.witness, verdict.reason) == (kind, b, reason)
 
@@ -146,7 +145,7 @@ def test_as_equations_bad_witness_detected(cube):
     h = Face(2, 0)
     wits[h] = tuple(c + 1 for c in wits[h])
     broken = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
-    report = check_realization(broken)
+    report = prepare(broken).report
     assert any(v.code == "BAD_WITNESS" for v in report.violations)
 
 
@@ -158,7 +157,7 @@ def test_check_realization_rejects_wrong_length_normal(cube):
     for normal in (eq.equations[h].normal + (F(0),), eq.equations[h].normal[:-1]):
         equations = {**eq.equations, h: FacetEquation(normal, eq.equations[h].offset)}
         broken = PLSurface(eq.poset, equations=equations, witnesses=eq.witnesses)
-        report = check_realization(broken)
+        report = prepare(broken).report
         assert [(v.code, v.face) for v in report.violations] == [("BAD_NORMAL", h)]
         verdict = pc.verify(broken)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", h, "BAD_NORMAL")
@@ -183,7 +182,7 @@ def _moved_and_equations():
 @pytest.mark.parametrize("surface", _moved_and_equations())
 def test_prepare_matches_single_face_entry_points(surface):
     prepared = prepare(surface)
-    assert prepared.ok and prepared.report == check_realization(surface)
+    assert prepared.ok and prepared.report == prepare(surface).report
     poset = surface.poset
     faces = [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)]
     assert list(prepared.points) == faces
@@ -261,7 +260,7 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
     # do not make it degenerate: both modes give the same verdicts
     for surface in (pc.split_facet_cube(False), pc.split_facet_cube(True), wedge_cube(4), wedge_cube(16)):
         eq = as_equations(surface)
-        assert check_realization(eq).ok
+        assert prepare(eq).report.ok
         assert pc.verify(eq, collect_all=True) == pc.verify(surface, collect_all=True)
         assert pc.verify(eq).kind == "CONVEX"
         for f in surface.poset.faces(0):
@@ -381,3 +380,26 @@ def test_face_geometry_repeated_and_collinear_vertices():
         assert got == reference_face_geometry(surface, face, convert, verts), (pts, verts, dim)
         defects[got[2] is None] += 1
     assert min(defects.values()) >= 1000, defects
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def test_prepare_rejection_texts(cube):
+    # each rejection prepare gives before any geometry, with its exact text
+    eq = as_equations(cube)
+    h, v0 = Face(2, 1), Face(0, 0)
+    short = cube.vertices[:1] + (cube.vertices[1][:2],) + cube.vertices[2:]
+    zero = FacetEquation((F(0),) * 3, eq.equations[h].offset)
+    cases = [
+        (PLSurface(cube.poset, vertices=cube.vertices[:-1]), ("MISSING_COORDS", None, "8 vertices declared, 7 coordinates")),
+        (PLSurface(cube.poset, vertices=short), ("MISSING_COORDS", None, "coordinate of wrong length")),
+        (PLSurface(eq.poset, equations=_without(eq.equations, h), witnesses=eq.witnesses), ("MISSING_EQUATION", h, "facet without equation")),
+        (PLSurface(eq.poset, equations={**eq.equations, h: zero}, witnesses=eq.witnesses), ("ZERO_NORMAL", h, "facet normal is zero")),
+        (PLSurface(eq.poset, equations=eq.equations, witnesses=_without(eq.witnesses, v0)), ("BAD_WITNESS", v0, "missing witness point")),
+    ]
+    for surface, expected in cases:
+        assert prepare(surface).report.violations == (pc.Violation(*expected),)
+        verdict = pc.verify(surface)
+        assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", expected[1], expected[0])

@@ -7,7 +7,7 @@ import pytest
 import plconvex as pc
 import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
-from plconvex.poset import Face, FacePoset, LinkCycle
+from plconvex.poset import Face, FacePoset
 from plconvex.surface import PLSurface, direction_space
 from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
 
@@ -182,7 +182,7 @@ def test_zero_direction_guard():
     s = PLSurface(poset, vertices=coords)
     kern = direction_space(s, center)
     proj = pc.complementary_projection(kern, 4)
-    cyc = LinkCycle(center, (g0, h0, g1, h1))
+    cyc = (g0, h0, g1, h1)
     with pytest.raises(pc.ZeroDirectionError):
         pc.build_fan(pc.prepare(s).points, center, cyc, proj)
     assert verify_face(s, center).reason == "ZERO_DIRECTION"
@@ -241,3 +241,23 @@ def test_verify_calls_its_stages_through_module_globals(surface, monkeypatch):
     assert {name: calls[name] for name in PREFLIGHT_STAGES} == dict.fromkeys(PREFLIGHT_STAGES, 1)
     assert {name: calls[name] for name in STAR_STAGES} == dict.fromkeys(STAR_STAGES, len(stars))
     assert fan_sizes == [2 * len(poset.up(f)) for f in stars]
+
+
+def test_verify_face_rejects_bad_witness():
+    # a missing or wrong-length equations-mode witness on any face of the
+    # star is BAD_WITNESS, the code verify gives; it used to raise
+    # TypeError or IndexError, or with one coordinate too many, accept
+    eq = pc.as_equations(pc.gen_hypercube(3))
+    v0, v1, e0 = Face(0, 0), Face(0, 1), Face(1, 0)  # e0 joins v0 and v1
+    w = eq.witnesses[v0]
+    cases = [(v0, None, (v0,)), (v0, w[:2], (v0,)), (v0, w + (F(0),), (v0,)), (e0, None, (v0, v1))]
+    for face, witness, centers in cases:
+        wits = {f: p for f, p in eq.witnesses.items() if f != face}
+        if witness is not None:
+            wits[face] = witness
+        bad = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+        verdict = verify(bad)
+        assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, "BAD_WITNESS")
+        for center in centers:
+            assert verify_face(bad, center) == (False, "BAD_WITNESS"), (face, witness, center)
+    assert "BAD_WITNESS" in INVALID_STAR_REASONS
