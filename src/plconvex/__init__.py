@@ -58,9 +58,7 @@ from .surface import (
     PLSurface,
     PreparedSurface,
     as_equations,
-    direction_space,
     facet_equation,
-    interior_point,
     prepare,
 )
 from .verifier import CONVEX, INVALID, NOT_CONVEX, Verdict, preflight, verify, verify_face
@@ -99,7 +97,6 @@ __all__ = [
     "check_connected",
     "complementary_projection",
     "dent",
-    "direction_space",
     "emit_pls",
     "fan_is_convex",
     "gen_cross_polytope",
@@ -108,7 +105,6 @@ __all__ = [
     "gen_prism",
     "gen_schonhardt",
     "gen_simplex",
-    "interior_point",
     "link_cycle",
     "oracle_verdict",
     "parse_off",

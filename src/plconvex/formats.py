@@ -259,7 +259,9 @@ def parse_off(text: str) -> PLSurface:
     try:
         nv, nf, _ne = (int(p) for p in parts)
     except ValueError:
-        raise ParseError(f"line {ln}: bad counts {counts_line!r}") from None
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise ParseError(f"line {ln}: bad counts {counts_line!r}")
     body = lines[2:]
     if len(body) < nv + nf:
         raise ParseError(f"expected {nv} vertex and {nf} facet lines")

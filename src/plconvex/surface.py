@@ -12,20 +12,21 @@ witness and facet equation to integer homogeneous form once
 runs one fraction-free elimination that yields the face's interior
 point (integer numerators over a positive weight), its integer
 direction basis (kept for (n-3)-faces) and whether it spans its
-dimension; ``interior_point`` (the same point as ``Fraction``s) and
-``direction_space`` answer single faces from the same per-face
-routine.  Conversion happens only there, at the boundary: the per-face
-routine trusts its integer input, forms integer differences and
-reduces them with ``exactgeom._reduce`` against its own pivot list,
-and hands integer rows to ``nullspace``, which takes them as they
-are.  The pass also enforces the geometric half of the input contract
-in its ``report``: each face's vertex set must affinely span exactly
-the face's dimension (vertex mode), respectively witnesses must
-satisfy the equations of all facets above them and, for n >= 4, the
-incident facet normals of every (n-3)-face must pin down its direction
-space (equations mode).  Inputs failing these checks are
-reported invalid rather than classified.  Witnesses are trusted to
-lie in the relative interior of their faces; that part is not checked.
+dimension.  ``prepare(s).points`` and ``prepare(s).kernels`` are the
+only source of that geometry: ``verifier.verify_face`` runs the same
+pass (``_prepare``) over one star's faces.  Conversion happens only
+there, at the boundary: the per-face routine trusts its integer
+input, forms integer differences and reduces them with
+``exactgeom._reduce`` against its own pivot list, and hands integer
+rows to ``nullspace``, which takes them as they are.  The pass also
+enforces the geometric half of the input contract in its ``report``:
+each face's vertex set must affinely span exactly the face's
+dimension (vertex mode), respectively witnesses must satisfy the
+equations of all facets above them and, for n >= 4, the incident
+facet normals of every (n-3)-face must pin down its direction space
+(equations mode).  Inputs failing these checks are reported invalid
+rather than classified.  Witnesses are trusted to lie in the
+relative interior of their faces; that part is not checked.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .exactgeom import (
     DegenerateFaceError,
@@ -136,47 +138,6 @@ def _face_geometry(
     return (total, len(picked) * weight), tuple(basis), defect
 
 
-def _single_face(surface: PLSurface, face: Face):
-    """``convert`` and ``verts`` of ``_face_geometry`` for one face, records converted on demand."""
-    if surface.mode == VERTEX_MODE:
-        verts = surface.poset.vertex_lists.get(face)
-        if not verts:  # spans nothing
-            raise DegenerateFaceError(face, "no vertices")
-        return (lambda i: homogeneous(surface.vertices[i])), verts
-    return (lambda h: homogeneous(surface.equations[h].normal)[0]), None
-
-
-def homogeneous_point(surface: PLSurface, face: Face) -> HomPoint | None:
-    """``interior_point`` as integer numerators over a positive weight, as ``prepare`` tabulates it."""
-    return _face_geometry(surface, face, *_single_face(surface, face))[0]
-
-
-def interior_point(surface: PLSurface, face: Face) -> Vec:
-    """A deterministic point in the relative interior of a face.
-
-    In vertex mode it is the mean of at most dim+1 affinely independent
-    vertices, inside the face when the face is their convex hull; the
-    scan reads the whole vertex list, as ``prepare``'s does.
-    In equations mode it is the face's witness (None when missing).
-    This is ``homogeneous_point`` divided out to ``Fraction``s.
-    """
-    point = homogeneous_point(surface, face)
-    return None if point is None else dehomogenise(*point)
-
-
-def direction_space(surface: PLSurface, face: Face) -> tuple[IVec, ...]:
-    """Integer basis of the direction space of an (n-3)-face, as ``prepare`` tabulates it.
-
-    Raises DegenerateFaceError when it does not have dimension n-3.
-    """
-    if face.dim != surface.poset.dim_low:
-        raise ValueError(f"{face} is not an (n-3)-face")
-    _, basis, defect = _face_geometry(surface, face, *_single_face(surface, face))
-    if defect is not None:
-        raise DegenerateFaceError(face, defect)
-    return basis
-
-
 def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
     """Exact hyperplane through a facet's vertices (vertex mode).
 
@@ -223,9 +184,10 @@ class PreparedSurface:
     """Realization report plus per-face geometry, from one pass.
 
     ``points`` holds the interior point of every face of dims n-3, n-2,
-    n-1 in homogeneous form (``dehomogenise(*points[f])`` is
-    ``interior_point``) and ``kernels`` the integer direction basis of
-    every (n-3)-face; both are only meaningful when the report is ok.
+    n-1 in homogeneous form (``dehomogenise(*points[f])`` gives its
+    ``Fraction`` coordinates) and ``kernels`` the integer direction
+    basis of every (n-3)-face; both are only meaningful when the report
+    is ok.
     """
 
     report: ValidationReport
@@ -237,17 +199,33 @@ class PreparedSurface:
         return self.report.ok
 
 
+# every code the report of ``_prepare`` can hold
+REPORT_CODES = ("MISSING_COORDS", "MISSING_EQUATION", "BAD_NORMAL", "ZERO_NORMAL", "DEGENERATE_FACE", "BAD_WITNESS")
+
+
 def prepare(surface: PLSurface) -> PreparedSurface:
     """Geometric input validation and per-face geometry in one pass.
 
-    Every face of dims n-3, n-2, n-1 goes through ``_face_geometry``
-    once: its rank defect becomes a DEGENERATE_FACE violation, and its
-    interior point and (for (n-3)-faces) its kernel go into the table.
-    Vertex coordinates, witnesses and facet equations are converted to
-    integers once, and the mode and the vertex lists are read once per
-    surface, not per face.  Equations mode first checks the facet
-    equations and then that each witness lies on every facet above its
-    face, an integer comparison.
+    ``_prepare`` over every face of dims n-3, n-2, n-1, in that order.
+    """
+    poset = surface.poset
+    return _prepare(surface, [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)])
+
+
+def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
+    """``prepare``'s pass over ``faces``: the whole surface, or one star.
+
+    ``faces`` must hold every facet above each of its faces, as a star's
+    faces do.  The vertex-coordinate check (MISSING_COORDS) covers the
+    whole surface; the facet-equation checks and the per-face checks
+    cover ``faces`` only.  Every face goes through ``_face_geometry``
+    once: its rank defect becomes a DEGENERATE_FACE violation, as does
+    a missing vertex list in vertex mode, and its interior point and
+    (for (n-3)-faces) its kernel go into the table.  Vertex coordinates,
+    witnesses and facet equations are converted to integers once, and
+    the mode and the vertex lists are read once per pass, not per face.
+    Equations mode first checks the facet equations and then that each
+    witness lies on every facet above its face, an integer comparison.
     """
     bad: list[Violation] = []
     poset = surface.poset
@@ -260,7 +238,8 @@ def prepare(surface: PLSurface) -> PreparedSurface:
         elif any(len(v) != n for v in surface.vertices):
             bad.append(Violation("MISSING_COORDS", None, "coordinate of wrong length"))
     else:
-        for h in poset.faces(poset.dim_top):
+        facets = [h for h in faces if h.dim == poset.dim_top]
+        for h in facets:
             eq = surface.equations.get(h)
             if eq is None:
                 bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
@@ -270,12 +249,14 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
-    if vertex_mode:
-        convert = [homogeneous(v) for v in surface.vertices].__getitem__
+    vertex_lists = poset.vertex_lists
+    if vertex_mode:  # the vertices of ``faces`` only, so that one star's pass costs its own size
+        used = {v for f in faces for v in vertex_lists.get(f, ())}
+        convert = {v: homogeneous(surface.vertices[v]) for v in used}.__getitem__
     else:
         # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
         equations = {}
-        for h in poset.faces(poset.dim_top):
+        for h in facets:
             eq = surface.equations[h]
             normal, weight = homogeneous(eq.normal)
             equations[h] = (normal, eq.offset.denominator, eq.offset.numerator * weight)
@@ -290,29 +271,28 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     degenerate: list[Violation] = []
     points: dict[Face, HomPoint] = {}
     kernels: dict[Face, tuple[IVec, ...]] = {}
-    vertex_lists = poset.vertex_lists
     verts = None  # stays None in equations mode
     low = poset.dim_low
-    for d in (low, poset.dim_mid, poset.dim_top):
-        for face in poset.faces(d):
-            if vertex_mode:
-                verts = vertex_lists.get(face)
-                if not verts:
-                    continue  # validate_poset reports it: MISSING_VERTEX_LIST
-            point, basis, defect = _face_geometry(surface, face, convert, verts)
-            points[face] = point
-            if d == low:
-                kernels[face] = basis
-            if defect is not None:
-                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
-            if vertex_mode:
+    for face in faces:
+        if vertex_mode:
+            verts = vertex_lists.get(face)
+            if not verts:  # spans nothing
+                degenerate.append(Violation("DEGENERATE_FACE", face, "no vertices"))
                 continue
-            if point is None or len(point[0]) != n:
-                bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
-                continue
-            x, weight = point
-            for h in facets_above(face):
-                normal, den, rhs = equations[h]
-                if dot(normal, x) * den != rhs * weight:
-                    bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
+        point, basis, defect = _face_geometry(surface, face, convert, verts)
+        points[face] = point
+        if face.dim == low:
+            kernels[face] = basis
+        if defect is not None:
+            degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+        if vertex_mode:
+            continue
+        if point is None or len(point[0]) != n:
+            bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
+            continue
+        x, weight = point
+        for h in facets_above(face):
+            normal, den, rhs = equations[h]
+            if dot(normal, x) * den != rhs * weight:
+                bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
     return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)

@@ -3,7 +3,8 @@
 ``verify`` first validates the input (structure, closedness,
 connectedness, realization), then evaluates the star of every
 (n-3)-face from the interior points and kernels that the realization
-pass (``prepare``) computed once per face.  The surface is the boundary
+pass (``prepare``) computed once per face; ``verify_face`` runs that
+pass over one star's faces only.  The surface is the boundary
 of a convex polyhedron exactly when every star passes; compactness plus
 closedness supply the strictly convex point that makes local convexity
 everywhere sufficient, so no separate strictness test is run.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactgeom import DegenerateFaceError, Projection3, complementary_projection
+from .exactgeom import Projection3, complementary_projection
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
 from .poset import (
     Face,
@@ -27,26 +28,17 @@ from .poset import (
     link_cycle,
     validate_poset,
 )
-from .surface import EQUATION_MODE, PLSurface, PreparedSurface, direction_space, homogeneous_point, prepare
+from .surface import REPORT_CODES, PLSurface, PreparedSurface, _prepare, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
 INVALID = "INVALID"
 
 
-class WitnessError(Exception):
-    """An equations-mode face has no witness point, or one of the wrong length."""
-
-    code = "BAD_WITNESS"
-
-    def __init__(self, face: Face):
-        super().__init__(f"missing or wrong-length witness point at {face}")
-        self.face = face
-
-
-# star-level defects that invalidate the input rather than disprove convexity
-_STAR_ERRORS = (LinkCycleError, DegenerateFaceError, ZeroDirectionError, WitnessError)
-INVALID_STAR_REASONS = frozenset(e.code for e in _STAR_ERRORS)
+# star-level defects that invalidate the input rather than disprove convexity:
+# a broken link, a zero fan direction, or a code of the geometry pass that
+# verify_face runs over the star's faces
+INVALID_STAR_REASONS = frozenset((LinkCycleError.code, ZeroDirectionError.code, *REPORT_CODES))
 
 
 @dataclass(frozen=True)
@@ -79,14 +71,22 @@ def preflight(surface: PLSurface) -> PreparedSurface:
     return prepare(surface)
 
 
-def _star_check(surface: PLSurface, face: Face, geometry, projection: Projection3 | None = None):
-    """Classify one star; ``geometry(face, cycle)`` gives its kernel and interior points."""
+def _star_check(
+    surface: PLSurface, face: Face, prepared: PreparedSurface | None, projection: Projection3 | None = None
+):
+    """Classify one star from ``prepared``'s table, or, when it is None, from a pass over the star's faces."""
     try:
         cycle = link_cycle(surface.poset, face)
-        kernel, points = geometry(face, cycle)
-        proj = projection if projection is not None else complementary_projection(kernel, surface.n)
-        fan = build_fan(points, face, cycle, proj)
-    except _STAR_ERRORS as exc:
+    except LinkCycleError as exc:
+        return ConvexityCheck(False, exc.code), 0
+    if prepared is None:
+        prepared = _prepare(surface, (face, *cycle))
+        if not prepared.ok:
+            return ConvexityCheck(False, prepared.report.violations[0].code), 0
+    try:
+        proj = projection if projection is not None else complementary_projection(prepared.kernels[face], surface.n)
+        fan = build_fan(prepared.points, face, cycle, proj)
+    except ZeroDirectionError as exc:
         return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.dirs)
 
@@ -94,25 +94,18 @@ def _star_check(surface: PLSurface, face: Face, geometry, projection: Projection
 def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None = None) -> ConvexityCheck:
     """Local convexity of one (n-3)-face star.
 
-    Computes only the star's own kernel and interior points.
-    ``projection`` overrides the default complementary projection; it
-    must be a valid rank-3 map vanishing exactly on the face's direction
-    space.  Structural defects of the star come back as non-accepting
-    reasons (NOT_SINGLE_CYCLE, DEGENERATE_FACE, ZERO_DIRECTION), and so
-    does, in equations mode, a missing or wrong-length witness on any
-    face of the star (BAD_WITNESS, the code ``verify`` gives from
-    ``prepare``).
+    Runs ``link_cycle``, then the geometry pass of ``prepare`` over the
+    star's own faces only, then the star classification that ``verify``
+    runs.  ``projection`` overrides the default complementary
+    projection; it must be a valid rank-3 map vanishing exactly on the
+    face's direction space.  A star whose faces break the input
+    contract gets the INVALID code that ``verify`` gives: the first
+    violation of the star's pass (MISSING_COORDS, MISSING_EQUATION,
+    BAD_NORMAL, ZERO_NORMAL, DEGENERATE_FACE, BAD_WITNESS), or
+    NOT_SINGLE_CYCLE or ZERO_DIRECTION from the star itself; all of them
+    are in ``INVALID_STAR_REASONS``.
     """
-
-    def star_geometry(center: Face, cycle: tuple[Face, ...]):
-        points = {f: homogeneous_point(surface, f) for f in (center, *cycle)}
-        if surface.mode == EQUATION_MODE:
-            for f, point in points.items():
-                if point is None or len(point[0]) != surface.n:
-                    raise WitnessError(f)
-        return direction_space(surface, center), points
-
-    return _star_check(surface, face, star_geometry, projection)[0]
+    return _star_check(surface, face, None, projection)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -133,11 +126,8 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     failing: list[tuple[Face, str]] = []
     entries_total = 0
 
-    def table(face: Face, cycle: tuple[Face, ...]):
-        return prepared.kernels[face], prepared.points
-
     for face in surface.poset.faces(surface.poset.dim_low):
-        check, entries = _star_check(surface, face, table)
+        check, entries = _star_check(surface, face, prepared)
         entries_total += entries
         if not check.convex:
             failing.append((face, check.reason))

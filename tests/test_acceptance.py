@@ -11,7 +11,7 @@ from fractions import Fraction
 import plconvex as pc
 from plconvex.fan import Fan3, FanEntry, RAY, CELL, fan_is_convex, rotation_index
 from plconvex.poset import Face
-from plconvex.surface import direction_space
+from plconvex.surface import prepare
 from plconvex.verifier import verify, verify_face
 
 from conftest import (
@@ -152,11 +152,12 @@ def test_criterion_4_projection_independence():
     trials = agreements = 0
     for surface in instances:
         faces = list(surface.poset.faces(surface.poset.dim_low))
+        kernels = prepare(surface).kernels
         cached = {}
         for _ in range(100):
             f = faces[rng.randrange(len(faces))]
             if f not in cached:
-                cached[f] = (verify_face(surface, f), direction_space(surface, f))
+                cached[f] = (verify_face(surface, f), kernels[f])
             base, kern = cached[f]
             proj = random_same_kernel_projection(kern, surface.n, rng)
             trials += 1

@@ -22,7 +22,6 @@ from plconvex.fan import (
 )
 from plconvex.instances import circle_points
 from plconvex.poset import Face
-from plconvex.surface import direction_space
 from plconvex.verifier import verify_face
 
 from conftest import float_winding, random_same_kernel_projection, wedge_cube, zigzag_bipyramid
@@ -344,12 +343,11 @@ class TestFanIsConvex:
         fans = []
         for surface in (cube, schonhardt, pc.split_facet_cube()):
             poset = surface.poset
-            points = pc.prepare(surface).points
+            prepared = pc.prepare(surface)
             for f in list(poset.faces(0))[:4]:
                 cyc = pc.link_cycle(poset, f)
-                kern = direction_space(surface, f)
-                proj = pc.complementary_projection(kern, 3)
-                fans.append(pc.build_fan(points, f, cyc, proj))
+                proj = pc.complementary_projection(prepared.kernels[f], 3)
+                fans.append(pc.build_fan(prepared.points, f, cyc, proj))
         # the geometry pass hands the classifier integer directions and rows
         assert all(type(c) is int for fan in fans for e in fan.entries for c in e.direction)
         rows = pc.complementary_projection([as_vec([1, 2, 0, -1])], 4).rows
@@ -411,7 +409,7 @@ class TestFanIsConvex:
             if {tesseract.vertices[v] for v in tesseract.poset.vertex_lists[e]}
             == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}
         )
-        kern = direction_space(tesseract, edge)
+        kern = pc.prepare(tesseract).kernels[edge]
         proj = pc.complementary_projection(kern, 4)
         assert proj.axes == (1, 2, 3)
         cyc = pc.link_cycle(tesseract.poset, edge)
@@ -430,13 +428,12 @@ class TestFanIsConvex:
         # needs an exact certificate
         for surface in (cube, pc.gen_prism(7), skewed_pyramid(64), pc.gen_prism(256)):
             assert pc.verify(surface).kind == "CONVEX"
-            points = pc.prepare(surface).points
+            prepared = pc.prepare(surface)
             for f in surface.poset.faces(0):
                 res = verify_face(surface, f)
                 assert res == (True, "OK_POINTED")
                 cyc = pc.link_cycle(surface.poset, f)
-                kern = direction_space(surface, f)
-                fan = pc.build_fan(points, f, cyc, pc.complementary_projection(kern, 3))
+                fan = pc.build_fan(prepared.points, f, cyc, pc.complementary_projection(prepared.kernels[f], 3))
                 entries = fan.entries
                 m = len(entries)
                 for i in range(1, m, 2):
@@ -803,7 +800,9 @@ class TestCrossProductClassifier:
         assert min(reasons.values()) >= 30, reasons
 
     def test_matches_section_points_on_generated_stars(self, monkeypatch):
-        # every fan that verify_face classifies, on valid and invalid variants alike
+        # every fan that verify_face classifies, on valid and invalid variants
+        # alike; a dent can warp a face, which verify_face rejects before any
+        # fan, so the dented variants give every fan of prepare's table
         fans = []
 
         def recording(fan):
@@ -816,13 +815,15 @@ class TestCrossProductClassifier:
         bases += [pc.gen_schonhardt(), pc.gen_dented_cube(1), pc.gen_dented_cube(3)]
         bases += [pc.split_facet_cube(False), pc.split_facet_cube(True), wedge_cube(8)]
         bases += [skewed_pyramid(32), zigzag_bipyramid(8), zigzag_bipyramid(16)]
-        for base in bases:
-            for moved in (base, pc.rigid_motion(base, 3)):
-                dented = [pc.dent(moved, 0, t) for t in (F(1, 4), F(1, 1000), F(-1, 3))]
-                for surface in [moved, *dented, pc.as_equations(moved)]:
-                    for face in surface.poset.faces(surface.poset.dim_low):
-                        verify_face(surface, face)
+        variants = [moved for base in bases for moved in (base, pc.rigid_motion(base, 3))]
+        for moved in variants:
+            for surface in (moved, pc.as_equations(moved)):
+                for face in surface.poset.faces(surface.poset.dim_low):
+                    verify_face(surface, face)
         monkeypatch.undo()
+        for moved in variants:
+            for t in (F(1, 4), F(1, 1000), F(-1, 3)):
+                fans.extend(star_fans(pc.dent(moved, 0, t)))
         reasons = Counter()
         for fan in fans:
             res = fan_is_convex(fan)

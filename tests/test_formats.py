@@ -371,6 +371,7 @@ PARSE_ERRORS = [
     (parse_off, "OFF\n1 1 0\n0 0 0\nx\n", ParseError, "line 4: bad facet row 'x'"),
     (parse_off, "OFF\n1 1 0\n0 0 0\n2 0 0\n", ParseError, "line 4: facet row '2 0 0' is inconsistent"),
     (parse_off, "OFF\n1 1 0\n0 0 0\n3 0 0 5\n", SemanticError, "line 4: facet lists unknown vertex"),
+    (parse_off, "OFF\n-1 0 0\n", ParseError, "line 2: bad counts '-1 0 0'"),
 ]
 
 

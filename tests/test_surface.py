@@ -10,7 +10,6 @@ import pytest
 import plconvex as pc
 import plconvex.surface as surface_mod
 from plconvex.exactgeom import (
-    DegenerateFaceError,
     as_vec,
     dehomogenise,
     dot,
@@ -23,15 +22,18 @@ from plconvex.surface import (
     FacetEquation,
     PLSurface,
     as_equations,
-    direction_space,
-    interior_point,
     prepare,
 )
-from plconvex.verifier import verify_face
+from plconvex.verifier import INVALID_STAR_REASONS, verify_face
 
 from conftest import wedge_cube
 
 F = Fraction
+
+
+def interior_point(surface, face):
+    """A face's interior point from ``prepare``'s table, as ``Fraction``s."""
+    return dehomogenise(*prepare(surface).points[face])
 
 
 def test_interior_point_vertex(cube):
@@ -60,7 +62,7 @@ def test_interior_point_in_facet_interior(cube):
 
 
 def test_direction_space_cube_vertex(cube):
-    assert direction_space(cube, Face(0, 0)) == ()
+    assert prepare(cube).kernels[Face(0, 0)] == ()
 
 
 def test_direction_space_tesseract_edge(tesseract):
@@ -72,7 +74,7 @@ def test_direction_space_tesseract_edge(tesseract):
         if set(pts) == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}:
             target = e
             break
-    basis = direction_space(tesseract, target)
+    basis = prepare(tesseract).kernels[target]
     assert len(basis) == 1
     d = basis[0]
     assert d[1] == d[2] == d[3] == 0 and d[0] != 0
@@ -87,8 +89,9 @@ def test_direction_space_degenerate():
         vertex_lists={Face(1, 0): (0, 1)},
     )
     s = PLSurface(poset, vertices=(as_vec([0, 0, 0, 0]), as_vec([0, 0, 0, 0])))
-    with pytest.raises(DegenerateFaceError):
-        direction_space(s, Face(1, 0))
+    prepared = prepare(s)
+    assert prepared.report.violations == (pc.Violation("DEGENERATE_FACE", Face(1, 0), "affine rank 0 != dim 1"),)
+    assert prepared.kernels[Face(1, 0)] == ()
 
 
 def test_check_realization_accepts_cube(cube):
@@ -181,16 +184,23 @@ def _moved_and_equations():
 
 @pytest.mark.parametrize("surface", _moved_and_equations())
 def test_prepare_matches_single_face_entry_points(surface):
+    # verify_face's pass over one star's faces tabulates what prepare's
+    # pass over every face does, and the stars cover every face
     prepared = prepare(surface)
     assert prepared.ok and prepared.report == prepare(surface).report
     poset = surface.poset
     faces = [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)]
     assert list(prepared.points) == faces
-    for f in faces:
-        assert dehomogenise(*prepared.points[f]) == interior_point(surface, f)
     assert list(prepared.kernels) == list(poset.faces(poset.dim_low))
-    for f in poset.faces(poset.dim_low):
-        assert prepared.kernels[f] == direction_space(surface, f)
+    covered = set()
+    for center in poset.faces(poset.dim_low):
+        star = (center, *pc.link_cycle(poset, center))
+        part = surface_mod._prepare(surface, star)
+        assert part.ok and list(part.points) == list(star)
+        assert part.points == {f: prepared.points[f] for f in star}
+        assert part.kernels == {center: prepared.kernels[center]}
+        covered.update(star)
+    assert covered == set(faces)
 
 
 def test_eliminator_gets_integer_rows(monkeypatch):
@@ -208,17 +218,16 @@ def test_eliminator_gets_integer_rows(monkeypatch):
     for surface in surfaces:
         assert prepare(surface).ok
         for f in surface.poset.faces(surface.poset.dim_low):
-            direction_space(surface, f)
-            interior_point(surface, f)
+            verify_face(surface, f)
     assert len(rows) > 500
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
 
 
 def test_as_equations_direction_space(tesseract):
     eq = as_equations(tesseract)
+    kernels = prepare(eq).kernels
     for e in eq.poset.faces(1):
-        basis = direction_space(eq, e)
-        assert len(basis) == 1
+        assert len(kernels[e]) == 1
     # and the fan pipeline agrees with vertex mode on the verdict
     assert pc.verify(eq).kind == pc.verify(tesseract).kind == "CONVEX"
 
@@ -263,9 +272,16 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
         assert prepare(eq).report.ok
         assert pc.verify(eq, collect_all=True) == pc.verify(surface, collect_all=True)
         assert pc.verify(eq).kind == "CONVEX"
+        assert set(prepare(eq).kernels.values()) == set(prepare(surface).kernels.values()) == {()}
         for f in surface.poset.faces(0):
-            assert direction_space(eq, f) == direction_space(surface, f) == ()
             assert verify_face(eq, f) == verify_face(surface, f)
+
+
+def face_geometry_args(surface, face):
+    """``convert`` and ``verts`` of ``_face_geometry`` for one face, records converted on demand."""
+    if surface.mode == "vertices":
+        return (lambda i: homogeneous(surface.vertices[i])), surface.poset.vertex_lists[face]
+    return (lambda h: homogeneous(surface.equations[h].normal)[0]), None
 
 
 def reference_face_geometry(surface, face, convert, verts):
@@ -338,7 +354,7 @@ def test_face_geometry_matches_reference():
         poset = s.poset
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
             for f in poset.faces(d):
-                args = surface_mod._single_face(s, f)
+                args = face_geometry_args(s, f)
                 got = surface_mod._face_geometry(s, f, *args)
                 assert got == reference_face_geometry(s, f, *args), (label, f)
                 defects[got[2] is None] += 1
@@ -386,20 +402,38 @@ def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
+def _star_through(surface, face):
+    """An (n-3)-face whose star holds ``face``; the first one when ``face`` is None."""
+    poset = surface.poset
+    return next(c for c in poset.faces(poset.dim_low) if face in (None, c) or face in pc.link_cycle(poset, c))
+
+
 def test_prepare_rejection_texts(cube):
-    # each rejection prepare gives before any geometry, with its exact text
+    # each rejection prepare gives before any geometry, and each bad
+    # witness, with its exact text; verify_face at a star through the bad
+    # face (any star when no face is named) answers verify's code
     eq = as_equations(cube)
-    h, v0 = Face(2, 1), Face(0, 0)
+    eq4 = as_equations(pc.gen_hypercube(4))
+    h, v0, h4 = Face(2, 1), Face(0, 0), Face(3, 2)
     short = cube.vertices[:1] + (cube.vertices[1][:2],) + cube.vertices[2:]
+    long = cube.vertices[:1] + (cube.vertices[1] + (F(0),),) + cube.vertices[2:]
     zero = FacetEquation((F(0),) * 3, eq.equations[h].offset)
+    wide = FacetEquation(eq.equations[h].normal + (F(0),), eq.equations[h].offset)
+    off = tuple(x + a for x, a in zip(eq.witnesses[h], eq.equations[h].normal))  # along the normal
     cases = [
         (PLSurface(cube.poset, vertices=cube.vertices[:-1]), ("MISSING_COORDS", None, "8 vertices declared, 7 coordinates")),
         (PLSurface(cube.poset, vertices=short), ("MISSING_COORDS", None, "coordinate of wrong length")),
+        (PLSurface(cube.poset, vertices=long), ("MISSING_COORDS", None, "coordinate of wrong length")),
         (PLSurface(eq.poset, equations=_without(eq.equations, h), witnesses=eq.witnesses), ("MISSING_EQUATION", h, "facet without equation")),
+        (PLSurface(eq4.poset, equations=_without(eq4.equations, h4), witnesses=eq4.witnesses), ("MISSING_EQUATION", h4, "facet without equation")),
+        (PLSurface(eq.poset, equations={**eq.equations, h: wide}, witnesses=eq.witnesses), ("BAD_NORMAL", h, "normal of length 4, not 3")),
         (PLSurface(eq.poset, equations={**eq.equations, h: zero}, witnesses=eq.witnesses), ("ZERO_NORMAL", h, "facet normal is zero")),
         (PLSurface(eq.poset, equations=eq.equations, witnesses=_without(eq.witnesses, v0)), ("BAD_WITNESS", v0, "missing witness point")),
+        (PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, h: off}), ("BAD_WITNESS", h, f"witness not on facet {h}")),
     ]
     for surface, expected in cases:
         assert prepare(surface).report.violations == (pc.Violation(*expected),)
         verdict = pc.verify(surface)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", expected[1], expected[0])
+        assert verify_face(surface, _star_through(surface, expected[1])) == (False, expected[0]), expected
+        assert expected[0] in INVALID_STAR_REASONS

@@ -8,7 +8,7 @@ import plconvex as pc
 import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
 from plconvex.poset import Face, FacePoset
-from plconvex.surface import PLSurface, direction_space
+from plconvex.surface import PLSurface, prepare
 from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
 
 from conftest import (
@@ -124,6 +124,8 @@ def test_invalid_before_stars(cube):
     v = verify(dented)
     assert v.kind == "INVALID"
     assert v.reason == "DEGENERATE_FACE"
+    # the star of the moved vertex holds its warped facets
+    assert verify_face(dented, Face(0, 0)) == (False, "DEGENERATE_FACE")
 
 
 def test_pinched_vertex_invalid():
@@ -147,9 +149,10 @@ def test_order_independence(schonhardt):
 def test_custom_projection_equals_fast_path(tesseract, schonhardt):
     rng = random.Random(11)
     for surface in (tesseract, schonhardt):
+        kernels = prepare(surface).kernels
         for f in surface.poset.faces(surface.poset.dim_low):
             base = verify_face(surface, f)
-            kern = direction_space(surface, f)
+            kern = kernels[f]
             for _ in range(5):
                 proj = random_same_kernel_projection(kern, surface.n, rng)
                 assert verify_face(surface, f, projection=proj) == base
@@ -157,7 +160,8 @@ def test_custom_projection_equals_fast_path(tesseract, schonhardt):
 
 def test_zero_direction_guard():
     # a (crafted) 2-face whose vertices all sit on the center's line: its
-    # interior point projects exactly onto the apex
+    # interior point projects exactly onto the apex.  The face is warped,
+    # so the star's geometry pass rejects it first, as verify's does
     coords = (
         (F(0), F(0), F(0), F(0)),
         (F(1), F(0), F(0), F(0)),
@@ -180,12 +184,23 @@ def test_zero_direction_guard():
         },
     )
     s = PLSurface(poset, vertices=coords)
-    kern = direction_space(s, center)
-    proj = pc.complementary_projection(kern, 4)
+    prepared = prepare(s)
+    proj = pc.complementary_projection(prepared.kernels[center], 4)
     cyc = (g0, h0, g1, h1)
     with pytest.raises(pc.ZeroDirectionError):
-        pc.build_fan(pc.prepare(s).points, center, cyc, proj)
-    assert verify_face(s, center).reason == "ZERO_DIRECTION"
+        pc.build_fan(prepared.points, center, cyc, proj)
+    assert prepared.report.violations[0] == pc.Violation("DEGENERATE_FACE", g0, "affine rank 1 != dim 2")
+    assert verify_face(s, center) == (False, "DEGENERATE_FACE")
+    # in equations mode a 2-face above an edge given the edge's own witness
+    # is valid input, and its direction projects onto the apex
+    eq = pc.as_equations(pc.gen_hypercube(4))
+    e0 = Face(1, 0)
+    g = eq.poset.up(e0)[0]
+    moved = PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, g: eq.witnesses[e0]})
+    assert prepare(moved).ok
+    v = verify(moved)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", e0, "ZERO_DIRECTION")
+    assert verify_face(moved, e0) == (False, "ZERO_DIRECTION")
 
 
 def test_verdict_flags():
@@ -209,8 +224,7 @@ def test_empty_vertex_list_invalid(cube):
     for i in ends:
         assert verify_face(bad, Face(0, i)) == (False, "DEGENERATE_FACE")
         assert verify_face(bad, Face(0, i)).reason in INVALID_STAR_REASONS
-    with pytest.raises(pc.DegenerateFaceError):
-        pc.interior_point(bad, edge)
+    assert prepare(bad).report.violations == (pc.Violation("DEGENERATE_FACE", edge, "no vertices"),)
 
 
 # the names perfbench's tracer wraps in the verifier's module globals
