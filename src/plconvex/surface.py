@@ -6,27 +6,32 @@ each facet carries an exact hyperplane (normal, offset) and every listed
 face of dims n-3, n-2, n-1 carries a witness point in its relative
 interior; vertex coordinates are not needed then.
 
-``prepare`` is the one geometry pass.  It converts every vertex,
-witness and facet equation to integer homogeneous form once
-(``exactgeom.homogeneous``), and for every face of dims n-3, n-2, n-1
-runs one fraction-free elimination that yields the face's interior
-point (integer numerators over a positive weight), its integer
-direction basis (kept for (n-3)-faces) and whether it spans its
-dimension.  ``prepare(s).points`` and ``prepare(s).kernels`` are the
-only source of that geometry: ``verifier.verify_face`` runs the same
-pass (``_prepare``) over one star's faces.  Conversion happens only
-there, at the boundary: the per-face routine trusts its integer
-input, forms integer differences and reduces them with
-``exactgeom._reduce`` against its own pivot list, and hands integer
-rows to ``nullspace``, which takes them as they are.  The pass also
-enforces the geometric half of the input contract in its ``report``:
-each face's vertex set must affinely span exactly the face's
-dimension (vertex mode), respectively witnesses must satisfy the
-equations of all facets above them and, for n >= 4, the incident
-facet normals of every (n-3)-face must pin down its direction space
-(equations mode).  Inputs failing these checks are reported invalid
-rather than classified.  Witnesses are trusted to lie in the
-relative interior of their faces; that part is not checked.
+``prepare`` is the one geometry pass.  It reads the mode once and runs
+one loop per mode over the faces of dims n-3, n-2, n-1, after
+converting every vertex, witness and facet equation it reads to
+integer homogeneous form once (``exactgeom.homogeneous``).  In vertex
+mode each face gets one fraction-free elimination (``_face_geometry``)
+that yields its interior point (integer numerators over a positive
+weight), its integer direction basis (kept for (n-3)-faces) and
+whether it spans its dimension.  In equations mode each face walks
+once to the facets above it: its witness is its interior point, and
+for an (n-3)-face at n >= 4 the integer nullspace of those facets'
+normals is its direction basis.  ``prepare(s).points`` and
+``prepare(s).kernels`` are the only source of that geometry:
+``verifier.verify_face`` runs the same pass (``_prepare``) over one
+star's faces.  Conversion happens only there, at the boundary: the
+per-face routine trusts its integer input, forms integer differences
+and reduces them with ``exactgeom._reduce`` against its own pivot
+list, and hands integer rows to ``nullspace``, which takes them as
+they are.  The pass also enforces the geometric half of the input
+contract in its ``report``: in vertex mode every vertex has n
+coordinates, every vertex id a face lists names one of them, and each
+face's vertex set affinely spans exactly the face's dimension; in
+equations mode witnesses satisfy the equations of all facets above
+them and, for n >= 4, the incident facet normals of every (n-3)-face
+pin down its direction space.  Inputs failing these checks are
+reported invalid rather than classified.  Witnesses are trusted to lie
+in the relative interior of their faces; that part is not checked.
 """
 
 from __future__ import annotations
@@ -82,47 +87,27 @@ def _difference(base: HomPoint, p: HomPoint) -> IVec:
     return tuple(wb * x - wp * y for x, y in zip(vp, vb))
 
 
-def _face_geometry(
-    surface: PLSurface, face: Face, convert, verts: tuple[int, ...] | None
-) -> tuple[HomPoint | None, tuple[IVec, ...], str | None]:
-    """A face's interior point, direction basis and rank defect, from one elimination.
+def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:
+    """A vertex-mode face's interior point, direction basis and rank defect, from one elimination.
 
-    ``convert`` gives the input records in integer form: vertex i's
-    homogeneous coordinates in vertex mode, facet h's normal numerators
-    in equations mode.  ``verts`` is the face's vertex list in vertex
-    mode and None in equations mode, so the caller reads the mode once.
-    Vertex mode scans the differences from the least-index vertex in
-    index order, reducing each with ``_reduce`` against the pivots of
-    the differences before it, and stops once the rank exceeds the
-    face's dimension; the point is the mean of that vertex and the
-    first ``dim`` vertices that raised the rank, as the integer sum of
-    their numerators (each brought to the common weight W, the lcm of
-    their weights) over the weight k*W for k points.
-    The basis vectors are those integer differences.  Equations mode
-    gives the witness and, for an (n-3)-face with n >= 4, the integer
-    nullspace of the incident facet normals (each facet once); at n = 3
-    the face is a vertex and its kernel is (), as in vertex mode.  The
-    defect is None exactly when the face spans its dimension.
+    ``points`` are the face's vertices in list order, in integer
+    homogeneous form.  The scan takes the differences from the first
+    point in that order, reduces each with ``_reduce`` against the
+    pivots of the differences before it, and stops once the rank
+    exceeds the face's dimension; the point is the mean of the first
+    point and the first ``dim`` points that raised the rank, as the
+    integer sum of their numerators (each brought to the common weight
+    W, the lcm of their weights) over the weight k*W for k points.
+    The basis vectors are those integer differences.  The defect is
+    None exactly when the face spans its dimension.
     """
-    if verts is None:
-        poset = surface.poset
-        witness = surface.witnesses.get(face)
-        point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or surface.n == 3:
-            return point, (), None
-        facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
-        basis = nullspace([convert(h) for h in facets], surface.n)
-        if len(basis) != surface.n - 3:
-            return point, basis, "incident facet equations do not determine the face's direction space"
-        return point, basis, None
-    base = convert(verts[0])
+    base = points[0]
     if face.dim == 0:
         return base, (), None
     pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
     picked = [base]
     basis = []
-    for v in verts[1:]:
-        p = convert(v)
+    for p in points[1:]:
         d = _difference(base, p)
         r = _reduce(pivots, d)
         col = _pivot(r)
@@ -200,7 +185,7 @@ class PreparedSurface:
 
 
 # every code the report of ``_prepare`` can hold
-REPORT_CODES = ("MISSING_COORDS", "MISSING_EQUATION", "BAD_NORMAL", "ZERO_NORMAL", "DEGENERATE_FACE", "BAD_WITNESS")
+REPORT_CODES = ("MISSING_COORDS", "INVALID_ID", "MISSING_EQUATION", "BAD_NORMAL", "ZERO_NORMAL", "DEGENERATE_FACE", "BAD_WITNESS")
 
 
 def prepare(surface: PLSurface) -> PreparedSurface:
@@ -216,82 +201,89 @@ def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
     """``prepare``'s pass over ``faces``: the whole surface, or one star.
 
     ``faces`` must hold every facet above each of its faces, as a star's
-    faces do.  The vertex-coordinate check (MISSING_COORDS) covers the
-    whole surface; the facet-equation checks and the per-face checks
-    cover ``faces`` only.  Every face goes through ``_face_geometry``
-    once: its rank defect becomes a DEGENERATE_FACE violation, as does
-    a missing vertex list in vertex mode, and its interior point and
-    (for (n-3)-faces) its kernel go into the table.  Vertex coordinates,
-    witnesses and facet equations are converted to integers once, and
-    the mode and the vertex lists are read once per pass, not per face.
-    Equations mode first checks the facet equations and then that each
-    witness lies on every facet above its face, an integer comparison.
+    faces do.  The mode is read once, and each mode has its own loop
+    over ``faces``; every record that loop reads is converted to
+    integers once.  The interior point of every face and the kernel
+    of every (n-3)-face go into the tables.
+
+    Vertex mode first checks the vertex coordinates of the whole
+    surface (MISSING_COORDS), then converts the vertices that
+    ``faces`` use.  A face without vertices is a DEGENERATE_FACE, a
+    face listing a vertex id outside 0..V-1 is an INVALID_ID (that id
+    is never read), and every other face goes through
+    ``_face_geometry`` once, whose rank defect becomes a
+    DEGENERATE_FACE.
+
+    Equations mode first checks the equations of the facets in
+    ``faces``, then walks once from each face to the facets above it.
+    Those facets' normals give an (n-3)-face's kernel at n >= 4 (their
+    integer nullspace, a DEGENERATE_FACE unless it has dimension n-3;
+    at n = 3 the kernel is ()), and the face's witness must lie on
+    each of them (BAD_WITNESS), an integer comparison.
     """
-    bad: list[Violation] = []
     poset = surface.poset
-    n = surface.n
-    vertex_mode = surface.mode == VERTEX_MODE
-    if vertex_mode:
-        if len(surface.vertices) != poset.count(0):
-            counts = f"{poset.count(0)} vertices declared, {len(surface.vertices)} coordinates"
-            bad.append(Violation("MISSING_COORDS", None, counts))
-        elif any(len(v) != n for v in surface.vertices):
-            bad.append(Violation("MISSING_COORDS", None, "coordinate of wrong length"))
-    else:
-        facets = [h for h in faces if h.dim == poset.dim_top]
-        for h in facets:
-            eq = surface.equations.get(h)
-            if eq is None:
-                bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
-            elif len(eq.normal) != n:
-                bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
-            elif all(c == 0 for c in eq.normal):
-                bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
-    if bad:
-        return PreparedSurface(ValidationReport(tuple(bad)))
-    vertex_lists = poset.vertex_lists
-    if vertex_mode:  # the vertices of ``faces`` only, so that one star's pass costs its own size
-        used = {v for f in faces for v in vertex_lists.get(f, ())}
-        convert = {v: homogeneous(surface.vertices[v]) for v in used}.__getitem__
-    else:
-        # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
-        equations = {}
-        for h in facets:
-            eq = surface.equations[h]
-            normal, weight = homogeneous(eq.normal)
-            equations[h] = (normal, eq.offset.denominator, eq.offset.numerator * weight)
-        convert = lambda h: equations[h][0]
-
-    def facets_above(face: Face) -> set[Face]:
-        faces = [face]
-        while faces and faces[0].dim < poset.dim_top:
-            faces = [h for g in faces for h in poset.up(g)]
-        return set(faces)
-
+    n, low, top = surface.n, poset.dim_low, poset.dim_top
+    bad: list[Violation] = []
     degenerate: list[Violation] = []
     points: dict[Face, HomPoint] = {}
     kernels: dict[Face, tuple[IVec, ...]] = {}
-    verts = None  # stays None in equations mode
-    low = poset.dim_low
-    for face in faces:
-        if vertex_mode:
+    if surface.mode == VERTEX_MODE:
+        vertices, vertex_lists = surface.vertices, poset.vertex_lists
+        if len(vertices) != poset.count(0):
+            counts = f"{poset.count(0)} vertices declared, {len(vertices)} coordinates"
+            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
+        if any(len(v) != n for v in vertices):
+            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
+        # the vertices of ``faces`` only, so that one star's pass costs its own size
+        used = {v for f in faces for v in vertex_lists.get(f, ())}
+        coords = {v: homogeneous(vertices[v]) for v in used if 0 <= v < len(vertices)}
+        for face in faces:
             verts = vertex_lists.get(face)
             if not verts:  # spans nothing
                 degenerate.append(Violation("DEGENERATE_FACE", face, "no vertices"))
-                continue
-        point, basis, defect = _face_geometry(surface, face, convert, verts)
-        points[face] = point
+            elif len(coords) < len(used) and not all(v in coords for v in verts):
+                bad.append(Violation("INVALID_ID", face, "vertex index out of range"))
+            else:
+                points[face], basis, defect = _face_geometry(face, [coords[v] for v in verts])
+                if face.dim == low:
+                    kernels[face] = basis
+                if defect is not None:
+                    degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+        return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
+    facets = [h for h in faces if h.dim == top]
+    for h in facets:
+        eq = surface.equations.get(h)
+        if eq is None:
+            bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
+        elif len(eq.normal) != n:
+            bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
+        elif all(c == 0 for c in eq.normal):
+            bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
+    if bad:
+        return PreparedSurface(ValidationReport(tuple(bad)))
+    # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
+    equations = {}
+    for h in facets:
+        eq = surface.equations[h]
+        normal, weight = homogeneous(eq.normal)
+        equations[h] = (normal, eq.offset.denominator, eq.offset.numerator * weight)
+    for face in faces:
+        above = [face]
+        while above and above[0].dim < top:
+            above = [h for g in above for h in poset.up(g)]
+        above = set(above)
+        witness = surface.witnesses.get(face)
+        points[face] = point = None if witness is None else homogeneous(witness)
         if face.dim == low:
-            kernels[face] = basis
-        if defect is not None:
-            degenerate.append(Violation("DEGENERATE_FACE", face, defect))
-        if vertex_mode:
-            continue
+            kernels[face] = basis = nullspace([equations[h][0] for h in above], n) if n > 3 else ()
+            if len(basis) != n - 3:
+                defect = "incident facet equations do not determine the face's direction space"
+                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
         if point is None or len(point[0]) != n:
             bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
             continue
         x, weight = point
-        for h in facets_above(face):
+        for h in above:
             normal, den, rhs = equations[h]
             if dot(normal, x) * den != rhs * weight:
                 bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))

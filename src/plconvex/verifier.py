@@ -100,8 +100,9 @@ def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None =
     projection; it must be a valid rank-3 map vanishing exactly on the
     face's direction space.  A star whose faces break the input
     contract gets the INVALID code that ``verify`` gives: the first
-    violation of the star's pass (MISSING_COORDS, MISSING_EQUATION,
-    BAD_NORMAL, ZERO_NORMAL, DEGENERATE_FACE, BAD_WITNESS), or
+    violation of the star's pass (MISSING_COORDS, INVALID_ID,
+    MISSING_EQUATION, BAD_NORMAL, ZERO_NORMAL, DEGENERATE_FACE,
+    BAD_WITNESS), or
     NOT_SINGLE_CYCLE or ZERO_DIRECTION from the star itself; all of them
     are in ``INVALID_STAR_REASONS``.
     """

@@ -209,6 +209,32 @@ def zigzag_bipyramid(m: int) -> pc.PLSurface:
     return pc.surface_from_polygons(coords, polygons)
 
 
+def crowned_prism(m: int) -> pc.PLSurface:
+    """A prism over ``circle_points(m)`` (m even) whose top is a crown coned to a centre.
+
+    Vertex 0 is the centre (0, 0, 10); vertices 1..m are the rim B_i at
+    z = 0 and vertices m+1..2m the crown T_i over them, at z = 11 for
+    even i and z = 9 for odd i.  The faces are the bottom m-gon
+    (reversed), the side triangles (B_i, B_i+1, T_i+1) and
+    (B_i, T_i+1, T_i), and the top triangles (0, T_i, T_i+1).  The
+    centre lies below the high crown points.  The stars of the centre,
+    of T_0 and of the low crown points fail (m/2 + 2 stars), all with
+    WRONG_TURN_SIGN; all of them but T_0's and T_m-1's reach the
+    pairwise support search (m/2 stars).
+    """
+    rim = circle_points(m)
+    coords = [(Fraction(0), Fraction(0), Fraction(10))]
+    coords += [(x, y, Fraction(0)) for x, y in rim]
+    coords += [(x, y, Fraction(11 if i % 2 == 0 else 9)) for i, (x, y) in enumerate(rim)]
+    bottom = [1 + i for i in range(m)]
+    top = [m + 1 + i for i in range(m)]
+    polygons = [bottom[::-1]]
+    for i in range(m):
+        j = (i + 1) % m
+        polygons += [[bottom[i], bottom[j], top[j]], [bottom[i], top[j], top[i]], [0, top[i], top[j]]]
+    return pc.surface_from_polygons(coords, polygons)
+
+
 STACK_HEIGHTS = (Fraction(1, 10**6), Fraction(1, 50), Fraction(0), Fraction(-1, 50), Fraction(1, 3))
 
 

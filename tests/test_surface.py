@@ -1,9 +1,9 @@
 import math
 import random
+from dataclasses import replace
 from itertools import combinations, product
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -277,38 +277,24 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
             assert verify_face(eq, f) == verify_face(surface, f)
 
 
-def face_geometry_args(surface, face):
-    """``convert`` and ``verts`` of ``_face_geometry`` for one face, records converted on demand."""
-    if surface.mode == "vertices":
-        return (lambda i: homogeneous(surface.vertices[i])), surface.poset.vertex_lists[face]
-    return (lambda h: homogeneous(surface.equations[h].normal)[0]), None
+def face_points(surface, face):
+    """The integer homogeneous points ``_face_geometry`` takes for one vertex-mode face."""
+    return [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[face]]
 
 
-def reference_face_geometry(surface, face, convert, verts):
+def reference_face_geometry(face, points):
     """Reference: ``_face_geometry`` with the rank of the differences recomputed per step.
 
-    Vertex mode keeps a ``_difference`` when ``rank`` of the kept ones
-    plus it exceeds their count, and brings every picked point to the
-    lcm of the picked weights.
+    Keeps a ``_difference`` when ``rank`` of the kept ones plus it
+    exceeds their count, and brings every picked point to the lcm of
+    the picked weights.
     """
-    if verts is None:
-        poset = surface.poset
-        witness = surface.witnesses.get(face)
-        point = None if witness is None else homogeneous(witness)
-        if face.dim != poset.dim_low or surface.n == 3:
-            return point, (), None
-        facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
-        basis = nullspace([convert(h) for h in facets], surface.n)
-        if len(basis) != surface.n - 3:
-            return point, basis, "incident facet equations do not determine the face's direction space"
-        return point, basis, None
-    base = convert(verts[0])
+    base = points[0]
     if face.dim == 0:
         return base, (), None
     picked = [base]
     basis = []
-    for v in verts[1:]:
-        p = convert(v)
+    for p in points[1:]:
         d = surface_mod._difference(base, p)
         if rank(basis + [d]) > len(basis):
             basis.append(d)
@@ -319,6 +305,25 @@ def reference_face_geometry(surface, face, convert, verts):
     weight = math.lcm(*[w for _, w in picked])
     total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
     return (total, len(picked) * weight), tuple(basis), defect
+
+
+def reference_equations_geometry(surface, face):
+    """Reference for an equations-mode face: its witness, kernel and defect.
+
+    The kernel is the nullspace of the facet normals two ranks above an
+    (n-3)-face (each facet once, normals converted here); at n = 3 and
+    for higher faces it is ().
+    """
+    poset = surface.poset
+    witness = surface.witnesses.get(face)
+    point = None if witness is None else homogeneous(witness)
+    if face.dim != poset.dim_low or surface.n == 3:
+        return point, (), None
+    facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
+    basis = nullspace([homogeneous(surface.equations[h].normal)[0] for h in facets], surface.n)
+    if len(basis) != surface.n - 3:
+        return point, basis, "incident facet equations do not determine the face's direction space"
+    return point, basis, None
 
 
 def _geometry_families():
@@ -348,16 +353,25 @@ def _geometry_families():
 
 
 def test_face_geometry_matches_reference():
-    # every face of dims n-3, n-2, n-1, both as prepare sees it and alone
+    # every face of dims n-3, n-2, n-1: vertex mode through _face_geometry
+    # alone, equations mode through prepare's tables and report
     defects = Counter()
     for label, s in _geometry_families():
         poset = s.poset
+        prepared = prepare(s)
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
             for f in poset.faces(d):
-                args = face_geometry_args(s, f)
-                got = surface_mod._face_geometry(s, f, *args)
-                assert got == reference_face_geometry(s, f, *args), (label, f)
-                defects[got[2] is None] += 1
+                if s.mode == "vertices":
+                    points = face_points(s, f)
+                    got = surface_mod._face_geometry(f, points)
+                    assert got == reference_face_geometry(f, points), (label, f)
+                    defect = got[2]
+                else:
+                    point, basis, defect = reference_equations_geometry(s, f)
+                    assert prepared.points[f] == point, (label, f)
+                    assert prepared.kernels.get(f, ()) == basis, (label, f)
+                    assert (pc.Violation("DEGENERATE_FACE", f, defect) in prepared.report.violations) == (defect is not None)
+                defects[defect is None] += 1
     assert min(defects.values()) >= 50, defects
 
 
@@ -389,11 +403,10 @@ def test_face_geometry_repeated_and_collinear_vertices():
             t = F(rng.randint(-3, 3), rng.choice(dens))
             pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
         verts = [rng.randrange(len(pts)) for _ in range(rng.randint(1, len(pts) + 2))]
-        convert = [homogeneous(p) for p in pts].__getitem__
-        surface = SimpleNamespace(n=n)
+        points = [homogeneous(pts[v]) for v in verts]
         face = Face(dim, trial)
-        got = surface_mod._face_geometry(surface, face, convert, verts)
-        assert got == reference_face_geometry(surface, face, convert, verts), (pts, verts, dim)
+        got = surface_mod._face_geometry(face, points)
+        assert got == reference_face_geometry(face, points), (pts, verts, dim)
         defects[got[2] is None] += 1
     assert min(defects.values()) >= 1000, defects
 
@@ -409,9 +422,10 @@ def _star_through(surface, face):
 
 
 def test_prepare_rejection_texts(cube):
-    # each rejection prepare gives before any geometry, and each bad
-    # witness, with its exact text; verify_face at a star through the bad
-    # face (any star when no face is named) answers verify's code
+    # each rejection prepare gives before any geometry, each vertex id out
+    # of range and each bad witness, with its exact text; verify_face at a
+    # star through the bad face (any star when no face is named) answers
+    # verify's code
     eq = as_equations(cube)
     eq4 = as_equations(pc.gen_hypercube(4))
     h, v0, h4 = Face(2, 1), Face(0, 0), Face(3, 2)
@@ -420,10 +434,16 @@ def test_prepare_rejection_texts(cube):
     zero = FacetEquation((F(0),) * 3, eq.equations[h].offset)
     wide = FacetEquation(eq.equations[h].normal + (F(0),), eq.equations[h].offset)
     off = tuple(x + a for x, a in zip(eq.witnesses[h], eq.equations[h].normal))  # along the normal
+    e0 = Face(1, 0)
+
+    def listing(ids):  # the cube with edge e0's vertex list replaced
+        return PLSurface(replace(cube.poset, vertex_lists={**cube.poset.vertex_lists, e0: ids}), vertices=cube.vertices)
+
     cases = [
         (PLSurface(cube.poset, vertices=cube.vertices[:-1]), ("MISSING_COORDS", None, "8 vertices declared, 7 coordinates")),
         (PLSurface(cube.poset, vertices=short), ("MISSING_COORDS", None, "coordinate of wrong length")),
         (PLSurface(cube.poset, vertices=long), ("MISSING_COORDS", None, "coordinate of wrong length")),
+        *[(listing(ids), ("INVALID_ID", e0, "vertex index out of range")) for ids in [(0, 99), (0, -1), (-8, 1)]],
         (PLSurface(eq.poset, equations=_without(eq.equations, h), witnesses=eq.witnesses), ("MISSING_EQUATION", h, "facet without equation")),
         (PLSurface(eq4.poset, equations=_without(eq4.equations, h4), witnesses=eq4.witnesses), ("MISSING_EQUATION", h4, "facet without equation")),
         (PLSurface(eq.poset, equations={**eq.equations, h: wide}, witnesses=eq.witnesses), ("BAD_NORMAL", h, "normal of length 4, not 3")),

@@ -1,17 +1,22 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import plconvex as pc
+import plconvex.fan as fan_mod
 import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
-from plconvex.poset import Face, FacePoset
-from plconvex.surface import PLSurface, prepare
+from plconvex.exactgeom import as_vec
+from plconvex.instances import circle_points
+from plconvex.poset import Face, FacePoset, check_closed, check_connected, validate_poset, vertex_poset
+from plconvex.surface import REPORT_CODES, FacetEquation, PLSurface, prepare
 from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
 
 from conftest import (
+    crowned_prism,
     locally_nonconvex_vertices,
     pinched_tube,
     random_same_kernel_projection,
@@ -85,9 +90,9 @@ def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
     eliminated = Counter()
     face_geometry = surface_mod._face_geometry
 
-    def counting(surf, face, *args, **kwargs):
+    def counting(face, points):
         eliminated[face] += 1
-        return face_geometry(surf, face, *args, **kwargs)
+        return face_geometry(face, points)
 
     monkeypatch.setattr(surface_mod, "_face_geometry", counting)
     assert verify(surface).kind == "CONVEX"
@@ -275,3 +280,179 @@ def test_verify_face_rejects_bad_witness():
         for center in centers:
             assert verify_face(bad, center) == (False, "BAD_WITNESS"), (face, witness, center)
     assert "BAD_WITNESS" in INVALID_STAR_REASONS
+
+
+# one seeded corruption per instance, of each kind: verify's reason, and the
+# reason that prepare (first violation) and every star holding verify's
+# witness face give
+CORRUPTIONS = {
+    "id_past_end": ("INVALID_ID", "INVALID_ID"),
+    "id_negative": ("INVALID_ID", "INVALID_ID"),
+    "list_emptied": ("MISSING_VERTEX_LIST", "DEGENERATE_FACE"),
+    "coordinate_dropped": ("MISSING_COORDS", "MISSING_COORDS"),
+    "coordinate_added": ("MISSING_COORDS", "MISSING_COORDS"),
+    "witness_dropped": ("BAD_WITNESS", "BAD_WITNESS"),
+    "witness_short": ("BAD_WITNESS", "BAD_WITNESS"),
+    "witness_long": ("BAD_WITNESS", "BAD_WITNESS"),
+    "witness_moved": ("BAD_WITNESS", "BAD_WITNESS"),
+    "normal_short": ("BAD_NORMAL", "BAD_NORMAL"),
+    "normal_long": ("BAD_NORMAL", "BAD_NORMAL"),
+    "normal_zeroed": ("ZERO_NORMAL", "ZERO_NORMAL"),
+    "equation_dropped": ("MISSING_EQUATION", "MISSING_EQUATION"),
+}
+CORRUPTION_ROUNDS = 10
+
+
+def _corruption_bases():
+    vertex = [pc.gen_hypercube(3), pc.gen_hypercube(4), pc.gen_prism(6), pc.gen_cross_polytope(4), pc.gen_schonhardt()]
+    return vertex + [pc.as_equations(s) for s in vertex[:4]]
+
+
+def _corrupt(surface, kind, rng):
+    """``surface`` with one record broken as ``kind`` says, and the face it breaks."""
+    poset = surface.poset
+    faces = [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)]
+    if kind in ("id_past_end", "id_negative", "list_emptied"):
+        face = rng.choice(faces)
+        ids = list(poset.vertex_lists[face])
+        n_verts = len(surface.vertices)
+        ids[rng.randrange(len(ids))] = n_verts + rng.randrange(3) if kind == "id_past_end" else -rng.randint(1, n_verts + 2)
+        lists = {**poset.vertex_lists, face: () if kind == "list_emptied" else tuple(ids)}
+        return PLSurface(replace(poset, vertex_lists=lists), vertices=surface.vertices), face
+    if kind.startswith("coordinate"):
+        k = rng.randrange(len(surface.vertices))
+        x = surface.vertices[k]
+        x = x[:-1] if kind == "coordinate_dropped" else x + (F(rng.randint(-2, 2)),)
+        return PLSurface(poset, vertices=surface.vertices[:k] + (x,) + surface.vertices[k + 1 :]), None
+    witnesses, equations = dict(surface.witnesses), dict(surface.equations)
+    if kind.startswith("witness"):
+        face = rng.choice(faces)
+        x = witnesses.pop(face)
+        if kind == "witness_short":
+            witnesses[face] = x[:-1]
+        elif kind == "witness_long":
+            witnesses[face] = x + (F(0),)
+        elif kind == "witness_moved":  # along the normal of a facet above the face
+            above = [face]
+            while above[0].dim < poset.dim_top:
+                above = [h for g in above for h in poset.up(g)]
+            normal = equations[rng.choice(above)].normal
+            witnesses[face] = tuple(a + b for a, b in zip(x, normal))
+    else:
+        face = rng.choice(list(poset.faces(poset.dim_top)))
+        eq = equations.pop(face)
+        normal = {
+            "normal_short": eq.normal[:-1],
+            "normal_long": eq.normal + (F(1),),
+            "normal_zeroed": (F(0),) * len(eq.normal),
+        }.get(kind)
+        if normal is not None:
+            equations[face] = FacetEquation(normal, eq.offset)
+    return PLSurface(poset, equations=equations, witnesses=witnesses), face
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_corrupted_records_agree_across_entry_points(kind):
+    # differential: on each broken input verify, prepare and verify_face never
+    # raise, and every star holding verify's witness face (every star when it
+    # is None) answers the code prepare gives, which is verify's own when it
+    # is a code of the geometry pass
+    verify_reason, star_reason = CORRUPTIONS[kind]
+    mode = "vertices" if kind.startswith(("id", "list", "coordinate")) else "equations"
+    rng = random.Random(kind)
+    checked = 0
+    for base in _corruption_bases():
+        if base.mode != mode:
+            continue
+        poset = base.poset
+        for _ in range(CORRUPTION_ROUNDS):
+            surface, face = _corrupt(base, kind, rng)
+            verdict = verify(surface)
+            assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, verify_reason)
+            first = prepare(surface).report.violations[0]
+            assert (first.code, first.face) == (star_reason, face)
+            for c in poset.faces(poset.dim_low):
+                check = verify_face(surface, c)
+                if face in (None, c) or face in pc.link_cycle(poset, c):
+                    assert check == (False, star_reason), (kind, face, c)
+                    checked += 1
+    assert checked >= 3 * CORRUPTION_ROUNDS
+    assert star_reason in INVALID_STAR_REASONS
+    assert verify_reason == star_reason or verify_reason not in REPORT_CODES
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_crowned_prism_reaches_pairwise_support(m, monkeypatch):
+    s = crowned_prism(m)
+    v = verify(s)
+    assert (v.kind, v.witness, v.reason) == ("NOT_CONVEX", Face(0, 0), "WRONG_TURN_SIGN")
+    calls = Counter()
+    pairwise = fan_mod._pairwise_support
+
+    def counting(dirs):
+        calls["pairwise"] += 1
+        return pairwise(dirs)
+
+    monkeypatch.setattr(fan_mod, "_pairwise_support", counting)
+    failures = verify(s, collect_all=True).failures
+    low = [Face(0, m + 1 + i) for i in range(1, m, 2)]
+    assert failures == tuple((f, "WRONG_TURN_SIGN") for f in [Face(0, 0), Face(0, m + 1), *low])
+    assert calls["pairwise"] == m // 2
+    assert pc.oracle_verdict(s).convex is False
+
+
+def test_pentagram_pyramid_bad_rotation_index():
+    # one planar facet over a star pentagon, coned to a high apex: the apex
+    # star winds twice, the only closed surface here that reaches this reason
+    order = [0, 2, 4, 1, 3]
+    coords = [(x, y, F(0)) for x, y in circle_points(5)] + [(F(0), F(0), F(1000))]
+    polygons = [order] + [[5, b, a] for a, b in zip(order, order[1:] + order[:1])]
+    s = pc.surface_from_polygons(coords, polygons)
+    apex = Face(0, 5)
+    assert verify(s).kind == "NOT_CONVEX"
+    assert verify_face(s, apex) == (False, "BAD_ROTATION_INDEX")
+    assert (apex, "BAD_ROTATION_INDEX") in verify(s, collect_all=True).failures
+    assert pc.oracle_verdict(s).convex is False
+
+
+def suspended_square_torus() -> PLSurface:
+    """A square torus in the hyperplane w = 0, suspended from two apices N and S.
+
+    The torus has 16 quads: ring corners (+-1, +-1), tube section
+    r in {1, 3}, z in {0, 1}.  The apices are N = (0, 0, 1/2, 1) and
+    S = (0, 0, 1/2, -1); the facets are the pyramids from N and from S
+    over the quads.  Every edge link is one cycle, but the links of N
+    and S are tori.
+    """
+    corners = [(1, 1), (-1, 1), (-1, -1), (1, -1)]  # around the ring
+    section = [(1, 0), (3, 0), (3, 1), (1, 1)]  # (r, z) around the tube
+    coords = [(r * x, r * y, z, 0) for x, y in corners for r, z in section]
+    north, south = 16, 17
+    coords += [(0, 0, F(1, 2), 1), (0, 0, F(1, 2), -1)]
+    quads = [
+        (4 * c + k, 4 * ((c + 1) % 4) + k, 4 * ((c + 1) % 4) + (k + 1) % 4, 4 * c + (k + 1) % 4)
+        for c in range(4)
+        for k in range(4)
+    ]
+    edges = {tuple(sorted((q[i], q[(i + 1) % 4]))) for q in quads for i in range(4)}
+    lists = {
+        1: sorted(edges | {(v, a) for a in (north, south) for v in range(16)}),
+        2: sorted([tuple(sorted(q)) for q in quads] + [(*e, a) for a in (north, south) for e in edges]),
+        3: sorted((*sorted(q), a) for a in (north, south) for q in quads),
+    }
+    return PLSurface(vertex_poset(4, len(coords), lists), vertices=tuple(as_vec(p) for p in coords))
+
+
+def test_suspended_torus_classified_though_apex_links_are_tori():
+    # at n >= 4 only the links of the (n-3)-faces are checked: the two apices
+    # have torus links, and the input still passes every check and is classified
+    s = suspended_square_torus()
+    assert validate_poset(s.poset, s.mode).ok
+    assert check_closed(s.poset).ok and check_connected(s.poset).ok
+    assert prepare(s).ok
+    v = verify(s, collect_all=True)
+    assert v.kind == "NOT_CONVEX"
+    assert Counter(reason for _, reason in v.failures) == {"NO_SUPPORT": 16, "WRONG_TURN_SIGN": 8}
+    assert pc.oracle_verdict(s).convex is False
+    eq = verify(pc.as_equations(s))
+    assert (eq.kind, eq.reason) == ("INVALID", "DEGENERATE_FACE")
