@@ -21,7 +21,6 @@ from .fan import (
     ZeroDirectionError,
     build_fan,
     fan_is_convex,
-    reference_direction,
     rotation_index,
 )
 from .formats import NonManifoldError, ParseError, SemanticError, emit_pls, parse_off, parse_pls
@@ -112,7 +111,6 @@ __all__ = [
     "preflight",
     "prepare",
     "rank",
-    "reference_direction",
     "relabel",
     "rigid_motion",
     "rotation_index",

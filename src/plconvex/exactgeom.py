@@ -15,8 +15,8 @@ row to integers.  The public entry points ``rank`` and ``nullspace``
 accept any exact rows and pass each through ``homogeneous`` before
 reducing it, so the integer rows of the geometry pass (``surface``)
 and of ``complementary_projection``'s kernels reach ``_reduce``
-unchanged.  ``complementary_projection`` always returns integer rows;
-``fan.build_fan`` applies them.
+unchanged.  ``complementary_projection`` always returns integer rows, and
+``fan.build_fan`` applies them as they are: it takes no other rows.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
 matrices are sequences of such row vectors.
@@ -158,14 +158,14 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
 
 
 class Projection3(NamedTuple):
-    """A rank-3 linear map R^n -> R^3, given by its three rows.
+    """A rank-3 linear map R^n -> R^3, given by its three integer rows.
 
-    ``complementary_projection`` gives integer rows; a caller may pass
-    rational ones.  ``axes`` is set when the map is a plain coordinate
-    extraction; it lets ``fan.build_fan`` skip the row products.
+    ``fan.build_fan`` uses the rows as they are; ``complementary_projection``
+    gives them.  ``axes`` is set when the map is a plain coordinate
+    extraction; it lets ``build_fan`` skip the row products.
     """
 
-    rows: tuple[Vec, Vec, Vec]
+    rows: tuple[IVec, IVec, IVec]
     axes: tuple[int, int, int] | None = None
 
 

@@ -37,10 +37,10 @@ an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
 
 Who converts and who trusts integers: ``Fan3`` holds integers.
-``build_fan`` trusts ``surface.prepare``'s integer points and scales
-projection rows to integers only when some entry is not an ``int``;
-``Fan3.from_entries`` scales the directions of a hand-built fan with any
-non-``int`` coordinate.  ``fan_is_convex`` trusts ``fan.dirs``.
+``build_fan`` trusts ``surface.prepare``'s integer points and the
+integer rows of ``complementary_projection``; ``Fan3.from_entries``
+scales the directions of a hand-built fan with any non-``int``
+coordinate.  ``fan_is_convex`` trusts ``fan.dirs``.
 """
 
 from __future__ import annotations
@@ -125,12 +125,10 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
 
     ``points`` maps faces to interior points in homogeneous form, integer
     numerators S over a positive weight w (``prepare(surface).points``).
-    This is the package's one application of a ``Projection3``.
-    Integer projection rows (``complementary_projection``'s) are used as
-    they are; rows with any non-integer entry are first scaled to integer
-    rows by one common positive integer, which scales the whole fan.  An
-    axis projection picks three coordinates, any other takes three row
-    products.  The apex is P(S_c) over the weight w_c of ``center``;
+    This is the package's one application of a ``Projection3``, whose
+    integer rows (``complementary_projection``'s) are used as they are.
+    An axis projection picks three coordinates, any other takes three
+    row products.  The apex is P(S_c) over the weight w_c of ``center``;
     every face f of the link cycle contributes, in cycle order, the
     integer direction w_c * P(S_f) - w_f * P(S_c), the positive multiple
     w_c * w_f of the direction from the apex to f's projected interior
@@ -143,12 +141,7 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
         i, j, k = proj.axes
         a0, a1, a2 = center_nums[i], center_nums[j], center_nums[k]
     else:
-        rows = proj.rows
-        if not all(type(x) is int for row in rows for x in row):
-            flat, _ = homogeneous([x for row in rows for x in row])
-            n = len(flat) // 3
-            rows = (flat[:n], flat[n : 2 * n], flat[2 * n :])
-        r0, r1, r2 = rows
+        rows = r0, r1, r2 = proj.rows
         a0, a1, a2 = sum(map(mul, r0, center_nums)), sum(map(mul, r1, center_nums)), sum(map(mul, r2, center_nums))
     ray_dim = center.dim + 1
     dirs = []
@@ -241,17 +234,6 @@ def _pairwise_support(dirs: Sequence[Vec]) -> Vec | None:
         if s != (0, 0, 0) and all(_idot(s, d) > 0 for d in dirs):
             return s
     return None
-
-
-def reference_direction(dirs: Sequence[Vec]) -> Vec | None:
-    """An s with s . d > 0 for every direction, or None if none exists.
-
-    The O(m) certificate comes first; when it fails, strict feasibility
-    is decided exactly by the pairwise search.  Exact over any numeric
-    type; ``fan_is_convex`` passes integers.
-    """
-    s, _ = _certified_direction(dirs, _crosses_and_sum(dirs)[1])
-    return s if s is not None else _pairwise_support(dirs)
 
 
 def _lower_half(u: tuple[Fraction, Fraction]) -> bool:

@@ -200,11 +200,11 @@ def prepare(surface: PLSurface) -> PreparedSurface:
 def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
     """``prepare``'s pass over ``faces``: the whole surface, or one star.
 
-    ``faces`` must hold every facet above each of its faces, as a star's
-    faces do.  The mode is read once, and each mode has its own loop
-    over ``faces``; every record that loop reads is converted to
-    integers once.  The interior point of every face and the kernel
-    of every (n-3)-face go into the tables.
+    ``faces`` holds every facet above each of its faces on a valid
+    poset, as a star's faces do.  The mode is read once, and each mode
+    has its own loop over ``faces``; every record that loop reads is
+    converted to integers once.  The interior point of every face and
+    the kernel of every (n-3)-face go into the tables.
 
     Vertex mode first checks the vertex coordinates of the whole
     surface (MISSING_COORDS), then converts the vertices that
@@ -215,11 +215,12 @@ def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
     DEGENERATE_FACE.
 
     Equations mode first checks the equations of the facets in
-    ``faces``, then walks once from each face to the facets above it.
-    Those facets' normals give an (n-3)-face's kernel at n >= 4 (their
-    integer nullspace, a DEGENERATE_FACE unless it has dimension n-3;
-    at n = 3 the kernel is ()), and the face's witness must lie on
-    each of them (BAD_WITNESS), an integer comparison.
+    ``faces``, then walks once from each face to the facets above it;
+    reaching a facet outside ``faces`` is an INVALID_ID.  Those facets'
+    normals give an (n-3)-face's kernel at n >= 4 (their integer
+    nullspace, a DEGENERATE_FACE unless it has dimension n-3; at n = 3
+    the kernel is ()), and the face's witness must lie on each of them
+    (BAD_WITNESS), an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
@@ -272,6 +273,9 @@ def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
         while above and above[0].dim < top:
             above = [h for g in above for h in poset.up(g)]
         above = set(above)
+        if not above.issubset(equations):  # only on a poset that validate_poset rejects
+            bad.append(Violation("INVALID_ID", face, "upward reference to a facet outside the records"))
+            continue
         witness = surface.witnesses.get(face)
         points[face] = point = None if witness is None else homogeneous(witness)
         if face.dim == low:

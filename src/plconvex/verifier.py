@@ -4,10 +4,14 @@
 connectedness, realization), then evaluates the star of every
 (n-3)-face from the interior points and kernels that the realization
 pass (``prepare``) computed once per face; ``verify_face`` runs that
-pass over one star's faces only.  The surface is the boundary
-of a convex polyhedron exactly when every star passes; compactness plus
-closedness supply the strictly convex point that makes local convexity
-everywhere sufficient, so no separate strictness test is run.
+pass over one star's faces only, plus in vertex mode
+``validate_poset``'s containment check over the star.  Every star goes
+through one path: ``link_cycle``, ``complementary_projection``'s
+integer rows, ``build_fan`` and ``fan_is_convex``.  The surface is the
+boundary of a convex polyhedron exactly when every star passes;
+compactness plus closedness supply the strictly convex point that
+makes local convexity everywhere sufficient, so no separate strictness
+test is run.
 
 Verdicts are deterministic: stars are checked in face-index order, so
 the reported witness is always the failing (n-3)-face of least index,
@@ -18,17 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactgeom import Projection3, complementary_projection
+from .exactgeom import complementary_projection
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
 from .poset import (
     Face,
     LinkCycleError,
+    _uncontained,
     check_closed,
     check_connected,
     link_cycle,
     validate_poset,
 )
-from .surface import REPORT_CODES, PLSurface, PreparedSurface, _prepare, prepare
+from .surface import REPORT_CODES, VERTEX_MODE, PLSurface, PreparedSurface, _prepare, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
@@ -36,9 +41,10 @@ INVALID = "INVALID"
 
 
 # star-level defects that invalidate the input rather than disprove convexity:
-# a broken link, a zero fan direction, or a code of the geometry pass that
-# verify_face runs over the star's faces
-INVALID_STAR_REASONS = frozenset((LinkCycleError.code, ZeroDirectionError.code, *REPORT_CODES))
+# a broken link, a zero fan direction, a code of the geometry pass that
+# verify_face runs over the star's faces, or a vertex list of the star
+# not inside the list of a face above it
+INVALID_STAR_REASONS = frozenset((LinkCycleError.code, ZeroDirectionError.code, *REPORT_CODES, "VERTEX_NOT_CONTAINED"))
 
 
 @dataclass(frozen=True)
@@ -71,42 +77,40 @@ def preflight(surface: PLSurface) -> PreparedSurface:
     return prepare(surface)
 
 
-def _star_check(
-    surface: PLSurface, face: Face, prepared: PreparedSurface | None, projection: Projection3 | None = None
-):
+def _star_check(surface: PLSurface, face: Face, prepared: PreparedSurface | None):
     """Classify one star from ``prepared``'s table, or, when it is None, from a pass over the star's faces."""
     try:
         cycle = link_cycle(surface.poset, face)
-    except LinkCycleError as exc:
-        return ConvexityCheck(False, exc.code), 0
-    if prepared is None:
-        prepared = _prepare(surface, (face, *cycle))
-        if not prepared.ok:
-            return ConvexityCheck(False, prepared.report.violations[0].code), 0
-    try:
-        proj = projection if projection is not None else complementary_projection(prepared.kernels[face], surface.n)
-        fan = build_fan(prepared.points, face, cycle, proj)
-    except ZeroDirectionError as exc:
+        if prepared is None:
+            star = (face, *cycle)
+            prepared = _prepare(surface, star)
+            violations = prepared.report.violations
+            if surface.mode == VERTEX_MODE and all(v.code == "DEGENERATE_FACE" for v in violations):
+                # validate_poset runs before prepare in verify, so its containment check outranks rank defects
+                violations = _uncontained(surface.poset, star) or violations
+            if violations:
+                return ConvexityCheck(False, violations[0].code), 0
+        fan = build_fan(prepared.points, face, cycle, complementary_projection(prepared.kernels[face], surface.n))
+    except (LinkCycleError, ZeroDirectionError) as exc:
         return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.dirs)
 
 
-def verify_face(surface: PLSurface, face: Face, projection: Projection3 | None = None) -> ConvexityCheck:
+def verify_face(surface: PLSurface, face: Face) -> ConvexityCheck:
     """Local convexity of one (n-3)-face star.
 
     Runs ``link_cycle``, then the geometry pass of ``prepare`` over the
     star's own faces only, then the star classification that ``verify``
-    runs.  ``projection`` overrides the default complementary
-    projection; it must be a valid rank-3 map vanishing exactly on the
-    face's direction space.  A star whose faces break the input
-    contract gets the INVALID code that ``verify`` gives: the first
-    violation of the star's pass (MISSING_COORDS, INVALID_ID,
-    MISSING_EQUATION, BAD_NORMAL, ZERO_NORMAL, DEGENERATE_FACE,
-    BAD_WITNESS), or
-    NOT_SINGLE_CYCLE or ZERO_DIRECTION from the star itself; all of them
-    are in ``INVALID_STAR_REASONS``.
+    runs.  A star whose faces break the input contract gets the INVALID
+    code that ``verify`` gives: the first violation of the star's pass
+    (MISSING_COORDS, INVALID_ID, MISSING_EQUATION, BAD_NORMAL,
+    ZERO_NORMAL, BAD_WITNESS), else in vertex mode ``validate_poset``'s
+    VERTEX_NOT_CONTAINED for a face whose vertex list is not inside
+    that of a face above it in the star, else the pass's
+    DEGENERATE_FACE, or NOT_SINGLE_CYCLE or ZERO_DIRECTION from the star
+    itself; all of them are in ``INVALID_STAR_REASONS``.
     """
-    return _star_check(surface, face, None, projection)[0]
+    return _star_check(surface, face, None)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:

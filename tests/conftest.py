@@ -107,7 +107,11 @@ def locally_nonconvex_vertices(surface) -> set[int]:
 
 
 def random_same_kernel_projection(kernel, n: int, rng: random.Random) -> Projection3:
-    """A random rank-3 map with the given kernel: invertible mix of the default rows."""
+    """A random rank-3 map with the given kernel: invertible mix of the default rows.
+
+    The mix has rational entries; the rows are scaled by their positive
+    common denominator, so they are integers as ``build_fan`` requires.
+    """
     base = pc.complementary_projection(kernel, n)
     while True:
         mix = [
@@ -121,11 +125,15 @@ def random_same_kernel_projection(kernel, n: int, rng: random.Random) -> Project
         )
         if det != 0:
             break
-    rows = tuple(
-        tuple(sum(mix[i][k] * base.rows[k][j] for k in range(3)) for j in range(n))
-        for i in range(3)
-    )
-    return Projection3(rows)
+    rows = [sum(mix[i][k] * base.rows[k][j] for k in range(3)) for i in range(3) for j in range(n)]
+    scale = math.lcm(*[Fraction(x).denominator for x in rows])
+    ints = [int(x * scale) for x in rows]
+    return Projection3((tuple(ints[:n]), tuple(ints[n : 2 * n]), tuple(ints[2 * n :])))
+
+
+def star_under_projection(surface, face, proj: Projection3, prepared: pc.PreparedSurface) -> pc.ConvexityCheck:
+    """The classification of ``face``'s star, from ``prepare(surface)``'s table, projected by ``proj``."""
+    return pc.fan_is_convex(pc.build_fan(prepared.points, face, pc.link_cycle(surface.poset, face), proj))
 
 
 def pinched_tube() -> pc.PLSurface:

@@ -19,6 +19,7 @@ from conftest import (
     locally_nonconvex_vertices,
     random_same_kernel_projection,
     reflex_adjacent_vertices,
+    star_under_projection,
 )
 
 F = Fraction
@@ -152,16 +153,16 @@ def test_criterion_4_projection_independence():
     trials = agreements = 0
     for surface in instances:
         faces = list(surface.poset.faces(surface.poset.dim_low))
-        kernels = prepare(surface).kernels
+        prepared = prepare(surface)
         cached = {}
         for _ in range(100):
             f = faces[rng.randrange(len(faces))]
             if f not in cached:
-                cached[f] = (verify_face(surface, f), kernels[f])
+                cached[f] = (verify_face(surface, f), prepared.kernels[f])
             base, kern = cached[f]
             proj = random_same_kernel_projection(kern, surface.n, rng)
             trials += 1
-            if verify_face(surface, f, projection=proj) == base:
+            if star_under_projection(surface, f, proj, prepared) == base:
                 agreements += 1
     report(4, agreements == trials == 2000, f"{agreements}/{trials} projections agree")
 

@@ -17,7 +17,6 @@ from plconvex.fan import (
     FanEntry,
     OppositeDirectionsError,
     fan_is_convex,
-    reference_direction,
     rotation_index,
 )
 from plconvex.instances import circle_points
@@ -165,23 +164,23 @@ class TestPolygonIsConvex:
 
 
 class TestReferenceDirection:
+    # the O(m^3) pairwise search, on rank-3 direction sets as its contract says
     def test_pyramid(self):
-        dirs = [as_vec(d) for d in [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]]
-        s = reference_direction(dirs)
+        dirs = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+        s = fan_mod._pairwise_support(dirs)
         assert s is not None
         assert all(dot(s, d) > 0 for d in dirs)
 
     def test_saddle_none(self):
-        dirs = [as_vec(d) for d in [(1, 0, 1), (0, 1, -1), (-1, 0, 1), (0, -1, -1)]]
-        assert reference_direction(dirs) is None
+        dirs = [(1, 0, 1), (0, 1, -1), (-1, 0, 1), (0, -1, -1)]
+        assert fan_mod._pairwise_support(dirs) is None
 
     def test_no_directions(self):
-        assert reference_direction([]) is None
         assert fan_is_convex(Fan3.from_entries((0, 0, 0), ())) == (False, "DEGENERATE_RANK")
 
     def test_axes(self):
-        dirs = [as_vec(d) for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
-        s = reference_direction(dirs)
+        dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        s = fan_mod._pairwise_support(dirs)
         assert s is not None
         assert all(dot(s, d) > 0 for d in dirs)
 
@@ -197,10 +196,10 @@ class TestReferenceDirection:
         while len(dirs) < 6:
             d = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             if sum(a * b for a, b in zip(s0, d)) > 0:
-                dirs.append(as_vec(d))
+                dirs.append(d)
         if pc.rank(dirs) < 3:
             return
-        s = reference_direction(dirs)
+        s = fan_mod._pairwise_support(dirs)
         assert s is not None
         assert all(dot(s, d) > 0 for d in dirs)
 
@@ -211,11 +210,13 @@ class TestReferenceDirection:
         d = None
         while not d or d == (0, 0, 0):
             d = (rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
-        dirs = [as_vec(d), as_vec((-d[0], -d[1], -d[2]))]
+        dirs = [d, (-d[0], -d[1], -d[2])]
         for _ in range(4):
-            dirs.append(as_vec((rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))))
-        dirs = [v for v in dirs if v != as_vec((0, 0, 0))]
-        assert reference_direction(dirs) is None
+            dirs.append((rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)))
+        dirs = [v for v in dirs if v != (0, 0, 0)]
+        if pc.rank(dirs) < 3:
+            return
+        assert fan_mod._pairwise_support(dirs) is None
 
 
 class TestFanIsConvex:
@@ -1060,8 +1061,10 @@ class TestIntegerContract:
         assert len(reasons) == 7, reasons
 
     def test_build_fan_scales_only_fraction_rows(self, monkeypatch):
-        # integer projection rows are used as given; rows with a Fraction
-        # entry are scaled to integers by one common factor first
+        # projection rows are integers, used as given with no conversion: the
+        # axis shortcut and the same rows as row products build one fan, k
+        # times the rows build k times its entries, and a random integer mix
+        # of the rows classifies each star alike
         rng = random.Random(29)
         calls = []
         real = fan_mod.homogeneous
@@ -1081,23 +1084,18 @@ class TestIntegerContract:
             n = surface.n
             for f in surface.poset.faces(surface.poset.dim_low):
                 cycle = pc.link_cycle(surface.poset, f)
-                mixed = random_same_kernel_projection(prepared.kernels[f], n, rng)
-                flat = real([x for row in mixed.rows for x in row])[0]
-                scaled = Projection3((flat[:n], flat[n : 2 * n], flat[2 * n :]))
-                k = rng.randint(2, 9)
                 base = pc.complementary_projection(prepared.kernels[f], n)
-                divided = Projection3(tuple(tuple(F(x, k) for x in row) for row in base.rows))
-                integer = Projection3(base.rows)  # rows products, not the axis shortcut
-                calls.clear()
-                want = pc.build_fan(prepared.points, f, cycle, scaled)
+                k = rng.randint(2, 9)
+                want = pc.build_fan(prepared.points, f, cycle, base)
                 expected = fan_is_convex(want)
-                assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, integer)) == expected
-                assert calls == []
-                got = pc.build_fan(prepared.points, f, cycle, mixed)
-                assert len(calls) == 1
-                assert got == want and fan_is_convex(got) == expected
-                assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, divided)) == expected
+                assert pc.build_fan(prepared.points, f, cycle, Projection3(base.rows)) == want
+                scaled = pc.build_fan(prepared.points, f, cycle, Projection3(tuple(tuple(k * x for x in row) for row in base.rows)))
+                assert scaled.dirs == tuple(tuple(k * x for x in d) for d in want.dirs)
+                assert fan_is_convex(scaled) == expected
+                mixed = random_same_kernel_projection(prepared.kernels[f], n, rng)
+                assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, mixed)) == expected
                 reasons[expected.reason] += 1
+        assert calls == []
         assert reasons["OK_POINTED"] >= 100 and len(reasons) >= 3, reasons
 
 

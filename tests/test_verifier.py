@@ -21,6 +21,7 @@ from conftest import (
     pinched_tube,
     random_same_kernel_projection,
     reflex_adjacent_vertices,
+    star_under_projection,
     zigzag_bipyramid,
 )
 
@@ -154,13 +155,12 @@ def test_order_independence(schonhardt):
 def test_custom_projection_equals_fast_path(tesseract, schonhardt):
     rng = random.Random(11)
     for surface in (tesseract, schonhardt):
-        kernels = prepare(surface).kernels
+        prepared = prepare(surface)
         for f in surface.poset.faces(surface.poset.dim_low):
             base = verify_face(surface, f)
-            kern = kernels[f]
             for _ in range(5):
-                proj = random_same_kernel_projection(kern, surface.n, rng)
-                assert verify_face(surface, f, projection=proj) == base
+                proj = random_same_kernel_projection(prepared.kernels[f], surface.n, rng)
+                assert star_under_projection(surface, f, proj, prepared) == base
 
 
 def test_zero_direction_guard():
@@ -289,6 +289,7 @@ CORRUPTIONS = {
     "id_past_end": ("INVALID_ID", "INVALID_ID"),
     "id_negative": ("INVALID_ID", "INVALID_ID"),
     "list_emptied": ("MISSING_VERTEX_LIST", "DEGENERATE_FACE"),
+    "list_uncontained": ("VERTEX_NOT_CONTAINED", "VERTEX_NOT_CONTAINED"),
     "coordinate_dropped": ("MISSING_COORDS", "MISSING_COORDS"),
     "coordinate_added": ("MISSING_COORDS", "MISSING_COORDS"),
     "witness_dropped": ("BAD_WITNESS", "BAD_WITNESS"),
@@ -319,6 +320,15 @@ def _corrupt(surface, kind, rng):
         ids[rng.randrange(len(ids))] = n_verts + rng.randrange(3) if kind == "id_past_end" else -rng.randint(1, n_verts + 2)
         lists = {**poset.vertex_lists, face: () if kind == "list_emptied" else tuple(ids)}
         return PLSurface(replace(poset, vertex_lists=lists), vertices=surface.vertices), face
+    if kind == "list_uncontained":  # one listed id swapped for a valid id the face did not list
+        face = rng.choice(faces)
+        ids = poset.vertex_lists[face]
+        old = rng.choice(ids)
+        new = rng.choice([v for v in range(len(surface.vertices)) if v not in ids])
+        lists = {**poset.vertex_lists, face: tuple(sorted({*ids, new} - {old}))}
+        # validate_poset reports the least lower face that listed the old id, else the face itself
+        below = [f for f in faces if face in poset.up(f) and old in poset.vertex_lists[f]]
+        return PLSurface(replace(poset, vertex_lists=lists), vertices=surface.vertices), (below or [face])[0]
     if kind.startswith("coordinate"):
         k = rng.randrange(len(surface.vertices))
         x = surface.vertices[k]
@@ -356,7 +366,8 @@ def test_corrupted_records_agree_across_entry_points(kind):
     # differential: on each broken input verify, prepare and verify_face never
     # raise, and every star holding verify's witness face (every star when it
     # is None) answers the code prepare gives, which is verify's own when it
-    # is a code of the geometry pass
+    # is a code of the geometry pass; containment is validate_poset's check,
+    # which the star runs and the whole-surface prepare leaves to it
     verify_reason, star_reason = CORRUPTIONS[kind]
     mode = "vertices" if kind.startswith(("id", "list", "coordinate")) else "equations"
     rng = random.Random(kind)
@@ -369,8 +380,9 @@ def test_corrupted_records_agree_across_entry_points(kind):
             surface, face = _corrupt(base, kind, rng)
             verdict = verify(surface)
             assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, verify_reason)
-            first = prepare(surface).report.violations[0]
-            assert (first.code, first.face) == (star_reason, face)
+            report = prepare(surface).report
+            if star_reason in REPORT_CODES:
+                assert (report.violations[0].code, report.violations[0].face) == (star_reason, face)
             for c in poset.faces(poset.dim_low):
                 check = verify_face(surface, c)
                 if face in (None, c) or face in pc.link_cycle(poset, c):
@@ -379,6 +391,65 @@ def test_corrupted_records_agree_across_entry_points(kind):
     assert checked >= 3 * CORRUPTION_ROUNDS
     assert star_reason in INVALID_STAR_REASONS
     assert verify_reason == star_reason or verify_reason not in REPORT_CODES
+
+
+def _corrupt_poset(surface, kind, rng):
+    """``surface`` with one upward reference dropped, added or out of range, or one face count off by one."""
+    poset = surface.poset
+    up, counts = dict(poset.incidence_up), dict(poset.faces_per_dim)
+    if kind.startswith("count"):
+        counts[rng.choice(sorted(counts))] += 1 if kind == "count_plus" else -1
+    else:
+        face = rng.choice(sorted(up))
+        ups, above = list(up[face]), face.dim + 1
+        if kind == "up_dropped":
+            del ups[rng.randrange(len(ups))]
+        elif kind == "up_added":
+            ups.append(rng.choice([g for g in poset.faces(above) if g not in ups]))
+        else:
+            ups[rng.randrange(len(ups))] = Face(above, rng.choice([-1, poset.count(above)]))
+        up[face] = tuple(sorted(ups))
+    return replace(surface, poset=replace(poset, incidence_up=up, faces_per_dim=counts))
+
+
+def _mutate_text(text, rng):
+    """``text`` with one character dropped, inserted or replaced, or one span cut or repeated."""
+    i, j = sorted((rng.randrange(len(text)), rng.randrange(len(text))))
+    return rng.choice([
+        text[:i] + text[i + 1 :],
+        text[:i] + rng.choice('0123456789-/.,:[]{}" e') + text[i:],
+        text[:i] + rng.choice('0123456789-/.,:[]{}" e') + text[i + 1 :],
+        text[:i] + text[j:],
+        text[:j] + text[i:j] + text[j:],
+    ])
+
+
+def test_poset_and_text_corruptions_never_raise():
+    # seeded, on the corruption bases: no entry point raises on a broken
+    # poset, parse_pls raises only its own two errors on mutated text, and
+    # every text that emit_pls produced reads back to itself
+    rng = random.Random(17)
+    outcomes = Counter()
+    for base in _corruption_bases():
+        for kind in ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus"):
+            for _ in range(4):
+                s = _corrupt_poset(base, kind, rng)
+                outcomes[verify(s).kind] += 1
+                prepare(s), check_closed(s.poset), check_connected(s.poset)
+                for c in s.poset.faces(s.poset.dim_low):
+                    verify_face(s, c)
+        text = pc.emit_pls(base)
+        assert pc.emit_pls(pc.parse_pls(text)) == text
+        for _ in range(60):
+            try:
+                parsed = pc.parse_pls(_mutate_text(text, rng))
+            except (pc.ParseError, pc.SemanticError) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            again = pc.emit_pls(parsed)
+            assert pc.emit_pls(pc.parse_pls(again)) == again
+            outcomes["parsed"] += 1
+    assert outcomes["INVALID"] >= 150 and min(outcomes["ParseError"], outcomes["parsed"]) >= 50, outcomes
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -412,6 +483,59 @@ def test_pentagram_pyramid_bad_rotation_index():
     assert verify(s).kind == "NOT_CONVEX"
     assert verify_face(s, apex) == (False, "BAD_ROTATION_INDEX")
     assert (apex, "BAD_ROTATION_INDEX") in verify(s, collect_all=True).failures
+    assert pc.oracle_verdict(s).convex is False
+
+
+def _star_ten_gon():
+    """A five-pointed star as a 10-gon: rational unit directions about 36 degrees apart, radii 2 and 1 alternating."""
+    pts = []
+    for k, t in enumerate([0, F(1, 3), F(8, 11), F(11, 8), 3, None, -3, F(-11, 8), F(-8, 11), F(-1, 3)]):
+        x, y = (-1, 0) if t is None else ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        pts.append((2 * x, 2 * y) if k % 2 == 0 else (x, y))
+    return pts
+
+
+NON_CONVEX_POLYGONS = {
+    "L": [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+    "U": [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)],
+    "dart": [(0, 0), (2, 1), (0, 3), (1, 1)],
+    "star": _star_ten_gon(),
+}
+
+
+def _prism_or_cone(shape, polygon):
+    """The unit-height prism over ``polygon`` in z = 0, or its cone to the apex (1, 1, 5)."""
+    k = len(polygon)
+    coords = [as_vec((x, y, 0)) for x, y in polygon]
+    if shape == "prism":
+        coords += [as_vec((x, y, 1)) for x, y in polygon]
+        sides = [[i, (i + 1) % k, k + (i + 1) % k, k + i] for i in range(k)]
+        return pc.surface_from_polygons(coords, [list(range(k)), list(range(k, 2 * k)), *sides])
+    coords.append(as_vec((1, 1, 5)))
+    return pc.surface_from_polygons(coords, [list(range(k))] + [[i, (i + 1) % k, k] for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "shape, polygon, witness, reason",
+    [
+        ("prism", "L", 3, "WRONG_TURN_SIGN"),
+        ("prism", "U", 3, "ZERO_ANGLE_CONE"),
+        ("prism", "dart", 0, "WRONG_TURN_SIGN"),
+        ("prism", "star", 0, "WRONG_TURN_SIGN"),
+        ("cone", "L", 3, "WRONG_TURN_SIGN"),
+        ("cone", "dart", 0, "WRONG_TURN_SIGN"),
+    ],
+)
+def test_non_convex_facets_are_rejected(shape, polygon, witness, reason):
+    # facet convexity is not checked: a planar non-convex facet passes every
+    # input check, and its surface still comes back NOT_CONVEX in both modes,
+    # as the oracle says; none of them reaches BAD_ROTATION_INDEX
+    s = _prism_or_cone(shape, NON_CONVEX_POLYGONS[polygon])
+    assert prepare(s).ok
+    for surface in (s, pc.as_equations(s)):
+        v = verify(surface)
+        assert (v.kind, v.witness, v.reason) == ("NOT_CONVEX", Face(0, witness), reason)
+    assert "BAD_ROTATION_INDEX" not in {r for _, r in verify(s, collect_all=True).failures}
     assert pc.oracle_verdict(s).convex is False
 
 
