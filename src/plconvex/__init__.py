@@ -11,7 +11,6 @@ from .exactgeom import (
     DegenerateFaceError,
     Projection3,
     complementary_projection,
-    rank,
 )
 from .fan import (
     ConvexityCheck,
@@ -110,7 +109,6 @@ __all__ = [
     "parse_pls",
     "preflight",
     "prepare",
-    "rank",
     "relabel",
     "rigid_motion",
     "rotation_index",

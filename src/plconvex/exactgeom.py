@@ -11,11 +11,12 @@ Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
 are the one elimination routine; they take rows of ints as they are
 and never convert.  ``homogeneous`` alone decides when a row needs
 converting: it hands a row of ints back as it is and scales any other
-row to integers.  The public entry points ``rank`` and ``nullspace``
-accept any exact rows and pass each through ``homogeneous`` before
-reducing it, so the integer rows of the geometry pass (``surface``)
-and of ``complementary_projection``'s kernels reach ``_reduce``
-unchanged.  ``complementary_projection`` always returns integer rows, and
+row to integers.  The public entry point ``nullspace`` accepts any
+exact rows and passes each through ``homogeneous`` before reducing it,
+so the integer rows of the geometry pass (``surface``) and of
+``complementary_projection``'s kernels reach ``_reduce`` unchanged; a
+rank is the width less the size of the nullspace.
+``complementary_projection`` always returns integer rows, and
 ``fan.build_fan`` applies them as they are: it takes no other rows.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
@@ -108,17 +109,6 @@ def _pivot(r: IVec) -> int | None:
         if x:
             return k
     return None
-
-
-def rank(vectors: Sequence[Sequence]) -> int:
-    """Rank of rows of exact numbers (``int`` or ``Fraction``)."""
-    pivots: list[tuple[int, IVec]] = []
-    for v in vectors:
-        r = _reduce(pivots, homogeneous(v)[0])
-        col = _pivot(r)
-        if col is not None:
-            pivots.append((col, r))
-    return len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:

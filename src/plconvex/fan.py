@@ -76,28 +76,26 @@ class FanEntry(NamedTuple):
 
 
 class Fan3(NamedTuple):
-    """Apex plus the cyclic alternating ray/witness directions of a star.
+    """The cyclic alternating ray/witness directions of a star, from its apex.
 
-    The apex point is ``apex`` divided by the positive ``weight``.  Entry k
-    is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY or CELL)
-    from the link-cycle face ``sources[k]``; ``entries`` zips them on demand.
-    A direct call must pass ``int`` triples, unchecked and trusted by
-    ``fan_is_convex``; ``from_entries`` converts any other coordinates.
+    Entry k is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY
+    or CELL) from the link-cycle face ``sources[k]``; ``entries`` zips them
+    on demand.  A direct call must pass ``int`` triples, unchecked and
+    trusted by ``fan_is_convex``; ``from_entries`` converts any other
+    coordinates.
     """
 
-    apex: Vec
     dirs: tuple[IVec, ...]
     kinds: tuple[str, ...]
     sources: tuple[Face, ...]
-    weight: int = 1
 
     @classmethod
-    def from_entries(cls, apex: Vec, entries: Sequence[FanEntry], weight: int = 1) -> Fan3:
+    def from_entries(cls, entries: Sequence[FanEntry]) -> Fan3:
         """A fan from ``FanEntry``s; any non-``int`` coordinate rescales every direction to integers."""
         dirs = tuple(e.direction for e in entries)
         if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
             dirs = tuple(homogeneous(d)[0] for d in dirs)
-        return cls(apex, dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries), weight)
+        return cls(dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries))
 
     @property
     def entries(self) -> tuple[FanEntry, ...]:
@@ -128,12 +126,13 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
     This is the package's one application of a ``Projection3``, whose
     integer rows (``complementary_projection``'s) are used as they are.
     An axis projection picks three coordinates, any other takes three
-    row products.  The apex is P(S_c) over the weight w_c of ``center``;
-    every face f of the link cycle contributes, in cycle order, the
-    integer direction w_c * P(S_f) - w_f * P(S_c), the positive multiple
-    w_c * w_f of the direction from the apex to f's projected interior
-    point.  One loop fills ``dirs`` and ``kinds`` (RAY one rank above
-    ``center``); ``sources`` is the cycle's tuple: no object per entry.
+    row products.  The apex, P(S_c) over the weight w_c of ``center``,
+    is formed only for the directions and is not returned: every face f
+    of the link cycle contributes, in cycle order, the integer direction
+    w_c * P(S_f) - w_f * P(S_c), the positive multiple w_c * w_f of the
+    direction from the apex to f's projected interior point.  One loop
+    fills ``dirs`` and ``kinds`` (RAY one rank above ``center``);
+    ``sources`` is the cycle's tuple: no object per entry.
     """
     center_nums, wc = points[center]
     rows = None
@@ -157,7 +156,7 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
             raise ZeroDirectionError(face)
         dirs.append((d0, d1, d2))
         kinds.append(RAY if face.dim == ray_dim else CELL)
-    return Fan3((a0, a1, a2), tuple(dirs), tuple(kinds), cycle, wc)
+    return Fan3(tuple(dirs), tuple(kinds), cycle)
 
 
 def _idot(u, v):

@@ -133,18 +133,14 @@ def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]
     return FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
 
 
-def _infer_mode(poset: FacePoset) -> str:
-    return "vertices" if poset.vertex_lists else "equations"
-
-
-def validate_poset(poset: FacePoset, mode: str | None = None) -> ValidationReport:
+def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     """Structural validation: ranks present, references in range, lists nested.
 
-    Does not look at coordinates; geometric checks live with the surface.
+    ``mode`` is the surface's geometry mode (``PLSurface.mode``); vertex
+    lists are required and checked only in vertex mode.  Does not look
+    at coordinates; geometric checks live with the surface.
     """
     bad: list[Violation] = []
-    if mode is None:
-        mode = _infer_mode(poset)
     n = poset.n
     if n < 3:
         return ValidationReport((Violation("MISSING_RANK", None, f"ambient dimension {n} < 3"),))
@@ -298,8 +294,6 @@ def link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:
         entries.append(h)
         a, b = rim[h]
         g = b if a == g else a
-        if g not in cells_of:
-            raise LinkCycleError(center, "walk left the star")
         if g == start:
             break
         a, b = cells_of[g]

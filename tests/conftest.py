@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import Projection3, cross3, dot
+from plconvex.exactgeom import Projection3, cross3, dot, nullspace
 from plconvex.instances import circle_points, vmean, vsub
+from plconvex.poset import vertex_poset
 
 
 @pytest.fixture
@@ -31,6 +32,12 @@ def octahedron():
 @pytest.fixture
 def schonhardt():
     return pc.gen_schonhardt()
+
+
+def rank(rows) -> int:
+    """Rank of exact rows, through the package's one elimination: the width less the nullity."""
+    width = len(rows[0]) if rows else 0
+    return width - len(nullspace(rows, width))
 
 
 def float_winding(edges) -> float:
@@ -272,3 +279,26 @@ def stacked_cube(seed: int, stacks: int) -> pc.PLSurface:
         apex = len(coords) - 1
         polygons += [[apex, a, b] for a, b in zip(facet, facet[1:] + facet[:1])]
     return pc.surface_from_polygons(coords, polygons)
+
+
+def duoprism(p: int, q: int) -> pc.PLSurface:
+    """The product in R^4 of the convex p-gon and q-gon on ``circle_points``.
+
+    Vertex i*q + j is (a_i, b_j), a_i of the p-gon and b_j of the q-gon.
+    The edges are a_i a_i+1 x b_j and a_i x b_j b_j+1; the 2-faces are
+    the copies p-gon x b_j and a_i x q-gon and the squares of an edge by
+    an edge; the facets are the prisms p-gon x edge and edge x q-gon.
+    Every edge lies in three 2-faces: 6pq incidences from edges up.
+    """
+    coords = tuple((*a, *b) for a in circle_points(p) for b in circle_points(q))
+
+    def face(cells):
+        return tuple(sorted({(i % p) * q + j % q for i, j in cells}))
+
+    cells = [(i, j) for i in range(p) for j in range(q)]
+    edges = [face([(i, j), (i + 1, j)]) for i, j in cells] + [face([(i, j), (i, j + 1)]) for i, j in cells]
+    ridges = [face((i, j) for i in range(p)) for j in range(q)] + [face((i, j) for j in range(q)) for i in range(p)]
+    ridges += [face([(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]) for i, j in cells]
+    facets = [face((i, j + d) for i in range(p) for d in (0, 1)) for j in range(q)]
+    facets += [face((i + d, j) for j in range(q) for d in (0, 1)) for i in range(p)]
+    return pc.PLSurface(vertex_poset(4, p * q, {1: edges, 2: ridges, 3: facets}), vertices=coords)

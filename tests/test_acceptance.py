@@ -225,7 +225,7 @@ def test_criterion_6_rotation_index_suite():
         a, b = star[k], star[(k + 1) % 5]
         entries.append(FanEntry(RAY, (a[0], a[1], F(1)), Face(1, k)))
         entries.append(FanEntry(CELL, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, F(1)), Face(2, k)))
-    lifted = Fan3.from_entries((F(0), F(0), F(0)), tuple(entries))
+    lifted = Fan3.from_entries(tuple(entries))
     res = fan_is_convex(lifted)
     ok = ok and res == (False, "BAD_ROTATION_INDEX")
     report(6, ok, f"square +1/-1, pentagram 2 (float {float_winding(star_edges):.6f}), lift {res.reason}")

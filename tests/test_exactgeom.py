@@ -12,10 +12,11 @@ from plconvex.exactgeom import (
     dot,
     homogeneous,
     nullspace,
-    rank,
 )
 from plconvex.fan import ZeroDirectionError, build_fan
 from plconvex.poset import Face
+
+from conftest import rank
 
 F = Fraction
 

@@ -23,7 +23,7 @@ from plconvex.instances import circle_points
 from plconvex.poset import Face
 from plconvex.verifier import verify_face
 
-from conftest import float_winding, random_same_kernel_projection, wedge_cube, zigzag_bipyramid
+from conftest import float_winding, random_same_kernel_projection, rank, wedge_cube, zigzag_bipyramid
 
 F = Fraction
 
@@ -58,12 +58,12 @@ def polygon_is_convex(points):
     return fan_mod._wound_once(edge_dirs(points), True, "OK_POINTED")
 
 
-def make_fan(ray_dirs, cell_dirs, apex=(F(0), F(0), F(0))):
+def make_fan(ray_dirs, cell_dirs):
     entries = []
     for k, r in enumerate(ray_dirs):
         entries.append(FanEntry(RAY, as_vec(r), Face(1, k)))
         entries.append(FanEntry(CELL, as_vec(cell_dirs[k]), Face(2, k)))
-    return Fan3.from_entries(as_vec(apex), tuple(entries))
+    return Fan3.from_entries(tuple(entries))
 
 
 def fan_between(ray_dirs):
@@ -176,7 +176,7 @@ class TestReferenceDirection:
         assert fan_mod._pairwise_support(dirs) is None
 
     def test_no_directions(self):
-        assert fan_is_convex(Fan3.from_entries((0, 0, 0), ())) == (False, "DEGENERATE_RANK")
+        assert fan_is_convex(Fan3.from_entries(())) == (False, "DEGENERATE_RANK")
 
     def test_axes(self):
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -197,7 +197,7 @@ class TestReferenceDirection:
             d = (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             if sum(a * b for a, b in zip(s0, d)) > 0:
                 dirs.append(d)
-        if pc.rank(dirs) < 3:
+        if rank(dirs) < 3:
             return
         s = fan_mod._pairwise_support(dirs)
         assert s is not None
@@ -214,7 +214,7 @@ class TestReferenceDirection:
         for _ in range(4):
             dirs.append((rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)))
         dirs = [v for v in dirs if v != (0, 0, 0)]
-        if pc.rank(dirs) < 3:
+        if rank(dirs) < 3:
             return
         assert fan_mod._pairwise_support(dirs) is None
 
@@ -294,7 +294,7 @@ class TestFanIsConvex:
         # fold pair has s . d = 0, yet s . d changes sign along that chain
         dirs = [(1, 0, 0), (0, 1, 0), (-6, -1, 0), (1, -2, 0), (1, 1, 0), (-1, 0, 0), (0, 0, -1)]
         kinds = [RAY, CELL, RAY, CELL, RAY, RAY, CELL]
-        fan = Fan3.from_entries((0, 0, 0), tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
+        fan = Fan3.from_entries(tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
         assert wedge_outcome(fan) is False
         assert fan_is_convex(fan) == (False, "NO_SUPPORT")
 
@@ -358,26 +358,25 @@ class TestFanIsConvex:
             base = fan_is_convex(fan)
             m = len(fan.entries)
             for shift in range(2, m, 2):
-                rotated = Fan3.from_entries(fan.apex, fan.entries[shift:] + fan.entries[:shift])
+                rotated = Fan3.from_entries(fan.entries[shift:] + fan.entries[:shift])
                 assert fan_is_convex(rotated) == base
             rev = tuple(reversed(fan.entries))
             if rev[0].kind != RAY:
                 rev = rev[-1:] + rev[:-1]
-            assert fan_is_convex(Fan3.from_entries(fan.apex, rev)) == base
+            assert fan_is_convex(Fan3.from_entries(rev)) == base
             # each direction only stands for its ray: rescale every entry on its own
             for _ in range(3):
                 scaled = []
                 for e in fan.entries:
                     lam = rng.choice([rng.randint(1, 10**6), F(rng.randint(1, 99), rng.randint(1, 99))])
                     scaled.append(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source))
-                assert fan_is_convex(Fan3.from_entries(fan.apex, tuple(scaled))) == base
+                assert fan_is_convex(Fan3.from_entries(tuple(scaled))) == base
 
     def test_scaling_invariance(self):
         rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
         fan = fan_between(rays)
         for lam in (F(3), F(1, 7), F(12, 5)):
             scaled = Fan3.from_entries(
-                fan.apex,
                 tuple(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source) for e in fan.entries),
             )
             assert fan_is_convex(scaled) == fan_is_convex(fan)
@@ -390,7 +389,6 @@ class TestFanIsConvex:
         )
         cyc = pc.link_cycle(cube.poset, origin)
         fan = pc.build_fan(pc.prepare(cube).points, origin, cyc, pc.complementary_projection((), 3))
-        assert fan.apex == as_vec([0, 0, 0])
 
         def ray_of(d):
             scale = next(c for c in d if c != 0)
@@ -398,6 +396,8 @@ class TestFanIsConvex:
 
         rays = {ray_of(e.direction) for e in fan.entries if e.kind == RAY}
         assert rays == {as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([0, 0, 1])}
+        cells = {ray_of(e.direction) for e in fan.entries if e.kind == CELL}
+        assert cells == {as_vec([0, 1, 1]), as_vec([1, 0, 1]), as_vec([1, 1, 0])}
         cells = {ray_of(e.direction) for e in fan.entries if e.kind == CELL}
         assert cells == {as_vec([1, 1, 0]), as_vec([1, 0, 1]), as_vec([0, 1, 1])}
 
@@ -633,7 +633,7 @@ def alternating_fan(dirs):
     entries = tuple(
         FanEntry(RAY if k % 2 == 0 else CELL, tuple(d), Face(1 + k % 2, k)) for k, d in enumerate(dirs)
     )
-    return Fan3.from_entries((0, 0, 0), entries)
+    return Fan3.from_entries(entries)
 
 
 def full_circle(k):
@@ -1028,7 +1028,7 @@ class TestOnePassWinding:
                 for k, d in enumerate(dirs)
             ]
             shift = rng.randrange(len(dirs))
-            outcomes[wedge_outcome(Fan3.from_entries((0, 0, 0), tuple(entries[shift:] + entries[:shift])))] += 1
+            outcomes[wedge_outcome(Fan3.from_entries(tuple(entries[shift:] + entries[:shift])))] += 1
         assert min(outcomes[True], outcomes[False]) >= 300, outcomes
 
 
@@ -1114,7 +1114,7 @@ def entry_by_entry(points, center, cycle, proj):
         nums, w = points[face]
         direction = tuple(wc * p - w * a for p, a in zip(image(nums), apex))
         entries.append((RAY if face.dim == center.dim + 1 else CELL, direction, face))
-    return apex, tuple(entries)
+    return tuple(entries)
 
 
 class TestFanView:
@@ -1138,8 +1138,8 @@ class TestFanView:
                         verify_face(surface, face)
         monkeypatch.undo()
         assert len(built) >= 500
-        for (apex, expected), fan in built:
-            assert fan.apex == apex and fan.entries == expected
+        for expected, fan in built:
+            assert fan.entries == expected
             assert all(type(e) is FanEntry for e in fan.entries)
             assert list(fan.dirs) == [d for _, d, _ in expected]
-            assert Fan3.from_entries(fan.apex, fan.entries, fan.weight) == fan
+            assert Fan3.from_entries(fan.entries) == fan

@@ -9,7 +9,19 @@ from conftest import cyclic_variants, pinched_tube
 
 
 def test_validate_cube_ok(cube):
-    assert pc.validate_poset(cube.poset).ok
+    assert pc.validate_poset(cube.poset, cube.mode).ok
+
+
+def test_validate_poset_takes_the_surface_mode(cube):
+    # the mode is the surface's, never read off the poset: a vertex-mode
+    # cube without vertex lists is invalid to validate_poset as to verify
+    bare = pc.PLSurface(FacePoset(3, dict(cube.poset.faces_per_dim), dict(cube.poset.incidence_up)), vertices=cube.vertices)
+    with pytest.raises(TypeError):
+        pc.validate_poset(bare.poset)
+    report = pc.validate_poset(bare.poset, bare.mode)
+    assert (report.violations[0].code, report.violations[0].face) == ("MISSING_VERTEX_LIST", Face(0, 0))
+    v = pc.verify(bare)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", Face(0, 0), "MISSING_VERTEX_LIST")
 
 
 def test_validate_catches_bad_reference(cube):
@@ -17,7 +29,7 @@ def test_validate_catches_bad_reference(cube):
     up = dict(p.incidence_up)
     up[Face(1, 0)] = (Face(2, 0), Face(2, 6))  # facet 6 does not exist
     bad = FacePoset(3, dict(p.faces_per_dim), up, dict(p.vertex_lists))
-    report = pc.validate_poset(bad)
+    report = pc.validate_poset(bad, "vertices")
     assert not report.ok
     assert any(v.code == "INVALID_ID" for v in report.violations)
 
@@ -28,7 +40,7 @@ def test_validate_missing_rank(tesseract):
     up = {f: u for f, u in p.incidence_up.items() if f.dim != 1}
     lists = {f: v for f, v in p.vertex_lists.items() if f.dim != 1}
     bad = FacePoset(4, counts, up, lists)
-    report = pc.validate_poset(bad)
+    report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "MISSING_RANK" for v in report.violations)
 
 
@@ -38,7 +50,7 @@ def test_validate_rejects_intermediate_rank():
     counts = dict(p.faces_per_dim)
     counts[1] = 4  # rank that the format does not store for n = 5
     bad = FacePoset(5, counts, dict(p.incidence_up), dict(p.vertex_lists))
-    report = pc.validate_poset(bad)
+    report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "EXTRA_RANK" for v in report.violations)
 
 
@@ -47,7 +59,7 @@ def test_validate_vertex_containment(cube):
     lists = dict(p.vertex_lists)
     lists[Face(1, 0)] = (6, 7)  # edge no longer inside its facets
     bad = FacePoset(3, dict(p.faces_per_dim), dict(p.incidence_up), lists)
-    report = pc.validate_poset(bad)
+    report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "VERTEX_NOT_CONTAINED" for v in report.violations)
 
 
@@ -188,7 +200,7 @@ def test_check_connected_reports_out_of_range_facet(cube, bad):
     # facet, joins nothing, and validate_poset reports it
     poset = _cube_with(cube, up={Face(1, 0): (Face(2, 0), Face(2, bad))})
     violation = Violation("INVALID_ID", Face(1, 0), f"bad upward reference {Face(2, bad)}")
-    assert pc.validate_poset(poset).violations == (violation,)
+    assert pc.validate_poset(poset, cube.mode).violations == (violation,)
     assert pc.check_connected(poset) == ValidationReport()
 
 
@@ -202,12 +214,12 @@ def test_check_connected_reports_out_of_range_facet(cube, bad):
     ],
 )
 def test_validate_poset_invalid_id_texts(cube, up, lists, expected):
-    report = pc.validate_poset(_cube_with(cube, up=up, lists=lists))
+    report = pc.validate_poset(_cube_with(cube, up=up, lists=lists), cube.mode)
     assert report.violations[0] == Violation(*expected)
 
 
 def test_validate_poset_ambient_dimension_below_3():
-    report = pc.validate_poset(FacePoset(2, {0: 3, 1: 3}, {}, {}))
+    report = pc.validate_poset(FacePoset(2, {0: 3, 1: 3}, {}, {}), "vertices")
     assert report.violations == (Violation("MISSING_RANK", None, "ambient dimension 2 < 3"),)
 
 

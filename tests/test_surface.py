@@ -15,7 +15,6 @@ from plconvex.exactgeom import (
     dot,
     homogeneous,
     nullspace,
-    rank,
 )
 from plconvex.poset import Face, FacePoset, vertex_poset
 from plconvex.surface import (
@@ -26,7 +25,7 @@ from plconvex.surface import (
 )
 from plconvex.verifier import INVALID_STAR_REASONS, verify_face
 
-from conftest import wedge_cube
+from conftest import rank, wedge_cube
 
 F = Fraction
 

@@ -17,6 +17,7 @@ from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
 
 from conftest import (
     crowned_prism,
+    duoprism,
     locally_nonconvex_vertices,
     pinched_tube,
     random_same_kernel_projection,
@@ -222,7 +223,7 @@ def test_empty_vertex_list_invalid(cube):
     ends = poset.vertex_lists[edge]
     lists = {**poset.vertex_lists, edge: ()}
     bad = PLSurface(FacePoset(3, dict(poset.faces_per_dim), dict(poset.incidence_up), lists), vertices=cube.vertices)
-    report = pc.validate_poset(bad.poset)
+    report = pc.validate_poset(bad.poset, bad.mode)
     assert [(v.code, v.face) for v in report.violations] == [("MISSING_VERTEX_LIST", edge)]
     v = verify(bad, collect_all=True)
     assert (v.kind, v.witness, v.reason) == ("INVALID", edge, "MISSING_VERTEX_LIST")
@@ -450,6 +451,100 @@ def test_poset_and_text_corruptions_never_raise():
             assert pc.emit_pls(pc.parse_pls(again)) == again
             outcomes["parsed"] += 1
     assert outcomes["INVALID"] >= 150 and min(outcomes["ParseError"], outcomes["parsed"]) >= 50, outcomes
+
+
+def _drop_up(surface, face, g):
+    """``surface`` with the upward reference from ``face`` to ``g`` dropped."""
+    up = dict(surface.poset.incidence_up)
+    up[face] = tuple(x for x in up[face] if x != g)
+    return replace(surface, poset=replace(surface.poset, incidence_up=up))
+
+
+@pytest.mark.parametrize("mode", ["vertices", "equations"])
+def test_broken_link_is_invalid_before_any_star_is_classified(mode):
+    # v2 of Schönhardt loses its reference to e1: the input passes
+    # preflight and v0's star fails first in face order, yet a broken link
+    # is no evidence against convexity, so the input is INVALID at v2
+    base = pc.gen_schonhardt()
+    broken = _drop_up(base if mode == "vertices" else pc.as_equations(base), Face(0, 2), Face(1, 1))
+    assert pc.preflight(broken).ok
+    assert verify_face(broken, Face(0, 0)) == (False, "WRONG_TURN_SIGN")
+    assert verify_face(broken, Face(0, 2)) == (False, "NOT_SINGLE_CYCLE")
+    for collect_all in (False, True):
+        v = verify(broken, collect_all=collect_all)
+        assert (v.kind, v.witness, v.reason, v.failures, v.entries_checked) == ("INVALID", Face(0, 2), "NOT_SINGLE_CYCLE", (), 0)
+
+
+def test_any_broken_link_makes_verify_invalid():
+    # seeded, on the corruption bases with one upward reference dropped,
+    # added or out of range: whenever some link does not close, verify is
+    # INVALID, and NOT_SINGLE_CYCLE at the least such face once the input
+    # passes preflight
+    rng = random.Random(18)
+    outcomes = Counter()
+    for base in _corruption_bases():
+        for kind in ("up_dropped", "up_added", "up_out_of_range"):
+            for _ in range(8):
+                s = _corrupt_poset(base, kind, rng)
+                broken = []
+                for c in s.poset.faces(s.poset.dim_low):
+                    try:
+                        pc.link_cycle(s.poset, c)
+                    except pc.LinkCycleError:
+                        broken.append(c)
+                if not broken:
+                    continue
+                for collect_all in (False, True):
+                    v = verify(s, collect_all=collect_all)
+                    assert v.kind == "INVALID", (kind, v)
+                    if pc.preflight(s).ok:
+                        assert (v.witness, v.reason, v.failures) == (broken[0], "NOT_SINGLE_CYCLE", ())
+                        outcomes["past preflight"] += 1
+                outcomes[kind] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (5, 8), (8, 16), (16, 32)])
+def test_duoprisms_are_convex(p, q):
+    # the p-gon x q-gon duoprism in R^4: every edge star is a pointed
+    # degree-3 fan, so verify reads two entries per incidence
+    s = duoprism(p, q)
+    poset = s.poset
+    incidences = sum(len(poset.up(f)) for f in poset.faces(poset.dim_low))
+    assert incidences == 6 * p * q
+    v = verify(s)
+    assert (v.kind, v.entries_checked) == ("CONVEX", 2 * incidences)
+    if p * q <= 40:
+        assert pc.oracle_verdict(s).convex
+    assert verify(pc.as_equations(pc.rigid_motion(s, 1))).kind == "CONVEX"
+
+
+def test_equations_witnesses_moved_inside_their_faces():
+    # a witness is trusted to lie in the relative interior of its face, not
+    # to be prepare's point there: each witness above dim n-3 moved to
+    # (1 - t) w + t v, for a vertex v of its face and t in {1/10, ..., 9/10},
+    # leaves every verdict as it was, with early exit and with collect_all
+    rng = random.Random(4)
+    bases = [pc.gen_hypercube(3), pc.gen_prism(7), pc.gen_schonhardt(), pc.gen_dented_cube(2)]
+    bases += [pc.split_facet_cube(False), pc.split_facet_cube(True)]
+    bases += [pc.gen_hypercube(4), pc.gen_cross_polytope(4), pc.gen_simplex(5)]
+    kinds = Counter()
+    for base in bases:
+        for seed in (0, 3):
+            s = pc.rigid_motion(base, seed)
+            eq = pc.as_equations(s)
+            poset = s.poset
+            expected = [verify(eq), verify(eq, collect_all=True)]
+            kinds[expected[0].kind] += 1
+            for _ in range(5):
+                witnesses = dict(eq.witnesses)
+                for f in (*poset.faces(poset.dim_mid), *poset.faces(poset.dim_top)):
+                    v = s.vertices[rng.choice(poset.vertex_lists[f])]
+                    t = F(rng.randint(1, 9), 10)
+                    witnesses[f] = tuple((1 - t) * w + t * x for w, x in zip(witnesses[f], v))
+                moved = replace(eq, witnesses=witnesses)
+                assert [verify(moved), verify(moved, collect_all=True)] == expected
+    assert kinds == {"CONVEX": 14, "NOT_CONVEX": 4}
 
 
 @pytest.mark.parametrize("m", [8, 16])
