@@ -20,8 +20,10 @@ Equations mode replaces vertex lists with records
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
 must each occur in exactly two facet cycles.
-An integer literal longer than ``int()`` takes (4,300 digits) and a
-decimal exponent above 4,300 in magnitude are parse errors in both.
+An integer literal longer than ``int()`` takes (4,300 digits), a
+decimal exponent above 4,300 in magnitude, and a '_' or whitespace
+inside a rational or coordinate are parse errors in both, so every
+supported Python reads them alike.
 
 Vertex-mode PLS, OFF and the generators share one incidence rule
 (``poset.vertex_poset``): a face lies in every face one rank up whose
@@ -58,11 +60,18 @@ def _is_int(value) -> bool:
 
 
 def _decimal(text: str) -> Fraction:
-    """``Fraction(text)``, but ValueError for a text whose part after its first
-    e or E is a signed decimal integer above 4300, before 10**exp is built:
-    1e5000 stands for a digit string longer than ``int()`` takes."""
+    """``Fraction(text)`` on the syntax that every supported Python reads alike.
+
+    ValueError for a '_' anywhere or whitespace other than at the ends
+    (``Fraction`` takes '1_000' from Python 3.11 on and '2 / 3' from
+    3.12 on), and for a text whose part after its first e or E is a
+    signed decimal integer above 4300, before 10**exp is built: 1e5000
+    stands for a digit string longer than ``int()`` takes.
+    """
+    if "_" in text or any(c.isspace() for c in text.strip()):
+        raise ValueError("'_' or inner whitespace")
     _, marker, exp = text.replace("E", "e").partition("e")
-    digits = (exp[1:] if exp[:1] in ("+", "-") else exp).rstrip().replace("_", "")
+    digits = (exp[1:] if exp[:1] in ("+", "-") else exp).rstrip()
     if marker and digits.isdecimal() and int(digits) > 4300:
         raise ValueError("exponent beyond 4300")
     return Fraction(text)
@@ -76,7 +85,7 @@ def _frac(value, where: str) -> Fraction:
             # the strict form -?digits(/digits)? skips Fraction's regex; any
             # other string (sign '+', spaces, '_', non-ASCII digits, '1.5',
             # '1e3') goes to Fraction(value) through _decimal, which gives
-            # the same value or error unless the exponent exceeds 4300
+            # the same value or error unless it refuses the text first
             num, slash, den = value.partition("/")
             neg = num[:1] == "-"
             digits = num[1:] if neg else num

@@ -13,7 +13,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class Face(NamedTuple):
@@ -34,9 +34,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class LinkCycleError(Exception):
@@ -185,31 +182,21 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
                     bad.append(Violation("MISSING_VERTEX_LIST", Face(d, i), "no vertex list"))
                 elif min(verts) < 0 or max(verts) >= n_verts:
                     bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
-        bad += _uncontained(poset, up)
+        # each upper face's set is built once, not once per incidence, so the
+        # loop stays linear in facet size; an absent or empty list on either
+        # side is reported above as MISSING_VERTEX_LIST
+        upper_sets: dict[Face, set[int]] = {}
+        for face, ups in up.items():
+            mine = vertex_lists.get(face)
+            if not mine:
+                continue
+            for g in ups:
+                theirs = upper_sets.get(g)
+                if theirs is None:
+                    theirs = upper_sets[g] = set(vertex_lists.get(g, ()))
+                if theirs and not theirs.issuperset(mine):
+                    bad.append(Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}"))
     return ValidationReport(tuple(bad))
-
-
-def _uncontained(poset: FacePoset, faces: Iterable[Face]) -> list[Violation]:
-    """VERTEX_NOT_CONTAINED for each of ``faces`` whose vertex list is not inside that of a face one rank up.
-
-    An absent or empty list on either side is skipped; ``validate_poset``
-    reports it as MISSING_VERTEX_LIST.  Each upper face's set is built
-    once, not once per incidence, so the loop stays linear in facet size.
-    """
-    vertex_lists, up = poset.vertex_lists, poset.incidence_up
-    bad: list[Violation] = []
-    upper_sets: dict[Face, set[int]] = {}
-    for face in faces:
-        mine = vertex_lists.get(face)
-        if not mine:
-            continue
-        for g in up.get(face, ()):
-            theirs = upper_sets.get(g)
-            if theirs is None:
-                theirs = upper_sets[g] = set(vertex_lists.get(g, ()))
-            if theirs and not theirs.issuperset(mine):
-                bad.append(Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}"))
-    return bad
 
 
 def check_closed(poset: FacePoset) -> ValidationReport:

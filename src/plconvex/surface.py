@@ -17,13 +17,13 @@ whether it spans its dimension.  In equations mode each face walks
 once to the facets above it: its witness is its interior point, and
 for an (n-3)-face at n >= 4 the integer nullspace of those facets'
 normals is its direction basis.  ``prepare(s).points`` and
-``prepare(s).kernels`` are the only source of that geometry:
-``verifier.verify_face`` runs the same pass (``_prepare``) over one
-star's faces.  Conversion happens only there, at the boundary: the
-per-face routine trusts its integer input, forms integer differences
-and reduces them with ``exactgeom._reduce`` against its own pivot
-list, and hands integer rows to ``nullspace``, which takes them as
-they are.  The pass also enforces the geometric half of the input
+``prepare(s).kernels`` are the only source of that geometry: the
+verifier's front end, shared by ``verify`` and ``verify_face``, runs
+the pass once over the whole surface.  Conversion happens only in
+the pass, at the boundary: the per-face routine trusts its integer
+input, forms integer differences and reduces them with
+``exactgeom._reduce`` against its own pivot list, and hands integer
+rows to ``nullspace``, which takes them as they are.  The pass also enforces the geometric half of the input
 contract in its ``report``: in vertex mode every vertex has n
 coordinates, every vertex id a face lists names one of them, and each
 face's vertex set affinely spans exactly the face's dimension; in
@@ -184,46 +184,33 @@ class PreparedSurface:
         return self.report.ok
 
 
-# every code the report of ``_prepare`` can hold
-REPORT_CODES = ("MISSING_COORDS", "INVALID_ID", "MISSING_EQUATION", "BAD_NORMAL", "ZERO_NORMAL", "DEGENERATE_FACE", "BAD_WITNESS")
-
-
 def prepare(surface: PLSurface) -> PreparedSurface:
     """Geometric input validation and per-face geometry in one pass.
 
-    ``_prepare`` over every face of dims n-3, n-2, n-1, in that order.
-    """
-    poset = surface.poset
-    return _prepare(surface, [f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) for f in poset.faces(d)])
+    The pass covers every face of dims n-3, n-2, n-1, in that order.
+    The mode is read once, and each mode has its own loop over those
+    faces; every record that loop reads is converted to integers once.
+    The interior point of every face and the kernel of every (n-3)-face
+    go into the tables.
 
-
-def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
-    """``prepare``'s pass over ``faces``: the whole surface, or one star.
-
-    ``faces`` holds every facet above each of its faces on a valid
-    poset, as a star's faces do.  The mode is read once, and each mode
-    has its own loop over ``faces``; every record that loop reads is
-    converted to integers once.  The interior point of every face and
-    the kernel of every (n-3)-face go into the tables.
-
-    Vertex mode first checks the vertex coordinates of the whole
-    surface (MISSING_COORDS), then converts the vertices that
-    ``faces`` use.  A face without vertices is a DEGENERATE_FACE, a
-    face listing a vertex id outside 0..V-1 is an INVALID_ID (that id
-    is never read), and every other face goes through
-    ``_face_geometry`` once, whose rank defect becomes a
+    Vertex mode first checks the vertex coordinates (MISSING_COORDS),
+    then converts every vertex.  A face without vertices is a
+    DEGENERATE_FACE, a face listing a vertex id outside 0..V-1 is an
+    INVALID_ID (that id is never read), and every other face goes
+    through ``_face_geometry`` once, whose rank defect becomes a
     DEGENERATE_FACE.
 
-    Equations mode first checks the equations of the facets in
-    ``faces``, then walks once from each face to the facets above it;
-    reaching a facet outside ``faces`` is an INVALID_ID.  Those facets'
-    normals give an (n-3)-face's kernel at n >= 4 (their integer
-    nullspace, a DEGENERATE_FACE unless it has dimension n-3; at n = 3
-    the kernel is ()), and the face's witness must lie on each of them
-    (BAD_WITNESS), an integer comparison.
+    Equations mode first checks the facet equations, then walks once
+    from each face to the facets above it; reaching a facet outside the
+    records is an INVALID_ID.  Those facets' normals give an
+    (n-3)-face's kernel at n >= 4 (their integer nullspace, a
+    DEGENERATE_FACE unless it has dimension n-3; at n = 3 the kernel is
+    ()), and the face's witness must lie on each of them (BAD_WITNESS),
+    an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
+    faces = [f for d in (low, poset.dim_mid, top) for f in poset.faces(d)]
     bad: list[Violation] = []
     degenerate: list[Violation] = []
     points: dict[Face, HomPoint] = {}
@@ -235,21 +222,23 @@ def _prepare(surface: PLSurface, faces: Sequence[Face]) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
         if any(len(v) != n for v in vertices):
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
-        # the vertices of ``faces`` only, so that one star's pass costs its own size
-        used = {v for f in faces for v in vertex_lists.get(f, ())}
-        coords = {v: homogeneous(vertices[v]) for v in used if 0 <= v < len(vertices)}
+        # keyed by id, so that an id outside 0..V-1, negative too, is a KeyError
+        coords = dict(enumerate(map(homogeneous, vertices)))
         for face in faces:
             verts = vertex_lists.get(face)
             if not verts:  # spans nothing
                 degenerate.append(Violation("DEGENERATE_FACE", face, "no vertices"))
-            elif len(coords) < len(used) and not all(v in coords for v in verts):
+                continue
+            try:
+                face_coords = [coords[v] for v in verts]
+            except KeyError:
                 bad.append(Violation("INVALID_ID", face, "vertex index out of range"))
-            else:
-                points[face], basis, defect = _face_geometry(face, [coords[v] for v in verts])
-                if face.dim == low:
-                    kernels[face] = basis
-                if defect is not None:
-                    degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+                continue
+            points[face], basis, defect = _face_geometry(face, face_coords)
+            if face.dim == low:
+                kernels[face] = basis
+            if defect is not None:
+                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
         return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
     facets = [h for h in faces if h.dim == top]
     for h in facets:

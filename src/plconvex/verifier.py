@@ -1,15 +1,14 @@
 """Global convexity verdict from per-star local convexity checks.
 
-``verify`` first validates the input (structure, closedness,
-connectedness, realization), then walks the link of every (n-3)-face
-(``link_cycle``): a broken link anywhere makes the input INVALID before
-any star is classified.  It then classifies each star from its link
-cycle and the interior points and kernels that the realization pass
-(``prepare``) computed once per face; ``verify_face`` walks one link,
-runs that pass over the star's faces only, plus in vertex mode
-``validate_poset``'s containment check over the star, and classifies
-the star the same way.  Every classification goes through one path:
-``complementary_projection``'s integer rows, ``build_fan`` and
+``verify`` and ``verify_face`` share one front end: it validates the
+input (structure, closedness, connectedness, then the realization pass
+``prepare``) and walks the link of every (n-3)-face (``link_cycle``),
+so a broken link anywhere makes the input INVALID before any star is
+classified.  ``verify`` then classifies each star from its link cycle
+and the interior points and kernels that ``prepare`` computed once per
+face; ``verify_face`` classifies its one star the same way, or answers
+the front end's INVALID reason.  Every classification goes through one
+path: ``complementary_projection``'s integer rows, ``build_fan`` and
 ``fan_is_convex``.  The surface is the boundary of a convex polyhedron
 exactly when every star passes; compactness plus closedness supply the
 strictly convex point that makes local convexity everywhere
@@ -26,27 +25,12 @@ from dataclasses import dataclass
 
 from .exactgeom import complementary_projection
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
-from .poset import (
-    Face,
-    LinkCycleError,
-    _uncontained,
-    check_closed,
-    check_connected,
-    link_cycle,
-    validate_poset,
-)
-from .surface import REPORT_CODES, VERTEX_MODE, PLSurface, PreparedSurface, _prepare, prepare
+from .poset import Face, LinkCycleError, check_closed, check_connected, link_cycle, validate_poset
+from .surface import PLSurface, PreparedSurface, prepare
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
 INVALID = "INVALID"
-
-
-# star-level defects that invalidate the input rather than disprove convexity:
-# a broken link, a zero fan direction, a code of the geometry pass that
-# verify_face runs over the star's faces, or a vertex list of the star
-# not inside the list of a face above it
-INVALID_STAR_REASONS = frozenset((LinkCycleError.code, ZeroDirectionError.code, *REPORT_CODES, "VERTEX_NOT_CONTAINED"))
 
 
 @dataclass(frozen=True)
@@ -79,6 +63,29 @@ def preflight(surface: PLSurface) -> PreparedSurface:
     return prepare(surface)
 
 
+def _front_end(surface: PLSurface) -> tuple[Verdict | None, PreparedSurface, dict[Face, tuple[Face, ...]]]:
+    """Everything ``verify`` runs before it classifies a star.
+
+    ``preflight``, then ``link_cycle`` on every (n-3)-face in index
+    order.  Returns the INVALID verdict of the first failure (None when
+    there is none), ``preflight``'s table and the link cycle of every
+    (n-3)-face.
+    """
+    prepared = preflight(surface)
+    if not prepared.ok:
+        v = prepared.report.violations[0]
+        return Verdict(INVALID, witness=v.face, reason=v.code), prepared, {}
+    # every link is walked before any star is classified: a broken one
+    # makes the input INVALID wherever it is, whatever the other stars say
+    cycles: dict[Face, tuple[Face, ...]] = {}
+    for face in surface.poset.faces(surface.poset.dim_low):
+        try:
+            cycles[face] = link_cycle(surface.poset, face)
+        except LinkCycleError as exc:
+            return Verdict(INVALID, witness=face, reason=exc.code), prepared, {}
+    return None, prepared, cycles
+
+
 def _star_check(surface: PLSurface, face: Face, cycle: tuple[Face, ...], prepared: PreparedSurface):
     """Classify one star from its link cycle and ``prepared``'s table; the check and its entry count."""
     try:
@@ -91,30 +98,19 @@ def _star_check(surface: PLSurface, face: Face, cycle: tuple[Face, ...], prepare
 def verify_face(surface: PLSurface, face: Face) -> ConvexityCheck:
     """Local convexity of one (n-3)-face star.
 
-    Runs ``link_cycle``, then the geometry pass of ``prepare`` over the
-    star's own faces only, then the star classification that ``verify``
-    runs.  A star whose faces break the input contract gets the INVALID
-    code that ``verify`` gives: NOT_SINGLE_CYCLE for a broken link, else
-    the first violation of the star's pass (MISSING_COORDS, INVALID_ID,
-    MISSING_EQUATION, BAD_NORMAL, ZERO_NORMAL, BAD_WITNESS), else in
-    vertex mode ``validate_poset``'s VERTEX_NOT_CONTAINED for a face
-    whose vertex list is not inside that of a face above it in the star,
-    else the pass's DEGENERATE_FACE, or ZERO_DIRECTION from the star
-    itself; all of them are in ``INVALID_STAR_REASONS``.
+    Runs ``verify``'s front end on the whole surface, so it costs a
+    whole ``preflight``: when that finds the input INVALID the answer
+    is ``(False, verify(surface).reason)``, else the classification
+    that ``verify`` makes of this star.  Raises ValueError when
+    ``face`` is not one of the surface's (n-3)-faces.
     """
-    try:
-        cycle = link_cycle(surface.poset, face)
-    except LinkCycleError as exc:
-        return ConvexityCheck(False, exc.code)
-    star = (face, *cycle)
-    prepared = _prepare(surface, star)
-    violations = prepared.report.violations
-    if surface.mode == VERTEX_MODE and all(v.code == "DEGENERATE_FACE" for v in violations):
-        # validate_poset runs before prepare in verify, so its containment check outranks rank defects
-        violations = _uncontained(surface.poset, star) or violations
-    if violations:
-        return ConvexityCheck(False, violations[0].code)
-    return _star_check(surface, face, cycle, prepared)[0]
+    poset = surface.poset
+    if face.dim != poset.dim_low or not 0 <= face.index < poset.count(face.dim):
+        raise ValueError(f"{face} is not an (n-3)-face of the surface")
+    invalid, prepared, cycles = _front_end(surface)
+    if invalid is not None:
+        return ConvexityCheck(False, invalid.reason)
+    return _star_check(surface, face, cycles[face], prepared)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -125,23 +121,14 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     closed-connected-manifold / realization preconditions (no convexity
     claim is made then); a broken link is INVALID NOT_SINGLE_CYCLE at
     the least such (n-3)-face, found before any star is classified.
+    A star whose fan has a zero direction is INVALID ZERO_DIRECTION.
     ``collect_all`` gathers every failing face in ``failures``;
     otherwise the check stops at the first failure.
     ``entries_checked`` counts fan entries evaluated across all stars.
     """
-    prepared = preflight(surface)
-    if not prepared.ok:
-        v = prepared.report.violations[0]
-        return Verdict(INVALID, witness=v.face, reason=v.code)
-
-    # every link is walked before any star is classified: a broken one
-    # makes the input INVALID wherever it is, whatever the other stars say
-    cycles: dict[Face, tuple[Face, ...]] = {}
-    for face in surface.poset.faces(surface.poset.dim_low):
-        try:
-            cycles[face] = link_cycle(surface.poset, face)
-        except LinkCycleError as exc:
-            return Verdict(INVALID, witness=face, reason=exc.code)
+    invalid, prepared, cycles = _front_end(surface)
+    if invalid is not None:
+        return invalid
 
     failing: list[tuple[Face, str]] = []
     entries_total = 0
@@ -157,7 +144,7 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     if not failing:
         return Verdict(CONVEX, entries_checked=entries_total)
     witness, reason = failing[0]
-    kind = INVALID if reason in INVALID_STAR_REASONS else NOT_CONVEX
+    kind = INVALID if reason == ZeroDirectionError.code else NOT_CONVEX
     return Verdict(
         kind,
         witness=witness,

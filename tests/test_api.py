@@ -12,3 +12,11 @@ def test_fan_and_exactgeom_keep_only_what_is_read():
     # the width less the size of exactgeom.nullspace
     assert pc.Fan3._fields == ("dirs", "kinds", "sources")
     assert not hasattr(pc.exactgeom, "rank") and "rank" not in pc.__all__
+
+
+def test_one_front_end_and_one_truth_spelling():
+    # verify and verify_face share one front end, so the star-restricted
+    # validation pass and its names are gone; a report's truth is .ok
+    gone = [(pc.surface, "_prepare"), (pc.surface, "REPORT_CODES"), (pc.poset, "_uncontained")]
+    gone += [(pc.verifier, "INVALID_STAR_REASONS"), (pc.ValidationReport, "__bool__")]
+    assert [name for owner, name in gone if name in vars(owner)] == []

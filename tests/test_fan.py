@@ -431,10 +431,9 @@ class TestFanIsConvex:
             assert pc.verify(surface).kind == "CONVEX"
             prepared = pc.prepare(surface)
             for f in surface.poset.faces(0):
-                res = verify_face(surface, f)
-                assert res == (True, "OK_POINTED")
                 cyc = pc.link_cycle(surface.poset, f)
                 fan = pc.build_fan(prepared.points, f, cyc, pc.complementary_projection(prepared.kernels[f], 3))
+                assert fan_is_convex(fan) == (True, "OK_POINTED")
                 entries = fan.entries
                 m = len(entries)
                 for i in range(1, m, 2):
@@ -801,9 +800,9 @@ class TestCrossProductClassifier:
         assert min(reasons.values()) >= 30, reasons
 
     def test_matches_section_points_on_generated_stars(self, monkeypatch):
-        # every fan that verify_face classifies, on valid and invalid variants
-        # alike; a dent can warp a face, which verify_face rejects before any
-        # fan, so the dented variants give every fan of prepare's table
+        # every fan that verify classifies, on valid and invalid variants
+        # alike; a dent can warp a face, which verify rejects before any fan,
+        # so the dented variants give every fan of prepare's table
         fans = []
 
         def recording(fan):
@@ -819,8 +818,7 @@ class TestCrossProductClassifier:
         variants = [moved for base in bases for moved in (base, pc.rigid_motion(base, 3))]
         for moved in variants:
             for surface in (moved, pc.as_equations(moved)):
-                for face in surface.poset.faces(surface.poset.dim_low):
-                    verify_face(surface, face)
+                pc.verify(surface, collect_all=True)
         monkeypatch.undo()
         for moved in variants:
             for t in (F(1, 4), F(1, 1000), F(-1, 3)):
@@ -1119,25 +1117,30 @@ def entry_by_entry(points, center, cycle, proj):
 
 class TestFanView:
     def test_entries_view_and_rebuild(self, monkeypatch):
-        # every fan that build_fan returns for verify_face, as built, moved and dented
+        # every fan that build_fan returns for verify_face, as built and moved,
+        # and for star_fans, dented too: a dent can warp a face, which
+        # verify_face rejects before any fan
         built = []
+        build_fan = pc.build_fan
 
         def recording(points, center, cycle, proj):
-            fan = pc.build_fan(points, center, cycle, proj)
+            fan = build_fan(points, center, cycle, proj)
             built.append((entry_by_entry(points, center, cycle, proj), fan))
             return fan
 
         monkeypatch.setattr(verifier_mod, "build_fan", recording)
+        monkeypatch.setattr(pc, "build_fan", recording)
         bases = [pc.gen_hypercube(n) for n in (3, 4)] + [pc.gen_cross_polytope(n) for n in (3, 4)]
         bases += [pc.gen_simplex(n) for n in (3, 4, 5)] + [pc.gen_prism(m) for m in (3, 7)]
         bases += [pc.gen_schonhardt(), pc.split_facet_cube(True), wedge_cube(4), zigzag_bipyramid(6)]
         for base in bases:
             for moved in (base, pc.rigid_motion(base, 5)):
-                for surface in (moved, pc.dent(moved, 0, F(1, 4)), pc.dent(moved, 0, F(-1, 3))):
-                    for face in surface.poset.faces(surface.poset.dim_low):
-                        verify_face(surface, face)
+                for face in moved.poset.faces(moved.poset.dim_low):
+                    verify_face(moved, face)
+                for t in (F(1, 4), F(-1, 3)):
+                    list(star_fans(pc.dent(moved, 0, t)))
         monkeypatch.undo()
-        assert len(built) >= 500
+        assert len(built) >= 706
         for expected, fan in built:
             assert fan.entries == expected
             assert all(type(e) is FanEntry for e in fan.entries)

@@ -185,8 +185,14 @@ class TestPls:
         # _frac reads -?digits(/digits)? with int() and hands every other
         # value to Fraction; either way the value, or the ParseError text
         # built from Fraction's own exception, must be Fraction(value)'s.
-        # The one exception: a string whose exponent exceeds 4,300 in
-        # magnitude is a ParseError before Fraction builds 10**exponent.
+        # Two exceptions are ParseErrors before Fraction sees the string:
+        # one with '_' in it or whitespace inside it, which Fraction reads
+        # differently from one Python version to the next, and one whose
+        # exponent exceeds 4,300 in magnitude, before Fraction builds
+        # 10**exponent.
+        def version_dependent(value):
+            return isinstance(value, str) and ("_" in value or any(c.isspace() for c in value.strip()))
+
         def exponent_beyond_limit(value):
             # the text after the first e or E is a signed decimal integer above 4,300
             m = isinstance(value, str) and re.fullmatch(r"[^eE]*[eE][-+]?([\d_]*)\s*", value)
@@ -222,7 +228,7 @@ class TestPls:
         outcomes = Counter()
         refused = set()
         for value in values:
-            if exponent_beyond_limit(value):
+            if version_dependent(value) or exponent_beyond_limit(value):
                 assert got(value).startswith(f"at: bad rational {value!r} ("), value
                 refused.add(value)
                 continue
@@ -233,6 +239,7 @@ class TestPls:
         assert min(outcomes.values()) >= 1000, outcomes
         # among them the seeded 6e5619\u0663 and 5e5561
         assert {"1e4301", "1e-4301", "1e999999999", "6e5619\u0663", "5e5561"} <= refused, refused
+        assert {"1_0/3", "1/ 2", "1 /2", "1/2_", "_1", "1E+4_301"} <= refused, refused
 
     def test_equations_mode_requires_witness(self, cube):
         doc = json.loads(emit_pls(as_equations(cube)))
@@ -380,6 +387,23 @@ def test_parse_error_texts(parser, text, error, message):
     with pytest.raises(error) as info:
         parser(text)
     assert type(info.value) is error and str(info.value) == message
+
+
+# numbers that Fraction reads on some supported Pythons only: '_' from 3.11
+# on, whitespace around '/' from 3.12 on; both readers refuse them
+VERSION_DEPENDENT_NUMBERS = ["1_000", "1_0/3", "1/3_0", "0.1_5", "1e1_0", "2 / 3", "2/ 3", "2 /3"]
+
+
+@pytest.mark.parametrize("number", VERSION_DEPENDENT_NUMBERS)
+def test_version_dependent_numbers_refused(cube, number):
+    doc = json.loads(emit_pls(cube))
+    doc["vertices"][0][0] = number
+    with pytest.raises(ParseError, match="bad rational"):
+        parse_pls(json.dumps(doc))
+    # an OFF coordinate is one whitespace-free token
+    if " " not in number:
+        with pytest.raises(ParseError, match="bad coordinate"):
+            parse_off(CUBE_OFF.replace("1 1 1", f"{number} 1 1"))
 
 
 @pytest.mark.parametrize("index, name", [(4, "top.pls"), (21, "facet.off")])

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import plconvex as pc
 import plconvex.fan as fan_mod
+import plconvex.verifier as verifier_mod
 from plconvex.formats import emit_pls, parse_pls
 from plconvex.oracle import FlatSurfaceError
 from plconvex.surface import as_equations
@@ -150,18 +151,24 @@ def test_coordinates_beyond_float_range_match_oracle():
 def test_stacked_cubes_agree_with_oracle_and_equations_mode(monkeypatch):
     # real surfaces whose stars reach every branch: pointed, flat (rank 2),
     # and rank-3 stars whose certificate fails, through the wedge test to
-    # the pairwise support search
+    # the pairwise support search; every star is classified in both modes
     searches = Counter()
-    pairwise = fan_mod._pairwise_support
+    reasons = Counter()
+    pairwise, classify = fan_mod._pairwise_support, verifier_mod.fan_is_convex
 
     def spy(dirs):
         s = pairwise(dirs)
         searches[s is None] += 1
         return s
 
+    def recording(fan):
+        check = classify(fan)
+        reasons[check.reason] += 1
+        return check
+
     monkeypatch.setattr(fan_mod, "_pairwise_support", spy)
+    monkeypatch.setattr(verifier_mod, "fan_is_convex", recording)
     kinds = Counter()
-    reasons = Counter()
     for seed in range(60):
         surface = stacked_cube(seed, 1 + seed % 12)
         verdict = pc.verify(surface, collect_all=True)
@@ -169,8 +176,6 @@ def test_stacked_cubes_agree_with_oracle_and_equations_mode(monkeypatch):
         assert pc.oracle_verdict(surface).convex == verdict.convex, seed
         assert pc.verify(as_equations(surface), collect_all=True) == verdict, seed
         kinds[verdict.kind] += 1
-        for f in surface.poset.faces(0):
-            reasons[pc.verify_face(surface, f).reason] += 1
     assert min(kinds.values()) >= 10, kinds
     assert set(reasons) == {"OK_POINTED", "WRONG_TURN_SIGN", "OK_FLAT", "NO_SUPPORT"}, reasons
     assert searches[True] >= 20 and searches[False] >= 20, searches

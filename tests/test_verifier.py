@@ -12,8 +12,8 @@ import plconvex.verifier as verifier_mod
 from plconvex.exactgeom import as_vec
 from plconvex.instances import circle_points
 from plconvex.poset import Face, FacePoset, check_closed, check_connected, validate_poset, vertex_poset
-from plconvex.surface import REPORT_CODES, FacetEquation, PLSurface, prepare
-from plconvex.verifier import INVALID_STAR_REASONS, verify, verify_face
+from plconvex.surface import FacetEquation, PLSurface, prepare
+from plconvex.verifier import verify, verify_face
 
 from conftest import (
     crowned_prism,
@@ -167,7 +167,7 @@ def test_custom_projection_equals_fast_path(tesseract, schonhardt):
 def test_zero_direction_guard():
     # a (crafted) 2-face whose vertices all sit on the center's line: its
     # interior point projects exactly onto the apex.  The face is warped,
-    # so the star's geometry pass rejects it first, as verify's does
+    # so the geometry pass rejects it first
     coords = (
         (F(0), F(0), F(0), F(0)),
         (F(1), F(0), F(0), F(0)),
@@ -216,20 +216,18 @@ def test_verdict_flags():
 
 
 def test_empty_vertex_list_invalid(cube):
-    # an empty vertex list is a missing one: validate_poset reports it
-    # and the stars through the face answer instead of raising
+    # an empty vertex list is a missing one: validate_poset reports it,
+    # and every star answers verify's code instead of raising
     poset = cube.poset
     edge = Face(1, 0)
-    ends = poset.vertex_lists[edge]
     lists = {**poset.vertex_lists, edge: ()}
     bad = PLSurface(FacePoset(3, dict(poset.faces_per_dim), dict(poset.incidence_up), lists), vertices=cube.vertices)
     report = pc.validate_poset(bad.poset, bad.mode)
     assert [(v.code, v.face) for v in report.violations] == [("MISSING_VERTEX_LIST", edge)]
     v = verify(bad, collect_all=True)
     assert (v.kind, v.witness, v.reason) == ("INVALID", edge, "MISSING_VERTEX_LIST")
-    for i in ends:
-        assert verify_face(bad, Face(0, i)) == (False, "DEGENERATE_FACE")
-        assert verify_face(bad, Face(0, i)).reason in INVALID_STAR_REASONS
+    for f in bad.poset.faces(0):
+        assert verify_face(bad, f) == (False, "MISSING_VERTEX_LIST")
     assert prepare(bad).report.violations == (pc.Violation("DEGENERATE_FACE", edge, "no vertices"),)
 
 
@@ -280,17 +278,16 @@ def test_verify_face_rejects_bad_witness():
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, "BAD_WITNESS")
         for center in centers:
             assert verify_face(bad, center) == (False, "BAD_WITNESS"), (face, witness, center)
-    assert "BAD_WITNESS" in INVALID_STAR_REASONS
 
 
-# one seeded corruption per instance, of each kind: verify's reason, and the
-# reason that prepare (first violation) and every star holding verify's
-# witness face give
+# one seeded corruption per instance, of each kind: the reason that verify
+# and every star give, and the first violation of prepare's own report
+# (None for containment, which only validate_poset checks)
 CORRUPTIONS = {
     "id_past_end": ("INVALID_ID", "INVALID_ID"),
     "id_negative": ("INVALID_ID", "INVALID_ID"),
     "list_emptied": ("MISSING_VERTEX_LIST", "DEGENERATE_FACE"),
-    "list_uncontained": ("VERTEX_NOT_CONTAINED", "VERTEX_NOT_CONTAINED"),
+    "list_uncontained": ("VERTEX_NOT_CONTAINED", None),
     "coordinate_dropped": ("MISSING_COORDS", "MISSING_COORDS"),
     "coordinate_added": ("MISSING_COORDS", "MISSING_COORDS"),
     "witness_dropped": ("BAD_WITNESS", "BAD_WITNESS"),
@@ -365,33 +362,27 @@ def _corrupt(surface, kind, rng):
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_corrupted_records_agree_across_entry_points(kind):
     # differential: on each broken input verify, prepare and verify_face never
-    # raise, and every star holding verify's witness face (every star when it
-    # is None) answers the code prepare gives, which is verify's own when it
-    # is a code of the geometry pass; containment is validate_poset's check,
-    # which the star runs and the whole-surface prepare leaves to it
-    verify_reason, star_reason = CORRUPTIONS[kind]
+    # raise, prepare reports the broken face first, and a star answers
+    # verify's code wherever the broken face is: the first and last star,
+    # and the first star through the broken face
+    reason, prepare_reason = CORRUPTIONS[kind]
     mode = "vertices" if kind.startswith(("id", "list", "coordinate")) else "equations"
     rng = random.Random(kind)
-    checked = 0
     for base in _corruption_bases():
         if base.mode != mode:
             continue
         poset = base.poset
+        stars = list(poset.faces(poset.dim_low))
         for _ in range(CORRUPTION_ROUNDS):
             surface, face = _corrupt(base, kind, rng)
             verdict = verify(surface)
-            assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, verify_reason)
+            assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, reason)
             report = prepare(surface).report
-            if star_reason in REPORT_CODES:
-                assert (report.violations[0].code, report.violations[0].face) == (star_reason, face)
-            for c in poset.faces(poset.dim_low):
-                check = verify_face(surface, c)
-                if face in (None, c) or face in pc.link_cycle(poset, c):
-                    assert check == (False, star_reason), (kind, face, c)
-                    checked += 1
-    assert checked >= 3 * CORRUPTION_ROUNDS
-    assert star_reason in INVALID_STAR_REASONS
-    assert verify_reason == star_reason or verify_reason not in REPORT_CODES
+            if prepare_reason is not None:
+                assert (report.violations[0].code, report.violations[0].face) == (prepare_reason, face)
+            through = next(c for c in stars if face in (None, c) or face in pc.link_cycle(poset, c))
+            for c in (stars[0], stars[-1], through):
+                assert verify_face(surface, c) == (False, reason), (kind, face, c)
 
 
 def _corrupt_poset(surface, kind, rng):
@@ -427,18 +418,23 @@ def _mutate_text(text, rng):
 
 def test_poset_and_text_corruptions_never_raise():
     # seeded, on the corruption bases: no entry point raises on a broken
-    # poset, parse_pls raises only its own two errors on mutated text, and
-    # every text that emit_pls produced reads back to itself
+    # poset, verify classifies every star when it gets that far, parse_pls
+    # raises only its own two errors on mutated text, and every text that
+    # emit_pls produced reads back to itself
     rng = random.Random(17)
     outcomes = Counter()
     for base in _corruption_bases():
         for kind in ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus"):
             for _ in range(4):
                 s = _corrupt_poset(base, kind, rng)
-                outcomes[verify(s).kind] += 1
+                v = verify(s, collect_all=True)
+                outcomes[v.kind] += 1
                 prepare(s), check_closed(s.poset), check_connected(s.poset)
-                for c in s.poset.faces(s.poset.dim_low):
-                    verify_face(s, c)
+                # verify_face shares verify's front end; its first and last star
+                stars = list(s.poset.faces(s.poset.dim_low))
+                for c in (stars[0], stars[-1]):
+                    check = verify_face(s, c)
+                    assert v.kind != "INVALID" or check == (False, v.reason), (kind, v, c)
         text = pc.emit_pls(base)
         assert pc.emit_pls(pc.parse_pls(text)) == text
         for _ in range(60):
@@ -463,16 +459,80 @@ def _drop_up(surface, face, g):
 @pytest.mark.parametrize("mode", ["vertices", "equations"])
 def test_broken_link_is_invalid_before_any_star_is_classified(mode):
     # v2 of Schönhardt loses its reference to e1: the input passes
-    # preflight and v0's star fails first in face order, yet a broken link
-    # is no evidence against convexity, so the input is INVALID at v2
+    # preflight and v0's star, which the drop leaves as it was, fails first
+    # in face order, yet a broken link is no evidence against convexity, so
+    # the input is INVALID at v2, and so is every star of it
     base = pc.gen_schonhardt()
-    broken = _drop_up(base if mode == "vertices" else pc.as_equations(base), Face(0, 2), Face(1, 1))
+    if mode == "equations":
+        base = pc.as_equations(base)
+    broken = _drop_up(base, Face(0, 2), Face(1, 1))
     assert pc.preflight(broken).ok
-    assert verify_face(broken, Face(0, 0)) == (False, "WRONG_TURN_SIGN")
-    assert verify_face(broken, Face(0, 2)) == (False, "NOT_SINGLE_CYCLE")
+    assert pc.link_cycle(broken.poset, Face(0, 0)) == pc.link_cycle(base.poset, Face(0, 0))
+    v = verify(base)
+    assert (v.kind, v.witness, v.reason) == ("NOT_CONVEX", Face(0, 0), "WRONG_TURN_SIGN")
+    for f in broken.poset.faces(0):
+        assert verify_face(broken, f) == (False, "NOT_SINGLE_CYCLE")
     for collect_all in (False, True):
         v = verify(broken, collect_all=collect_all)
         assert (v.kind, v.witness, v.reason, v.failures, v.entries_checked) == ("INVALID", Face(0, 2), "NOT_SINGLE_CYCLE", (), 0)
+
+
+def _cube_lists(shift=0):
+    """The vertex lists of the unit cube's edges and facets, every id moved up by ``shift``."""
+    poset = pc.gen_hypercube(3).poset
+    return {d: [tuple(v + shift for v in poset.vertex_lists[f]) for f in poset.faces(d)] for d in (1, 2)}
+
+
+def _two_cubes():
+    """Two disjoint unit cubes, the second moved by (3, 3, 3)."""
+    corners = pc.gen_hypercube(3).vertices
+    lists = {d: _cube_lists()[d] + _cube_lists(8)[d] for d in (1, 2)}
+    far = tuple(tuple(x + 3 for x in v) for v in corners)
+    return PLSurface(vertex_poset(3, 16, lists), vertices=corners + far)
+
+
+def _open_cube():
+    """The unit cube without its last facet."""
+    lists = _cube_lists()
+    lists[2] = lists[2][:-1]
+    return PLSurface(vertex_poset(3, 8, lists), vertices=pc.gen_hypercube(3).vertices)
+
+
+def _duplicate_up(surface, face):
+    """``surface`` with the first upward reference of ``face`` listed twice."""
+    up = dict(surface.poset.incidence_up)
+    up[face] = tuple(sorted(up[face] + up[face][:1]))
+    return replace(surface, poset=replace(surface.poset, incidence_up=up))
+
+
+# (build, verify's reason): inputs with stars that a check of one star's
+# faces alone accepts; test_empty_vertex_list_invalid and
+# test_broken_link_is_invalid_before_any_star_is_classified pin two more
+INVALID_INPUTS = {
+    "two_cubes": (_two_cubes, "NOT_CONNECTED"),
+    "open_cube": (_open_cube, "NOT_CLOSED"),
+    "duplicate_up": (lambda: _duplicate_up(pc.gen_hypercube(3), Face(1, 0)), "INVALID_ID"),
+}
+
+
+@pytest.mark.parametrize("equations", [False, True], ids=["vertices", "equations"])
+@pytest.mark.parametrize("name", INVALID_INPUTS)
+def test_verify_face_answers_verify_reason_on_invalid_input(name, equations):
+    # verify_face runs verify's front end on the whole surface, so no star
+    # of an input that verify rejects is classified; as_equations keeps the
+    # poset as it is
+    build, reason = INVALID_INPUTS[name]
+    s = pc.as_equations(build()) if equations else build()
+    v = verify(s)
+    assert (v.kind, v.reason) == ("INVALID", reason)
+    for f in s.poset.faces(s.poset.dim_low):
+        assert verify_face(s, f) == (False, reason), f
+
+
+def test_verify_face_refuses_a_face_that_is_not_a_star_center(cube):
+    for face in (Face(1, 0), Face(2, 0), Face(0, -1), Face(0, 8)):
+        with pytest.raises(ValueError):
+            verify_face(cube, face)
 
 
 def test_any_broken_link_makes_verify_invalid():
