@@ -2,10 +2,13 @@
 
 Every decision in the verifier reduces to the sign of a rational
 expression, and no decision anywhere in the package goes through a
-float.  Inputs are ``fractions.Fraction`` coordinates; the verifier's
-hot path carries them in homogeneous form (``homogeneous``: integer
-numerators over one positive denominator), so elimination, nullspaces
-and projections run on Python integers, fraction-free.
+float.  Inputs are exact coordinates, each an ``int`` or a
+``fractions.Fraction`` (``Number``): the readers in ``formats`` give an
+``int`` for every integer value and the generators build ``Fraction``s.
+The verifier's hot path carries them in homogeneous form
+(``homogeneous``: integer numerators over one positive denominator), so
+elimination, nullspaces and projections run on Python integers,
+fraction-free.
 
 Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
 are the one elimination routine; they take rows of ints as they are
@@ -30,7 +33,9 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-Vec = tuple[Fraction, ...]
+# an exact number: the readers give an int for every integer value, a Fraction otherwise
+Number = int | Fraction
+Vec = tuple[Number, ...]
 IVec = tuple[int, ...]
 # a point as integer numerators over a positive weight: the point is nums / weight
 HomPoint = tuple[IVec, int]

@@ -1,7 +1,12 @@
 """File formats: the PLS document (JSON) and a small OFF subset for n = 3.
 
 PLS documents carry exact rationals as strings "p/q" (or JSON integers);
-decimal floats are rejected so no rounding can sneak in.  Vertex-mode
+decimal floats are rejected so no rounding can sneak in.  Every number
+either reader returns, in vertex coordinates, witnesses, normals and
+offsets, follows one rule (``_exact``): a value that is an integer is
+an ``int`` ("-12", "4/2", 7, and 3.0 in OFF), any other a ``Fraction``.
+So ``prepare`` takes integer rows as they are, and a parsed surface
+equals the ``Fraction``-typed one it was emitted from.  Vertex-mode
 documents list coordinates plus per-face vertex lists.  Equations-mode
 documents list facet hyperplanes plus explicit upward links and a
 relative-interior witness point per face.
@@ -19,7 +24,8 @@ Equations mode replaces vertex lists with records
 
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
-must each occur in exactly two facet cycles.
+must each occur in exactly two facet cycles.  Counts and facet rows are
+ASCII integers without '_'.
 An integer literal longer than ``int()`` takes (4,300 digits), a
 decimal exponent above 4,300 in magnitude, and a '_' or whitespace
 inside a rational or coordinate are parse errors in both, so every
@@ -37,7 +43,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactgeom import Vec
+from .exactgeom import Number, Vec
 from .instances import surface_from_polygons
 from .poset import Face, FacePoset, vertex_poset
 from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE
@@ -59,8 +65,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decimal(text: str) -> Fraction:
-    """``Fraction(text)`` on the syntax that every supported Python reads alike.
+def _exact(value: Fraction) -> Number:
+    """The readers' number rule: an integer value as an ``int``, any other as a ``Fraction``."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _decimal(text: str) -> Number:
+    """``Fraction(text)`` on the syntax that every supported Python reads alike, as ``_exact``.
 
     ValueError for a '_' anywhere or whitespace other than at the ends
     (``Fraction`` takes '1_000' from Python 3.11 on and '2 / 3' from
@@ -74,12 +85,11 @@ def _decimal(text: str) -> Fraction:
     digits = (exp[1:] if exp[:1] in ("+", "-") else exp).rstrip()
     if marker and digits.isdecimal() and int(digits) > 4300:
         raise ValueError("exponent beyond 4300")
-    return Fraction(text)
+    return _exact(Fraction(text))
 
 
-def _frac(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
+def _frac(value, where: str) -> Number:
+    """One exact number of a PLS document, as ``_exact``: a JSON integer or a rational string."""
     try:
         if type(value) is str:
             # the strict form -?digits(/digits)? skips Fraction's regex; any
@@ -91,17 +101,32 @@ def _frac(value, where: str) -> Fraction:
             digits = num[1:] if neg else num
             if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
                 p = -int(digits) if neg else int(digits)
-                return Fraction(p, int(den)) if slash else Fraction(p)
+                return _exact(Fraction(p, int(den))) if slash else p
             return _decimal(value)
-        return Fraction(value)
+        if type(value) is int:
+            return value
+        if isinstance(value, (bool, float)):
+            raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
+        return Fraction(value)  # raises TypeError on a JSON list, object or null
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
+
+
+def _off_int(token: str) -> int:
+    """An OFF count or vertex index: ``int(token)`` on ASCII text without '_'.
+
+    ValueError for a '_' (refused in a coordinate too) and for a
+    non-ASCII digit such as '\u0663', both of which ``int()`` takes.
+    """
+    if "_" in token or not token.isascii():
+        raise ValueError(f"bad integer {token!r}")
+    return int(token)
 
 
 def _vec(values, where: str) -> Vec:
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a coordinate list")
-    return tuple(_frac(x, where) for x in values)
+    return tuple([_frac(x, where) for x in values])
 
 
 def _records(doc_faces, dim: int, where: str) -> list[dict]:
@@ -266,7 +291,7 @@ def parse_off(text: str) -> PLSurface:
     if len(parts) != 3:
         raise ParseError(f"line {ln}: counts line needs three numbers")
     try:
-        nv, nf, _ne = (int(p) for p in parts)
+        nv, nf, _ne = map(_off_int, parts)
     except ValueError:
         nv = nf = -1
     if nv < 0 or nf < 0:
@@ -287,8 +312,8 @@ def parse_off(text: str) -> PLSurface:
     for ln, row in body[nv : nv + nf]:
         toks = row.split()
         try:
-            k = int(toks[0])
-            cyc = [int(t) for t in toks[1 : 1 + k]]
+            k = _off_int(toks[0])
+            cyc = [_off_int(t) for t in toks[1 : 1 + k]]
         except (ValueError, IndexError):
             raise ParseError(f"line {ln}: bad facet row {row!r}") from None
         if len(cyc) != k or k < 3:

@@ -9,14 +9,16 @@ interior; vertex coordinates are not needed then.
 ``prepare`` is the one geometry pass.  It reads the mode once and runs
 one loop per mode over the faces of dims n-3, n-2, n-1, after
 converting every vertex, witness and facet equation it reads to
-integer homogeneous form once (``exactgeom.homogeneous``).  In vertex
-mode each face gets one fraction-free elimination (``_face_geometry``)
-that yields its interior point (integer numerators over a positive
-weight), its integer direction basis (kept for (n-3)-faces) and
-whether it spans its dimension.  In equations mode each face walks
-once to the facets above it: its witness is its interior point, and
-for an (n-3)-face at n >= 4 the integer nullspace of those facets'
-normals is its direction basis.  ``prepare(s).points`` and
+integer homogeneous form once (``exactgeom.homogeneous``); the numbers
+are ``int`` or ``Fraction``, and a row of ints, as the readers give
+for integer values, passes through at weight 1.  In vertex mode each
+face gets one fraction-free elimination (``_face_geometry``) that
+yields its interior point (integer numerators over a positive weight,
+summed as the points are picked), its integer direction basis (kept
+for (n-3)-faces) and whether it spans its dimension.  In equations
+mode each face walks once to the facets above it: its witness is its
+interior point, and for an (n-3)-face at n >= 4 the integer nullspace
+of those facets' normals is its direction basis.  ``prepare(s).points`` and
 ``prepare(s).kernels`` are the only source of that geometry: the
 verifier's front end, shared by ``verify`` and ``verify_face``, runs
 the pass once over the whole surface.  Conversion happens only in
@@ -37,6 +39,7 @@ in the relative interior of their faces; that part is not checked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -45,6 +48,7 @@ from .exactgeom import (
     DegenerateFaceError,
     HomPoint,
     IVec,
+    Number,
     Vec,
     _pivot,
     _reduce,
@@ -62,7 +66,7 @@ EQUATION_MODE = "equations"
 @dataclass(frozen=True)
 class FacetEquation:
     normal: Vec
-    offset: Fraction
+    offset: Number
 
 
 @dataclass(frozen=True)
@@ -92,35 +96,45 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
 
     ``points`` are the face's vertices in list order, in integer
     homogeneous form.  The scan takes the differences from the first
-    point in that order, reduces each with ``_reduce`` against the
-    pivots of the differences before it, and stops once the rank
-    exceeds the face's dimension; the point is the mean of the first
-    point and the first ``dim`` points that raised the rank, as the
-    integer sum of their numerators (each brought to the common weight
-    W, the lcm of their weights) over the weight k*W for k points.
-    The basis vectors are those integer differences.  The defect is
-    None exactly when the face spans its dimension.
+    point in that order (each ``_difference``'s integer multiple of
+    p - base, formed inline), reduces each but the first with
+    ``_reduce`` against the pivots of the differences before it, and
+    stops once the rank exceeds the face's dimension; the point is the
+    mean of the first point and the first ``dim`` points that raised
+    the rank.  Their numerators are summed as they are picked, over the
+    lcm W of the weights picked so far: a point of weight W is added as
+    it is, and any other weight w brings both sides to lcm(W, w) first.
+    The point is that sum over the weight k*W for k points.  The basis
+    vectors are the integer differences.  The defect is None exactly
+    when the face spans its dimension.
     """
     base = points[0]
     if face.dim == 0:
         return base, (), None
+    vb, wb = base
     pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
-    picked = [base]
     basis = []
-    for p in points[1:]:
-        d = _difference(base, p)
-        r = _reduce(pivots, d)
+    total, weight = vb, wb
+    for vp, wp in points[1:]:
+        d = tuple([wb * x - wp * y for x, y in zip(vp, vb)])
+        # the first row needs no reduction: a pivot row's scale does not
+        # change which later rows reduce to zero, nor their pivot columns
+        r = _reduce(pivots, d) if pivots else d
         col = _pivot(r)
         if col is not None:
             pivots.append((col, r))
             basis.append(d)
             if len(basis) > face.dim:
                 break
-            picked.append(p)
+            if wp == weight:
+                total = tuple(map(operator.add, total, vp))
+            else:
+                g = math.gcd(weight, wp)
+                a, b = wp // g, weight // g
+                total = tuple([a * x + b * y for x, y in zip(total, vp)])
+                weight *= a
     defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
-    weight = math.lcm(*[w for _, w in picked])
-    total = tuple(map(sum, zip(*[[x * (weight // w) for x in p] for p, w in picked])))
-    return (total, len(picked) * weight), tuple(basis), defect
+    return (total, (1 + min(len(basis), face.dim)) * weight), tuple(basis), defect
 
 
 def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:

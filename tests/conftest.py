@@ -302,3 +302,35 @@ def duoprism(p: int, q: int) -> pc.PLSurface:
     facets = [face((i, j + d) for i in range(p) for d in (0, 1)) for j in range(q)]
     facets += [face((i + d, j) for j in range(q) for d in (0, 1)) for i in range(p)]
     return pc.PLSurface(vertex_poset(4, p * q, {1: edges, 2: ridges, 3: facets}), vertices=coords)
+
+
+def geometry_families():
+    """Labelled surfaces for the geometry pass, in both modes.
+
+    Seven bases as built, moved by ``rigid_motion`` and dented, each
+    valid one also through ``as_equations``, and per base an
+    equations-mode copy with one witness moved off its facets.
+    """
+    bases = {
+        "cube": pc.gen_hypercube(3),
+        "hypercube5": pc.gen_hypercube(5),
+        "cross4": pc.gen_cross_polytope(4),
+        "simplex6": pc.gen_simplex(6),
+        "prism7": pc.gen_prism(7),
+        "schonhardt": pc.gen_schonhardt(),
+        "split": pc.split_facet_cube(diagonal=True),
+    }
+    for name, base in bases.items():
+        moved = pc.rigid_motion(base, 2)
+        variants = {"plain": base, "moved": moved}
+        for t in (Fraction(1, 4), Fraction(3, 2)):
+            variants[f"dent{t}"] = pc.dent(moved, 1, t)
+        for label, s in variants.items():
+            yield f"{name}-{label}", s
+            if pc.prepare(s).ok:  # a dent can warp a facet, and then there is no equation
+                yield f"{name}-{label}-eq", pc.as_equations(s)
+        # an equations-mode witness moved off its facets
+        eq = pc.as_equations(moved)
+        face = next(iter(eq.witnesses))
+        wits = {**eq.witnesses, face: tuple(x + Fraction(1, 3) for x in eq.witnesses[face])}
+        yield f"{name}-bad-witness", pc.PLSurface(eq.poset, equations=eq.equations, witnesses=wits)

@@ -19,7 +19,9 @@ from plconvex.formats import (
     parse_pls,
 )
 from plconvex.poset import validate_poset
-from plconvex.surface import as_equations
+from plconvex.surface import as_equations, prepare
+
+from conftest import geometry_families
 
 F = Fraction
 
@@ -184,7 +186,8 @@ class TestPls:
     def test_frac_matches_fraction(self):
         # _frac reads -?digits(/digits)? with int() and hands every other
         # value to Fraction; either way the value, or the ParseError text
-        # built from Fraction's own exception, must be Fraction(value)'s.
+        # built from Fraction's own exception, must be Fraction(value)'s,
+        # and the value an int exactly when it is an integer.
         # Two exceptions are ParseErrors before Fraction sees the string:
         # one with '_' in it or whitespace inside it, which Fraction reads
         # differently from one Python version to the next, and one whose
@@ -234,8 +237,10 @@ class TestPls:
                 continue
             want = expected(value)
             assert got(value) == want, value
-            assert type(got(value)) is type(want)
-            outcomes[type(want)] += 1
+            # the readers' number rule: an int exactly when the value is an integer
+            kind = str if isinstance(want, str) else int if want.denominator == 1 else Fraction
+            assert type(got(value)) is kind, value
+            outcomes[kind] += 1
         assert min(outcomes.values()) >= 1000, outcomes
         # among them the seeded 6e5619\u0663 and 5e5561
         assert {"1e4301", "1e-4301", "1e999999999", "6e5619\u0663", "5e5561"} <= refused, refused
@@ -379,6 +384,12 @@ PARSE_ERRORS = [
     (parse_off, "OFF\n1 1 0\n0 0 0\n2 0 0\n", ParseError, "line 4: facet row '2 0 0' is inconsistent"),
     (parse_off, "OFF\n1 1 0\n0 0 0\n3 0 0 5\n", SemanticError, "line 4: facet lists unknown vertex"),
     (parse_off, "OFF\n-1 0 0\n", ParseError, "line 2: bad counts '-1 0 0'"),
+    # int() takes '_' and non-ASCII digits; an OFF integer may not hold either
+    (parse_off, CUBE_OFF.replace("8 6 12", "8 6 1_2"), ParseError, "line 2: bad counts '8 6 1_2'"),
+    (parse_off, CUBE_OFF.replace("8 6 12", "8 6 1\u0662"), ParseError, "line 2: bad counts '8 6 1\u0662'"),
+    (parse_off, CUBE_OFF.replace("4 1 3 7 5", "4 1 3 7 0_5"), ParseError, "line 16: bad facet row '4 1 3 7 0_5'"),
+    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4 0 1 \u0663 2"), ParseError, "line 11: bad facet row '4 0 1 \u0663 2'"),
+    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "\u0664 0 1 3 2"), ParseError, "line 11: bad facet row '\u0664 0 1 3 2'"),
 ]
 
 
@@ -387,6 +398,63 @@ def test_parse_error_texts(parser, text, error, message):
     with pytest.raises(error) as info:
         parser(text)
     assert type(info.value) is error and str(info.value) == message
+
+
+def _numbers(surface):
+    """Every number a surface holds: coordinates, witnesses, normals and offsets."""
+    for v in (*surface.vertices, *surface.witnesses.values()):
+        yield from v
+    for eq in surface.equations.values():
+        yield from eq.normal
+        yield eq.offset
+
+
+def _json_integers(doc):
+    """A PLS document with every integral number of its records as a JSON integer."""
+
+    def num(text):
+        return int(text) if F(text).denominator == 1 else text
+
+    if "vertices" in doc:
+        doc["vertices"] = [[num(x) for x in v] for v in doc["vertices"]]
+    for rec in (rec for recs in doc["faces"].values() for rec in recs):
+        for key in ("witness", "normal"):
+            if key in rec:
+                rec[key] = [num(x) for x in rec[key]]
+        if "offset" in rec:
+            rec["offset"] = num(rec["offset"])
+    return doc
+
+
+def test_integer_values_parse_as_int():
+    # the readers give an int for every integer value and a Fraction for any
+    # other; the parsed surface answers exactly as the Fraction-typed one
+    kinds = Counter()
+
+    def check(parsed, built):
+        assert all(type(x) is Fraction for x in _numbers(built))
+        for x in _numbers(parsed):
+            kinds[type(x)] += 1
+            assert type(x) is (int if x.denominator == 1 else Fraction), x
+        assert parsed == built
+        assert prepare(parsed) == prepare(built)
+        for collect_all in (False, True):
+            assert pc.verify(parsed, collect_all=collect_all) == pc.verify(built, collect_all=collect_all)
+
+    for label, built in geometry_families():
+        text = emit_pls(built)
+        parsed = parse_pls(text)
+        assert emit_pls(parsed) == text, label
+        check(parsed, built)
+        # the same document with its integers as JSON integers, not strings
+        parsed = parse_pls(json.dumps(_json_integers(json.loads(text))))
+        assert emit_pls(parsed) == text, label
+        check(parsed, built)
+    for text in (CUBE_OFF, TETRA_OFF, CUBE_OFF.replace("1 1 1", "0.5 1 3/2").replace("0 0 1", "-2 0 1e0")):
+        coords = [tuple(F(t) for t in ln.split()) for ln in text.splitlines()[2:] if len(ln.split()) == 3]
+        polygons = [[int(t) for t in ln.split()[1:]] for ln in text.splitlines()[2:] if len(ln.split()) > 3]
+        check(parse_off(text), pc.surface_from_polygons(coords, polygons))
+    assert min(kinds[int], kinds[Fraction]) >= 1000, kinds
 
 
 # numbers that Fraction reads on some supported Pythons only: '_' from 3.11

@@ -25,7 +25,7 @@ from plconvex.surface import (
 )
 from plconvex.verifier import verify_face
 
-from conftest import rank, wedge_cube
+from conftest import geometry_families, rank, wedge_cube
 
 F = Fraction
 
@@ -320,37 +320,11 @@ def reference_equations_geometry(surface, face):
     return point, basis, None
 
 
-def _geometry_families():
-    bases = {
-        "cube": pc.gen_hypercube(3),
-        "hypercube5": pc.gen_hypercube(5),
-        "cross4": pc.gen_cross_polytope(4),
-        "simplex6": pc.gen_simplex(6),
-        "prism7": pc.gen_prism(7),
-        "schonhardt": pc.gen_schonhardt(),
-        "split": pc.split_facet_cube(diagonal=True),
-    }
-    for name, base in bases.items():
-        moved = pc.rigid_motion(base, 2)
-        variants = {"plain": base, "moved": moved}
-        for t in (F(1, 4), F(3, 2)):
-            variants[f"dent{t}"] = pc.dent(moved, 1, t)
-        for label, s in variants.items():
-            yield f"{name}-{label}", s
-            if prepare(s).ok:  # a dent can warp a facet, and then there is no equation
-                yield f"{name}-{label}-eq", as_equations(s)
-        # an equations-mode witness moved off its facets
-        eq = as_equations(moved)
-        face = next(iter(eq.witnesses))
-        wits = {**eq.witnesses, face: tuple(x + F(1, 3) for x in eq.witnesses[face])}
-        yield f"{name}-bad-witness", PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
-
-
 def test_face_geometry_matches_reference():
     # every face of dims n-3, n-2, n-1: vertex mode through _face_geometry
     # alone, equations mode through prepare's tables and report
     defects = Counter()
-    for label, s in _geometry_families():
+    for label, s in geometry_families():
         poset = s.poset
         prepared = prepare(s)
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
@@ -370,10 +344,10 @@ def test_face_geometry_matches_reference():
 
 
 def test_prepare_matches_reference(monkeypatch):
-    prepared = {label: prepare(s) for label, s in _geometry_families()}
+    prepared = {label: prepare(s) for label, s in geometry_families()}
     monkeypatch.setattr(surface_mod, "_face_geometry", reference_face_geometry)
     outcomes = Counter()
-    for label, s in _geometry_families():
+    for label, s in geometry_families():
         want = prepare(s)
         got = prepared[label]
         assert got.report == want.report, label
