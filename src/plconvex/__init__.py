@@ -16,11 +16,9 @@ from .fan import (
     ConvexityCheck,
     Fan3,
     FanEntry,
-    OppositeDirectionsError,
     ZeroDirectionError,
     build_fan,
     fan_is_convex,
-    rotation_index,
 )
 from .formats import NonManifoldError, ParseError, SemanticError, emit_pls, parse_off, parse_pls
 from .instances import (
@@ -76,7 +74,6 @@ __all__ = [
     "LinkCycleError",
     "NOT_CONVEX",
     "NonManifoldError",
-    "OppositeDirectionsError",
     "OracleVerdict",
     "ParseError",
     "PLSurface",
@@ -111,7 +108,6 @@ __all__ = [
     "prepare",
     "relabel",
     "rigid_motion",
-    "rotation_index",
     "scale",
     "split_facet_cube",
     "surface_from_polygons",

@@ -36,20 +36,18 @@ Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
 
-Who converts and who trusts integers: ``Fan3`` holds integers.
-``build_fan`` trusts ``surface.prepare``'s integer points and the
-integer rows of ``complementary_projection``; ``Fan3.from_entries``
-scales the directions of a hand-built fan with any non-``int``
-coordinate.  ``fan_is_convex`` trusts ``fan.dirs``.
+The fan layer converts no number.  ``Fan3`` holds ``int`` triples:
+``build_fan`` forms them from ``surface.prepare``'s integer points and
+the integer rows of ``complementary_projection``, and a hand-built fan
+must pass them itself.  ``fan_is_convex`` trusts ``fan.dirs``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactgeom import HomPoint, IVec, Projection3, Vec, cross3, homogeneous
+from .exactgeom import HomPoint, IVec, Projection3, Vec, cross3
 from .poset import Face
 
 RAY = "ray"
@@ -80,22 +78,13 @@ class Fan3(NamedTuple):
 
     Entry k is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY
     or CELL) from the link-cycle face ``sources[k]``; ``entries`` zips them
-    on demand.  A direct call must pass ``int`` triples, unchecked and
-    trusted by ``fan_is_convex``; ``from_entries`` converts any other
-    coordinates.
+    on demand.  ``build_fan`` is its producer; a direct call must pass
+    ``int`` triples, unchecked and trusted by ``fan_is_convex``.
     """
 
     dirs: tuple[IVec, ...]
     kinds: tuple[str, ...]
     sources: tuple[Face, ...]
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[FanEntry]) -> Fan3:
-        """A fan from ``FanEntry``s; any non-``int`` coordinate rescales every direction to integers."""
-        dirs = tuple(e.direction for e in entries)
-        if not all(type(a) is int and type(b) is int and type(c) is int for a, b, c in dirs):
-            dirs = tuple(homogeneous(d)[0] for d in dirs)
-        return cls(dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries))
 
     @property
     def entries(self) -> tuple[FanEntry, ...]:
@@ -110,12 +99,6 @@ class ZeroDirectionError(Exception):
     def __init__(self, face: Face):
         super().__init__(f"projected direction of {face} vanishes")
         self.face = face
-
-
-class OppositeDirectionsError(Exception):
-    """Consecutive directions are antiparallel; the half-turn has no sign."""
-
-    code = "OPPOSITE_DIRECTIONS"
 
 
 def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, ...], proj: Projection3) -> Fan3:
@@ -235,38 +218,6 @@ def _pairwise_support(dirs: Sequence[Vec]) -> Vec | None:
     return None
 
 
-def _lower_half(u: tuple[Fraction, Fraction]) -> bool:
-    # angle in [-pi, 0): strictly below the x-axis, or on the negative x-axis
-    return u[1] < 0 or (u[1] == 0 and u[0] < 0)
-
-
-def rotation_index(directions: Sequence[tuple[Fraction, Fraction]]) -> int:
-    """Winding number of a cyclic sequence of nonzero plane directions.
-
-    Each step follows the short arc between consecutive directions; the
-    result counts signed crossings of the positive x half-axis, which is
-    exact and equals the total turning divided by a full turn.  Raises
-    OppositeDirectionsError on an antiparallel consecutive pair (the
-    half-turn's sign would be undefined).
-    """
-    m = len(directions)
-    total = 0
-    for i in range(m):
-        u = directions[i]
-        v = directions[(i + 1) % m]
-        c = u[0] * v[1] - u[1] * v[0]
-        d = u[0] * v[0] + u[1] * v[1]
-        if c == 0:
-            if d < 0:
-                raise OppositeDirectionsError(f"entries {i} and {(i + 1) % m}")
-            continue
-        if _lower_half(u) and not _lower_half(v) and c > 0:
-            total += 1
-        elif not _lower_half(u) and _lower_half(v) and c < 0:
-            total -= 1
-    return total
-
-
 def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> ConvexityCheck:
     """Do the turns of the cycle ``vecs`` share one sense and wind it exactly once?
 
@@ -277,15 +228,16 @@ def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> Convex
     (WRONG_TURN_SIGN); a straight-ahead one is allowed when
     ``straight_ok`` and a ZERO_ANGLE_CONE otherwise; a turn against the
     first nonzero one is WRONG_TURN_SIGN.  The same pass counts the
-    signed crossings of the positive x half-axis, as ``rotation_index``
-    does.  After the pass, no nonzero turn at all is WRONG_TURN_SIGN and
-    a rotation index other than +-1 is BAD_ROTATION_INDEX.  Works over
-    any exact numeric type.
+    signed crossings of the positive x half-axis (a turn between a
+    vector at an angle in [-pi, 0) and one outside), the package's one
+    winding count.  After the pass, no nonzero turn at all is
+    WRONG_TURN_SIGN and a rotation index other than +-1 is
+    BAD_ROTATION_INDEX.  Works over any exact numeric type.
     """
     turn = 0
     winding = 0
     u = vecs[-1]
-    u_low = u[1] < 0 or (u[1] == 0 and u[0] < 0)  # see _lower_half
+    u_low = u[1] < 0 or (u[1] == 0 and u[0] < 0)  # angle in [-pi, 0)
     for v in vecs:
         v_low = v[1] < 0 or (v[1] == 0 and v[0] < 0)
         c = u[0] * v[1] - u[1] * v[0]
@@ -400,7 +352,7 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
     Every sign test runs on the fan's ``dirs`` as they are, which must be
-    ``int`` triples (``Fan3.from_entries`` converts others).  The sum of
+    ``int`` triples; nothing here converts them.  The sum of
     the cyclic cross products (``_crosses_and_sum``), the O(m) support
     certificate, is tried first.  When it fails, the first nonzero cross
     product of the first nonzero direction with another is the plane

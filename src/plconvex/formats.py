@@ -27,9 +27,9 @@ conversion; edges are derived from consecutive facet-cycle pairs and
 must each occur in exactly two facet cycles.  Counts and facet rows are
 ASCII integers without '_'.
 An integer literal longer than ``int()`` takes (4,300 digits), a
-decimal exponent above 4,300 in magnitude, and a '_' or whitespace
-inside a rational or coordinate are parse errors in both, so every
-supported Python reads them alike.
+decimal exponent above 4,300 in magnitude, and a '_', a non-ASCII
+character or whitespace inside a rational or coordinate are parse
+errors in both, so every supported Python reads them alike.
 
 Vertex-mode PLS, OFF and the generators share one incidence rule
 (``poset.vertex_poset``): a face lies in every face one rank up whose
@@ -75,12 +75,13 @@ def _decimal(text: str) -> Number:
 
     ValueError for a '_' anywhere or whitespace other than at the ends
     (``Fraction`` takes '1_000' from Python 3.11 on and '2 / 3' from
-    3.12 on), and for a text whose part after its first e or E is a
+    3.12 on), for any non-ASCII character (``Fraction`` reads the digit
+    '\u0661' as 1), and for a text whose part after its first e or E is a
     signed decimal integer above 4300, before 10**exp is built: 1e5000
     stands for a digit string longer than ``int()`` takes.
     """
-    if "_" in text or any(c.isspace() for c in text.strip()):
-        raise ValueError("'_' or inner whitespace")
+    if "_" in text or not text.isascii() or any(c.isspace() for c in text.strip()):
+        raise ValueError("'_', non-ASCII text or inner whitespace")
     _, marker, exp = text.replace("E", "e").partition("e")
     digits = (exp[1:] if exp[:1] in ("+", "-") else exp).rstrip()
     if marker and digits.isdecimal() and int(digits) > 4300:
@@ -93,9 +94,9 @@ def _frac(value, where: str) -> Number:
     try:
         if type(value) is str:
             # the strict form -?digits(/digits)? skips Fraction's regex; any
-            # other string (sign '+', spaces, '_', non-ASCII digits, '1.5',
-            # '1e3') goes to Fraction(value) through _decimal, which gives
-            # the same value or error unless it refuses the text first
+            # other string (sign '+', spaces, '1.5', '1e3') goes to
+            # Fraction(value) through _decimal, which first refuses '_',
+            # non-ASCII text and inner whitespace
             num, slash, den = value.partition("/")
             neg = num[:1] == "-"
             digits = num[1:] if neg else num

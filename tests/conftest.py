@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import Projection3, cross3, dot, nullspace
+from plconvex.exactgeom import Projection3, cross3, dot, homogeneous, nullspace
 from plconvex.instances import circle_points, vmean, vsub
 from plconvex.poset import vertex_poset
 
@@ -53,6 +53,51 @@ def float_winding(edges) -> float:
             d -= 2 * math.pi
         total += d
     return total / (2 * math.pi)
+
+
+class OppositeDirectionsError(Exception):
+    """Consecutive directions are antiparallel; the half-turn has no sign."""
+
+
+def _lower_half(u) -> bool:
+    # angle in [-pi, 0): strictly below the x-axis, or on the negative x-axis
+    return u[1] < 0 or (u[1] == 0 and u[0] < 0)
+
+
+def rotation_index(directions) -> int:
+    """Exact reference winding number of a cyclic sequence of nonzero plane directions.
+
+    Each step follows the short arc between consecutive directions; the
+    result counts signed crossings of the positive x half-axis, which is
+    exact and equals the total turning divided by a full turn.  Raises
+    OppositeDirectionsError on an antiparallel consecutive pair (the
+    half-turn's sign would be undefined).
+    """
+    m = len(directions)
+    total = 0
+    for i in range(m):
+        u = directions[i]
+        v = directions[(i + 1) % m]
+        c = u[0] * v[1] - u[1] * v[0]
+        if c == 0:
+            if u[0] * v[0] + u[1] * v[1] < 0:
+                raise OppositeDirectionsError(f"entries {i} and {(i + 1) % m}")
+            continue
+        if _lower_half(u) and not _lower_half(v) and c > 0:
+            total += 1
+        elif not _lower_half(u) and _lower_half(v) and c < 0:
+            total -= 1
+    return total
+
+
+def int_fan(entries) -> pc.Fan3:
+    """A ``Fan3`` from ``FanEntry``s, each direction scaled to ``int``s on its own by ``homogeneous``.
+
+    An all-``int`` direction is kept as it is, so a fan built from
+    ``fan.entries`` equals ``fan``.
+    """
+    dirs = tuple(homogeneous(e.direction)[0] for e in entries)
+    return pc.Fan3(dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries))
 
 
 def _sign(x) -> int:
@@ -279,6 +324,37 @@ def stacked_cube(seed: int, stacks: int) -> pc.PLSurface:
         apex = len(coords) - 1
         polygons += [[apex, a, b] for a, b in zip(facet, facet[1:] + facet[:1])]
     return pc.surface_from_polygons(coords, polygons)
+
+
+def stacked_tesseract(seed: int, stacks: int) -> pc.PLSurface:
+    """``gen_hypercube(4)`` with up to 8 seeded facets replaced by pyramids over them.
+
+    Each stack picks a distinct original facet, which fixes coordinate a
+    at 0 or 1, and a height eps from ``STACK_HEIGHTS``, and puts the
+    apex at the facet's centroid + eps * e_a, pointed away from the
+    tesseract (minus for 0, plus for 1).  The apex cones the facet's
+    vertices, edges and squares to new edges, triangles and square
+    pyramids.  eps = 0 leaves a flat subdivision, eps < 0 a dent.
+    """
+    rng = random.Random(seed)
+    base = pc.gen_hypercube(4)
+    poset = base.poset
+    coords = list(base.vertices)
+    lists = {d: [poset.vertex_lists[f] for f in poset.faces(d)] for d in (1, 2, 3)}
+    for facet in rng.sample(lists[3], min(stacks, 8)):
+        pts = [coords[v] for v in facet]
+        axis = next(j for j in range(4) if len({p[j] for p in pts}) == 1)
+        eps = rng.choice(STACK_HEIGHTS)
+        apex = list(vmean(pts))
+        apex[axis] += eps if pts[0][axis] == 1 else -eps
+        coords.append(tuple(apex))
+        a = len(coords) - 1
+        lists[3].remove(facet)
+        lists[1] += [(v, a) for v in facet]
+        # a face holding an earlier apex is never inside an original facet
+        lists[2] += [(*e, a) for e in lists[1] if set(e) <= set(facet)]
+        lists[3] += [(*r, a) for r in lists[2] if set(r) <= set(facet)]
+    return pc.PLSurface(vertex_poset(4, len(coords), lists), vertices=tuple(coords))
 
 
 def duoprism(p: int, q: int) -> pc.PLSurface:

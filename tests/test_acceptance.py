@@ -9,16 +9,18 @@ import time
 from fractions import Fraction
 
 import plconvex as pc
-from plconvex.fan import Fan3, FanEntry, RAY, CELL, fan_is_convex, rotation_index
+from plconvex.fan import FanEntry, RAY, CELL, _wound_once, fan_is_convex
 from plconvex.poset import Face
 from plconvex.surface import prepare
 from plconvex.verifier import verify, verify_face
 
 from conftest import (
     float_winding,
+    int_fan,
     locally_nonconvex_vertices,
     random_same_kernel_projection,
     reflex_adjacent_vertices,
+    rotation_index,
     star_under_projection,
 )
 
@@ -227,16 +229,21 @@ def test_criterion_6_rotation_index_suite():
     ok = ok and rotation_index(list(reversed(square))) == -1
     ok = ok and rotation_index(star_edges) == 2
     ok = ok and abs(float_winding(star_edges) - 2) < 1e-9
+    # the package's one winding count, the pass that verify runs
+    wound = [_wound_once(square, True, "OK_POINTED"), _wound_once(square[::-1], True, "OK_POINTED")]
+    wound.append(_wound_once(star_edges, True, "OK_POINTED"))
+    ok = ok and wound == [(True, "OK_POINTED"), (True, "OK_POINTED"), (False, "BAD_ROTATION_INDEX")]
 
     entries = []
     for k in range(5):
         a, b = star[k], star[(k + 1) % 5]
         entries.append(FanEntry(RAY, (a[0], a[1], F(1)), Face(1, k)))
         entries.append(FanEntry(CELL, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, F(1)), Face(2, k)))
-    lifted = Fan3.from_entries(tuple(entries))
+    lifted = int_fan(entries)
     res = fan_is_convex(lifted)
     ok = ok and res == (False, "BAD_ROTATION_INDEX")
-    report(6, ok, f"square +1/-1, pentagram 2 (float {float_winding(star_edges):.6f}), lift {res.reason}")
+    detail = f"square +1/-1, pentagram 2 (float {float_winding(star_edges):.6f}), lift {res.reason}"
+    report(6, ok, f"{detail}, _wound_once {[w.reason for w in wound]}")
 
 
 def test_criterion_7_flat_subdivision_accepted():

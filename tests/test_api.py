@@ -20,3 +20,12 @@ def test_one_front_end_and_one_truth_spelling():
     gone = [(pc.surface, "_prepare"), (pc.surface, "REPORT_CODES"), (pc.poset, "_uncontained")]
     gone += [(pc.verifier, "INVALID_STAR_REASONS"), (pc.ValidationReport, "__bool__")]
     assert [name for owner, name in gone if name in vars(owner)] == []
+
+
+def test_one_winding_count_and_one_fan_constructor():
+    # _wound_once is the package's one winding count; a fan is built by
+    # build_fan or from int triples, and the fan layer converts nothing
+    gone = ["rotation_index", "_lower_half", "OppositeDirectionsError", "homogeneous"]
+    assert [name for name in gone if name in vars(pc.fan)] == []
+    assert "rotation_index" not in pc.__all__ and "OppositeDirectionsError" not in pc.__all__
+    assert "from_entries" not in vars(pc.Fan3)

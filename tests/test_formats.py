@@ -189,12 +189,15 @@ class TestPls:
         # built from Fraction's own exception, must be Fraction(value)'s,
         # and the value an int exactly when it is an integer.
         # Two exceptions are ParseErrors before Fraction sees the string:
-        # one with '_' in it or whitespace inside it, which Fraction reads
-        # differently from one Python version to the next, and one whose
+        # one with '_', a non-ASCII character or whitespace inside it, which
+        # Fraction reads differently from one Python version to the next or
+        # from the OFF counts and facet rows ('\u0663' as 3), and one whose
         # exponent exceeds 4,300 in magnitude, before Fraction builds
         # 10**exponent.
         def version_dependent(value):
-            return isinstance(value, str) and ("_" in value or any(c.isspace() for c in value.strip()))
+            if not isinstance(value, str):
+                return False
+            return "_" in value or not value.isascii() or any(c.isspace() for c in value.strip())
 
         def exponent_beyond_limit(value):
             # the text after the first e or E is a signed decimal integer above 4,300
@@ -244,7 +247,7 @@ class TestPls:
         assert min(outcomes.values()) >= 1000, outcomes
         # among them the seeded 6e5619\u0663 and 5e5561
         assert {"1e4301", "1e-4301", "1e999999999", "6e5619\u0663", "5e5561"} <= refused, refused
-        assert {"1_0/3", "1/ 2", "1 /2", "1/2_", "_1", "1E+4_301"} <= refused, refused
+        assert {"1_0/3", "1/ 2", "1 /2", "1/2_", "_1", "1E+4_301", "\u0663/4"} <= refused, refused
 
     def test_equations_mode_requires_witness(self, cube):
         doc = json.loads(emit_pls(as_equations(cube)))
@@ -390,6 +393,14 @@ PARSE_ERRORS = [
     (parse_off, CUBE_OFF.replace("4 1 3 7 5", "4 1 3 7 0_5"), ParseError, "line 16: bad facet row '4 1 3 7 0_5'"),
     (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4 0 1 \u0663 2"), ParseError, "line 11: bad facet row '4 0 1 \u0663 2'"),
     (parse_off, CUBE_OFF.replace("4 0 1 3 2", "\u0664 0 1 3 2"), ParseError, "line 11: bad facet row '\u0664 0 1 3 2'"),
+    # Fraction reads '\u0661' as 1; a coordinate follows the counts' digit rule
+    (parse_off, CUBE_OFF.replace("1 1 1\n", "1 1 \u0661\n"), ParseError, "line 10: bad coordinate in '1 1 \u0661'"),
+    (
+        parse_pls,
+        _pls(n=3, mode="vertices", vertices=[["0", "0", "\u0661"]], faces={}),
+        ParseError,
+        "vertices[0]: bad rational '\u0661' ('_', non-ASCII text or inner whitespace)",
+    ),
 ]
 
 

@@ -18,7 +18,7 @@ from plconvex.formats import emit_pls, parse_pls
 from plconvex.oracle import FlatSurfaceError
 from plconvex.surface import as_equations
 
-from conftest import stacked_cube
+from conftest import stacked_cube, stacked_tesseract
 
 F = Fraction
 
@@ -179,3 +179,24 @@ def test_stacked_cubes_agree_with_oracle_and_equations_mode(monkeypatch):
     assert min(kinds.values()) >= 10, kinds
     assert set(reasons) == {"OK_POINTED", "WRONG_TURN_SIGN", "OK_FLAT", "NO_SUPPORT"}, reasons
     assert searches[True] >= 20 and searches[False] >= 20, searches
+
+
+def test_stacked_tesseracts_agree_with_oracle_and_equations_mode():
+    # n = 4 stacked polytopes: nearly flat, flat and dented pyramids over
+    # up to six of the tesseract's facets.  A flat stack's pyramids share
+    # one hyperplane, so the facet normals at an edge from its apex have
+    # rank < 3: equations mode's documented n >= 4 limit, DEGENERATE_FACE
+    kinds = Counter()
+    for seed in range(40):
+        surface = stacked_tesseract(seed, 1 + seed % 6)
+        verdict = pc.verify(surface, collect_all=True)
+        assert verdict.kind != "INVALID", seed
+        assert pc.oracle_verdict(surface).convex == verdict.convex, seed
+        flat = any(x in (0, 1) for apex in surface.vertices[16:] for x in apex)
+        equations = pc.verify(as_equations(surface), collect_all=True)
+        if flat:
+            assert (equations.kind, equations.reason) == ("INVALID", "DEGENERATE_FACE"), seed
+        else:
+            assert equations == verdict, seed
+        kinds[verdict.kind, flat] += 1
+    assert min(kinds.values()) >= 5 and len(kinds) == 4, kinds
