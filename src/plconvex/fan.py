@@ -29,8 +29,8 @@ per fan.  The sum is an O(m) strict-support certificate, complete for
 convex pointed fans; the pointed branch reads the section polygon's
 edges off the same products, and the wedge is read off the zeros of
 the same dots.  Only rejected stars reach the O(m^3) pairwise support
-search.  The pointed and flat branches take plane coordinates from one
-frame (``_plane_frame``) and walk their polygon once (``_wound_once``).
+search.  The pointed and flat branches project onto a coordinate plane
+(``_plane_frame``) and walk their polygon once (``_wound_once``).
 
 Everything else is rejected with a reason code; failure of the fan to be
 an embedded once-wound fan (the immersion defect) surfaces as one of the
@@ -266,17 +266,18 @@ def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> Convex
 
 
 def _plane_frame(axis: IVec, vecs: Sequence[IVec]) -> list[tuple[int, int]]:
-    """The coordinates (v . b2, -v . b1) of each v, with b1, b2 and ``axis`` orthogonal.
+    """Each v projected along ``axis`` onto a coordinate plane, times a_k, as (x_i, x_j).
 
-    b1 is the first nonzero of (-a1, a0, 0), (-a2, 0, a0), (0, -a2, a1)
-    and b2 = axis x b1.  On the plane orthogonal to ``axis`` this is a
-    linear bijection onto R^2: every turn keeps its sign up to one
-    global sign, every parallel pair the sign of its dot product.
+    k is the last index with a_k != 0 and (i, j) = (k+1, k+2) mod 3, so
+    v goes to (a_k v_i - v_k a_i, a_k v_j - v_k a_j).  The map is linear
+    with kernel span(axis): on any plane that does not hold ``axis`` it
+    is a bijection onto R^2, so every turn keeps its sign up to one
+    global sign and every parallel pair the sign of its dot product.
     """
-    b1 = next(c for c in ((-axis[1], axis[0], 0), (-axis[2], 0, axis[0]), (0, -axis[2], axis[1])) if any(c))
-    u0, u1, u2 = b1
-    v0, v1, v2 = cross3(axis, b1)  # b2
-    return [(x0 * v0 + x1 * v1 + x2 * v2, -(x0 * u0 + x1 * u1 + x2 * u2)) for x0, x1, x2 in vecs]
+    k = 2 if axis[2] else 1 if axis[1] else 0
+    i, j = (k + 1) % 3, (k + 2) % 3
+    ak, ai, aj = axis[k], axis[i], axis[j]
+    return [(ak * v[i] - v[k] * ai, ak * v[j] - v[k] * aj) for v in vecs]
 
 
 def _one_direction(crosses: Sequence[IVec]) -> bool:
@@ -327,16 +328,17 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
     """Classify a fan with strict support s from its cyclic cross products.
 
     Scaling each direction d onto the plane x . s = 1 gives the section
-    polygon; take its points in the coordinates (d . b1, d . b2) / (d . s)
-    of ``_plane_frame(s, .)``'s b1 and b2 = s x b1.  By the Binet-Cauchy
-    identity the edge from d[k-1] to d[k], times the positive
-    (s . d[k-1]) (s . d[k]), is (c . b2, -|s|^2 c . b1) with
-    c = d[k-1] x d[k].  Dropping |s|^2 scales the second coordinate of
-    every edge by one positive factor, which keeps each turn sign, each
-    parallel-or-antiparallel test and each half-axis crossing, so
-    ``_plane_frame(s, crosses)`` gives the same reason.  An edge
-    vanishes exactly when its c does: c is orthogonal to d[k] and
-    s . d[k] > 0, so a nonzero c is never a multiple of s.
+    polygon p_k = d[k] / (s . d[k]).  By BAC-CAB its edges satisfy
+    (s . d[k-1]) (s . d[k]) (p_k - p_k-1) = c_k x s, with
+    c_k = d[k-1] x d[k] and a positive factor on the left.  The map
+    c -> c x s has kernel span(s), so any linear map with that kernel,
+    ``_plane_frame(s, .)`` among them, sends each c_k to one fixed
+    linear bijection's image of the polygon's edge, times a positive
+    factor.  That keeps every ``_wound_once`` clause: each turn sign up
+    to one global sign, each parallel pair's dot sign and, once every
+    turn passes, the rotation index up to sign.  An edge vanishes
+    exactly when its c does: c is orthogonal to d[k] and s . d[k] > 0,
+    so a nonzero c is never a multiple of s.
     ``_wound_once`` checks every turn and counts the half-axis crossings
     in one pass, from the turn onto the edge into d[0]; with straight
     turns allowed every failing clause is a property of the whole cycle,
@@ -351,26 +353,26 @@ def _pointed_check(crosses: Sequence[IVec], s: IVec) -> ConvexityCheck:
 def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     """Decide whether the fan bounds a convex neighborhood of its apex.
 
-    Every sign test runs on the fan's ``dirs`` as they are, which must be
-    ``int`` triples; nothing here converts them.  The sum of
-    the cyclic cross products (``_crosses_and_sum``), the O(m) support
-    certificate, is tried first.  When it fails, the first nonzero cross
-    product of the first nonzero direction with another is the plane
-    normal: none means rank <= 1, and a normal orthogonal to every
-    direction means the flat branch, in ``_plane_frame`` coordinates
-    about the normal.  A linear bijection of the plane keeps every turn
-    clause, and once every turn is strict and of one sign the half-axis
-    crossing count is the rotation index in any frame.  At rank 3 the
-    O(m) wedge test reads the certificate's dots and the fan's ``kinds``;
-    only a star that it rejects reaches the O(m^3) ``_pairwise_support``.
+    Every sign test runs on the fan's ``dirs`` as they are: nonzero
+    ``int`` triples (``build_fan`` raises ``ZeroDirectionError`` first),
+    neither converted nor checked here.  The sum of the cyclic cross
+    products (``_crosses_and_sum``), the O(m) support certificate, is
+    tried first.  When it fails, the first nonzero cross product is the
+    plane normal: with nonzero directions all vanish exactly at rank
+    <= 1, and at rank 2 each nonzero one is normal to the plane.  A
+    normal orthogonal to every direction means the flat branch, in
+    ``_plane_frame`` coordinates along the normal.  A linear bijection
+    of the plane keeps every turn clause, and once every turn is strict
+    and of one sign the half-axis crossing count is the rotation index
+    in any frame.  At rank 3 the O(m) wedge test reads the certificate's
+    dots and the fan's ``kinds``; only a star that it rejects reaches
+    the O(m^3) ``_pairwise_support``.
     """
     dirs = fan.dirs
     crosses, cert = _crosses_and_sum(dirs)
     s, dots = _certified_direction(dirs, cert)
     if s is None:
-        first = next((d for d in dirs if d != (0, 0, 0)), None)
-        crossed = () if first is None else (cross3(first, d) for d in dirs)
-        normal = next((c for c in crossed if c != (0, 0, 0)), None)
+        normal = next((c for c in crosses if c != (0, 0, 0)), None)
         if normal is None:
             return ConvexityCheck(False, DEGENERATE_RANK)
         if not any(_idot(normal, d) for d in dirs):

@@ -24,8 +24,9 @@ Equations mode replaces vertex lists with records
 
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
-must each occur in exactly two facet cycles.  Counts and facet rows are
-ASCII integers without '_'.
+must each occur in exactly two facet cycles.  A line ends at '\n',
+'\r\n' or '\r' only and is ASCII outside a '#' comment; counts and
+facet rows are integers without '_'.
 An integer literal longer than ``int()`` takes (4,300 digits), a
 decimal exponent above 4,300 in magnitude, and a '_', a non-ASCII
 character or whitespace inside a rational or coordinate are parse
@@ -114,12 +115,8 @@ def _frac(value, where: str) -> Number:
 
 
 def _off_int(token: str) -> int:
-    """An OFF count or vertex index: ``int(token)`` on ASCII text without '_'.
-
-    ValueError for a '_' (refused in a coordinate too) and for a
-    non-ASCII digit such as '\u0663', both of which ``int()`` takes.
-    """
-    if "_" in token or not token.isascii():
+    """An OFF count or vertex index: ``int(token)``, refusing the '_' that ``int()`` takes."""
+    if "_" in token:
         raise ValueError(f"bad integer {token!r}")
     return int(token)
 
@@ -279,8 +276,10 @@ def emit_pls(surface: PLSurface) -> str:
 def parse_off(text: str) -> PLSurface:
     """Parse the OFF subset: header, counts, vertex rows, facet cycles (n = 3)."""
     lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
+        if not stripped.isascii():
+            raise ParseError(f"line {ln}: non-ASCII character in {stripped!r}")
         if stripped:
             lines.append((ln, stripped))
     if not lines or lines[0][1] != "OFF":

@@ -85,19 +85,13 @@ class PLSurface:
         return VERTEX_MODE if self.vertices else EQUATION_MODE
 
 
-def _difference(base: HomPoint, p: HomPoint) -> IVec:
-    """w_b * V_p - w_p * V_b: the positive multiple w_b * w_p of p - base, in integers."""
-    (vb, wb), (vp, wp) = base, p
-    return tuple(wb * x - wp * y for x, y in zip(vp, vb))
-
-
 def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:
     """A vertex-mode face's interior point, direction basis and rank defect, from one elimination.
 
     ``points`` are the face's vertices in list order, in integer
     homogeneous form.  The scan takes the differences from the first
-    point in that order (each ``_difference``'s integer multiple of
-    p - base, formed inline), reduces each but the first with
+    point in that order (w_b * V_p - w_p * V_b, the positive multiple
+    w_b * w_p of p - base, in integers), reduces each but the first with
     ``_reduce`` against the pivots of the differences before it, and
     stops once the rank exceeds the face's dimension; the point is the
     mean of the first point and the first ``dim`` points that raised
@@ -140,15 +134,16 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
 def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
     """Exact hyperplane through a facet's vertices (vertex mode).
 
-    The normal is the rational nullspace basis vector of the vertex
-    differences: the integer one divided by its last nonzero entry, its
-    free column's value (see ``nullspace``).
+    The normal is the rational nullspace basis vector of the direction
+    basis from ``_face_geometry``'s one elimination, which spans the
+    vertex differences: the integer one divided by its last nonzero
+    entry, its free column's value (see ``nullspace``).
     """
     coords = [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[facet]]
-    normals = nullspace([_difference(coords[0], p) for p in coords[1:]], surface.n)
-    if len(normals) != 1:
+    _, basis, defect = _face_geometry(facet, coords)
+    if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    normal = normals[0]
+    (normal,) = nullspace(basis, surface.n)
     scale = next(x for x in reversed(normal) if x)
     base, weight = coords[0]
     return FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))

@@ -100,6 +100,19 @@ def int_fan(entries) -> pc.Fan3:
     return pc.Fan3(dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries))
 
 
+def orthogonal_frame(axis, vecs) -> list[tuple[int, int]]:
+    """Reference for ``fan._plane_frame``: the coordinates (v . b2, -v . b1) of each v.
+
+    b1 is the first nonzero of (-a1, a0, 0), (-a2, 0, a0), (0, -a2, a1)
+    and b2 = axis x b1, so b1, b2 and ``axis`` are orthogonal.  Like
+    ``_plane_frame`` it is linear with kernel span(axis), so the two
+    differ by one linear bijection of the plane.
+    """
+    b1 = next(c for c in ((-axis[1], axis[0], 0), (-axis[2], 0, axis[0]), (0, -axis[2], axis[1])) if any(c))
+    b2 = cross3(axis, b1)
+    return [(dot(v, b2), -dot(v, b1)) for v in vecs]
+
+
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 

@@ -29,3 +29,9 @@ def test_one_winding_count_and_one_fan_constructor():
     assert [name for name in gone if name in vars(pc.fan)] == []
     assert "rotation_index" not in pc.__all__ and "OppositeDirectionsError" not in pc.__all__
     assert "from_entries" not in vars(pc.Fan3)
+
+
+def test_one_elimination_per_facet():
+    # facet_equation goes through _face_geometry, so the surface layer has
+    # no separate vertex-difference helper
+    assert "_difference" not in vars(pc.surface)

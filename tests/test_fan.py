@@ -25,6 +25,7 @@ from conftest import (
     OppositeDirectionsError,
     float_winding,
     int_fan,
+    orthogonal_frame,
     random_same_kernel_projection,
     rank,
     rotation_index,
@@ -1035,6 +1036,81 @@ class TestOnePassWinding:
             shift = rng.randrange(len(dirs))
             outcomes[wedge_outcome(int_fan(entries[shift:] + entries[:shift]))] += 1
         assert min(outcomes[True], outcomes[False]) >= 300, outcomes
+
+
+def lifted_cycle(rng, vecs):
+    """A plane cycle mapped into 3-space, with entries of up to 200 bits.
+
+    Each (x, y) goes to x u + y w + t a for random integer u, w and a
+    nonzero axis a, t random per entry, scaled to ``int``s by
+    ``homogeneous``; at times one entry becomes zero or a multiple of a.
+    Returns the axis and the cycle.
+    """
+    bits = rng.choice((2, 30, 200))
+
+    def vec():
+        return tuple(rng.choice((0, rng.randint(-(2**bits), 2**bits))) for _ in range(3))
+
+    axis = (0, 0, 0)
+    while axis == (0, 0, 0):
+        axis = vec()
+    u, w = vec(), vec()
+    out = []
+    for x, y in vecs:
+        t = rng.choice((0, rng.randint(-(2**bits), 2**bits)))
+        out.append(homogeneous(tuple(x * p + y * q + t * r for p, q, r in zip(u, w, axis)))[0])
+    roll = rng.random()
+    k = rng.randrange(len(out))
+    if roll < 0.1:
+        out[k] = (0, 0, 0)
+    elif roll < 0.2:
+        out[k] = tuple(rng.choice((-3, -1, 2)) * c for c in axis)
+    return axis, out
+
+
+class TestPlaneFrame:
+    def test_wound_once_same_in_orthogonal_frame(self):
+        # _plane_frame and the orthogonal basis frame are linear maps with the
+        # same kernel span(axis), so they differ by one linear bijection of
+        # the plane, which keeps every clause of _wound_once
+        rng = random.Random(22)
+        reasons = Counter()
+        for vecs in seeded_edge_cycles(22, 700):
+            axis, cycle = lifted_cycle(rng, vecs)
+            for straight_ok in (True, False):
+                got = fan_mod._wound_once(fan_mod._plane_frame(axis, cycle), straight_ok, "ACCEPT")
+                assert got == fan_mod._wound_once(orthogonal_frame(axis, cycle), straight_ok, "ACCEPT"), (axis, cycle)
+                reasons[straight_ok, got.reason] += 1
+        assert sum(reasons.values()) >= 4000
+        for straight_ok in (True, False):
+            for reason in ("ACCEPT", "WRONG_TURN_SIGN", "BAD_ROTATION_INDEX"):
+                assert reasons[straight_ok, reason] >= 100, reasons
+        assert reasons[False, "ZERO_ANGLE_CONE"] >= 100, reasons
+
+    def test_fan_reasons_same_in_orthogonal_frame(self, monkeypatch):
+        fans = [fan for fan in seeded_fans(606, 400) if (0, 0, 0) not in fan.dirs]
+        expected = [fan_is_convex(fan) for fan in fans]
+        monkeypatch.setattr(fan_mod, "_plane_frame", orthogonal_frame)
+        reasons = Counter()
+        for fan, want in zip(fans, expected):
+            assert fan_is_convex(fan) == want, list(fan.dirs)
+            reasons[want.reason] += 1
+        assert len(fans) >= 1990
+        assert len(reasons) == 7 and min(reasons.values()) >= 10, reasons
+
+    def test_zero_direction_never_accepted(self):
+        # build_fan raises ZeroDirectionError before any zero direction
+        # reaches fan_is_convex; a hand-built fan with one is still rejected
+        rng = random.Random(23)
+        for fan in seeded_fans(23, 500):
+            dirs = list(fan.dirs)
+            for _ in range(rng.choice((1, 1, 2, len(dirs)))):  # inserted or replacing
+                k = rng.randrange(len(dirs) + 1)
+                if rng.random() < 0.5:
+                    dirs.insert(k, (0, 0, 0))
+                else:
+                    dirs[k % len(dirs)] = (0, 0, 0)
+            assert not fan_is_convex(alternating_fan(dirs)).convex, dirs
 
 
 class TestIntegerContract:

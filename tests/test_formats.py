@@ -339,6 +339,14 @@ class TestOff:
         s = parse_off(text)
         assert s.poset.faces_per_dim[2] == 6
 
+    def test_comments_may_hold_any_text(self):
+        # a comment runs to '\n', '\r\n' or '\r' only; U+2028 and U+0085 inside
+        # it end nothing, and the rows around it keep their line numbers
+        text = CUBE_OFF.replace("8 6 12", "8 6 12 # côté\u2028 1 1 1\x85 \u3000").replace("\n", "\r\n", 3)
+        assert parse_off(text) == parse_off(CUBE_OFF)
+        with pytest.raises(ParseError, match="^line 11: bad facet row"):
+            parse_off(text.replace("4 0 1 3 2", "4 0 1 3 x"))
+
 
 def _pls(**fields):
     return json.dumps(fields)
@@ -387,20 +395,26 @@ PARSE_ERRORS = [
     (parse_off, "OFF\n1 1 0\n0 0 0\n2 0 0\n", ParseError, "line 4: facet row '2 0 0' is inconsistent"),
     (parse_off, "OFF\n1 1 0\n0 0 0\n3 0 0 5\n", SemanticError, "line 4: facet lists unknown vertex"),
     (parse_off, "OFF\n-1 0 0\n", ParseError, "line 2: bad counts '-1 0 0'"),
-    # int() takes '_' and non-ASCII digits; an OFF integer may not hold either
+    # int() takes '_' and non-ASCII digits, Fraction reads '\u0661' as 1: an OFF
+    # integer may not hold a '_', and an OFF line outside a comment is ASCII
     (parse_off, CUBE_OFF.replace("8 6 12", "8 6 1_2"), ParseError, "line 2: bad counts '8 6 1_2'"),
-    (parse_off, CUBE_OFF.replace("8 6 12", "8 6 1\u0662"), ParseError, "line 2: bad counts '8 6 1\u0662'"),
+    (parse_off, CUBE_OFF.replace("8 6 12", "8 6 1\u0662"), ParseError, "line 2: non-ASCII character in '8 6 1\u0662'"),
     (parse_off, CUBE_OFF.replace("4 1 3 7 5", "4 1 3 7 0_5"), ParseError, "line 16: bad facet row '4 1 3 7 0_5'"),
-    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4 0 1 \u0663 2"), ParseError, "line 11: bad facet row '4 0 1 \u0663 2'"),
-    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "\u0664 0 1 3 2"), ParseError, "line 11: bad facet row '\u0664 0 1 3 2'"),
-    # Fraction reads '\u0661' as 1; a coordinate follows the counts' digit rule
-    (parse_off, CUBE_OFF.replace("1 1 1\n", "1 1 \u0661\n"), ParseError, "line 10: bad coordinate in '1 1 \u0661'"),
+    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4 0 1 \u0663 2"), ParseError, "line 11: non-ASCII character in '4 0 1 \u0663 2'"),
+    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "\u0664 0 1 3 2"), ParseError, "line 11: non-ASCII character in '\u0664 0 1 3 2'"),
+    (parse_off, CUBE_OFF.replace("1 1 1\n", "1 1 \u0661\n"), ParseError, "line 10: non-ASCII character in '1 1 \u0661'"),
     (
         parse_pls,
         _pls(n=3, mode="vertices", vertices=[["0", "0", "\u0661"]], faces={}),
         ParseError,
         "vertices[0]: bad rational '\u0661' ('_', non-ASCII text or inner whitespace)",
     ),
+    # str.split() and str.splitlines() take non-ASCII spaces and line
+    # separators; an OFF row is split at ASCII whitespace and '\n' only
+    (parse_off, CUBE_OFF.replace("1 1 1\n", "1\u00a01 1\n"), ParseError, "line 10: non-ASCII character in '1\\xa01 1'"),
+    (parse_off, CUBE_OFF.replace("8 6 12", "8\u00a06 12"), ParseError, "line 2: non-ASCII character in '8\\xa06 12'"),
+    (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4\u30000 1 3 2"), ParseError, "line 11: non-ASCII character in '4\\u30000 1 3 2'"),
+    (parse_off, CUBE_OFF.replace("1 1 1\n", "1 1\u20281\n"), ParseError, "line 10: non-ASCII character in '1 1\\u20281'"),
 ]
 
 

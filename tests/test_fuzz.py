@@ -18,7 +18,7 @@ from plconvex.formats import emit_pls, parse_pls
 from plconvex.oracle import FlatSurfaceError
 from plconvex.surface import as_equations
 
-from conftest import stacked_cube, stacked_tesseract
+from conftest import crowned_prism, rank, stacked_cube, stacked_tesseract, wedge_cube
 
 F = Fraction
 
@@ -200,3 +200,31 @@ def test_stacked_tesseracts_agree_with_oracle_and_equations_mode():
             assert equations == verdict, seed
         kinds[verdict.kind, flat] += 1
     assert min(kinds.values()) >= 5 and len(kinds) == 4, kinds
+
+
+def test_huge_translations_and_linear_maps_keep_verdicts():
+    # where a surface sits and how it is linearly mapped change no verdict:
+    # each base is translated by a 512-bit rational vector over a 512-bit
+    # denominator and mapped by a nonsingular matrix of 256-bit integers,
+    # and each copy answers as the base in both modes (no time bound)
+    rng = random.Random(512)
+    bases = [pc.gen_hypercube(3), pc.gen_prism(8), pc.gen_schonhardt(), pc.gen_dented_cube(2)]
+    bases += [pc.split_facet_cube(False), pc.split_facet_cube(True), crowned_prism(8), wedge_cube(3)]
+    bases += [pc.gen_cross_polytope(4), pc.gen_simplex(5), pc.gen_hypercube(4), stacked_cube(3, 3)]
+    kinds = Counter()
+    for base in bases:
+        n = base.n
+        want = pc.verify(base, collect_all=True)
+        den = rng.getrandbits(512) | 1 << 511
+        shift = [F(rng.getrandbits(512) * rng.choice((-1, 1)), den) for _ in range(n)]
+        matrix = []
+        while len(matrix) < n or rank(matrix) < n:
+            matrix = [[rng.getrandbits(256) * rng.choice((-1, 1)) for _ in range(n)] for _ in range(n)]
+        moved = [tuple(x + t for x, t in zip(v, shift)) for v in base.vertices]
+        mapped = [tuple(sum(a * x for a, x in zip(row, v)) for row in matrix) for v in base.vertices]
+        for coords in (moved, mapped):
+            copy = pc.PLSurface(base.poset, vertices=tuple(coords))
+            assert pc.verify(copy, collect_all=True) == want
+            assert pc.verify(as_equations(copy), collect_all=True) == want
+        kinds[want.kind] += 1
+    assert kinds == {"CONVEX": 9, "NOT_CONVEX": 3}, kinds

@@ -279,8 +279,8 @@ def face_points(surface, face):
 def reference_face_geometry(face, points):
     """Reference: ``_face_geometry`` with the rank of the differences recomputed per step.
 
-    Keeps a ``_difference`` when ``rank`` of the kept ones plus it
-    exceeds their count, and brings every picked point to the lcm of
+    Keeps a difference w_b * V_p - w_p * V_b when ``rank`` of the kept
+    ones plus it exceeds their count, and brings every picked point to the lcm of
     the picked weights.
     """
     base = points[0]
@@ -288,8 +288,9 @@ def reference_face_geometry(face, points):
         return base, (), None
     picked = [base]
     basis = []
+    vb, wb = base
     for p in points[1:]:
-        d = surface_mod._difference(base, p)
+        d = tuple(wb * x - p[1] * y for x, y in zip(p[0], vb))
         if rank(basis + [d]) > len(basis):
             basis.append(d)
             if len(basis) > face.dim:
