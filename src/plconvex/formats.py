@@ -21,6 +21,8 @@ Vertex mode, schematically::
 Equations mode replaces vertex lists with records
 ``{"id", "up": [...], "witness": [...]}`` and facet records
 ``{"id", "normal": [...], "offset": "p/q", "witness": [...]}``.
+``parse_pls`` takes any JSON layout; ``emit_pls`` writes the header on
+the first line and then one vertex row or face record per line.
 
 OFF files (n = 3 only) are parsed with exact decimal-to-rational
 conversion; edges are derived from consecutive facet-cycle pairs and
@@ -244,7 +246,11 @@ def parse_pls(text: str) -> PLSurface:
 
 
 def emit_pls(surface: PLSurface) -> str:
-    """Serialize to the canonical PLS document (parse_pls round-trips it)."""
+    """Serialize to the canonical PLS document (parse_pls round-trips it).
+
+    The first line holds ``n``, ``mode`` and the opening of the first
+    list; every vertex row and face record follows on a line of its own.
+    """
     n = surface.n
     poset = surface.poset
     doc: dict = {"n": n, "mode": surface.mode}
@@ -270,7 +276,12 @@ def emit_pls(surface: PLSurface) -> str:
                 recs.append(rec)
             faces[str(d)] = recs
     doc["faces"] = faces
-    return json.dumps(doc, indent=1)
+    # json's C encoder runs only without an indent; every string in the
+    # document is a number, a key or the mode, so these four patterns
+    # occur only between (or before the first of) vertex rows and face
+    # records, and each row and record gets a line of its own
+    text = json.dumps(doc)
+    return text.replace("}, {", "},\n {").replace("], [", "],\n [").replace("[[", "[\n [").replace(": [{", ": [\n {")
 
 
 def parse_off(text: str) -> PLSurface:

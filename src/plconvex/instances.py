@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .exactgeom import Vec, as_vec, dot
+from .exactgeom import Vec, as_vec, dot, homogeneous
 from .poset import Face, FacePoset, vertex_poset
 from .surface import PLSurface
 
@@ -121,10 +121,12 @@ def circle_points(m: int) -> list[tuple[Fraction, Fraction]]:
     """m distinct rational points on the unit circle in increasing angular order."""
     pts = []
     for i in range(m):
-        t = Fraction(2 * i - (m - 1), m)
-        den = 1 + t * t
-        pts.append(((1 - t * t) / den, 2 * t / den))
+        # t = a/m in the half-angle map, over the common denominator m^2 + a^2
+        a = 2 * i - (m - 1)
+        den = m * m + a * a
+        pts.append((Fraction(m * m - a * a, den), Fraction(2 * a * m, den)))
     return pts
+
 
 def gen_prism(m: int) -> PLSurface:
     """Prism over a convex m-gon inscribed in the unit circle, height 1."""
@@ -243,6 +245,9 @@ def dent(surface: PLSurface, vertex_index: int, t: Fraction) -> PLSurface:
     """
     if surface.mode != "vertices":
         raise ValueError("dent needs vertex coordinates")
+    if not 0 <= vertex_index < len(surface.vertices):
+        # as prepare's INVALID_ID: a negative index names no vertex, not one from the end
+        raise ValueError(f"vertex index {vertex_index} outside 0..{len(surface.vertices) - 1}")
     t = Fraction(t)
     centroid = vmean(list(surface.vertices))
     v = surface.vertices[vertex_index]
@@ -256,7 +261,10 @@ def rigid_motion(surface: PLSurface, seed: int) -> PLSurface:
     """Apply a seeded rational motion: unit shears (det 1) plus a translation.
 
     Seed 0 is the identity.  Shear coefficients come from a small set so
-    coordinate denominators stay bounded.
+    coordinate denominators stay bounded.  The shear rows and the shift
+    are put over one common denominator q once and each vertex is
+    converted once to integers nums / w, so every coordinate is one
+    ``Fraction(row . nums + shift * w, q * w)``.
     """
     if surface.mode != "vertices":
         raise ValueError("rigid_motion needs vertex coordinates")
@@ -272,11 +280,15 @@ def rigid_motion(surface: PLSurface, seed: int) -> PLSurface:
             j += 1
         coef = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
         rows[i] = [a + coef * b for a, b in zip(rows[i], rows[j])]
-    shift = tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n))
-    verts = tuple(
-        tuple(dot(tuple(r), v) + s for r, s in zip(rows, shift)) for v in surface.vertices
-    )
-    return PLSurface(surface.poset, vertices=verts)
+    shift = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
+    nums, q = homogeneous([x for r in rows for x in r] + shift)
+    motion = [(nums[i * n : (i + 1) * n], nums[n * n + i]) for i in range(n)]
+    verts = []
+    for v in surface.vertices:
+        x, w = homogeneous(v)
+        qw = q * w
+        verts.append(tuple([Fraction(dot(r, x) + t * w, qw) for r, t in motion]))
+    return PLSurface(surface.poset, vertices=tuple(verts))
 
 
 def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
@@ -295,9 +307,11 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     rng = random.Random(seed)
     poset = surface.poset
     perms = {d: rng.sample(range(c), c) for d, c in poset.faces_per_dim.items()}
+    # every rank's new faces, built once and indexed as perms[dim][index]
+    renamed = {d: [Face(d, j) for j in perm] for d, perm in perms.items()}
 
     def rename(face: Face) -> Face:
-        return Face(face.dim, perms[face.dim][face.index])
+        return renamed[face.dim][face.index]
 
     p0 = perms.get(0, [])
     new_up = {

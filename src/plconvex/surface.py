@@ -19,9 +19,10 @@ for (n-3)-faces) and whether it spans its dimension.  In equations
 mode each face walks once to the facets above it: its witness is its
 interior point, and for an (n-3)-face at n >= 4 the integer nullspace
 of those facets' normals is its direction basis.  ``prepare(s).points`` and
-``prepare(s).kernels`` are the only source of that geometry: the
-verifier's front end, shared by ``verify`` and ``verify_face``, runs
-the pass once over the whole surface.  Conversion happens only in
+``prepare(s).kernels`` are the verifier's only source of that
+geometry: its front end, shared by ``verify`` and ``verify_face``, runs
+the pass once over the whole surface.  ``as_equations`` runs the same
+per-face routine once per face to write witnesses and facet equations.  Conversion happens only in
 the pass, at the boundary: the per-face routine trusts its integer
 input, forms integer differences and reduces them with
 ``exactgeom._reduce`` against its own pivot list, and hands integer
@@ -131,45 +132,82 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
     return (total, (1 + min(len(basis), face.dim)) * weight), tuple(basis), defect
 
 
-def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
-    """Exact hyperplane through a facet's vertices (vertex mode).
+def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[HomPoint, FacetEquation]:
+    """A facet's interior point and exact hyperplane, from ``_face_geometry``'s one elimination.
 
     The normal is the rational nullspace basis vector of the direction
-    basis from ``_face_geometry``'s one elimination, which spans the
-    vertex differences: the integer one divided by its last nonzero
-    entry, its free column's value (see ``nullspace``).
+    basis, which spans the vertex differences: the integer one divided
+    by its last nonzero entry, its free column's value (see
+    ``nullspace``).  The hyperplane passes through the first point.
     """
-    coords = [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[facet]]
-    _, basis, defect = _face_geometry(facet, coords)
+    point, basis, defect = _face_geometry(facet, points)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    (normal,) = nullspace(basis, surface.n)
+    (normal,) = nullspace(basis, n)
     scale = next(x for x in reversed(normal) if x)
-    base, weight = coords[0]
-    return FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
+    base, weight = points[0]
+    return point, FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
+
+
+def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
+    """Exact hyperplane through a facet's vertices (vertex mode), as ``_facet_geometry``.
+
+    As in ``prepare``, a vertex id outside 0..V-1, negative too, names
+    no vertex: it is a KeyError.
+    """
+    vertices = surface.vertices
+    ids = surface.poset.vertex_lists[facet]
+    for v in ids:
+        if not 0 <= v < len(vertices):
+            raise KeyError(v)
+    return _facet_geometry(facet, [homogeneous(vertices[v]) for v in ids], surface.n)[1]
 
 
 def as_equations(surface: PLSurface) -> PLSurface:
     """Convert a vertex-mode surface to equations mode.
 
-    Facets get their exact hyperplanes, every face of dims n-3, n-2, n-1
-    gets its interior point from ``prepare``'s table as witness, and
-    vertex lists are dropped (dim 0 disappears entirely for n > 3).
+    Every face of dims n-3, n-2, n-1 gets one ``_face_geometry``
+    elimination, facets first: its interior point, the one ``prepare``
+    would table, is its witness, and a facet's direction basis gives
+    its exact hyperplane (``_facet_geometry``).  Vertex lists are
+    dropped (dim 0 disappears entirely for n > 3).
+
+    A face below the facets that spans less than its dimension still
+    gets a witness; anything else that ``prepare`` reports is refused.
+    A vertex without n coordinates is a ValueError.  Vertices are looked
+    up by id, as in ``prepare``, so an id outside 0..V-1, negative too,
+    is a KeyError.  A face without vertices, or a facet that spans no
+    hyperplane, is a DegenerateFaceError.
     """
     if surface.mode != VERTEX_MODE:
         return surface
     poset = surface.poset
     n = surface.n
+    if any(len(v) != n for v in surface.vertices):
+        raise ValueError(f"every vertex needs exactly {n} coordinates")
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
     new_poset = FacePoset(
         n=n,
         faces_per_dim=counts,
         incidence_up=dict(poset.incidence_up),
     )
-    equations = {h: facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
-    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
-    points = prepare(surface).points
-    witnesses = {f: dehomogenise(*points[f]) for d in dims for f in poset.faces(d)}
+    coords = dict(enumerate(map(homogeneous, surface.vertices)))
+
+    def face_points(face: Face) -> list[HomPoint]:
+        verts = poset.vertex_lists[face]
+        if not verts:
+            raise DegenerateFaceError(face, "no vertices")
+        return [coords[v] for v in verts]
+
+    facets = {h: _facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)}
+    witnesses: dict[Face, Vec] = {}
+    for d in (poset.dim_low, poset.dim_mid):
+        for f in poset.faces(d):
+            witnesses[f] = dehomogenise(*_face_geometry(f, face_points(f))[0])
+    equations: dict[Face, FacetEquation] = {}
+    for h, (point, eq) in facets.items():
+        witnesses[h] = dehomogenise(*point)
+        equations[h] = eq
     return PLSurface(new_poset, equations=equations, witnesses=witnesses)
 
 

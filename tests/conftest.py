@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.exactgeom import Projection3, cross3, dot, homogeneous, nullspace
+from plconvex.exactgeom import DegenerateFaceError, Projection3, cross3, dehomogenise, dot, homogeneous, nullspace
 from plconvex.instances import circle_points, vmean, vsub
-from plconvex.poset import vertex_poset
+from plconvex.poset import FacePoset, vertex_poset
+from plconvex.surface import FacetEquation, _face_geometry
 
 
 @pytest.fixture
@@ -423,3 +424,67 @@ def geometry_families():
         face = next(iter(eq.witnesses))
         wits = {**eq.witnesses, face: tuple(x + Fraction(1, 3) for x in eq.witnesses[face])}
         yield f"{name}-bad-witness", pc.PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+
+
+def reference_circle_points(m: int) -> list[tuple[Fraction, Fraction]]:
+    """The half-angle map t -> ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) at t = (2i - (m - 1)) / m, in ``Fraction``s."""
+    pts = []
+    for i in range(m):
+        t = Fraction(2 * i - (m - 1), m)
+        den = 1 + t * t
+        pts.append(((1 - t * t) / den, 2 * t / den))
+    return pts
+
+
+def reference_rigid_motion(surface: pc.PLSurface, seed: int) -> pc.PLSurface:
+    """``rigid_motion``'s seeded shears and shift, applied in ``Fraction`` arithmetic.
+
+    Draws the same random numbers as ``rigid_motion``; each coordinate
+    is the ``Fraction`` dot product of a shear row with the vertex plus
+    the shift.
+    """
+    if seed == 0:
+        return surface
+    rng = random.Random(seed)
+    n = surface.n
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        coef = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        rows[i] = [a + coef * b for a, b in zip(rows[i], rows[j])]
+    shift = tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n))
+    verts = tuple(tuple(dot(tuple(r), v) + t for r, t in zip(rows, shift)) for v in surface.vertices)
+    return pc.PLSurface(surface.poset, vertices=verts)
+
+
+def reference_facet_equation(surface: pc.PLSurface, facet) -> FacetEquation:
+    """The facet's hyperplane from its own elimination, vertices read by list position."""
+    coords = [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[facet]]
+    _, basis, defect = _face_geometry(facet, coords)
+    if defect is not None:
+        raise DegenerateFaceError(facet, "facet does not span a hyperplane")
+    (normal,) = nullspace(basis, surface.n)
+    scale = next(x for x in reversed(normal) if x)
+    base, weight = coords[0]
+    return FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
+
+
+def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
+    """``as_equations`` built from ``reference_facet_equation`` and ``prepare``'s point table.
+
+    Every facet is reduced twice, once for its equation and once in
+    ``prepare``.
+    """
+    if surface.mode != "vertices":
+        return surface
+    poset, n = surface.poset, surface.n
+    counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
+    new_poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=dict(poset.incidence_up))
+    equations = {h: reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
+    points = pc.prepare(surface).points
+    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
+    witnesses = {f: dehomogenise(*points[f]) for d in dims for f in poset.faces(d)}
+    return pc.PLSurface(new_poset, equations=equations, witnesses=witnesses)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import plconvex as pc
 
 
@@ -35,3 +37,20 @@ def test_one_elimination_per_facet():
     # facet_equation goes through _face_geometry, so the surface layer has
     # no separate vertex-difference helper
     assert "_difference" not in vars(pc.surface)
+
+
+def test_as_equations_reduces_each_face_once(monkeypatch):
+    # each face of dims n-3, n-2, n-1 gets one _face_geometry call, a facet's
+    # giving both its witness and its equation: 80 + 40 + 10 on the 5-cube
+    calls = Counter()
+    face_geometry = pc.surface._face_geometry
+
+    def spy(face, points):
+        calls[face] += 1
+        return face_geometry(face, points)
+
+    monkeypatch.setattr(pc.surface, "_face_geometry", spy)
+    cube5 = pc.gen_hypercube(5)
+    pc.as_equations(cube5)
+    faces = [f for d in (2, 3, 4) for f in cube5.poset.faces(d)]
+    assert calls == Counter(faces) and sum(calls.values()) == 130

@@ -482,6 +482,26 @@ def test_integer_values_parse_as_int():
     assert min(kinds[int], kinds[Fraction]) >= 1000, kinds
 
 
+@pytest.mark.parametrize("m", [3, 8, 33])
+def test_emitted_layout_is_one_line_per_record(m):
+    # a first line with the header, then one line per vertex row and face
+    # record, in document order; the text reads back to itself
+    prism = pc.gen_prism(m)
+    for s in (prism, as_equations(prism)):
+        text = emit_pls(s)
+        doc = json.loads(text)
+        rows = doc.get("vertices", [])
+        records = [r for d in sorted(doc["faces"], key=int) for r in doc["faces"][d]]
+        lines = text.split("\n")
+        assert len(lines) == 1 + len(rows) + len(records)
+        assert lines[0] == f'{{"n": 3, "mode": "{s.mode}", ' + ('"vertices": [' if rows else '"faces": {"0": [')
+        for line, row in zip(lines[1:], rows):
+            assert line.startswith(" " + json.dumps(row)), line
+        for line, rec in zip(lines[1 + len(rows) :], records):
+            assert line.startswith(" " + json.dumps(rec)), line
+        assert emit_pls(parse_pls(text)) == text
+
+
 # numbers that Fraction reads on some supported Pythons only: '_' from 3.11
 # on, whitespace around '/' from 3.12 on; both readers refuse them
 VERSION_DEPENDENT_NUMBERS = ["1_000", "1_0/3", "1/3_0", "0.1_5", "1e1_0", "2 / 3", "2/ 3", "2 /3"]

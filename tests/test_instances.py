@@ -6,7 +6,7 @@ import pytest
 import plconvex as pc
 from plconvex.instances import GenSpec, build_instance, circle_points
 
-from conftest import reflex_adjacent_vertices
+from conftest import reference_circle_points, reference_rigid_motion, reflex_adjacent_vertices
 
 F = Fraction
 
@@ -54,6 +54,13 @@ def test_circle_points_on_circle_and_ordered():
         assert x * x + y * y == 1
 
 
+def test_circle_points_match_half_angle_formula():
+    for m in range(3, 65):
+        pts = circle_points(m)
+        assert pts == reference_circle_points(m), m
+        assert all(type(c) is Fraction for p in pts for c in p)
+
+
 def test_prism_convex_by_both_deciders():
     for m in (4, 6):
         s = pc.gen_prism(m)
@@ -75,6 +82,13 @@ def test_dent_identity(cube):
     assert pc.dent(cube, 0, F(0)) == cube
 
 
+@pytest.mark.parametrize("index", [-1, -8, 8, 9])
+def test_dent_refuses_index_outside_vertices(cube, index):
+    # as prepare's INVALID_ID: -1 names no vertex, not the last one
+    with pytest.raises(ValueError, match=f"vertex index {index} outside 0..7"):
+        pc.dent(cube, index, F(1, 2))
+
+
 def test_dent_large_t_goes_nonconvex(octahedron):
     dented = pc.dent(octahedron, 0, F(3, 2))
     assert pc.preflight(dented).ok
@@ -94,6 +108,26 @@ def test_rigid_motion_identity_and_invariance(cube, schonhardt):
     for seed in (1, 2, 9):
         assert pc.verify(pc.rigid_motion(cube, seed)).kind == "CONVEX"
         assert pc.verify(pc.rigid_motion(schonhardt, seed)).kind == "NOT_CONVEX"
+
+
+def _typed(surface):
+    return [[(type(x), x) for x in v] for v in surface.vertices]
+
+
+def test_rigid_motion_matches_fraction_formula():
+    # the integer form gives the Fraction formula's values and types on the
+    # generator families, on moved surfaces, and on parsed surfaces whose
+    # integer coordinates are ints
+    families = [pc.gen_hypercube(n) for n in (3, 4, 5)] + [pc.gen_cross_polytope(n) for n in (3, 4)]
+    families += [pc.gen_simplex(n) for n in (3, 5, 6)] + [pc.gen_prism(m) for m in (3, 7, 16)]
+    families += [pc.gen_schonhardt(), pc.gen_dented_cube(3), pc.split_facet_cube(), pc.split_facet_cube(True)]
+    moved = [pc.rigid_motion(s, 4) for s in families[::2]]
+    parsed = [pc.parse_pls(pc.emit_pls(s)) for s in families[:4]]
+    assert all(type(x) is int for s in parsed for v in s.vertices for x in v)
+    for s in families + moved + parsed:
+        for seed in range(21):
+            got, want = pc.rigid_motion(s, seed), reference_rigid_motion(s, seed)
+            assert got == want and _typed(got) == _typed(want), seed
 
 
 def test_scale_invariance(cube):

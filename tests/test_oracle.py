@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_oracle_requires_vertex_mode(cube):
     eq = pc.as_equations(cube)
     with pytest.raises(ValueError):
         oracle_verdict(eq)
+
+
+@pytest.mark.parametrize("vertex_id", [-8, -1, 8])
+def test_facet_vertex_id_outside_vertices_is_refused(cube, vertex_id):
+    # as prepare's INVALID_ID: -8 named vertex 0 from the end, and the
+    # oracle called the cube with that facet convex
+    facet = pc.Face(2, 0)
+    ids = (vertex_id, *cube.poset.vertex_lists[facet][1:])
+    bad = pc.PLSurface(replace(cube.poset, vertex_lists={**cube.poset.vertex_lists, facet: ids}), vertices=cube.vertices)
+    assert pc.verify(bad).reason == "INVALID_ID"
+    for decide in (lambda s: facet_equation(s, facet), oracle_verdict):
+        with pytest.raises(KeyError):
+            decide(bad)
 
 
 def test_oracle_invariance(cube, schonhardt):

@@ -10,6 +10,7 @@ import pytest
 import plconvex as pc
 import plconvex.surface as surface_mod
 from plconvex.exactgeom import (
+    DegenerateFaceError,
     as_vec,
     dehomogenise,
     dot,
@@ -25,7 +26,8 @@ from plconvex.surface import (
 )
 from plconvex.verifier import verify_face
 
-from conftest import geometry_families, rank, wedge_cube
+from conftest import geometry_families, rank, reference_as_equations, wedge_cube
+from test_verifier import _corrupt, _corruption_bases
 
 F = Fraction
 
@@ -122,6 +124,63 @@ def test_as_equations_cube_round(cube):
     # every witness satisfies its facet's equation
     for h, fe in eq.equations.items():
         assert dot(fe.normal, eq.witnesses[h]) == fe.offset
+
+
+def _outcome(convert, surface):
+    """``convert(surface)``, or the type of the exception it raises."""
+    try:
+        return convert(surface)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_as_equations_matches_reference():
+    # one elimination per face gives the surface of the construction that
+    # reduced every facet twice, in value, type and order, or raises as it
+    # does (a dent can warp a facet)
+    surfaces = [s for _, s in geometry_families()] + _corruption_bases()
+    surfaces += [pc.rigid_motion(s, seed) for s in surfaces[::3] if s.mode == "vertices" for seed in (1, 5)]
+    raised = 0
+    for s in surfaces:
+        got, want = _outcome(as_equations, s), _outcome(reference_as_equations, s)
+        assert got == want
+        if isinstance(want, type):
+            raised += 1
+        else:
+            for x, y in ((got.witnesses, want.witnesses), (got.equations, want.equations)):
+                assert list(x) == list(y) and repr(x) == repr(y)
+    assert raised >= 5
+
+
+# what as_equations raises on a vertex-mode corruption that reads past the
+# records: it reads vertex ids as prepare does and refuses what prepare
+# reports, where the reference indexed the vertex tuple (a negative id read
+# the vertex that many from the end) and failed wherever it first stumbled
+AS_EQUATIONS_REFUSALS = {
+    "id_past_end": KeyError,
+    "id_negative": KeyError,
+    "list_emptied": DegenerateFaceError,
+    "coordinate_dropped": ValueError,
+    "coordinate_added": ValueError,
+}
+
+
+@pytest.mark.parametrize("kind", [*AS_EQUATIONS_REFUSALS, "list_uncontained"])
+def test_as_equations_on_corrupted_records(kind):
+    # a swapped vertex id stays inside the records: the reference's outcome,
+    # a surface or DegenerateFaceError; any other corruption is refused
+    rng = random.Random(kind)
+    outcomes = Counter()
+    for base in _corruption_bases():
+        if base.mode != "vertices":
+            continue
+        for _ in range(10):
+            s, _ = _corrupt(base, kind, rng)
+            got = _outcome(as_equations, s)
+            outcomes[got if isinstance(got, type) else PLSurface] += 1
+            assert got == AS_EQUATIONS_REFUSALS.get(kind, _outcome(reference_as_equations, s))
+    if kind == "list_uncontained":
+        assert outcomes[PLSurface] and outcomes[DegenerateFaceError], outcomes
 
 
 def test_witness_moved_along_its_edge_is_trusted():
