@@ -70,21 +70,22 @@ class ConvexityCheck(NamedTuple):
 class FanEntry(NamedTuple):
     kind: str  # RAY or CELL
     direction: Vec
-    source: Face
+    source: int  # the face's index in its dimension
 
 
 class Fan3(NamedTuple):
     """The cyclic alternating ray/witness directions of a star, from its apex.
 
     Entry k is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY
-    or CELL) from the link-cycle face ``sources[k]``; ``entries`` zips them
-    on demand.  ``build_fan`` is its producer; a direct call must pass
+    or CELL) from the link-cycle face of index ``sources[k]``, one rank
+    above the apex for a RAY and two for a CELL; ``entries`` zips them on
+    demand.  ``build_fan`` is its producer; a direct call must pass
     ``int`` triples, unchecked and trusted by ``fan_is_convex``.
     """
 
     dirs: tuple[IVec, ...]
     kinds: tuple[str, ...]
-    sources: tuple[Face, ...]
+    sources: tuple[int, ...]
 
     @property
     def entries(self) -> tuple[FanEntry, ...]:
@@ -101,11 +102,14 @@ class ZeroDirectionError(Exception):
         self.face = face
 
 
-def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, ...], proj: Projection3) -> Fan3:
+def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tuple[int, ...], proj: Projection3) -> Fan3:
     """Project the star of ``center`` into 3-space along its direction space, in integers.
 
-    ``points`` maps faces to interior points in homogeneous form, integer
-    numerators S over a positive weight w (``prepare(surface).points``).
+    ``points[d][i]`` is the interior point of face i of dimension d in
+    homogeneous form, integer numerators S over a positive weight w
+    (``prepare(surface).points``), and ``cycle`` is ``center``'s link
+    cycle of face indices (``poset.link_cycle``): its even entries are
+    one rank above ``center``, its odd entries two.
     This is the package's one application of a ``Projection3``, whose
     integer rows (``complementary_projection``'s) are used as they are.
     An axis projection picks three coordinates, any other takes three
@@ -114,10 +118,11 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
     of the link cycle contributes, in cycle order, the integer direction
     w_c * P(S_f) - w_f * P(S_c), the positive multiple w_c * w_f of the
     direction from the apex to f's projected interior point.  One loop
-    fills ``dirs`` and ``kinds`` (RAY one rank above ``center``);
+    fills ``dirs``; ``kinds`` alternate RAY, CELL by position and
     ``sources`` is the cycle's tuple: no object per entry.
     """
-    center_nums, wc = points[center]
+    dim, c = center
+    center_nums, wc = points[dim][c]
     rows = None
     if proj.axes is not None:
         i, j, k = proj.axes
@@ -125,21 +130,19 @@ def build_fan(points: Mapping[Face, HomPoint], center: Face, cycle: tuple[Face, 
     else:
         rows = r0, r1, r2 = proj.rows
         a0, a1, a2 = sum(map(mul, r0, center_nums)), sum(map(mul, r1, center_nums)), sum(map(mul, r2, center_nums))
-    ray_dim = center.dim + 1
+    tables = points[dim + 1], points[dim + 2]  # of the rays, of the cells
     dirs = []
-    kinds = []
-    for face in cycle:
-        nums, w = points[face]
+    for pos, f in enumerate(cycle):
+        nums, w = tables[pos & 1][f]
         if rows is None:
             p0, p1, p2 = nums[i], nums[j], nums[k]
         else:
             p0, p1, p2 = sum(map(mul, r0, nums)), sum(map(mul, r1, nums)), sum(map(mul, r2, nums))
         d0, d1, d2 = wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2
         if not (d0 or d1 or d2):
-            raise ZeroDirectionError(face)
+            raise ZeroDirectionError(Face(dim + 1 + (pos & 1), f))
         dirs.append((d0, d1, d2))
-        kinds.append(RAY if face.dim == ray_dim else CELL)
-    return Fan3(tuple(dirs), tuple(kinds), cycle)
+    return Fan3(tuple(dirs), (RAY, CELL) * (len(cycle) // 2), cycle)
 
 
 def _idot(u, v):

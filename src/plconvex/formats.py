@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .exactgeom import Number, Vec
 from .instances import surface_from_polygons
@@ -135,6 +136,11 @@ def _records(doc_faces, dim: int, where: str) -> list[dict]:
         raise ParseError(f"{where}: missing face records for dimension {dim}")
     if not isinstance(recs, list):
         raise ParseError(f"{where}: face records must be a list")
+    # the common case in one pass: records that are objects with ids 0, 1, 2, ... in order
+    if set(map(type, recs)) == {dict}:
+        ids = [rec.get("id") for rec in recs]
+        if set(map(type, ids)) == {int} and ids == list(range(len(ids))):
+            return recs
     by_id: dict[int, dict] = {}
     for rec in recs:
         if not isinstance(rec, dict) or "id" not in rec:
@@ -156,7 +162,15 @@ def parse_pls(text: str) -> PLSurface:
     dense ids, references in range, and a nonempty record list for
     every required dimension (``MISSING_RANK``).  It builds every upward
     incidence itself, so the poset checks (closedness, connectedness,
-    realization) are left to ``verify``.
+    realization) are left to ``verify``.  The face records fill the
+    poset's per-dimension tables directly (``FacePoset.up_ids`` and
+    ``.vertex_ids``), without a ``Face`` per record in vertex mode.
+
+    A list that repeats an id is read as its set, in both modes: a
+    record's "vertices" [0, 1, 0] is [0, 1], and its "up" [0, 2, 0] is
+    [0, 2].  A hand-built poset whose upward record repeats a reference
+    is INVALID_ID instead (``validate_poset``'s "duplicate upward
+    reference").
     """
     try:
         doc = json.loads(text)
@@ -192,6 +206,14 @@ def parse_pls(text: str) -> PLSurface:
         lists: dict[int, list[tuple[int, ...]]] = {}
         for d in sorted({n - 3, n - 2, n - 1} - {0}):
             recs = _records(faces_doc, d, f"faces[{d}]")
+            # one bulk test of every list, then one pass that sorts them; a
+            # document that fails the test is read record by record for the error
+            vss = [rec.get("vertices") for rec in recs]
+            if set(map(type, vss)) == {list} and all(vss):
+                ids = list(chain.from_iterable(vss))
+                if set(map(type, ids)) == {int} and min(ids) >= 0 and max(ids) < nv:
+                    lists[d] = list(map(tuple, map(sorted, map(set, vss))))
+                    continue
             lists[d] = []
             for i, rec in enumerate(recs):
                 vs = rec.get("vertices")
@@ -212,10 +234,12 @@ def parse_pls(text: str) -> PLSurface:
             recs = _records(faces_doc, d, f"faces[{d}]")
             counts[d] = len(recs)
             recs_by_dim[d] = recs
-        up: dict[Face, tuple[Face, ...]] = {}
+        up: dict[int, list[tuple[int, ...]]] = {}
         witnesses: dict[Face, Vec] = {}
         equations: dict[Face, FacetEquation] = {}
         for d in dims:
+            if d < n - 1:
+                rows = up[d] = []
             for i, rec in enumerate(recs_by_dim[d]):
                 face = Face(d, i)
                 w = rec.get("witness")
@@ -228,7 +252,7 @@ def parse_pls(text: str) -> PLSurface:
                         raise ParseError(f"faces[{d}][{i}]: 'up' must be a list of ints")
                     if any(u < 0 or u >= counts.get(d + 1, 0) for u in ups):
                         raise SemanticError(f"faces[{d}][{i}]: up reference out of range")
-                    up[face] = tuple(sorted(Face(d + 1, u) for u in set(ups)))
+                    rows.append(tuple(sorted(set(ups))))
                 else:
                     if "normal" not in rec or "offset" not in rec:
                         raise ParseError(f"faces[{d}][{i}]: facet needs 'normal' and 'offset'")
@@ -236,7 +260,7 @@ def parse_pls(text: str) -> PLSurface:
                         _vec(rec["normal"], f"faces[{d}][{i}].normal"),
                         _frac(rec["offset"], f"faces[{d}][{i}].offset"),
                     )
-        poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=up)
+        poset = FacePoset(n=n, faces_per_dim=counts, up_ids=up)
         surface = PLSurface(poset, equations=equations, witnesses=witnesses)
 
     empty = [d for d, c in sorted(counts.items()) if not c]
@@ -258,17 +282,14 @@ def emit_pls(surface: PLSurface) -> str:
     if surface.mode == VERTEX_MODE:
         doc["vertices"] = [[str(c) for c in v] for v in surface.vertices]
         for d in sorted({n - 3, n - 2, n - 1} - {0}):
-            faces[str(d)] = [
-                {"id": f.index, "vertices": list(poset.vertex_lists[f])}
-                for f in poset.faces(d)
-            ]
+            faces[str(d)] = [{"id": i, "vertices": list(vs)} for i, vs in enumerate(poset.vertex_ids[d])]
     else:
         for d in sorted({n - 3, n - 2, n - 1}):
             recs = []
             for f in poset.faces(d):
                 rec: dict = {"id": f.index, "witness": [str(c) for c in surface.witnesses[f]]}
                 if d < n - 1:
-                    rec["up"] = [g.index for g in poset.up(f)]
+                    rec["up"] = list(poset.up_ids[d][f.index])
                 else:
                     eq = surface.equations[f]
                     rec["normal"] = [str(c) for c in eq.normal]

@@ -307,34 +307,28 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     rng = random.Random(seed)
     poset = surface.poset
     perms = {d: rng.sample(range(c), c) for d, c in poset.faces_per_dim.items()}
-    # every rank's new faces, built once and indexed as perms[dim][index]
-    renamed = {d: [Face(d, j) for j in perm] for d, perm in perms.items()}
-
-    def rename(face: Face) -> Face:
-        return renamed[face.dim][face.index]
-
     p0 = perms.get(0, [])
-    new_up = {
-        rename(f): tuple(sorted(rename(g) for g in ups))
-        for f, ups in poset.incidence_up.items()
-    }
-    new_lists = {
-        rename(f): tuple(sorted(p0[v] for v in verts))
-        for f, verts in poset.vertex_lists.items()
-    }
+
+    def moved(rows: list[tuple[int, ...]], perm: list[int], inner: list[int]) -> list[tuple[int, ...]]:
+        """Row i moved to index perm[i], its entries renamed by ``inner``."""
+        new: list = [None] * len(rows)
+        for i, ids in enumerate(rows):
+            new[perm[i]] = tuple(sorted([inner[g] for g in ids]))
+        return new
+
     new_poset = FacePoset(
         n=poset.n,
         faces_per_dim=dict(poset.faces_per_dim),
-        incidence_up=new_up,
-        vertex_lists=new_lists,
+        up_ids={d: moved(rows, perms[d], perms[d + 1]) for d, rows in poset.up_ids.items()},
+        vertex_ids={d: moved(rows, perms[d], p0) for d, rows in poset.vertex_ids.items()},
     )
     if surface.mode == "vertices":
         verts: list[Vec] = [None] * len(surface.vertices)  # type: ignore[list-item]
         for old, new in enumerate(p0):
             verts[new] = surface.vertices[old]
         return PLSurface(new_poset, vertices=tuple(verts))
-    eqs = {rename(f): eq for f, eq in surface.equations.items()}
-    wits = {rename(f): w for f, w in surface.witnesses.items()}
+    eqs = {Face(f.dim, perms[f.dim][f.index]): eq for f, eq in surface.equations.items()}
+    wits = {Face(f.dim, perms[f.dim][f.index]): w for f, w in surface.witnesses.items()}
     return PLSurface(new_poset, equations=eqs, witnesses=wits)
 
 

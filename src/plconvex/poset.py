@@ -6,13 +6,27 @@ and are stored once).  Upward incidences are recorded for the two
 consecutive steps (n-3) -> (n-2) and (n-2) -> (n-1); everything else the
 algorithm needs is derived from those.
 
+Faces are indices.  Every table is a per-dimension list indexed by face
+index: ``up_ids[d][i]`` is the sorted tuple of the indices of the faces
+one rank above face i of dimension d, and ``vertex_ids[d][i]`` its
+sorted vertex ids (vertex mode only).  The producers fill these lists
+and the consumers on the hot path (``validate_poset``, ``check_closed``,
+``check_connected``, ``link_cycle``, ``surface.prepare``,
+``fan.build_fan``) index them, so no ``Face`` is made or hashed per
+incidence.  ``Face(dim, index)`` is the label of a reported face: in a
+``Violation``, a ``LinkCycleError`` and a verdict's witness.  The read
+API ``faces(d)``, ``up(face)`` and ``vertex_lists[face]`` takes and
+gives ``Face``s, for callers that read a face at a time.
+
 The poset is immutable after construction; all operations here are pure
 reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 
@@ -46,22 +60,52 @@ class LinkCycleError(Exception):
         self.face = face
 
 
+Table = dict[int, list[tuple[int, ...]]]
+
+
+class FaceKeyed(Mapping):
+    """A read-only ``Face``-keyed view of a per-dimension table: ``view[Face(d, i)]`` is ``table[d][i]``."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: Table):
+        self._table = table
+
+    def __getitem__(self, face: Face) -> tuple[int, ...]:
+        d, i = face
+        rows = self._table.get(d, ())
+        if not 0 <= i < len(rows):
+            raise KeyError(face)
+        return rows[i]
+
+    def __iter__(self) -> Iterator[Face]:
+        for d, rows in self._table.items():
+            for i in range(len(rows)):
+                yield Face(d, i)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._table.values()))
+
+
 @dataclass(frozen=True)
 class FacePoset:
-    """Faces of dims {0, n-3, n-2, n-1} with upward incidences.
+    """Faces of dims {0, n-3, n-2, n-1} with upward incidences, as per-dimension lists.
 
     ``faces_per_dim`` maps each stored dimension to its face count; faces
-    are addressed as ``Face(dim, index)`` with dense indices.
-    ``incidence_up`` maps every (n-3)- and (n-2)-face to the sorted tuple
-    of faces one rank higher.  ``vertex_lists`` maps faces of dims n-3,
-    n-2, n-1 to sorted tuples of 0-face indices; it is empty when the
-    geometry is given by facet equations instead of vertex coordinates.
+    are addressed by dense indices 0..count-1.  ``up_ids[d][i]``, for d =
+    n-3 and n-2, is the sorted tuple of the indices of the faces of
+    dimension d+1 that contain face i of dimension d.  ``vertex_ids[d][i]``,
+    for d = n-3, n-2, n-1, is the sorted tuple of 0-face indices of face
+    i; the table is empty when the geometry is given by facet equations
+    instead of vertex coordinates.  The counts are kept apart from the
+    lists, so ``validate_poset`` can tell a list shorter than its count
+    (a missing record) or longer (an index out of range).
     """
 
     n: int
     faces_per_dim: dict[int, int]
-    incidence_up: dict[Face, tuple[Face, ...]]
-    vertex_lists: dict[Face, tuple[int, ...]] = field(default_factory=dict)
+    up_ids: Table
+    vertex_ids: Table = field(default_factory=dict)
 
     @property
     def dim_low(self) -> int:
@@ -83,7 +127,17 @@ class FacePoset:
             yield Face(dim, i)
 
     def up(self, face: Face) -> tuple[Face, ...]:
-        return self.incidence_up.get(face, ())
+        """The faces one rank above ``face``; () for a face without a record."""
+        d, i = face
+        rows = self.up_ids.get(d, ())
+        if not 0 <= i < len(rows):
+            return ()
+        return tuple([Face(d + 1, g) for g in rows[i]])
+
+    @property
+    def vertex_lists(self) -> FaceKeyed:
+        """``vertex_ids`` keyed by ``Face``, read-only."""
+        return FaceKeyed(self.vertex_ids)
 
     def required_dims(self, mode: str) -> tuple[int, ...]:
         low = {0, self.n - 3} if mode == "vertices" else {self.n - 3}
@@ -95,39 +149,39 @@ def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]
 
     ``lists`` maps each stored dimension above 0 to its faces' sorted
     vertex tuples in index order (for n = 3 the vertices are the
-    (n-3)-faces and get the lists ``(i,)`` here).  A face lies in every
-    face one rank up whose vertex set contains its own; that rule is
-    the only source of upward incidences in vertex mode.  Every coface
-    of a face is indexed at each of the face's vertices, so scanning the
-    shortest of those coface lists finds them all.
+    (n-3)-faces and get the lists ``(i,)`` here); copies of the lists are
+    the poset's ``vertex_ids``.  A face lies in every face one
+    rank up whose vertex set contains its own; that rule is the only
+    source of upward incidences in vertex mode.  Every coface of a face
+    is indexed at each of the face's vertices, so scanning the shortest
+    of those coface lists finds them all.
     """
     if n == 3:
-        lists = {0: [(i,) for i in range(n_vertices)], **lists}
-    counts = {0: n_vertices}
-    faces: dict[int, list[Face]] = {}
-    vertex_lists: dict[Face, tuple[int, ...]] = {}
-    for d in sorted(lists):
-        counts[d] = len(lists[d])
-        faces[d] = [Face(d, i) for i in range(counts[d])]
-        vertex_lists.update(zip(faces[d], lists[d]))
-    up: dict[Face, tuple[Face, ...]] = {}
+        lists = {**lists, 0: [(i,) for i in range(n_vertices)]}
+    vertex_ids = {d: list(lists[d]) for d in sorted(lists)}
+    counts = {0: n_vertices, **{d: len(rows) for d, rows in vertex_ids.items()}}
+    up: Table = {}
     for d in (n - 3, n - 2):
         upper = lists[d + 1]
-        upper_sets = [frozenset(vs) for vs in upper]
         cofaces_at: dict[int, list[int]] = {}
         for i, vs in enumerate(upper):
             for v in vs:
                 cofaces_at.setdefault(v, []).append(i)
-        for f, vs in zip(faces[d], lists[d]):
+        # candidate lists are in index order, so each tuple comes out sorted
+        if d == 0:  # n = 3: a vertex lies in every edge listed at it
+            up[0] = [tuple(cofaces_at.get(v, ())) for v in range(n_vertices)]
+            continue
+        upper_sets = list(map(frozenset, upper))
+        rows = up[d] = []
+        for vs in lists[d]:
             cands = cofaces_at.get(vs[0], ())
             for v in vs[1:]:
                 other = cofaces_at.get(v, ())
                 if len(other) < len(cands):
                     cands = other
             mine = frozenset(vs)
-            # candidate lists are in index order, so each tuple comes out sorted
-            up[f] = tuple(faces[d + 1][i] for i in cands if mine <= upper_sets[i])
-    return FacePoset(n=n, faces_per_dim=counts, incidence_up=up, vertex_lists=vertex_lists)
+            rows.append(tuple([i for i in cands if mine <= upper_sets[i]]))
+    return FacePoset(n=n, faces_per_dim=counts, up_ids=up, vertex_ids=vertex_ids)
 
 
 def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
@@ -135,7 +189,11 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
 
     ``mode`` is the surface's geometry mode (``PLSurface.mode``); vertex
     lists are required and checked only in vertex mode.  Does not look
-    at coordinates; geometric checks live with the surface.
+    at coordinates; geometric checks live with the surface.  An upward
+    table shorter than its count misses the records of its last faces,
+    a longer one holds records of faces out of range, and a table of
+    another dimension than n-3 or n-2 is recorded at an unexpected rank.
+    A ``Face`` is made only for a violation.
     """
     bad: list[Violation] = []
     n = poset.n
@@ -150,34 +208,38 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
         if d not in required and d != 0:
             bad.append(Violation("EXTRA_RANK", None, f"unexpected rank of dimension {d}"))
 
-    # look faces up by (dim, index) tuples, hash-equal to Faces; make a Face only for a violation
-    counts, up = poset.faces_per_dim, poset.incidence_up
-    for face, ups in up.items():
-        d, i = face
+    counts, up = poset.faces_per_dim, poset.up_ids
+    for d, rows in up.items():
         if d != n - 3 and d != n - 2:
-            bad.append(Violation("INVALID_ID", face, "incidences recorded at unexpected rank"))
+            bad += [Violation("INVALID_ID", Face(d, i), "incidences recorded at unexpected rank") for i in range(len(rows))]
             continue
-        if not 0 <= i < counts.get(d, 0):
-            bad.append(Violation("INVALID_ID", face, "face index out of range"))
-            continue
-        if len(set(ups)) != len(ups):
-            bad.append(Violation("INVALID_ID", face, "duplicate upward reference"))
-        above, n_above = d + 1, counts.get(d + 1, 0)
-        for g in ups:
-            gd, gi = g
-            if gd != above or not 0 <= gi < n_above:
-                bad.append(Violation("INVALID_ID", face, f"bad upward reference {g}"))
+        n_here, n_above = counts.get(d, 0), counts.get(d + 1, 0)
+        for i, ups in enumerate(rows):
+            if i >= n_here:
+                bad.append(Violation("INVALID_ID", Face(d, i), "face index out of range"))
+                continue
+            if len(set(ups)) != len(ups):
+                bad.append(Violation("INVALID_ID", Face(d, i), "duplicate upward reference"))
+            for g in ups:
+                if not 0 <= g < n_above:
+                    bad.append(Violation("INVALID_ID", Face(d, i), f"bad upward reference {Face(d + 1, g)}"))
 
     for d in (n - 3, n - 2):
-        missing = [i for i in range(counts.get(d, 0)) if (d, i) not in up]
+        missing = range(len(up.get(d, ())), counts.get(d, 0))
         bad += [Violation("INVALID_ID", Face(d, i), "missing upward incidence record") for i in missing]
 
     if mode == "vertices":
         n_verts = poset.count(0)
-        vertex_lists = poset.vertex_lists
+        vertex_ids = poset.vertex_ids
         for d in sorted({n - 3, n - 2, n - 1}):
-            for i in range(counts.get(d, 0)):
-                verts = vertex_lists.get((d, i))
+            count = counts.get(d, 0)
+            rows = vertex_ids.get(d, [])[:count]
+            # one bulk test clears a table whose lists are all there, nonempty and in range
+            ids = list(chain.from_iterable(rows))
+            if len(rows) == count and all(rows) and (not ids or min(ids) >= 0 and max(ids) < n_verts):
+                continue
+            for i in range(count):
+                verts = rows[i] if i < len(rows) else None
                 if not verts:  # absent or empty
                     bad.append(Violation("MISSING_VERTEX_LIST", Face(d, i), "no vertex list"))
                 elif min(verts) < 0 or max(verts) >= n_verts:
@@ -185,24 +247,29 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
         # each upper face's set is built once, not once per incidence, so the
         # loop stays linear in facet size; an absent or empty list on either
         # side is reported above as MISSING_VERTEX_LIST
-        upper_sets: dict[Face, set[int]] = {}
-        for face, ups in up.items():
-            mine = vertex_lists.get(face)
-            if not mine:
-                continue
-            for g in ups:
-                theirs = upper_sets.get(g)
-                if theirs is None:
-                    theirs = upper_sets[g] = set(vertex_lists.get(g, ()))
-                if theirs and not theirs.issuperset(mine):
-                    bad.append(Violation("VERTEX_NOT_CONTAINED", face, f"vertices not contained in {g}"))
+        for d, rows in up.items():
+            lower, upper = vertex_ids.get(d, []), vertex_ids.get(d + 1, [])
+            upper_sets: list[set[int] | None] = [None] * len(upper)
+            for i, ups in enumerate(rows[: len(lower)]):
+                mine = lower[i]
+                if not mine:
+                    continue
+                for g in ups:
+                    if not 0 <= g < len(upper):
+                        continue
+                    theirs = upper_sets[g]
+                    if theirs is None:
+                        theirs = upper_sets[g] = set(upper[g])
+                    if theirs and not theirs.issuperset(mine):
+                        bad.append(Violation("VERTEX_NOT_CONTAINED", Face(d, i), f"vertices not contained in {Face(d + 1, g)}"))
     return ValidationReport(tuple(bad))
 
 
 def check_closed(poset: FacePoset) -> ValidationReport:
-    """Every (n-2)-face must lie in exactly two facets."""
-    up, mid = poset.incidence_up, poset.dim_mid
-    facets = [len(up.get((mid, i), ())) for i in range(poset.count(mid))]
+    """Every (n-2)-face must lie in exactly two facets; a face without a record lies in none."""
+    mid = poset.dim_mid
+    count, rows = poset.count(mid), poset.up_ids.get(mid, ())
+    facets = [len(ups) for ups in rows[:count]] + [0] * (count - len(rows))
     bad = [Violation("NOT_CLOSED", Face(mid, i), f"(n-2)-face lies in {k} facets") for i, k in enumerate(facets) if k != 2]
     return ValidationReport(tuple(bad))
 
@@ -217,12 +284,11 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     total = poset.count(poset.dim_top)
     if total == 0:
         return ValidationReport((Violation("NOT_CONNECTED", None, "no facets"),))
-    up, mid = poset.incidence_up, poset.dim_mid
-    neighbors: dict[int, list[int]] = {i: [] for i in range(total)}
-    for i in range(poset.count(mid)):
-        ups = up.get((mid, i), ())
+    mid = poset.dim_mid
+    neighbors: list[list[int]] = [[] for _ in range(total)]
+    for ups in poset.up_ids.get(mid, ())[: poset.count(mid)]:
         if len(ups) == 2:
-            (_, a), (_, b) = ups
+            a, b = ups
             if 0 <= a < total and 0 <= b < total:
                 neighbors[a].append(b)
                 neighbors[b].append(a)
@@ -239,43 +305,47 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     return ValidationReport()
 
 
-def link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:
+def link_cycle(poset: FacePoset, center: Face) -> tuple[int, ...]:
     """Walk the faces incident to an (n-3)-face into their unique cycle.
 
-    Returns the alternating cyclic sequence G1, H1, ..., Gk, Hk: the G's
-    are the incident (n-2)-faces, the H's the incident facets;
-    consecutive entries are incident and H_i contains exactly G_i and
-    G_{i+1} among the G's.  The start and orientation are normalised:
-    G1 is the incident (n-2)-face of least index and H1 the facet of
-    least index containing G1.
+    Returns the alternating cyclic sequence of face indices g1, h1, ...,
+    gk, hk: the g's (even positions) are the incident (n-2)-faces, the
+    h's (odd positions) the incident facets; consecutive entries are
+    incident and h_i contains exactly g_i and g_{i+1} among the g's.
+    The start and orientation are normalised: g1 is the incident
+    (n-2)-face of least index and h1 the facet of least index
+    containing g1.
 
     Raises LinkCycleError when the walk closes early, a face has the
     wrong local valence, or faces are left over; any of those means the
     input is not a closed manifold near ``center``.
     """
-    if center.dim != poset.dim_low:
+    d, c = center
+    low = poset.n - 3
+    if d != low:
         raise ValueError(f"{center} is not an (n-3)-face")
-    up = poset.incidence_up
-    mid_faces = up.get(center, ())
-    if len(mid_faces) < 2:
+    below, above = poset.up_ids.get(low, ()), poset.up_ids.get(low + 1, ())
+    mid_faces = below[c] if 0 <= c < len(below) else ()
+    k = len(mid_faces)
+    if k < 2:
         raise LinkCycleError(center, "fewer than two (n-2)-faces at center")
-    cells_of: dict[Face, tuple[Face, ...]] = {}
-    rim: dict[Face, list[Face]] = {}
+    n_above = len(above)
+    rim: dict[int, list[int]] = {}
     for g in mid_faces:
-        ups = up.get(g, ())
+        ups = above[g] if 0 <= g < n_above else ()
         if len(ups) != 2:
-            raise LinkCycleError(center, f"{g} lies in {len(ups)} facets")
-        cells_of[g] = ups
+            raise LinkCycleError(center, f"{Face(low + 1, g)} lies in {len(ups)} facets")
         for h in ups:
             rim.setdefault(h, []).append(g)
     for h, gs in rim.items():
         if len(gs) != 2:
-            raise LinkCycleError(center, f"{h} touches {len(gs)} incident (n-2)-faces")
+            raise LinkCycleError(center, f"{Face(low + 2, h)} touches {len(gs)} incident (n-2)-faces")
 
+    # every g has two cells and every h two g's: the walk follows one cycle
+    # of that graph and meets no face twice before it is back at the start
     start = min(mid_faces)
-    first_cell = min(cells_of[start])
-    entries: list[Face] = []
-    g, h = start, first_cell
+    g, h = start, min(above[start])
+    entries: list[int] = []
     while True:
         entries.append(g)
         entries.append(h)
@@ -283,10 +353,10 @@ def link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:
         g = b if a == g else a
         if g == start:
             break
-        a, b = cells_of[g]
+        a, b = above[g]
         h = b if a == h else a
-        if len(entries) > 2 * len(mid_faces):
+        if len(entries) > 2 * k:
             raise LinkCycleError(center, "walk does not close")
-    if len(entries) != 2 * len(mid_faces) or len(set(entries)) != len(entries):
+    if len(entries) != 2 * k:
         raise LinkCycleError(center, "walk closed before exhausting the star")
     return tuple(entries)

@@ -18,11 +18,16 @@ summed as the points are picked), its integer direction basis (kept
 for (n-3)-faces) and whether it spans its dimension.  In equations
 mode each face walks once to the facets above it: its witness is its
 interior point, and for an (n-3)-face at n >= 4 the integer nullspace
-of those facets' normals is its direction basis.  ``prepare(s).points`` and
-``prepare(s).kernels`` are the verifier's only source of that
-geometry: its front end, shared by ``verify`` and ``verify_face``, runs
-the pass once over the whole surface.  ``as_equations`` runs the same
-per-face routine once per face to write witnesses and facet equations.  Conversion happens only in
+of those facets' normals is its direction basis.  The pass reads the
+poset's per-dimension tables by face index and fills two of its own:
+``prepare(s).points[d][i]``, the interior point of face i of dimension
+d, and ``prepare(s).kernels[i]``, the direction basis of (n-3)-face i.
+They are the verifier's only source of that geometry: its front end,
+shared by ``verify`` and ``verify_face``, runs the pass once over the
+whole surface.  ``PLSurface.equations`` and ``.witnesses`` stay keyed
+by ``Face``: each is read once per face, not once per incidence.
+``as_equations`` runs the same per-face routine once per face to write
+witnesses and facet equations.  Conversion happens only in
 the pass, at the boundary: the per-face routine trusts its integer
 input, forms integer differences and reduces them with
 ``exactgeom._reduce`` against its own pivot list, and hands integer
@@ -86,11 +91,11 @@ class PLSurface:
         return VERTEX_MODE if self.vertices else EQUATION_MODE
 
 
-def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:
+def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:
     """A vertex-mode face's interior point, direction basis and rank defect, from one elimination.
 
-    ``points`` are the face's vertices in list order, in integer
-    homogeneous form.  The scan takes the differences from the first
+    ``dim`` is the face's dimension and ``points`` are its vertices in
+    list order, in integer homogeneous form.  The scan takes the differences from the first
     point in that order (w_b * V_p - w_p * V_b, the positive multiple
     w_b * w_p of p - base, in integers), reduces each but the first with
     ``_reduce`` against the pivots of the differences before it, and
@@ -104,7 +109,7 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
     when the face spans its dimension.
     """
     base = points[0]
-    if face.dim == 0:
+    if dim == 0:
         return base, (), None
     vb, wb = base
     pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
@@ -119,7 +124,7 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
         if col is not None:
             pivots.append((col, r))
             basis.append(d)
-            if len(basis) > face.dim:
+            if len(basis) > dim:
                 break
             if wp == weight:
                 total = tuple(map(operator.add, total, vp))
@@ -128,8 +133,8 @@ def _face_geometry(face: Face, points: Sequence[HomPoint]) -> tuple[HomPoint, tu
                 a, b = wp // g, weight // g
                 total = tuple([a * x + b * y for x, y in zip(total, vp)])
                 weight *= a
-    defect = None if len(basis) == face.dim else f"affine rank {len(basis)} != dim {face.dim}"
-    return (total, (1 + min(len(basis), face.dim)) * weight), tuple(basis), defect
+    defect = None if len(basis) == dim else f"affine rank {len(basis)} != dim {dim}"
+    return (total, (1 + min(len(basis), dim)) * weight), tuple(basis), defect
 
 
 def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[HomPoint, FacetEquation]:
@@ -140,7 +145,7 @@ def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[Ho
     by its last nonzero entry, its free column's value (see
     ``nullspace``).  The hyperplane passes through the first point.
     """
-    point, basis, defect = _face_geometry(facet, points)
+    point, basis, defect = _face_geometry(facet.dim, points)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
     (normal,) = nullspace(basis, n)
@@ -170,7 +175,8 @@ def as_equations(surface: PLSurface) -> PLSurface:
     elimination, facets first: its interior point, the one ``prepare``
     would table, is its witness, and a facet's direction basis gives
     its exact hyperplane (``_facet_geometry``).  Vertex lists are
-    dropped (dim 0 disappears entirely for n > 3).
+    dropped (dim 0 disappears entirely for n > 3); the upward tables
+    are kept as they are.
 
     A face below the facets that spans less than its dimension still
     gets a witness; anything else that ``prepare`` reports is refused.
@@ -186,11 +192,7 @@ def as_equations(surface: PLSurface) -> PLSurface:
     if any(len(v) != n for v in surface.vertices):
         raise ValueError(f"every vertex needs exactly {n} coordinates")
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
-    new_poset = FacePoset(
-        n=n,
-        faces_per_dim=counts,
-        incidence_up=dict(poset.incidence_up),
-    )
+    new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
     coords = dict(enumerate(map(homogeneous, surface.vertices)))
 
     def face_points(face: Face) -> list[HomPoint]:
@@ -203,7 +205,7 @@ def as_equations(surface: PLSurface) -> PLSurface:
     witnesses: dict[Face, Vec] = {}
     for d in (poset.dim_low, poset.dim_mid):
         for f in poset.faces(d):
-            witnesses[f] = dehomogenise(*_face_geometry(f, face_points(f))[0])
+            witnesses[f] = dehomogenise(*_face_geometry(d, face_points(f))[0])
     equations: dict[Face, FacetEquation] = {}
     for h, (point, eq) in facets.items():
         witnesses[h] = dehomogenise(*point)
@@ -215,16 +217,16 @@ def as_equations(surface: PLSurface) -> PLSurface:
 class PreparedSurface:
     """Realization report plus per-face geometry, from one pass.
 
-    ``points`` holds the interior point of every face of dims n-3, n-2,
-    n-1 in homogeneous form (``dehomogenise(*points[f])`` gives its
-    ``Fraction`` coordinates) and ``kernels`` the integer direction
-    basis of every (n-3)-face; both are only meaningful when the report
-    is ok.
+    ``points[d][i]`` is the interior point of face i of dimension d, for
+    d = n-3, n-2, n-1, in homogeneous form (``dehomogenise(*points[d][i])``
+    gives its ``Fraction`` coordinates), and ``kernels[i]`` the integer
+    direction basis of (n-3)-face i.  Both are only meaningful when the
+    report is ok; a face that the report rejects may hold None.
     """
 
     report: ValidationReport
-    points: dict[Face, HomPoint] = field(default_factory=dict)
-    kernels: dict[Face, tuple[IVec, ...]] = field(default_factory=dict)
+    points: dict[int, list[HomPoint | None]] = field(default_factory=dict)
+    kernels: list[tuple[IVec, ...] | None] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -238,7 +240,7 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     The mode is read once, and each mode has its own loop over those
     faces; every record that loop reads is converted to integers once.
     The interior point of every face and the kernel of every (n-3)-face
-    go into the tables.
+    go into the per-dimension tables.
 
     Vertex mode first checks the vertex coordinates (MISSING_COORDS),
     then converts every vertex.  A face without vertices is a
@@ -252,18 +254,18 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     records is an INVALID_ID.  Those facets' normals give an
     (n-3)-face's kernel at n >= 4 (their integer nullspace, a
     DEGENERATE_FACE unless it has dimension n-3; at n = 3 the kernel is
-    ()), and the face's witness must lie on each of them (BAD_WITNESS),
-    an integer comparison.
+    ()), and the face's witness must lie on each of them, in facet
+    index order (BAD_WITNESS), an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
-    faces = [f for d in (low, poset.dim_mid, top) for f in poset.faces(d)]
+    dims = (low, poset.dim_mid, top)
     bad: list[Violation] = []
     degenerate: list[Violation] = []
-    points: dict[Face, HomPoint] = {}
-    kernels: dict[Face, tuple[IVec, ...]] = {}
+    points: dict[int, list[HomPoint | None]] = {d: [None] * poset.count(d) for d in dims}
+    kernels: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
     if surface.mode == VERTEX_MODE:
-        vertices, vertex_lists = surface.vertices, poset.vertex_lists
+        vertices = surface.vertices
         if len(vertices) != poset.count(0):
             counts = f"{poset.count(0)} vertices declared, {len(vertices)} coordinates"
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
@@ -271,24 +273,26 @@ def prepare(surface: PLSurface) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
         # keyed by id, so that an id outside 0..V-1, negative too, is a KeyError
         coords = dict(enumerate(map(homogeneous, vertices)))
-        for face in faces:
-            verts = vertex_lists.get(face)
-            if not verts:  # spans nothing
-                degenerate.append(Violation("DEGENERATE_FACE", face, "no vertices"))
-                continue
-            try:
-                face_coords = [coords[v] for v in verts]
-            except KeyError:
-                bad.append(Violation("INVALID_ID", face, "vertex index out of range"))
-                continue
-            points[face], basis, defect = _face_geometry(face, face_coords)
-            if face.dim == low:
-                kernels[face] = basis
-            if defect is not None:
-                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+        for d in dims:
+            rows, table = poset.vertex_ids.get(d, ()), points[d]
+            for i in range(len(table)):
+                verts = rows[i] if i < len(rows) else None
+                if not verts:  # spans nothing
+                    degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), "no vertices"))
+                    continue
+                try:
+                    face_coords = [coords[v] for v in verts]
+                except KeyError:
+                    bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
+                    continue
+                table[i], basis, defect = _face_geometry(d, face_coords)
+                if d == low:
+                    kernels[i] = basis
+                if defect is not None:
+                    degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
         return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
-    facets = [h for h in faces if h.dim == top]
-    for h in facets:
+    n_facets = poset.count(top)
+    for h in poset.faces(top):
         eq = surface.equations.get(h)
         if eq is None:
             bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
@@ -299,32 +303,36 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
     # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
-    equations = {}
-    for h in facets:
+    equations = []
+    for h in poset.faces(top):
         eq = surface.equations[h]
         normal, weight = homogeneous(eq.normal)
-        equations[h] = (normal, eq.offset.denominator, eq.offset.numerator * weight)
-    for face in faces:
-        above = [face]
-        while above and above[0].dim < top:
-            above = [h for g in above for h in poset.up(g)]
-        above = set(above)
-        if not above.issubset(equations):  # only on a poset that validate_poset rejects
-            bad.append(Violation("INVALID_ID", face, "upward reference to a facet outside the records"))
-            continue
-        witness = surface.witnesses.get(face)
-        points[face] = point = None if witness is None else homogeneous(witness)
-        if face.dim == low:
-            kernels[face] = basis = nullspace([equations[h][0] for h in above], n) if n > 3 else ()
-            if len(basis) != n - 3:
-                defect = "incident facet equations do not determine the face's direction space"
-                degenerate.append(Violation("DEGENERATE_FACE", face, defect))
-        if point is None or len(point[0]) != n:
-            bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
-            continue
-        x, weight = point
-        for h in above:
-            normal, den, rhs = equations[h]
-            if dot(normal, x) * den != rhs * weight:
-                bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {h}"))
+        equations.append((normal, eq.offset.denominator, eq.offset.numerator * weight))
+    for d in dims:
+        for i in range(poset.count(d)):
+            face = Face(d, i)
+            above, k = [i], d
+            while above and k < top:
+                rows = poset.up_ids.get(k, ())
+                above = [h for g in above if 0 <= g < len(rows) for h in rows[g]]
+                k += 1
+            above = sorted(set(above))
+            if above and (above[0] < 0 or above[-1] >= n_facets):  # only on a poset that validate_poset rejects
+                bad.append(Violation("INVALID_ID", face, "upward reference to a facet outside the records"))
+                continue
+            witness = surface.witnesses.get(face)
+            points[d][i] = point = None if witness is None else homogeneous(witness)
+            if d == low:
+                kernels[i] = basis = nullspace([equations[h][0] for h in above], n) if n > 3 else ()
+                if len(basis) != n - 3:
+                    defect = "incident facet equations do not determine the face's direction space"
+                    degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+            if point is None or len(point[0]) != n:
+                bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
+                continue
+            x, weight = point
+            for h in above:
+                normal, den, rhs = equations[h]
+                if dot(normal, x) * den != rhs * weight:
+                    bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {Face(top, h)}"))
     return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)

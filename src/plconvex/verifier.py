@@ -63,33 +63,33 @@ def preflight(surface: PLSurface) -> PreparedSurface:
     return prepare(surface)
 
 
-def _front_end(surface: PLSurface) -> tuple[Verdict | None, PreparedSurface, dict[Face, tuple[Face, ...]]]:
+def _front_end(surface: PLSurface) -> tuple[Verdict | None, PreparedSurface, list[tuple[int, ...]]]:
     """Everything ``verify`` runs before it classifies a star.
 
     ``preflight``, then ``link_cycle`` on every (n-3)-face in index
     order.  Returns the INVALID verdict of the first failure (None when
     there is none), ``preflight``'s table and the link cycle of every
-    (n-3)-face.
+    (n-3)-face, indexed by face index.
     """
     prepared = preflight(surface)
     if not prepared.ok:
         v = prepared.report.violations[0]
-        return Verdict(INVALID, witness=v.face, reason=v.code), prepared, {}
+        return Verdict(INVALID, witness=v.face, reason=v.code), prepared, []
     # every link is walked before any star is classified: a broken one
     # makes the input INVALID wherever it is, whatever the other stars say
-    cycles: dict[Face, tuple[Face, ...]] = {}
+    cycles: list[tuple[int, ...]] = []
     for face in surface.poset.faces(surface.poset.dim_low):
         try:
-            cycles[face] = link_cycle(surface.poset, face)
+            cycles.append(link_cycle(surface.poset, face))
         except LinkCycleError as exc:
-            return Verdict(INVALID, witness=face, reason=exc.code), prepared, {}
+            return Verdict(INVALID, witness=face, reason=exc.code), prepared, []
     return None, prepared, cycles
 
 
-def _star_check(surface: PLSurface, face: Face, cycle: tuple[Face, ...], prepared: PreparedSurface):
-    """Classify one star from its link cycle and ``prepared``'s table; the check and its entry count."""
+def _star_check(surface: PLSurface, face: Face, cycle: tuple[int, ...], prepared: PreparedSurface):
+    """Classify one star from its link cycle and ``prepared``'s tables; the check and its entry count."""
     try:
-        fan = build_fan(prepared.points, face, cycle, complementary_projection(prepared.kernels[face], surface.n))
+        fan = build_fan(prepared.points, face, cycle, complementary_projection(prepared.kernels[face.index], surface.n))
     except ZeroDirectionError as exc:
         return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.dirs)
@@ -110,7 +110,7 @@ def verify_face(surface: PLSurface, face: Face) -> ConvexityCheck:
     invalid, prepared, cycles = _front_end(surface)
     if invalid is not None:
         return ConvexityCheck(False, invalid.reason)
-    return _star_check(surface, face, cycles[face], prepared)[0]
+    return _star_check(surface, face, cycles[face.index], prepared)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -133,7 +133,7 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     failing: list[tuple[Face, str]] = []
     entries_total = 0
 
-    for face, cycle in cycles.items():
+    for face, cycle in zip(surface.poset.faces(surface.poset.dim_low), cycles):
         check, entries = _star_check(surface, face, cycle, prepared)
         entries_total += entries
         if not check.convex:

@@ -11,7 +11,7 @@ import pytest
 import plconvex as pc
 from plconvex.exactgeom import DegenerateFaceError, Projection3, cross3, dehomogenise, dot, homogeneous, nullspace
 from plconvex.instances import circle_points, vmean, vsub
-from plconvex.poset import FacePoset, vertex_poset
+from plconvex.poset import Face, FacePoset, LinkCycleError, vertex_poset
 from plconvex.surface import FacetEquation, _face_geometry
 
 
@@ -421,7 +421,7 @@ def geometry_families():
                 yield f"{name}-{label}-eq", pc.as_equations(s)
         # an equations-mode witness moved off its facets
         eq = pc.as_equations(moved)
-        face = next(iter(eq.witnesses))
+        face = min(eq.witnesses)
         wits = {**eq.witnesses, face: tuple(x + Fraction(1, 3) for x in eq.witnesses[face])}
         yield f"{name}-bad-witness", pc.PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
 
@@ -463,7 +463,7 @@ def reference_rigid_motion(surface: pc.PLSurface, seed: int) -> pc.PLSurface:
 def reference_facet_equation(surface: pc.PLSurface, facet) -> FacetEquation:
     """The facet's hyperplane from its own elimination, vertices read by list position."""
     coords = [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[facet]]
-    _, basis, defect = _face_geometry(facet, coords)
+    _, basis, defect = _face_geometry(facet.dim, coords)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
     (normal,) = nullspace(basis, surface.n)
@@ -482,9 +482,80 @@ def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
         return surface
     poset, n = surface.poset, surface.n
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
-    new_poset = FacePoset(n=n, faces_per_dim=counts, incidence_up=dict(poset.incidence_up))
+    new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
     equations = {h: reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
     points = pc.prepare(surface).points
     dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
-    witnesses = {f: dehomogenise(*points[f]) for d in dims for f in poset.faces(d)}
+    witnesses = {f: dehomogenise(*points[d][f.index]) for d in dims for f in poset.faces(d)}
     return pc.PLSurface(new_poset, equations=equations, witnesses=witnesses)
+
+
+def replace_records(poset: FacePoset, up=(), verts=(), counts=None) -> FacePoset:
+    """``poset`` with some upward records or vertex lists replaced, keyed by ``Face``.
+
+    A record for ``Face(d, i)`` replaces row i of dimension d's table, or
+    is appended when i is the table's length, so a table can be made
+    longer than its count; ``counts`` replaces the face counts.  The
+    tables of ``poset`` are copied, never changed.
+    """
+
+    def patched(table, changes):
+        out = {d: list(rows) for d, rows in table.items()}
+        for (d, i), value in dict(changes).items():
+            rows = out.setdefault(d, [])
+            if i == len(rows):
+                rows.append(value)
+            else:
+                rows[i] = value
+        return out
+
+    counts = dict(poset.faces_per_dim if counts is None else counts)
+    return FacePoset(poset.n, counts, patched(poset.up_ids, up), patched(poset.vertex_ids, verts))
+
+
+def reference_link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:
+    """Reference: the link walk over ``Face``s, read a face at a time through ``poset.up``.
+
+    Returns the alternating cycle G1, H1, ..., Gk, Hk as ``Face``s, with
+    ``link_cycle``'s normalisation, and raises its ``LinkCycleError``s.
+    """
+    if center.dim != poset.dim_low:
+        raise ValueError(f"{center} is not an (n-3)-face")
+    mid_faces = poset.up(center)
+    if len(mid_faces) < 2:
+        raise LinkCycleError(center, "fewer than two (n-2)-faces at center")
+    cells_of: dict[Face, tuple[Face, ...]] = {}
+    rim: dict[Face, list[Face]] = {}
+    for g in mid_faces:
+        ups = poset.up(g)
+        if len(ups) != 2:
+            raise LinkCycleError(center, f"{g} lies in {len(ups)} facets")
+        cells_of[g] = ups
+        for h in ups:
+            rim.setdefault(h, []).append(g)
+    for h, gs in rim.items():
+        if len(gs) != 2:
+            raise LinkCycleError(center, f"{h} touches {len(gs)} incident (n-2)-faces")
+    start = min(mid_faces)
+    entries: list[Face] = []
+    g, h = start, min(cells_of[start])
+    while True:
+        entries.append(g)
+        entries.append(h)
+        a, b = rim[h]
+        g = b if a == g else a
+        if g == start:
+            break
+        a, b = cells_of[g]
+        h = b if a == h else a
+        if len(entries) > 2 * len(mid_faces):
+            raise LinkCycleError(center, "walk does not close")
+    if len(entries) != 2 * len(mid_faces) or len(set(entries)) != len(entries):
+        raise LinkCycleError(center, "walk closed before exhausting the star")
+    return tuple(entries)
+
+
+def cycle_faces(poset: FacePoset, cycle: tuple[int, ...]) -> tuple[Face, ...]:
+    """A ``link_cycle`` of indices as ``Face``s: one rank above the center at even positions, two at odd ones."""
+    low = poset.dim_low
+    return tuple(Face(low + 1 + k % 2, f) for k, f in enumerate(cycle))

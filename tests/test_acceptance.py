@@ -159,7 +159,7 @@ def test_criterion_4_projection_independence():
 
         def base(f):
             # the star under the default projection, from the same table
-            proj = pc.complementary_projection(prepared.kernels[f], surface.n)
+            proj = pc.complementary_projection(prepared.kernels[f.index], surface.n)
             return star_under_projection(surface, f, proj, prepared)
 
         # verify_face, which runs a whole preflight per call, answers that base
@@ -170,7 +170,7 @@ def test_criterion_4_projection_independence():
             f = faces[rng.randrange(len(faces))]
             if f not in cached:
                 cached[f] = base(f)
-            proj = random_same_kernel_projection(prepared.kernels[f], surface.n, rng)
+            proj = random_same_kernel_projection(prepared.kernels[f.index], surface.n, rng)
             trials += 1
             if star_under_projection(surface, f, proj, prepared) == cached[f]:
                 agreements += 1

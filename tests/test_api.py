@@ -41,16 +41,45 @@ def test_one_elimination_per_facet():
 
 def test_as_equations_reduces_each_face_once(monkeypatch):
     # each face of dims n-3, n-2, n-1 gets one _face_geometry call, a facet's
-    # giving both its witness and its equation: 80 + 40 + 10 on the 5-cube
+    # giving both its witness and its equation: 80 + 40 + 10 on the 5-cube;
+    # a face is told apart by its dimension and its vertices' points
     calls = Counter()
     face_geometry = pc.surface._face_geometry
 
-    def spy(face, points):
-        calls[face] += 1
-        return face_geometry(face, points)
+    def spy(dim, points):
+        calls[dim, tuple(points)] += 1
+        return face_geometry(dim, points)
 
     monkeypatch.setattr(pc.surface, "_face_geometry", spy)
     cube5 = pc.gen_hypercube(5)
     pc.as_equations(cube5)
-    faces = [f for d in (2, 3, 4) for f in cube5.poset.faces(d)]
-    assert calls == Counter(faces) and sum(calls.values()) == 130
+    assert set(calls.values()) == {1} and sum(calls.values()) == 130
+    assert Counter(dim for dim, _ in calls) == {d: cube5.poset.count(d) for d in (2, 3, 4)}
+
+
+def _count_face_hashes(run):
+    """The number of ``Face.__hash__`` calls that ``run()`` makes."""
+    calls = Counter()
+    tuple_hash = tuple.__hash__
+
+    def counting(face):
+        calls["hash"] += 1
+        return tuple_hash(face)
+
+    pc.Face.__hash__ = counting
+    try:
+        run()
+    finally:
+        del pc.Face.__hash__
+    return calls["hash"]
+
+
+def test_faces_are_indices_on_the_hot_path():
+    # the tables from parse_pls to build_fan are per-dimension lists: a
+    # parsed gen_prism(256) (512 vertices, 1,536 incidences) is read and
+    # decided without hashing a Face per incidence
+    text = pc.emit_pls(pc.gen_prism(256))
+    assert _count_face_hashes(lambda: pc.parse_pls(text)) == 0
+    surface = pc.parse_pls(text)
+    assert _count_face_hashes(lambda: pc.verify(surface)) <= surface.poset.count(surface.poset.dim_low)
+    assert pc.verify(surface).kind == "CONVEX"

@@ -86,11 +86,11 @@ def test_nullspace_orthogonality():
 
 def image(p, v):
     """v's image under p as ``build_fan`` applies it: the direction from an apex at the origin to v."""
-    center, face = Face(0, 0), Face(1, 0)
     nums, w = homogeneous(v)
-    points = {center: ((0,) * len(v), 1), face: (nums, w)}
+    # a two-entry cycle whose ray and cell both sit at v
+    points = {0: [((0,) * len(v), 1)], 1: [(nums, w)], 2: [(nums, w)]}
     try:
-        fan = build_fan(points, center, (face,), p)
+        fan = build_fan(points, Face(0, 0), (0, 0), p)
     except ZeroDirectionError:
         return as_vec([0, 0, 0])
     return dehomogenise(fan.entries[0].direction, w)

@@ -355,7 +355,7 @@ class TestFanIsConvex:
             prepared = pc.prepare(surface)
             for f in list(poset.faces(0))[:4]:
                 cyc = pc.link_cycle(poset, f)
-                proj = pc.complementary_projection(prepared.kernels[f], 3)
+                proj = pc.complementary_projection(prepared.kernels[f.index], 3)
                 fans.append(pc.build_fan(prepared.points, f, cyc, proj))
         # the geometry pass hands the classifier integer directions and rows
         assert all(type(c) is int for fan in fans for e in fan.entries for c in e.direction)
@@ -418,7 +418,7 @@ class TestFanIsConvex:
             if {tesseract.vertices[v] for v in tesseract.poset.vertex_lists[e]}
             == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}
         )
-        kern = pc.prepare(tesseract).kernels[edge]
+        kern = pc.prepare(tesseract).kernels[edge.index]
         proj = pc.complementary_projection(kern, 4)
         assert proj.axes == (1, 2, 3)
         cyc = pc.link_cycle(tesseract.poset, edge)
@@ -440,7 +440,7 @@ class TestFanIsConvex:
             prepared = pc.prepare(surface)
             for f in surface.poset.faces(0):
                 cyc = pc.link_cycle(surface.poset, f)
-                fan = pc.build_fan(prepared.points, f, cyc, pc.complementary_projection(prepared.kernels[f], 3))
+                fan = pc.build_fan(prepared.points, f, cyc, pc.complementary_projection(prepared.kernels[f.index], 3))
                 assert fan_is_convex(fan) == (True, "OK_POINTED")
                 entries = fan.entries
                 m = len(entries)
@@ -590,7 +590,7 @@ def star_fans(surface):
     prepared = pc.prepare(surface)
     for f in surface.poset.faces(surface.poset.dim_low):
         cycle = pc.link_cycle(surface.poset, f)
-        proj = pc.complementary_projection(prepared.kernels[f], surface.n)
+        proj = pc.complementary_projection(prepared.kernels[f.index], surface.n)
         yield pc.build_fan(prepared.points, f, cycle, proj)
 
 
@@ -1147,7 +1147,7 @@ class TestIntegerContract:
             n = surface.n
             for f in surface.poset.faces(surface.poset.dim_low):
                 cycle = pc.link_cycle(surface.poset, f)
-                base = pc.complementary_projection(prepared.kernels[f], n)
+                base = pc.complementary_projection(prepared.kernels[f.index], n)
                 k = rng.randint(2, 9)
                 want = pc.build_fan(prepared.points, f, cycle, base)
                 expected = fan_is_convex(want)
@@ -1155,7 +1155,7 @@ class TestIntegerContract:
                 scaled = pc.build_fan(prepared.points, f, cycle, Projection3(tuple(tuple(k * x for x in row) for row in base.rows)))
                 assert scaled.dirs == tuple(tuple(k * x for x in d) for d in want.dirs)
                 assert fan_is_convex(scaled) == expected
-                mixed = random_same_kernel_projection(prepared.kernels[f], n, rng)
+                mixed = random_same_kernel_projection(prepared.kernels[f.index], n, rng)
                 assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, mixed)) == expected
                 reasons[expected.reason] += 1
         assert reasons["OK_POINTED"] >= 100 and len(reasons) >= 3, reasons
@@ -1169,13 +1169,14 @@ def entry_by_entry(points, center, cycle, proj):
             return tuple(nums[a] for a in proj.axes)
         return tuple(sum(r * x for r, x in zip(row, nums)) for row in proj.rows)
 
-    center_nums, wc = points[center]
+    center_nums, wc = points[center.dim][center.index]
     apex = image(center_nums)
     entries = []
-    for face in cycle:
-        nums, w = points[face]
+    for k, f in enumerate(cycle):
+        dim = center.dim + 1 + k % 2  # the cycle alternates faces one and two ranks up
+        nums, w = points[dim][f]
         direction = tuple(wc * p - w * a for p, a in zip(image(nums), apex))
-        entries.append((RAY if face.dim == center.dim + 1 else CELL, direction, face))
+        entries.append((RAY if dim == center.dim + 1 else CELL, direction, f))
     return tuple(entries)
 
 

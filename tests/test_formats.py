@@ -21,7 +21,7 @@ from plconvex.formats import (
 from plconvex.poset import validate_poset
 from plconvex.surface import as_equations, prepare
 
-from conftest import geometry_families
+from conftest import geometry_families, replace_records
 
 F = Fraction
 
@@ -526,3 +526,24 @@ def test_parse_errors_through_verify_cli(tmp_path, capsys, index, name):
     p.write_text(text)
     assert run_cli(["verify", str(p)]) == 2
     assert capsys.readouterr().out.strip() == f"INVALID {error.code}: {message}"
+
+
+def test_repeated_id_in_a_list_reads_as_its_set(cube):
+    # the text readers read a list that repeats an id as its set: edge 0
+    # listing "vertices": [0, 1, 0], or in equations mode edge 0 listing
+    # its first facet twice in "up", is the clean cube; a hand-built poset
+    # that repeats a reference is INVALID_ID instead
+    clean = pc.verify(cube, collect_all=True)
+    for surface, key in ((cube, "vertices"), (as_equations(cube), "up")):
+        doc = json.loads(emit_pls(surface))
+        record = doc["faces"]["1"][0]
+        record[key] = record[key] + record[key][:1]
+        assert len(set(record[key])) < len(record[key])
+        parsed = parse_pls(json.dumps(doc))
+        assert parsed.poset == surface.poset
+        assert pc.verify(parsed, collect_all=True) == clean
+    ups = cube.poset.up_ids[1][0]
+    twice = pc.PLSurface(replace_records(cube.poset, up={pc.Face(1, 0): ups + ups[:1]}), vertices=cube.vertices)
+    v = pc.verify(twice)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", pc.Face(1, 0), "INVALID_ID")
+    assert validate_poset(twice.poset, twice.mode).violations[0].message == "duplicate upward reference"

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,8 @@ import plconvex as pc
 from plconvex.exactgeom import dot
 from plconvex.oracle import FlatSurfaceError, oracle_verdict
 from plconvex.surface import facet_equation
+
+from conftest import replace_records
 
 F = Fraction
 
@@ -66,7 +67,7 @@ def test_facet_vertex_id_outside_vertices_is_refused(cube, vertex_id):
     # oracle called the cube with that facet convex
     facet = pc.Face(2, 0)
     ids = (vertex_id, *cube.poset.vertex_lists[facet][1:])
-    bad = pc.PLSurface(replace(cube.poset, vertex_lists={**cube.poset.vertex_lists, facet: ids}), vertices=cube.vertices)
+    bad = pc.PLSurface(replace_records(cube.poset, verts={facet: ids}), vertices=cube.vertices)
     assert pc.verify(bad).reason == "INVALID_ID"
     for decide in (lambda s: facet_equation(s, facet), oracle_verdict):
         with pytest.raises(KeyError):

@@ -5,7 +5,7 @@ import pytest
 import plconvex as pc
 from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle
 
-from conftest import cyclic_variants, pinched_tube
+from conftest import crowned_prism, cycle_faces, cyclic_variants, geometry_families, pinched_tube, reference_link_cycle, replace_records
 
 
 def test_validate_cube_ok(cube):
@@ -15,7 +15,7 @@ def test_validate_cube_ok(cube):
 def test_validate_poset_takes_the_surface_mode(cube):
     # the mode is the surface's, never read off the poset: a vertex-mode
     # cube without vertex lists is invalid to validate_poset as to verify
-    bare = pc.PLSurface(FacePoset(3, dict(cube.poset.faces_per_dim), dict(cube.poset.incidence_up)), vertices=cube.vertices)
+    bare = pc.PLSurface(FacePoset(3, dict(cube.poset.faces_per_dim), dict(cube.poset.up_ids)), vertices=cube.vertices)
     with pytest.raises(TypeError):
         pc.validate_poset(bare.poset)
     report = pc.validate_poset(bare.poset, bare.mode)
@@ -25,10 +25,7 @@ def test_validate_poset_takes_the_surface_mode(cube):
 
 
 def test_validate_catches_bad_reference(cube):
-    p = cube.poset
-    up = dict(p.incidence_up)
-    up[Face(1, 0)] = (Face(2, 0), Face(2, 6))  # facet 6 does not exist
-    bad = FacePoset(3, dict(p.faces_per_dim), up, dict(p.vertex_lists))
+    bad = replace_records(cube.poset, up={Face(1, 0): (0, 6)})  # facet 6 does not exist
     report = pc.validate_poset(bad, "vertices")
     assert not report.ok
     assert any(v.code == "INVALID_ID" for v in report.violations)
@@ -37,8 +34,8 @@ def test_validate_catches_bad_reference(cube):
 def test_validate_missing_rank(tesseract):
     p = tesseract.poset
     counts = {d: c for d, c in p.faces_per_dim.items() if d != 1}
-    up = {f: u for f, u in p.incidence_up.items() if f.dim != 1}
-    lists = {f: v for f, v in p.vertex_lists.items() if f.dim != 1}
+    up = {d: rows for d, rows in p.up_ids.items() if d != 1}
+    lists = {d: rows for d, rows in p.vertex_ids.items() if d != 1}
     bad = FacePoset(4, counts, up, lists)
     report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "MISSING_RANK" for v in report.violations)
@@ -49,16 +46,13 @@ def test_validate_rejects_intermediate_rank():
     p = s.poset
     counts = dict(p.faces_per_dim)
     counts[1] = 4  # rank that the format does not store for n = 5
-    bad = FacePoset(5, counts, dict(p.incidence_up), dict(p.vertex_lists))
+    bad = FacePoset(5, counts, dict(p.up_ids), dict(p.vertex_ids))
     report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "EXTRA_RANK" for v in report.violations)
 
 
 def test_validate_vertex_containment(cube):
-    p = cube.poset
-    lists = dict(p.vertex_lists)
-    lists[Face(1, 0)] = (6, 7)  # edge no longer inside its facets
-    bad = FacePoset(3, dict(p.faces_per_dim), dict(p.incidence_up), lists)
+    bad = replace_records(cube.poset, verts={Face(1, 0): (6, 7)})  # edge no longer inside its facets
     report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "VERTEX_NOT_CONTAINED" for v in report.violations)
 
@@ -69,14 +63,11 @@ def test_check_closed_cube(cube):
 
 def test_check_closed_missing_facet(cube):
     p = cube.poset
-    gone = Face(2, 5)
-    up = {
-        f: tuple(h for h in ups if h != gone)
-        for f, ups in p.incidence_up.items()
-    }
+    gone = 5  # the last facet
+    up = {**p.up_ids, 1: [tuple(h for h in ups if h != gone) for ups in p.up_ids[1]]}
     counts = dict(p.faces_per_dim)
     counts[2] -= 1
-    lists = {f: v for f, v in p.vertex_lists.items() if f != gone}
+    lists = {**p.vertex_ids, 2: p.vertex_ids[2][:gone]}
     open_cube = FacePoset(3, counts, up, lists)
     report = pc.check_closed(open_cube)
     assert len(report.violations) == 4  # the four rim edges
@@ -109,29 +100,26 @@ def test_disjoint_union_not_connected(cube):
     p = cube.poset
     counts = {d: 2 * c for d, c in p.faces_per_dim.items()}
 
-    def shift(face):
-        return Face(face.dim, face.index + p.faces_per_dim[face.dim])
+    def doubled(table, above):
+        """Each row of ``table`` twice, the copy's entries moved past the ``above(d)`` faces."""
+        return {d: rows + [tuple(g + p.faces_per_dim[above(d)] for g in ups) for ups in rows] for d, rows in table.items()}
 
-    up = dict(p.incidence_up)
-    lists = dict(p.vertex_lists)
-    for f, ups in p.incidence_up.items():
-        up[shift(f)] = tuple(shift(g) for g in ups)
-    for f, vs in p.vertex_lists.items():
-        lists[shift(f)] = tuple(v + p.faces_per_dim[0] for v in vs)
-    two = FacePoset(3, counts, up, lists)
+    two = FacePoset(3, counts, doubled(p.up_ids, lambda d: d + 1), doubled(p.vertex_ids, lambda d: 0))
     report = pc.check_connected(two)
     assert any(v.code == "NOT_CONNECTED" for v in report.violations)
 
 
 def test_link_cycle_cube_vertex(cube):
     cyc = link_cycle(cube.poset, Face(0, 0))
-    assert len(cyc) == 6
-    assert cyc[0] == min(cube.poset.up(Face(0, 0)))
-    assert {f.dim for f in cyc[0::2]} == {1}
-    assert {f.dim for f in cyc[1::2]} == {2}
+    assert len(cyc) == 6 and all(type(f) is int for f in cyc)
+    faces = cycle_faces(cube.poset, cyc)
+    assert faces[0] == min(cube.poset.up(Face(0, 0)))
+    assert {f.dim for f in faces[0::2]} == {1}
+    assert {f.dim for f in faces[1::2]} == {2}
     # alternation and incidence
-    for g in cyc[0::2]:
+    for g, h in zip(faces[0::2], faces[1::2]):
         assert Face(0, 0).index in cube.poset.vertex_lists[g]
+        assert h in cube.poset.up(g)
 
 
 def test_link_cycle_tesseract_edge(tesseract):
@@ -167,9 +155,9 @@ def test_link_cycle_relabel_equivariance(cube):
         # recover the vertex permutation from coordinates
         where = {v: i for i, v in enumerate(shuffled.vertices)}
         for v in range(8):
-            old = link_cycle(poset, Face(0, v))
+            old = cycle_faces(poset, link_cycle(poset, Face(0, v)))
             new_center = Face(0, where[cube.vertices[v]])
-            new = link_cycle(shuffled.poset, new_center)
+            new = cycle_faces(shuffled.poset, link_cycle(shuffled.poset, new_center))
             mapped = []
             for f in old:
                 verts = tuple(sorted(where[cube.vertices[i]] for i in poset.vertex_lists[f]))
@@ -185,20 +173,14 @@ def test_link_cycle_relabel_equivariance(cube):
 
 def _cube_with(cube, up=(), lists=(), counts=None):
     """The cube's poset with some upward records, vertex lists or counts replaced."""
-    p = cube.poset
-    return FacePoset(
-        3,
-        dict(counts if counts is not None else p.faces_per_dim),
-        {**p.incidence_up, **dict(up)},
-        {**p.vertex_lists, **dict(lists)},
-    )
+    return replace_records(cube.poset, up=up, verts=lists, counts=counts)
 
 
 @pytest.mark.parametrize("bad", [9, -1])
 def test_check_connected_reports_out_of_range_facet(cube, bad):
     # an out-of-range facet reference used to raise KeyError; it is not a
     # facet, joins nothing, and validate_poset reports it
-    poset = _cube_with(cube, up={Face(1, 0): (Face(2, 0), Face(2, bad))})
+    poset = _cube_with(cube, up={Face(1, 0): (0, bad)})
     violation = Violation("INVALID_ID", Face(1, 0), f"bad upward reference {Face(2, bad)}")
     assert pc.validate_poset(poset, cube.mode).violations == (violation,)
     assert pc.check_connected(poset) == ValidationReport()
@@ -207,9 +189,10 @@ def test_check_connected_reports_out_of_range_facet(cube, bad):
 @pytest.mark.parametrize(
     "up, lists, expected",
     [
+        # a table for dimension n-1, a record past the count, a record listing a facet twice
         ({Face(2, 0): ()}, {}, ("INVALID_ID", Face(2, 0), "incidences recorded at unexpected rank")),
-        ({Face(1, 12): (Face(2, 0), Face(2, 1))}, {}, ("INVALID_ID", Face(1, 12), "face index out of range")),
-        ({Face(1, 0): (Face(2, 0), Face(2, 0))}, {}, ("INVALID_ID", Face(1, 0), "duplicate upward reference")),
+        ({Face(1, 12): (0, 1)}, {}, ("INVALID_ID", Face(1, 12), "face index out of range")),
+        ({Face(1, 0): (0, 0)}, {}, ("INVALID_ID", Face(1, 0), "duplicate upward reference")),
         ({}, {Face(1, 0): (0, 8)}, ("INVALID_ID", Face(1, 0), "vertex index out of range")),
     ],
 )
@@ -231,12 +214,39 @@ def test_check_connected_no_facets(cube):
 @pytest.mark.parametrize(
     "up, message",
     [
-        ({Face(0, 0): (Face(1, 0),)}, "fewer than two (n-2)-faces at center"),
-        ({Face(1, 0): (Face(2, 0),)}, "Face(dim=1, index=0) lies in 1 facets"),
-        ({Face(1, 0): (Face(2, 0), Face(2, 1))}, "Face(dim=2, index=1) touches 1 incident (n-2)-faces"),
+        ({Face(0, 0): (0,)}, "fewer than two (n-2)-faces at center"),
+        ({Face(1, 0): (0,)}, "Face(dim=1, index=0) lies in 1 facets"),
+        ({Face(1, 0): (0, 1)}, "Face(dim=2, index=1) touches 1 incident (n-2)-faces"),
     ],
 )
 def test_link_cycle_valence_errors(cube, up, message):
-    with pytest.raises(LinkCycleError) as info:
-        link_cycle(_cube_with(cube, up=up), Face(0, 0))
-    assert str(info.value) == message and info.value.face == Face(0, 0)
+    # the walk over indices raises what the reference walk over Faces raises
+    poset = _cube_with(cube, up=up)
+    for walk in (link_cycle, reference_link_cycle):
+        with pytest.raises(LinkCycleError) as info:
+            walk(poset, Face(0, 0))
+        assert str(info.value) == message and info.value.face == Face(0, 0)
+
+
+def _link_cycle_surfaces():
+    for label, s in geometry_families():
+        yield label, s
+        yield f"{label}-relabel", pc.relabel(s, 5)
+    for m in (8, 16):
+        s = crowned_prism(m)
+        yield f"crowned{m}", s
+        yield f"crowned{m}-eq", pc.as_equations(s)
+        yield f"crowned{m}-relabel", pc.relabel(s, 5)
+
+
+def test_link_cycle_matches_reference():
+    # the int cycle, read as Faces, is the reference walk's cycle on every
+    # (n-3)-face of the geometry families, their relabelled copies and
+    # crowned prisms, in both modes
+    stars = 0
+    for label, s in _link_cycle_surfaces():
+        poset = s.poset
+        for c in poset.faces(poset.dim_low):
+            assert cycle_faces(poset, link_cycle(poset, c)) == reference_link_cycle(poset, c), (label, c)
+            stars += 1
+    assert stars > 2500, stars

@@ -17,11 +17,14 @@ from plconvex.verifier import verify, verify_face
 
 from conftest import (
     crowned_prism,
+    cycle_faces,
     duoprism,
     locally_nonconvex_vertices,
     pinched_tube,
     random_same_kernel_projection,
+    reference_link_cycle,
     reflex_adjacent_vertices,
+    replace_records,
     star_under_projection,
     zigzag_bipyramid,
 )
@@ -88,13 +91,14 @@ def test_dented_cube_witness_near_dent():
     ids=["hypercube5", "prism64", "cross5"],
 )
 def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
-    # surface._face_geometry runs one face's elimination
+    # surface._face_geometry runs one face's elimination; a face is told
+    # apart by its dimension and its vertices' points
     eliminated = Counter()
     face_geometry = surface_mod._face_geometry
 
-    def counting(face, points):
-        eliminated[face] += 1
-        return face_geometry(face, points)
+    def counting(dim, points):
+        eliminated[dim, tuple(points)] += 1
+        return face_geometry(dim, points)
 
     monkeypatch.setattr(surface_mod, "_face_geometry", counting)
     assert verify(surface).kind == "CONVEX"
@@ -160,7 +164,7 @@ def test_custom_projection_equals_fast_path(tesseract, schonhardt):
         for f in surface.poset.faces(surface.poset.dim_low):
             base = verify_face(surface, f)
             for _ in range(5):
-                proj = random_same_kernel_projection(prepared.kernels[f], surface.n, rng)
+                proj = random_same_kernel_projection(prepared.kernels[f.index], surface.n, rng)
                 assert star_under_projection(surface, f, proj, prepared) == base
 
 
@@ -180,21 +184,21 @@ def test_zero_direction_guard():
     poset = FacePoset(
         n=4,
         faces_per_dim={0: 4, 1: 1, 2: 2, 3: 2},
-        incidence_up={center: (g0, g1), g0: (h0, h1), g1: (h0, h1)},
-        vertex_lists={
-            center: (0, 1),
-            g0: (0, 1, 2),  # collapsed onto the center's line
-            g1: (0, 1, 3),
-            h0: (0, 1, 2, 3),
-            h1: (0, 1, 2, 3),
+        up_ids={1: [(0, 1)], 2: [(0, 1), (0, 1)]},
+        vertex_ids={
+            1: [(0, 1)],
+            2: [(0, 1, 2), (0, 1, 3)],  # g0 collapsed onto the center's line
+            3: [(0, 1, 2, 3), (0, 1, 2, 3)],
         },
     )
     s = PLSurface(poset, vertices=coords)
     prepared = prepare(s)
-    proj = pc.complementary_projection(prepared.kernels[center], 4)
-    cyc = (g0, h0, g1, h1)
-    with pytest.raises(pc.ZeroDirectionError):
+    proj = pc.complementary_projection(prepared.kernels[center.index], 4)
+    cyc = (g0.index, h0.index, g1.index, h1.index)
+    assert pc.link_cycle(poset, center) == cyc
+    with pytest.raises(pc.ZeroDirectionError) as info:
         pc.build_fan(prepared.points, center, cyc, proj)
+    assert info.value.face == g0
     assert prepared.report.violations[0] == pc.Violation("DEGENERATE_FACE", g0, "affine rank 1 != dim 2")
     assert verify_face(s, center) == (False, "DEGENERATE_FACE")
     # in equations mode a 2-face above an edge given the edge's own witness
@@ -218,10 +222,8 @@ def test_verdict_flags():
 def test_empty_vertex_list_invalid(cube):
     # an empty vertex list is a missing one: validate_poset reports it,
     # and every star answers verify's code instead of raising
-    poset = cube.poset
     edge = Face(1, 0)
-    lists = {**poset.vertex_lists, edge: ()}
-    bad = PLSurface(FacePoset(3, dict(poset.faces_per_dim), dict(poset.incidence_up), lists), vertices=cube.vertices)
+    bad = PLSurface(replace_records(cube.poset, verts={edge: ()}), vertices=cube.vertices)
     report = pc.validate_poset(bad.poset, bad.mode)
     assert [(v.code, v.face) for v in report.violations] == [("MISSING_VERTEX_LIST", edge)]
     v = verify(bad, collect_all=True)
@@ -316,17 +318,17 @@ def _corrupt(surface, kind, rng):
         ids = list(poset.vertex_lists[face])
         n_verts = len(surface.vertices)
         ids[rng.randrange(len(ids))] = n_verts + rng.randrange(3) if kind == "id_past_end" else -rng.randint(1, n_verts + 2)
-        lists = {**poset.vertex_lists, face: () if kind == "list_emptied" else tuple(ids)}
-        return PLSurface(replace(poset, vertex_lists=lists), vertices=surface.vertices), face
+        lists = {face: () if kind == "list_emptied" else tuple(ids)}
+        return PLSurface(replace_records(poset, verts=lists), vertices=surface.vertices), face
     if kind == "list_uncontained":  # one listed id swapped for a valid id the face did not list
         face = rng.choice(faces)
         ids = poset.vertex_lists[face]
         old = rng.choice(ids)
         new = rng.choice([v for v in range(len(surface.vertices)) if v not in ids])
-        lists = {**poset.vertex_lists, face: tuple(sorted({*ids, new} - {old}))}
+        lists = {face: tuple(sorted({*ids, new} - {old}))}
         # validate_poset reports the least lower face that listed the old id, else the face itself
         below = [f for f in faces if face in poset.up(f) and old in poset.vertex_lists[f]]
-        return PLSurface(replace(poset, vertex_lists=lists), vertices=surface.vertices), (below or [face])[0]
+        return PLSurface(replace_records(poset, verts=lists), vertices=surface.vertices), (below or [face])[0]
     if kind.startswith("coordinate"):
         k = rng.randrange(len(surface.vertices))
         x = surface.vertices[k]
@@ -380,7 +382,7 @@ def test_corrupted_records_agree_across_entry_points(kind):
             report = prepare(surface).report
             if prepare_reason is not None:
                 assert (report.violations[0].code, report.violations[0].face) == (prepare_reason, face)
-            through = next(c for c in stars if face in (None, c) or face in pc.link_cycle(poset, c))
+            through = next(c for c in stars if face in (None, c) or face in cycle_faces(poset, pc.link_cycle(poset, c)))
             for c in (stars[0], stars[-1], through):
                 assert verify_face(surface, c) == (False, reason), (kind, face, c)
 
@@ -388,20 +390,20 @@ def test_corrupted_records_agree_across_entry_points(kind):
 def _corrupt_poset(surface, kind, rng):
     """``surface`` with one upward reference dropped, added or out of range, or one face count off by one."""
     poset = surface.poset
-    up, counts = dict(poset.incidence_up), dict(poset.faces_per_dim)
+    up, counts = {d: list(rows) for d, rows in poset.up_ids.items()}, dict(poset.faces_per_dim)
     if kind.startswith("count"):
         counts[rng.choice(sorted(counts))] += 1 if kind == "count_plus" else -1
     else:
-        face = rng.choice(sorted(up))
-        ups, above = list(up[face]), face.dim + 1
+        d, i = rng.choice(sorted((d, i) for d, rows in up.items() for i in range(len(rows))))
+        ups, above = list(up[d][i]), d + 1
         if kind == "up_dropped":
             del ups[rng.randrange(len(ups))]
         elif kind == "up_added":
-            ups.append(rng.choice([g for g in poset.faces(above) if g not in ups]))
+            ups.append(rng.choice([g for g in range(poset.count(above)) if g not in ups]))
         else:
-            ups[rng.randrange(len(ups))] = Face(above, rng.choice([-1, poset.count(above)]))
-        up[face] = tuple(sorted(ups))
-    return replace(surface, poset=replace(poset, incidence_up=up, faces_per_dim=counts))
+            ups[rng.randrange(len(ups))] = rng.choice([-1, poset.count(above)])
+        up[d][i] = tuple(sorted(ups))
+    return replace(surface, poset=replace(poset, up_ids=up, faces_per_dim=counts))
 
 
 def _mutate_text(text, rng):
@@ -451,9 +453,8 @@ def test_poset_and_text_corruptions_never_raise():
 
 def _drop_up(surface, face, g):
     """``surface`` with the upward reference from ``face`` to ``g`` dropped."""
-    up = dict(surface.poset.incidence_up)
-    up[face] = tuple(x for x in up[face] if x != g)
-    return replace(surface, poset=replace(surface.poset, incidence_up=up))
+    kept = tuple(x for x in surface.poset.up_ids[face.dim][face.index] if x != g.index)
+    return replace(surface, poset=replace_records(surface.poset, up={face: kept}))
 
 
 @pytest.mark.parametrize("mode", ["vertices", "equations"])
@@ -500,9 +501,8 @@ def _open_cube():
 
 def _duplicate_up(surface, face):
     """``surface`` with the first upward reference of ``face`` listed twice."""
-    up = dict(surface.poset.incidence_up)
-    up[face] = tuple(sorted(up[face] + up[face][:1]))
-    return replace(surface, poset=replace(surface.poset, incidence_up=up))
+    ups = surface.poset.up_ids[face.dim][face.index]
+    return replace(surface, poset=replace_records(surface.poset, up={face: tuple(sorted(ups + ups[:1]))}))
 
 
 # (build, verify's reason): inputs with stars that a check of one star's
@@ -552,6 +552,7 @@ def test_any_broken_link_makes_verify_invalid():
                         pc.link_cycle(s.poset, c)
                     except pc.LinkCycleError:
                         broken.append(c)
+                    _assert_walk_matches_reference(s.poset, c)
                 if not broken:
                     continue
                 for collect_all in (False, True):
@@ -562,6 +563,18 @@ def test_any_broken_link_makes_verify_invalid():
                         outcomes["past preflight"] += 1
                 outcomes[kind] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _assert_walk_matches_reference(poset, center):
+    """``link_cycle`` at ``center`` gives the reference walk's cycle, as Faces, or raises its error."""
+    try:
+        want = reference_link_cycle(poset, center)
+    except pc.LinkCycleError as exc:
+        with pytest.raises(pc.LinkCycleError) as info:
+            pc.link_cycle(poset, center)
+        assert (str(info.value), info.value.face) == (str(exc), exc.face)
+    else:
+        assert cycle_faces(poset, pc.link_cycle(poset, center)) == want
 
 
 @pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (5, 8), (8, 16), (16, 32)])
