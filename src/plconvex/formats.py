@@ -49,7 +49,7 @@ from itertools import chain
 
 from .exactgeom import Number, Vec
 from .instances import surface_from_polygons
-from .poset import Face, FacePoset, vertex_poset
+from .poset import FacePoset, vertex_poset
 from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE
 
 
@@ -110,11 +110,10 @@ def _frac(value, where: str) -> Number:
             return _decimal(value)
         if type(value) is int:
             return value
-        if isinstance(value, (bool, float)):
-            raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
-        return Fraction(value)  # raises TypeError on a JSON list, object or null
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
+    # a bool, a float, or a JSON list, object or null
+    raise ParseError(f"{where}: rationals must be 'p/q' strings or integers")
 
 
 def _off_int(token: str) -> int:
@@ -163,8 +162,9 @@ def parse_pls(text: str) -> PLSurface:
     every required dimension (``MISSING_RANK``).  It builds every upward
     incidence itself, so the poset checks (closedness, connectedness,
     realization) are left to ``verify``.  The face records fill the
-    poset's per-dimension tables directly (``FacePoset.up_ids`` and
-    ``.vertex_ids``), without a ``Face`` per record in vertex mode.
+    per-dimension tables directly, without a ``Face`` per record: the
+    poset's ``up_ids`` or ``vertex_ids`` and, in equations mode, the
+    surface's ``witnesses[d][i]`` and ``equations[h]``, in id order.
 
     A list that repeats an id is read as its set, in both modes: a
     record's "vertices" [0, 1, 0] is [0, 1], and its "up" [0, 2, 0] is
@@ -228,24 +228,20 @@ def parse_pls(text: str) -> PLSurface:
         surface = PLSurface(poset, vertices=tuple(coords))
     else:
         dims = sorted({n - 3, n - 2, n - 1})
-        counts = {}
-        recs_by_dim = {}
-        for d in dims:
-            recs = _records(faces_doc, d, f"faces[{d}]")
-            counts[d] = len(recs)
-            recs_by_dim[d] = recs
+        recs_by_dim = {d: _records(faces_doc, d, f"faces[{d}]") for d in dims}
+        counts = {d: len(recs) for d, recs in recs_by_dim.items()}
         up: dict[int, list[tuple[int, ...]]] = {}
-        witnesses: dict[Face, Vec] = {}
-        equations: dict[Face, FacetEquation] = {}
+        witnesses: dict[int, list[Vec | None]] = {}
+        equations: list[FacetEquation | None] = []
         for d in dims:
             if d < n - 1:
                 rows = up[d] = []
+            points = witnesses[d] = []
             for i, rec in enumerate(recs_by_dim[d]):
-                face = Face(d, i)
                 w = rec.get("witness")
                 if w is None:
                     raise ParseError(f"faces[{d}][{i}]: equations mode requires a witness")
-                witnesses[face] = _vec(w, f"faces[{d}][{i}].witness")
+                points.append(_vec(w, f"faces[{d}][{i}].witness"))
                 if d < n - 1:
                     ups = rec.get("up")
                     if not isinstance(ups, list) or not all(_is_int(u) for u in ups):
@@ -256,10 +252,10 @@ def parse_pls(text: str) -> PLSurface:
                 else:
                     if "normal" not in rec or "offset" not in rec:
                         raise ParseError(f"faces[{d}][{i}]: facet needs 'normal' and 'offset'")
-                    equations[face] = FacetEquation(
+                    equations.append(FacetEquation(
                         _vec(rec["normal"], f"faces[{d}][{i}].normal"),
                         _frac(rec["offset"], f"faces[{d}][{i}].offset"),
-                    )
+                    ))
         poset = FacePoset(n=n, faces_per_dim=counts, up_ids=up)
         surface = PLSurface(poset, equations=equations, witnesses=witnesses)
 
@@ -286,12 +282,13 @@ def emit_pls(surface: PLSurface) -> str:
     else:
         for d in sorted({n - 3, n - 2, n - 1}):
             recs = []
-            for f in poset.faces(d):
-                rec: dict = {"id": f.index, "witness": [str(c) for c in surface.witnesses[f]]}
+            points = surface.witnesses[d]
+            for i in range(poset.count(d)):
+                rec: dict = {"id": i, "witness": [str(c) for c in points[i]]}
                 if d < n - 1:
-                    rec["up"] = list(poset.up_ids[d][f.index])
+                    rec["up"] = list(poset.up_ids[d][i])
                 else:
-                    eq = surface.equations[f]
+                    eq = surface.equations[i]
                     rec["normal"] = [str(c) for c in eq.normal]
                     rec["offset"] = str(eq.offset)
                 recs.append(rec)

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot, homogeneous
-from .poset import Face, FacePoset, vertex_poset
+from .poset import FacePoset, vertex_poset
 from .surface import PLSurface
 
 F0 = Fraction(0)
@@ -309,11 +309,11 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     perms = {d: rng.sample(range(c), c) for d, c in poset.faces_per_dim.items()}
     p0 = perms.get(0, [])
 
-    def moved(rows: list[tuple[int, ...]], perm: list[int], inner: list[int]) -> list[tuple[int, ...]]:
-        """Row i moved to index perm[i], its entries renamed by ``inner``."""
+    def moved(rows: Sequence, perm: list[int], inner: list[int] | None = None) -> list:
+        """Row i moved to index perm[i]; with ``inner``, a tuple of ids renamed by it."""
         new: list = [None] * len(rows)
-        for i, ids in enumerate(rows):
-            new[perm[i]] = tuple(sorted([inner[g] for g in ids]))
+        for i, row in enumerate(rows):
+            new[perm[i]] = row if inner is None else tuple(sorted([inner[g] for g in row]))
         return new
 
     new_poset = FacePoset(
@@ -323,13 +323,9 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
         vertex_ids={d: moved(rows, perms[d], p0) for d, rows in poset.vertex_ids.items()},
     )
     if surface.mode == "vertices":
-        verts: list[Vec] = [None] * len(surface.vertices)  # type: ignore[list-item]
-        for old, new in enumerate(p0):
-            verts[new] = surface.vertices[old]
-        return PLSurface(new_poset, vertices=tuple(verts))
-    eqs = {Face(f.dim, perms[f.dim][f.index]): eq for f, eq in surface.equations.items()}
-    wits = {Face(f.dim, perms[f.dim][f.index]): w for f, w in surface.witnesses.items()}
-    return PLSurface(new_poset, equations=eqs, witnesses=wits)
+        return PLSurface(new_poset, vertices=tuple(moved(surface.vertices, p0)))
+    witnesses = {d: moved(rows, perms[d]) for d, rows in surface.witnesses.items()}
+    return PLSurface(new_poset, equations=moved(surface.equations, perms[poset.dim_top]), witnesses=witnesses)
 
 
 def build_instance(spec: GenSpec) -> PLSurface:

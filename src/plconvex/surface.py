@@ -24,8 +24,8 @@ poset's per-dimension tables by face index and fills two of its own:
 d, and ``prepare(s).kernels[i]``, the direction basis of (n-3)-face i.
 They are the verifier's only source of that geometry: its front end,
 shared by ``verify`` and ``verify_face``, runs the pass once over the
-whole surface.  ``PLSurface.equations`` and ``.witnesses`` stay keyed
-by ``Face``: each is read once per face, not once per incidence.
+whole surface.  The equations-mode records ``PLSurface.witnesses[d][i]``
+and ``.equations[h]`` are index tables too, each read once per face.
 ``as_equations`` runs the same per-face routine once per face to write
 witnesses and facet equations.  Conversion happens only in
 the pass, at the boundary: the per-face routine trusts its integer
@@ -77,10 +77,19 @@ class FacetEquation:
 
 @dataclass(frozen=True)
 class PLSurface:
+    """A face poset and its realization, by vertices or by facet equations.
+
+    Vertex mode gives ``vertices[v]``, the coordinates of vertex v.
+    Equations mode gives ``equations[h]``, facet h's hyperplane, and
+    ``witnesses[d][i]``, a point in the relative interior of face i of
+    dimension d, for d = n-3, n-2, n-1: the shape of ``prepare(s).points``.
+    A missing record is a None entry or a list shorter than its face count.
+    """
+
     poset: FacePoset
     vertices: tuple[Vec, ...] = ()
-    equations: dict[Face, FacetEquation] = field(default_factory=dict)
-    witnesses: dict[Face, Vec] = field(default_factory=dict)
+    equations: list[FacetEquation | None] = field(default_factory=list)
+    witnesses: dict[int, list[Vec | None]] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -109,8 +118,6 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
     when the face spans its dimension.
     """
     base = points[0]
-    if dim == 0:
-        return base, (), None
     vb, wb = base
     pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
     basis = []
@@ -172,11 +179,12 @@ def as_equations(surface: PLSurface) -> PLSurface:
     """Convert a vertex-mode surface to equations mode.
 
     Every face of dims n-3, n-2, n-1 gets one ``_face_geometry``
-    elimination, facets first: its interior point, the one ``prepare``
-    would table, is its witness, and a facet's direction basis gives
-    its exact hyperplane (``_facet_geometry``).  Vertex lists are
-    dropped (dim 0 disappears entirely for n > 3); the upward tables
-    are kept as they are.
+    elimination, facets first: face i of dimension d gets its interior
+    point, the one ``prepare`` would table, as ``witnesses[d][i]``, and
+    facet h's direction basis gives its exact hyperplane
+    ``equations[h]`` (``_facet_geometry``).  Vertex lists are dropped
+    (dim 0 disappears entirely for n > 3); the upward tables are kept
+    as they are.
 
     A face below the facets that spans less than its dimension still
     gets a witness; anything else that ``prepare`` reports is refused.
@@ -201,16 +209,13 @@ def as_equations(surface: PLSurface) -> PLSurface:
             raise DegenerateFaceError(face, "no vertices")
         return [coords[v] for v in verts]
 
-    facets = {h: _facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)}
-    witnesses: dict[Face, Vec] = {}
-    for d in (poset.dim_low, poset.dim_mid):
-        for f in poset.faces(d):
-            witnesses[f] = dehomogenise(*_face_geometry(d, face_points(f))[0])
-    equations: dict[Face, FacetEquation] = {}
-    for h, (point, eq) in facets.items():
-        witnesses[h] = dehomogenise(*point)
-        equations[h] = eq
-    return PLSurface(new_poset, equations=equations, witnesses=witnesses)
+    facets = [_facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)]
+    witnesses = {
+        d: [dehomogenise(*_face_geometry(d, face_points(f))[0]) for f in poset.faces(d)]
+        for d in (poset.dim_low, poset.dim_mid)
+    }
+    witnesses[poset.dim_top] = [dehomogenise(*point) for point, _ in facets]
+    return PLSurface(new_poset, equations=[eq for _, eq in facets], witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -292,25 +297,25 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
         return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
     n_facets = poset.count(top)
-    for h in poset.faces(top):
-        eq = surface.equations.get(h)
+    records = list(surface.equations[:n_facets])
+    records += [None] * (n_facets - len(records))
+    for h, eq in enumerate(records):
         if eq is None:
-            bad.append(Violation("MISSING_EQUATION", h, "facet without equation"))
+            bad.append(Violation("MISSING_EQUATION", Face(top, h), "facet without equation"))
         elif len(eq.normal) != n:
-            bad.append(Violation("BAD_NORMAL", h, f"normal of length {len(eq.normal)}, not {n}"))
+            bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal of length {len(eq.normal)}, not {n}"))
         elif all(c == 0 for c in eq.normal):
-            bad.append(Violation("ZERO_NORMAL", h, "facet normal is zero"))
+            bad.append(Violation("ZERO_NORMAL", Face(top, h), "facet normal is zero"))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
     # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
     equations = []
-    for h in poset.faces(top):
-        eq = surface.equations[h]
+    for eq in records:
         normal, weight = homogeneous(eq.normal)
         equations.append((normal, eq.offset.denominator, eq.offset.numerator * weight))
     for d in dims:
+        witnesses = surface.witnesses.get(d, ())
         for i in range(poset.count(d)):
-            face = Face(d, i)
             above, k = [i], d
             while above and k < top:
                 rows = poset.up_ids.get(k, ())
@@ -318,21 +323,21 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 k += 1
             above = sorted(set(above))
             if above and (above[0] < 0 or above[-1] >= n_facets):  # only on a poset that validate_poset rejects
-                bad.append(Violation("INVALID_ID", face, "upward reference to a facet outside the records"))
+                bad.append(Violation("INVALID_ID", Face(d, i), "upward reference to a facet outside the records"))
                 continue
-            witness = surface.witnesses.get(face)
+            witness = witnesses[i] if i < len(witnesses) else None
             points[d][i] = point = None if witness is None else homogeneous(witness)
             if d == low:
                 kernels[i] = basis = nullspace([equations[h][0] for h in above], n) if n > 3 else ()
                 if len(basis) != n - 3:
                     defect = "incident facet equations do not determine the face's direction space"
-                    degenerate.append(Violation("DEGENERATE_FACE", face, defect))
+                    degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
             if point is None or len(point[0]) != n:
-                bad.append(Violation("BAD_WITNESS", face, "missing witness point"))
+                bad.append(Violation("BAD_WITNESS", Face(d, i), "missing witness point"))
                 continue
             x, weight = point
             for h in above:
                 normal, den, rhs = equations[h]
                 if dot(normal, x) * den != rhs * weight:
-                    bad.append(Violation("BAD_WITNESS", face, f"witness not on facet {Face(top, h)}"))
+                    bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness not on facet {Face(top, h)}"))
     return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)

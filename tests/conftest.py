@@ -421,9 +421,9 @@ def geometry_families():
                 yield f"{name}-{label}-eq", pc.as_equations(s)
         # an equations-mode witness moved off its facets
         eq = pc.as_equations(moved)
-        face = min(eq.witnesses)
-        wits = {**eq.witnesses, face: tuple(x + Fraction(1, 3) for x in eq.witnesses[face])}
-        yield f"{name}-bad-witness", pc.PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+        low = eq.poset.dim_low
+        wits = {Face(low, 0): tuple(x + Fraction(1, 3) for x in eq.witnesses[low][0])}
+        yield f"{name}-bad-witness", replace_geometry(eq, witnesses=wits)
 
 
 def reference_circle_points(m: int) -> list[tuple[Fraction, Fraction]]:
@@ -483,10 +483,9 @@ def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
     poset, n = surface.poset, surface.n
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
     new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
-    equations = {h: reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)}
+    equations = [reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)]
     points = pc.prepare(surface).points
-    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
-    witnesses = {f: dehomogenise(*points[d][f.index]) for d in dims for f in poset.faces(d)}
+    witnesses = {d: [dehomogenise(*p) for p in points[d]] for d in (poset.dim_low, poset.dim_mid, poset.dim_top)}
     return pc.PLSurface(new_poset, equations=equations, witnesses=witnesses)
 
 
@@ -511,6 +510,22 @@ def replace_records(poset: FacePoset, up=(), verts=(), counts=None) -> FacePoset
 
     counts = dict(poset.faces_per_dim if counts is None else counts)
     return FacePoset(poset.n, counts, patched(poset.up_ids, up), patched(poset.vertex_ids, verts))
+
+
+def replace_geometry(surface: pc.PLSurface, witnesses=(), equations=()) -> pc.PLSurface:
+    """An equations-mode ``surface`` with some witnesses or facet equations replaced, keyed by ``Face``.
+
+    The value for ``Face(d, i)`` replaces ``witnesses[d][i]``, the value
+    for facet ``Face(n-1, h)`` replaces ``equations[h]``; None marks the
+    record missing.  The tables of ``surface`` are copied, never changed.
+    """
+    wits = {d: list(rows) for d, rows in surface.witnesses.items()}
+    eqs = list(surface.equations)
+    for (d, i), point in dict(witnesses).items():
+        wits[d][i] = point
+    for (_, h), eq in dict(equations).items():
+        eqs[h] = eq
+    return pc.PLSurface(surface.poset, equations=eqs, witnesses=wits)
 
 
 def reference_link_cycle(poset: FacePoset, center: Face) -> tuple[Face, ...]:

@@ -83,3 +83,20 @@ def test_faces_are_indices_on_the_hot_path():
     surface = pc.parse_pls(text)
     assert _count_face_hashes(lambda: pc.verify(surface)) <= surface.poset.count(surface.poset.dim_low)
     assert pc.verify(surface).kind == "CONVEX"
+
+
+def test_equations_mode_records_are_index_tables():
+    # witnesses[d][i] and equations[h] are lists in the poset's shape: the
+    # equations-mode copy of a moved gen_prism(256) is read, decided,
+    # written and renamed without hashing a Face
+    moved = pc.rigid_motion(pc.gen_prism(256), 1)
+    text = pc.emit_pls(pc.as_equations(moved))
+    surface = pc.parse_pls(text)
+    poset = surface.poset
+    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
+    assert {d: len(rows) for d, rows in surface.witnesses.items()} == {d: poset.count(d) for d in dims}
+    assert type(surface.equations) is list and len(surface.equations) == poset.count(poset.dim_top)
+    assert surface.witnesses[0][3] == moved.vertices[3]
+    for run in (lambda: pc.parse_pls(text), lambda: pc.verify(surface), lambda: pc.emit_pls(surface), lambda: pc.relabel(surface, 3)):
+        assert _count_face_hashes(run) == 0
+    assert pc.verify(surface).kind == "CONVEX"

@@ -206,6 +206,16 @@ def test_verify_equations_mode_skips_oracle(tmp_path, cube, capsys):
     assert out.splitlines() == ["YES", "oracle=skipped"]
 
 
+def test_verify_oracle_on_flat_surface(tmp_path, capsys):
+    # two coplanar triangles glued along their edges: the verifier answers
+    # NO, and the oracle refuses a surface that bounds no body
+    tri = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    p = tmp_path / "flat.pls"
+    p.write_text(emit_pls(pc.surface_from_polygons(tri, [[0, 1, 2], [0, 2, 1]])))
+    assert run_cli(["verify", str(p), "--oracle"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["NO", "oracle=FLAT_SURFACE agreement=no"]
+
+
 def test_verify_off_file(tmp_path, capsys):
     path = tmp_path / "tetra.off"
     path.write_text(

@@ -143,6 +143,11 @@ def test_projection_axis_kernel():
     assert image(p, e1) == as_vec([0, 0, 0])
 
 
+def test_projection_refuses_dependent_kernel():
+    with pytest.raises(ValueError, match="^kernel vectors are not linearly independent$"):
+        complementary_projection([(1, 2, 3, 4, 5), (2, 4, 6, 8, 10)], 5)
+
+
 def test_projection_general_kernel():
     k = as_vec([1, 1, 1, 1])
     p = complementary_projection([k], 4)

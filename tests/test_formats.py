@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -353,6 +354,7 @@ def _pls(**fields):
 
 
 _V = ["0", "0", "0"]
+_NOT_RATIONAL = "rationals must be 'p/q' strings or integers"
 _EQ_FACES = {"0": [{"id": 0, "witness": _V, "up": [0]}], "1": [{"id": 0, "witness": _V, "up": [0]}]}
 
 # one minimal document per parse error: (parser, text, exception type, exact text)
@@ -386,6 +388,20 @@ PARSE_ERRORS = [
         ParseError,
         "faces[2][0]: facet needs 'normal' and 'offset'",
     ),
+    # a JSON list, object or null is no rational, as a coordinate or as an offset
+    *[
+        (parse_pls, _pls(n=3, mode="vertices", vertices=[["0", "0", bad]], faces={}), ParseError, f"vertices[0]: {_NOT_RATIONAL}")
+        for bad in ([1], {}, None)
+    ],
+    *[
+        (
+            parse_pls,
+            _pls(n=3, mode="equations", faces={**_EQ_FACES, "2": [{"id": 0, "witness": _V, "normal": _V, "offset": bad}]}),
+            ParseError,
+            f"faces[2][0].offset: {_NOT_RATIONAL}",
+        )
+        for bad in ([1], {}, None)
+    ],
     (parse_off, "OFF\n", ParseError, "missing counts line"),
     (parse_off, "OFF\n1 2\n", ParseError, "line 2: counts line needs three numbers"),
     (parse_off, "OFF\na b c\n", ParseError, "line 2: bad counts 'a b c'"),
@@ -427,9 +443,9 @@ def test_parse_error_texts(parser, text, error, message):
 
 def _numbers(surface):
     """Every number a surface holds: coordinates, witnesses, normals and offsets."""
-    for v in (*surface.vertices, *surface.witnesses.values()):
+    for v in (*surface.vertices, *chain.from_iterable(surface.witnesses.values())):
         yield from v
-    for eq in surface.equations.values():
+    for eq in surface.equations:
         yield from eq.normal
         yield eq.offset
 

@@ -26,7 +26,7 @@ from plconvex.surface import (
 )
 from plconvex.verifier import verify_face
 
-from conftest import cycle_faces, geometry_families, rank, reference_as_equations, replace_records, wedge_cube
+from conftest import cycle_faces, geometry_families, rank, reference_as_equations, replace_geometry, replace_records, wedge_cube
 from test_verifier import _corrupt, _corruption_bases
 
 F = Fraction
@@ -95,6 +95,17 @@ def test_direction_space_degenerate():
     assert prepared.kernels[0] == ()
 
 
+def test_zero_face_listing_two_vertices_is_degenerate():
+    # a 0-face spans dimension 0 like any face must span its own: at n = 3
+    # one that lists two distinct vertices is a DEGENERATE_FACE in prepare's
+    # report, and verify, whose poset checks come first, finds it uncontained
+    simplex = pc.gen_simplex(3)
+    s = PLSurface(replace_records(simplex.poset, verts={Face(0, 0): (0, 1)}), vertices=simplex.vertices)
+    assert prepare(s).report.violations == (pc.Violation("DEGENERATE_FACE", Face(0, 0), "affine rank 1 != dim 0"),)
+    verdict = pc.verify(s)
+    assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", Face(0, 0), "VERTEX_NOT_CONTAINED")
+
+
 def test_check_realization_accepts_cube(cube):
     assert prepare(cube).report.ok
 
@@ -122,8 +133,8 @@ def test_as_equations_cube_round(cube):
     assert eq.mode == "equations"
     assert prepare(eq).report.ok
     # every witness satisfies its facet's equation
-    for h, fe in eq.equations.items():
-        assert dot(fe.normal, eq.witnesses[h]) == fe.offset
+    for h, fe in enumerate(eq.equations):
+        assert dot(fe.normal, eq.witnesses[2][h]) == fe.offset
 
 
 def _outcome(convert, surface):
@@ -190,11 +201,10 @@ def test_witness_moved_along_its_edge_is_trusted():
     eq = as_equations(pc.gen_hypercube(3))
     edge, a, b = Face(1, 0), Face(0, 0), Face(0, 1)
     assert {a, b} == {v for v in eq.poset.faces(0) if edge in eq.poset.up(v)}
-    step = tuple(y - x for x, y in zip(eq.witnesses[a], eq.witnesses[b]))
+    step = tuple(y - x for x, y in zip(eq.witnesses[0][a.index], eq.witnesses[0][b.index]))
     expected = {F(1, 2): ("INVALID", "ZERO_DIRECTION"), F(1): ("NOT_CONVEX", "WRONG_TURN_SIGN")}
     for t, (kind, reason) in expected.items():
-        wits = {**eq.witnesses, edge: tuple(w + t * d for w, d in zip(eq.witnesses[edge], step))}
-        moved = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+        moved = replace_geometry(eq, witnesses={edge: tuple(w + t * d for w, d in zip(eq.witnesses[1][0], step))})
         assert prepare(moved).report.ok
         verdict = pc.verify(moved)
         assert (verdict.kind, verdict.witness, verdict.reason) == (kind, b, reason)
@@ -202,10 +212,7 @@ def test_witness_moved_along_its_edge_is_trusted():
 
 def test_as_equations_bad_witness_detected(cube):
     eq = as_equations(cube)
-    wits = dict(eq.witnesses)
-    h = Face(2, 0)
-    wits[h] = tuple(c + 1 for c in wits[h])
-    broken = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+    broken = replace_geometry(eq, witnesses={Face(2, 0): tuple(c + 1 for c in eq.witnesses[2][0])})
     report = prepare(broken).report
     assert any(v.code == "BAD_WITNESS" for v in report.violations)
 
@@ -215,9 +222,9 @@ def test_check_realization_rejects_wrong_length_normal(cube):
     # few surfaced as a misleading BAD_WITNESS
     eq = as_equations(cube)
     h = Face(2, 3)
-    for normal in (eq.equations[h].normal + (F(0),), eq.equations[h].normal[:-1]):
-        equations = {**eq.equations, h: FacetEquation(normal, eq.equations[h].offset)}
-        broken = PLSurface(eq.poset, equations=equations, witnesses=eq.witnesses)
+    fe = eq.equations[h.index]
+    for normal in (fe.normal + (F(0),), fe.normal[:-1]):
+        broken = replace_geometry(eq, equations={h: FacetEquation(normal, fe.offset)})
         report = prepare(broken).report
         assert [(v.code, v.face) for v in report.violations] == [("BAD_NORMAL", h)]
         verdict = pc.verify(broken)
@@ -344,8 +351,6 @@ def reference_face_geometry(dim, points):
     the picked weights.
     """
     base = points[0]
-    if dim == 0:
-        return base, (), None
     picked = [base]
     basis = []
     vb, wb = base
@@ -370,12 +375,13 @@ def reference_equations_geometry(surface, face):
     for higher faces it is ().
     """
     poset = surface.poset
-    witness = surface.witnesses.get(face)
+    witnesses = surface.witnesses.get(face.dim, ())
+    witness = witnesses[face.index] if face.index < len(witnesses) else None
     point = None if witness is None else homogeneous(witness)
     if face.dim != poset.dim_low or surface.n == 3:
         return point, (), None
     facets = dict.fromkeys(h for g in poset.up(face) for h in poset.up(g))
-    basis = nullspace([homogeneous(surface.equations[h].normal)[0] for h in facets], surface.n)
+    basis = nullspace([homogeneous(surface.equations[h.index].normal)[0] for h in facets], surface.n)
     if len(basis) != surface.n - 3:
         return point, basis, "incident facet equations do not determine the face's direction space"
     return point, basis, None
@@ -422,7 +428,7 @@ def test_face_geometry_repeated_and_collinear_vertices():
     # over integer points, points with one shared weight and mixed weights
     rng = random.Random(41)
     defects = Counter()
-    for trial in range(3000):
+    for trial in range(4000):
         n = rng.randint(3, 6)
         dim = rng.randint(0, n - 1)
         dens = rng.choice([(1,), (3,), (1, 2, 3, 6)])
@@ -437,10 +443,6 @@ def test_face_geometry_repeated_and_collinear_vertices():
         assert got == reference_face_geometry(dim, points), (pts, verts, dim)
         defects[got[2] is None] += 1
     assert min(defects.values()) >= 1000, defects
-
-
-def _without(mapping, key):
-    return {k: v for k, v in mapping.items() if k != key}
 
 
 def _star_through(surface, face):
@@ -459,9 +461,10 @@ def test_prepare_rejection_texts(cube):
     h, v0, h4 = Face(2, 1), Face(0, 0), Face(3, 2)
     short = cube.vertices[:1] + (cube.vertices[1][:2],) + cube.vertices[2:]
     long = cube.vertices[:1] + (cube.vertices[1] + (F(0),),) + cube.vertices[2:]
-    zero = FacetEquation((F(0),) * 3, eq.equations[h].offset)
-    wide = FacetEquation(eq.equations[h].normal + (F(0),), eq.equations[h].offset)
-    off = tuple(x + a for x, a in zip(eq.witnesses[h], eq.equations[h].normal))  # along the normal
+    fe = eq.equations[h.index]
+    zero = FacetEquation((F(0),) * 3, fe.offset)
+    wide = FacetEquation(fe.normal + (F(0),), fe.offset)
+    off = tuple(x + a for x, a in zip(eq.witnesses[2][h.index], fe.normal))  # along the normal
     e0 = Face(1, 0)
 
     def listing(ids):  # the cube with edge e0's vertex list replaced
@@ -472,12 +475,14 @@ def test_prepare_rejection_texts(cube):
         (PLSurface(cube.poset, vertices=short), ("MISSING_COORDS", None, "coordinate of wrong length")),
         (PLSurface(cube.poset, vertices=long), ("MISSING_COORDS", None, "coordinate of wrong length")),
         *[(listing(ids), ("INVALID_ID", e0, "vertex index out of range")) for ids in [(0, 99), (0, -1), (-8, 1)]],
-        (PLSurface(eq.poset, equations=_without(eq.equations, h), witnesses=eq.witnesses), ("MISSING_EQUATION", h, "facet without equation")),
-        (PLSurface(eq4.poset, equations=_without(eq4.equations, h4), witnesses=eq4.witnesses), ("MISSING_EQUATION", h4, "facet without equation")),
-        (PLSurface(eq.poset, equations={**eq.equations, h: wide}, witnesses=eq.witnesses), ("BAD_NORMAL", h, "normal of length 4, not 3")),
-        (PLSurface(eq.poset, equations={**eq.equations, h: zero}, witnesses=eq.witnesses), ("ZERO_NORMAL", h, "facet normal is zero")),
-        (PLSurface(eq.poset, equations=eq.equations, witnesses=_without(eq.witnesses, v0)), ("BAD_WITNESS", v0, "missing witness point")),
-        (PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, h: off}), ("BAD_WITNESS", h, f"witness not on facet {h}")),
+        (replace_geometry(eq, equations={h: None}), ("MISSING_EQUATION", h, "facet without equation")),
+        (replace_geometry(eq4, equations={h4: None}), ("MISSING_EQUATION", h4, "facet without equation")),
+        (replace(eq, equations=eq.equations[:-1]), ("MISSING_EQUATION", Face(2, 5), "facet without equation")),
+        (replace_geometry(eq, equations={h: wide}), ("BAD_NORMAL", h, "normal of length 4, not 3")),
+        (replace_geometry(eq, equations={h: zero}), ("ZERO_NORMAL", h, "facet normal is zero")),
+        (replace_geometry(eq, witnesses={v0: None}), ("BAD_WITNESS", v0, "missing witness point")),
+        (replace(eq, witnesses={**eq.witnesses, 0: eq.witnesses[0][:-1]}), ("BAD_WITNESS", Face(0, 7), "missing witness point")),
+        (replace_geometry(eq, witnesses={h: off}), ("BAD_WITNESS", h, f"witness not on facet {h}")),
     ]
     for surface, expected in cases:
         assert prepare(surface).report.violations == (pc.Violation(*expected),)

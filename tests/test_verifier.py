@@ -24,6 +24,7 @@ from conftest import (
     random_same_kernel_projection,
     reference_link_cycle,
     reflex_adjacent_vertices,
+    replace_geometry,
     replace_records,
     star_under_projection,
     zigzag_bipyramid,
@@ -206,7 +207,7 @@ def test_zero_direction_guard():
     eq = pc.as_equations(pc.gen_hypercube(4))
     e0 = Face(1, 0)
     g = eq.poset.up(e0)[0]
-    moved = PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, g: eq.witnesses[e0]})
+    moved = replace_geometry(eq, witnesses={g: eq.witnesses[1][0]})
     assert prepare(moved).ok
     v = verify(moved)
     assert (v.kind, v.witness, v.reason) == ("INVALID", e0, "ZERO_DIRECTION")
@@ -269,13 +270,10 @@ def test_verify_face_rejects_bad_witness():
     # TypeError or IndexError, or with one coordinate too many, accept
     eq = pc.as_equations(pc.gen_hypercube(3))
     v0, v1, e0 = Face(0, 0), Face(0, 1), Face(1, 0)  # e0 joins v0 and v1
-    w = eq.witnesses[v0]
+    w = eq.witnesses[0][0]
     cases = [(v0, None, (v0,)), (v0, w[:2], (v0,)), (v0, w + (F(0),), (v0,)), (e0, None, (v0, v1))]
     for face, witness, centers in cases:
-        wits = {f: p for f, p in eq.witnesses.items() if f != face}
-        if witness is not None:
-            wits[face] = witness
-        bad = PLSurface(eq.poset, equations=eq.equations, witnesses=wits)
+        bad = replace_geometry(eq, witnesses={face: witness})
         verdict = verify(bad)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, "BAD_WITNESS")
         for center in centers:
@@ -334,31 +332,31 @@ def _corrupt(surface, kind, rng):
         x = surface.vertices[k]
         x = x[:-1] if kind == "coordinate_dropped" else x + (F(rng.randint(-2, 2)),)
         return PLSurface(poset, vertices=surface.vertices[:k] + (x,) + surface.vertices[k + 1 :]), None
-    witnesses, equations = dict(surface.witnesses), dict(surface.equations)
     if kind.startswith("witness"):
         face = rng.choice(faces)
-        x = witnesses.pop(face)
+        x = surface.witnesses[face.dim][face.index]
         if kind == "witness_short":
-            witnesses[face] = x[:-1]
+            x = x[:-1]
         elif kind == "witness_long":
-            witnesses[face] = x + (F(0),)
+            x = x + (F(0),)
         elif kind == "witness_moved":  # along the normal of a facet above the face
             above = [face]
             while above[0].dim < poset.dim_top:
                 above = [h for g in above for h in poset.up(g)]
-            normal = equations[rng.choice(above)].normal
-            witnesses[face] = tuple(a + b for a, b in zip(x, normal))
-    else:
-        face = rng.choice(list(poset.faces(poset.dim_top)))
-        eq = equations.pop(face)
-        normal = {
-            "normal_short": eq.normal[:-1],
-            "normal_long": eq.normal + (F(1),),
-            "normal_zeroed": (F(0),) * len(eq.normal),
-        }.get(kind)
-        if normal is not None:
-            equations[face] = FacetEquation(normal, eq.offset)
-    return PLSurface(poset, equations=equations, witnesses=witnesses), face
+            normal = surface.equations[rng.choice(above).index].normal
+            x = tuple(a + b for a, b in zip(x, normal))
+        else:
+            x = None
+        return replace_geometry(surface, witnesses={face: x}), face
+    face = rng.choice(list(poset.faces(poset.dim_top)))
+    eq = surface.equations[face.index]
+    normal = {
+        "normal_short": eq.normal[:-1],
+        "normal_long": eq.normal + (F(1),),
+        "normal_zeroed": (F(0),) * len(eq.normal),
+    }.get(kind)
+    eq = None if normal is None else FacetEquation(normal, eq.offset)  # equation_dropped: None
+    return replace_geometry(surface, equations={face: eq}), face
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
@@ -610,12 +608,12 @@ def test_equations_witnesses_moved_inside_their_faces():
             expected = [verify(eq), verify(eq, collect_all=True)]
             kinds[expected[0].kind] += 1
             for _ in range(5):
-                witnesses = dict(eq.witnesses)
+                witnesses = {}
                 for f in (*poset.faces(poset.dim_mid), *poset.faces(poset.dim_top)):
                     v = s.vertices[rng.choice(poset.vertex_lists[f])]
                     t = F(rng.randint(1, 9), 10)
-                    witnesses[f] = tuple((1 - t) * w + t * x for w, x in zip(witnesses[f], v))
-                moved = replace(eq, witnesses=witnesses)
+                    witnesses[f] = tuple((1 - t) * w + t * x for w, x in zip(eq.witnesses[f.dim][f.index], v))
+                moved = replace_geometry(eq, witnesses=witnesses)
                 assert [verify(moved), verify(moved, collect_all=True)] == expected
     assert kinds == {"CONVEX": 14, "NOT_CONVEX": 4}
 
