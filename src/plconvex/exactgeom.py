@@ -12,13 +12,13 @@ fraction-free.
 
 Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
 are the one elimination routine; they take rows of ints as they are
-and never convert.  ``homogeneous`` alone decides when a row needs
-converting: it hands a row of ints back as it is and scales any other
-row to integers.  The public entry point ``nullspace`` accepts any
-exact rows and passes each through ``homogeneous`` before reducing it,
-so the integer rows of the geometry pass (``surface``) and of
-``complementary_projection``'s kernels reach ``_reduce`` unchanged; a
-rank is the width less the size of the nullspace.
+and never convert.  ``homogeneous`` alone converts: it scales a row to
+integers over its least common denominator, so a row of ints comes back
+with its values over weight 1.  The public entry point ``nullspace``
+accepts any exact rows and passes each through ``homogeneous`` before
+reducing it, so the integer rows of the geometry pass (``surface``) and
+of ``complementary_projection``'s kernels reach ``_reduce`` with their
+values; a rank is the width less the size of the nullspace.
 ``complementary_projection`` always returns integer rows, and
 ``fan.build_fan`` applies them as they are: it takes no other rows.
 
@@ -70,10 +70,9 @@ def cross3(u: Vec, v: Vec) -> Vec:
 def homogeneous(v: Sequence) -> HomPoint:
     """Integer numerators and their positive common denominator: v = nums / w.
 
-    A row of ints is handed back as it is, over weight 1.
+    w is the least common denominator, so a row of ints comes back with
+    its values over weight 1.
     """
-    if all(type(x) is int for x in v):
-        return tuple(v), 1
     w = math.lcm(*[x.denominator for x in v])
     return tuple(x.numerator * (w // x.denominator) for x in v), w
 
@@ -96,11 +95,8 @@ def _reduce(pivots: Sequence[tuple[int, IVec]], r: IVec) -> IVec:
     for col, row in pivots:
         c = r[col]
         if c:
-            p = row[col]
-            g = math.gcd(p, c)
-            if g != 1:
-                p //= g
-                c //= g
+            g = math.gcd(row[col], c)
+            p, c = row[col] // g, c // g
             r = tuple([p * x - c * y for x, y in zip(r, row)])
     g = math.gcd(*r)
     if g > 1:
@@ -127,7 +123,7 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
     times the basis read off the rational reduced row echelon form, and
     each vector's last nonzero entry is L, at its own free column.
     Each row goes through ``homogeneous``, so rows of ints are reduced
-    as they are.
+    with their values.
     """
     pivots: list[tuple[int, IVec]] = []
     for v in rows:
@@ -148,8 +144,8 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
         for c, row in pivots:
             x[c] = -row[f] * (scale // row[c])
         basis.append(tuple(x))
-    g = math.gcd(*[x for b in basis for x in b])
-    return tuple(tuple(x // g for x in b) for b in basis) if g > 1 else tuple(basis)
+    g = math.gcd(*[x for b in basis for x in b])  # 0 only for an empty basis
+    return tuple(tuple(x // g for x in b) for b in basis)
 
 
 class Projection3(NamedTuple):

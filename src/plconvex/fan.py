@@ -44,6 +44,7 @@ must pass them itself.  ``fan_is_convex`` trusts ``fan.dirs``.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
@@ -116,8 +117,10 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
     row products.  The apex, P(S_c) over the weight w_c of ``center``,
     is formed only for the directions and is not returned: every face f
     of the link cycle contributes, in cycle order, the integer direction
-    w_c * P(S_f) - w_f * P(S_c), the positive multiple w_c * w_f of the
-    direction from the apex to f's projected interior point.  One loop
+    w_c * P(S_f) - w_f * P(S_c) divided by the gcd of its coordinates:
+    the primitive positive multiple of the direction from the apex to
+    f's projected interior point, whose size does not grow with the
+    weights (a gcd of 0 is a zero direction).  One loop
     fills ``dirs``; ``kinds`` alternate RAY, CELL by position and
     ``sources`` is the cycle's tuple: no object per entry.
     """
@@ -139,9 +142,10 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
         else:
             p0, p1, p2 = sum(map(mul, r0, nums)), sum(map(mul, r1, nums)), sum(map(mul, r2, nums))
         d0, d1, d2 = wc * p0 - w * a0, wc * p1 - w * a1, wc * p2 - w * a2
-        if not (d0 or d1 or d2):
+        g = gcd(d0, d1, d2)
+        if not g:
             raise ZeroDirectionError(Face(dim + 1 + (pos & 1), f))
-        dirs.append((d0, d1, d2))
+        dirs.append((d0 // g, d1 // g, d2 // g))
     return Fan3(tuple(dirs), (RAY, CELL) * (len(cycle) // 2), cycle)
 
 
@@ -150,10 +154,10 @@ def _idot(u, v):
 
 
 def _crosses_and_sum(dirs: Sequence[Vec]) -> tuple[list[Vec], Vec]:
-    """The cyclic cross products c_k = d[k-1] x d[k], k = 0..m-1, and their sum; exact over any numeric type."""
+    """The cyclic cross products c_k = d[k-1] x d[k], k = 0..m-1, of m >= 1 directions, and their sum; exact over any numeric type."""
     crosses = []
     s0 = s1 = s2 = 0
-    a0, a1, a2 = dirs[-1] if dirs else (0, 0, 0)
+    a0, a1, a2 = dirs[-1]
     for b0, b1, b2 in dirs:
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         crosses.append((c0, c1, c2))
@@ -166,8 +170,8 @@ def _certified_direction(dirs: Sequence[Vec], cert: Vec) -> tuple[Vec | None, li
     """The O(m) certificate: ``cert``, the sum of the cyclic cross products c_k = d[k-1] x d[k].
 
     Returns the sum with whichever of its two signs is strictly feasible
-    (None when neither is, or when the fan has no entries) and the dots
-    of the unsigned sum with ``dirs``.  Below rank 3 every dot is 0:
+    (None when neither is) and the dots of the unsigned sum with the
+    m >= 1 ``dirs``.  Below rank 3 every dot is 0:
     at rank 2 each product is normal to the fan's plane, at rank <= 1
     each product is 0.
 
@@ -183,8 +187,6 @@ def _certified_direction(dirs: Sequence[Vec], cert: Vec) -> tuple[Vec | None, li
     never comes back OK_POINTED: the pairwise search only decides
     NO_SUPPORT against a rejection reason.
     """
-    if not dirs:
-        return None, []
     s0, s1, s2 = cert
     dots = [s0 * d0 + s1 * d1 + s2 * d2 for d0, d1, d2 in dirs]
     if min(dots) > 0:
@@ -200,25 +202,19 @@ def _pairwise_support(dirs: Sequence[Vec]) -> Vec | None:
     When the directions span 3-space, the dual cone {s : s . d >= 0} is
     generated by those pairwise cross products that are weakly feasible,
     so their sum is interior whenever the cone is full-dimensional, and
-    otherwise no strict support exists.
+    otherwise no strict support exists.  Zero products (of parallel
+    pairs) add nothing, and with none found the sum 0 is not feasible.
     """
     found: list[Vec] = []
     m = len(dirs)
     for i in range(m):
         for j in range(i + 1, m):
             c = cross3(dirs[i], dirs[j])
-            if c == (0, 0, 0):
-                continue
             for cc in (c, (-c[0], -c[1], -c[2])):
                 if all(_idot(cc, d) >= 0 for d in dirs):
                     found.append(cc)
-    if found:
-        s = found[0]
-        for v in found[1:]:
-            s = (s[0] + v[0], s[1] + v[1], s[2] + v[2])
-        if s != (0, 0, 0) and all(_idot(s, d) > 0 for d in dirs):
-            return s
-    return None
+    s = (sum(c[0] for c in found), sum(c[1] for c in found), sum(c[2] for c in found))
+    return s if all(_idot(s, d) > 0 for d in dirs) else None
 
 
 def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> ConvexityCheck:
@@ -231,18 +227,18 @@ def _wound_once(vecs: Sequence[tuple], straight_ok: bool, accept: str) -> Convex
     (WRONG_TURN_SIGN); a straight-ahead one is allowed when
     ``straight_ok`` and a ZERO_ANGLE_CONE otherwise; a turn against the
     first nonzero one is WRONG_TURN_SIGN.  The same pass counts the
-    signed crossings of the positive x half-axis (a turn between a
-    vector at an angle in [-pi, 0) and one outside), the package's one
-    winding count.  After the pass, no nonzero turn at all is
-    WRONG_TURN_SIGN and a rotation index other than +-1 is
-    BAD_ROTATION_INDEX.  Works over any exact numeric type.
+    signed crossings of the positive x half-axis, the package's one
+    winding count: a turn of less than pi between a vector with y < 0
+    and one with y >= 0 can only cross there.  After the pass, no
+    nonzero turn at all is WRONG_TURN_SIGN and a rotation index other
+    than +-1 is BAD_ROTATION_INDEX.  Works over any exact numeric type.
     """
     turn = 0
     winding = 0
     u = vecs[-1]
-    u_low = u[1] < 0 or (u[1] == 0 and u[0] < 0)  # angle in [-pi, 0)
+    u_low = u[1] < 0
     for v in vecs:
-        v_low = v[1] < 0 or (v[1] == 0 and v[0] < 0)
+        v_low = v[1] < 0
         c = u[0] * v[1] - u[1] * v[0]
         if c > 0:
             if turn < 0:
@@ -284,9 +280,9 @@ def _plane_frame(axis: IVec, vecs: Sequence[IVec]) -> list[tuple[int, int]]:
 
 
 def _one_direction(crosses: Sequence[IVec]) -> bool:
-    """Are the products all nonzero positive multiples of the first one?"""
+    """Are the products all nonzero positive multiples of the first one (parallel, with a positive dot)?"""
     c = crosses[0]
-    return all(v != (0, 0, 0) and cross3(c, v) == (0, 0, 0) and _idot(c, v) > 0 for v in crosses)
+    return all(cross3(c, v) == (0, 0, 0) and _idot(c, v) > 0 for v in crosses)
 
 
 def _wedge_check(
@@ -358,7 +354,8 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
 
     Every sign test runs on the fan's ``dirs`` as they are: nonzero
     ``int`` triples (``build_fan`` raises ``ZeroDirectionError`` first),
-    neither converted nor checked here.  The sum of the cyclic cross
+    neither converted nor checked here (no entries is DEGENERATE_RANK).
+    The sum of the cyclic cross
     products (``_crosses_and_sum``), the O(m) support certificate, is
     tried first.  When it fails, the first nonzero cross product is the
     plane normal: with nonzero directions all vanish exactly at rank
@@ -372,6 +369,8 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     the O(m^3) ``_pairwise_support``.
     """
     dirs = fan.dirs
+    if not dirs:
+        return ConvexityCheck(False, DEGENERATE_RANK)
     crosses, cert = _crosses_and_sum(dirs)
     s, dots = _certified_direction(dirs, cert)
     if s is None:
@@ -384,9 +383,7 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
             return _wound_once(_plane_frame(normal, dirs[1:] + dirs[:1]), False, OK_FLAT)
         # a wedge has no strict support: read it off the certificate first
         wedge = _wedge_check(fan.kinds, dirs, crosses, dots)
-        if wedge.convex:
-            return wedge
-        s = _pairwise_support(dirs)
+        s = None if wedge.convex else _pairwise_support(dirs)
         if s is None:
             return wedge
     return _pointed_check(crosses, s)

@@ -5,7 +5,7 @@ decimal floats are rejected so no rounding can sneak in.  Every number
 either reader returns, in vertex coordinates, witnesses, normals and
 offsets, follows one rule (``_exact``): a value that is an integer is
 an ``int`` ("-12", "4/2", 7, and 3.0 in OFF), any other a ``Fraction``.
-So ``prepare`` takes integer rows as they are, and a parsed surface
+So ``prepare`` takes integer rows at weight 1, and a parsed surface
 equals the ``Fraction``-typed one it was emitted from.  Vertex-mode
 documents list coordinates plus per-face vertex lists.  Equations-mode
 documents list facet hyperplanes plus explicit upward links and a
@@ -50,7 +50,7 @@ from itertools import chain
 from .exactgeom import Number, Vec
 from .instances import surface_from_polygons
 from .poset import FacePoset, vertex_poset
-from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE
+from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE, _require_records
 
 
 class ParseError(Exception):
@@ -246,7 +246,7 @@ def parse_pls(text: str) -> PLSurface:
                     ups = rec.get("up")
                     if not isinstance(ups, list) or not all(_is_int(u) for u in ups):
                         raise ParseError(f"faces[{d}][{i}]: 'up' must be a list of ints")
-                    if any(u < 0 or u >= counts.get(d + 1, 0) for u in ups):
+                    if any(u < 0 or u >= counts[d + 1] for u in ups):
                         raise SemanticError(f"faces[{d}][{i}]: up reference out of range")
                     rows.append(tuple(sorted(set(ups))))
                 else:
@@ -270,7 +270,10 @@ def emit_pls(surface: PLSurface) -> str:
 
     The first line holds ``n``, ``mode`` and the opening of the first
     list; every vertex row and face record follows on a line of its own.
+    A surface that lacks a face's record is a ValueError that names the
+    face and the code ``verify`` reports (``surface._require_records``).
     """
+    _require_records(surface)
     n = surface.n
     poset = surface.poset
     doc: dict = {"n": n, "mode": surface.mode}
@@ -306,7 +309,7 @@ def parse_off(text: str) -> PLSurface:
     """Parse the OFF subset: header, counts, vertex rows, facet cycles (n = 3)."""
     lines = []
     for ln, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = raw.partition("#")[0].strip()
         if not stripped.isascii():
             raise ParseError(f"line {ln}: non-ASCII character in {stripped!r}")
         if stripped:

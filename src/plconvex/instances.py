@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot, homogeneous
 from .poset import FacePoset, vertex_poset
-from .surface import PLSurface
+from .surface import PLSurface, _require_records
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -303,7 +303,8 @@ def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
 
 
 def relabel(surface: PLSurface, seed: int) -> PLSurface:
-    """Permute face indices within every rank (a pure renaming)."""
+    """Permute face indices within every rank (a pure renaming); ValueError, as in ``emit_pls``, for a lacking record."""
+    _require_records(surface)
     rng = random.Random(seed)
     poset = surface.poset
     perms = {d: rng.sample(range(c), c) for d, c in poset.faces_per_dim.items()}

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 
@@ -61,30 +63,6 @@ class LinkCycleError(Exception):
 
 
 Table = dict[int, list[tuple[int, ...]]]
-
-
-class FaceKeyed(Mapping):
-    """A read-only ``Face``-keyed view of a per-dimension table: ``view[Face(d, i)]`` is ``table[d][i]``."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: Table):
-        self._table = table
-
-    def __getitem__(self, face: Face) -> tuple[int, ...]:
-        d, i = face
-        rows = self._table.get(d, ())
-        if not 0 <= i < len(rows):
-            raise KeyError(face)
-        return rows[i]
-
-    def __iter__(self) -> Iterator[Face]:
-        for d, rows in self._table.items():
-            for i in range(len(rows)):
-                yield Face(d, i)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._table.values()))
 
 
 @dataclass(frozen=True)
@@ -134,10 +112,10 @@ class FacePoset:
             return ()
         return tuple([Face(d + 1, g) for g in rows[i]])
 
-    @property
-    def vertex_lists(self) -> FaceKeyed:
-        """``vertex_ids`` keyed by ``Face``, read-only."""
-        return FaceKeyed(self.vertex_ids)
+    @cached_property
+    def vertex_lists(self) -> Mapping[Face, tuple[int, ...]]:
+        """``vertex_ids`` keyed by ``Face``, read-only, built on the first read."""
+        return MappingProxyType({Face(d, i): row for d, rows in self.vertex_ids.items() for i, row in enumerate(rows)})
 
     def required_dims(self, mode: str) -> tuple[int, ...]:
         low = {0, self.n - 3} if mode == "vertices" else {self.n - 3}
@@ -235,9 +213,10 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
             count = counts.get(d, 0)
             rows = vertex_ids.get(d, [])[:count]
             # one bulk test clears a table whose lists are all there, nonempty and in range
-            ids = list(chain.from_iterable(rows))
-            if len(rows) == count and all(rows) and (not ids or min(ids) >= 0 and max(ids) < n_verts):
-                continue
+            if len(rows) == count and all(rows):
+                ids = list(chain.from_iterable(rows))
+                if not ids or min(ids) >= 0 and max(ids) < n_verts:
+                    continue
             for i in range(count):
                 verts = rows[i] if i < len(rows) else None
                 if not verts:  # absent or empty
@@ -245,8 +224,8 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
                 elif min(verts) < 0 or max(verts) >= n_verts:
                     bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
         # each upper face's set is built once, not once per incidence, so the
-        # loop stays linear in facet size; an absent or empty list on either
-        # side is reported above as MISSING_VERTEX_LIST
+        # loop stays linear in facet size; an absent, None or empty list on
+        # either side is reported above as MISSING_VERTEX_LIST and skipped here
         for d, rows in up.items():
             lower, upper = vertex_ids.get(d, []), vertex_ids.get(d + 1, [])
             upper_sets: list[set[int] | None] = [None] * len(upper)
@@ -259,7 +238,7 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
                         continue
                     theirs = upper_sets[g]
                     if theirs is None:
-                        theirs = upper_sets[g] = set(upper[g])
+                        theirs = upper_sets[g] = set(upper[g] or ())
                     if theirs and not theirs.issuperset(mine):
                         bad.append(Violation("VERTEX_NOT_CONTAINED", Face(d, i), f"vertices not contained in {Face(d + 1, g)}"))
     return ValidationReport(tuple(bad))
@@ -285,11 +264,12 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     if total == 0:
         return ValidationReport((Violation("NOT_CONNECTED", None, "no facets"),))
     mid = poset.dim_mid
-    neighbors: list[list[int]] = [[] for _ in range(total)]
+    facets = range(total)
+    neighbors: list[list[int]] = [[] for _ in facets]
     for ups in poset.up_ids.get(mid, ())[: poset.count(mid)]:
         if len(ups) == 2:
             a, b = ups
-            if 0 <= a < total and 0 <= b < total:
+            if a in facets and b in facets:
                 neighbors[a].append(b)
                 neighbors[b].append(a)
     seen, stack = {0}, [0]
@@ -316,9 +296,12 @@ def link_cycle(poset: FacePoset, center: Face) -> tuple[int, ...]:
     (n-2)-face of least index and h1 the facet of least index
     containing g1.
 
-    Raises LinkCycleError when the walk closes early, a face has the
-    wrong local valence, or faces are left over; any of those means the
-    input is not a closed manifold near ``center``.
+    Raises ValueError when ``center`` is not an (n-3)-face, and
+    LinkCycleError (the input is not a closed manifold near ``center``)
+    when a face has the wrong local valence or the walk closes before
+    meeting all k incident (n-2)-faces; an index outside the records
+    names no face.  The valence checks make each step a bijection on
+    (g, h) incidences, so the walk needs no step bound.
     """
     d, c = center
     low = poset.n - 3
@@ -355,8 +338,6 @@ def link_cycle(poset: FacePoset, center: Face) -> tuple[int, ...]:
             break
         a, b = above[g]
         h = b if a == h else a
-        if len(entries) > 2 * k:
-            raise LinkCycleError(center, "walk does not close")
     if len(entries) != 2 * k:
         raise LinkCycleError(center, "walk closed before exhausting the star")
     return tuple(entries)

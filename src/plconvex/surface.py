@@ -11,7 +11,7 @@ one loop per mode over the faces of dims n-3, n-2, n-1, after
 converting every vertex, witness and facet equation it reads to
 integer homogeneous form once (``exactgeom.homogeneous``); the numbers
 are ``int`` or ``Fraction``, and a row of ints, as the readers give
-for integer values, passes through at weight 1.  In vertex mode each
+for integer values, keeps its values at weight 1.  In vertex mode each
 face gets one fraction-free elimination (``_face_geometry``) that
 yields its interior point (integer numerators over a positive weight,
 summed as the points are picked), its integer direction basis (kept
@@ -98,6 +98,27 @@ class PLSurface:
     @property
     def mode(self) -> str:
         return VERTEX_MODE if self.vertices else EQUATION_MODE
+
+
+def _require_records(surface: PLSurface) -> None:
+    """ValueError for the first face whose record a writer reads and the surface lacks, with ``verify``'s code.
+
+    Per face of dims n-3, n-2, n-1: a nonempty vertex list (vertex mode,
+    dim 0 excepted), or an upward record below the facets, an equation
+    per facet and a witness (equations mode), checked in ``verify``'s
+    order.  A table shorter than its face count or a None entry lacks one.
+    """
+    poset, dims = surface.poset, sorted({surface.n - 3, surface.n - 2, surface.n - 1})
+    if surface.mode == VERTEX_MODE:
+        tables = [("MISSING_VERTEX_LIST", d, poset.vertex_ids.get(d, ())) for d in dims if d]
+    else:
+        tables = [("INVALID_ID", d, poset.up_ids.get(d, ())) for d in dims[:-1]] + [("MISSING_EQUATION", dims[-1], surface.equations)]
+        tables += [("BAD_WITNESS", d, surface.witnesses.get(d, ())) for d in dims]
+    for code, d, rows in tables:
+        for i in range(poset.count(d)):
+            record = rows[i] if i < len(rows) else None
+            if record is None or code == "MISSING_VERTEX_LIST" and not record:
+                raise ValueError(f"{code}: {Face(d, i)} has no record to write")
 
 
 def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:

@@ -145,10 +145,5 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
         return Verdict(CONVEX, entries_checked=entries_total)
     witness, reason = failing[0]
     kind = INVALID if reason == ZeroDirectionError.code else NOT_CONVEX
-    return Verdict(
-        kind,
-        witness=witness,
-        reason=reason,
-        failures=tuple(failing) if collect_all else (),
-        entries_checked=entries_total,
-    )
+    failures = tuple(failing) if collect_all else ()
+    return Verdict(kind, witness=witness, reason=reason, failures=failures, entries_checked=entries_total)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plconvex.exactgeom import (
+    DegenerateFaceError,
     as_vec,
     complementary_projection,
     dehomogenise,
@@ -129,6 +130,8 @@ def test_axis_triple_is_the_lexicographic_zero_triple():
         expected = _lexicographic_zero_triple(kernel, n)
         p = complementary_projection(kernel, n)
         assert p.axes == expected
+        if expected is not None:  # the rows are the unit rows of the axes
+            assert p.rows == tuple(tuple(int(k == i) for k in range(n)) for i in expected)
         hits[expected is not None] += 1
         if expected is None:
             assert rank(p.rows) == 3 and all(dot(r, v) == 0 for r in p.rows for v in kernel)
@@ -178,3 +181,10 @@ def test_projection_rejects_bad_kernel():
         complementary_projection([as_vec([1, 0, 0])], 3)
     with pytest.raises(ValueError):
         complementary_projection([as_vec([1, 0, 0, 0]), as_vec([2, 0, 0, 0])], 4)
+
+
+def test_degenerate_face_error_message():
+    face = Face(2, 3)
+    assert str(DegenerateFaceError(face, "no vertices")) == "no vertices"
+    assert str(DegenerateFaceError(face)) == f"degenerate face {face}"
+    assert DegenerateFaceError(face).face == face

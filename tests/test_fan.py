@@ -186,6 +186,28 @@ class TestReferenceDirection:
     def test_no_directions(self):
         assert fan_is_convex(Fan3((), (), ())) == (False, "DEGENERATE_RANK")
 
+    def test_wedge_chain_with_a_straight_step_is_no_wedge(self):
+        # fold rays +-x, chains in the half-planes y > 0 and z > 0: a wedge;
+        # with the cell after (0, 1, 0) pointing the same way, one product of
+        # its chain is zero, and the chain no longer sweeps its half-plane
+        wedge = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0), (-1, 0, 1), (0, 0, 1), (1, 0, 1))
+        assert fan_is_convex(Fan3(wedge, (RAY, CELL) * 4, tuple(range(8)))) == (True, "OK_FLAT")
+        straight = wedge[:3] + ((0, 1, 0),) + wedge[4:]
+        assert fan_is_convex(Fan3(straight, (RAY, CELL) * 4, tuple(range(8)))) == (False, "NO_SUPPORT")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_certificate_feasible_from_a_dot_of_one(self, monkeypatch, reverse):
+        # a least dot of 1 (or, walked the other way, a greatest of -1) is
+        # strictly feasible: the certificate accepts this pointed fan itself
+        # and the pairwise search never runs
+        dirs = ((0, 1, -1), (0, 2, 1), (0, 0, 1), (2, 2, 2), (2, 2, 1), (1, 1, -1))
+        dirs = dirs[::-1] if reverse else dirs
+        crosses, cert = fan_mod._crosses_and_sum(dirs)
+        s, dots = fan_mod._certified_direction(dirs, cert)
+        assert s == (-2, 8, 1) and (max(dots) if reverse else min(dots)) == (-1 if reverse else 1)
+        monkeypatch.setattr(fan_mod, "_pairwise_support", None)
+        assert fan_is_convex(Fan3(dirs, (RAY, CELL) * 3, tuple(range(6)))) == (True, "OK_POINTED")
+
     def test_axes(self):
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         s = fan_mod._pairwise_support(dirs)
@@ -1133,9 +1155,9 @@ class TestIntegerContract:
     def test_build_fan_scales_only_fraction_rows(self):
         # projection rows are integers, used as given (the fan layer has no
         # conversion to make, see test_api): the axis shortcut and the same
-        # rows as row products build one fan, k times the rows build k times
-        # its entries, and a random integer mix of the rows classifies each
-        # star alike
+        # rows as row products build one fan, k times the rows build the same
+        # primitive directions, and a random integer mix of the rows
+        # classifies each star alike
         rng = random.Random(29)
         surfaces = [pc.rigid_motion(pc.gen_hypercube(5), 1), pc.rigid_motion(pc.gen_cross_polytope(4), 2)]
         surfaces += [pc.dent(pc.rigid_motion(pc.gen_simplex(5), 1), 0, F(3, 2)), pc.gen_schonhardt()]
@@ -1153,7 +1175,7 @@ class TestIntegerContract:
                 expected = fan_is_convex(want)
                 assert pc.build_fan(prepared.points, f, cycle, Projection3(base.rows)) == want
                 scaled = pc.build_fan(prepared.points, f, cycle, Projection3(tuple(tuple(k * x for x in row) for row in base.rows)))
-                assert scaled.dirs == tuple(tuple(k * x for x in d) for d in want.dirs)
+                assert scaled.dirs == want.dirs
                 assert fan_is_convex(scaled) == expected
                 mixed = random_same_kernel_projection(prepared.kernels[f.index], n, rng)
                 assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, mixed)) == expected
@@ -1162,7 +1184,7 @@ class TestIntegerContract:
 
 
 def entry_by_entry(points, center, cycle, proj):
-    """Reference for ``build_fan``: each entry's (kind, direction, source), one at a time."""
+    """Reference for ``build_fan``: each entry's (kind, primitive direction, source), one at a time."""
 
     def image(nums):
         if proj.axes is not None:
@@ -1176,7 +1198,8 @@ def entry_by_entry(points, center, cycle, proj):
         dim = center.dim + 1 + k % 2  # the cycle alternates faces one and two ranks up
         nums, w = points[dim][f]
         direction = tuple(wc * p - w * a for p, a in zip(image(nums), apex))
-        entries.append((RAY if dim == center.dim + 1 else CELL, direction, f))
+        g = math.gcd(*direction)
+        entries.append((RAY if dim == center.dim + 1 else CELL, tuple(x // g for x in direction), f))
     return tuple(entries)
 
 
@@ -1207,6 +1230,7 @@ class TestFanView:
         monkeypatch.undo()
         assert len(built) >= 706
         for expected, fan in built:
+            assert len(fan.dirs) == len(fan.kinds) == len(fan.sources)
             assert fan.entries == expected
             assert all(type(e) is FanEntry for e in fan.entries)
             assert list(fan.dirs) == [d for _, d, _ in expected]

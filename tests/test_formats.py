@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -335,6 +336,15 @@ class TestOff:
         with pytest.raises(ParseError, match="bad coordinate"):
             parse_off(CUBE_OFF.replace("1 1 1", f"{coord} 1 1"))
 
+    def test_zero_counts_read_and_verify_as_missing_rank(self):
+        # no vertices or no facets is a count, not a bad one
+        for text in ("OFF\n0 0 0\n", "OFF\n1 0 0\n0 0 0\n"):
+            assert pc.verify(parse_off(text)).reason == "MISSING_RANK"
+
+    def test_facet_row_may_end_in_a_color(self):
+        # the tokens after a facet's k indices are not indices
+        assert parse_off(CUBE_OFF.replace("4 0 1 3 2", "4 0 1 3 2 255 0 0")) == parse_off(CUBE_OFF)
+
     def test_comments_ignored(self):
         text = "# a cube\n" + CUBE_OFF.replace("OFF", "OFF\n# counts follow")
         s = parse_off(text)
@@ -431,6 +441,57 @@ PARSE_ERRORS = [
     (parse_off, CUBE_OFF.replace("8 6 12", "8\u00a06 12"), ParseError, "line 2: non-ASCII character in '8\\xa06 12'"),
     (parse_off, CUBE_OFF.replace("4 0 1 3 2", "4\u30000 1 3 2"), ParseError, "line 11: non-ASCII character in '4\\u30000 1 3 2'"),
     (parse_off, CUBE_OFF.replace("1 1 1\n", "1 1\u20281\n"), ParseError, "line 10: non-ASCII character in '1 1\\u20281'"),
+    # a dimension without records, a repeated id (which must not read as
+    # two records), and an equations-mode record without its witness
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[_V], faces={}), ParseError, "faces[1]: missing face records for dimension 1"),
+    (
+        parse_pls,
+        _pls(n=3, mode="vertices", vertices=[_V], faces={"1": [{"id": 0}, {"id": 1}, {"id": 1}]}),
+        ParseError,
+        "faces[1]: duplicate face id 1",
+    ),
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "0": [{"id": 0, "up": [0]}], "2": [{"id": 0, "witness": _V}]}),
+        ParseError,
+        "faces[0][0]: equations mode requires a witness",
+    ),
+    # records and vertex lists of the wrong type, and vertex ids just
+    # outside 0..V-1 after a record that uses both ends of the range
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[_V], faces={"1": [5]}), ParseError, "faces[1]: face record without id"),
+    (parse_pls, _pls(n=3, mode="vertices", vertices=[], faces={}), ParseError, "vertex mode needs a nonempty 'vertices' list"),
+    *[
+        (
+            parse_pls,
+            _pls(n=3, mode="vertices", vertices=[_V], faces={"1": [{"id": 0, "vertices": bad}]}),
+            ParseError,
+            "faces[1][0]: 'vertices' must be a nonempty list of ints",
+        )
+        for bad in (5, [0, 0.5])
+    ],
+    *[
+        (
+            parse_pls,
+            _pls(n=3, mode="vertices", vertices=[_V, _V], faces={"1": [{"id": 0, "vertices": [0, 1]}, {"id": 1, "vertices": bad}]}),
+            SemanticError,
+            "faces[1][1]: vertex index out of range",
+        )
+        for bad in ([-1, 0], [1, 2])
+    ],
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "0": [{"id": 0, "witness": _V, "up": [1]}], "2": [{"id": 0, "witness": _V}]}),
+        SemanticError,
+        "faces[0][0]: up reference out of range",
+    ),
+    (parse_off, "OFF\n0 -1 0\n", ParseError, "line 2: bad counts '0 -1 0'"),
+    *[(parse_off, f"OFF\n1 1 0\n0 0 0\n3 0 0 {v}\n", SemanticError, "line 4: facet lists unknown vertex") for v in (1, -1)],
+    (
+        parse_pls,
+        _pls(n=3, mode="equations", faces={**_EQ_FACES, "0": [{"id": 0, "witness": _V, "up": [-1]}], "2": [{"id": 0, "witness": _V}]}),
+        SemanticError,
+        "faces[0][0]: up reference out of range",
+    ),
 ]
 
 
@@ -563,3 +624,52 @@ def test_repeated_id_in_a_list_reads_as_its_set(cube):
     v = pc.verify(twice)
     assert (v.kind, v.witness, v.reason) == ("INVALID", pc.Face(1, 0), "INVALID_ID")
     assert validate_poset(twice.poset, twice.mode).violations[0].message == "duplicate upward reference"
+
+
+def _short(table, d):
+    """``table`` with the last row of dimension d dropped, the others copied."""
+    return {k: list(rows[:-1] if k == d else rows) for k, rows in table.items()}
+
+
+def _none_at(rows, i):
+    return [None if k == i else row for k, row in enumerate(rows)]
+
+
+# each corruption of a cube's tables, the face it leaves without a record,
+# and the code that verify reports there
+def _incomplete_cubes():
+    cube = pc.gen_hypercube(3)
+    eq = as_equations(cube)
+    poset, w = eq.poset, eq.witnesses
+
+    def verts(table):
+        return pc.PLSurface(dataclasses.replace(cube.poset, vertex_ids=table), vertices=cube.vertices)
+
+    def eqs(up=poset.up_ids, equations=eq.equations, witnesses=w):
+        return pc.PLSurface(dataclasses.replace(poset, up_ids=up), equations=equations, witnesses=witnesses)
+
+    vids = cube.poset.vertex_ids
+    return [
+        ("short vertex table", verts(_short(vids, 1)), pc.Face(1, 11), "MISSING_VERTEX_LIST"),
+        ("empty vertex list", verts({**vids, 2: _none_at(vids[2], 4)[:4] + [()] + vids[2][5:]}), pc.Face(2, 4), "MISSING_VERTEX_LIST"),
+        ("None vertex list", verts({**vids, 1: _none_at(vids[1], 3)}), pc.Face(1, 3), "MISSING_VERTEX_LIST"),
+        ("short upward table", eqs(up=_short(poset.up_ids, 1)), pc.Face(1, 11), "INVALID_ID"),
+        ("None equation", eqs(equations=_none_at(eq.equations, 2)), pc.Face(2, 2), "MISSING_EQUATION"),
+        ("short equations", eqs(equations=eq.equations[:-1]), pc.Face(2, 5), "MISSING_EQUATION"),
+        ("None witness", eqs(witnesses={**w, 0: _none_at(w[0], 6)}), pc.Face(0, 6), "BAD_WITNESS"),
+        ("short witness table", eqs(witnesses=_short(w, 1)), pc.Face(1, 11), "BAD_WITNESS"),
+        ("no witness table", eqs(witnesses={d: w[d] for d in (0, 1)}), pc.Face(2, 0), "BAD_WITNESS"),
+    ]
+
+
+@pytest.mark.parametrize("label, surface, face, code", _incomplete_cubes(), ids=lambda x: x if isinstance(x, str) else "")
+def test_writers_refuse_incomplete_tables(label, surface, face, code):
+    # emit_pls and relabel raise ValueError naming the first face without
+    # its record and the code that verify reports there, instead of writing
+    # a document without it or failing inside their record loops
+    v = pc.verify(surface)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
+    for write in (emit_pls, lambda s: pc.relabel(s, 3)):
+        with pytest.raises(ValueError) as info:
+            write(surface)
+        assert type(info.value) is ValueError and str(info.value) == f"{code}: {face} has no record to write"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle
+from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle, vertex_poset
 
 from conftest import crowned_prism, cycle_faces, cyclic_variants, geometry_families, pinched_tube, reference_link_cycle, replace_records
 
@@ -32,13 +32,41 @@ def test_validate_catches_bad_reference(cube):
 
 
 def test_validate_missing_rank(tesseract):
+    # a rank without count, records or lists is reported once, as missing
     p = tesseract.poset
     counts = {d: c for d, c in p.faces_per_dim.items() if d != 1}
     up = {d: rows for d, rows in p.up_ids.items() if d != 1}
     lists = {d: rows for d, rows in p.vertex_ids.items() if d != 1}
     bad = FacePoset(4, counts, up, lists)
     report = pc.validate_poset(bad, "vertices")
-    assert any(v.code == "MISSING_RANK" for v in report.violations)
+    assert report.violations == (Violation("MISSING_RANK", None, "no faces of dimension 1"),)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_validate_rows_of_a_dimension_without_count(cube, dim):
+    # without a count for its dimension a face is out of range, as a row
+    # and as an upward reference
+    counts = {d: c for d, c in cube.poset.faces_per_dim.items() if d != dim}
+    report = pc.validate_poset(FacePoset(3, counts, cube.poset.up_ids, cube.poset.vertex_ids), "vertices")
+    rows = [v.face for v in report.violations if v.message == "face index out of range"]
+    refs = [v.face for v in report.violations if v.message.startswith("bad upward reference")]
+    if dim == 1:
+        assert rows == [Face(1, i) for i in range(12)] and refs == [Face(0, i) for i in range(8) for _ in range(3)]
+    else:
+        assert rows == [] and refs == [Face(1, i) for i in range(12) for _ in range(2)]
+
+
+def test_validate_equations_poset_may_count_vertices(tesseract):
+    # in equations mode at n >= 4 a vertex count is not an unexpected rank
+    eq = pc.as_equations(tesseract)
+    counted = FacePoset(4, {0: 16, **eq.poset.faces_per_dim}, eq.poset.up_ids)
+    assert pc.validate_poset(counted, "equations").ok
+
+
+def test_vertex_poset_containment_is_not_strict():
+    # a face lies in a coface whose vertex set equals its own
+    p = vertex_poset(3, 3, {1: [(0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2), (0, 1)]})
+    assert p.up_ids[1] == [(0, 1), (0,), (0,)]
 
 
 def test_validate_rejects_intermediate_rank():
@@ -122,6 +150,20 @@ def test_link_cycle_cube_vertex(cube):
         assert h in cube.poset.up(g)
 
 
+@pytest.mark.parametrize("face", [Face(1, 0), Face(2, 3)])
+def test_link_cycle_refuses_a_face_of_another_dimension(cube, face):
+    with pytest.raises(ValueError) as info:
+        link_cycle(cube.poset, face)
+    assert str(info.value) == f"{face} is not an (n-3)-face"
+
+
+@pytest.mark.parametrize("face", [Face(1, -1), Face(1, 12), Face(3, 0)])
+def test_vertex_lists_view_refuses_a_face_out_of_range(cube, face):
+    # Face(1, -1) names no face: it does not read the last row
+    with pytest.raises(KeyError):
+        cube.poset.vertex_lists[face]
+
+
 def test_link_cycle_tesseract_edge(tesseract):
     for e in tesseract.poset.faces(1):
         cyc = link_cycle(tesseract.poset, e)
@@ -201,6 +243,22 @@ def test_validate_poset_invalid_id_texts(cube, up, lists, expected):
     assert report.violations[0] == Violation(*expected)
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_validate_poset_missing_upward_record(cube, dim):
+    # a count above its upward table leaves the last face without a record,
+    # at either rank that has upward incidences
+    counts = dict(cube.poset.faces_per_dim)
+    counts[dim] += 1
+    report = pc.validate_poset(_cube_with(cube, counts=counts), cube.mode)
+    assert report.violations[0] == Violation("INVALID_ID", Face(dim, counts[dim] - 1), "missing upward incidence record")
+
+
+def test_check_closed_face_without_record_lies_in_no_facet(cube):
+    counts = {**cube.poset.faces_per_dim, 1: 13}
+    report = pc.check_closed(_cube_with(cube, counts=counts))
+    assert report.violations == (Violation("NOT_CLOSED", Face(1, 12), "(n-2)-face lies in 0 facets"),)
+
+
 def test_validate_poset_ambient_dimension_below_3():
     report = pc.validate_poset(FacePoset(2, {0: 3, 1: 3}, {}, {}), "vertices")
     assert report.violations == (Violation("MISSING_RANK", None, "ambient dimension 2 < 3"),)
@@ -226,6 +284,20 @@ def test_link_cycle_valence_errors(cube, up, message):
         with pytest.raises(LinkCycleError) as info:
             walk(poset, Face(0, 0))
         assert str(info.value) == message and info.value.face == Face(0, 0)
+
+
+@pytest.mark.parametrize("center, up, message", [
+    (Face(0, 8), {}, "fewer than two (n-2)-faces at center"),
+    (Face(0, -1), {}, "fewer than two (n-2)-faces at center"),
+    (Face(0, 0), {Face(0, 0): (0, 1, 12)}, "Face(dim=1, index=12) lies in 0 facets"),
+    (Face(0, 0), {Face(0, 0): (-1, 0, 1)}, "Face(dim=1, index=-1) lies in 0 facets"),
+])
+def test_link_cycle_indices_outside_the_records(cube, center, up, message):
+    # on a poset that validate_poset would reject, an index outside the
+    # records names no face: it is never read from the end of a table
+    with pytest.raises(LinkCycleError) as info:
+        link_cycle(_cube_with(cube, up=up), center)
+    assert str(info.value) == message
 
 
 def _link_cycle_surfaces():

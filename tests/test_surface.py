@@ -489,3 +489,19 @@ def test_prepare_rejection_texts(cube):
         verdict = pc.verify(surface)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", expected[1], expected[0])
         assert verify_face(surface, _star_through(surface, expected[1])) == (False, expected[0]), expected
+
+
+def test_prepare_on_upward_references_outside_the_records():
+    # equations mode, on a poset that validate_poset rejects: an edge
+    # reference outside the records reaches no facet (it is not read from
+    # the end of the table), and the vertex's other two edges reach all of
+    # its three facets, whose planes hold its witness; a facet reference
+    # outside the records is INVALID_ID, even beside a good one
+    eq = pc.as_equations(pc.gen_hypercube(3))
+    ups = eq.poset.up_ids[0][0]
+    poset = replace_records(eq.poset, up={Face(0, 0): (-1,) + ups[1:]})
+    assert prepare(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses)).ok
+    for bad in (-1, 6):
+        poset = replace_records(eq.poset, up={Face(1, 3): (bad, eq.poset.up_ids[1][3][1])})
+        report = prepare(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses)).report
+        assert pc.Violation("INVALID_ID", Face(1, 3), "upward reference to a facet outside the records") in report.violations

@@ -41,6 +41,18 @@ def test_cube_convex(cube):
     assert v.entries_checked == 2 * sum(len(cube.poset.up(f)) for f in cube.poset.faces(0))
 
 
+@pytest.mark.parametrize("make", [pc.gen_schonhardt, lambda: pc.gen_dented_cube(2), lambda: pc.relabel(pc.gen_dented_cube(2), 5)])
+def test_early_exit_counts_entries_up_to_the_witness(make):
+    # without collect_all the check stops at the witness: entries_checked
+    # counts the stars up to it, each 2k entries, and no star after it
+    s = make()
+    first, every = verify(s), verify(s, collect_all=True)
+    low = s.poset.dim_low
+    upto = sum(len(pc.link_cycle(s.poset, f)) for f in s.poset.faces(low) if f.index <= first.witness.index)
+    assert first.kind == every.kind == "NOT_CONVEX" and first.witness == every.witness
+    assert first.entries_checked == upto < every.entries_checked
+
+
 def test_simplex_boundary_in_r4_convex():
     v = verify(pc.gen_simplex(4))
     assert v.kind == "CONVEX"
@@ -211,7 +223,17 @@ def test_zero_direction_guard():
     assert prepare(moved).ok
     v = verify(moved)
     assert (v.kind, v.witness, v.reason) == ("INVALID", e0, "ZERO_DIRECTION")
+    assert v.entries_checked == 0  # the first star, whose fan was never built
     assert verify_face(moved, e0) == (False, "ZERO_DIRECTION")
+    # the same for a facet's witness: the error names the cell, not a ray
+    h = eq.poset.up(g)[0]
+    cell = replace_geometry(eq, witnesses={h: eq.witnesses[1][0]})
+    prepared = prepare(cell)
+    assert prepared.ok
+    proj = pc.complementary_projection(prepared.kernels[e0.index], 4)
+    with pytest.raises(pc.ZeroDirectionError) as info:
+        pc.build_fan(prepared.points, e0, pc.link_cycle(cell.poset, e0), proj)
+    assert info.value.face == h
 
 
 def test_verdict_flags():
