@@ -30,7 +30,10 @@ computed at import, gets the whole suite.  No other test can observe
 the mutant, so the outcome is a whole-suite run's, at a fraction of its
 cost.  A mutant is killed when a run fails or exceeds its time limit:
 twice pytest's start-up plus the chosen tests' unmutated time (traced
-times scaled to the untraced suite's), plus 10 s.
+times scaled to the untraced suite's), plus 10 s.  Load from other
+processes can push a surviving mutant over that limit, so once every
+mutant has run, each one that timed out runs once more, alone: it stays
+killed only when that run fails or times out too.
 Every survivor must be listed in ``mutate_equivalents.json`` next to
 this script, by its key, with the argument why it changes no verdict or,
 for a fast path, the measurement that shows the path pays.  The run
@@ -371,6 +374,13 @@ class _Runner:
             self.copies.put(copy)
 
 
+def _status(status: str, m: Mutant, listed: dict[str, str]) -> str:
+    """An outcome as the log prints it: a survivor says whether it is listed."""
+    if status == "survived":
+        return status + (" (listed)" if m.key in listed else " (NOT LISTED)")
+    return status
+
+
 def run(
     root: Path = ROOT,
     paths: list[str] | None = None,
@@ -392,10 +402,13 @@ def run(
             futures = [(m, pool.submit(runner.outcome, m)) for m in todo]
             try:
                 for k, (m, future) in enumerate(futures, 1):
-                    results[m] = status = future.result()
-                    if status == "survived":
-                        status += " (listed)" if m.key in listed else " (NOT LISTED)"
-                    log(f"[{k}/{len(todo)}] {status:<21} {m.path}:{m.line} {m.operator:<6} {m.key}")
+                    results[m] = future.result()
+                    log(f"[{k}/{len(todo)}] {_status(results[m], m, listed):<21} {m.path}:{m.line} {m.operator:<6} {m.key}")
+                # the pool has drained: each timeout runs again with no other run beside it
+                timeouts = [m for m, status in results.items() if status == "timeout"]
+                for k, m in enumerate(timeouts, 1):
+                    results[m] = runner.outcome(m)
+                    log(f"[re-run {k}/{len(timeouts)}] {_status(results[m], m, listed):<21} {m.path}:{m.line} {m.operator:<6} {m.key}")
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
                 runner.stop()
@@ -421,7 +434,8 @@ def summary(results: dict[Mutant, str], listed: dict[str, str]) -> tuple[str, li
             alive = sum(rows[module, o, "survived"] for o in ops)
             cells.append(f"{made - alive}/{made}" if made else "-")
         lines.append(f"{module:<{width}}  " + "  ".join(f"{c:>9}" for c in cells))
-    lines.append("(cells are killed/mutants; timeouts count as killed)")
+    timeouts = sum(status == "timeout" for status in results.values())
+    lines.append(f"(cells are killed/mutants; {timeouts} of the kills are timeouts, each timed out twice, the second time alone)")
     unlisted = [m for m, s in results.items() if s == "survived" and m.key not in listed]
     return "\n".join(lines), unlisted
 

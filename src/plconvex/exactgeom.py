@@ -18,9 +18,12 @@ with its values over weight 1.  The public entry point ``nullspace``
 accepts any exact rows and passes each through ``homogeneous`` before
 reducing it, so the integer rows of the geometry pass (``surface``) and
 of ``complementary_projection``'s kernels reach ``_reduce`` with their
-values; a rank is the width less the size of the nullspace.
-``complementary_projection`` always returns integer rows, and
-``fan.build_fan`` applies them as they are: it takes no other rows.
+values; a rank is the width less the size of the nullspace.  The
+geometry pass also reduces rows itself, and tables each star's
+integer ``Projection3`` once (``surface.prepare(s).projections``):
+``complementary_projection`` of its direction basis in vertex mode,
+three incident facet normals in equations mode.  ``fan.build_fan``
+applies those rows as they are: it takes no other rows.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
 matrices are sequences of such row vectors.
@@ -151,8 +154,9 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
 class Projection3(NamedTuple):
     """A rank-3 linear map R^n -> R^3, given by its three integer rows.
 
-    ``fan.build_fan`` uses the rows as they are; ``complementary_projection``
-    gives them.  ``axes`` is set when the map is a plain coordinate
+    ``fan.build_fan`` uses the rows as they are; ``surface.prepare``
+    tables one per star, from ``complementary_projection`` or from the
+    star's facet normals.  ``axes`` is set when the map is a plain coordinate
     extraction; it lets ``build_fan`` skip the row products.
     """
 

@@ -38,8 +38,8 @@ rejection reasons.
 
 The fan layer converts no number.  ``Fan3`` holds ``int`` triples:
 ``build_fan`` forms them from ``surface.prepare``'s integer points and
-the integer rows of ``complementary_projection``, and a hand-built fan
-must pass them itself.  ``fan_is_convex`` trusts ``fan.dirs``.
+the integer rows of the star's projection, which ``prepare`` tables,
+and a hand-built fan must pass them itself.  ``fan_is_convex`` trusts ``fan.dirs``.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
     cycle of face indices (``poset.link_cycle``): its even entries are
     one rank above ``center``, its odd entries two.
     This is the package's one application of a ``Projection3``, whose
-    integer rows (``complementary_projection``'s) are used as they are.
+    integer rows (``prepare(surface).projections``') are used as they are.
     An axis projection picks three coordinates, any other takes three
     row products.  The apex, P(S_c) over the weight w_c of ``center``,
     is formed only for the directions and is not returned: every face f

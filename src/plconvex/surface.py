@@ -14,30 +14,35 @@ are ``int`` or ``Fraction``, and a row of ints, as the readers give
 for integer values, keeps its values at weight 1.  In vertex mode each
 face gets one fraction-free elimination (``_face_geometry``) that
 yields its interior point (integer numerators over a positive weight,
-summed as the points are picked), its integer direction basis (kept
-for (n-3)-faces) and whether it spans its dimension.  In equations
-mode each face walks once to the facets above it: its witness is its
-interior point, and for an (n-3)-face at n >= 4 the integer nullspace
-of those facets' normals is its direction basis.  The pass reads the
+summed as the points are picked), its integer direction basis and
+whether it spans its dimension; once the report is ok, each
+(n-3)-face's projection is ``complementary_projection`` of its basis.
+In equations mode each face walks once to the facets above it: its
+witness is its interior point, and for an (n-3)-face at n >= 4 its
+facets' normals are reduced with ``exactgeom._reduce`` in facet index
+order, and the three that raise the rank, as they are, are the rows of
+its projection, whose kernel is exactly the face's direction space.
+At n = 3 both modes table one shared identity.  The pass reads the
 poset's per-dimension tables by face index and fills two of its own:
 ``prepare(s).points[d][i]``, the interior point of face i of dimension
-d, and ``prepare(s).kernels[i]``, the direction basis of (n-3)-face i.
-They are the verifier's only source of that geometry: its front end,
-shared by ``verify`` and ``verify_face``, runs the pass once over the
-whole surface.  The equations-mode records ``PLSurface.witnesses[d][i]``
-and ``.equations[h]`` are index tables too, each read once per face.
+d, and ``prepare(s).projections[i]``, the projection of (n-3)-face i's
+star.  They are the verifier's only source of that geometry: its
+front end, shared by ``verify`` and ``verify_face``, runs the pass
+once over the whole surface.  The equations-mode records ``PLSurface.witnesses[d][i]`` and
+``.equations[h]`` are index tables too, each read once per face.
 ``as_equations`` runs the same per-face routine once per face to write
-witnesses and facet equations.  Conversion happens only in
-the pass, at the boundary: the per-face routine trusts its integer
-input, forms integer differences and reduces them with
-``exactgeom._reduce`` against its own pivot list, and hands integer
-rows to ``nullspace``, which takes them as they are.  The pass also enforces the geometric half of the input
-contract in its ``report``: in vertex mode every vertex has n
-coordinates, every vertex id a face lists names one of them, and each
-face's vertex set affinely spans exactly the face's dimension; in
-equations mode witnesses satisfy the equations of all facets above
-them and, for n >= 4, the incident facet normals of every (n-3)-face
-pin down its direction space.  Inputs failing these checks are
+witnesses and facet equations.  Conversion happens only in the pass,
+at the boundary: the per-face routine trusts its integer input, forms
+integer differences and reduces them with ``exactgeom._reduce``
+against its own pivot list, and hands integer rows to ``nullspace``
+or ``complementary_projection``, which take them as they are.  The
+pass also enforces the geometric half of the input contract in its
+``report``: in vertex mode every vertex has n coordinates, every
+vertex id a face lists names one of them, and each face's vertex set
+affinely spans exactly the face's dimension; in equations mode
+witnesses satisfy the equations of all facets above them and, for
+n >= 4, the incident facet normals of every (n-3)-face pin down its
+direction space.  Inputs failing these checks are
 reported invalid rather than classified.  Witnesses are trusted to lie
 in the relative interior of their faces; that part is not checked.
 """
@@ -51,13 +56,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactgeom import (
+    _IDENTITY3,
     DegenerateFaceError,
     HomPoint,
     IVec,
     Number,
+    Projection3,
     Vec,
     _pivot,
     _reduce,
+    complementary_projection,
     dehomogenise,
     dot,
     homogeneous,
@@ -245,14 +253,17 @@ class PreparedSurface:
 
     ``points[d][i]`` is the interior point of face i of dimension d, for
     d = n-3, n-2, n-1, in homogeneous form (``dehomogenise(*points[d][i])``
-    gives its ``Fraction`` coordinates), and ``kernels[i]`` the integer
-    direction basis of (n-3)-face i.  Both are only meaningful when the
-    report is ok; a face that the report rejects may hold None.
+    gives its ``Fraction`` coordinates), and ``projections[i]`` the
+    projection of (n-3)-face i's star: a rank-3 integer map whose kernel
+    is the face's direction space, the one ``build_fan`` applies.  Both
+    are only meaningful when the report is ok; a face that the report
+    rejects may hold None, and in vertex mode at n >= 4 every projection
+    is None then.
     """
 
     report: ValidationReport
     points: dict[int, list[HomPoint | None]] = field(default_factory=dict)
-    kernels: list[tuple[IVec, ...] | None] = field(default_factory=list)
+    projections: list[Projection3 | None] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -265,23 +276,28 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     The pass covers every face of dims n-3, n-2, n-1, in that order.
     The mode is read once, and each mode has its own loop over those
     faces; every record that loop reads is converted to integers once.
-    The interior point of every face and the kernel of every (n-3)-face
-    go into the per-dimension tables.
+    The interior point of every face and the projection of every
+    (n-3)-face's star go into the per-dimension tables; at n = 3 every
+    projection is the one shared identity.
 
     Vertex mode first checks the vertex coordinates (MISSING_COORDS),
     then converts every vertex.  A face without vertices is a
     DEGENERATE_FACE, a face listing a vertex id outside 0..V-1 is an
     INVALID_ID (that id is never read), and every other face goes
     through ``_face_geometry`` once, whose rank defect becomes a
-    DEGENERATE_FACE.
+    DEGENERATE_FACE.  Once the report is ok, at n >= 4, each
+    (n-3)-face's projection is ``complementary_projection`` of its
+    direction basis.
 
     Equations mode first checks the facet equations, then walks once
     from each face to the facets above it; reaching a facet outside the
-    records is an INVALID_ID.  Those facets' normals give an
-    (n-3)-face's kernel at n >= 4 (their integer nullspace, a
-    DEGENERATE_FACE unless it has dimension n-3; at n = 3 the kernel is
-    ()), and the face's witness must lie on each of them, in facet
-    index order (BAD_WITNESS), an integer comparison.
+    records is an INVALID_ID.  At n >= 4 those facets' integer normals
+    are reduced with ``_reduce`` in facet index order: their rank must
+    be 3, or the face is a DEGENERATE_FACE, and the three normals that
+    raised it, as they are, are the rows of the (n-3)-face's
+    projection, whose kernel is the face's direction space.  The face's
+    witness must lie on each of those facets, in facet index order
+    (BAD_WITNESS), an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
@@ -289,7 +305,7 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     bad: list[Violation] = []
     degenerate: list[Violation] = []
     points: dict[int, list[HomPoint | None]] = {d: [None] * poset.count(d) for d in dims}
-    kernels: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
+    projections: list[Projection3 | None] = [_IDENTITY3 if n == 3 else None] * poset.count(low)
     if surface.mode == VERTEX_MODE:
         vertices = surface.vertices
         if len(vertices) != poset.count(0):
@@ -299,6 +315,7 @@ def prepare(surface: PLSurface) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
         # keyed by id, so that an id outside 0..V-1, negative too, is a KeyError
         coords = dict(enumerate(map(homogeneous, vertices)))
+        bases: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
         for d in dims:
             rows, table = poset.vertex_ids.get(d, ()), points[d]
             for i in range(len(table)):
@@ -313,10 +330,13 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                     continue
                 table[i], basis, defect = _face_geometry(d, face_coords)
                 if d == low:
-                    kernels[i] = basis
+                    bases[i] = basis
                 if defect is not None:
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
-        return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
+        report = ValidationReport(tuple(bad + degenerate))
+        if report.ok and n > 3:
+            projections = [complementary_projection(basis, n) for basis in bases]
+        return PreparedSurface(report, points, projections)
     n_facets = poset.count(top)
     records = list(surface.equations[:n_facets])
     records += [None] * (n_facets - len(records))
@@ -348,9 +368,19 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 continue
             witness = witnesses[i] if i < len(witnesses) else None
             points[d][i] = point = None if witness is None else homogeneous(witness)
-            if d == low:
-                kernels[i] = basis = nullspace([equations[h][0] for h in above], n) if n > 3 else ()
-                if len(basis) != n - 3:
+            if d == low and n > 3:
+                pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
+                picked = []  # the normals that raised the rank
+                for h in above:
+                    normal = equations[h][0]
+                    r = _reduce(pivots, normal)
+                    col = _pivot(r)
+                    if col is not None:
+                        pivots.append((col, r))
+                        picked.append(normal)
+                if len(picked) == 3:
+                    projections[i] = Projection3(tuple(picked))
+                else:
                     defect = "incident facet equations do not determine the face's direction space"
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
             if point is None or len(point[0]) != n:
@@ -361,4 +391,4 @@ def prepare(surface: PLSurface) -> PreparedSurface:
                 normal, den, rhs = equations[h]
                 if dot(normal, x) * den != rhs * weight:
                     bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness not on facet {Face(top, h)}"))
-    return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, kernels)
+    return PreparedSurface(ValidationReport(tuple(bad + degenerate)), points, projections)

@@ -5,14 +5,15 @@ input (structure, closedness, connectedness, then the realization pass
 ``prepare``) and walks the link of every (n-3)-face (``link_cycle``),
 so a broken link anywhere makes the input INVALID before any star is
 classified.  ``verify`` then classifies each star from its link cycle
-and the interior points and kernels that ``prepare`` computed once per
-face; ``verify_face`` classifies its one star the same way, or answers
-the front end's INVALID reason.  Every classification goes through one
-path: ``complementary_projection``'s integer rows, ``build_fan`` and
-``fan_is_convex``.  The surface is the boundary of a convex polyhedron
-exactly when every star passes; compactness plus closedness supply the
-strictly convex point that makes local convexity everywhere
-sufficient, so no separate strictness test is run.
+and the interior points and projections that ``prepare`` computed once
+per face; ``verify_face`` classifies its one star the same way, or
+answers the front end's INVALID reason.  Every classification goes
+through one path: the star's tabled projection, ``build_fan`` and
+``fan_is_convex``; no star computes a projection of its own.  The
+surface is the boundary of a convex polyhedron exactly when every star
+passes; compactness plus closedness supply the strictly convex point
+that makes local convexity everywhere sufficient, so no separate
+strictness test is run.
 
 Verdicts are deterministic: stars are checked in face-index order, so
 the reported witness is always the failing (n-3)-face of least index,
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactgeom import complementary_projection
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
 from .poset import Face, LinkCycleError, check_closed, check_connected, link_cycle, validate_poset
 from .surface import PLSurface, PreparedSurface, prepare
@@ -50,7 +50,7 @@ def preflight(surface: PLSurface) -> PreparedSurface:
     """Input validation chain; stops at the first failing stage.
 
     The last stage is the geometry pass, so on success the result also
-    carries every face's interior point and every (n-3)-face's kernel.
+    carries every face's interior point and every (n-3)-face's projection.
     """
     for stage in (
         lambda: validate_poset(surface.poset, surface.mode),
@@ -86,10 +86,10 @@ def _front_end(surface: PLSurface) -> tuple[Verdict | None, PreparedSurface, lis
     return None, prepared, cycles
 
 
-def _star_check(surface: PLSurface, face: Face, cycle: tuple[int, ...], prepared: PreparedSurface):
+def _star_check(face: Face, cycle: tuple[int, ...], prepared: PreparedSurface):
     """Classify one star from its link cycle and ``prepared``'s tables; the check and its entry count."""
     try:
-        fan = build_fan(prepared.points, face, cycle, complementary_projection(prepared.kernels[face.index], surface.n))
+        fan = build_fan(prepared.points, face, cycle, prepared.projections[face.index])
     except ZeroDirectionError as exc:
         return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.dirs)
@@ -110,7 +110,7 @@ def verify_face(surface: PLSurface, face: Face) -> ConvexityCheck:
     invalid, prepared, cycles = _front_end(surface)
     if invalid is not None:
         return ConvexityCheck(False, invalid.reason)
-    return _star_check(surface, face, cycles[face.index], prepared)[0]
+    return _star_check(face, cycles[face.index], prepared)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -134,7 +134,7 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     entries_total = 0
 
     for face, cycle in zip(surface.poset.faces(surface.poset.dim_low), cycles):
-        check, entries = _star_check(surface, face, cycle, prepared)
+        check, entries = _star_check(face, cycle, prepared)
         entries_total += entries
         if not check.convex:
             failing.append((face, check.reason))

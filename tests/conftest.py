@@ -172,13 +172,13 @@ def locally_nonconvex_vertices(surface) -> set[int]:
     return out
 
 
-def random_same_kernel_projection(kernel, n: int, rng: random.Random) -> Projection3:
-    """A random rank-3 map with the given kernel: invertible mix of the default rows.
+def random_same_kernel_projection(base: Projection3, rng: random.Random) -> Projection3:
+    """A random rank-3 map with the kernel of ``base``: an invertible mix of its rows.
 
     The mix has rational entries; the rows are scaled by their positive
     common denominator, so they are integers as ``build_fan`` requires.
     """
-    base = pc.complementary_projection(kernel, n)
+    n = len(base.rows[0])
     while True:
         mix = [
             [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(3)]

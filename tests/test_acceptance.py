@@ -158,9 +158,8 @@ def test_criterion_4_projection_independence():
         prepared = prepare(surface)
 
         def base(f):
-            # the star under the default projection, from the same table
-            proj = pc.complementary_projection(prepared.kernels[f.index], surface.n)
-            return star_under_projection(surface, f, proj, prepared)
+            # the star under prepare's tabled projection
+            return star_under_projection(surface, f, prepared.projections[f.index], prepared)
 
         # verify_face, which runs a whole preflight per call, answers that base
         for f in (faces[0], faces[-1]):
@@ -170,7 +169,7 @@ def test_criterion_4_projection_independence():
             f = faces[rng.randrange(len(faces))]
             if f not in cached:
                 cached[f] = base(f)
-            proj = random_same_kernel_projection(prepared.kernels[f.index], surface.n, rng)
+            proj = random_same_kernel_projection(prepared.projections[f.index], rng)
             trials += 1
             if star_under_projection(surface, f, proj, prepared) == cached[f]:
                 agreements += 1

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 
 import plconvex as pc
 
@@ -14,6 +15,9 @@ def test_fan_and_exactgeom_keep_only_what_is_read():
     # the width less the size of exactgeom.nullspace
     assert pc.Fan3._fields == ("dirs", "kinds", "sources")
     assert not hasattr(pc.exactgeom, "rank") and "rank" not in pc.__all__
+    # prepare tables each star's projection, and the verifier takes none itself
+    assert [f.name for f in fields(pc.PreparedSurface)] == ["report", "points", "projections"]
+    assert "complementary_projection" not in vars(pc.verifier)
 
 
 def test_one_front_end_and_one_truth_spelling():

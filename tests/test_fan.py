@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import plconvex as pc
 import plconvex.fan as fan_mod
+import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
 from plconvex.exactgeom import Projection3, as_vec, cross3, dot, homogeneous
 from plconvex.fan import (
@@ -377,8 +378,7 @@ class TestFanIsConvex:
             prepared = pc.prepare(surface)
             for f in list(poset.faces(0))[:4]:
                 cyc = pc.link_cycle(poset, f)
-                proj = pc.complementary_projection(prepared.kernels[f.index], 3)
-                fans.append(pc.build_fan(prepared.points, f, cyc, proj))
+                fans.append(pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index]))
         # the geometry pass hands the classifier integer directions and rows
         assert all(type(c) is int for fan in fans for e in fan.entries for c in e.direction)
         rows = pc.complementary_projection([as_vec([1, 2, 0, -1])], 4).rows
@@ -440,8 +440,7 @@ class TestFanIsConvex:
             if {tesseract.vertices[v] for v in tesseract.poset.vertex_lists[e]}
             == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}
         )
-        kern = pc.prepare(tesseract).kernels[edge.index]
-        proj = pc.complementary_projection(kern, 4)
+        proj = pc.prepare(tesseract).projections[edge.index]
         assert proj.axes == (1, 2, 3)
         cyc = pc.link_cycle(tesseract.poset, edge)
         fan = pc.build_fan(pc.prepare(tesseract).points, edge, cyc, proj)
@@ -462,7 +461,7 @@ class TestFanIsConvex:
             prepared = pc.prepare(surface)
             for f in surface.poset.faces(0):
                 cyc = pc.link_cycle(surface.poset, f)
-                fan = pc.build_fan(prepared.points, f, cyc, pc.complementary_projection(prepared.kernels[f.index], 3))
+                fan = pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index])
                 assert fan_is_convex(fan) == (True, "OK_POINTED")
                 entries = fan.entries
                 m = len(entries)
@@ -608,11 +607,20 @@ def wedge_outcome(fan):
 
 
 def star_fans(surface):
-    """The projected fan of every (n-3)-face star, as ``verify`` builds it."""
+    """The projected fan of every (n-3)-face star, as ``verify`` builds it.
+
+    A vertex-mode report that is not ok leaves ``prepare``'s projections
+    None at n >= 4; then each face's is ``complementary_projection`` of
+    its ``_face_geometry`` basis, as ``prepare`` would take it.
+    """
     prepared = pc.prepare(surface)
-    for f in surface.poset.faces(surface.poset.dim_low):
-        cycle = pc.link_cycle(surface.poset, f)
-        proj = pc.complementary_projection(prepared.kernels[f.index], surface.n)
+    poset = surface.poset
+    for f in poset.faces(poset.dim_low):
+        cycle = pc.link_cycle(poset, f)
+        proj = prepared.projections[f.index]
+        if proj is None:
+            points = [homogeneous(surface.vertices[v]) for v in poset.vertex_ids[f.dim][f.index]]
+            proj = pc.complementary_projection(surface_mod._face_geometry(f.dim, points)[1], surface.n)
         yield pc.build_fan(prepared.points, f, cycle, proj)
 
 
@@ -1166,10 +1174,9 @@ class TestIntegerContract:
         for surface in surfaces:
             prepared = pc.prepare(surface)
             assert prepared.ok
-            n = surface.n
             for f in surface.poset.faces(surface.poset.dim_low):
                 cycle = pc.link_cycle(surface.poset, f)
-                base = pc.complementary_projection(prepared.kernels[f.index], n)
+                base = prepared.projections[f.index]
                 k = rng.randint(2, 9)
                 want = pc.build_fan(prepared.points, f, cycle, base)
                 expected = fan_is_convex(want)
@@ -1177,7 +1184,7 @@ class TestIntegerContract:
                 scaled = pc.build_fan(prepared.points, f, cycle, Projection3(tuple(tuple(k * x for x in row) for row in base.rows)))
                 assert scaled.dirs == want.dirs
                 assert fan_is_convex(scaled) == expected
-                mixed = random_same_kernel_projection(prepared.kernels[f.index], n, rng)
+                mixed = random_same_kernel_projection(base, rng)
                 assert fan_is_convex(pc.build_fan(prepared.points, f, cycle, mixed)) == expected
                 reasons[expected.reason] += 1
         assert reasons["OK_POINTED"] >= 100 and len(reasons) >= 3, reasons

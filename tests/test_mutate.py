@@ -14,14 +14,15 @@ mutate = importlib.util.module_from_spec(spec)
 sys.modules["mutate"] = mutate
 spec.loader.exec_module(mutate)
 
-# every operator has a site here; the arith mutant of count, i -= 1, never ends
+# every operator has a site here; the arith mutant of count, i -= 3, is the
+# one that never ends (3 is no const site, so i += 3 has no i += 0 mutant)
 CALC = '''"""A fixture module."""
 
 
 def count(n):
     i = 0
     while i < n:
-        i += 1
+        i += 3
     return i
 
 
@@ -71,19 +72,64 @@ def test_every_operator_yields_mutants_that_compile_and_differ(checkout):
     assert [m.line for m in found if m.operator == "return"] == [13]
 
 
-def test_run_kills_by_failure_and_by_timeout_and_writes_no_file(checkout, tmp_path):
+def test_run_kills_by_failure_and_by_timeout_and_writes_no_file(checkout, tmp_path, monkeypatch):
+    # a load spike is staged on one survivor: its first run reports a
+    # timeout, so only its re-run, alone, can tell that it survives
+    outcome = mutate._Runner.outcome
+    spiked = []
+
+    def loaded(self, m):
+        if m.key.endswith("if not x: => if False:") and not spiked:
+            spiked.append(m)
+            return "timeout"
+        return outcome(self, m)
+
+    monkeypatch.setattr(mutate._Runner, "outcome", loaded)
     before = _digest(checkout)
     log = []
-    results = mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=tmp_path / "none.json", log=log.append)
+    listed = tmp_path / "equivalents.json"
+    listed.write_text('[{"mutant": "calc.py:sign: if not x: => if False:", "why": "a fixture survivor"}]')
+    results = mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=listed, log=log.append)
     assert _digest(checkout) == before
     status = {m.key.split(": ", 1)[1]: s for m, s in results.items()}
-    assert status["i += 1 => i -= 1"] == "timeout"
+    # the hang times out again when it runs alone
+    assert status["i += 3 => i -= 3"] == "timeout"
+    assert list(status.values()).count("timeout") == 1
+    assert spiked and status["if not x: => if False:"] == "survived"
+    reruns = [line for line in log if line.startswith("[re-run ")]
+    assert len(reruns) == 2 and "timeout" in reruns[0] and reruns[0].endswith("i += 3 => i -= 3")
     assert status["return -1 => pass"] == "killed"
     assert status["if x < 0 and x != 0: => if x < 0 and x == 0:"] == "killed"
     assert status["if x < 0 and x != 0: => if x < 0 or x != 0:"] == "killed"
     survivors = {k for k, s in status.items() if s == "survived"}
     assert "if not x: => if False:" in survivors
-    assert len(log) == len(results)
+    assert len(log) == len(results) + len(reruns)
+    assert [line.split("]")[0] for line in log[: len(results)]] == [f"[{k}/{len(results)}" for k in range(1, len(results) + 1)]
+    # a survivor's line says whether it is listed
+    assert reruns[1].startswith("[re-run 2/2] survived (listed) ")
+    assert all(" survived (NOT LISTED) " in line for line in log if " survived " in line and "if not x: => if False:" not in line)
     table, unlisted = mutate.summary(results, {})
     assert {m.key.split(": ", 1)[1] for m in unlisted} == survivors
     assert table.splitlines()[-2].startswith("total")
+    assert "; 1 of the kills are timeouts" in table.splitlines()[-1]
+    # killed/mutants per operator, then over all of them, for the module and the total
+    cells = {line.split()[0]: line.split()[1:] for line in table.splitlines()[1:-1]}
+    want = []
+    for ops in [(op,) for op in mutate.OPERATORS] + [mutate.OPERATORS]:
+        made = [s for m, s in results.items() if m.operator in ops]
+        want.append(f"{len(made) - made.count('survived')}/{len(made)}" if made else "-")
+    assert cells == {"calc.py": want, "total": want}
+
+
+def test_run_reraises_when_interrupted(checkout, tmp_path, monkeypatch):
+    # an interrupt while results come in (Ctrl-C, or SIGTERM through main)
+    # propagates; no test needs to run for that
+    def interrupted(line):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mutate._Runner, "baseline", lambda self: None)
+    monkeypatch.setattr(mutate._Runner, "outcome", lambda self, m: "killed")
+    before = _digest(checkout)
+    with pytest.raises(KeyboardInterrupt):
+        mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=tmp_path / "none.json", log=interrupted)
+    assert _digest(checkout) == before

@@ -63,7 +63,8 @@ def test_interior_point_in_facet_interior(cube):
 
 
 def test_direction_space_cube_vertex(cube):
-    assert prepare(cube).kernels[0] == ()
+    proj = prepare(cube).projections[0]
+    assert proj is pc.complementary_projection((), 3) and nullspace(proj.rows, 3) == ()
 
 
 def test_direction_space_tesseract_edge(tesseract):
@@ -75,7 +76,7 @@ def test_direction_space_tesseract_edge(tesseract):
         if set(pts) == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}:
             target = e
             break
-    basis = prepare(tesseract).kernels[target.index]
+    basis = nullspace(prepare(tesseract).projections[target.index].rows, 4)
     assert len(basis) == 1
     d = basis[0]
     assert d[1] == d[2] == d[3] == 0 and d[0] != 0
@@ -92,7 +93,7 @@ def test_direction_space_degenerate():
     s = PLSurface(poset, vertices=(as_vec([0, 0, 0, 0]), as_vec([0, 0, 0, 0])))
     prepared = prepare(s)
     assert prepared.report.violations == (pc.Violation("DEGENERATE_FACE", Face(1, 0), "affine rank 0 != dim 1"),)
-    assert prepared.kernels[0] == ()
+    assert prepared.projections == [None]  # no projection once the report is not ok
 
 
 def test_zero_face_listing_two_vertices_is_degenerate():
@@ -258,9 +259,9 @@ def test_prepare_matches_single_face_entry_points(surface):
     assert {d: len(table) for d, table in prepared.points.items()} == {d: poset.count(d) for d in dims}
     assert None not in [p for table in prepared.points.values() for p in table]
     centers = list(poset.faces(poset.dim_low))
-    assert len(prepared.kernels) == len(centers) and None not in prepared.kernels
+    assert len(prepared.projections) == len(centers) and None not in prepared.projections
     for center in (centers[0], centers[-1]):
-        proj = pc.complementary_projection(prepared.kernels[center.index], surface.n)
+        proj = prepared.projections[center.index]
         fan = pc.build_fan(prepared.points, center, pc.link_cycle(poset, center), proj)
         assert verify_face(surface, center) == pc.fan_is_convex(fan)
 
@@ -286,9 +287,9 @@ def test_eliminator_gets_integer_rows(monkeypatch):
 
 def test_as_equations_direction_space(tesseract):
     eq = as_equations(tesseract)
-    kernels = prepare(eq).kernels
+    projections = prepare(eq).projections
     for e in eq.poset.faces(1):
-        assert len(kernels[e.index]) == 1
+        assert len(nullspace(projections[e.index].rows, 4)) == 1
     # and the fan pipeline agrees with vertex mode on the verdict
     assert pc.verify(eq).kind == pc.verify(tesseract).kind == "CONVEX"
 
@@ -333,7 +334,7 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
         assert prepare(eq).report.ok
         assert pc.verify(eq, collect_all=True) == pc.verify(surface, collect_all=True)
         assert pc.verify(eq).kind == "CONVEX"
-        assert set(prepare(eq).kernels) == set(prepare(surface).kernels) == {()}
+        assert set(prepare(eq).projections) == set(prepare(surface).projections) == {pc.complementary_projection((), 3)}
         for f in surface.poset.faces(0):
             assert verify_face(eq, f) == verify_face(surface, f)
 
@@ -404,10 +405,38 @@ def test_face_geometry_matches_reference():
                 else:
                     point, basis, defect = reference_equations_geometry(s, f)
                     assert prepared.points[d][f.index] == point, (label, f)
-                    assert (prepared.kernels[f.index] if d == poset.dim_low else ()) == basis, (label, f)
+                    if d == poset.dim_low:
+                        proj = prepared.projections[f.index]
+                        assert (proj is None) == (defect is not None), (label, f)
+                        assert proj is None or nullspace(proj.rows, s.n) == basis, (label, f)
                     assert (pc.Violation("DEGENERATE_FACE", f, defect) in prepared.report.violations) == (defect is not None)
                 defects[defect is None] += 1
     assert min(defects.values()) >= 50, defects
+
+
+def test_projections_have_rank_three_and_the_face_kernel():
+    # every (n-3)-face of an ok surface gets three int rows of rank 3 whose
+    # nullspace spans its direction space: _face_geometry's basis in vertex
+    # mode, the nullspace of the incident facet normals in equations mode
+    checked = Counter()
+    for label, s in geometry_families():
+        prepared = prepare(s)
+        if not prepared.ok:
+            continue
+        poset = s.poset
+        for f in poset.faces(poset.dim_low):
+            proj = prepared.projections[f.index]
+            assert len(proj.rows) == 3 and all(len(r) == s.n and all(type(x) is int for x in r) for r in proj.rows)
+            assert rank(proj.rows) == 3, (label, f)
+            if s.mode == "vertices":
+                kernel = surface_mod._face_geometry(f.dim, face_points(s, f))[1]
+            else:
+                kernel = reference_equations_geometry(s, f)[1]
+            got = nullspace(proj.rows, s.n)
+            assert len(got) == len(kernel) == s.n - 3, (label, f)
+            assert not kernel or rank(got + kernel) == s.n - 3, (label, f)
+            checked[s.mode, s.n] += 1
+    assert len(checked) == 8 and min(checked.values()) >= 20, checked
 
 
 def test_prepare_matches_reference(monkeypatch):
@@ -418,7 +447,7 @@ def test_prepare_matches_reference(monkeypatch):
         want = prepare(s)
         got = prepared[label]
         assert got.report == want.report, label
-        assert got.points == want.points and got.kernels == want.kernels, label
+        assert got.points == want.points and got.projections == want.projections, label
         outcomes[got.ok] += 1
     assert min(outcomes.values()) >= 10, outcomes
 

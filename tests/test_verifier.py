@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
+import plconvex.exactgeom as exactgeom_mod
 import plconvex.fan as fan_mod
 import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
@@ -121,6 +122,37 @@ def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
     assert max(eliminated.values()) == 1
 
 
+def _moved_bases():
+    bases = (pc.gen_hypercube(5), pc.gen_cross_polytope(5), pc.gen_simplex(6), pc.gen_prism(8))
+    return [pc.rigid_motion(s, 1) for s in bases]
+
+
+@pytest.mark.parametrize("surface", _moved_bases(), ids=["hypercube5", "cross5", "simplex6", "prism8"])
+def test_verify_takes_each_projection_once(surface, monkeypatch):
+    # prepare tables every star's projection: in equations mode the incident
+    # normals are its rows, so no nullspace is taken; in vertex mode each
+    # (n-3)-face gets one complementary_projection of its basis, and at
+    # n = 3 none, since every star shares the identity
+    eq = pc.as_equations(surface)
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapped
+
+    for owner in (surface_mod, exactgeom_mod):
+        for name in ("nullspace", "complementary_projection"):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    low = surface.poset.count(surface.poset.dim_low)
+    assert verify(eq, collect_all=True).kind == "CONVEX"
+    assert calls == Counter()
+    assert verify(surface, collect_all=True).kind == "CONVEX"
+    assert calls["complementary_projection"] == (low if surface.n > 3 else 0)
+
+
 def test_verify_face_cube_all_pointed(cube):
     for f in cube.poset.faces(0):
         assert verify_face(cube, f) == (True, "OK_POINTED")
@@ -177,7 +209,7 @@ def test_custom_projection_equals_fast_path(tesseract, schonhardt):
         for f in surface.poset.faces(surface.poset.dim_low):
             base = verify_face(surface, f)
             for _ in range(5):
-                proj = random_same_kernel_projection(prepared.kernels[f.index], surface.n, rng)
+                proj = random_same_kernel_projection(prepared.projections[f.index], rng)
                 assert star_under_projection(surface, f, proj, prepared) == base
 
 
@@ -206,7 +238,9 @@ def test_zero_direction_guard():
     )
     s = PLSurface(poset, vertices=coords)
     prepared = prepare(s)
-    proj = pc.complementary_projection(prepared.kernels[center.index], 4)
+    # the report is not ok, so prepare tables no projection: the center's
+    # direction space is the x axis
+    proj = pc.complementary_projection(((1, 0, 0, 0),), 4)
     cyc = (g0.index, h0.index, g1.index, h1.index)
     assert pc.link_cycle(poset, center) == cyc
     with pytest.raises(pc.ZeroDirectionError) as info:
@@ -230,7 +264,7 @@ def test_zero_direction_guard():
     cell = replace_geometry(eq, witnesses={h: eq.witnesses[1][0]})
     prepared = prepare(cell)
     assert prepared.ok
-    proj = pc.complementary_projection(prepared.kernels[e0.index], 4)
+    proj = prepared.projections[e0.index]
     with pytest.raises(pc.ZeroDirectionError) as info:
         pc.build_fan(prepared.points, e0, pc.link_cycle(cell.poset, e0), proj)
     assert info.value.face == h
@@ -258,7 +292,7 @@ def test_empty_vertex_list_invalid(cube):
 
 # the names perfbench's tracer wraps in the verifier's module globals
 PREFLIGHT_STAGES = ("validate_poset", "check_closed", "check_connected")
-STAR_STAGES = ("link_cycle", "complementary_projection", "build_fan", "fan_is_convex")
+STAR_STAGES = ("link_cycle", "build_fan", "fan_is_convex")
 
 
 @pytest.mark.parametrize("surface", [pc.gen_hypercube(3), pc.gen_cross_polytope(4)], ids=["cube", "cross4"])
