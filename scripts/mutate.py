@@ -20,20 +20,21 @@ mutated tree and compile, or the script stops.
 
 A run copies the checkout once per worker into a temporary directory
 and writes mutants only there, so the working tree is never written.
-A traced run of the unmutated suite first records which lines of the
-modules each test runs, how long it takes, and whether it starts a
-subprocess in the checkout.  For each mutant the script then runs, with
-``-x`` and fastest first, the tests that run a line of the mutated
-span and, when those pass, the tests that start a subprocess (the trace
-cannot see their lines); a span that no test runs, such as a value
-computed at import, gets the whole suite.  No other test can observe
-the mutant, so the outcome is a whole-suite run's, at a fraction of its
-cost.  A mutant is killed when a run fails or exceeds its time limit:
-twice pytest's start-up plus the chosen tests' unmutated time (traced
-times scaled to the untraced suite's), plus 10 s.  Load from other
-processes can push a surviving mutant over that limit, so once every
-mutant has run, each one that timed out runs once more, alone: it stays
-killed only when that run fails or times out too.
+A run of the unmutated suite first records how long each test takes,
+and a traced run which lines of the checkout's files outside ``tests/``
+it runs and whether it starts a subprocess in the checkout.  For each
+mutant the script then runs, with ``-x`` and fastest first, the tests
+that run a line of the mutated span and, when those pass, the tests
+that start a subprocess (the trace cannot see their lines); a span that
+no test runs, such as a value computed at import, gets the whole suite.
+Each such run names its tests by node id on pytest's command line,
+which runs them in that order.  No other test can observe the mutant,
+so the outcome is a whole-suite run's, at a fraction of its cost.  A
+mutant is killed when a run fails or exceeds its time limit: twice
+pytest's start-up plus the chosen tests' unmutated, untraced time, plus
+10 s.  Load from other processes can push a surviving mutant over that
+limit, so once every mutant has run, each one that timed out runs once
+more, alone: it stays killed only when that run fails or times out too.
 Every survivor must be listed in ``mutate_equivalents.json`` next to
 this script, by its key, with the argument why it changes no verdict or,
 for a fast path, the measurement that shows the path pays.  The run
@@ -214,37 +215,31 @@ def load_equivalents(file: Path) -> dict[str, str]:
     return {entry["mutant"]: entry["why"] for entry in json.loads(file.read_text())}
 
 
-# Loaded into pytest with -p.  With MUTATE_TRACE set it records, per test,
-# its time, the lines under MUTATE_SRC that it runs and whether it starts
-# a subprocess in the checkout, whose lines it cannot see; with
-# MUTATE_SELECT set it runs only the tests listed in that file, in the
-# listed order.
+# Loaded into pytest with -p.  With MUTATE_OUT set it writes to that file,
+# per test, its time and whether it starts a subprocess in the checkout,
+# whose lines it cannot see, and with MUTATE_TRACE set too, the lines it
+# runs of the files under MUTATE_ROOT outside its tests/.
 _PLUGIN = """
 import json, os, subprocess, sys, threading, time
 import pytest
 
-SRC, TRACE, SELECT = os.environ["MUTATE_SRC"], os.environ.get("MUTATE_TRACE"), os.environ.get("MUTATE_SELECT")
+ROOT, OUT, TRACE = os.path.join(os.environ["MUTATE_ROOT"], ""), os.environ.get("MUTATE_OUT"), os.environ.get("MUTATE_TRACE")
+TESTS = os.path.join(ROOT, "tests", "")
 runs = {}
 spawned = []
-if TRACE:
+if OUT:
     popen_init = subprocess.Popen.__init__
 
     def counting_init(self, *args, **kwargs):
-        if os.path.abspath(kwargs.get("cwd") or os.getcwd()).startswith(os.path.dirname(SRC)):
+        if os.path.join(os.path.abspath(kwargs.get("cwd") or os.getcwd()), "").startswith(ROOT):
             spawned.append(args)
         popen_init(self, *args, **kwargs)
 
     subprocess.Popen.__init__ = counting_init
 
-def pytest_collection_modifyitems(config, items):
-    if SELECT:
-        with open(SELECT) as f:
-            order = {nodeid: k for k, nodeid in enumerate(json.load(f))}
-        items[:] = sorted((i for i in items if i.nodeid in order), key=lambda i: order[i.nodeid])
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
-    if not TRACE:
+    if not OUT:
         yield
         return
     lines = set()
@@ -253,9 +248,11 @@ def pytest_runtest_protocol(item, nextitem):
             lines.add((frame.f_code.co_filename, frame.f_lineno))
         return local
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(SRC) else None
-    threading.settrace(tracer)
-    sys.settrace(tracer)
+        file = frame.f_code.co_filename
+        return local if file.startswith(ROOT) and not file.startswith(TESTS) else None
+    if TRACE:
+        threading.settrace(tracer)
+        sys.settrace(tracer)
     started, children = time.perf_counter(), len(spawned)
     try:
         yield
@@ -265,8 +262,8 @@ def pytest_runtest_protocol(item, nextitem):
         runs[item.nodeid] = [time.perf_counter() - started, sorted(lines), len(spawned) > children]
 
 def pytest_sessionfinish(session):
-    if TRACE:
-        with open(TRACE, "w") as f:
+    if OUT:
+        with open(OUT, "w") as f:
             json.dump(runs, f)
 """
 
@@ -285,8 +282,7 @@ class _Runner:
             self.copies.put(dest)
         self.live: set[subprocess.Popen] = set()
         self.startup = 0.0
-        self.untraced = 1.0  # untraced over traced test time
-        # node id -> (time, lines run per module, whether it starts a subprocess)
+        # node id -> (untraced time, lines run per file, whether it starts a subprocess)
         self.tests: dict[str, tuple[float, dict[str, set[int]], bool]] = {}
 
     def stop(self) -> None:
@@ -297,7 +293,7 @@ class _Runner:
     def _pytest(self, copy: Path, args: list[str], limit: float | None, env: dict[str, str]) -> tuple[bool, bool]:
         """(passed, timed out) of ``pytest args`` in ``copy``, with the plugin loaded."""
         env = {k: v for k, v in os.environ.items() if not k.startswith("MUTATE_")} | env
-        env |= {"PYTHONPATH": f"{copy / 'src'}{os.pathsep}{self.tmp}", "PYTHONDONTWRITEBYTECODE": "1", "MUTATE_SRC": str(copy / "src")}
+        env |= {"PYTHONPATH": f"{copy / 'src'}{os.pathsep}{self.tmp}", "PYTHONDONTWRITEBYTECODE": "1", "MUTATE_ROOT": str(copy)}
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "_mutate_plugin", *args]
         proc = subprocess.Popen(
             cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
@@ -313,35 +309,31 @@ class _Runner:
             self.live.discard(proc)
 
     def baseline(self) -> None:
-        """Time the unmutated suite, which must pass, and trace which lines each test runs."""
+        """Time each test of the unmutated suite, which must pass, and trace which lines each test runs."""
         copy = self.copies.get()
         try:
-            started = time.perf_counter()
-            if not self._pytest(copy, ["-x", "tests"], None, {})[0]:
+            times, trace = self.tmp / "times.json", self.tmp / "trace.json"
+            if not self._pytest(copy, ["-x", "tests"], None, {"MUTATE_OUT": str(times)})[0]:
                 raise SystemExit("the unmutated checkout fails its tests")
-            suite = time.perf_counter() - started
             started = time.perf_counter()
             self._pytest(copy, ["--collect-only", "tests"], None, {})
             self.startup = time.perf_counter() - started
-            trace = self.tmp / "trace.json"
-            self._pytest(copy, ["tests"], None, {"MUTATE_TRACE": str(trace)})
-            for nodeid, (seconds, hits, spawns) in json.loads(trace.read_text()).items():
+            # tracing slows a test by how much of its work is Python lines, so
+            # its limit comes from the untraced run
+            self._pytest(copy, ["tests"], None, {"MUTATE_OUT": str(trace), "MUTATE_TRACE": "1"})
+            seconds = {nodeid: run[0] for nodeid, run in json.loads(times.read_text()).items()}
+            for nodeid, (_, hits, spawns) in json.loads(trace.read_text()).items():
                 lines: dict[str, set[int]] = {}
                 for file, line in hits:
                     lines.setdefault(Path(file).relative_to(copy).as_posix(), set()).add(line)
-                self.tests[nodeid] = seconds, lines, spawns
-            # tracing slows every test; scale the traced times to the untraced suite's
-            self.untraced = min(1.0, suite / max(sum(t for t, _, _ in self.tests.values()), 1e-9))
+                self.tests[nodeid] = seconds[nodeid], lines, spawns
         finally:
             self.copies.put(copy)
 
-    def _stage(self, copy: Path, chosen: list[tuple[float, str]]) -> tuple[list[str], float, dict[str, str]]:
-        """pytest's arguments, time limit and environment to run the ``(time, node id)`` tests in order."""
-        select = copy / ".mutate_select.json"
-        select.write_text(json.dumps([nodeid for _, nodeid in chosen]))
-        files = sorted({nodeid.split("::")[0] for _, nodeid in chosen})
-        limit = 2 * (self.startup + self.untraced * sum(t for t, _ in chosen)) + self.slack
-        return ["-x", *files], limit, {"MUTATE_SELECT": str(select)}
+    def _stage(self, chosen: list[tuple[float, str]]) -> tuple[list[str], float]:
+        """pytest's arguments and time limit to run the ``(time, node id)`` tests in order."""
+        limit = 2 * (self.startup + sum(t for t, _ in chosen)) + self.slack
+        return ["-x", *[nodeid for _, nodeid in chosen]], limit
 
     def outcome(self, mutant: Mutant) -> str:
         """'killed', 'timeout' or 'survived'.
@@ -363,7 +355,7 @@ class _Runner:
         try:
             target.write_text(mutant.source)
             for tests in [t for t in (chosen, blind) if t] if chosen else [everything]:
-                passed, timed_out = self._pytest(copy, *self._stage(copy, tests))
+                passed, timed_out = self._pytest(copy, *self._stage(tests), {})
                 if timed_out:
                     return "timeout"
                 if not passed:

@@ -55,7 +55,6 @@ from .surface import (
     PreparedSurface,
     as_equations,
     facet_equation,
-    prepare,
 )
 from .verifier import CONVEX, INVALID, NOT_CONVEX, Verdict, preflight, verify, verify_face
 
@@ -105,7 +104,6 @@ __all__ = [
     "parse_off",
     "parse_pls",
     "preflight",
-    "prepare",
     "relabel",
     "rigid_motion",
     "scale",

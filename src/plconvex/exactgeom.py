@@ -20,7 +20,7 @@ reducing it, so the integer rows of the geometry pass (``surface``) and
 of ``complementary_projection``'s kernels reach ``_reduce`` with their
 values; a rank is the width less the size of the nullspace.  The
 geometry pass also reduces rows itself, and tables each star's
-integer ``Projection3`` once (``surface.prepare(s).projections``):
+integer ``Projection3`` once (``verifier.preflight(s).projections``):
 ``complementary_projection`` of its direction basis in vertex mode,
 three incident facet normals in equations mode.  ``fan.build_fan``
 applies those rows as they are: it takes no other rows.
@@ -154,7 +154,7 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
 class Projection3(NamedTuple):
     """A rank-3 linear map R^n -> R^3, given by its three integer rows.
 
-    ``fan.build_fan`` uses the rows as they are; ``surface.prepare``
+    ``fan.build_fan`` uses the rows as they are; the geometry pass
     tables one per star, from ``complementary_projection`` or from the
     star's facet normals.  ``axes`` is set when the map is a plain coordinate
     extraction; it lets ``build_fan`` skip the row products.

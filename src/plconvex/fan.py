@@ -37,8 +37,8 @@ an embedded once-wound fan (the immersion defect) surfaces as one of the
 rejection reasons.
 
 The fan layer converts no number.  ``Fan3`` holds ``int`` triples:
-``build_fan`` forms them from ``surface.prepare``'s integer points and
-the integer rows of the star's projection, which ``prepare`` tables,
+``build_fan`` forms them from ``verifier.preflight``'s integer points and
+the integer rows of the star's projection, which ``preflight`` tables,
 and a hand-built fan must pass them itself.  ``fan_is_convex`` trusts ``fan.dirs``.
 """
 
@@ -108,11 +108,11 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
 
     ``points[d][i]`` is the interior point of face i of dimension d in
     homogeneous form, integer numerators S over a positive weight w
-    (``prepare(surface).points``), and ``cycle`` is ``center``'s link
+    (``preflight(surface).points``), and ``cycle`` is ``center``'s link
     cycle of face indices (``poset.link_cycle``): its even entries are
     one rank above ``center``, its odd entries two.
     This is the package's one application of a ``Projection3``, whose
-    integer rows (``prepare(surface).projections``') are used as they are.
+    integer rows (``preflight(surface).projections``') are used as they are.
     An axis projection picks three coordinates, any other takes three
     row products.  The apex, P(S_c) over the weight w_c of ``center``,
     is formed only for the directions and is not returned: every face f

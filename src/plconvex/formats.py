@@ -5,7 +5,7 @@ decimal floats are rejected so no rounding can sneak in.  Every number
 either reader returns, in vertex coordinates, witnesses, normals and
 offsets, follows one rule (``_exact``): a value that is an integer is
 an ``int`` ("-12", "4/2", 7, and 3.0 in OFF), any other a ``Fraction``.
-So ``prepare`` takes integer rows at weight 1, and a parsed surface
+So the geometry pass takes integer rows at weight 1, and a parsed surface
 equals the ``Fraction``-typed one it was emitted from.  Vertex-mode
 documents list coordinates plus per-face vertex lists.  Equations-mode
 documents list facet hyperplanes plus explicit upward links and a

@@ -246,7 +246,7 @@ def dent(surface: PLSurface, vertex_index: int, t: Fraction) -> PLSurface:
     if surface.mode != "vertices":
         raise ValueError("dent needs vertex coordinates")
     if not 0 <= vertex_index < len(surface.vertices):
-        # as prepare's INVALID_ID: a negative index names no vertex, not one from the end
+        # as validate_poset's INVALID_ID: a negative index names no vertex, not one from the end
         raise ValueError(f"vertex index {vertex_index} outside 0..{len(surface.vertices) - 1}")
     t = Fraction(t)
     centroid = vmean(list(surface.vertices))

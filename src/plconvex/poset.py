@@ -11,7 +11,7 @@ index: ``up_ids[d][i]`` is the sorted tuple of the indices of the faces
 one rank above face i of dimension d, and ``vertex_ids[d][i]`` its
 sorted vertex ids (vertex mode only).  The producers fill these lists
 and the consumers on the hot path (``validate_poset``, ``check_closed``,
-``check_connected``, ``link_cycle``, ``surface.prepare``,
+``check_connected``, ``link_cycle``, the geometry pass,
 ``fan.build_fan``) index them, so no ``Face`` is made or hashed per
 incidence.  ``Face(dim, index)`` is the label of a reported face: in a
 ``Violation``, a ``LinkCycleError`` and a verdict's witness.  The read

@@ -6,45 +6,37 @@ each facet carries an exact hyperplane (normal, offset) and every listed
 face of dims n-3, n-2, n-1 carries a witness point in its relative
 interior; vertex coordinates are not needed then.
 
-``prepare`` is the one geometry pass.  It reads the mode once and runs
-one loop per mode over the faces of dims n-3, n-2, n-1, after
-converting every vertex, witness and facet equation it reads to
-integer homogeneous form once (``exactgeom.homogeneous``); the numbers
-are ``int`` or ``Fraction``, and a row of ints, as the readers give
-for integer values, keeps its values at weight 1.  In vertex mode each
-face gets one fraction-free elimination (``_face_geometry``) that
-yields its interior point (integer numerators over a positive weight,
-summed as the points are picked), its integer direction basis and
-whether it spans its dimension; once the report is ok, each
-(n-3)-face's projection is ``complementary_projection`` of its basis.
-In equations mode each face walks once to the facets above it: its
-witness is its interior point, and for an (n-3)-face at n >= 4 its
-facets' normals are reduced with ``exactgeom._reduce`` in facet index
-order, and the three that raise the rank, as they are, are the rows of
-its projection, whose kernel is exactly the face's direction space.
-At n = 3 both modes table one shared identity.  The pass reads the
-poset's per-dimension tables by face index and fills two of its own:
-``prepare(s).points[d][i]``, the interior point of face i of dimension
-d, and ``prepare(s).projections[i]``, the projection of (n-3)-face i's
-star.  They are the verifier's only source of that geometry: its
-front end, shared by ``verify`` and ``verify_face``, runs the pass
-once over the whole surface.  The equations-mode records ``PLSurface.witnesses[d][i]`` and
-``.equations[h]`` are index tables too, each read once per face.
-``as_equations`` runs the same per-face routine once per face to write
-witnesses and facet equations.  Conversion happens only in the pass,
-at the boundary: the per-face routine trusts its integer input, forms
-integer differences and reduces them with ``exactgeom._reduce``
-against its own pivot list, and hands integer rows to ``nullspace``
-or ``complementary_projection``, which take them as they are.  The
-pass also enforces the geometric half of the input contract in its
-``report``: in vertex mode every vertex has n coordinates, every
-vertex id a face lists names one of them, and each face's vertex set
-affinely spans exactly the face's dimension; in equations mode
-witnesses satisfy the equations of all facets above them and, for
-n >= 4, the incident facet normals of every (n-3)-face pin down its
-direction space.  Inputs failing these checks are
-reported invalid rather than classified.  Witnesses are trusted to lie
-in the relative interior of their faces; that part is not checked.
+``_geometry_pass`` is the one geometry pass.  ``verifier.preflight``,
+the one front end, runs it once over the whole surface, and only on a
+poset that ``validate_poset``, ``check_closed`` and ``check_connected``
+accepted, so it reads vertex lists and upward records without checking
+their ids again.  It converts every vertex, witness and facet equation
+it reads to integer homogeneous form once (``exactgeom.homogeneous``;
+a row of ints keeps its values at weight 1) and fills two tables by
+face index: ``preflight(s).points[d][i]``, the interior point of face i
+of dimension d (d = n-3, n-2, n-1), and ``preflight(s).projections[i]``,
+the projection of (n-3)-face i's star.  They are the verifier's only
+source of that geometry.  In vertex mode each face gets one
+fraction-free elimination (``_face_geometry``): its interior point, its
+direction basis as the integer echelon rows of that elimination, and
+whether it spans its dimension; a star's projection is
+``complementary_projection`` of its basis.  In equations mode a face's
+witness is its point, and at n >= 4 the first three incident facet
+normals that raise the rank are the rows of a star's projection.  At
+n = 3 both modes table one shared identity.  ``as_equations`` runs
+``_face_geometry`` once per face to write witnesses and facet
+equations, and ``facet_equation`` once per facet; both look vertices up
+through ``_vertex_points``, which refuses an empty list or an id out
+of range itself.
+
+The pass enforces the geometric half of the input contract in its
+report: vertex coordinates of length n, faces that affinely span
+exactly their dimension, facet normals that are nonzero and of length
+n, witnesses of length n on the planes of every facet above them, and,
+at n >= 4, incident facet normals that pin down each (n-3)-face's
+direction space.  Inputs failing these checks are reported invalid
+rather than classified.  Witnesses are trusted to lie in the relative
+interior of their faces; that part is not checked.
 """
 
 from __future__ import annotations
@@ -90,7 +82,7 @@ class PLSurface:
     Vertex mode gives ``vertices[v]``, the coordinates of vertex v.
     Equations mode gives ``equations[h]``, facet h's hyperplane, and
     ``witnesses[d][i]``, a point in the relative interior of face i of
-    dimension d, for d = n-3, n-2, n-1: the shape of ``prepare(s).points``.
+    dimension d, for d = n-3, n-2, n-1: the shape of ``preflight(s).points``.
     A missing record is a None entry or a list shorter than its face count.
     """
 
@@ -133,18 +125,20 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
     """A vertex-mode face's interior point, direction basis and rank defect, from one elimination.
 
     ``dim`` is the face's dimension and ``points`` are its vertices in
-    list order, in integer homogeneous form.  The scan takes the differences from the first
-    point in that order (w_b * V_p - w_p * V_b, the positive multiple
-    w_b * w_p of p - base, in integers), reduces each but the first with
-    ``_reduce`` against the pivots of the differences before it, and
-    stops once the rank exceeds the face's dimension; the point is the
-    mean of the first point and the first ``dim`` points that raised
-    the rank.  Their numerators are summed as they are picked, over the
-    lcm W of the weights picked so far: a point of weight W is added as
-    it is, and any other weight w brings both sides to lcm(W, w) first.
-    The point is that sum over the weight k*W for k points.  The basis
-    vectors are the integer differences.  The defect is None exactly
-    when the face spans its dimension.
+    list order, in integer homogeneous form.  The scan takes the
+    differences from the first point in that order (w_b * V_p - w_p * V_b,
+    the positive multiple w_b * w_p of p - base, in integers), reduces
+    each but the first with ``_reduce`` against the rows kept before it,
+    and keeps each row that does not reduce to zero, stopping once the
+    rank exceeds the face's dimension; the point is the mean of the first
+    point and the first ``dim`` points that raised the rank.  Their
+    numerators are summed as they are picked, over the lcm W of the
+    weights picked so far: a point of weight W is added as it is, and
+    any other weight w brings both sides to lcm(W, w) first.  The point
+    is that sum over the weight k*W for k points.  The basis is the kept
+    rows, in echelon form (each is zero at the pivot columns of the rows
+    before it), so ``nullspace`` finds them reduced already.
+    The defect is None exactly when the face spans its dimension.
     """
     base = points[0]
     vb, wb = base
@@ -159,7 +153,7 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
         col = _pivot(r)
         if col is not None:
             pivots.append((col, r))
-            basis.append(d)
+            basis.append(r)
             if len(basis) > dim:
                 break
             if wp == weight:
@@ -190,18 +184,27 @@ def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[Ho
     return point, FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
 
 
+def _vertex_points(face: Face, ids: Sequence[int], coords: Sequence) -> list:
+    """``coords[v]`` for each vertex id v of ``face``, in list order, for the writers and the oracle.
+
+    A face without vertices is a DegenerateFaceError, and an id outside
+    0..V-1, negative too, names no vertex: it is a KeyError.
+    """
+    if not ids:
+        raise DegenerateFaceError(face, "no vertices")
+    for v in ids:
+        if not 0 <= v < len(coords):
+            raise KeyError(v)
+    return [coords[v] for v in ids]
+
+
 def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
     """Exact hyperplane through a facet's vertices (vertex mode), as ``_facet_geometry``.
 
-    As in ``prepare``, a vertex id outside 0..V-1, negative too, names
-    no vertex: it is a KeyError.
+    Its vertices are looked up as in ``as_equations`` (``_vertex_points``).
     """
-    vertices = surface.vertices
-    ids = surface.poset.vertex_lists[facet]
-    for v in ids:
-        if not 0 <= v < len(vertices):
-            raise KeyError(v)
-    return _facet_geometry(facet, [homogeneous(vertices[v]) for v in ids], surface.n)[1]
+    vertices = _vertex_points(facet, surface.poset.vertex_lists[facet], surface.vertices)
+    return _facet_geometry(facet, list(map(homogeneous, vertices)), surface.n)[1]
 
 
 def as_equations(surface: PLSurface) -> PLSurface:
@@ -209,18 +212,18 @@ def as_equations(surface: PLSurface) -> PLSurface:
 
     Every face of dims n-3, n-2, n-1 gets one ``_face_geometry``
     elimination, facets first: face i of dimension d gets its interior
-    point, the one ``prepare`` would table, as ``witnesses[d][i]``, and
+    point, the one ``preflight`` would table, as ``witnesses[d][i]``, and
     facet h's direction basis gives its exact hyperplane
     ``equations[h]`` (``_facet_geometry``).  Vertex lists are dropped
     (dim 0 disappears entirely for n > 3); the upward tables are kept
     as they are.
 
     A face below the facets that spans less than its dimension still
-    gets a witness; anything else that ``prepare`` reports is refused.
-    A vertex without n coordinates is a ValueError.  Vertices are looked
-    up by id, as in ``prepare``, so an id outside 0..V-1, negative too,
-    is a KeyError.  A face without vertices, or a facet that spans no
-    hyperplane, is a DegenerateFaceError.
+    gets a witness; a facet that spans no hyperplane is a
+    DegenerateFaceError.  A vertex without n coordinates is a
+    ValueError.  Vertices are looked up by ``_vertex_points``: a face
+    without vertices is a DegenerateFaceError, and an id outside
+    0..V-1, negative too, a KeyError.
     """
     if surface.mode != VERTEX_MODE:
         return surface
@@ -230,13 +233,10 @@ def as_equations(surface: PLSurface) -> PLSurface:
         raise ValueError(f"every vertex needs exactly {n} coordinates")
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
     new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
-    coords = dict(enumerate(map(homogeneous, surface.vertices)))
+    coords = list(map(homogeneous, surface.vertices))
 
     def face_points(face: Face) -> list[HomPoint]:
-        verts = poset.vertex_lists[face]
-        if not verts:
-            raise DegenerateFaceError(face, "no vertices")
-        return [coords[v] for v in verts]
+        return _vertex_points(face, poset.vertex_lists[face], coords)
 
     facets = [_facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)]
     witnesses = {
@@ -249,60 +249,64 @@ def as_equations(surface: PLSurface) -> PLSurface:
 
 @dataclass(frozen=True)
 class PreparedSurface:
-    """Realization report plus per-face geometry, from one pass.
+    """``verifier.preflight``'s result: the report of its first failing stage, and every star's state.
 
     ``points[d][i]`` is the interior point of face i of dimension d, for
     d = n-3, n-2, n-1, in homogeneous form (``dehomogenise(*points[d][i])``
-    gives its ``Fraction`` coordinates), and ``projections[i]`` the
+    gives its ``Fraction`` coordinates), ``projections[i]`` the
     projection of (n-3)-face i's star: a rank-3 integer map whose kernel
-    is the face's direction space, the one ``build_fan`` applies.  Both
-    are only meaningful when the report is ok; a face that the report
-    rejects may hold None, and in vertex mode at n >= 4 every projection
-    is None then.
+    is the face's direction space, the one ``build_fan`` applies, and
+    ``cycles[i]`` that star's ``link_cycle``.  They are only meaningful
+    when the report is ok.  A report from a stage before the geometry
+    pass comes with empty tables, and one from the pass itself with its
+    points and projections, where a rejected face may hold None and in
+    vertex mode at n >= 4 every projection is None; ``cycles`` is
+    filled only when the report is ok.
     """
 
     report: ValidationReport
     points: dict[int, list[HomPoint | None]] = field(default_factory=dict)
     projections: list[Projection3 | None] = field(default_factory=list)
+    cycles: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.report.ok
 
 
-def prepare(surface: PLSurface) -> PreparedSurface:
-    """Geometric input validation and per-face geometry in one pass.
+def _geometry_pass(surface: PLSurface) -> PreparedSurface:
+    """Geometric input validation and per-face geometry in one pass, on a poset ``preflight`` accepted.
 
-    The pass covers every face of dims n-3, n-2, n-1, in that order.
-    The mode is read once, and each mode has its own loop over those
-    faces; every record that loop reads is converted to integers once.
-    The interior point of every face and the projection of every
-    (n-3)-face's star go into the per-dimension tables; at n = 3 every
-    projection is the one shared identity.
+    The pass covers every face of dims n-3, n-2, n-1, in that order,
+    and reads the poset's tables as ``validate_poset``,
+    ``check_closed`` and ``check_connected`` leave them: every listed
+    face has its vertex list or upward record, and every id in them is
+    in range.  The mode is read once, and each mode has its own loop
+    over those faces; every record that loop reads is converted to
+    integers once.  The interior point of every face and the projection
+    of every (n-3)-face's star go into the per-dimension tables; at
+    n = 3 every projection is the one shared identity.
 
     Vertex mode first checks the vertex coordinates (MISSING_COORDS),
-    then converts every vertex.  A face without vertices is a
-    DEGENERATE_FACE, a face listing a vertex id outside 0..V-1 is an
-    INVALID_ID (that id is never read), and every other face goes
-    through ``_face_geometry`` once, whose rank defect becomes a
+    then converts every vertex.  Every face goes through
+    ``_face_geometry`` once, whose rank defect becomes a
     DEGENERATE_FACE.  Once the report is ok, at n >= 4, each
     (n-3)-face's projection is ``complementary_projection`` of its
     direction basis.
 
-    Equations mode first checks the facet equations, then walks once
-    from each face to the facets above it; reaching a facet outside the
-    records is an INVALID_ID.  At n >= 4 those facets' integer normals
-    are reduced with ``_reduce`` in facet index order: their rank must
-    be 3, or the face is a DEGENERATE_FACE, and the three normals that
+    Equations mode first checks the facet equations (MISSING_EQUATION,
+    BAD_NORMAL, ZERO_NORMAL), then walks once from each face to the
+    facets above it.  At n >= 4 those facets' integer normals are
+    reduced with ``_reduce`` in facet index order: their rank must be
+    3, or the face is a DEGENERATE_FACE, and the three normals that
     raised it, as they are, are the rows of the (n-3)-face's
     projection, whose kernel is the face's direction space.  The face's
-    witness must lie on each of those facets, in facet index order
-    (BAD_WITNESS), an integer comparison.
+    witness must be there (BAD_WITNESS) and lie on each of those
+    facets, in facet index order (BAD_WITNESS), an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
     dims = (low, poset.dim_mid, top)
-    bad: list[Violation] = []
     degenerate: list[Violation] = []
     points: dict[int, list[HomPoint | None]] = {d: [None] * poset.count(d) for d in dims}
     projections: list[Projection3 | None] = [_IDENTITY3 if n == 3 else None] * poset.count(low)
@@ -313,30 +317,21 @@ def prepare(surface: PLSurface) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
         if any(len(v) != n for v in vertices):
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
-        # keyed by id, so that an id outside 0..V-1, negative too, is a KeyError
-        coords = dict(enumerate(map(homogeneous, vertices)))
+        coords = list(map(homogeneous, vertices))
         bases: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
         for d in dims:
-            rows, table = poset.vertex_ids.get(d, ()), points[d]
+            rows, table = poset.vertex_ids[d], points[d]
             for i in range(len(table)):
-                verts = rows[i] if i < len(rows) else None
-                if not verts:  # spans nothing
-                    degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), "no vertices"))
-                    continue
-                try:
-                    face_coords = [coords[v] for v in verts]
-                except KeyError:
-                    bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
-                    continue
-                table[i], basis, defect = _face_geometry(d, face_coords)
+                table[i], basis, defect = _face_geometry(d, [coords[v] for v in rows[i]])
                 if d == low:
                     bases[i] = basis
                 if defect is not None:
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
-        report = ValidationReport(tuple(bad + degenerate))
+        report = ValidationReport(tuple(degenerate))
         if report.ok and n > 3:
             projections = [complementary_projection(basis, n) for basis in bases]
         return PreparedSurface(report, points, projections)
+    bad: list[Violation] = []
     n_facets = poset.count(top)
     records = list(surface.equations[:n_facets])
     records += [None] * (n_facets - len(records))
@@ -357,15 +352,11 @@ def prepare(surface: PLSurface) -> PreparedSurface:
     for d in dims:
         witnesses = surface.witnesses.get(d, ())
         for i in range(poset.count(d)):
-            above, k = [i], d
-            while above and k < top:
-                rows = poset.up_ids.get(k, ())
-                above = [h for g in above if 0 <= g < len(rows) for h in rows[g]]
-                k += 1
+            above = [i]
+            for k in range(d, top):
+                rows = poset.up_ids[k]
+                above = [h for g in above for h in rows[g]]
             above = sorted(set(above))
-            if above and (above[0] < 0 or above[-1] >= n_facets):  # only on a poset that validate_poset rejects
-                bad.append(Violation("INVALID_ID", Face(d, i), "upward reference to a facet outside the records"))
-                continue
             witness = witnesses[i] if i < len(witnesses) else None
             points[d][i] = point = None if witness is None else homogeneous(witness)
             if d == low and n > 3:

@@ -1,19 +1,21 @@
 """Global convexity verdict from per-star local convexity checks.
 
-``verify`` and ``verify_face`` share one front end: it validates the
-input (structure, closedness, connectedness, then the realization pass
-``prepare``) and walks the link of every (n-3)-face (``link_cycle``),
-so a broken link anywhere makes the input INVALID before any star is
-classified.  ``verify`` then classifies each star from its link cycle
-and the interior points and projections that ``prepare`` computed once
-per face; ``verify_face`` classifies its one star the same way, or
-answers the front end's INVALID reason.  Every classification goes
-through one path: the star's tabled projection, ``build_fan`` and
-``fan_is_convex``; no star computes a projection of its own.  The
-surface is the boundary of a convex polyhedron exactly when every star
-passes; compactness plus closedness supply the strictly convex point
-that makes local convexity everywhere sufficient, so no separate
-strictness test is run.
+The decider has two phases.  ``preflight`` is its one front end: it
+establishes the global preconditions once, in this order (structure,
+closedness, connectedness, the realization pass, then the link of
+every (n-3)-face), stops at the first failing stage, and returns one
+``PreparedSurface``: that stage's report, or every star's state (the
+interior points and projections of the geometry pass and each
+(n-3)-face's link cycle).  A broken link anywhere is a NOT_SINGLE_CYCLE
+violation at its face, so the input is INVALID before any star is
+classified.  ``verify`` and ``verify_face`` read only that result: an
+INVALID verdict from the report's first violation, or the
+classification of each star from its tabled cycle, points and
+projection, through ``build_fan`` and ``fan_is_convex``; no star
+computes a projection of its own.  The surface is the boundary of a
+convex polyhedron exactly when every star passes; compactness plus
+closedness supply the strictly convex point that makes local convexity
+everywhere sufficient, so no separate strictness test is run.
 
 Verdicts are deterministic: stars are checked in face-index order, so
 the reported witness is always the failing (n-3)-face of least index,
@@ -22,11 +24,11 @@ and an early-exit run reports the same witness as a ``collect_all`` run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fan import ConvexityCheck, ZeroDirectionError, build_fan, fan_is_convex
-from .poset import Face, LinkCycleError, check_closed, check_connected, link_cycle, validate_poset
-from .surface import PLSurface, PreparedSurface, prepare
+from .poset import Face, LinkCycleError, ValidationReport, Violation, check_closed, check_connected, link_cycle, validate_poset
+from .surface import PLSurface, PreparedSurface, _geometry_pass
 
 CONVEX = "CONVEX"
 NOT_CONVEX = "NOT_CONVEX"
@@ -47,49 +49,43 @@ class Verdict:
 
 
 def preflight(surface: PLSurface) -> PreparedSurface:
-    """Input validation chain; stops at the first failing stage.
+    """The one front end: every input check in order, stopping at the first failing stage.
 
-    The last stage is the geometry pass, so on success the result also
-    carries every face's interior point and every (n-3)-face's projection.
+    The stages are ``validate_poset``, ``check_closed``,
+    ``check_connected``, the geometry pass (``surface._geometry_pass``,
+    which runs only on a poset those three accepted) and ``link_cycle``
+    on every (n-3)-face in index order, where a broken link is a
+    NOT_SINGLE_CYCLE violation at its face.  The report is the failing
+    stage's, or empty; on success the tables hold every face's interior
+    point and every (n-3)-face's projection and link cycle.
     """
+    poset = surface.poset
     for stage in (
-        lambda: validate_poset(surface.poset, surface.mode),
-        lambda: check_closed(surface.poset),
-        lambda: check_connected(surface.poset),
+        lambda: validate_poset(poset, surface.mode),
+        lambda: check_closed(poset),
+        lambda: check_connected(poset),
     ):
         report = stage()
         if not report.ok:
             return PreparedSurface(report)
-    return prepare(surface)
-
-
-def _front_end(surface: PLSurface) -> tuple[Verdict | None, PreparedSurface, list[tuple[int, ...]]]:
-    """Everything ``verify`` runs before it classifies a star.
-
-    ``preflight``, then ``link_cycle`` on every (n-3)-face in index
-    order.  Returns the INVALID verdict of the first failure (None when
-    there is none), ``preflight``'s table and the link cycle of every
-    (n-3)-face, indexed by face index.
-    """
-    prepared = preflight(surface)
+    prepared = _geometry_pass(surface)
     if not prepared.ok:
-        v = prepared.report.violations[0]
-        return Verdict(INVALID, witness=v.face, reason=v.code), prepared, []
+        return prepared
     # every link is walked before any star is classified: a broken one
     # makes the input INVALID wherever it is, whatever the other stars say
-    cycles: list[tuple[int, ...]] = []
-    for face in surface.poset.faces(surface.poset.dim_low):
+    cycles = []
+    for face in poset.faces(poset.dim_low):
         try:
-            cycles.append(link_cycle(surface.poset, face))
+            cycles.append(link_cycle(poset, face))
         except LinkCycleError as exc:
-            return Verdict(INVALID, witness=face, reason=exc.code), prepared, []
-    return None, prepared, cycles
+            return PreparedSurface(ValidationReport((Violation(exc.code, face, str(exc)),)))
+    return replace(prepared, cycles=cycles)
 
 
-def _star_check(face: Face, cycle: tuple[int, ...], prepared: PreparedSurface):
-    """Classify one star from its link cycle and ``prepared``'s tables; the check and its entry count."""
+def _star_check(face: Face, prepared: PreparedSurface):
+    """Classify one star from ``prepared``'s tables; the check and its entry count."""
     try:
-        fan = build_fan(prepared.points, face, cycle, prepared.projections[face.index])
+        fan = build_fan(prepared.points, face, prepared.cycles[face.index], prepared.projections[face.index])
     except ZeroDirectionError as exc:
         return ConvexityCheck(False, exc.code), 0
     return fan_is_convex(fan), len(fan.dirs)
@@ -98,19 +94,19 @@ def _star_check(face: Face, cycle: tuple[int, ...], prepared: PreparedSurface):
 def verify_face(surface: PLSurface, face: Face) -> ConvexityCheck:
     """Local convexity of one (n-3)-face star.
 
-    Runs ``verify``'s front end on the whole surface, so it costs a
-    whole ``preflight``: when that finds the input INVALID the answer
-    is ``(False, verify(surface).reason)``, else the classification
-    that ``verify`` makes of this star.  Raises ValueError when
-    ``face`` is not one of the surface's (n-3)-faces.
+    Runs ``preflight`` on the whole surface, so it costs a whole
+    preflight: when that rejects the input the answer is
+    ``(False, verify(surface).reason)``, else the classification that
+    ``verify`` makes of this star.  Raises ValueError when ``face`` is
+    not one of the surface's (n-3)-faces.
     """
     poset = surface.poset
     if face.dim != poset.dim_low or not 0 <= face.index < poset.count(face.dim):
         raise ValueError(f"{face} is not an (n-3)-face of the surface")
-    invalid, prepared, cycles = _front_end(surface)
-    if invalid is not None:
-        return ConvexityCheck(False, invalid.reason)
-    return _star_check(face, cycles[face.index], prepared)[0]
+    prepared = preflight(surface)
+    if not prepared.ok:
+        return ConvexityCheck(False, prepared.report.violations[0].code)
+    return _star_check(face, prepared)[0]
 
 
 def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
@@ -126,15 +122,16 @@ def verify(surface: PLSurface, *, collect_all: bool = False) -> Verdict:
     otherwise the check stops at the first failure.
     ``entries_checked`` counts fan entries evaluated across all stars.
     """
-    invalid, prepared, cycles = _front_end(surface)
-    if invalid is not None:
-        return invalid
+    prepared = preflight(surface)
+    if not prepared.ok:
+        v = prepared.report.violations[0]
+        return Verdict(INVALID, witness=v.face, reason=v.code)
 
     failing: list[tuple[Face, str]] = []
     entries_total = 0
 
-    for face, cycle in zip(surface.poset.faces(surface.poset.dim_low), cycles):
-        check, entries = _star_check(face, cycle, prepared)
+    for face in surface.poset.faces(surface.poset.dim_low):
+        check, entries = _star_check(face, prepared)
         entries_total += entries
         if not check.convex:
             failing.append((face, check.reason))

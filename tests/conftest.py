@@ -198,7 +198,7 @@ def random_same_kernel_projection(base: Projection3, rng: random.Random) -> Proj
 
 
 def star_under_projection(surface, face, proj: Projection3, prepared: pc.PreparedSurface) -> pc.ConvexityCheck:
-    """The classification of ``face``'s star, from ``prepare(surface)``'s table, projected by ``proj``."""
+    """The classification of ``face``'s star, from ``preflight(surface)``'s table, projected by ``proj``."""
     return pc.fan_is_convex(pc.build_fan(prepared.points, face, pc.link_cycle(surface.poset, face), proj))
 
 
@@ -417,7 +417,7 @@ def geometry_families():
             variants[f"dent{t}"] = pc.dent(moved, 1, t)
         for label, s in variants.items():
             yield f"{name}-{label}", s
-            if pc.prepare(s).ok:  # a dent can warp a facet, and then there is no equation
+            if pc.preflight(s).ok:  # a dent can warp a facet, and then there is no equation
                 yield f"{name}-{label}-eq", pc.as_equations(s)
         # an equations-mode witness moved off its facets
         eq = pc.as_equations(moved)
@@ -473,10 +473,10 @@ def reference_facet_equation(surface: pc.PLSurface, facet) -> FacetEquation:
 
 
 def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
-    """``as_equations`` built from ``reference_facet_equation`` and ``prepare``'s point table.
+    """``as_equations`` built from ``reference_facet_equation`` and a separate point per face.
 
-    Every facet is reduced twice, once for its equation and once in
-    ``prepare``.
+    Every facet is reduced twice, once for its equation and once for its
+    point, and vertices are read by list position.
     """
     if surface.mode != "vertices":
         return surface
@@ -484,8 +484,10 @@ def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
     new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
     equations = [reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)]
-    points = pc.prepare(surface).points
-    witnesses = {d: [dehomogenise(*p) for p in points[d]] for d in (poset.dim_low, poset.dim_mid, poset.dim_top)}
+    witnesses = {}
+    for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
+        points = [_face_geometry(d, [homogeneous(surface.vertices[v]) for v in ids])[0] for ids in poset.vertex_ids[d][: poset.count(d)]]
+        witnesses[d] = [dehomogenise(*p) for p in points]
     return pc.PLSurface(new_poset, equations=equations, witnesses=witnesses)
 
 

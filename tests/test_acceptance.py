@@ -11,8 +11,7 @@ from fractions import Fraction
 import plconvex as pc
 from plconvex.fan import FanEntry, RAY, CELL, _wound_once, fan_is_convex
 from plconvex.poset import Face
-from plconvex.surface import prepare
-from plconvex.verifier import verify, verify_face
+from plconvex.verifier import preflight, verify, verify_face
 
 from conftest import (
     float_winding,
@@ -155,10 +154,10 @@ def test_criterion_4_projection_independence():
     trials = agreements = 0
     for surface in instances:
         faces = list(surface.poset.faces(surface.poset.dim_low))
-        prepared = prepare(surface)
+        prepared = preflight(surface)
 
         def base(f):
-            # the star under prepare's tabled projection
+            # the star under preflight's tabled projection
             return star_under_projection(surface, f, prepared.projections[f.index], prepared)
 
         # verify_face, which runs a whole preflight per call, answers that base

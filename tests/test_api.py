@@ -15,17 +15,20 @@ def test_fan_and_exactgeom_keep_only_what_is_read():
     # the width less the size of exactgeom.nullspace
     assert pc.Fan3._fields == ("dirs", "kinds", "sources")
     assert not hasattr(pc.exactgeom, "rank") and "rank" not in pc.__all__
-    # prepare tables each star's projection, and the verifier takes none itself
-    assert [f.name for f in fields(pc.PreparedSurface)] == ["report", "points", "projections"]
+    # preflight tables each star's projection and link cycle, and the
+    # verifier takes no projection itself
+    assert [f.name for f in fields(pc.PreparedSurface)] == ["report", "points", "projections", "cycles"]
     assert "complementary_projection" not in vars(pc.verifier)
 
 
 def test_one_front_end_and_one_truth_spelling():
-    # verify and verify_face share one front end, so the star-restricted
-    # validation pass and its names are gone; a report's truth is .ok
-    gone = [(pc.surface, "_prepare"), (pc.surface, "REPORT_CODES"), (pc.poset, "_uncontained")]
-    gone += [(pc.verifier, "INVALID_STAR_REASONS"), (pc.ValidationReport, "__bool__")]
+    # preflight is the one front end that verify and verify_face read, so
+    # the star-restricted validation pass, the public geometry pass and the
+    # private front end are gone; a report's truth is .ok
+    gone = [(pc.surface, "_prepare"), (pc.surface, "prepare"), (pc.surface, "REPORT_CODES"), (pc.poset, "_uncontained")]
+    gone += [(pc.verifier, "INVALID_STAR_REASONS"), (pc.verifier, "_front_end"), (pc.ValidationReport, "__bool__")]
     assert [name for owner, name in gone if name in vars(owner)] == []
+    assert "prepare" not in pc.__all__ and not hasattr(pc, "prepare")
 
 
 def test_one_winding_count_and_one_fan_constructor():

@@ -375,7 +375,7 @@ class TestFanIsConvex:
         fans = []
         for surface in (cube, schonhardt, pc.split_facet_cube()):
             poset = surface.poset
-            prepared = pc.prepare(surface)
+            prepared = pc.preflight(surface)
             for f in list(poset.faces(0))[:4]:
                 cyc = pc.link_cycle(poset, f)
                 fans.append(pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index]))
@@ -418,7 +418,7 @@ class TestFanIsConvex:
             f for f in cube.poset.faces(0) if cube.vertices[f.index] == as_vec([0, 0, 0])
         )
         cyc = pc.link_cycle(cube.poset, origin)
-        fan = pc.build_fan(pc.prepare(cube).points, origin, cyc, pc.complementary_projection((), 3))
+        fan = pc.build_fan(pc.preflight(cube).points, origin, cyc, pc.complementary_projection((), 3))
 
         def ray_of(d):
             scale = next(c for c in d if c != 0)
@@ -440,10 +440,10 @@ class TestFanIsConvex:
             if {tesseract.vertices[v] for v in tesseract.poset.vertex_lists[e]}
             == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}
         )
-        proj = pc.prepare(tesseract).projections[edge.index]
+        proj = pc.preflight(tesseract).projections[edge.index]
         assert proj.axes == (1, 2, 3)
         cyc = pc.link_cycle(tesseract.poset, edge)
-        fan = pc.build_fan(pc.prepare(tesseract).points, edge, cyc, proj)
+        fan = pc.build_fan(pc.preflight(tesseract).points, edge, cyc, proj)
         rays = set()
         for e in fan.entries:
             if e.kind == RAY:
@@ -458,7 +458,7 @@ class TestFanIsConvex:
         # needs an exact certificate
         for surface in (cube, pc.gen_prism(7), skewed_pyramid(64), pc.gen_prism(256)):
             assert pc.verify(surface).kind == "CONVEX"
-            prepared = pc.prepare(surface)
+            prepared = pc.preflight(surface)
             for f in surface.poset.faces(0):
                 cyc = pc.link_cycle(surface.poset, f)
                 fan = pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index])
@@ -609,11 +609,11 @@ def wedge_outcome(fan):
 def star_fans(surface):
     """The projected fan of every (n-3)-face star, as ``verify`` builds it.
 
-    A vertex-mode report that is not ok leaves ``prepare``'s projections
+    A vertex-mode report that is not ok leaves ``preflight``'s projections
     None at n >= 4; then each face's is ``complementary_projection`` of
-    its ``_face_geometry`` basis, as ``prepare`` would take it.
+    its ``_face_geometry`` basis, as the geometry pass would take it.
     """
-    prepared = pc.prepare(surface)
+    prepared = pc.preflight(surface)
     poset = surface.poset
     for f in poset.faces(poset.dim_low):
         cycle = pc.link_cycle(poset, f)
@@ -840,7 +840,7 @@ class TestCrossProductClassifier:
     def test_matches_section_points_on_generated_stars(self, monkeypatch):
         # every fan that verify classifies, on valid and invalid variants
         # alike; a dent can warp a face, which verify rejects before any fan,
-        # so the dented variants give every fan of prepare's table
+        # so the dented variants give every fan of preflight's table
         fans = []
 
         def recording(fan):
@@ -1172,7 +1172,7 @@ class TestIntegerContract:
         surfaces += [zigzag_bipyramid(6), wedge_cube(3), pc.split_facet_cube()]
         reasons = Counter()
         for surface in surfaces:
-            prepared = pc.prepare(surface)
+            prepared = pc.preflight(surface)
             assert prepared.ok
             for f in surface.poset.faces(surface.poset.dim_low):
                 cycle = pc.link_cycle(surface.poset, f)

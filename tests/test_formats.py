@@ -21,7 +21,8 @@ from plconvex.formats import (
     parse_pls,
 )
 from plconvex.poset import validate_poset
-from plconvex.surface import as_equations, prepare
+from plconvex.surface import as_equations
+from plconvex.verifier import preflight
 
 from conftest import geometry_families, replace_records
 
@@ -539,7 +540,7 @@ def test_integer_values_parse_as_int():
             kinds[type(x)] += 1
             assert type(x) is (int if x.denominator == 1 else Fraction), x
         assert parsed == built
-        assert prepare(parsed) == prepare(built)
+        assert preflight(parsed) == preflight(built)
         for collect_all in (False, True):
             assert pc.verify(parsed, collect_all=collect_all) == pc.verify(built, collect_all=collect_all)
 

@@ -84,7 +84,7 @@ def test_dent_identity(cube):
 
 @pytest.mark.parametrize("index", [-1, -8, 8, 9])
 def test_dent_refuses_index_outside_vertices(cube, index):
-    # as prepare's INVALID_ID: -1 names no vertex, not the last one
+    # as validate_poset's INVALID_ID: -1 names no vertex, not the last one
     with pytest.raises(ValueError, match=f"vertex index {index} outside 0..7"):
         pc.dent(cube, index, F(1, 2))
 

@@ -46,6 +46,24 @@ def test_sign():
 '''
 
 
+# a script outside src/, and a test that loads it by its path
+TOOL = """def double(x):
+    return 2 * x
+"""
+
+TOOL_TESTS = """import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("tool", Path(__file__).resolve().parent.parent / "scripts" / "tool.py")
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+
+
+def test_double():
+    assert tool.double(4) == 8
+"""
+
+
 @pytest.fixture
 def checkout(tmp_path):
     root = tmp_path / "checkout"
@@ -119,6 +137,34 @@ def test_run_kills_by_failure_and_by_timeout_and_writes_no_file(checkout, tmp_pa
         made = [s for m, s in results.items() if m.operator in ops]
         want.append(f"{len(made) - made.count('survived')}/{len(made)}" if made else "-")
     assert cells == {"calc.py": want, "total": want}
+
+
+def test_baseline_traces_every_file_outside_tests(checkout, tmp_path):
+    # a script outside src/ is traced as a module under it is, so its
+    # mutants get the tests that run their lines, not the whole suite; no
+    # line of a test file is recorded
+    (checkout / "scripts").mkdir()
+    (checkout / "scripts" / "tool.py").write_text(TOOL)
+    (checkout / "tests" / "test_tool.py").write_text(TOOL_TESTS)
+    work = tmp_path / "work"
+    work.mkdir()
+    runner = mutate._Runner(checkout, work, 1, 2.0)
+    runner.baseline()
+    assert runner.tests["tests/test_tool.py::test_double"][1] == {"scripts/tool.py": {2}}
+    assert set(runner.tests["tests/test_calc.py::test_count"][1]) == {"src/toy/calc.py"}
+    assert set(runner.tests) == {"tests/test_calc.py::test_count", "tests/test_calc.py::test_sign", "tests/test_tool.py::test_double"}
+    assert all(type(t) is float and t > 0 for t, _, _ in runner.tests.values())
+    # a stage names its tests in order, and its limit is twice start-up and
+    # their unmutated time, plus the slack
+    args, limit = runner._stage([(1.5, "tests/test_tool.py::test_double"), (2.5, "tests/test_calc.py::test_sign")])
+    assert args == ["-x", "tests/test_tool.py::test_double", "tests/test_calc.py::test_sign"]
+    assert limit == 2 * (runner.startup + 4.0) + 2.0 and runner.startup > 0
+    # a checkout whose own tests fail has no baseline
+    (checkout / "tests" / "test_tool.py").write_text(TOOL_TESTS.replace("== 8", "== 9"))
+    work = tmp_path / "failing"
+    work.mkdir()
+    with pytest.raises(SystemExit, match="fails its tests"):
+        mutate._Runner(checkout, work, 1, 2.0).baseline()
 
 
 def test_run_reraises_when_interrupted(checkout, tmp_path, monkeypatch):

@@ -61,17 +61,21 @@ def test_oracle_requires_vertex_mode(cube):
         oracle_verdict(eq)
 
 
-@pytest.mark.parametrize("vertex_id", [-8, -1, 8])
+@pytest.mark.parametrize("vertex_id", [-8, -1, 8, None])
 def test_facet_vertex_id_outside_vertices_is_refused(cube, vertex_id):
-    # as prepare's INVALID_ID: -8 named vertex 0 from the end, and the
-    # oracle called the cube with that facet convex
+    # as validate_poset's INVALID_ID: -8 named vertex 0 from the end, and the
+    # oracle called the cube with that facet convex; a facet without
+    # vertices (None) is a DegenerateFaceError, as in as_equations, where
+    # facet_equation and the oracle raised IndexError
     facet = pc.Face(2, 0)
-    ids = (vertex_id, *cube.poset.vertex_lists[facet][1:])
+    ids = () if vertex_id is None else (vertex_id, *cube.poset.vertex_lists[facet][1:])
     bad = pc.PLSurface(replace_records(cube.poset, verts={facet: ids}), vertices=cube.vertices)
-    assert pc.verify(bad).reason == "INVALID_ID"
-    for decide in (lambda s: facet_equation(s, facet), oracle_verdict):
-        with pytest.raises(KeyError):
+    assert pc.verify(bad).reason == ("MISSING_VERTEX_LIST" if vertex_id is None else "INVALID_ID")
+    for decide in (lambda s: facet_equation(s, facet), oracle_verdict, pc.as_equations):
+        with pytest.raises(KeyError if vertex_id is not None else pc.DegenerateFaceError) as info:
             decide(bad)
+        if vertex_id is None:
+            assert (info.value.face, str(info.value)) == (facet, "no vertices")
 
 
 def test_oracle_invariance(cube, schonhardt):

@@ -12,19 +12,19 @@ import plconvex.surface as surface_mod
 from plconvex.exactgeom import (
     DegenerateFaceError,
     as_vec,
+    _pivot,
     dehomogenise,
     dot,
     homogeneous,
     nullspace,
 )
-from plconvex.poset import Face, FacePoset, vertex_poset
+from plconvex.poset import Face, validate_poset, vertex_poset
 from plconvex.surface import (
     FacetEquation,
     PLSurface,
     as_equations,
-    prepare,
 )
-from plconvex.verifier import verify_face
+from plconvex.verifier import preflight, verify_face
 
 from conftest import cycle_faces, geometry_families, rank, reference_as_equations, replace_geometry, replace_records, wedge_cube
 from test_verifier import _corrupt, _corruption_bases
@@ -33,8 +33,8 @@ F = Fraction
 
 
 def interior_point(surface, face):
-    """A face's interior point from ``prepare``'s table, as ``Fraction``s."""
-    return dehomogenise(*prepare(surface).points[face.dim][face.index])
+    """A face's interior point from ``preflight``'s table, as ``Fraction``s."""
+    return dehomogenise(*preflight(surface).points[face.dim][face.index])
 
 
 def test_interior_point_vertex(cube):
@@ -63,7 +63,7 @@ def test_interior_point_in_facet_interior(cube):
 
 
 def test_direction_space_cube_vertex(cube):
-    proj = prepare(cube).projections[0]
+    proj = preflight(cube).projections[0]
     assert proj is pc.complementary_projection((), 3) and nullspace(proj.rows, 3) == ()
 
 
@@ -76,44 +76,44 @@ def test_direction_space_tesseract_edge(tesseract):
         if set(pts) == {as_vec([0, 0, 0, 0]), as_vec([1, 0, 0, 0])}:
             target = e
             break
-    basis = nullspace(prepare(tesseract).projections[target.index].rows, 4)
+    basis = nullspace(preflight(tesseract).projections[target.index].rows, 4)
     assert len(basis) == 1
     d = basis[0]
     assert d[1] == d[2] == d[3] == 0 and d[0] != 0
 
 
-def test_direction_space_degenerate():
-    # an "edge" whose two endpoints coincide
-    poset = FacePoset(
-        n=4,
-        faces_per_dim={0: 2, 1: 1, 2: 0, 3: 0},
-        up_ids={1: [()]},
-        vertex_ids={1: [(0, 1)]},
-    )
-    s = PLSurface(poset, vertices=(as_vec([0, 0, 0, 0]), as_vec([0, 0, 0, 0])))
-    prepared = prepare(s)
-    assert prepared.report.violations == (pc.Violation("DEGENERATE_FACE", Face(1, 0), "affine rank 0 != dim 1"),)
-    assert prepared.projections == [None]  # no projection once the report is not ok
+def test_direction_space_degenerate(tesseract):
+    # an edge whose two endpoints coincide: the tesseract's first edge with
+    # vertex 1 moved onto vertex 0
+    assert tesseract.poset.vertex_ids[1][0] == (0, 1)
+    verts = list(tesseract.vertices)
+    verts[1] = verts[0]
+    prepared = preflight(PLSurface(tesseract.poset, vertices=tuple(verts)))
+    assert prepared.report.violations[0] == pc.Violation("DEGENERATE_FACE", Face(1, 0), "affine rank 0 != dim 1")
+    assert set(prepared.projections) == {None}  # no projection once the report is not ok
 
 
 def test_zero_face_listing_two_vertices_is_degenerate():
-    # a 0-face spans dimension 0 like any face must span its own: at n = 3
-    # one that lists two distinct vertices is a DEGENERATE_FACE in prepare's
-    # report, and verify, whose poset checks come first, finds it uncontained
+    # a 0-face spans dimension 0 like any face must span its own: the
+    # geometry pass's rank check makes one that lists two distinct vertices
+    # a DEGENERATE_FACE, and at n = 3 preflight, whose poset checks come
+    # first, finds it uncontained before that pass runs
     simplex = pc.gen_simplex(3)
+    points = [homogeneous(simplex.vertices[v]) for v in (0, 1)]
+    assert surface_mod._face_geometry(0, points)[2] == "affine rank 1 != dim 0"
     s = PLSurface(replace_records(simplex.poset, verts={Face(0, 0): (0, 1)}), vertices=simplex.vertices)
-    assert prepare(s).report.violations == (pc.Violation("DEGENERATE_FACE", Face(0, 0), "affine rank 1 != dim 0"),)
+    assert preflight(s).report.violations[0][:2] == ("VERTEX_NOT_CONTAINED", Face(0, 0))
     verdict = pc.verify(s)
     assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", Face(0, 0), "VERTEX_NOT_CONTAINED")
 
 
 def test_check_realization_accepts_cube(cube):
-    assert prepare(cube).report.ok
+    assert preflight(cube).report.ok
 
 
 def test_check_realization_rejects_warped_facet(cube):
     dented = pc.dent(cube, 0, F(1, 4))
-    report = prepare(dented).report
+    report = preflight(dented).report
     assert not report.ok
     assert all(v.code == "DEGENERATE_FACE" for v in report.violations)
     # every complaint involves a nonplanar quad touching the moved vertex
@@ -125,14 +125,14 @@ def test_check_realization_rejects_collapsed_edge(cube):
     verts = list(cube.vertices)
     verts[1] = verts[0]
     broken = PLSurface(cube.poset, vertices=tuple(verts))
-    report = prepare(broken).report
+    report = preflight(broken).report
     assert any(v.code == "DEGENERATE_FACE" for v in report.violations)
 
 
 def test_as_equations_cube_round(cube):
     eq = as_equations(cube)
     assert eq.mode == "equations"
-    assert prepare(eq).report.ok
+    assert preflight(eq).report.ok
     # every witness satisfies its facet's equation
     for h, fe in enumerate(eq.equations):
         assert dot(fe.normal, eq.witnesses[2][h]) == fe.offset
@@ -165,9 +165,10 @@ def test_as_equations_matches_reference():
 
 
 # what as_equations raises on a vertex-mode corruption that reads past the
-# records: it reads vertex ids as prepare does and refuses what prepare
-# reports, where the reference indexed the vertex tuple (a negative id read
-# the vertex that many from the end) and failed wherever it first stumbled
+# records: it reads vertex ids as facet_equation does and refuses what
+# preflight reports, where the reference indexed the vertex tuple (a
+# negative id read the vertex that many from the end) and failed wherever
+# it first stumbled
 AS_EQUATIONS_REFUSALS = {
     "id_past_end": KeyError,
     "id_negative": KeyError,
@@ -206,7 +207,7 @@ def test_witness_moved_along_its_edge_is_trusted():
     expected = {F(1, 2): ("INVALID", "ZERO_DIRECTION"), F(1): ("NOT_CONVEX", "WRONG_TURN_SIGN")}
     for t, (kind, reason) in expected.items():
         moved = replace_geometry(eq, witnesses={edge: tuple(w + t * d for w, d in zip(eq.witnesses[1][0], step))})
-        assert prepare(moved).report.ok
+        assert preflight(moved).report.ok
         verdict = pc.verify(moved)
         assert (verdict.kind, verdict.witness, verdict.reason) == (kind, b, reason)
 
@@ -214,7 +215,7 @@ def test_witness_moved_along_its_edge_is_trusted():
 def test_as_equations_bad_witness_detected(cube):
     eq = as_equations(cube)
     broken = replace_geometry(eq, witnesses={Face(2, 0): tuple(c + 1 for c in eq.witnesses[2][0])})
-    report = prepare(broken).report
+    report = preflight(broken).report
     assert any(v.code == "BAD_WITNESS" for v in report.violations)
 
 
@@ -226,7 +227,7 @@ def test_check_realization_rejects_wrong_length_normal(cube):
     fe = eq.equations[h.index]
     for normal in (fe.normal + (F(0),), fe.normal[:-1]):
         broken = replace_geometry(eq, equations={h: FacetEquation(normal, fe.offset)})
-        report = prepare(broken).report
+        report = preflight(broken).report
         assert [(v.code, v.face) for v in report.violations] == [("BAD_NORMAL", h)]
         verdict = pc.verify(broken)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", h, "BAD_NORMAL")
@@ -249,20 +250,22 @@ def _moved_and_equations():
 
 
 @pytest.mark.parametrize("surface", _moved_and_equations())
-def test_prepare_matches_single_face_entry_points(surface):
-    # prepare tabulates every face in dimension order, and verify_face
-    # classifies a star from that table: its first and last star here
-    prepared = prepare(surface)
-    assert prepared.ok and prepared.report == prepare(surface).report
+def test_preflight_matches_single_face_entry_points(surface):
+    # preflight tabulates every face in dimension order and every link,
+    # and verify_face classifies a star from those tables: its first and
+    # last star here
+    prepared = preflight(surface)
+    assert prepared.ok and prepared.report == preflight(surface).report
     poset = surface.poset
     dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
     assert {d: len(table) for d, table in prepared.points.items()} == {d: poset.count(d) for d in dims}
     assert None not in [p for table in prepared.points.values() for p in table]
     centers = list(poset.faces(poset.dim_low))
     assert len(prepared.projections) == len(centers) and None not in prepared.projections
+    assert prepared.cycles == [pc.link_cycle(poset, center) for center in centers]
     for center in (centers[0], centers[-1]):
         proj = prepared.projections[center.index]
-        fan = pc.build_fan(prepared.points, center, pc.link_cycle(poset, center), proj)
+        fan = pc.build_fan(prepared.points, center, prepared.cycles[center.index], proj)
         assert verify_face(surface, center) == pc.fan_is_convex(fan)
 
 
@@ -280,14 +283,14 @@ def test_eliminator_gets_integer_rows(monkeypatch):
     surfaces += [pc.rigid_motion(pc.gen_simplex(5), 2), pc.dent(pc.gen_cross_polytope(3), 0, F(1, 3))]
     surfaces += [pc.rigid_motion(pc.gen_hypercube(5), 1)]
     for surface in surfaces:
-        assert prepare(surface).ok
+        assert preflight(surface).ok
     assert len(rows) > 500
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in rows)
 
 
 def test_as_equations_direction_space(tesseract):
     eq = as_equations(tesseract)
-    projections = prepare(eq).projections
+    projections = preflight(eq).projections
     for e in eq.poset.faces(1):
         assert len(nullspace(projections[e.index].rows, 4)) == 1
     # and the fan pipeline agrees with vertex mode on the verdict
@@ -331,10 +334,10 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
     # do not make it degenerate: both modes give the same verdicts
     for surface in (pc.split_facet_cube(False), pc.split_facet_cube(True), wedge_cube(4), wedge_cube(16)):
         eq = as_equations(surface)
-        assert prepare(eq).report.ok
+        assert preflight(eq).report.ok
         assert pc.verify(eq, collect_all=True) == pc.verify(surface, collect_all=True)
         assert pc.verify(eq).kind == "CONVEX"
-        assert set(prepare(eq).projections) == set(prepare(surface).projections) == {pc.complementary_projection((), 3)}
+        assert set(preflight(eq).projections) == set(preflight(surface).projections) == {pc.complementary_projection((), 3)}
         for f in surface.poset.faces(0):
             assert verify_face(eq, f) == verify_face(surface, f)
 
@@ -368,6 +371,23 @@ def reference_face_geometry(dim, points):
     return (total, len(picked) * weight), tuple(basis), defect
 
 
+def same_face_geometry(got, want, width) -> bool:
+    """Whether ``_face_geometry``'s result matches the reference's.
+
+    The point and the defect are equal, and the basis spans the reference
+    basis's row space (the same nullspace), in echelon form: each row is
+    zero at the pivot columns of the rows before it.
+    """
+    (point, basis, defect), (want_point, want_basis, want_defect) = got, want
+    cols = [_pivot(r) for r in basis]
+    return (
+        (point, defect) == (want_point, want_defect)
+        and len(basis) == len(want_basis)
+        and nullspace(basis, width) == nullspace(want_basis, width)
+        and all(r[c] == 0 for k, r in enumerate(basis) for c in cols[:k])
+    )
+
+
 def reference_equations_geometry(surface, face):
     """Reference for an equations-mode face: its witness, kernel and defect.
 
@@ -390,17 +410,17 @@ def reference_equations_geometry(surface, face):
 
 def test_face_geometry_matches_reference():
     # every face of dims n-3, n-2, n-1: vertex mode through _face_geometry
-    # alone, equations mode through prepare's tables and report
+    # alone, equations mode through preflight's tables and report
     defects = Counter()
     for label, s in geometry_families():
         poset = s.poset
-        prepared = prepare(s)
+        prepared = preflight(s)
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
             for f in poset.faces(d):
                 if s.mode == "vertices":
                     points = face_points(s, f)
                     got = surface_mod._face_geometry(d, points)
-                    assert got == reference_face_geometry(d, points), (label, f)
+                    assert same_face_geometry(got, reference_face_geometry(d, points), s.n), (label, f)
                     defect = got[2]
                 else:
                     point, basis, defect = reference_equations_geometry(s, f)
@@ -420,7 +440,7 @@ def test_projections_have_rank_three_and_the_face_kernel():
     # mode, the nullspace of the incident facet normals in equations mode
     checked = Counter()
     for label, s in geometry_families():
-        prepared = prepare(s)
+        prepared = preflight(s)
         if not prepared.ok:
             continue
         poset = s.poset
@@ -439,12 +459,12 @@ def test_projections_have_rank_three_and_the_face_kernel():
     assert len(checked) == 8 and min(checked.values()) >= 20, checked
 
 
-def test_prepare_matches_reference(monkeypatch):
-    prepared = {label: prepare(s) for label, s in geometry_families()}
+def test_geometry_pass_matches_reference(monkeypatch):
+    prepared = {label: preflight(s) for label, s in geometry_families()}
     monkeypatch.setattr(surface_mod, "_face_geometry", reference_face_geometry)
     outcomes = Counter()
     for label, s in geometry_families():
-        want = prepare(s)
+        want = preflight(s)
         got = prepared[label]
         assert got.report == want.report, label
         assert got.points == want.points and got.projections == want.projections, label
@@ -469,7 +489,7 @@ def test_face_geometry_repeated_and_collinear_vertices():
         verts = [rng.randrange(len(pts)) for _ in range(rng.randint(1, len(pts) + 2))]
         points = [homogeneous(pts[v]) for v in verts]
         got = surface_mod._face_geometry(dim, points)
-        assert got == reference_face_geometry(dim, points), (pts, verts, dim)
+        assert same_face_geometry(got, reference_face_geometry(dim, points), n), (pts, verts, dim)
         defects[got[2] is None] += 1
     assert min(defects.values()) >= 1000, defects
 
@@ -480,11 +500,11 @@ def _star_through(surface, face):
     return next(c for c in poset.faces(poset.dim_low) if face in (None, c) or face in cycle_faces(poset, pc.link_cycle(poset, c)))
 
 
-def test_prepare_rejection_texts(cube):
-    # each rejection prepare gives before any geometry, each vertex id out
-    # of range and each bad witness, with its exact text; verify_face at a
-    # star through the bad face (any star when no face is named) answers
-    # verify's code, as every star does
+def test_preflight_rejection_texts(cube):
+    # each rejection the geometry pass gives before any geometry and each
+    # bad witness, with its exact text, and validate_poset's for a vertex id
+    # out of range; verify_face at a star through the bad face (any star
+    # when no face is named) answers verify's code, as every star does
     eq = as_equations(cube)
     eq4 = as_equations(pc.gen_hypercube(4))
     h, v0, h4 = Face(2, 1), Face(0, 0), Face(3, 2)
@@ -514,23 +534,24 @@ def test_prepare_rejection_texts(cube):
         (replace_geometry(eq, witnesses={h: off}), ("BAD_WITNESS", h, f"witness not on facet {h}")),
     ]
     for surface, expected in cases:
-        assert prepare(surface).report.violations == (pc.Violation(*expected),)
+        violations = preflight(surface).report.violations
+        # an id out of range is also missing from the faces above the edge:
+        # only the first violation is the listing's own
+        assert (violations[:1] if expected[0] == "INVALID_ID" else violations) == (pc.Violation(*expected),)
         verdict = pc.verify(surface)
         assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", expected[1], expected[0])
         assert verify_face(surface, _star_through(surface, expected[1])) == (False, expected[0]), expected
 
 
-def test_prepare_on_upward_references_outside_the_records():
-    # equations mode, on a poset that validate_poset rejects: an edge
-    # reference outside the records reaches no facet (it is not read from
-    # the end of the table), and the vertex's other two edges reach all of
-    # its three facets, whose planes hold its witness; a facet reference
-    # outside the records is INVALID_ID, even beside a good one
+def test_preflight_on_upward_references_outside_the_records():
+    # equations mode: an edge or facet reference outside the records, even
+    # beside a good one, is validate_poset's INVALID_ID, and preflight stops
+    # there, before the geometry pass reads the upward tables
     eq = pc.as_equations(pc.gen_hypercube(3))
     ups = eq.poset.up_ids[0][0]
-    poset = replace_records(eq.poset, up={Face(0, 0): (-1,) + ups[1:]})
-    assert prepare(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses)).ok
-    for bad in (-1, 6):
-        poset = replace_records(eq.poset, up={Face(1, 3): (bad, eq.poset.up_ids[1][3][1])})
-        report = prepare(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses)).report
-        assert pc.Violation("INVALID_ID", Face(1, 3), "upward reference to a facet outside the records") in report.violations
+    cases = [(Face(0, 0), (-1,) + ups[1:], Face(1, -1))]
+    cases += [(Face(1, 3), (bad, eq.poset.up_ids[1][3][1]), Face(2, bad)) for bad in (-1, 6)]
+    for face, refs, target in cases:
+        surface = pc.PLSurface(replace_records(eq.poset, up={face: refs}), equations=eq.equations, witnesses=eq.witnesses)
+        assert preflight(surface).report == validate_poset(surface.poset, surface.mode)
+        assert pc.Violation("INVALID_ID", face, f"bad upward reference {target}") in preflight(surface).report.violations

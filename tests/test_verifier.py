@@ -13,13 +13,14 @@ import plconvex.verifier as verifier_mod
 from plconvex.exactgeom import as_vec
 from plconvex.instances import circle_points
 from plconvex.poset import Face, FacePoset, check_closed, check_connected, validate_poset, vertex_poset
-from plconvex.surface import FacetEquation, PLSurface, prepare
-from plconvex.verifier import verify, verify_face
+from plconvex.surface import FacetEquation, PLSurface
+from plconvex.verifier import preflight, verify, verify_face
 
 from conftest import (
     crowned_prism,
     cycle_faces,
     duoprism,
+    geometry_families,
     locally_nonconvex_vertices,
     pinched_tube,
     random_same_kernel_projection,
@@ -129,7 +130,7 @@ def _moved_bases():
 
 @pytest.mark.parametrize("surface", _moved_bases(), ids=["hypercube5", "cross5", "simplex6", "prism8"])
 def test_verify_takes_each_projection_once(surface, monkeypatch):
-    # prepare tables every star's projection: in equations mode the incident
+    # preflight tables every star's projection: in equations mode the incident
     # normals are its rows, so no nullspace is taken; in vertex mode each
     # (n-3)-face gets one complementary_projection of its basis, and at
     # n = 3 none, since every star shares the identity
@@ -205,7 +206,7 @@ def test_order_independence(schonhardt):
 def test_custom_projection_equals_fast_path(tesseract, schonhardt):
     rng = random.Random(11)
     for surface in (tesseract, schonhardt):
-        prepared = prepare(surface)
+        prepared = preflight(surface)
         for f in surface.poset.faces(surface.poset.dim_low):
             base = verify_face(surface, f)
             for _ in range(5):
@@ -237,8 +238,8 @@ def test_zero_direction_guard():
         },
     )
     s = PLSurface(poset, vertices=coords)
-    prepared = prepare(s)
-    # the report is not ok, so prepare tables no projection: the center's
+    prepared = preflight(s)
+    # the report is not ok, so preflight tables no projection: the center's
     # direction space is the x axis
     proj = pc.complementary_projection(((1, 0, 0, 0),), 4)
     cyc = (g0.index, h0.index, g1.index, h1.index)
@@ -254,7 +255,7 @@ def test_zero_direction_guard():
     e0 = Face(1, 0)
     g = eq.poset.up(e0)[0]
     moved = replace_geometry(eq, witnesses={g: eq.witnesses[1][0]})
-    assert prepare(moved).ok
+    assert preflight(moved).ok
     v = verify(moved)
     assert (v.kind, v.witness, v.reason) == ("INVALID", e0, "ZERO_DIRECTION")
     assert v.entries_checked == 0  # the first star, whose fan was never built
@@ -262,7 +263,7 @@ def test_zero_direction_guard():
     # the same for a facet's witness: the error names the cell, not a ray
     h = eq.poset.up(g)[0]
     cell = replace_geometry(eq, witnesses={h: eq.witnesses[1][0]})
-    prepared = prepare(cell)
+    prepared = preflight(cell)
     assert prepared.ok
     proj = prepared.projections[e0.index]
     with pytest.raises(pc.ZeroDirectionError) as info:
@@ -287,7 +288,8 @@ def test_empty_vertex_list_invalid(cube):
     assert (v.kind, v.witness, v.reason) == ("INVALID", edge, "MISSING_VERTEX_LIST")
     for f in bad.poset.faces(0):
         assert verify_face(bad, f) == (False, "MISSING_VERTEX_LIST")
-    assert prepare(bad).report.violations == (pc.Violation("DEGENERATE_FACE", edge, "no vertices"),)
+    # preflight stops there: the geometry pass never reads the empty list
+    assert preflight(bad).report == report
 
 
 # the names perfbench's tracer wraps in the verifier's module globals
@@ -336,24 +338,23 @@ def test_verify_face_rejects_bad_witness():
             assert verify_face(bad, center) == (False, "BAD_WITNESS"), (face, witness, center)
 
 
-# one seeded corruption per instance, of each kind: the reason that verify
-# and every star give, and the first violation of prepare's own report
-# (None for containment, which only validate_poset checks)
+# one seeded corruption per instance, of each kind: the code of the first
+# violation of preflight's report, which verify and every star give
 CORRUPTIONS = {
-    "id_past_end": ("INVALID_ID", "INVALID_ID"),
-    "id_negative": ("INVALID_ID", "INVALID_ID"),
-    "list_emptied": ("MISSING_VERTEX_LIST", "DEGENERATE_FACE"),
-    "list_uncontained": ("VERTEX_NOT_CONTAINED", None),
-    "coordinate_dropped": ("MISSING_COORDS", "MISSING_COORDS"),
-    "coordinate_added": ("MISSING_COORDS", "MISSING_COORDS"),
-    "witness_dropped": ("BAD_WITNESS", "BAD_WITNESS"),
-    "witness_short": ("BAD_WITNESS", "BAD_WITNESS"),
-    "witness_long": ("BAD_WITNESS", "BAD_WITNESS"),
-    "witness_moved": ("BAD_WITNESS", "BAD_WITNESS"),
-    "normal_short": ("BAD_NORMAL", "BAD_NORMAL"),
-    "normal_long": ("BAD_NORMAL", "BAD_NORMAL"),
-    "normal_zeroed": ("ZERO_NORMAL", "ZERO_NORMAL"),
-    "equation_dropped": ("MISSING_EQUATION", "MISSING_EQUATION"),
+    "id_past_end": "INVALID_ID",
+    "id_negative": "INVALID_ID",
+    "list_emptied": "MISSING_VERTEX_LIST",
+    "list_uncontained": "VERTEX_NOT_CONTAINED",
+    "coordinate_dropped": "MISSING_COORDS",
+    "coordinate_added": "MISSING_COORDS",
+    "witness_dropped": "BAD_WITNESS",
+    "witness_short": "BAD_WITNESS",
+    "witness_long": "BAD_WITNESS",
+    "witness_moved": "BAD_WITNESS",
+    "normal_short": "BAD_NORMAL",
+    "normal_long": "BAD_NORMAL",
+    "normal_zeroed": "ZERO_NORMAL",
+    "equation_dropped": "MISSING_EQUATION",
 }
 CORRUPTION_ROUNDS = 10
 
@@ -417,11 +418,11 @@ def _corrupt(surface, kind, rng):
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_corrupted_records_agree_across_entry_points(kind):
-    # differential: on each broken input verify, prepare and verify_face never
-    # raise, prepare reports the broken face first, and a star answers
-    # verify's code wherever the broken face is: the first and last star,
-    # and the first star through the broken face
-    reason, prepare_reason = CORRUPTIONS[kind]
+    # differential: on each broken input verify, preflight and verify_face
+    # never raise, preflight reports the broken face first, and a star
+    # answers verify's code wherever the broken face is: the first and last
+    # star, and the first star through the broken face
+    reason = CORRUPTIONS[kind]
     mode = "vertices" if kind.startswith(("id", "list", "coordinate")) else "equations"
     rng = random.Random(kind)
     for base in _corruption_bases():
@@ -433,9 +434,8 @@ def test_corrupted_records_agree_across_entry_points(kind):
             surface, face = _corrupt(base, kind, rng)
             verdict = verify(surface)
             assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", face, reason)
-            report = prepare(surface).report
-            if prepare_reason is not None:
-                assert (report.violations[0].code, report.violations[0].face) == (prepare_reason, face)
+            report = preflight(surface).report
+            assert (report.violations[0].code, report.violations[0].face) == (reason, face)
             through = next(c for c in stars if face in (None, c) or face in cycle_faces(poset, pc.link_cycle(poset, c)))
             for c in (stars[0], stars[-1], through):
                 assert verify_face(surface, c) == (False, reason), (kind, face, c)
@@ -485,7 +485,7 @@ def test_poset_and_text_corruptions_never_raise():
                 s = _corrupt_poset(base, kind, rng)
                 v = verify(s, collect_all=True)
                 outcomes[v.kind] += 1
-                prepare(s), check_closed(s.poset), check_connected(s.poset)
+                preflight(s), check_closed(s.poset), check_connected(s.poset)
                 # verify_face shares verify's front end; its first and last star
                 stars = list(s.poset.faces(s.poset.dim_low))
                 for c in (stars[0], stars[-1]):
@@ -513,15 +513,18 @@ def _drop_up(surface, face, g):
 
 @pytest.mark.parametrize("mode", ["vertices", "equations"])
 def test_broken_link_is_invalid_before_any_star_is_classified(mode):
-    # v2 of Schönhardt loses its reference to e1: the input passes
-    # preflight and v0's star, which the drop leaves as it was, fails first
-    # in face order, yet a broken link is no evidence against convexity, so
-    # the input is INVALID at v2, and so is every star of it
+    # v2 of Schönhardt loses its reference to e1: the input passes every
+    # check before the link walks, and v0's star, which the drop leaves as
+    # it was, fails first in face order, yet a broken link is no evidence
+    # against convexity, so preflight reports it at v2, the input is
+    # INVALID there, and so is every star of it
     base = pc.gen_schonhardt()
     if mode == "equations":
         base = pc.as_equations(base)
     broken = _drop_up(base, Face(0, 2), Face(1, 1))
-    assert pc.preflight(broken).ok
+    with pytest.raises(pc.LinkCycleError) as info:
+        pc.link_cycle(broken.poset, Face(0, 2))
+    assert pc.preflight(broken) == pc.PreparedSurface(pc.ValidationReport((pc.Violation("NOT_SINGLE_CYCLE", Face(0, 2), str(info.value)),)))
     assert pc.link_cycle(broken.poset, Face(0, 0)) == pc.link_cycle(base.poset, Face(0, 0))
     v = verify(base)
     assert (v.kind, v.witness, v.reason) == ("NOT_CONVEX", Face(0, 0), "WRONG_TURN_SIGN")
@@ -530,6 +533,72 @@ def test_broken_link_is_invalid_before_any_star_is_classified(mode):
     for collect_all in (False, True):
         v = verify(broken, collect_all=collect_all)
         assert (v.kind, v.witness, v.reason, v.failures, v.entries_checked) == ("INVALID", Face(0, 2), "NOT_SINGLE_CYCLE", (), 0)
+    # the geometry pass runs before the link walks: with a record missing
+    # too, its violation is the one reported, and no link is tabled
+    if mode == "equations":
+        both, first = replace(broken, equations=broken.equations[:-1]), ("MISSING_EQUATION", Face(2, 7))
+    else:
+        both, first = replace(broken, vertices=broken.vertices[:-1]), ("MISSING_COORDS", None)
+    prepared = pc.preflight(both)
+    assert (prepared.report.violations[0][:2], prepared.cycles) == (first, [])
+    v = verify(both)
+    assert (v.reason, v.witness) == first
+
+
+def _corrupted_surfaces():
+    """The record corruptions of every kind and the poset corruptions, seeded, on the corruption bases."""
+    for kind in CORRUPTIONS:
+        mode = "vertices" if kind.startswith(("id", "list", "coordinate")) else "equations"
+        rng = random.Random(kind)
+        for base in _corruption_bases():
+            if base.mode == mode:
+                yield from (_corrupt(base, kind, rng)[0] for _ in range(3))
+    rng = random.Random(29)
+    for base in _corruption_bases():
+        for kind in ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus"):
+            yield from (_corrupt_poset(base, kind, rng) for _ in range(2))
+
+
+def _accepted_structure(surface):
+    poset = surface.poset
+    return validate_poset(poset, surface.mode).ok and check_closed(poset).ok and check_connected(poset).ok
+
+
+def test_geometry_pass_runs_only_on_accepted_posets(monkeypatch):
+    # preflight, and so verify and verify_face, run the geometry pass once
+    # each exactly when validate_poset, check_closed and check_connected
+    # accept the poset, so the pass never checks structure itself
+    runs = []
+    geometry_pass = verifier_mod._geometry_pass
+
+    def spy(surface):
+        runs.append(_accepted_structure(surface))
+        return geometry_pass(surface)
+
+    monkeypatch.setattr(verifier_mod, "_geometry_pass", spy)
+    outcomes = Counter()
+    for s in _corrupted_surfaces():
+        runs.clear()
+        preflight(s), verify(s), verify_face(s, next(s.poset.faces(s.poset.dim_low)))
+        accepted = _accepted_structure(s)
+        assert runs == ([True] * 3 if accepted else []), runs
+        outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_preflight_ok_exactly_when_verify_is_no_front_end_invalid():
+    # the one INVALID reason that verify gives past preflight is a star's
+    # ZERO_DIRECTION; every other one is preflight's first violation
+    broken = [_drop_up(s, Face(0, 2), Face(1, 1)) for s in (pc.gen_schonhardt(), pc.as_equations(pc.gen_schonhardt()))]
+    outcomes = Counter()
+    for s in [*_corrupted_surfaces(), *(s for _, s in geometry_families()), *broken]:
+        prepared, v = preflight(s), verify(s)
+        assert prepared.ok == (v.kind != "INVALID" or v.reason == "ZERO_DIRECTION"), v
+        if not prepared.ok:
+            first = prepared.report.violations[0]
+            assert (v.witness, v.reason) == (first.face, first.code)
+        outcomes[prepared.ok, s.mode] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
 
 
 def _cube_lists(shift=0):
@@ -648,7 +717,7 @@ def test_duoprisms_are_convex(p, q):
 
 def test_equations_witnesses_moved_inside_their_faces():
     # a witness is trusted to lie in the relative interior of its face, not
-    # to be prepare's point there: each witness above dim n-3 moved to
+    # to be the geometry pass's point there: each witness above dim n-3 moved to
     # (1 - t) w + t v, for a vertex v of its face and t in {1/10, ..., 9/10},
     # leaves every verdict as it was, with early exit and with collect_all
     rng = random.Random(4)
@@ -753,7 +822,7 @@ def test_non_convex_facets_are_rejected(shape, polygon, witness, reason):
     # input check, and its surface still comes back NOT_CONVEX in both modes,
     # as the oracle says; none of them reaches BAD_ROTATION_INDEX
     s = _prism_or_cone(shape, NON_CONVEX_POLYGONS[polygon])
-    assert prepare(s).ok
+    assert preflight(s).ok
     for surface in (s, pc.as_equations(s)):
         v = verify(surface)
         assert (v.kind, v.witness, v.reason) == ("NOT_CONVEX", Face(0, witness), reason)
@@ -795,7 +864,7 @@ def test_suspended_torus_classified_though_apex_links_are_tori():
     s = suspended_square_torus()
     assert validate_poset(s.poset, s.mode).ok
     assert check_closed(s.poset).ok and check_connected(s.poset).ok
-    assert prepare(s).ok
+    assert preflight(s).ok
     v = verify(s, collect_all=True)
     assert v.kind == "NOT_CONVEX"
     assert Counter(reason for _, reason in v.failures) == {"NO_SUPPORT": 16, "WRONG_TURN_SIGN": 8}
