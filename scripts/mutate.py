@@ -20,25 +20,32 @@ mutated tree and compile, or the script stops.
 
 A run copies the checkout once per worker into a temporary directory
 and writes mutants only there, so the working tree is never written.
-A run of the unmutated suite first records how long each test takes,
-and a traced run which lines of the checkout's files outside ``tests/``
-it runs and whether it starts a subprocess in the checkout.  For each
-mutant the script then runs, with ``-x`` and fastest first, the tests
-that run a line of the mutated span and, when those pass, the tests
-that start a subprocess (the trace cannot see their lines); a span that
-no test runs, such as a value computed at import, gets the whole suite.
-Each such run names its tests by node id on pytest's command line,
-which runs them in that order.  No other test can observe the mutant,
-so the outcome is a whole-suite run's, at a fraction of its cost.  A
-mutant is killed when a run fails or exceeds its time limit: twice
-pytest's start-up plus the chosen tests' unmutated, untraced time, plus
-10 s.  Load from other processes can push a surviving mutant over that
-limit, so once every mutant has run, each one that timed out runs once
-more, alone: it stays killed only when that run fails or times out too.
+A run of the unmutated suite first records how long each test takes
+(and, from its wall time less the tests' sum, pytest's start-up), and
+a traced run which lines of the checkout's files outside ``tests/`` it
+runs and whether it starts a subprocess in the checkout.  For each
+mutant the script then makes one pytest run, with ``-x``: the tests that
+run a line of the mutated span, fastest first, then the tests that
+start a subprocess (the trace cannot see their lines); a span that no
+test runs, such as a value computed at import, gets the whole suite.
+The run names its tests by node id on pytest's command line, which runs
+them in that order.  No other test can observe the mutant, so the
+outcome is a whole-suite run's, at a fraction of its cost.  A mutant is
+killed when its run fails or exceeds its time limit: twice pytest's
+start-up plus the chosen tests' unmutated, untraced time, plus 10 s.
+Load from other processes can push a surviving mutant over that limit,
+so once every mutant has run, each one that timed out runs once more,
+alone: it stays killed only when that run fails or times out too.
 Every survivor must be listed in ``mutate_equivalents.json`` next to
 this script, by its key, with the argument why it changes no verdict or,
 for a fast path, the measurement that shows the path pays.  The run
 exits 1 when a survivor is not listed.
+
+A pytest run that times out, and every one in progress when the script
+is stopped (Ctrl-C or SIGTERM), gets SIGTERM, which the plugin that
+every run loads turns into KeyboardInterrupt: a test of this script
+inside it then stops its own runs and removes its temporary directory.
+``GRACE`` seconds later the run's process group gets SIGKILL.
 
     python scripts/mutate.py                  # the six decider modules, 2 workers
     python scripts/mutate.py fan poset -j 1   # some of them
@@ -71,6 +78,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("fan", "poset", "surface", "exactgeom", "verifier", "formats")
 EQUIVALENTS = Path(__file__).with_name("mutate_equivalents.json")
+GRACE = 5.0  # seconds a stopped run has to clean up before its process group is killed
 OPERATORS = ("cmp", "arith", "bool", "const", "not", "raise", "return", "if")
 
 _CMP = {
@@ -215,14 +223,17 @@ def load_equivalents(file: Path) -> dict[str, str]:
     return {entry["mutant"]: entry["why"] for entry in json.loads(file.read_text())}
 
 
-# Loaded into pytest with -p.  With MUTATE_OUT set it writes to that file,
-# per test, its time and whether it starts a subprocess in the checkout,
-# whose lines it cannot see, and with MUTATE_TRACE set too, the lines it
-# runs of the files under MUTATE_ROOT outside its tests/.
+# Loaded into pytest with -p.  It makes SIGTERM a KeyboardInterrupt, so a
+# stopped run unwinds through its tests' cleanup.  With MUTATE_OUT set it
+# writes to that file, per test, its time and whether it starts a
+# subprocess in the checkout, whose lines it cannot see, and with
+# MUTATE_TRACE set too, the lines it runs of the files under MUTATE_ROOT
+# outside its tests/.
 _PLUGIN = """
-import json, os, subprocess, sys, threading, time
+import json, os, signal, subprocess, sys, threading, time
 import pytest
 
+signal.signal(signal.SIGTERM, signal.default_int_handler)
 ROOT, OUT, TRACE = os.path.join(os.environ["MUTATE_ROOT"], ""), os.environ.get("MUTATE_OUT"), os.environ.get("MUTATE_TRACE")
 TESTS = os.path.join(ROOT, "tests", "")
 runs = {}
@@ -268,6 +279,28 @@ def pytest_sessionfinish(session):
 """
 
 
+def _signal_groups(procs: list[subprocess.Popen], sig: int) -> None:
+    for proc in procs:
+        try:
+            os.killpg(proc.pid, sig)
+        except ProcessLookupError:
+            pass  # no process of the group is left
+
+
+def _end(procs: list[subprocess.Popen]) -> None:
+    """Stop test runs, each the leader of its process group: SIGTERM, and SIGKILL to what is left ``GRACE`` seconds on."""
+    _signal_groups(procs, signal.SIGTERM)
+    deadline = time.monotonic() + GRACE
+    for proc in procs:
+        try:
+            proc.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            pass
+    _signal_groups(procs, signal.SIGKILL)
+    for proc in procs:
+        proc.wait()
+
+
 class _Runner:
     """Worker copies of the checkout, and the test runs in them."""
 
@@ -281,14 +314,15 @@ class _Runner:
             shutil.copytree(root, dest, ignore=ignore)
             self.copies.put(dest)
         self.live: set[subprocess.Popen] = set()
+        self.stopping = False
         self.startup = 0.0
         # node id -> (untraced time, lines run per file, whether it starts a subprocess)
         self.tests: dict[str, tuple[float, dict[str, set[int]], bool]] = {}
 
     def stop(self) -> None:
-        """Kill every test run in progress."""
-        for proc in list(self.live):
-            os.killpg(proc.pid, signal.SIGKILL)
+        """End every test run in progress, and each one started from now on."""
+        self.stopping = True
+        _end(list(self.live))
 
     def _pytest(self, copy: Path, args: list[str], limit: float | None, env: dict[str, str]) -> tuple[bool, bool]:
         """(passed, timed out) of ``pytest args`` in ``copy``, with the plugin loaded."""
@@ -300,10 +334,10 @@ class _Runner:
         )
         self.live.add(proc)
         try:
-            return proc.wait(limit) == 0, False
+            # live before stopping is read: stop() ends this run, or this run sees stopping
+            return proc.wait(0 if self.stopping else limit) == 0, False
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+            _end([proc])
             return False, True
         finally:
             self.live.discard(proc)
@@ -313,15 +347,15 @@ class _Runner:
         copy = self.copies.get()
         try:
             times, trace = self.tmp / "times.json", self.tmp / "trace.json"
+            started = time.perf_counter()
             if not self._pytest(copy, ["-x", "tests"], None, {"MUTATE_OUT": str(times)})[0]:
                 raise SystemExit("the unmutated checkout fails its tests")
-            started = time.perf_counter()
-            self._pytest(copy, ["--collect-only", "tests"], None, {})
-            self.startup = time.perf_counter() - started
+            wall = time.perf_counter() - started
             # tracing slows a test by how much of its work is Python lines, so
             # its limit comes from the untraced run
             self._pytest(copy, ["tests"], None, {"MUTATE_OUT": str(trace), "MUTATE_TRACE": "1"})
             seconds = {nodeid: run[0] for nodeid, run in json.loads(times.read_text()).items()}
+            self.startup = wall - sum(seconds.values())
             for nodeid, (_, hits, spawns) in json.loads(trace.read_text()).items():
                 lines: dict[str, set[int]] = {}
                 for file, line in hits:
@@ -338,29 +372,27 @@ class _Runner:
     def outcome(self, mutant: Mutant) -> str:
         """'killed', 'timeout' or 'survived'.
 
-        First, with -x, the tests that run a line of the mutant's span,
-        fastest first; when they all pass, the tests that start a
-        subprocess in the checkout, whose lines the trace cannot see.
-        No other test runs the mutated code.  A span that no test runs,
-        such as a default value or a class attribute evaluated at import,
-        gets the whole suite instead, fastest test first.
+        One run, with -x: the tests that run a line of the mutant's span,
+        fastest first, then the tests that start a subprocess in the
+        checkout, whose lines the trace cannot see.  No other test runs
+        the mutated code.  A span that no test runs, such as a default
+        value or a class attribute evaluated at import, gets the whole
+        suite instead, fastest test first.
         """
         span = set(range(mutant.line, mutant.end + 1))
         chosen = sorted((t, nodeid) for nodeid, (t, lines, _) in self.tests.items() if span & lines.get(mutant.path, set()))
-        blind = sorted((t, nodeid) for nodeid, (t, _, spawns) in self.tests.items() if spawns and (t, nodeid) not in chosen)
-        everything = sorted((t, nodeid) for nodeid, (t, _, _) in self.tests.items())
+        if chosen:
+            hit = {nodeid for _, nodeid in chosen}
+            chosen += sorted((t, nodeid) for nodeid, (t, _, spawns) in self.tests.items() if spawns and nodeid not in hit)
+        else:
+            chosen = sorted((t, nodeid) for nodeid, (t, _, _) in self.tests.items())
         copy = self.copies.get()
         target = copy / mutant.path
         original = target.read_bytes()
         try:
             target.write_text(mutant.source)
-            for tests in [t for t in (chosen, blind) if t] if chosen else [everything]:
-                passed, timed_out = self._pytest(copy, *self._stage(tests), {})
-                if timed_out:
-                    return "timeout"
-                if not passed:
-                    return "killed"
-            return "survived"
+            passed, timed_out = self._pytest(copy, *self._stage(chosen), {})
+            return "timeout" if timed_out else "survived" if passed else "killed"
         finally:
             target.write_bytes(original)
             self.copies.put(copy)
@@ -389,10 +421,10 @@ def run(
     results: dict[Mutant, str] = {}
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         runner = _Runner(root, Path(tmp), jobs, slack)
-        runner.baseline()
         with ThreadPoolExecutor(jobs) as pool:
-            futures = [(m, pool.submit(runner.outcome, m)) for m in todo]
             try:
+                runner.baseline()
+                futures = [(m, pool.submit(runner.outcome, m)) for m in todo]
                 for k, (m, future) in enumerate(futures, 1):
                     results[m] = future.result()
                     log(f"[{k}/{len(todo)}] {_status(results[m], m, listed):<21} {m.path}:{m.line} {m.operator:<6} {m.key}")

@@ -15,7 +15,6 @@ from .exactgeom import (
 from .fan import (
     ConvexityCheck,
     Fan3,
-    FanEntry,
     ZeroDirectionError,
     build_fan,
     fan_is_convex,
@@ -66,7 +65,6 @@ __all__ = [
     "FacePoset",
     "FacetEquation",
     "Fan3",
-    "FanEntry",
     "FlatSurfaceError",
     "GenSpec",
     "INVALID",

@@ -8,13 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from inspect import Parameter, signature
 
 from .formats import NonManifoldError, ParseError, SemanticError, emit_pls, parse_off, parse_pls
-from .instances import (
-    GenSpec,
-    build_instance,
-    rigid_motion,
-)
+from .instances import _FAMILIES, GenSpec, build_instance, rigid_motion
 from .oracle import FlatSurfaceError, oracle_verdict
 from .poset import Face
 from .verifier import CONVEX, INVALID, NOT_CONVEX, verify
@@ -83,16 +80,13 @@ def _cmd_verify(args) -> int:
 
 
 # per family, the generator flags it takes (by argparse dest), each with
-# whether it is required; every other generator flag is an error
+# whether it is required: its generator's parameters, required when they
+# have no default, and for the rigid_motion transform its input file and
+# seed; every other generator flag is an error
 _GEN_FLAGS = {
-    "hypercube": {"n": True},
-    "cross_polytope": {"n": True},
-    "simplex": {"n": True},
-    "prism": {"m": True},
-    "schonhardt": {},
-    "dented": {"dents": False},
-    "rigid_motion": {"input": True, "seed": False},
-}
+    family: {p.name: p.default is Parameter.empty for p in signature(gen).parameters.values()}
+    for family, gen in _FAMILIES.items()
+} | {"rigid_motion": {"input": True, "seed": False}}
 _FLAG_NAMES = {"n": "--n", "m": "--m", "dents": "--dents", "seed": "--seed", "input": "-i/--input"}
 
 

@@ -6,7 +6,8 @@ images of the incident (n-2)-faces, and between consecutive rays the
 image of one facet.  Each facet contributes a witness direction pointing
 into its projected cone; rays alone cannot tell a fold (two facets
 occupying the same cone) or a reflex occupancy from a convex fan, so the
-cyclic entry list interleaves rays with witnesses.
+cyclic direction list interleaves them as the link cycle does: a ray at
+every even position, a cell witness at every odd one.
 
 The fan is accepted exactly when its neighborhood of the apex lies on
 the boundary of a convex 3-dimensional body.  Three shapes qualify:
@@ -68,29 +69,24 @@ class ConvexityCheck(NamedTuple):
     reason: str
 
 
-class FanEntry(NamedTuple):
-    kind: str  # RAY or CELL
-    direction: Vec
-    source: int  # the face's index in its dimension
-
-
 class Fan3(NamedTuple):
     """The cyclic alternating ray/witness directions of a star, from its apex.
 
-    Entry k is the integer direction ``dirs[k]`` of kind ``kinds[k]`` (RAY
-    or CELL) from the link-cycle face of index ``sources[k]``, one rank
-    above the apex for a RAY and two for a CELL; ``entries`` zips them on
-    demand.  ``build_fan`` is its producer; a direct call must pass
-    ``int`` triples, unchecked and trusted by ``fan_is_convex``.
+    An entry's kind is its position: in the fan of (n-3)-face i,
+    ``dirs[k]`` is a RAY at even k and a CELL at odd k, the integer
+    direction to the interior point of the link-cycle face
+    ``preflight(surface).cycles[i][k]``, one rank above the apex for a
+    RAY and two for a CELL.  ``entries`` pairs each direction with its
+    kind on demand.  ``build_fan`` is its producer; a direct call must
+    pass ``int`` triples, rays at the even positions, unchecked and
+    trusted by ``fan_is_convex``.
     """
 
     dirs: tuple[IVec, ...]
-    kinds: tuple[str, ...]
-    sources: tuple[int, ...]
 
     @property
-    def entries(self) -> tuple[FanEntry, ...]:
-        return tuple(map(FanEntry, self.kinds, self.dirs, self.sources))
+    def entries(self) -> tuple[tuple[str, IVec], ...]:
+        return tuple((CELL if k & 1 else RAY, d) for k, d in enumerate(self.dirs))
 
 
 class ZeroDirectionError(Exception):
@@ -120,9 +116,9 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
     w_c * P(S_f) - w_f * P(S_c) divided by the gcd of its coordinates:
     the primitive positive multiple of the direction from the apex to
     f's projected interior point, whose size does not grow with the
-    weights (a gcd of 0 is a zero direction).  One loop
-    fills ``dirs``; ``kinds`` alternate RAY, CELL by position and
-    ``sources`` is the cycle's tuple: no object per entry.
+    weights (a gcd of 0 is a zero direction).  One loop fills ``dirs``,
+    the fan's one field: entry k's kind and source face are its position
+    and ``cycle[k]``.
     """
     dim, c = center
     center_nums, wc = points[dim][c]
@@ -146,7 +142,7 @@ def build_fan(points: Mapping[int, Sequence[HomPoint]], center: Face, cycle: tup
         if not g:
             raise ZeroDirectionError(Face(dim + 1 + (pos & 1), f))
         dirs.append((d0 // g, d1 // g, d2 // g))
-    return Fan3(tuple(dirs), (RAY, CELL) * (len(cycle) // 2), cycle)
+    return Fan3(tuple(dirs))
 
 
 def _idot(u, v):
@@ -285,16 +281,14 @@ def _one_direction(crosses: Sequence[IVec]) -> bool:
     return all(cross3(c, v) == (0, 0, 0) and _idot(c, v) > 0 for v in crosses)
 
 
-def _wedge_check(
-    kinds: Sequence[str], dirs: Sequence[IVec], crosses: Sequence[IVec], dots: Sequence[int]
-) -> ConvexityCheck:
+def _wedge_check(dirs: Sequence[IVec], crosses: Sequence[IVec], dots: Sequence[int]) -> ConvexityCheck:
     """Accept a dihedral wedge (see the module docstring) in one O(m) pass.
 
     Let s be the sum of the cyclic ``crosses`` c_k = d_k-1 x d_k, and
     ``dots`` the values s . d_k that ``_certified_direction`` returned.
     At rank 3 the fan is a wedge with fold pair i < j exactly when
     (1) s . d_k vanishes for k = i, j only, and its other values share a
-    sign; (2) entries i, j are antipodal rays (by ``kinds``); (3) c_i+1..c_j are nonzero
+    sign; (2) entries i, j are antipodal rays (both at even positions); (3) c_i+1..c_j are nonzero
     positive multiples of one vector, and so are c_j+1..c_m-1, c_0..c_i.
 
     Wedge => (1)-(3): the chains turn about normals N_a, N_b by angles in
@@ -316,7 +310,7 @@ def _wedge_check(
     zeros = [k for k, t in enumerate(dots) if t == 0]
     if len(zeros) == 2 and not min(dots) < 0 < max(dots):
         i, j = zeros
-        rays = kinds[i] == kinds[j] == RAY
+        rays = not (i | j) & 1  # rays sit at even positions
         if rays and cross3(dirs[i], dirs[j]) == (0, 0, 0) and _idot(dirs[i], dirs[j]) < 0:
             if _one_direction(crosses[i + 1 : j + 1]) and _one_direction(crosses[j + 1 :] + crosses[: i + 1]):
                 return ConvexityCheck(True, OK_FLAT)
@@ -365,8 +359,8 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
     of the plane keeps every turn clause, and once every turn is strict
     and of one sign the half-axis crossing count is the rotation index
     in any frame.  At rank 3 the O(m) wedge test reads the certificate's
-    dots and the fan's ``kinds``; only a star that it rejects reaches
-    the O(m^3) ``_pairwise_support``.
+    dots and the fold's positions (rays are even); only a star that it
+    rejects reaches the O(m^3) ``_pairwise_support``.
     """
     dirs = fan.dirs
     if not dirs:
@@ -382,7 +376,7 @@ def fan_is_convex(fan: Fan3) -> ConvexityCheck:
             # monotonically; the turns are visited from (dirs[0], dirs[1])
             return _wound_once(_plane_frame(normal, dirs[1:] + dirs[:1]), False, OK_FLAT)
         # a wedge has no strict support: read it off the certificate first
-        wedge = _wedge_check(fan.kinds, dirs, crosses, dots)
+        wedge = _wedge_check(dirs, crosses, dots)
         s = None if wedge.convex else _pairwise_support(dirs)
         if s is None:
             return wedge

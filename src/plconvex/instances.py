@@ -329,19 +329,22 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     return PLSurface(new_poset, equations=moved(surface.equations, perms[poset.dim_top]), witnesses=witnesses)
 
 
+# each standalone family's generator, whose parameters are the family's
+_FAMILIES = {
+    "hypercube": gen_hypercube,
+    "cross_polytope": gen_cross_polytope,
+    "simplex": gen_simplex,
+    "prism": gen_prism,
+    "schonhardt": gen_schonhardt,
+    "dented": gen_dented_cube,
+}
+
+
 def build_instance(spec: GenSpec) -> PLSurface:
-    """Materialize a GenSpec (the standalone families)."""
-    fam, p = spec.family, spec.params
-    if fam == "hypercube":
-        return gen_hypercube(p["n"])
-    if fam == "cross_polytope":
-        return gen_cross_polytope(p["n"])
-    if fam == "simplex":
-        return gen_simplex(p["n"])
-    if fam == "prism":
-        return gen_prism(p["m"])
-    if fam == "schonhardt":
-        return gen_schonhardt()
-    if fam == "dented":
-        return gen_dented_cube(p.get("dents", 1))
-    raise ValueError(f"unknown family {fam!r}")
+    """Materialize a GenSpec (the standalone families): the family's generator called with ``spec.params``.
+
+    An unknown family is a ValueError, a missing or extra parameter a TypeError.
+    """
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return _FAMILIES[spec.family](**spec.params)

@@ -184,12 +184,18 @@ def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[Ho
     return point, FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
 
 
-def _vertex_points(face: Face, ids: Sequence[int], coords: Sequence) -> list:
-    """``coords[v]`` for each vertex id v of ``face``, in list order, for the writers and the oracle.
+def _vertex_points(poset: FacePoset, face: Face, coords: Sequence) -> list:
+    """``coords[v]`` for each vertex id v of ``face`` in ``poset.vertex_ids``, in list order, for the writers and the oracle.
 
-    A face without vertices is a DegenerateFaceError, and an id outside
-    0..V-1, negative too, names no vertex: it is a KeyError.
+    A face without a vertex record and an id outside 0..V-1, negative
+    too, name no vertices: each is a KeyError.  A face without vertices
+    is a DegenerateFaceError.
     """
+    d, i = face
+    rows = poset.vertex_ids.get(d, ())
+    if not 0 <= i < len(rows):
+        raise KeyError(face)
+    ids = rows[i]
     if not ids:
         raise DegenerateFaceError(face, "no vertices")
     for v in ids:
@@ -203,7 +209,7 @@ def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
 
     Its vertices are looked up as in ``as_equations`` (``_vertex_points``).
     """
-    vertices = _vertex_points(facet, surface.poset.vertex_lists[facet], surface.vertices)
+    vertices = _vertex_points(surface.poset, facet, surface.vertices)
     return _facet_geometry(facet, list(map(homogeneous, vertices)), surface.n)[1]
 
 
@@ -222,8 +228,8 @@ def as_equations(surface: PLSurface) -> PLSurface:
     gets a witness; a facet that spans no hyperplane is a
     DegenerateFaceError.  A vertex without n coordinates is a
     ValueError.  Vertices are looked up by ``_vertex_points``: a face
-    without vertices is a DegenerateFaceError, and an id outside
-    0..V-1, negative too, a KeyError.
+    without vertices is a DegenerateFaceError, and a face without a
+    vertex record or an id outside 0..V-1, negative too, a KeyError.
     """
     if surface.mode != VERTEX_MODE:
         return surface
@@ -236,7 +242,7 @@ def as_equations(surface: PLSurface) -> PLSurface:
     coords = list(map(homogeneous, surface.vertices))
 
     def face_points(face: Face) -> list[HomPoint]:
-        return _vertex_points(face, poset.vertex_lists[face], coords)
+        return _vertex_points(poset, face, coords)
 
     facets = [_facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)]
     witnesses = {

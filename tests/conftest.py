@@ -91,14 +91,14 @@ def rotation_index(directions) -> int:
     return total
 
 
-def int_fan(entries) -> pc.Fan3:
-    """A ``Fan3`` from ``FanEntry``s, each direction scaled to ``int``s on its own by ``homogeneous``.
+def int_fan(dirs) -> pc.Fan3:
+    """A ``Fan3`` of ``dirs``, each direction scaled to ``int``s on its own by ``homogeneous``.
 
-    An all-``int`` direction is kept as it is, so a fan built from
-    ``fan.entries`` equals ``fan``.
+    Rays at the even positions, cells at the odd ones, as ever.  An
+    all-``int`` direction is kept as it is, so ``int_fan(fan.dirs)``
+    equals ``fan``.
     """
-    dirs = tuple(homogeneous(e.direction)[0] for e in entries)
-    return pc.Fan3(dirs, tuple(e.kind for e in entries), tuple(e.source for e in entries))
+    return pc.Fan3(tuple(homogeneous(d)[0] for d in dirs))
 
 
 def orthogonal_frame(axis, vecs) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import plconvex as pc
-from plconvex.fan import FanEntry, RAY, CELL, _wound_once, fan_is_convex
+from plconvex.fan import _wound_once, fan_is_convex
 from plconvex.poset import Face
 from plconvex.verifier import preflight, verify, verify_face
 
@@ -232,12 +232,11 @@ def test_criterion_6_rotation_index_suite():
     wound.append(_wound_once(star_edges, True, "OK_POINTED"))
     ok = ok and wound == [(True, "OK_POINTED"), (True, "OK_POINTED"), (False, "BAD_ROTATION_INDEX")]
 
-    entries = []
+    dirs = []  # a ray at each star point, a cell at each edge midpoint
     for k in range(5):
         a, b = star[k], star[(k + 1) % 5]
-        entries.append(FanEntry(RAY, (a[0], a[1], F(1)), Face(1, k)))
-        entries.append(FanEntry(CELL, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, F(1)), Face(2, k)))
-    lifted = int_fan(entries)
+        dirs += [(a[0], a[1], F(1)), ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, F(1))]
+    lifted = int_fan(dirs)
     res = fan_is_convex(lifted)
     ok = ok and res == (False, "BAD_ROTATION_INDEX")
     detail = f"square +1/-1, pentagram 2 (float {float_winding(star_edges):.6f}), lift {res.reason}"

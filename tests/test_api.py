@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import fields
+from inspect import signature
 
 import plconvex as pc
 
@@ -11,9 +12,9 @@ def test_public_names_resolve_once():
 
 
 def test_fan_and_exactgeom_keep_only_what_is_read():
-    # a fan is its entries, seen from an apex it does not store; a rank is
-    # the width less the size of exactgeom.nullspace
-    assert pc.Fan3._fields == ("dirs", "kinds", "sources")
+    # a fan is its directions, seen from an apex it does not store; a rank
+    # is the width less the size of exactgeom.nullspace
+    assert pc.Fan3._fields == ("dirs",)
     assert not hasattr(pc.exactgeom, "rank") and "rank" not in pc.__all__
     # preflight tables each star's projection and link cycle, and the
     # verifier takes no projection itself
@@ -38,6 +39,18 @@ def test_one_winding_count_and_one_fan_constructor():
     assert [name for name in gone if name in vars(pc.fan)] == []
     assert "rotation_index" not in pc.__all__ and "OppositeDirectionsError" not in pc.__all__
     assert "from_entries" not in vars(pc.Fan3)
+
+
+def test_a_fan_is_its_directions():
+    # an entry's kind is its position (rays even, cells odd) and its source
+    # face the link cycle's entry, so neither is stored, and the classifier
+    # reads the fold's positions instead of a kind tuple
+    assert pc.Fan3._fields == ("dirs",)
+    assert "FanEntry" not in vars(pc.fan) and "FanEntry" not in pc.__all__ and not hasattr(pc, "FanEntry")
+    assert "kinds" not in pc.fan.fan_is_convex.__code__.co_names
+    assert list(signature(pc.fan._wedge_check).parameters) == ["dirs", "crosses", "dots"]
+    fan = pc.Fan3(((1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 1)))
+    assert fan.entries == (("ray", (1, 0, 0)), ("cell", (1, 1, 0)), ("ray", (0, 1, 0)), ("cell", (1, 1, 1)))
 
 
 def test_one_elimination_per_facet():

@@ -94,7 +94,7 @@ def image(p, v):
         fan = build_fan(points, Face(0, 0), (0, 0), p)
     except ZeroDirectionError:
         return as_vec([0, 0, 0])
-    return dehomogenise(fan.entries[0].direction, w)
+    return dehomogenise(fan.dirs[0], w)
 
 
 def test_projection_identity_for_n3():

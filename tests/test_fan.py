@@ -11,13 +11,7 @@ import plconvex.fan as fan_mod
 import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
 from plconvex.exactgeom import Projection3, as_vec, cross3, dot, homogeneous
-from plconvex.fan import (
-    CELL,
-    RAY,
-    Fan3,
-    FanEntry,
-    fan_is_convex,
-)
+from plconvex.fan import Fan3, fan_is_convex
 from plconvex.instances import circle_points
 from plconvex.poset import Face
 from plconvex.verifier import verify_face
@@ -68,11 +62,10 @@ def polygon_is_convex(points):
 
 
 def make_fan(ray_dirs, cell_dirs):
-    entries = []
-    for k, r in enumerate(ray_dirs):
-        entries.append(FanEntry(RAY, as_vec(r), Face(1, k)))
-        entries.append(FanEntry(CELL, as_vec(cell_dirs[k]), Face(2, k)))
-    return int_fan(entries)
+    dirs = []
+    for r, c in zip(ray_dirs, cell_dirs):
+        dirs += [as_vec(r), as_vec(c)]
+    return int_fan(dirs)
 
 
 def fan_between(ray_dirs):
@@ -185,16 +178,16 @@ class TestReferenceDirection:
         assert fan_mod._pairwise_support(dirs) is None
 
     def test_no_directions(self):
-        assert fan_is_convex(Fan3((), (), ())) == (False, "DEGENERATE_RANK")
+        assert fan_is_convex(Fan3(())) == (False, "DEGENERATE_RANK")
 
     def test_wedge_chain_with_a_straight_step_is_no_wedge(self):
         # fold rays +-x, chains in the half-planes y > 0 and z > 0: a wedge;
         # with the cell after (0, 1, 0) pointing the same way, one product of
         # its chain is zero, and the chain no longer sweeps its half-plane
         wedge = ((1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0), (-1, 0, 1), (0, 0, 1), (1, 0, 1))
-        assert fan_is_convex(Fan3(wedge, (RAY, CELL) * 4, tuple(range(8)))) == (True, "OK_FLAT")
+        assert fan_is_convex(Fan3(wedge)) == (True, "OK_FLAT")
         straight = wedge[:3] + ((0, 1, 0),) + wedge[4:]
-        assert fan_is_convex(Fan3(straight, (RAY, CELL) * 4, tuple(range(8)))) == (False, "NO_SUPPORT")
+        assert fan_is_convex(Fan3(straight)) == (False, "NO_SUPPORT")
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_certificate_feasible_from_a_dot_of_one(self, monkeypatch, reverse):
@@ -207,7 +200,7 @@ class TestReferenceDirection:
         s, dots = fan_mod._certified_direction(dirs, cert)
         assert s == (-2, 8, 1) and (max(dots) if reverse else min(dots)) == (-1 if reverse else 1)
         monkeypatch.setattr(fan_mod, "_pairwise_support", None)
-        assert fan_is_convex(Fan3(dirs, (RAY, CELL) * 3, tuple(range(6)))) == (True, "OK_POINTED")
+        assert fan_is_convex(Fan3(dirs)) == (True, "OK_POINTED")
 
     def test_axes(self):
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -300,6 +293,8 @@ class TestFanIsConvex:
         )
         # entries: ray +x, cell in upper plane, ray +y, cell upper, ray -x, cell lower half-plane
         assert fan_is_convex(fan) == (True, "OK_FLAT")
+        # shifted by one, the fold pair sits at odd positions: two cells, no fold
+        assert fan_is_convex(Fan3(fan.dirs[1:] + fan.dirs[:1])) == (False, "NO_SUPPORT")
 
     def test_thin_wedge_accepted(self):
         # two distinct half-planes through the crease on the same side
@@ -320,12 +315,13 @@ class TestFanIsConvex:
         assert res == (False, "NO_SUPPORT")
 
     def test_wedge_chain_wound_past_the_fold_rejected(self):
-        # the chain in z = 0 turns counterclockwise at every step but jumps
-        # over the fold line twice, sweeping one and a half turns: only the
-        # fold pair has s . d = 0, yet s . d changes sign along that chain
-        dirs = [(1, 0, 0), (0, 1, 0), (-6, -1, 0), (1, -2, 0), (1, 1, 0), (-1, 0, 0), (0, 0, -1)]
-        kinds = [RAY, CELL, RAY, CELL, RAY, RAY, CELL]
-        fan = int_fan(tuple(FanEntry(k, d, Face(1, i)) for i, (k, d) in enumerate(zip(kinds, dirs))))
+        # the chain in z = 0 turns counterclockwise by 3 pi / 4 at every step
+        # but jumps over the fold line twice, sweeping one and a half turns:
+        # only the fold pair (rays 0 and 4) has s . d = 0, yet s . d changes
+        # sign along that chain
+        fan = Fan3(((1, 0, 0), (-1, 1, 0), (0, -1, 0), (1, 1, 0), (-1, 0, 0), (0, 0, -1)))
+        _, cert = fan_mod._crosses_and_sum(fan.dirs)
+        assert fan_mod._certified_direction(fan.dirs, cert)[1] == [0, -2, 2, -2, 0, -4]
         assert wedge_outcome(fan) is False
         assert fan_is_convex(fan) == (False, "NO_SUPPORT")
 
@@ -355,13 +351,13 @@ class TestFanIsConvex:
             return real(u, v)
 
         for seed in range(1, 7):
-            fan = max(star_fans(pc.relabel(wedge_cube(64), seed)), key=lambda f: len(f.entries))
-            assert len(fan.entries) == 4 * 64 + 12
+            fan = max(star_fans(pc.relabel(wedge_cube(64), seed)), key=lambda f: len(f.dirs))
+            assert len(fan.dirs) == 4 * 64 + 12
             calls.clear()
             monkeypatch.setattr(fan_mod, "cross3", counting)
             assert fan_is_convex(fan) == (True, "OK_FLAT")
             monkeypatch.undo()
-            assert len(calls) <= 3 * len(fan.entries), (seed, len(calls))
+            assert len(calls) <= 3 * len(fan.dirs), (seed, len(calls))
 
     def test_zero_angle(self):
         fan = make_fan(
@@ -380,35 +376,31 @@ class TestFanIsConvex:
                 cyc = pc.link_cycle(poset, f)
                 fans.append(pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index]))
         # the geometry pass hands the classifier integer directions and rows
-        assert all(type(c) is int for fan in fans for e in fan.entries for c in e.direction)
+        assert all(type(c) is int for fan in fans for d in fan.dirs for c in d)
         rows = pc.complementary_projection([as_vec([1, 2, 0, -1])], 4).rows
         assert all(type(c) is int for r in rows for c in r)
         rng = random.Random(7)
         for fan in fans:
             base = fan_is_convex(fan)
-            m = len(fan.entries)
-            for shift in range(2, m, 2):
-                rotated = int_fan(fan.entries[shift:] + fan.entries[:shift])
+            dirs = fan.dirs
+            for shift in range(2, len(dirs), 2):
+                rotated = int_fan(dirs[shift:] + dirs[:shift])
                 assert fan_is_convex(rotated) == base
-            rev = tuple(reversed(fan.entries))
-            if rev[0].kind != RAY:
-                rev = rev[-1:] + rev[:-1]
-            assert fan_is_convex(int_fan(rev)) == base
+            # reversed from the first ray, so rays stay at even positions
+            assert fan_is_convex(int_fan(dirs[:1] + dirs[:0:-1])) == base
             # each direction only stands for its ray: rescale every entry on its own
             for _ in range(3):
                 scaled = []
-                for e in fan.entries:
+                for d in dirs:
                     lam = rng.choice([rng.randint(1, 10**6), F(rng.randint(1, 99), rng.randint(1, 99))])
-                    scaled.append(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source))
+                    scaled.append(tuple(lam * c for c in d))
                 assert fan_is_convex(int_fan(scaled)) == base
 
     def test_scaling_invariance(self):
         rays = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
         fan = fan_between(rays)
         for lam in (F(3), F(1, 7), F(12, 5)):
-            scaled = int_fan(
-                tuple(FanEntry(e.kind, tuple(lam * c for c in e.direction), e.source) for e in fan.entries),
-            )
+            scaled = int_fan(tuple(lam * c for c in d) for d in fan.dirs)
             assert fan_is_convex(scaled) == fan_is_convex(fan)
 
     def test_cube_origin_corner_directions(self, cube):
@@ -424,12 +416,10 @@ class TestFanIsConvex:
             scale = next(c for c in d if c != 0)
             return tuple(c / scale for c in d)
 
-        rays = {ray_of(e.direction) for e in fan.entries if e.kind == RAY}
+        rays = {ray_of(d) for d in fan.dirs[0::2]}
         assert rays == {as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([0, 0, 1])}
-        cells = {ray_of(e.direction) for e in fan.entries if e.kind == CELL}
+        cells = {ray_of(d) for d in fan.dirs[1::2]}
         assert cells == {as_vec([0, 1, 1]), as_vec([1, 0, 1]), as_vec([1, 1, 0])}
-        cells = {ray_of(e.direction) for e in fan.entries if e.kind == CELL}
-        assert cells == {as_vec([1, 1, 0]), as_vec([1, 0, 1]), as_vec([0, 1, 1])}
 
     def test_tesseract_origin_edge_directions(self, tesseract):
         # the edge along e1 from the origin: coordinate projection onto
@@ -445,10 +435,9 @@ class TestFanIsConvex:
         cyc = pc.link_cycle(tesseract.poset, edge)
         fan = pc.build_fan(pc.preflight(tesseract).points, edge, cyc, proj)
         rays = set()
-        for e in fan.entries:
-            if e.kind == RAY:
-                scale = next(c for c in e.direction if c != 0)
-                rays.add(tuple(c / scale for c in e.direction))
+        for d in fan.dirs[0::2]:
+            scale = next(c for c in d if c != 0)
+            rays.add(tuple(c / scale for c in d))
         assert rays == {as_vec([1, 0, 0]), as_vec([0, 1, 0]), as_vec([0, 0, 1])}
 
     def test_witness_in_ray_cone_for_polytopes(self, cube):
@@ -463,12 +452,10 @@ class TestFanIsConvex:
                 cyc = pc.link_cycle(surface.poset, f)
                 fan = pc.build_fan(prepared.points, f, cyc, prepared.projections[f.index])
                 assert fan_is_convex(fan) == (True, "OK_POINTED")
-                entries = fan.entries
-                m = len(entries)
+                dirs = fan.dirs
+                m = len(dirs)
                 for i in range(1, m, 2):
-                    w = entries[i].direction
-                    r1 = entries[i - 1].direction
-                    r2 = entries[(i + 1) % m].direction
+                    w, r1, r2 = dirs[i], dirs[i - 1], dirs[(i + 1) % m]
                     # w = x*r1 + y*r2 with x, y > 0: w lies in the plane of
                     # r1 and r2, strictly on the r2 side of r1 and the r1 side of r2
                     normal = cross3(r1, r2)
@@ -572,10 +559,10 @@ def half_sweep_reference(start, between):
     return all(u[0] * v[1] - u[1] * v[0] > 0 for u, v in zip(seq, seq[1:]))
 
 
-def ray_pair_wedge_check(entries, dirs):
-    """Reference for ``_wedge_check``: the O(r^2) search over antipodal ray pairs."""
+def ray_pair_wedge_check(dirs):
+    """Reference for ``_wedge_check``: the O(r^2) search over antipodal ray pairs (rays at even positions)."""
     m = len(dirs)
-    rays = [k for k in range(m) if entries[k].kind == RAY]
+    rays = range(0, m, 2)
     for a, i in enumerate(rays):
         for j in rays[a + 1 :]:
             if cross3(dirs[i], dirs[j]) != (0, 0, 0) or dot(dirs[i], dirs[j]) >= 0:
@@ -601,8 +588,8 @@ def wedge_outcome(fan):
     s, dots = fan_mod._certified_direction(dirs, cert)
     if rank3_reference(dirs) != 3 or s is not None:
         return None
-    got = fan_mod._wedge_check(fan.kinds, dirs, crosses, dots)
-    assert got == ray_pair_wedge_check(fan.entries, dirs), dirs
+    got = fan_mod._wedge_check(dirs, crosses, dots)
+    assert got == ray_pair_wedge_check(dirs), dirs
     return got.convex
 
 
@@ -646,7 +633,7 @@ def section_point_classifier(fan):
     cert = tuple(sum(cross3(dirs[k - 1], dirs[k])[a] for k in range(m)) for a in range(3))
     s = next((c for c in (cert, tuple(-x for x in cert)) if all(dot(c, d) > 0 for d in dirs)), None)
     if s is None:
-        wedge = ray_pair_wedge_check(fan.entries, dirs)
+        wedge = ray_pair_wedge_check(dirs)
         if wedge[0]:
             return wedge
         s = fan_mod._pairwise_support(dirs)
@@ -663,14 +650,6 @@ def section_point_classifier(fan):
             return (False, "ZERO_ANGLE_CONE")
         edges.append(e)
     return two_pass_wound_once(edges, cyclic_pairs(edges), True, "OK_POINTED")
-
-
-def alternating_fan(dirs):
-    """Rays at the even and witnesses at the odd positions of the cyclic list."""
-    entries = tuple(
-        FanEntry(RAY if k % 2 == 0 else CELL, tuple(d), Face(1 + k % 2, k)) for k, d in enumerate(dirs)
-    )
-    return int_fan(entries)
 
 
 def full_circle(k):
@@ -806,15 +785,15 @@ def seeded_fans(seed, count):
     rng = random.Random(seed)
     for i in range(count):
         dirs = FAMILIES[i % len(FAMILIES)](rng)
-        yield alternating_fan(dirs)
-        yield alternating_fan([tuple(F(rng.randint(1, 99), rng.randint(1, 99)) * c for c in d) for d in dirs])
+        yield int_fan(dirs)
+        yield int_fan([tuple(F(rng.randint(1, 99), rng.randint(1, 99)) * c for c in d) for d in dirs])
         huge = list(dirs)
         k = rng.randrange(len(huge))
         huge[k] = tuple(10**400 * rng.randint(1, 9) * c for c in huge[k])
-        yield alternating_fan(huge)
+        yield int_fan(huge)
         shift = 2 * rng.randrange((len(dirs) + 1) // 2)
-        yield alternating_fan(dirs[shift:] + dirs[:shift])
-        yield alternating_fan(dirs[:1] + dirs[:0:-1])
+        yield int_fan(dirs[shift:] + dirs[:shift])
+        yield int_fan(dirs[:1] + dirs[:0:-1])
 
 
 class TestCrossProductClassifier:
@@ -1056,15 +1035,16 @@ class TestOnePassWinding:
             while dot(cross3(x, w), v) == 0:
                 v = tuple(rng.randint(-3, 3) for _ in range(3))
             minus_x = tuple(-c for c in x)
-            between = half_sweep_chain(rng, x, w, True)
-            dirs = [x, *between, minus_x, *half_sweep_chain(rng, minus_x, v, False)]
-            fold = len(between) + 1
-            entries = [
-                FanEntry(RAY, d, Face(1, k)) if k % 2 == 0 or k == fold else FanEntry(CELL, d, Face(2, k))
-                for k, d in enumerate(dirs)
-            ]
-            shift = rng.randrange(len(dirs))
-            outcomes[wedge_outcome(int_fan(entries[shift:] + entries[:shift]))] += 1
+            # chains of odd length put the fold rays at even positions, as in
+            # every fan build_fan makes, and shifts by even amounts keep them there
+            between = other = []
+            while len(between) % 2 == 0:
+                between = half_sweep_chain(rng, x, w, True)
+            while len(other) % 2 == 0:
+                other = half_sweep_chain(rng, minus_x, v, False)
+            dirs = [x, *between, minus_x, *other]
+            shift = 2 * rng.randrange(len(dirs) // 2)
+            outcomes[wedge_outcome(int_fan(dirs[shift:] + dirs[:shift]))] += 1
         assert min(outcomes[True], outcomes[False]) >= 300, outcomes
 
 
@@ -1140,7 +1120,7 @@ class TestPlaneFrame:
                     dirs.insert(k, (0, 0, 0))
                 else:
                     dirs[k % len(dirs)] = (0, 0, 0)
-            assert not fan_is_convex(alternating_fan(dirs)).convex, dirs
+            assert not fan_is_convex(int_fan(dirs)).convex, dirs
 
 
 class TestIntegerContract:
@@ -1154,9 +1134,9 @@ class TestIntegerContract:
             fractions = [tuple(F(c, k) for c in d) for d, k in zip(dirs, scales)]
             mixed = fractions[:1] + [d if rng.random() < 0.5 else homogeneous(d)[0] for d in fractions[1:]]
             integers = [tuple(k * x for x in homogeneous(d)[0]) for d, k in zip(fractions, scales[::-1])]
-            expected = fan_is_convex(alternating_fan(integers))
-            assert fan_is_convex(alternating_fan(fractions)) == expected
-            assert fan_is_convex(alternating_fan(mixed)) == expected
+            expected = fan_is_convex(int_fan(integers))
+            assert fan_is_convex(int_fan(fractions)) == expected
+            assert fan_is_convex(int_fan(mixed)) == expected
             reasons[expected.reason] += 1
         assert len(reasons) == 7, reasons
 
@@ -1191,7 +1171,7 @@ class TestIntegerContract:
 
 
 def entry_by_entry(points, center, cycle, proj):
-    """Reference for ``build_fan``: each entry's (kind, primitive direction, source), one at a time."""
+    """Reference for ``build_fan``: each entry's (kind, primitive direction), one at a time."""
 
     def image(nums):
         if proj.axes is not None:
@@ -1206,7 +1186,7 @@ def entry_by_entry(points, center, cycle, proj):
         nums, w = points[dim][f]
         direction = tuple(wc * p - w * a for p, a in zip(image(nums), apex))
         g = math.gcd(*direction)
-        entries.append((RAY if dim == center.dim + 1 else CELL, tuple(x // g for x in direction), f))
+        entries.append(("ray" if dim == center.dim + 1 else "cell", tuple(x // g for x in direction)))
     return tuple(entries)
 
 
@@ -1237,7 +1217,6 @@ class TestFanView:
         monkeypatch.undo()
         assert len(built) >= 706
         for expected, fan in built:
-            assert len(fan.dirs) == len(fan.kinds) == len(fan.sources)
+            assert len(fan.entries) == len(fan.dirs)
             assert fan.entries == expected
-            assert all(type(e) is FanEntry for e in fan.entries)
-            assert list(fan.dirs) == [d for _, d, _ in expected]
+            assert list(fan.dirs) == [d for _, d in expected]

@@ -184,8 +184,14 @@ def test_build_instance_dispatch():
     assert build_instance(GenSpec("prism", {"m": 5})) == pc.gen_prism(5)
     assert build_instance(GenSpec("schonhardt")) == pc.gen_schonhardt()
     assert build_instance(GenSpec("dented", {"dents": 2})) == pc.gen_dented_cube(2)
+    assert build_instance(GenSpec("dented")) == pc.gen_dented_cube(1)
     with pytest.raises(ValueError):
         build_instance(GenSpec("moebius"))
+    # the parameters are the generator's own: one missing or one too many is a TypeError
+    with pytest.raises(TypeError):
+        build_instance(GenSpec("prism"))
+    with pytest.raises(TypeError):
+        build_instance(GenSpec("hypercube", {"n": 3, "m": 4}))
 
 
 def test_dented_cube_multi():

@@ -2,7 +2,12 @@
 
 import hashlib
 import importlib.util
+import json
+import os
+import signal
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +66,40 @@ spec.loader.exec_module(tool)
 
 def test_double():
     assert tool.double(4) == 8
+"""
+
+
+# a test that, as a test of scripts/mutate.py does, owns a temporary
+# directory and a child in a session of its own, and cleans both up on the
+# way out; it says where they are once it has them, then waits
+NESTED_TESTS = """import json, os, subprocess, sys, tempfile, time
+
+
+def test_nested_run():
+    out = os.environ["STAGE_OUT"]
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(out)) as tmp:
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"], start_new_session=True)
+        try:
+            with open(out + ".part", "w") as f:
+                json.dump([child.pid, tmp, [os.environ.get(k) for k in ("MUTATE_STRAY", "STAGE_KEPT")]], f)
+            os.replace(out + ".part", out)
+            time.sleep(60)
+        finally:
+            child.kill()
+            child.wait()
+"""
+
+# a test that ignores SIGTERM, and says so
+STUBBORN_TESTS = """import json, os, signal, time
+
+
+def test_stubborn():
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    out = os.environ["STAGE_OUT"]
+    with open(out + ".part", "w") as f:
+        json.dump([], f)
+    os.replace(out + ".part", out)
+    time.sleep(60)
 """
 
 
@@ -179,3 +218,124 @@ def test_run_reraises_when_interrupted(checkout, tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=tmp_path / "none.json", log=interrupted)
     assert _digest(checkout) == before
+    # an interrupt during the baseline stops the baseline's run too
+    stopped = []
+
+    def interrupted_baseline(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mutate._Runner, "baseline", interrupted_baseline)
+    monkeypatch.setattr(mutate._Runner, "stop", lambda self: stopped.append(self))
+    with pytest.raises(KeyboardInterrupt):
+        mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=tmp_path / "none.json", log=print)
+    assert len(stopped) == 1
+
+
+def _stop_while_running(checkout, tmp_path, name, text):
+    """Start a run of the one test ``text`` in a worker copy and stop it once the test is running.
+
+    Returns what the test wrote to STAGE_OUT, the run's (passed, timed
+    out), the seconds stop() took, the runner and the run's arguments.
+    """
+    (checkout / "tests" / name).write_text(text)
+    work = tmp_path / "work"
+    work.mkdir()
+    runner = mutate._Runner(checkout, work, 1, 2.0)
+    out = tmp_path / "stage.json"
+    ended = []
+    args = (runner.copies.get(), [f"tests/{name}"], None, {"STAGE_OUT": str(out)})
+    stage = threading.Thread(target=lambda: ended.append(runner._pytest(*args)))
+    stage.start()
+    deadline = time.monotonic() + 60
+    while not out.exists() and stage.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    written = json.loads(out.read_text())
+    started = time.monotonic()
+    runner.stop()
+    stopped = time.monotonic() - started
+    stage.join(60)
+    assert not stage.is_alive()
+    return written, ended, stopped, runner, args
+
+
+def test_stopped_run_cleans_up_its_nested_run(checkout, tmp_path, monkeypatch):
+    # stop() sends SIGTERM, which the plugin makes a KeyboardInterrupt: the
+    # test's cleanup runs, so its child in a session of its own (which a
+    # SIGKILL to the run's process group never reaches) and its temporary
+    # directory are gone when the run ends, well within the grace period
+    monkeypatch.setenv("MUTATE_STRAY", "1")
+    monkeypatch.setenv("STAGE_KEPT", "1")
+    (pid, tmp, env), ended, stopped, runner, args = _stop_while_running(checkout, tmp_path, "test_nested.py", NESTED_TESTS)
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"the nested child {pid} outlived its run")
+    assert not Path(tmp).exists()
+    assert ended == [(False, False)] and stopped < mutate.GRACE
+    # a run sees the caller's environment less its MUTATE_ variables
+    assert env == [None, "1"]
+    # a run that starts once the runner is stopped ends at once, as a timeout
+    started = time.monotonic()
+    assert runner._pytest(*args) == (False, True) and time.monotonic() - started < 1
+
+
+def test_run_that_ignores_sigterm_is_killed_after_the_grace_period(checkout, tmp_path, monkeypatch):
+    monkeypatch.setattr(mutate, "GRACE", 0.2)
+    _, ended, stopped, _, _ = _stop_while_running(checkout, tmp_path, "test_stubborn.py", STUBBORN_TESTS)
+    assert ended == [(False, False)] and 0.2 <= stopped < 5
+
+
+def test_startup_is_the_timed_run_less_its_tests(checkout, tmp_path, monkeypatch):
+    # the baseline is two runs, timed and traced; pytest's start-up is the
+    # timed run's wall time less the sum of its tests' times
+    clock = [0.0]
+    runs = []
+
+    def fake(self, copy, args, limit, env):
+        runs.append(args)
+        clock[0] += 10.0
+        Path(env["MUTATE_OUT"]).write_text(json.dumps({"tests/t.py::a": [1.0, [], False], "tests/t.py::b": [2.5, [], True]}))
+        return True, False
+
+    monkeypatch.setattr(mutate._Runner, "_pytest", fake)
+    monkeypatch.setattr(mutate.time, "perf_counter", lambda: clock[0])
+    work = tmp_path / "work"
+    work.mkdir()
+    runner = mutate._Runner(checkout, work, 1, 2.0)
+    runner.baseline()
+    assert runs == [["-x", "tests"], ["tests"]]
+    assert runner.startup == 6.5
+    assert runner.tests == {"tests/t.py::a": (1.0, {}, False), "tests/t.py::b": (2.5, {}, True)}
+
+
+def test_outcome_is_one_run_of_the_hit_tests_then_the_blind_ones(checkout, tmp_path, monkeypatch):
+    runs = []
+    results = iter([(False, False), (True, False), (False, True), (True, False)])
+
+    def fake(self, copy, args, limit, env):
+        runs.append((args, limit))
+        return next(results)
+
+    monkeypatch.setattr(mutate._Runner, "_pytest", fake)
+    work = tmp_path / "work"
+    work.mkdir()
+    runner = mutate._Runner(checkout, work, 1, 2.0)
+    runner.startup = 0.5
+    calc = "src/toy/calc.py"
+    runner.tests = {
+        "t::slow": (0.5, {calc: {6, 7}}, True),  # hits and spawns: run once, among the hits
+        "t::fast": (0.125, {calc: {7}}, False),
+        "t::spawn": (0.25, {}, True),
+        "t::other": (0.0625, {calc: {12}}, False),
+    }
+    found = {m.key.split(": ", 1)[1]: m for m in mutate.mutants(checkout, calc)}
+    hang, first = found["i += 3 => i -= 3"], found["i = 0 => i = -1"]
+    assert [runner.outcome(m) for m in (hang, hang, hang, first)] == ["killed", "survived", "timeout", "survived"]
+    # the hit tests fastest first, then the blind ones, one limit over both;
+    # a line that no test runs gets the whole suite, fastest first
+    assert runs[0] == (["-x", "t::fast", "t::slow", "t::spawn"], 2 * (0.5 + 0.875) + 2.0)
+    assert runs[3] == (["-x", "t::other", "t::fast", "t::spawn", "t::slow"], 2 * (0.5 + 0.9375) + 2.0)
+    assert (runner.copies.get() / calc).read_text() == CALC  # the worker copy is restored

@@ -178,6 +178,30 @@ AS_EQUATIONS_REFUSALS = {
 }
 
 
+def test_package_reads_vertex_ids_not_the_face_keyed_view(monkeypatch):
+    # verify, as_equations, facet_equation and the oracle read vertex_ids[d][i];
+    # the Face-keyed vertex_lists view, a dict over every face, is for callers
+    surfaces = [pc.rigid_motion(pc.gen_prism(6), 3), pc.gen_hypercube(5)]
+    cube = pc.gen_hypercube(3)
+
+    def refused(poset):
+        raise AssertionError("vertex_lists read")
+
+    monkeypatch.setattr(pc.FacePoset, "vertex_lists", property(refused))
+    for surface in surfaces:
+        assert pc.verify(surface).kind == "CONVEX"
+        eq = as_equations(surface)
+        assert pc.verify(eq).kind == "CONVEX"
+        assert [pc.facet_equation(surface, h) for h in surface.poset.faces(surface.poset.dim_top)] == eq.equations
+        assert pc.oracle_verdict(surface).convex
+    # a facet index outside the records names no facet, negative too
+    for facet in (Face(2, -1), Face(2, 6)):
+        with pytest.raises(KeyError):
+            pc.facet_equation(cube, facet)
+    with pytest.raises(AssertionError, match="vertex_lists read"):
+        surfaces[0].poset.vertex_lists
+
+
 @pytest.mark.parametrize("kind", [*AS_EQUATIONS_REFUSALS, "list_uncontained"])
 def test_as_equations_on_corrupted_records(kind):
     # a swapped vertex id stays inside the records: the reference's outcome,
