@@ -74,9 +74,14 @@ def homogeneous(v: Sequence) -> HomPoint:
     """Integer numerators and their positive common denominator: v = nums / w.
 
     w is the least common denominator, so a row of ints comes back with
-    its values over weight 1.
+    its values over weight 1.  A value that is no exact number (a float,
+    a str) is a TypeError that names it.
     """
-    w = math.lcm(*[x.denominator for x in v])
+    try:
+        w = math.lcm(*[x.denominator for x in v])
+    except AttributeError:
+        bad = next(x for x in v if not hasattr(x, "denominator"))
+        raise TypeError(f"{bad!r} is not an exact number") from None
     return tuple(x.numerator * (w // x.denominator) for x in v), w
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot, homogeneous
-from .poset import FacePoset, vertex_poset
+from .poset import Face, FacePoset, vertex_poset
 from .surface import PLSurface, _require_records
 
 F0 = Fraction(0)
@@ -303,16 +303,26 @@ def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
 
 
 def relabel(surface: PLSurface, seed: int) -> PLSurface:
-    """Permute face indices within every rank (a pure renaming); ValueError, as in ``emit_pls``, for a lacking record."""
+    """Permute face indices within every rank (a pure renaming).
+
+    ValueError, as in ``emit_pls``, for a lacking record, and for a vertex
+    id or upward reference outside 0..count-1, which names no face (as
+    ``validate_poset``'s INVALID_ID: -1 is not the last one).
+    """
     _require_records(surface)
     rng = random.Random(seed)
     poset = surface.poset
     perms = {d: rng.sample(range(c), c) for d, c in poset.faces_per_dim.items()}
     p0 = perms.get(0, [])
 
-    def moved(rows: Sequence, perm: list[int], inner: list[int] | None = None) -> list:
-        """Row i moved to index perm[i]; with ``inner``, a tuple of ids renamed by it."""
-        new: list = [None] * len(rows)
+    def moved(d: int, rows: Sequence, inner: list[int] | None = None) -> list:
+        """Row i of dimension d moved to index perms[d][i]; with ``inner``, a tuple of ids renamed by it."""
+        if inner is not None:  # one bulk test of the table's ids, then the first face that fails it
+            ids = list(chain.from_iterable(rows))
+            if ids and (min(ids) < 0 or max(ids) >= len(inner)):
+                i = next(i for i, row in enumerate(rows) if any(not 0 <= g < len(inner) for g in row))
+                raise ValueError(f"INVALID_ID: {Face(d, i)} names an id outside 0..{len(inner) - 1}")
+        perm, new = perms[d], [None] * len(rows)
         for i, row in enumerate(rows):
             new[perm[i]] = row if inner is None else tuple(sorted([inner[g] for g in row]))
         return new
@@ -320,13 +330,13 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     new_poset = FacePoset(
         n=poset.n,
         faces_per_dim=dict(poset.faces_per_dim),
-        up_ids={d: moved(rows, perms[d], perms[d + 1]) for d, rows in poset.up_ids.items()},
-        vertex_ids={d: moved(rows, perms[d], p0) for d, rows in poset.vertex_ids.items()},
+        up_ids={d: moved(d, rows, perms[d + 1]) for d, rows in poset.up_ids.items()},
+        vertex_ids={d: moved(d, rows, p0) for d, rows in poset.vertex_ids.items()},
     )
     if surface.mode == "vertices":
-        return PLSurface(new_poset, vertices=tuple(moved(surface.vertices, p0)))
-    witnesses = {d: moved(rows, perms[d]) for d, rows in surface.witnesses.items()}
-    return PLSurface(new_poset, equations=moved(surface.equations, perms[poset.dim_top]), witnesses=witnesses)
+        return PLSurface(new_poset, vertices=tuple(moved(0, surface.vertices)))
+    witnesses = {d: moved(d, rows) for d, rows in surface.witnesses.items()}
+    return PLSurface(new_poset, equations=moved(poset.dim_top, surface.equations), witnesses=witnesses)
 
 
 # each standalone family's generator, whose parameters are the family's

@@ -9,7 +9,7 @@ algorithm needs is derived from those.
 Faces are indices.  Every table is a per-dimension list indexed by face
 index: ``up_ids[d][i]`` is the sorted tuple of the indices of the faces
 one rank above face i of dimension d, and ``vertex_ids[d][i]`` its
-sorted vertex ids (vertex mode only).  The producers fill these lists
+sorted vertex ids (vertex mode, d >= 1).  The producers fill these lists
 and the consumers on the hot path (``validate_poset``, ``check_closed``,
 ``check_connected``, ``link_cycle``, the geometry pass,
 ``fan.build_fan``) index them, so no ``Face`` is made or hashed per
@@ -73,11 +73,10 @@ class FacePoset:
     are addressed by dense indices 0..count-1.  ``up_ids[d][i]``, for d =
     n-3 and n-2, is the sorted tuple of the indices of the faces of
     dimension d+1 that contain face i of dimension d.  ``vertex_ids[d][i]``,
-    for d = n-3, n-2, n-1, is the sorted tuple of 0-face indices of face
-    i; the table is empty when the geometry is given by facet equations
-    instead of vertex coordinates.  The counts are kept apart from the
-    lists, so ``validate_poset`` can tell a list shorter than its count
-    (a missing record) or longer (an index out of range).
+    for d = n-3, n-2, n-1 above 0, is the sorted tuple of 0-face indices
+    of face i; the table is empty in equations mode.  The counts are kept
+    apart from the lists, so ``validate_poset`` can tell a list shorter
+    than its count (a missing record) or longer (an index out of range).
     """
 
     n: int
@@ -126,16 +125,13 @@ def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]
     """The face poset of a vertex-mode surface, derived from vertex lists.
 
     ``lists`` maps each stored dimension above 0 to its faces' sorted
-    vertex tuples in index order (for n = 3 the vertices are the
-    (n-3)-faces and get the lists ``(i,)`` here); copies of the lists are
-    the poset's ``vertex_ids``.  A face lies in every face one
-    rank up whose vertex set contains its own; that rule is the only
-    source of upward incidences in vertex mode.  Every coface of a face
-    is indexed at each of the face's vertices, so scanning the shortest
-    of those coface lists finds them all.
+    vertex tuples in index order; copies of them are the poset's
+    ``vertex_ids``.  A vertex lies in every edge listing it (n = 3), and
+    any other face in every face one rank up whose vertex set contains
+    its own: the only source of upward incidences in vertex mode.  Every
+    coface of a face is indexed at each of its vertices, so scanning the
+    shortest of those coface lists finds them all.
     """
-    if n == 3:
-        lists = {**lists, 0: [(i,) for i in range(n_vertices)]}
     vertex_ids = {d: list(lists[d]) for d in sorted(lists)}
     counts = {0: n_vertices, **{d: len(rows) for d, rows in vertex_ids.items()}}
     up: Table = {}
@@ -166,7 +162,8 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     """Structural validation: ranks present, references in range, lists nested.
 
     ``mode`` is the surface's geometry mode (``PLSurface.mode``); vertex
-    lists are required and checked only in vertex mode.  Does not look
+    lists are required and checked only in vertex mode, above dimension
+    0, and a vertex's own id is its vertex set.  Does not look
     at coordinates; geometric checks live with the surface.  An upward
     table shorter than its count misses the records of its last faces,
     a longer one holds records of faces out of range, and a table of
@@ -209,7 +206,7 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     if mode == "vertices":
         n_verts = poset.count(0)
         vertex_ids = poset.vertex_ids
-        for d in sorted({n - 3, n - 2, n - 1}):
+        for d in sorted({n - 3, n - 2, n - 1} - {0}):
             count = counts.get(d, 0)
             rows = vertex_ids.get(d, [])[:count]
             # one bulk test clears a table whose lists are all there, nonempty and in range
@@ -227,7 +224,8 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
         # loop stays linear in facet size; an absent, None or empty list on
         # either side is reported above as MISSING_VERTEX_LIST and skipped here
         for d, rows in up.items():
-            lower, upper = vertex_ids.get(d, []), vertex_ids.get(d + 1, [])
+            lower = vertex_ids.get(d, []) if d else [(v,) for v in range(n_verts)]
+            upper = vertex_ids.get(d + 1, [])
             upper_sets: list[set[int] | None] = [None] * len(upper)
             for i, ups in enumerate(rows[: len(lower)]):
                 mine = lower[i]

@@ -16,23 +16,25 @@ a row of ints keeps its values at weight 1) and fills two tables by
 face index: ``preflight(s).points[d][i]``, the interior point of face i
 of dimension d (d = n-3, n-2, n-1), and ``preflight(s).projections[i]``,
 the projection of (n-3)-face i's star.  They are the verifier's only
-source of that geometry.  In vertex mode each face gets one
-fraction-free elimination (``_face_geometry``): its interior point, its
-direction basis as the integer echelon rows of that elimination, and
-whether it spans its dimension; a star's projection is
-``complementary_projection`` of its basis.  In equations mode a face's
-witness is its point, and at n >= 4 the first three incident facet
-normals that raise the rank are the rows of a star's projection.  At
-n = 3 both modes table one shared identity.  ``as_equations`` runs
-``_face_geometry`` once per face to write witnesses and facet
-equations, and ``facet_equation`` once per facet; both look vertices up
-through ``_vertex_points``, which refuses an empty list or an id out
-of range itself.
+source of that geometry.  In vertex mode a vertex is its own point,
+and every other face gets one fraction-free elimination
+(``_face_geometry``): its interior point, its direction basis as the
+integer echelon rows of that elimination, and whether it spans its
+dimension; a star's projection is ``complementary_projection`` of its
+basis.  In equations mode a face's witness is its point, and at n >= 4
+the first three incident facet normals that raise the rank are the rows
+of a star's projection.  At n = 3 both modes table one shared identity.
+``as_equations`` runs ``_face_geometry`` once per face but a vertex to
+write witnesses and facet equations, and ``facet_equation`` once per
+facet; both look vertices up through ``_vertex_points``, which refuses
+an empty list or an id out of range itself.
 
 The pass enforces the geometric half of the input contract in its
 report: vertex coordinates of length n, faces that affinely span
 exactly their dimension, facet normals that are nonzero and of length
-n, witnesses of length n on the planes of every facet above them, and,
+n, witnesses of length n on the planes of every facet above them, exact
+numbers (int or Fraction) in every coordinate, normal, offset and
+witness, and,
 at n >= 4, incident facet normals that pin down each (n-3)-face's
 direction space.  Inputs failing these checks are reported invalid
 rather than classified.  Witnesses are trusted to lie in the relative
@@ -216,20 +218,20 @@ def facet_equation(surface: PLSurface, facet: Face) -> FacetEquation:
 def as_equations(surface: PLSurface) -> PLSurface:
     """Convert a vertex-mode surface to equations mode.
 
-    Every face of dims n-3, n-2, n-1 gets one ``_face_geometry``
+    Every face of dims n-3, n-2, n-1 above 0 gets one ``_face_geometry``
     elimination, facets first: face i of dimension d gets its interior
     point, the one ``preflight`` would table, as ``witnesses[d][i]``, and
     facet h's direction basis gives its exact hyperplane
-    ``equations[h]`` (``_facet_geometry``).  Vertex lists are dropped
-    (dim 0 disappears entirely for n > 3); the upward tables are kept
-    as they are.
+    ``equations[h]`` (``_facet_geometry``).  At n = 3 a vertex's witness
+    is its coordinates.  Vertex lists are dropped (dim 0 disappears
+    entirely for n > 3); the upward tables are kept as they are.
 
     A face below the facets that spans less than its dimension still
     gets a witness; a facet that spans no hyperplane is a
     DegenerateFaceError.  A vertex without n coordinates is a
     ValueError.  Vertices are looked up by ``_vertex_points``: a face
-    without vertices is a DegenerateFaceError, and a face without a
-    vertex record or an id outside 0..V-1, negative too, a KeyError.
+    without vertices is a DegenerateFaceError, and one without a record
+    or coordinates, or an id outside 0..V-1, negative too, a KeyError.
     """
     if surface.mode != VERTEX_MODE:
         return surface
@@ -239,14 +241,14 @@ def as_equations(surface: PLSurface) -> PLSurface:
         raise ValueError(f"every vertex needs exactly {n} coordinates")
     counts = {d: c for d, c in poset.faces_per_dim.items() if d != 0 or n == 3}
     new_poset = FacePoset(n=n, faces_per_dim=counts, up_ids=dict(poset.up_ids))
-    coords = list(map(homogeneous, surface.vertices))
+    coords = dict(enumerate(map(homogeneous, surface.vertices)))  # a vertex without coordinates is a KeyError
 
     def face_points(face: Face) -> list[HomPoint]:
         return _vertex_points(poset, face, coords)
 
     facets = [_facet_geometry(h, face_points(h), n) for h in poset.faces(poset.dim_top)]
     witnesses = {
-        d: [dehomogenise(*_face_geometry(d, face_points(f))[0]) for f in poset.faces(d)]
+        d: [dehomogenise(*_face_geometry(d, face_points(f))[0] if d else coords[f.index]) for f in poset.faces(d)]
         for d in (poset.dim_low, poset.dim_mid)
     }
     witnesses[poset.dim_top] = [dehomogenise(*point) for point, _ in facets]
@@ -259,15 +261,16 @@ class PreparedSurface:
 
     ``points[d][i]`` is the interior point of face i of dimension d, for
     d = n-3, n-2, n-1, in homogeneous form (``dehomogenise(*points[d][i])``
-    gives its ``Fraction`` coordinates), ``projections[i]`` the
-    projection of (n-3)-face i's star: a rank-3 integer map whose kernel
-    is the face's direction space, the one ``build_fan`` applies, and
-    ``cycles[i]`` that star's ``link_cycle``.  They are only meaningful
-    when the report is ok.  A report from a stage before the geometry
-    pass comes with empty tables, and one from the pass itself with its
-    points and projections, where a rejected face may hold None and in
-    vertex mode at n >= 4 every projection is None; ``cycles`` is
-    filled only when the report is ok.
+    gives its ``Fraction`` coordinates; at n = 3 ``points[0]`` is the
+    vertex coordinates), ``projections[i]`` the projection of (n-3)-face
+    i's star: a rank-3 integer map whose kernel is the face's direction
+    space, the one ``build_fan`` applies, and ``cycles[i]`` that star's
+    ``link_cycle``.  They are only meaningful when the report is ok.  A
+    report from a stage before the geometry pass comes with empty
+    tables, and one from the pass itself with its points and
+    projections, where a rejected face may hold None and in vertex mode
+    at n >= 4 every projection is None; ``cycles`` is filled only when
+    the report is ok.
     """
 
     report: ValidationReport
@@ -293,12 +296,15 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     of every (n-3)-face's star go into the per-dimension tables; at
     n = 3 every projection is the one shared identity.
 
-    Vertex mode first checks the vertex coordinates (MISSING_COORDS),
-    then converts every vertex.  Every face goes through
-    ``_face_geometry`` once, whose rank defect becomes a
-    DEGENERATE_FACE.  Once the report is ok, at n >= 4, each
-    (n-3)-face's projection is ``complementary_projection`` of its
-    direction basis.
+    Vertex mode first checks the vertex coordinates (MISSING_COORDS) and
+    converts every vertex, the vertices' points at n = 3.  Every other
+    face goes through ``_face_geometry`` once, whose rank defect becomes
+    a DEGENERATE_FACE.  Once the report is ok, at n >= 4, each
+    (n-3)-face's projection is ``complementary_projection`` of its basis.
+
+    A value that is no exact number is reported where it is converted:
+    MISSING_COORDS for a coordinate, BAD_NORMAL for a normal entry or an
+    offset, BAD_WITNESS for a witness entry.
 
     Equations mode first checks the facet equations (MISSING_EQUATION,
     BAD_NORMAL, ZERO_NORMAL), then walks once from each face to the
@@ -323,9 +329,14 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
         if any(len(v) != n for v in vertices):
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
-        coords = list(map(homogeneous, vertices))
+        try:
+            coords = list(map(homogeneous, vertices))
+        except TypeError as exc:
+            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
+        if n == 3:  # the (n-3)-faces are the vertices, each its own point
+            points[0] = coords
         bases: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
-        for d in dims:
+        for d in filter(None, dims):
             rows, table = poset.vertex_ids[d], points[d]
             for i in range(len(table)):
                 table[i], basis, defect = _face_geometry(d, [coords[v] for v in rows[i]])
@@ -341,6 +352,8 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     n_facets = poset.count(top)
     records = list(surface.equations[:n_facets])
     records += [None] * (n_facets - len(records))
+    # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
+    equations = []
     for h, eq in enumerate(records):
         if eq is None:
             bad.append(Violation("MISSING_EQUATION", Face(top, h), "facet without equation"))
@@ -348,13 +361,16 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
             bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal of length {len(eq.normal)}, not {n}"))
         elif all(c == 0 for c in eq.normal):
             bad.append(Violation("ZERO_NORMAL", Face(top, h), "facet normal is zero"))
+        else:
+            try:
+                normal, weight = homogeneous(eq.normal)
+                equations.append((normal, eq.offset.denominator, eq.offset.numerator * weight))
+            except TypeError as exc:
+                bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal entry {exc}"))
+            except AttributeError:  # an offset without a denominator
+                bad.append(Violation("BAD_NORMAL", Face(top, h), f"offset {eq.offset!r} is not an exact number"))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
-    # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
-    equations = []
-    for eq in records:
-        normal, weight = homogeneous(eq.normal)
-        equations.append((normal, eq.offset.denominator, eq.offset.numerator * weight))
     for d in dims:
         witnesses = surface.witnesses.get(d, ())
         for i in range(poset.count(d)):
@@ -363,8 +379,6 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
                 rows = poset.up_ids[k]
                 above = [h for g in above for h in rows[g]]
             above = sorted(set(above))
-            witness = witnesses[i] if i < len(witnesses) else None
-            points[d][i] = point = None if witness is None else homogeneous(witness)
             if d == low and n > 3:
                 pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
                 picked = []  # the normals that raised the rank
@@ -380,6 +394,12 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
                 else:
                     defect = "incident facet equations do not determine the face's direction space"
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
+            witness = witnesses[i] if i < len(witnesses) else None
+            try:
+                points[d][i] = point = None if witness is None else homogeneous(witness)
+            except TypeError as exc:
+                bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness entry {exc}"))
+                continue
             if point is None or len(point[0]) != n:
                 bad.append(Violation("BAD_WITNESS", Face(d, i), "missing witness point"))
                 continue

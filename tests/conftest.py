@@ -486,7 +486,8 @@ def reference_as_equations(surface: pc.PLSurface) -> pc.PLSurface:
     equations = [reference_facet_equation(surface, h) for h in poset.faces(poset.dim_top)]
     witnesses = {}
     for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
-        points = [_face_geometry(d, [homogeneous(surface.vertices[v]) for v in ids])[0] for ids in poset.vertex_ids[d][: poset.count(d)]]
+        rows = poset.vertex_ids[d][: poset.count(d)] if d else [(v,) for v in range(poset.count(0))]  # a vertex is its own list
+        points = [_face_geometry(d, [homogeneous(surface.vertices[v]) for v in ids])[0] for ids in rows]
         witnesses[d] = [dehomogenise(*p) for p in points]
     return pc.PLSurface(new_poset, equations=equations, witnesses=witnesses)
 

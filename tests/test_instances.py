@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +7,7 @@ import pytest
 import plconvex as pc
 from plconvex.instances import GenSpec, build_instance, circle_points
 
-from conftest import reference_circle_points, reference_rigid_motion, reflex_adjacent_vertices
+from conftest import reference_circle_points, reference_rigid_motion, reflex_adjacent_vertices, replace_records
 
 F = Fraction
 
@@ -89,16 +90,33 @@ def test_dent_refuses_index_outside_vertices(cube, index):
         pc.dent(cube, index, F(1, 2))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: pc.gen_hypercube(2), "need n >= 3"),
+        (lambda: pc.gen_cross_polytope(2), "need n >= 3"),
+        (lambda: pc.gen_simplex(2), "need n >= 3"),
+        (lambda: pc.gen_prism(2), "need m >= 3"),
+        (lambda: pc.gen_dented_cube(0), "dents must be between 1 and 6"),
+        (lambda: pc.gen_dented_cube(7), "dents must be between 1 and 6"),
+        (lambda: pc.dent(pc.as_equations(pc.gen_hypercube(3)), 0, F(1, 2)), "dent needs vertex coordinates"),
+    ],
+    ids=["hypercube2", "cross2", "simplex2", "prism2", "dented0", "dented7", "dent_equations"],
+)
+def test_generators_refuse_bad_parameters(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 def test_dent_large_t_goes_nonconvex(octahedron):
     dented = pc.dent(octahedron, 0, F(3, 2))
     assert pc.preflight(dented).ok
     v = pc.verify(dented, collect_all=True)
     assert v.kind == "NOT_CONVEX"
     assert not pc.oracle_verdict(dented).convex
-    # the damage is local to the moved vertex
+    # the damage is local to the moved vertex: each failing star is its own or a neighbour's
     assert all(
-        0 in octahedron.poset.vertex_lists[f] or f.index == 0
-        or any(0 in octahedron.poset.vertex_lists[g] for g in octahedron.poset.up(f))
+        f.index == 0 or any(0 in octahedron.poset.vertex_lists[g] for g in octahedron.poset.up(f))
         for f, _ in v.failures
     )
 
@@ -145,6 +163,36 @@ def test_relabel_preserves_verdict(cube, schonhardt):
             shuffled = pc.relabel(s, seed)
             assert pc.preflight(shuffled).ok
             assert pc.verify(shuffled).kind == base
+
+
+def _ids_out_of_range():
+    """A cube whose edge (6, 7) names vertex -1 or 8 for 7, and in equations mode an edge naming facet -1 or 6 for 5."""
+    cube = pc.gen_hypercube(3)
+    edge = pc.Face(1, cube.poset.vertex_ids[1].index((6, 7)))
+    for v in (-1, 8):
+        poset = replace_records(cube.poset, verts={edge: tuple(sorted((6, v)))})
+        yield "vertex", v, pc.PLSurface(poset, vertices=cube.vertices), edge
+    eq = pc.as_equations(cube)
+    edge = pc.Face(1, next(i for i, ups in enumerate(eq.poset.up_ids[1]) if 5 in ups))
+    (other,) = set(eq.poset.up_ids[1][edge.index]) - {5}
+    for h in (-1, 6):
+        poset = replace_records(eq.poset, up={edge: tuple(sorted((other, h)))})
+        yield "facet", h, pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses), edge
+
+
+OUT_OF_RANGE = list(_ids_out_of_range())
+
+
+@pytest.mark.parametrize("kind, value, surface, face", OUT_OF_RANGE, ids=[f"{kind}{value}" for kind, value, *_ in OUT_OF_RANGE])
+def test_relabel_refuses_ids_out_of_range(kind, value, surface, face):
+    # an id outside 0..count-1 names no face, as verify's INVALID_ID says:
+    # relabel refuses it, where it read -1 as the last face (and the
+    # relabelled copy was CONVEX) and one past the end raised IndexError
+    v = pc.verify(surface)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", face, "INVALID_ID")
+    count = 8 if kind == "vertex" else 6
+    with pytest.raises(ValueError, match=re.escape(f"INVALID_ID: {face} names an id outside 0..{count - 1}")):
+        pc.relabel(surface, 5)
 
 
 def test_generated_convex_families_all_agree():

@@ -14,14 +14,15 @@ def test_validate_cube_ok(cube):
 
 def test_validate_poset_takes_the_surface_mode(cube):
     # the mode is the surface's, never read off the poset: a vertex-mode
-    # cube without vertex lists is invalid to validate_poset as to verify
+    # cube without vertex lists is invalid to validate_poset as to verify;
+    # a vertex has no list, so the first face without one is edge 0
     bare = pc.PLSurface(FacePoset(3, dict(cube.poset.faces_per_dim), dict(cube.poset.up_ids)), vertices=cube.vertices)
     with pytest.raises(TypeError):
         pc.validate_poset(bare.poset)
     report = pc.validate_poset(bare.poset, bare.mode)
-    assert (report.violations[0].code, report.violations[0].face) == ("MISSING_VERTEX_LIST", Face(0, 0))
+    assert (report.violations[0].code, report.violations[0].face) == ("MISSING_VERTEX_LIST", Face(1, 0))
     v = pc.verify(bare)
-    assert (v.kind, v.witness, v.reason) == ("INVALID", Face(0, 0), "MISSING_VERTEX_LIST")
+    assert (v.kind, v.witness, v.reason) == ("INVALID", Face(1, 0), "MISSING_VERTEX_LIST")
 
 
 def test_validate_catches_bad_reference(cube):
@@ -83,6 +84,12 @@ def test_validate_vertex_containment(cube):
     bad = replace_records(cube.poset, verts={Face(1, 0): (6, 7)})  # edge no longer inside its facets
     report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "VERTEX_NOT_CONTAINED" for v in report.violations)
+    # a vertex has no list: its own id is its vertex set, so an upward
+    # record naming an edge that does not hold the vertex is reported there
+    edge = next(i for i, vs in enumerate(cube.poset.vertex_ids[1]) if 0 not in vs)
+    stray = replace_records(cube.poset, up={Face(0, 0): (*cube.poset.up_ids[0][0][:2], edge)})
+    report = pc.validate_poset(stray, "vertices")
+    assert report.violations == (Violation("VERTEX_NOT_CONTAINED", Face(0, 0), f"vertices not contained in {Face(1, edge)}"),)
 
 
 def test_check_closed_cube(cube):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from itertools import combinations, product
 from collections import Counter
@@ -94,17 +95,30 @@ def test_direction_space_degenerate(tesseract):
 
 
 def test_zero_face_listing_two_vertices_is_degenerate():
-    # a 0-face spans dimension 0 like any face must span its own: the
-    # geometry pass's rank check makes one that lists two distinct vertices
-    # a DEGENERATE_FACE, and at n = 3 preflight, whose poset checks come
-    # first, finds it uncontained before that pass runs
+    # a 0-face spans dimension 0 like any face must span its own: the rank
+    # check makes one that lists two distinct vertices a DEGENERATE_FACE
     simplex = pc.gen_simplex(3)
     points = [homogeneous(simplex.vertices[v]) for v in (0, 1)]
     assert surface_mod._face_geometry(0, points)[2] == "affine rank 1 != dim 0"
-    s = PLSurface(replace_records(simplex.poset, verts={Face(0, 0): (0, 1)}), vertices=simplex.vertices)
-    assert preflight(s).report.violations[0][:2] == ("VERTEX_NOT_CONTAINED", Face(0, 0))
-    verdict = pc.verify(s)
-    assert (verdict.kind, verdict.witness, verdict.reason) == ("INVALID", Face(0, 0), "VERTEX_NOT_CONTAINED")
+
+
+def test_a_vertex_is_its_own_point():
+    # no poset stores vertex lists of dimension 0, at any n; at n = 3 the
+    # geometry pass tables the converted coordinates as the vertices' points
+    # and as_equations writes them as their witnesses, without an
+    # elimination, and a hand-built vertex_ids[0] is ignored as at n >= 4
+    made = [gen(n) for gen in (pc.gen_hypercube, pc.gen_cross_polytope, pc.gen_simplex) for n in (3, 4, 5, 6)]
+    made += [pc.gen_prism(5), pc.gen_schonhardt(), pc.gen_dented_cube(2), pc.split_facet_cube()]
+    made += [pc.parse_pls(pc.emit_pls(s)) for s in made] + [pc.relabel(s, 3) for s in made]
+    for s in made:
+        assert 0 not in s.poset.vertex_ids and set(s.poset.vertex_ids) == {s.n - 3, s.n - 2, s.n - 1} - {0}
+    cube = pc.rigid_motion(pc.gen_hypercube(3), 4)
+    prepared = preflight(cube)
+    assert prepared.points[0] == [homogeneous(v) for v in cube.vertices]
+    assert as_equations(cube).witnesses[0] == [dehomogenise(*homogeneous(v)) for v in cube.vertices]
+    listed = PLSurface(replace(cube.poset, vertex_ids={**cube.poset.vertex_ids, 0: [(0, 1)] * 8}), vertices=cube.vertices)
+    assert preflight(listed) == prepared and pc.verify(listed).kind == "CONVEX"
+    assert as_equations(listed) == as_equations(cube)
 
 
 def test_check_realization_accepts_cube(cube):
@@ -234,6 +248,42 @@ def test_witness_moved_along_its_edge_is_trusted():
         assert preflight(moved).report.ok
         verdict = pc.verify(moved)
         assert (verdict.kind, verdict.witness, verdict.reason) == (kind, b, reason)
+
+
+def _inexact_inputs():
+    """The cube with one float or str where an exact number belongs, in both modes, and the face and code verify reports."""
+    cube = pc.gen_hypercube(3)
+    eq = as_equations(cube)
+    for x in (0.5, "1/2"):
+        verts = list(cube.vertices)
+        verts[3] = (verts[3][0], x, verts[3][2])
+        yield "vertex", x, PLSurface(cube.poset, vertices=tuple(verts)), None, "MISSING_COORDS"
+        normal, offset = eq.equations[4].normal, eq.equations[4].offset
+        yield "normal", x, replace_geometry(eq, equations={Face(2, 4): FacetEquation((x, *normal[1:]), offset)}), Face(2, 4), "BAD_NORMAL"
+        yield "offset", x, replace_geometry(eq, equations={Face(2, 4): FacetEquation(normal, x)}), Face(2, 4), "BAD_NORMAL"
+        witness = eq.witnesses[1][5]
+        yield "witness", x, replace_geometry(eq, witnesses={Face(1, 5): (*witness[:2], x)}), Face(1, 5), "BAD_WITNESS"
+
+
+INEXACT = list(_inexact_inputs())
+
+
+@pytest.mark.parametrize("kind, x, surface, face, code", INEXACT, ids=[f"{kind}-{type(x).__name__}" for kind, x, *_ in INEXACT])
+def test_inexact_number_is_invalid(kind, x, surface, face, code):
+    # a float or str coordinate, normal entry, offset or witness entry is
+    # INVALID with the code of its record, for preflight, verify and every
+    # star, not an AttributeError from the conversion to integers
+    first = preflight(surface).report.violations[0]
+    assert (first.code, first.face) == (code, face) and repr(x) in first.message
+    v = pc.verify(surface, collect_all=True)
+    assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
+    assert all(verify_face(surface, c) == (False, code) for c in surface.poset.faces(0))
+    with pytest.raises(TypeError, match=f"{re.escape(repr(x))} is not an exact number"):
+        homogeneous((1, x))
+    if kind == "vertex":
+        for convert in (as_equations, pc.oracle_verdict):
+            with pytest.raises(TypeError, match=f"{re.escape(repr(x))} is not an exact number"):
+                convert(surface)
 
 
 def test_as_equations_bad_witness_detected(cube):
@@ -367,8 +417,9 @@ def test_equations_mode_matches_vertex_mode_on_flat_vertices():
 
 
 def face_points(surface, face):
-    """The integer homogeneous points ``_face_geometry`` takes for one vertex-mode face."""
-    return [homogeneous(surface.vertices[v]) for v in surface.poset.vertex_lists[face]]
+    """The integer homogeneous points of one vertex-mode face, a vertex's own point for a vertex."""
+    ids = (face.index,) if face.dim == 0 else surface.poset.vertex_lists[face]
+    return [homogeneous(surface.vertices[v]) for v in ids]
 
 
 def reference_face_geometry(dim, points):
@@ -434,14 +485,18 @@ def reference_equations_geometry(surface, face):
 
 def test_face_geometry_matches_reference():
     # every face of dims n-3, n-2, n-1: vertex mode through _face_geometry
-    # alone, equations mode through preflight's tables and report
+    # alone, a vertex as its own point, equations mode through preflight's
+    # tables and report
     defects = Counter()
     for label, s in geometry_families():
         poset = s.poset
         prepared = preflight(s)
         for d in (poset.dim_low, poset.dim_mid, poset.dim_top):
             for f in poset.faces(d):
-                if s.mode == "vertices":
+                if s.mode == "vertices" and d == 0:
+                    assert prepared.points[0][f.index] == homogeneous(s.vertices[f.index]), (label, f)
+                    defect = None
+                elif s.mode == "vertices":
                     points = face_points(s, f)
                     got = surface_mod._face_geometry(d, points)
                     assert same_face_geometry(got, reference_face_geometry(d, points), s.n), (label, f)
