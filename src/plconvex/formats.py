@@ -34,8 +34,8 @@ decimal exponent above 4,300 in magnitude, and a '_', a non-ASCII
 character or whitespace inside a rational or coordinate are parse
 errors in both, so every supported Python reads them alike.
 
-Vertex-mode PLS, OFF and the generators share one incidence rule
-(``poset.vertex_poset``): a face lies in every face one rank up whose
+Vertex-mode PLS, OFF and the generators share the one incidence rule of
+a vertex-mode ``FacePoset``: a face lies in every face one rank up whose
 vertex set contains its own.  So a non-convex facet that holds both
 ends of another facet's edge also contains that edge, which then lies
 in three facets and ``verify`` answers INVALID NOT_CLOSED.
@@ -49,7 +49,7 @@ from itertools import chain
 
 from .exactgeom import Number, Vec
 from .instances import surface_from_polygons
-from .poset import FacePoset, vertex_poset
+from .poset import FacePoset
 from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE, _require_records
 
 
@@ -166,11 +166,10 @@ def parse_pls(text: str) -> PLSurface:
     poset's ``up_ids`` or ``vertex_ids`` and, in equations mode, the
     surface's ``witnesses[d][i]`` and ``equations[h]``, in id order.
 
-    A list that repeats an id is read as its set, in both modes: a
-    record's "vertices" [0, 1, 0] is [0, 1], and its "up" [0, 2, 0] is
-    [0, 2].  A hand-built poset whose upward record repeats a reference
-    is INVALID_ID instead (``validate_poset``'s "duplicate upward
-    reference").
+    A list that repeats an id is read as its set, in both modes, as a
+    hand-built vertex list is: "vertices" [0, 1, 0] is [0, 1], and "up"
+    [0, 2, 0] is [0, 2].  A hand-built upward record that repeats one is
+    INVALID_ID instead (``validate_poset``'s "duplicate upward reference").
     """
     try:
         doc = json.loads(text)
@@ -223,7 +222,7 @@ def parse_pls(text: str) -> PLSurface:
                 if min(vs) < 0 or max(vs) >= nv:
                     raise SemanticError(f"faces[{d}][{i}]: vertex index out of range")
                 lists[d].append(tuple(sorted(set(vs))))
-        poset = vertex_poset(n, nv, lists)
+        poset = FacePoset(n, {0: nv}, vertex_ids=lists)
         counts = poset.faces_per_dim
         surface = PLSurface(poset, vertices=tuple(coords))
     else:

@@ -16,7 +16,7 @@ from itertools import chain, combinations, product
 from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot, homogeneous
-from .poset import Face, FacePoset, vertex_poset
+from .poset import Face, FacePoset
 from .surface import PLSurface, _require_records
 
 F0 = Fraction(0)
@@ -56,13 +56,13 @@ def surface_from_polygons(coords: list[Vec], polygons: list[list[int]]) -> PLSur
 
     Edges are the consecutive vertex pairs of each cycle, deduplicated
     and numbered in sorted order; incidences come from vertex
-    containment (``vertex_poset``), like those of a parsed document.
+    containment (``FacePoset`` derives them), like those of a parsed document.
     """
     edges = sorted(
         {(min(a, b), max(a, b)) for cyc in polygons for a, b in zip(cyc, cyc[1:] + cyc[:1])}
     )
     facets = [tuple(sorted(set(cyc))) for cyc in polygons]
-    return PLSurface(vertex_poset(3, len(coords), {1: edges, 2: facets}), vertices=tuple(coords))
+    return PLSurface(FacePoset(3, {0: len(coords)}, vertex_ids={1: edges, 2: facets}), vertices=tuple(coords))
 
 
 def gen_hypercube(n: int) -> PLSurface:
@@ -83,7 +83,7 @@ def gen_hypercube(n: int) -> PLSurface:
                 base = spread(bits, fixed)
                 # spreading bits over the free axes keeps their order, so the tuple is sorted
                 lists[k].append(tuple(base + spread(b, free) for b in range(2**k)))
-    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
+    return PLSurface(FacePoset(n, {0: len(coords)}, vertex_ids=lists), vertices=tuple(coords))
 
 
 def gen_cross_polytope(n: int) -> PLSurface:
@@ -103,7 +103,7 @@ def gen_cross_polytope(n: int) -> PLSurface:
         ]
         for k in {n - 3, n - 2, n - 1} - {0}
     }
-    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
+    return PLSurface(FacePoset(n, {0: len(coords)}, vertex_ids=lists), vertices=tuple(coords))
 
 
 def gen_simplex(n: int) -> PLSurface:
@@ -114,7 +114,7 @@ def gen_simplex(n: int) -> PLSurface:
     for i in range(n):
         coords.append(tuple(F1 if j == i else F0 for j in range(n)))
     lists = {k: list(combinations(range(n + 1), k + 1)) for k in {n - 3, n - 2, n - 1} - {0}}
-    return PLSurface(vertex_poset(n, len(coords), lists), vertices=tuple(coords))
+    return PLSurface(FacePoset(n, {0: len(coords)}, vertex_ids=lists), vertices=tuple(coords))
 
 
 def circle_points(m: int) -> list[tuple[Fraction, Fraction]]:
@@ -303,11 +303,12 @@ def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
 
 
 def relabel(surface: PLSurface, seed: int) -> PLSurface:
-    """Permute face indices within every rank (a pure renaming).
+    """Permute face indices within every rank (a pure renaming; in vertex mode, of the lists).
 
-    ValueError, as in ``emit_pls``, for a lacking record, and for a vertex
-    id or upward reference outside 0..count-1, which names no face (as
-    ``validate_poset``'s INVALID_ID: -1 is not the last one).
+    ValueError, as in ``emit_pls``, for a lacking or extra record, and for
+    a vertex id or upward reference outside 0..count-1, which names no
+    face (as ``validate_poset``'s INVALID_ID: -1 is not the last one).
+    Witness and equation rows past the count are dropped, as ``verify`` does.
     """
     _require_records(surface)
     rng = random.Random(seed)
@@ -330,13 +331,13 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     new_poset = FacePoset(
         n=poset.n,
         faces_per_dim=dict(poset.faces_per_dim),
-        up_ids={d: moved(d, rows, perms[d + 1]) for d, rows in poset.up_ids.items()},
+        up_ids={} if poset.vertex_ids else {d: moved(d, rows, perms[d + 1]) for d, rows in poset.up_ids.items()},
         vertex_ids={d: moved(d, rows, p0) for d, rows in poset.vertex_ids.items()},
     )
     if surface.mode == "vertices":
         return PLSurface(new_poset, vertices=tuple(moved(0, surface.vertices)))
-    witnesses = {d: moved(d, rows) for d, rows in surface.witnesses.items()}
-    return PLSurface(new_poset, equations=moved(poset.dim_top, surface.equations), witnesses=witnesses)
+    witnesses = {d: moved(d, rows[: poset.count(d)]) for d, rows in surface.witnesses.items()}
+    return PLSurface(new_poset, equations=moved(poset.dim_top, surface.equations[: poset.count(poset.dim_top)]), witnesses=witnesses)
 
 
 # each standalone family's generator, whose parameters are the family's

@@ -9,7 +9,7 @@ algorithm needs is derived from those.
 Faces are indices.  Every table is a per-dimension list indexed by face
 index: ``up_ids[d][i]`` is the sorted tuple of the indices of the faces
 one rank above face i of dimension d, and ``vertex_ids[d][i]`` its
-sorted vertex ids (vertex mode, d >= 1).  The producers fill these lists
+vertex ids (vertex mode, d >= 1).  The producers fill these lists
 and the consumers on the hot path (``validate_poset``, ``check_closed``,
 ``check_connected``, ``link_cycle``, the geometry pass,
 ``fan.build_fan``) index them, so no ``Face`` is made or hashed per
@@ -18,8 +18,9 @@ incidence.  ``Face(dim, index)`` is the label of a reported face: in a
 API ``faces(d)``, ``up(face)`` and ``vertex_lists[face]`` takes and
 gives ``Face``s, for callers that read a face at a time.
 
-The poset is immutable after construction; all operations here are pure
-reads.
+The poset is immutable after construction, which in vertex mode derives
+every incidence and every count above dimension 0 from the vertex lists
+(``FacePoset``); all operations here are pure reads.
 """
 
 from __future__ import annotations
@@ -73,16 +74,32 @@ class FacePoset:
     are addressed by dense indices 0..count-1.  ``up_ids[d][i]``, for d =
     n-3 and n-2, is the sorted tuple of the indices of the faces of
     dimension d+1 that contain face i of dimension d.  ``vertex_ids[d][i]``,
-    for d = n-3, n-2, n-1 above 0, is the sorted tuple of 0-face indices
-    of face i; the table is empty in equations mode.  The counts are kept
-    apart from the lists, so ``validate_poset`` can tell a list shorter
-    than its count (a missing record) or longer (an index out of range).
+    for d = n-3, n-2, n-1 above 0, is the tuple of vertex ids of face i.
+
+    In vertex mode the lists fix every incidence and every count above
+    dimension 0: construction derives them (``_containment``), so a
+    hand-built poset is the surface its lists describe.  Only
+    ``faces_per_dim[0]`` is the caller's, a ``vertex_ids[0]`` is ignored,
+    and an ``up_ids`` or a count passed beside the lists that they do not
+    imply is a ValueError.  In equations mode (no lists) the counts are
+    kept apart from the tables, so ``validate_poset`` can tell a table
+    shorter or longer than its count.
     """
 
     n: int
     faces_per_dim: dict[int, int]
-    up_ids: Table
+    up_ids: Table = field(default_factory=dict)
     vertex_ids: Table = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.vertex_ids:
+            lists = {d: list(rows) for d, rows in sorted(self.vertex_ids.items())}
+            counts = {0: self.faces_per_dim.get(0, 0), **{d: len(rows) for d, rows in lists.items() if d}}
+            up = _containment(self.n, counts[0], lists)
+            if self.up_ids and self.up_ids != up or any(c != counts.get(d) for d, c in self.faces_per_dim.items()):
+                raise ValueError("upward tables or face counts that the vertex lists do not imply")
+            for name, value in (("faces_per_dim", counts), ("up_ids", up), ("vertex_ids", lists)):
+                object.__setattr__(self, name, value)
 
     @property
     def dim_low(self) -> int:
@@ -121,22 +138,19 @@ class FacePoset:
         return tuple(sorted(low | {self.n - 2, self.n - 1}))
 
 
-def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]]) -> FacePoset:
-    """The face poset of a vertex-mode surface, derived from vertex lists.
+def _containment(n: int, n_vertices: int, lists: Table) -> Table:
+    """The upward tables that vertex lists imply, by vertex mode's one incidence rule.
 
-    ``lists`` maps each stored dimension above 0 to its faces' sorted
-    vertex tuples in index order; copies of them are the poset's
-    ``vertex_ids``.  A vertex lies in every edge listing it (n = 3), and
-    any other face in every face one rank up whose vertex set contains
-    its own: the only source of upward incidences in vertex mode.  Every
-    coface of a face is indexed at each of its vertices, so scanning the
-    shortest of those coface lists finds them all.
+    A vertex lies in every edge listing it (n = 3), and any other face in
+    every face one rank up whose vertex set contains its own; a list is
+    read as its set.  A None or empty list, which ``validate_poset``
+    reports, has no incidences.  Every coface of a face is indexed at each
+    of its vertices, so scanning the shortest of those lists finds them all.
     """
-    vertex_ids = {d: list(lists[d]) for d in sorted(lists)}
-    counts = {0: n_vertices, **{d: len(rows) for d, rows in vertex_ids.items()}}
+    sets = {d: [frozenset(vs or ()) for vs in rows] for d, rows in lists.items() if d}  # each list's set, once
     up: Table = {}
     for d in (n - 3, n - 2):
-        upper = lists[d + 1]
+        upper = sets.get(d + 1, [])
         cofaces_at: dict[int, list[int]] = {}
         for i, vs in enumerate(upper):
             for v in vs:
@@ -145,30 +159,31 @@ def vertex_poset(n: int, n_vertices: int, lists: dict[int, list[tuple[int, ...]]
         if d == 0:  # n = 3: a vertex lies in every edge listed at it
             up[0] = [tuple(cofaces_at.get(v, ())) for v in range(n_vertices)]
             continue
-        upper_sets = list(map(frozenset, upper))
         rows = up[d] = []
-        for vs in lists[d]:
+        for vs, mine in zip(lists.get(d, ()), sets.get(d, ())):
+            if not vs:
+                rows.append(())
+                continue
             cands = cofaces_at.get(vs[0], ())
             for v in vs[1:]:
                 other = cofaces_at.get(v, ())
                 if len(other) < len(cands):
                     cands = other
-            mine = frozenset(vs)
-            rows.append(tuple([i for i in cands if mine <= upper_sets[i]]))
-    return FacePoset(n=n, faces_per_dim=counts, up_ids=up, vertex_ids=vertex_ids)
+            rows.append(tuple([i for i in cands if mine <= upper[i]]))
+    return up
 
 
 def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
-    """Structural validation: ranks present, references in range, lists nested.
+    """Structural validation: ranks present, and each mode's records present and in range.
 
-    ``mode`` is the surface's geometry mode (``PLSurface.mode``); vertex
-    lists are required and checked only in vertex mode, above dimension
-    0, and a vertex's own id is its vertex set.  Does not look
-    at coordinates; geometric checks live with the surface.  An upward
-    table shorter than its count misses the records of its last faces,
-    a longer one holds records of faces out of range, and a table of
-    another dimension than n-3 or n-2 is recorded at an unexpected rank.
-    A ``Face`` is made only for a violation.
+    ``mode`` is the surface's geometry mode (``PLSurface.mode``).  No
+    coordinate is read.  In vertex mode the lists above dimension 0 must
+    be present, nonempty and in range; the incidences are what
+    construction derived from them, so none is checked.  In equations
+    mode an upward table shorter than its count misses the records of
+    its last faces, a longer one holds records of faces out of range, and
+    a table of another dimension than n-3 or n-2 is recorded at an
+    unexpected rank.  A ``Face`` is made only for a violation.
     """
     bad: list[Violation] = []
     n = poset.n
@@ -182,6 +197,23 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     for d in poset.faces_per_dim:
         if d not in required and d != 0:
             bad.append(Violation("EXTRA_RANK", None, f"unexpected rank of dimension {d}"))
+
+    if mode == "vertices":
+        n_verts = poset.count(0)
+        for d in sorted({n - 3, n - 2, n - 1} - {0}):
+            count, rows = poset.count(d), poset.vertex_ids.get(d, [])
+            # one bulk test clears a table whose lists are all there, nonempty and in range
+            if len(rows) == count and all(rows):
+                ids = list(chain.from_iterable(rows))
+                if not ids or min(ids) >= 0 and max(ids) < n_verts:
+                    continue
+            for i in range(count):
+                verts = rows[i] if rows else None
+                if not verts:  # absent or empty
+                    bad.append(Violation("MISSING_VERTEX_LIST", Face(d, i), "no vertex list"))
+                elif min(verts) < 0 or max(verts) >= n_verts:
+                    bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
+        return ValidationReport(tuple(bad))
 
     counts, up = poset.faces_per_dim, poset.up_ids
     for d, rows in up.items():
@@ -202,43 +234,6 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     for d in (n - 3, n - 2):
         missing = range(len(up.get(d, ())), counts.get(d, 0))
         bad += [Violation("INVALID_ID", Face(d, i), "missing upward incidence record") for i in missing]
-
-    if mode == "vertices":
-        n_verts = poset.count(0)
-        vertex_ids = poset.vertex_ids
-        for d in sorted({n - 3, n - 2, n - 1} - {0}):
-            count = counts.get(d, 0)
-            rows = vertex_ids.get(d, [])[:count]
-            # one bulk test clears a table whose lists are all there, nonempty and in range
-            if len(rows) == count and all(rows):
-                ids = list(chain.from_iterable(rows))
-                if not ids or min(ids) >= 0 and max(ids) < n_verts:
-                    continue
-            for i in range(count):
-                verts = rows[i] if i < len(rows) else None
-                if not verts:  # absent or empty
-                    bad.append(Violation("MISSING_VERTEX_LIST", Face(d, i), "no vertex list"))
-                elif min(verts) < 0 or max(verts) >= n_verts:
-                    bad.append(Violation("INVALID_ID", Face(d, i), "vertex index out of range"))
-        # each upper face's set is built once, not once per incidence, so the
-        # loop stays linear in facet size; an absent, None or empty list on
-        # either side is reported above as MISSING_VERTEX_LIST and skipped here
-        for d, rows in up.items():
-            lower = vertex_ids.get(d, []) if d else [(v,) for v in range(n_verts)]
-            upper = vertex_ids.get(d + 1, [])
-            upper_sets: list[set[int] | None] = [None] * len(upper)
-            for i, ups in enumerate(rows[: len(lower)]):
-                mine = lower[i]
-                if not mine:
-                    continue
-                for g in ups:
-                    if not 0 <= g < len(upper):
-                        continue
-                    theirs = upper_sets[g]
-                    if theirs is None:
-                        theirs = upper_sets[g] = set(upper[g] or ())
-                    if theirs and not theirs.issuperset(mine):
-                        bad.append(Violation("VERTEX_NOT_CONTAINED", Face(d, i), f"vertices not contained in {Face(d + 1, g)}"))
     return ValidationReport(tuple(bad))
 
 

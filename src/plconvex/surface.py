@@ -108,7 +108,8 @@ def _require_records(surface: PLSurface) -> None:
     Per face of dims n-3, n-2, n-1: a nonempty vertex list (vertex mode,
     dim 0 excepted), or an upward record below the facets, an equation
     per facet and a witness (equations mode), checked in ``verify``'s
-    order.  A table shorter than its face count or a None entry lacks one.
+    order.  A table shorter than its face count or a None entry lacks one;
+    an upward table longer than it holds a face out of range (INVALID_ID).
     """
     poset, dims = surface.poset, sorted({surface.n - 3, surface.n - 2, surface.n - 1})
     if surface.mode == VERTEX_MODE:
@@ -117,6 +118,8 @@ def _require_records(surface: PLSurface) -> None:
         tables = [("INVALID_ID", d, poset.up_ids.get(d, ())) for d in dims[:-1]] + [("MISSING_EQUATION", dims[-1], surface.equations)]
         tables += [("BAD_WITNESS", d, surface.witnesses.get(d, ())) for d in dims]
     for code, d, rows in tables:
+        if code == "INVALID_ID" and len(rows) > poset.count(d):
+            raise ValueError(f"{code}: {Face(d, poset.count(d))} is a record past the face count")
         for i in range(poset.count(d)):
             record = rows[i] if i < len(rows) else None
             if record is None or code == "MISSING_VERTEX_LIST" and not record:

@@ -11,7 +11,7 @@ import pytest
 import plconvex as pc
 from plconvex.exactgeom import DegenerateFaceError, Projection3, cross3, dehomogenise, dot, homogeneous, nullspace
 from plconvex.instances import circle_points, vmean, vsub
-from plconvex.poset import Face, FacePoset, LinkCycleError, vertex_poset
+from plconvex.poset import Face, FacePoset, LinkCycleError
 from plconvex.surface import FacetEquation, _face_geometry
 
 
@@ -368,7 +368,7 @@ def stacked_tesseract(seed: int, stacks: int) -> pc.PLSurface:
         # a face holding an earlier apex is never inside an original facet
         lists[2] += [(*e, a) for e in lists[1] if set(e) <= set(facet)]
         lists[3] += [(*r, a) for r in lists[2] if set(r) <= set(facet)]
-    return pc.PLSurface(vertex_poset(4, len(coords), lists), vertices=tuple(coords))
+    return pc.PLSurface(FacePoset(4, {0: len(coords)}, vertex_ids=lists), vertices=tuple(coords))
 
 
 def duoprism(p: int, q: int) -> pc.PLSurface:
@@ -391,7 +391,7 @@ def duoprism(p: int, q: int) -> pc.PLSurface:
     ridges += [face([(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]) for i, j in cells]
     facets = [face((i, j + d) for i in range(p) for d in (0, 1)) for j in range(q)]
     facets += [face((i + d, j) for j in range(q) for d in (0, 1)) for i in range(p)]
-    return pc.PLSurface(vertex_poset(4, p * q, {1: edges, 2: ridges, 3: facets}), vertices=coords)
+    return pc.PLSurface(FacePoset(4, {0: p * q}, vertex_ids={1: edges, 2: ridges, 3: facets}), vertices=coords)
 
 
 def geometry_families():
@@ -498,7 +498,10 @@ def replace_records(poset: FacePoset, up=(), verts=(), counts=None) -> FacePoset
     A record for ``Face(d, i)`` replaces row i of dimension d's table, or
     is appended when i is the table's length, so a table can be made
     longer than its count; ``counts`` replaces the face counts.  The
-    tables of ``poset`` are copied, never changed.
+    tables of ``poset`` are copied, never changed.  A poset with vertex
+    lists derives its upward tables and its counts above dimension 0
+    from them, so given only lists it is rebuilt from the lists alone,
+    and upward records or counts given beside them must be what they imply.
     """
 
     def patched(table, changes):
@@ -511,8 +514,11 @@ def replace_records(poset: FacePoset, up=(), verts=(), counts=None) -> FacePoset
                 rows[i] = value
         return out
 
+    lists = patched(poset.vertex_ids, verts)
+    if lists and not up and counts is None:
+        return FacePoset(poset.n, {0: poset.count(0)}, vertex_ids=lists)
     counts = dict(poset.faces_per_dim if counts is None else counts)
-    return FacePoset(poset.n, counts, patched(poset.up_ids, up), patched(poset.vertex_ids, verts))
+    return FacePoset(poset.n, counts, patched(poset.up_ids, up), lists)
 
 
 def replace_geometry(surface: pc.PLSurface, witnesses=(), equations=()) -> pc.PLSurface:

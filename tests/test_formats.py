@@ -609,8 +609,10 @@ def test_parse_errors_through_verify_cli(tmp_path, capsys, index, name):
 def test_repeated_id_in_a_list_reads_as_its_set(cube):
     # the text readers read a list that repeats an id as its set: edge 0
     # listing "vertices": [0, 1, 0], or in equations mode edge 0 listing
-    # its first facet twice in "up", is the clean cube; a hand-built poset
-    # that repeats a reference is INVALID_ID instead
+    # its first facet twice in "up", is the clean cube.  A hand-built
+    # vertex list reads the same way, since the poset derives its
+    # incidences from the lists' sets; a hand-built equations-mode upward
+    # record that repeats a reference is INVALID_ID instead
     clean = pc.verify(cube, collect_all=True)
     for surface, key in ((cube, "vertices"), (as_equations(cube), "up")):
         doc = json.loads(emit_pls(surface))
@@ -620,8 +622,12 @@ def test_repeated_id_in_a_list_reads_as_its_set(cube):
         parsed = parse_pls(json.dumps(doc))
         assert parsed.poset == surface.poset
         assert pc.verify(parsed, collect_all=True) == clean
-    ups = cube.poset.up_ids[1][0]
-    twice = pc.PLSurface(replace_records(cube.poset, up={pc.Face(1, 0): ups + ups[:1]}), vertices=cube.vertices)
+    repeated = replace_records(cube.poset, verts={pc.Face(1, 0): (*cube.poset.vertex_ids[1][0], cube.poset.vertex_ids[1][0][0])})
+    assert repeated.up_ids == cube.poset.up_ids
+    assert pc.verify(pc.PLSurface(repeated, vertices=cube.vertices), collect_all=True) == clean
+    eq = as_equations(cube)
+    ups = eq.poset.up_ids[1][0]
+    twice = pc.PLSurface(replace_records(eq.poset, up={pc.Face(1, 0): ups + ups[:1]}), equations=eq.equations, witnesses=eq.witnesses)
     v = pc.verify(twice)
     assert (v.kind, v.witness, v.reason) == ("INVALID", pc.Face(1, 0), "INVALID_ID")
     assert validate_poset(twice.poset, twice.mode).violations[0].message == "duplicate upward reference"
@@ -644,17 +650,17 @@ def _incomplete_cubes():
     poset, w = eq.poset, eq.witnesses
 
     def verts(table):
-        return pc.PLSurface(dataclasses.replace(cube.poset, vertex_ids=table), vertices=cube.vertices)
+        return pc.PLSurface(pc.FacePoset(3, {0: 8}, vertex_ids=table), vertices=cube.vertices)
 
     def eqs(up=poset.up_ids, equations=eq.equations, witnesses=w):
         return pc.PLSurface(dataclasses.replace(poset, up_ids=up), equations=equations, witnesses=witnesses)
 
     vids = cube.poset.vertex_ids
     return [
-        ("short vertex table", verts(_short(vids, 1)), pc.Face(1, 11), "MISSING_VERTEX_LIST"),
         ("empty vertex list", verts({**vids, 2: _none_at(vids[2], 4)[:4] + [()] + vids[2][5:]}), pc.Face(2, 4), "MISSING_VERTEX_LIST"),
         ("None vertex list", verts({**vids, 1: _none_at(vids[1], 3)}), pc.Face(1, 3), "MISSING_VERTEX_LIST"),
         ("short upward table", eqs(up=_short(poset.up_ids, 1)), pc.Face(1, 11), "INVALID_ID"),
+        ("long upward table", eqs(up={**poset.up_ids, 1: poset.up_ids[1] + [(0, 1)]}), pc.Face(1, 12), "INVALID_ID"),
         ("None equation", eqs(equations=_none_at(eq.equations, 2)), pc.Face(2, 2), "MISSING_EQUATION"),
         ("short equations", eqs(equations=eq.equations[:-1]), pc.Face(2, 5), "MISSING_EQUATION"),
         ("None witness", eqs(witnesses={**w, 0: _none_at(w[0], 6)}), pc.Face(0, 6), "BAD_WITNESS"),
@@ -666,11 +672,15 @@ def _incomplete_cubes():
 @pytest.mark.parametrize("label, surface, face, code", _incomplete_cubes(), ids=lambda x: x if isinstance(x, str) else "")
 def test_writers_refuse_incomplete_tables(label, surface, face, code):
     # emit_pls and relabel raise ValueError naming the first face without
-    # its record and the code that verify reports there, instead of writing
-    # a document without it or failing inside their record loops
+    # its record, or the first record past the count of an upward table,
+    # and the code that verify reports there, instead of writing a document
+    # without it (or without the extra record) or failing inside their
+    # record loops
     v = pc.verify(surface)
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
+    past = face.index >= surface.poset.count(face.dim)
     for write in (emit_pls, lambda s: pc.relabel(s, 3)):
         with pytest.raises(ValueError) as info:
             write(surface)
-        assert type(info.value) is ValueError and str(info.value) == f"{code}: {face} has no record to write"
+        why = "is a record past the face count" if past else "has no record to write"
+        assert type(info.value) is ValueError and str(info.value) == f"{code}: {face} {why}"

@@ -166,7 +166,12 @@ def test_relabel_preserves_verdict(cube, schonhardt):
 
 
 def _ids_out_of_range():
-    """A cube whose edge (6, 7) names vertex -1 or 8 for 7, and in equations mode an edge naming facet -1 or 6 for 5."""
+    """A cube whose edge (6, 7) names vertex -1 or 8 for 7, and in equations mode an edge naming facet -1 or 6 for 5.
+
+    Then the equations-mode cube with one row past the count of a table:
+    a 13th upward row, whose face is out of range, and a 13th edge
+    witness or 7th facet equation, which no face reads (no face named).
+    """
     cube = pc.gen_hypercube(3)
     edge = pc.Face(1, cube.poset.vertex_ids[1].index((6, 7)))
     for v in (-1, 8):
@@ -178,6 +183,10 @@ def _ids_out_of_range():
     for h in (-1, 6):
         poset = replace_records(eq.poset, up={edge: tuple(sorted((other, h)))})
         yield "facet", h, pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses), edge
+    long = replace_records(eq.poset, up={pc.Face(1, 12): (0, 1)})
+    yield "row", 12, pc.PLSurface(long, equations=eq.equations, witnesses=eq.witnesses), pc.Face(1, 12)
+    yield "witness", 12, pc.PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, 1: eq.witnesses[1] + eq.witnesses[1][:1]}), None
+    yield "equation", 6, pc.PLSurface(eq.poset, equations=eq.equations + eq.equations[:1], witnesses=eq.witnesses), None
 
 
 OUT_OF_RANGE = list(_ids_out_of_range())
@@ -187,11 +196,18 @@ OUT_OF_RANGE = list(_ids_out_of_range())
 def test_relabel_refuses_ids_out_of_range(kind, value, surface, face):
     # an id outside 0..count-1 names no face, as verify's INVALID_ID says:
     # relabel refuses it, where it read -1 as the last face (and the
-    # relabelled copy was CONVEX) and one past the end raised IndexError
+    # relabelled copy was CONVEX) and one past the end raised IndexError.
+    # A row past its table's count, which raised IndexError too, is refused
+    # where verify rejects it (an upward row) and dropped where verify
+    # reads past it (a witness or an equation)
     v = pc.verify(surface)
+    if face is None:
+        assert v.kind == "CONVEX" and pc.verify(pc.relabel(surface, 5)) == v
+        return
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, "INVALID_ID")
     count = 8 if kind == "vertex" else 6
-    with pytest.raises(ValueError, match=re.escape(f"INVALID_ID: {face} names an id outside 0..{count - 1}")):
+    message = f"{face} is a record past the face count" if kind == "row" else f"{face} names an id outside 0..{count - 1}"
+    with pytest.raises(ValueError, match=re.escape(f"INVALID_ID: {message}")):
         pc.relabel(surface, 5)
 
 

@@ -129,26 +129,60 @@ def test_every_operator_yields_mutants_that_compile_and_differ(checkout):
     assert [m.line for m in found if m.operator == "return"] == [13]
 
 
-def test_run_kills_by_failure_and_by_timeout_and_writes_no_file(checkout, tmp_path, monkeypatch):
-    # a load spike is staged on one survivor: its first run reports a
-    # timeout, so only its re-run, alone, can tell that it survives
-    outcome = mutate._Runner.outcome
-    spiked = []
+# the outcome of each fixture mutant in a real run, but for the two that
+# run for real below: one killed by a failing test, one by the time limit
+REAL_RUNS = ("return -1 => pass", "i += 3 => i -= 3")
+FAKED_OUTCOMES = {
+    "i = 0 => i = -1": "killed",
+    "i = 0 => i = 1": "killed",
+    "while i < n: => while i <= n:": "killed",
+    "if x < 0 and x != 0: => if False:": "killed",
+    "if x < 0 and x != 0: => if x < 0 or x != 0:": "killed",
+    "if x < 0 and x != 0: => if x <= 0 and x != 0:": "survived",
+    "if x < 0 and x != 0: => if x < -1 and x != 0:": "survived",
+    "if x < 0 and x != 0: => if x < 1 and x != 0:": "survived",
+    "if x < 0 and x != 0: => if x < 0 and x == 0:": "killed",
+    "if x < 0 and x != 0: => if x < 0 and x != -1:": "survived",
+    "if x < 0 and x != 0: => if x < 0 and x != 1:": "survived",
+    "return -1 => return -0": "killed",
+    "return -1 => return -2": "killed",
+    "if not x: => if False:": "survived",
+    "if not x: => if x:": "killed",
+    'raise ValueError(f"{x} has no sign") => pass': "survived",
+    "return 1 => return 0": "killed",
+    "return 1 => return 2": "killed",
+}
 
-    def loaded(self, m):
-        if m.key.endswith("if not x: => if False:") and not spiked:
+
+def test_run_kills_by_failure_and_by_timeout_and_writes_no_file(checkout, tmp_path, monkeypatch):
+    # two mutants run in pytest: one a failing test kills, and the hang,
+    # which the time limit kills and then again when it runs alone; every
+    # other outcome is the one a real run gives, faked.  A load spike is
+    # staged on one survivor: its first run reports a timeout, so only its
+    # re-run, alone, can tell that it survives
+    outcome = mutate._Runner.outcome
+    spiked, ran = [], []
+
+    def staged(self, m):
+        change = m.key.split(": ", 1)[1]
+        if change in REAL_RUNS:
+            ran.append(change)
+            return outcome(self, m)
+        if change == "if not x: => if False:" and not spiked:
             spiked.append(m)
             return "timeout"
-        return outcome(self, m)
+        return FAKED_OUTCOMES[change]
 
-    monkeypatch.setattr(mutate._Runner, "outcome", loaded)
+    monkeypatch.setattr(mutate._Runner, "outcome", staged)
     before = _digest(checkout)
     log = []
     listed = tmp_path / "equivalents.json"
     listed.write_text('[{"mutant": "calc.py:sign: if not x: => if False:", "why": "a fixture survivor"}]')
     results = mutate.run(checkout, ["src/toy/calc.py"], jobs=2, slack=2.0, equivalents=listed, log=log.append)
     assert _digest(checkout) == before
+    assert sorted(ran) == ["i += 3 => i -= 3", "i += 3 => i -= 3", "return -1 => pass"]
     status = {m.key.split(": ", 1)[1]: s for m, s in results.items()}
+    assert set(status) == {*REAL_RUNS, *FAKED_OUTCOMES}
     # the hang times out again when it runs alone
     assert status["i += 3 => i -= 3"] == "timeout"
     assert list(status.values()).count("timeout") == 1

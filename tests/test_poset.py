@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import plconvex as pc
-from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle, vertex_poset
+from plconvex.poset import Face, FacePoset, LinkCycleError, ValidationReport, Violation, link_cycle
 
 from conftest import crowned_prism, cycle_faces, cyclic_variants, geometry_families, pinched_tube, reference_link_cycle, replace_records
 
@@ -23,32 +23,38 @@ def test_validate_poset_takes_the_surface_mode(cube):
     assert (report.violations[0].code, report.violations[0].face) == ("MISSING_VERTEX_LIST", Face(1, 0))
     v = pc.verify(bare)
     assert (v.kind, v.witness, v.reason) == ("INVALID", Face(1, 0), "MISSING_VERTEX_LIST")
+    # vertex mode checks lists only: a bad upward record adds nothing
+    assert pc.validate_poset(replace_records(bare.poset, up={Face(1, 0): (0, 9)}), bare.mode) == report
 
 
 def test_validate_catches_bad_reference(cube):
-    bad = replace_records(cube.poset, up={Face(1, 0): (0, 6)})  # facet 6 does not exist
-    report = pc.validate_poset(bad, "vertices")
+    bad = _cube_with(cube, up={Face(1, 0): (0, 6)})  # facet 6 does not exist
+    report = pc.validate_poset(bad, "equations")
     assert not report.ok
     assert any(v.code == "INVALID_ID" for v in report.violations)
 
 
 def test_validate_missing_rank(tesseract):
-    # a rank without count, records or lists is reported once, as missing
+    # a rank without lists, so without count or records, is reported once, as missing
     p = tesseract.poset
-    counts = {d: c for d, c in p.faces_per_dim.items() if d != 1}
-    up = {d: rows for d, rows in p.up_ids.items() if d != 1}
     lists = {d: rows for d, rows in p.vertex_ids.items() if d != 1}
-    bad = FacePoset(4, counts, up, lists)
+    bad = FacePoset(4, {0: p.count(0)}, vertex_ids=lists)
+    assert 1 not in bad.faces_per_dim and bad.up_ids[1] == []
     report = pc.validate_poset(bad, "vertices")
     assert report.violations == (Violation("MISSING_RANK", None, "no faces of dimension 1"),)
+    # the same in equations mode, without the rank's count and records
+    eq = pc.as_equations(tesseract).poset
+    bad = FacePoset(4, {d: c for d, c in eq.faces_per_dim.items() if d != 1}, {d: rows for d, rows in eq.up_ids.items() if d != 1})
+    assert pc.validate_poset(bad, "equations") == report
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_validate_rows_of_a_dimension_without_count(cube, dim):
-    # without a count for its dimension a face is out of range, as a row
-    # and as an upward reference
-    counts = {d: c for d, c in cube.poset.faces_per_dim.items() if d != dim}
-    report = pc.validate_poset(FacePoset(3, counts, cube.poset.up_ids, cube.poset.vertex_ids), "vertices")
+    # equations mode: without a count for its dimension a face is out of
+    # range, as a row and as an upward reference
+    eq = pc.as_equations(cube).poset
+    counts = {d: c for d, c in eq.faces_per_dim.items() if d != dim}
+    report = pc.validate_poset(FacePoset(3, counts, eq.up_ids), "equations")
     rows = [v.face for v in report.violations if v.message == "face index out of range"]
     refs = [v.face for v in report.violations if v.message.startswith("bad upward reference")]
     if dim == 1:
@@ -66,30 +72,36 @@ def test_validate_equations_poset_may_count_vertices(tesseract):
 
 def test_vertex_poset_containment_is_not_strict():
     # a face lies in a coface whose vertex set equals its own
-    p = vertex_poset(3, 3, {1: [(0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2), (0, 1)]})
+    p = FacePoset(3, {0: 3}, vertex_ids={1: [(0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2), (0, 1)]})
     assert p.up_ids[1] == [(0, 1), (0,), (0,)]
 
 
 def test_validate_rejects_intermediate_rank():
-    s = pc.gen_hypercube(5)
-    p = s.poset
-    counts = dict(p.faces_per_dim)
-    counts[1] = 4  # rank that the format does not store for n = 5
-    bad = FacePoset(5, counts, dict(p.up_ids), dict(p.vertex_ids))
+    # lists of a rank that the format does not store for n = 5 count its faces
+    p = pc.gen_hypercube(5).poset
+    bad = FacePoset(5, {0: p.count(0)}, vertex_ids={**p.vertex_ids, 1: [(0, 1)] * 4})
+    assert bad.count(1) == 4
     report = pc.validate_poset(bad, "vertices")
     assert any(v.code == "EXTRA_RANK" for v in report.violations)
 
 
-def test_validate_vertex_containment(cube):
-    bad = replace_records(cube.poset, verts={Face(1, 0): (6, 7)})  # edge no longer inside its facets
-    report = pc.validate_poset(bad, "vertices")
-    assert any(v.code == "VERTEX_NOT_CONTAINED" for v in report.violations)
+def test_vertex_poset_incidences_are_its_lists(cube):
+    # an edge listed inside other facets than before lies in those: the
+    # incidences follow the lists, so validate_poset has none to check
+    moved = replace_records(cube.poset, verts={Face(1, 0): (6, 7)})
+    (other,) = [i for i, vs in enumerate(cube.poset.vertex_ids[1]) if vs == (6, 7)]
+    assert moved.up_ids[1][0] == cube.poset.up_ids[1][other]
+    assert 0 not in moved.up_ids[0][0] and 0 in moved.up_ids[0][6]
+    assert pc.validate_poset(moved, "vertices").ok
+    # the lists fix the counts above dimension 0; the vertex count is the
+    # caller's, and a poset built without one has no vertices
+    bare = FacePoset(3, {}, vertex_ids=cube.poset.vertex_ids)
+    assert bare.faces_per_dim == {0: 0, 1: 12, 2: 6} and bare.up_ids[0] == []
     # a vertex has no list: its own id is its vertex set, so an upward
-    # record naming an edge that does not hold the vertex is reported there
+    # record naming an edge that does not hold the vertex cannot be built
     edge = next(i for i, vs in enumerate(cube.poset.vertex_ids[1]) if 0 not in vs)
-    stray = replace_records(cube.poset, up={Face(0, 0): (*cube.poset.up_ids[0][0][:2], edge)})
-    report = pc.validate_poset(stray, "vertices")
-    assert report.violations == (Violation("VERTEX_NOT_CONTAINED", Face(0, 0), f"vertices not contained in {Face(1, edge)}"),)
+    with pytest.raises(ValueError, match="upward tables or face counts that the vertex lists do not imply"):
+        replace_records(cube.poset, up={Face(0, 0): (*cube.poset.up_ids[0][0][:2], edge)})
 
 
 def test_check_closed_cube(cube):
@@ -220,9 +232,13 @@ def test_link_cycle_relabel_equivariance(cube):
             assert new in set(cyclic_variants(mapped))
 
 
-def _cube_with(cube, up=(), lists=(), counts=None):
-    """The cube's poset with some upward records, vertex lists or counts replaced."""
-    return replace_records(cube.poset, up=up, verts=lists, counts=counts)
+def _cube_with(cube, up=(), counts=None):
+    """The equations-mode cube's poset with some upward records or counts replaced.
+
+    A vertex-mode poset derives both from its lists, so only an
+    equations-mode one can hold a hand-built record or count.
+    """
+    return replace_records(pc.as_equations(cube).poset, up=up, counts=counts)
 
 
 @pytest.mark.parametrize("bad", [9, -1])
@@ -231,7 +247,7 @@ def test_check_connected_reports_out_of_range_facet(cube, bad):
     # facet, joins nothing, and validate_poset reports it
     poset = _cube_with(cube, up={Face(1, 0): (0, bad)})
     violation = Violation("INVALID_ID", Face(1, 0), f"bad upward reference {Face(2, bad)}")
-    assert pc.validate_poset(poset, cube.mode).violations == (violation,)
+    assert pc.validate_poset(poset, "equations").violations == (violation,)
     assert pc.check_connected(poset) == ValidationReport()
 
 
@@ -246,17 +262,21 @@ def test_check_connected_reports_out_of_range_facet(cube, bad):
     ],
 )
 def test_validate_poset_invalid_id_texts(cube, up, lists, expected):
-    report = pc.validate_poset(_cube_with(cube, up=up, lists=lists), cube.mode)
+    # upward records in equations mode, vertex lists in vertex mode
+    if lists:
+        report = pc.validate_poset(replace_records(cube.poset, verts=lists), "vertices")
+    else:
+        report = pc.validate_poset(_cube_with(cube, up=up), "equations")
     assert report.violations[0] == Violation(*expected)
 
 
 @pytest.mark.parametrize("dim", [0, 1])
 def test_validate_poset_missing_upward_record(cube, dim):
-    # a count above its upward table leaves the last face without a record,
-    # at either rank that has upward incidences
+    # equations mode: a count above its upward table leaves the last face
+    # without a record, at either rank that has upward incidences
     counts = dict(cube.poset.faces_per_dim)
     counts[dim] += 1
-    report = pc.validate_poset(_cube_with(cube, counts=counts), cube.mode)
+    report = pc.validate_poset(_cube_with(cube, counts=counts), "equations")
     assert report.violations[0] == Violation("INVALID_ID", Face(dim, counts[dim] - 1), "missing upward incidence record")
 
 

@@ -12,7 +12,7 @@ import plconvex.surface as surface_mod
 import plconvex.verifier as verifier_mod
 from plconvex.exactgeom import as_vec
 from plconvex.instances import circle_points
-from plconvex.poset import Face, FacePoset, check_closed, check_connected, validate_poset, vertex_poset
+from plconvex.poset import Face, FacePoset, check_closed, check_connected, validate_poset
 from plconvex.surface import FacetEquation, PLSurface
 from plconvex.verifier import preflight, verify, verify_face
 
@@ -345,7 +345,6 @@ CORRUPTIONS = {
     "id_past_end": "INVALID_ID",
     "id_negative": "INVALID_ID",
     "list_emptied": "MISSING_VERTEX_LIST",
-    "list_uncontained": "VERTEX_NOT_CONTAINED",
     "coordinate_dropped": "MISSING_COORDS",
     "coordinate_added": "MISSING_COORDS",
     "witness_dropped": "BAD_WITNESS",
@@ -377,15 +376,6 @@ def _corrupt(surface, kind, rng):
         ids[rng.randrange(len(ids))] = n_verts + rng.randrange(3) if kind == "id_past_end" else -rng.randint(1, n_verts + 2)
         lists = {face: () if kind == "list_emptied" else tuple(ids)}
         return PLSurface(replace_records(poset, verts=lists), vertices=surface.vertices), face
-    if kind == "list_uncontained":  # one listed id swapped for a valid id the face did not list
-        face = rng.choice(listed)
-        ids = poset.vertex_lists[face]
-        old = rng.choice(ids)
-        new = rng.choice([v for v in range(len(surface.vertices)) if v not in ids])
-        lists = {face: tuple(sorted({*ids, new} - {old}))}
-        # validate_poset reports the least lower face that holds the old id, else the face itself
-        below = [f for f in faces if face in poset.up(f) and old in ((f.index,) if f.dim == 0 else poset.vertex_lists[f])]
-        return PLSurface(replace_records(poset, verts=lists), vertices=surface.vertices), (below or [face])[0]
     if kind.startswith("coordinate"):
         k = rng.randrange(len(surface.vertices))
         x = surface.vertices[k]
@@ -443,8 +433,74 @@ def test_corrupted_records_agree_across_entry_points(kind):
                 assert verify_face(surface, c) == (False, reason), (kind, face, c)
 
 
+LIST_EDITS = ("swap", "append", "empty")
+
+
+def _edit_list(surface, edit, rng):
+    """Vertex-mode ``surface`` with one face's list edited by hand, as ``edit`` says.
+
+    ``swap`` trades one listed id for a vertex the face did not list,
+    ``append`` adds a copy of the list as a new face's (``_repeat_list``),
+    and ``empty`` empties it.  The poset derives its incidences and
+    counts from the edited lists.
+    """
+    poset = surface.poset
+    face = rng.choice([f for d in (poset.dim_low, poset.dim_mid, poset.dim_top) if d for f in poset.faces(d)])
+    if edit == "append":
+        return _repeat_list(surface, face)
+    ids = poset.vertex_ids[face.dim][face.index]
+    if edit == "swap":
+        old = rng.choice(ids)
+        new = rng.choice([v for v in range(len(surface.vertices)) if v not in ids])
+        ids = tuple(sorted({*ids, new} - {old}))
+    else:
+        ids = ()
+    return PLSurface(replace_records(poset, verts={face: ids}), vertices=surface.vertices)
+
+
+def _list_edit_bases():
+    """The vertex-mode corruption bases and geometry families, labelled."""
+    bases = [(f"base{k}", s) for k, s in enumerate(_corruption_bases()) if s.mode == "vertices"]
+    return bases + [(label, s) for label, s in geometry_families() if s.mode == "vertices"]
+
+
+LIST_EDIT_BASES = _list_edit_bases()
+
+
+@pytest.mark.parametrize("label, base", LIST_EDIT_BASES, ids=[label for label, _ in LIST_EDIT_BASES])
+def test_vertex_mode_surface_is_its_lists(label, base):
+    # a hand-built vertex-mode poset is the surface its lists describe: after
+    # any list edit verify agrees with the emit_pls -> parse_pls round trip
+    # on kind, witness and reason whenever emit_pls writes the surface (an
+    # appended list once counted only in the text, a NOT_SINGLE_CYCLE there
+    # and CONVEX here); an emptied list is refused with verify's code
+    rng = random.Random(label)
+    for edit in LIST_EDITS:
+        s = _edit_list(base, edit, rng)
+        v = verify(s)
+        try:
+            text = pc.emit_pls(s)
+        except ValueError as exc:
+            assert edit == "empty" and str(exc) == f"MISSING_VERTEX_LIST: {v.witness} has no record to write", exc
+            continue
+        w = verify(pc.parse_pls(text))
+        assert (v.kind, v.witness, v.reason) == (w.kind, w.witness, w.reason), edit
+    # upward tables or counts beside the lists must be what the lists imply
+    poset = base.poset
+    low, top = poset.dim_low, poset.dim_top
+    assert FacePoset(poset.n, dict(poset.faces_per_dim), poset.up_ids, poset.vertex_ids) == poset
+    dropped = {**poset.up_ids, low: [poset.up_ids[low][0][1:], *poset.up_ids[low][1:]]}
+    with pytest.raises(ValueError, match="upward tables or face counts that the vertex lists do not imply"):
+        FacePoset(poset.n, {0: poset.count(0)}, dropped, poset.vertex_ids)
+    with pytest.raises(ValueError, match="upward tables or face counts that the vertex lists do not imply"):
+        FacePoset(poset.n, {0: poset.count(0), top: poset.count(top) + 1}, vertex_ids=poset.vertex_ids)
+
+
+POSET_CORRUPTIONS = ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus")
+
+
 def _corrupt_poset(surface, kind, rng):
-    """``surface`` with one upward reference dropped, added or out of range, or one face count off by one."""
+    """Equations-mode ``surface`` with one upward reference dropped, added or out of range, or one face count off by one."""
     poset = surface.poset
     up, counts = {d: list(rows) for d, rows in poset.up_ids.items()}, dict(poset.faces_per_dim)
     if kind.startswith("count"):
@@ -462,6 +518,19 @@ def _corrupt_poset(surface, kind, rng):
     return replace(surface, poset=replace(poset, up_ids=up, faces_per_dim=counts))
 
 
+def _corrupted_posets(rng, kinds=POSET_CORRUPTIONS, rounds=1):
+    """``(kind, surface)``: ``rounds`` poset corruptions of each kind on each equations-mode corruption base.
+
+    A vertex-mode poset derives its upward tables and counts from its
+    lists, so only an equations-mode one can hold a corrupted record.
+    """
+    for base in _corruption_bases():
+        if base.mode == "equations":
+            for kind in kinds:
+                for _ in range(rounds):
+                    yield kind, _corrupt_poset(base, kind, rng)
+
+
 def _mutate_text(text, rng):
     """``text`` with one character dropped, inserted or replaced, or one span cut or repeated."""
     i, j = sorted((rng.randrange(len(text)), rng.randrange(len(text))))
@@ -476,23 +545,22 @@ def _mutate_text(text, rng):
 
 def test_poset_and_text_corruptions_never_raise():
     # seeded, on the corruption bases: no entry point raises on a broken
-    # poset, verify classifies every star when it gets that far, parse_pls
+    # poset (equations mode, where the records are hand-built), verify
+    # classifies every star when it gets that far, parse_pls
     # raises only its own two errors on mutated text, and every text that
     # emit_pls produced reads back to itself
     rng = random.Random(17)
     outcomes = Counter()
+    for kind, s in _corrupted_posets(rng, rounds=9):
+        v = verify(s, collect_all=True)
+        outcomes[v.kind] += 1
+        preflight(s), check_closed(s.poset), check_connected(s.poset)
+        # verify_face shares verify's front end; its first and last star
+        stars = list(s.poset.faces(s.poset.dim_low))
+        for c in (stars[0], stars[-1]):
+            check = verify_face(s, c)
+            assert v.kind != "INVALID" or check == (False, v.reason), (kind, v, c)
     for base in _corruption_bases():
-        for kind in ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus"):
-            for _ in range(4):
-                s = _corrupt_poset(base, kind, rng)
-                v = verify(s, collect_all=True)
-                outcomes[v.kind] += 1
-                preflight(s), check_closed(s.poset), check_connected(s.poset)
-                # verify_face shares verify's front end; its first and last star
-                stars = list(s.poset.faces(s.poset.dim_low))
-                for c in (stars[0], stars[-1]):
-                    check = verify_face(s, c)
-                    assert v.kind != "INVALID" or check == (False, v.reason), (kind, v, c)
         text = pc.emit_pls(base)
         assert pc.emit_pls(pc.parse_pls(text)) == text
         for _ in range(60):
@@ -508,22 +576,39 @@ def test_poset_and_text_corruptions_never_raise():
 
 
 def _drop_up(surface, face, g):
-    """``surface`` with the upward reference from ``face`` to ``g`` dropped."""
+    """Equations-mode ``surface`` with the upward reference from ``face`` to ``g`` dropped."""
     kept = tuple(x for x in surface.poset.up_ids[face.dim][face.index] if x != g.index)
     return replace(surface, poset=replace_records(surface.poset, up={face: kept}))
 
 
-@pytest.mark.parametrize("mode", ["vertices", "equations"])
-def test_broken_link_is_invalid_before_any_star_is_classified(mode):
-    # v2 of Schönhardt loses its reference to e1: the input passes every
-    # check before the link walks, and v0's star, which the drop leaves as
-    # it was, fails first in face order, yet a broken link is no evidence
-    # against convexity, so preflight reports it at v2, the input is
-    # INVALID there, and so is every star of it
+def _repeat_list(surface, face):
+    """Vertex-mode ``surface`` with a copy of ``face``'s vertex list appended: a new face on the same vertices."""
+    copy = Face(face.dim, surface.poset.count(face.dim))
+    return replace(surface, poset=replace_records(surface.poset, verts={copy: surface.poset.vertex_ids[face.dim][face.index]}))
+
+
+def _broken_schonhardt(mode):
+    """Schönhardt with v2's link broken and v0's as it was, and the base it came from.
+
+    Equations mode drops v2's reference to e1; vertex mode lists the
+    edge from v2 to v5 twice, so that edge's facets each hold two edges
+    at v2.
+    """
     base = pc.gen_schonhardt()
     if mode == "equations":
         base = pc.as_equations(base)
-    broken = _drop_up(base, Face(0, 2), Face(1, 1))
+        return base, _drop_up(base, Face(0, 2), Face(1, 1))
+    return base, _repeat_list(base, Face(1, base.poset.vertex_ids[1].index((2, 5))))
+
+
+@pytest.mark.parametrize("mode", ["vertices", "equations"])
+def test_broken_link_is_invalid_before_any_star_is_classified(mode):
+    # v2 of Schönhardt gets a broken link: the input passes every check
+    # before the link walks, and v0's star, which the change leaves as it
+    # was, fails first in face order, yet a broken link is no evidence
+    # against convexity, so preflight reports it at v2, the input is
+    # INVALID there, and so is every star of it
+    base, broken = _broken_schonhardt(mode)
     with pytest.raises(pc.LinkCycleError) as info:
         pc.link_cycle(broken.poset, Face(0, 2))
     assert pc.preflight(broken) == pc.PreparedSurface(pc.ValidationReport((pc.Violation("NOT_SINGLE_CYCLE", Face(0, 2), str(info.value)),)))
@@ -555,10 +640,7 @@ def _corrupted_surfaces():
         for base in _corruption_bases():
             if base.mode == mode:
                 yield from (_corrupt(base, kind, rng)[0] for _ in range(3))
-    rng = random.Random(29)
-    for base in _corruption_bases():
-        for kind in ("up_dropped", "up_added", "up_out_of_range", "count_plus", "count_minus"):
-            yield from (_corrupt_poset(base, kind, rng) for _ in range(2))
+    yield from (s for _, s in _corrupted_posets(random.Random(29), rounds=5))
 
 
 def _accepted_structure(surface):
@@ -591,7 +673,7 @@ def test_geometry_pass_runs_only_on_accepted_posets(monkeypatch):
 def test_preflight_ok_exactly_when_verify_is_no_front_end_invalid():
     # the one INVALID reason that verify gives past preflight is a star's
     # ZERO_DIRECTION; every other one is preflight's first violation
-    broken = [_drop_up(s, Face(0, 2), Face(1, 1)) for s in (pc.gen_schonhardt(), pc.as_equations(pc.gen_schonhardt()))]
+    broken = [_broken_schonhardt(mode)[1] for mode in ("vertices", "equations")]
     outcomes = Counter()
     for s in [*_corrupted_surfaces(), *(s for _, s in geometry_families()), *broken]:
         prepared, v = preflight(s), verify(s)
@@ -614,34 +696,36 @@ def _two_cubes():
     corners = pc.gen_hypercube(3).vertices
     lists = {d: _cube_lists()[d] + _cube_lists(8)[d] for d in (1, 2)}
     far = tuple(tuple(x + 3 for x in v) for v in corners)
-    return PLSurface(vertex_poset(3, 16, lists), vertices=corners + far)
+    return PLSurface(FacePoset(3, {0: 16}, vertex_ids=lists), vertices=corners + far)
 
 
 def _open_cube():
     """The unit cube without its last facet."""
     lists = _cube_lists()
     lists[2] = lists[2][:-1]
-    return PLSurface(vertex_poset(3, 8, lists), vertices=pc.gen_hypercube(3).vertices)
+    return PLSurface(FacePoset(3, {0: 8}, vertex_ids=lists), vertices=pc.gen_hypercube(3).vertices)
 
 
 def _duplicate_up(surface, face):
-    """``surface`` with the first upward reference of ``face`` listed twice."""
+    """Equations-mode ``surface`` with the first upward reference of ``face`` listed twice."""
     ups = surface.poset.up_ids[face.dim][face.index]
     return replace(surface, poset=replace_records(surface.poset, up={face: tuple(sorted(ups + ups[:1]))}))
 
 
 # (build, verify's reason): inputs with stars that a check of one star's
 # faces alone accepts; test_empty_vertex_list_invalid and
-# test_broken_link_is_invalid_before_any_star_is_classified pin two more
+# test_broken_link_is_invalid_before_any_star_is_classified pin two more.
+# A repeated upward reference can be built only in equations mode
 INVALID_INPUTS = {
     "two_cubes": (_two_cubes, "NOT_CONNECTED"),
     "open_cube": (_open_cube, "NOT_CLOSED"),
-    "duplicate_up": (lambda: _duplicate_up(pc.gen_hypercube(3), Face(1, 0)), "INVALID_ID"),
+    "repeated_edge": (lambda: _repeat_list(pc.gen_hypercube(3), Face(1, 0)), "NOT_SINGLE_CYCLE"),
+    "duplicate_up": (lambda: _duplicate_up(pc.as_equations(pc.gen_hypercube(3)), Face(1, 0)), "INVALID_ID"),
 }
+INVALID_CASES = [(name, eq) for name in INVALID_INPUTS for eq in (False, True) if eq or name != "duplicate_up"]
 
 
-@pytest.mark.parametrize("equations", [False, True], ids=["vertices", "equations"])
-@pytest.mark.parametrize("name", INVALID_INPUTS)
+@pytest.mark.parametrize("name, equations", INVALID_CASES, ids=[f"{name}-{'equations' if eq else 'vertices'}" for name, eq in INVALID_CASES])
 def test_verify_face_answers_verify_reason_on_invalid_input(name, equations):
     # verify_face runs verify's front end on the whole surface, so no star
     # of an input that verify rejects is classified; as_equations keeps the
@@ -661,32 +745,29 @@ def test_verify_face_refuses_a_face_that_is_not_a_star_center(cube):
 
 
 def test_any_broken_link_makes_verify_invalid():
-    # seeded, on the corruption bases with one upward reference dropped,
-    # added or out of range: whenever some link does not close, verify is
-    # INVALID, and NOT_SINGLE_CYCLE at the least such face once the input
-    # passes preflight
+    # seeded, on the equations-mode corruption bases with one upward
+    # reference dropped, added or out of range: whenever some link does not
+    # close, verify is INVALID, and NOT_SINGLE_CYCLE at the least such face
+    # once the input passes preflight
     rng = random.Random(18)
     outcomes = Counter()
-    for base in _corruption_bases():
-        for kind in ("up_dropped", "up_added", "up_out_of_range"):
-            for _ in range(8):
-                s = _corrupt_poset(base, kind, rng)
-                broken = []
-                for c in s.poset.faces(s.poset.dim_low):
-                    try:
-                        pc.link_cycle(s.poset, c)
-                    except pc.LinkCycleError:
-                        broken.append(c)
-                    _assert_walk_matches_reference(s.poset, c)
-                if not broken:
-                    continue
-                for collect_all in (False, True):
-                    v = verify(s, collect_all=collect_all)
-                    assert v.kind == "INVALID", (kind, v)
-                    if pc.preflight(s).ok:
-                        assert (v.witness, v.reason, v.failures) == (broken[0], "NOT_SINGLE_CYCLE", ())
-                        outcomes["past preflight"] += 1
-                outcomes[kind] += 1
+    for kind, s in _corrupted_posets(rng, POSET_CORRUPTIONS[:3], rounds=18):
+        broken = []
+        for c in s.poset.faces(s.poset.dim_low):
+            try:
+                pc.link_cycle(s.poset, c)
+            except pc.LinkCycleError:
+                broken.append(c)
+            _assert_walk_matches_reference(s.poset, c)
+        if not broken:
+            continue
+        for collect_all in (False, True):
+            v = verify(s, collect_all=collect_all)
+            assert v.kind == "INVALID", (kind, v)
+            if pc.preflight(s).ok:
+                assert (v.witness, v.reason, v.failures) == (broken[0], "NOT_SINGLE_CYCLE", ())
+                outcomes["past preflight"] += 1
+        outcomes[kind] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
 
@@ -857,7 +938,7 @@ def suspended_square_torus() -> PLSurface:
         2: sorted([tuple(sorted(q)) for q in quads] + [(*e, a) for a in (north, south) for e in edges]),
         3: sorted((*sorted(q), a) for a in (north, south) for q in quads),
     }
-    return PLSurface(vertex_poset(4, len(coords), lists), vertices=tuple(as_vec(p) for p in coords))
+    return PLSurface(FacePoset(4, {0: len(coords)}, vertex_ids=lists), vertices=tuple(as_vec(p) for p in coords))
 
 
 def test_suspended_torus_classified_though_apex_links_are_tori():
