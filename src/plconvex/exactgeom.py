@@ -14,15 +14,20 @@ Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
 are the one elimination routine; they take rows of ints as they are
 and never convert.  ``homogeneous`` alone converts: it scales a row to
 integers over its least common denominator, so a row of ints comes back
-with its values over weight 1.  The public entry point ``nullspace``
-accepts any exact rows and passes each through ``homogeneous`` before
-reducing it, so the integer rows of the geometry pass (``surface``) and
-of ``complementary_projection``'s kernels reach ``_reduce`` with their
-values; a rank is the width less the size of the nullspace.  The
-geometry pass also reduces rows itself, and tables each star's
-integer ``Projection3`` once (``verifier.preflight(s).projections``):
-``complementary_projection`` of its direction basis in vertex mode,
-three incident facet normals in equations mode.  ``fan.build_fan``
+with its values over weight 1.  The public entry points ``nullspace``
+and ``complementary_projection`` accept any exact rows and pass each
+through ``homogeneous`` before reducing it, so integer rows reach
+``_reduce`` with their values; a rank is the width less the size of the
+nullspace.  ``_echelon_projection`` trusts its rows: they are integer
+echelon rows with their pivot columns (``Echelon``), as ``_reduce``
+leaves them, and it takes one back-substitution to the projection.
+The geometry pass (``surface``) reduces rows itself, each face's once,
+and tables each star's integer ``Projection3`` once
+(``verifier.preflight(s).projections``): ``_echelon_projection`` of
+its face's echelon rows in vertex mode, which is
+``complementary_projection`` of its direction basis, three incident
+facet normals in equations mode.  ``nullspace`` gives the facet
+equations (``surface.facet_equation``, ``as_equations``).  ``fan.build_fan``
 applies those rows as they are: it takes no other rows.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
@@ -42,6 +47,8 @@ Vec = tuple[Number, ...]
 IVec = tuple[int, ...]
 # a point as integer numerators over a positive weight: the point is nums / weight
 HomPoint = tuple[IVec, int]
+# integer echelon rows as (pivot column, row) pairs, as ``_reduce`` keeps them
+Echelon = tuple[tuple[int, IVec], ...]
 
 
 class DegenerateFaceError(Exception):
@@ -172,30 +179,66 @@ class Projection3(NamedTuple):
 _IDENTITY3 = Projection3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 2))
 
 
-def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
-    """Rank-3 map killing exactly span(kernel), |kernel| = n - 3 independent vectors.
+def _echelon_projection(pivots: Echelon, n: int) -> Projection3:
+    """Rank-3 map killing exactly the span of n - 3 integer echelon rows, from one back-substitution.
 
-    At n = 3 the kernel is empty and the map is one shared identity.
-    Fast path: when the kernel is spanned by coordinate axes outside some
-    axis triple, the map just extracts those three coordinates.  One pass
-    over the kernel's columns finds the first three that are zero in
-    every kernel vector; that is the lexicographically first such
-    triple.  Otherwise the rows are the integer ``nullspace`` basis of
-    the kernel, which spans its orthogonal complement.  Either way the
-    rows are integers.
+    ``pivots`` are (col, row) pairs as ``_reduce`` keeps them: col is
+    the row's first nonzero column, and no two rows share one.  When the
+    rows are zero at three common columns, the map extracts the first
+    three such coordinates (``axes``).  Otherwise the rows are taken
+    last pivot column first, each cleared of the pivot columns taken
+    before it (``_reduce``): the reduced echelon form, up to one scale
+    per row.  The map's rows are the basis ``nullspace`` reads off that
+    form, one per free column in increasing order, as one primitive
+    integer multiple.  That basis depends on the span alone, so it is
+    ``nullspace``'s for any rows that span it.
     """
-    if len(kernel) != n - 3:
-        raise ValueError(f"kernel size {len(kernel)} != n-3 = {n - 3}")
-    if not kernel:
-        return _IDENTITY3
-    zero_cols = [i for i, col in enumerate(zip(*kernel)) if not any(col)]
+    zero_cols = [i for i, col in enumerate(zip(*[row for _, row in pivots])) if not any(col)]
     if len(zero_cols) >= 3:
         triple = tuple(zero_cols[:3])
         rows = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in triple
         )
         return Projection3(rows, triple)
-    comp = nullspace(kernel, n)
-    if len(comp) != 3:
-        raise ValueError("kernel vectors are not linearly independent")
-    return Projection3((comp[0], comp[1], comp[2]))
+    reduced: list[tuple[int, IVec]] = []
+    for col, row in sorted(pivots, reverse=True):
+        reduced.append((col, _reduce(reduced, row)))
+    scale = math.lcm(*[row[c] for c, row in reduced])  # lcm of the absolute values
+    pivot_cols = {c for c, _ in reduced}
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        x = [0] * n
+        x[f] = scale
+        for c, row in reduced:
+            x[c] = -row[f] * (scale // row[c])
+        basis.append(x)
+    g = math.gcd(*[x for b in basis for x in b])
+    return Projection3(tuple([tuple([x // g for x in b]) for b in basis]))
+
+
+def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
+    """Rank-3 map killing exactly span(kernel), |kernel| = n - 3 independent vectors.
+
+    At n = 3 the kernel is empty and the map is one shared identity.
+    Otherwise each kernel vector goes through ``homogeneous`` and is
+    reduced against the ones before it (``_reduce``), and the echelon
+    rows that result give the map (``_echelon_projection``): the axis
+    triple when the kernel is spanned by axes outside one, else the
+    ``nullspace`` basis of the kernel, which spans its orthogonal
+    complement.  Either way the rows are integers.  A kernel vector
+    that the ones before it span is a ValueError.
+    """
+    if len(kernel) != n - 3:
+        raise ValueError(f"kernel size {len(kernel)} != n-3 = {n - 3}")
+    if not kernel:
+        return _IDENTITY3
+    pivots: list[tuple[int, IVec]] = []
+    for v in kernel:
+        r = _reduce(pivots, homogeneous(v)[0])
+        col = _pivot(r)
+        if col is None:
+            raise ValueError("kernel vectors are not linearly independent")
+        pivots.append((col, r))
+    return _echelon_projection(pivots, n)

@@ -20,8 +20,13 @@ source of that geometry.  In vertex mode a vertex is its own point,
 and every other face gets one fraction-free elimination
 (``_face_geometry``): its interior point, its direction basis as the
 integer echelon rows of that elimination, and whether it spans its
-dimension; a star's projection is ``complementary_projection`` of its
-basis.  In equations mode a face's witness is its point, and at n >= 4
+dimension.  Each row is reduced once: a simplex whose first ids list a
+simplex of dimension 2 or more one rank down resumes that face's
+elimination and reduces its last vertex's row alone.  A star's
+projection comes off its face's echelon rows in one back-substitution
+(``exactgeom._echelon_projection``), the map that
+``complementary_projection`` gives for any basis of the same span.  In
+equations mode a face's witness is its point, and at n >= 4
 the first three incident facet normals that raise the rank are the rows
 of a star's projection.  At n = 3 both modes table one shared identity.
 ``as_equations`` runs ``_face_geometry`` once per face but a vertex to
@@ -52,14 +57,15 @@ from typing import Sequence
 from .exactgeom import (
     _IDENTITY3,
     DegenerateFaceError,
+    Echelon,
     HomPoint,
     IVec,
     Number,
     Projection3,
     Vec,
+    _echelon_projection,
     _pivot,
     _reduce,
-    complementary_projection,
     dehomogenise,
     dot,
     homogeneous,
@@ -108,25 +114,40 @@ def _require_records(surface: PLSurface) -> None:
     Per face of dims n-3, n-2, n-1: a nonempty vertex list (vertex mode,
     dim 0 excepted), or an upward record below the facets, an equation
     per facet and a witness (equations mode), checked in ``verify``'s
-    order.  A table shorter than its face count or a None entry lacks one;
-    an upward table longer than it holds a face out of range (INVALID_ID).
+    order.  A table shorter than its face count or a None entry lacks one.
+    Equations mode reads every upward table first, as ``validate_poset``
+    does: one at a rank other than n-3 and n-2, or longer than its count,
+    holds a face out of range (INVALID_ID).  Vertex mode then needs one
+    coordinate row per vertex (MISSING_COORDS), as the geometry pass does.
     """
     poset, dims = surface.poset, sorted({surface.n - 3, surface.n - 2, surface.n - 1})
     if surface.mode == VERTEX_MODE:
         tables = [("MISSING_VERTEX_LIST", d, poset.vertex_ids.get(d, ())) for d in dims if d]
     else:
+        for d, rows in poset.up_ids.items():
+            if rows and d not in dims[:-1]:
+                raise ValueError(f"INVALID_ID: {Face(d, 0)} is recorded at an unexpected rank")
+            if len(rows) > poset.count(d):
+                raise ValueError(f"INVALID_ID: {Face(d, poset.count(d))} is a record past the face count")
         tables = [("INVALID_ID", d, poset.up_ids.get(d, ())) for d in dims[:-1]] + [("MISSING_EQUATION", dims[-1], surface.equations)]
         tables += [("BAD_WITNESS", d, surface.witnesses.get(d, ())) for d in dims]
     for code, d, rows in tables:
-        if code == "INVALID_ID" and len(rows) > poset.count(d):
-            raise ValueError(f"{code}: {Face(d, poset.count(d))} is a record past the face count")
         for i in range(poset.count(d)):
             record = rows[i] if i < len(rows) else None
             if record is None or code == "MISSING_VERTEX_LIST" and not record:
                 raise ValueError(f"{code}: {Face(d, i)} has no record to write")
+    if surface.mode == VERTEX_MODE and len(surface.vertices) != poset.count(0):
+        raise ValueError(f"MISSING_COORDS: {_coordinate_count(surface)}")
 
 
-def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tuple[IVec, ...], str | None]:
+def _coordinate_count(surface: PLSurface) -> str:
+    """The MISSING_COORDS message for a vertex count that the coordinate rows do not match."""
+    return f"{surface.poset.count(0)} vertices declared, {len(surface.vertices)} coordinates"
+
+
+def _face_geometry(
+    dim: int, points: Sequence[HomPoint], prefix: tuple[HomPoint, Echelon] | None = None
+) -> tuple[HomPoint, Echelon, str | None]:
     """A vertex-mode face's interior point, direction basis and rank defect, from one elimination.
 
     ``dim`` is the face's dimension and ``points`` are its vertices in
@@ -141,16 +162,28 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
     weights picked so far: a point of weight W is added as it is, and
     any other weight w brings both sides to lcm(W, w) first.  The point
     is that sum over the weight k*W for k points.  The basis is the kept
-    rows, in echelon form (each is zero at the pivot columns of the rows
-    before it), so ``nullspace`` finds them reduced already.
+    rows as ``_reduce``'s (pivot column, row) pairs, in echelon form
+    (each row is zero at the pivot columns of the rows before it).
     The defect is None exactly when the face spans its dimension.
+
+    ``prefix`` resumes a scan: it is this function's point and basis for
+    the face of dimension ``dim`` - 1 listed by every point but the last,
+    which is where the scan of ``points`` stands after that many points,
+    since a scan over dim points keeps at most dim - 1 rows.  Only the
+    last point's row is reduced then.
     """
     base = points[0]
     vb, wb = base
-    pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
-    basis = []
-    total, weight = vb, wb
-    for vp, wp in points[1:]:
+    if prefix is None:
+        pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
+        total, weight = vb, wb
+        rest = points[1:]
+    else:
+        (total, weight), rows = prefix
+        pivots = list(rows)
+        weight //= 1 + len(pivots)
+        rest = (points[-1],)
+    for vp, wp in rest:
         d = tuple([wb * x - wp * y for x, y in zip(vp, vb)])
         # the first row needs no reduction: a pivot row's scale does not
         # change which later rows reduce to zero, nor their pivot columns
@@ -158,8 +191,7 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
         col = _pivot(r)
         if col is not None:
             pivots.append((col, r))
-            basis.append(r)
-            if len(basis) > dim:
+            if len(pivots) > dim:
                 break
             if wp == weight:
                 total = tuple(map(operator.add, total, vp))
@@ -168,8 +200,9 @@ def _face_geometry(dim: int, points: Sequence[HomPoint]) -> tuple[HomPoint, tupl
                 a, b = wp // g, weight // g
                 total = tuple([a * x + b * y for x, y in zip(total, vp)])
                 weight *= a
-    defect = None if len(basis) == dim else f"affine rank {len(basis)} != dim {dim}"
-    return (total, (1 + min(len(basis), dim)) * weight), tuple(basis), defect
+    k = len(pivots)
+    defect = None if k == dim else f"affine rank {k} != dim {dim}"
+    return (total, (1 + min(k, dim)) * weight), tuple(pivots), defect
 
 
 def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[HomPoint, FacetEquation]:
@@ -183,7 +216,7 @@ def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[Ho
     point, basis, defect = _face_geometry(facet.dim, points)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    (normal,) = nullspace(basis, n)
+    (normal,) = nullspace([row for _, row in basis], n)
     scale = next(x for x in reversed(normal) if x)
     base, weight = points[0]
     return point, FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
@@ -302,8 +335,13 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     Vertex mode first checks the vertex coordinates (MISSING_COORDS) and
     converts every vertex, the vertices' points at n = 3.  Every other
     face goes through ``_face_geometry`` once, whose rank defect becomes
-    a DEGENERATE_FACE.  Once the report is ok, at n >= 4, each
-    (n-3)-face's projection is ``complementary_projection`` of its basis.
+    a DEGENERATE_FACE.  A simplex of dimension d whose first d ids are,
+    in that order, the list of a simplex of dimension d - 1 >= 2 passes
+    that face's point and basis as its ``prefix``, so only its last row
+    is reduced; the simplices of each dimension from 2 up to n-2 are
+    kept, by vertex ids, for the rank above, and no other face is.  Once
+    the report is ok, at n >= 4, each (n-3)-face's projection is
+    ``_echelon_projection`` of its basis.
 
     A value that is no exact number is reported where it is converted:
     MISSING_COORDS for a coordinate, BAD_NORMAL for a normal entry or an
@@ -328,8 +366,7 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     if surface.mode == VERTEX_MODE:
         vertices = surface.vertices
         if len(vertices) != poset.count(0):
-            counts = f"{poset.count(0)} vertices declared, {len(vertices)} coordinates"
-            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, counts),)))
+            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _coordinate_count(surface)),)))
         if any(len(v) != n for v in vertices):
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
         try:
@@ -338,18 +375,27 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
             return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
         if n == 3:  # the (n-3)-faces are the vertices, each its own point
             points[0] = coords
-        bases: list[tuple[IVec, ...] | None] = [None] * poset.count(low)
+        bases: list[Echelon | None] = [None] * poset.count(low)
+        # a simplex's vertex ids -> its point and basis, for the simplices one rank up
+        # to resume; only dims 2 and up below the facets keep theirs
+        simplices: dict[tuple[int, ...], tuple[HomPoint, Echelon]] = {}
         for d in filter(None, dims):
             rows, table = poset.vertex_ids[d], points[d]
+            below, simplices, keep = simplices, {}, 2 <= d < top
             for i in range(len(table)):
-                table[i], basis, defect = _face_geometry(d, [coords[v] for v in rows[i]])
+                ids = rows[i]
+                # every key has d ids, so only a simplex's first ids can match one
+                prefix = below.get(tuple(ids[:-1])) if below else None
+                table[i], basis, defect = _face_geometry(d, [coords[v] for v in ids], prefix)
+                if keep and len(ids) == d + 1:
+                    simplices[tuple(ids)] = table[i], basis
                 if d == low:
                     bases[i] = basis
                 if defect is not None:
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
         report = ValidationReport(tuple(degenerate))
         if report.ok and n > 3:
-            projections = [complementary_projection(basis, n) for basis in bases]
+            projections = [_echelon_projection(basis, n) for basis in bases]
         return PreparedSurface(report, points, projections)
     bad: list[Violation] = []
     n_facets = poset.count(top)

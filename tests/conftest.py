@@ -466,7 +466,7 @@ def reference_facet_equation(surface: pc.PLSurface, facet) -> FacetEquation:
     _, basis, defect = _face_geometry(facet.dim, coords)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    (normal,) = nullspace(basis, surface.n)
+    (normal,) = nullspace([row for _, row in basis], surface.n)
     scale = next(x for x in reversed(normal) if x)
     base, weight = coords[0]
     return FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))

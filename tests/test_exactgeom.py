@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 
 from plconvex.exactgeom import (
     DegenerateFaceError,
+    _echelon_projection,
+    _pivot,
+    _reduce,
     as_vec,
     complementary_projection,
     dehomogenise,
@@ -136,6 +139,42 @@ def test_axis_triple_is_the_lexicographic_zero_triple():
         if expected is None:
             assert rank(p.rows) == 3 and all(dot(r, v) == 0 for r in p.rows for v in kernel)
     assert min(hits.values()) >= 50  # both the axis path and the nullspace path ran
+
+
+@st.composite
+def echelon_rows(draw):
+    """n and n - 3 independent integer rows in ``_reduce``'s echelon form, each row scaled by a drawn factor.
+
+    Each row is drawn zero before a pivot column of its own and nonzero
+    there, then reduced against the rows before it.  Entries are often
+    zero, so that rows often miss three common columns (the axis path);
+    the factors leave rows with a common divisor, as the first row of
+    ``surface._face_geometry``'s scan keeps it.
+    """
+    n = draw(st.integers(4, 7))
+    cols = draw(st.permutations(range(n)))[: n - 3]
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, 12])
+    pivots = []
+    for col in cols:
+        row = [0] * col + [draw(st.sampled_from([1, -1, 2, 5]))] + [draw(entry) for _ in range(n - col - 1)]
+        r = _reduce(pivots, tuple(row))
+        factor = draw(st.sampled_from([1, -1, 2, 6]))
+        pivots.append((_pivot(r), tuple(x * factor for x in r)))
+    return n, tuple(pivots)
+
+
+@given(echelon_rows())
+def test_echelon_projection_is_the_nullspace_of_its_rows(case):
+    # one back-substitution gives nullspace's basis of the rows, the rows
+    # that complementary_projection takes for any basis of the same span,
+    # and the axis triple exactly when three columns are zero in every row
+    n, pivots = case
+    rows = [r for _, r in pivots]
+    p = _echelon_projection(pivots, n)
+    assert p.rows == nullspace(rows, n)
+    assert p.axes == _lexicographic_zero_triple(rows, n)
+    assert complementary_projection(rows, n) == p
+    assert complementary_projection([as_vec(r) for r in reversed(rows)], n) == p
 
 
 def test_projection_axis_kernel():

@@ -607,7 +607,8 @@ def star_fans(surface):
         proj = prepared.projections[f.index]
         if proj is None:
             points = [homogeneous(surface.vertices[v]) for v in poset.vertex_ids[f.dim][f.index]]
-            proj = pc.complementary_projection(surface_mod._face_geometry(f.dim, points)[1], surface.n)
+            basis = surface_mod._face_geometry(f.dim, points)[1]
+            proj = pc.complementary_projection([row for _, row in basis], surface.n)
         yield pc.build_fan(prepared.points, f, cycle, proj)
 
 

@@ -666,21 +666,32 @@ def _incomplete_cubes():
         ("None witness", eqs(witnesses={**w, 0: _none_at(w[0], 6)}), pc.Face(0, 6), "BAD_WITNESS"),
         ("short witness table", eqs(witnesses=_short(w, 1)), pc.Face(1, 11), "BAD_WITNESS"),
         ("no witness table", eqs(witnesses={d: w[d] for d in (0, 1)}), pc.Face(2, 0), "BAD_WITNESS"),
+        ("upward table at the facets", eqs(up={**poset.up_ids, 2: [(0,)] * 6}), pc.Face(2, 0), "INVALID_ID"),
+        ("ninth coordinate row", pc.PLSurface(cube.poset, vertices=cube.vertices + cube.vertices[:1]), None, "MISSING_COORDS"),
+        ("last coordinate row dropped", pc.PLSurface(cube.poset, vertices=cube.vertices[:-1]), None, "MISSING_COORDS"),
     ]
 
 
 @pytest.mark.parametrize("label, surface, face, code", _incomplete_cubes(), ids=lambda x: x if isinstance(x, str) else "")
 def test_writers_refuse_incomplete_tables(label, surface, face, code):
     # emit_pls and relabel raise ValueError naming the first face without
-    # its record, or the first record past the count of an upward table,
-    # and the code that verify reports there, instead of writing a document
-    # without it (or without the extra record) or failing inside their
-    # record loops
+    # its record, the first record past the count of an upward table or the
+    # first of a table at a rank without upward records, and the code that
+    # verify reports there, instead of writing a document without it (or
+    # without the extra records) or failing inside their record loops; a
+    # coordinate count other than the vertex count names no face, and they
+    # give verify's message for it
     v = pc.verify(surface)
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
-    past = face.index >= surface.poset.count(face.dim)
+    if face is None:
+        message = f"{code}: {preflight(surface).report.violations[0].message}"
+    elif face.dim not in (surface.n - 3, surface.n - 2) and code == "INVALID_ID":
+        message = f"{code}: {face} is recorded at an unexpected rank"
+    elif face.index >= surface.poset.count(face.dim):
+        message = f"{code}: {face} is a record past the face count"
+    else:
+        message = f"{code}: {face} has no record to write"
     for write in (emit_pls, lambda s: pc.relabel(s, 3)):
         with pytest.raises(ValueError) as info:
             write(surface)
-        why = "is a record past the face count" if past else "has no record to write"
-        assert type(info.value) is ValueError and str(info.value) == f"{code}: {face} {why}"
+        assert type(info.value) is ValueError and str(info.value) == message

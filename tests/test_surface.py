@@ -450,13 +450,15 @@ def same_face_geometry(got, want, width) -> bool:
     """Whether ``_face_geometry``'s result matches the reference's.
 
     The point and the defect are equal, and the basis spans the reference
-    basis's row space (the same nullspace), in echelon form: each row is
-    zero at the pivot columns of the rows before it.
+    basis's row space (the same nullspace), in echelon form: each row's
+    pivot column is its first nonzero column, and each row is zero at the
+    pivot columns of the rows before it.
     """
-    (point, basis, defect), (want_point, want_basis, want_defect) = got, want
-    cols = [_pivot(r) for r in basis]
+    (point, pivots, defect), (want_point, want_basis, want_defect) = got, want
+    cols, basis = [c for c, _ in pivots], [r for _, r in pivots]
     return (
         (point, defect) == (want_point, want_defect)
+        and cols == [_pivot(r) for r in basis]
         and len(basis) == len(want_basis)
         and nullspace(basis, width) == nullspace(want_basis, width)
         and all(r[c] == 0 for k, r in enumerate(basis) for c in cols[:k])
@@ -528,7 +530,7 @@ def test_projections_have_rank_three_and_the_face_kernel():
             assert len(proj.rows) == 3 and all(len(r) == s.n and all(type(x) is int for x in r) for r in proj.rows)
             assert rank(proj.rows) == 3, (label, f)
             if s.mode == "vertices":
-                kernel = surface_mod._face_geometry(f.dim, face_points(s, f))[1]
+                kernel = tuple(row for _, row in surface_mod._face_geometry(f.dim, face_points(s, f))[1])
             else:
                 kernel = reference_equations_geometry(s, f)[1]
             got = nullspace(proj.rows, s.n)
@@ -538,17 +540,58 @@ def test_projections_have_rank_three_and_the_face_kernel():
     assert len(checked) == 8 and min(checked.values()) >= 20, checked
 
 
-def test_geometry_pass_matches_reference(monkeypatch):
-    prepared = {label: preflight(s) for label, s in geometry_families()}
-    monkeypatch.setattr(surface_mod, "_face_geometry", reference_face_geometry)
+def _resuming_surfaces():
+    """Vertex-mode surfaces at n >= 4 whose simplices resume a face one rank down, or would but for their lists.
+
+    Moved and relabelled simplices and cross polytopes; a moved 5-simplex
+    whose vertex 2 lies on the line through vertices 0 and 1, or on
+    vertex 0, so that every face listed from (0, 1, 2) resumes a degenerate
+    prefix; and that 5-simplex with every list rotated by one place, so
+    that no list's first ids list a face.
+    """
+    for n in (4, 5, 6):
+        yield f"simplex{n}", pc.relabel(pc.rigid_motion(pc.gen_simplex(n), n), 3)
+    for n in (4, 5):
+        yield f"cross{n}", pc.relabel(pc.rigid_motion(pc.gen_cross_polytope(n), n), 5)
+    simplex = pc.rigid_motion(pc.gen_simplex(5), 2)
+    v = list(simplex.vertices)
+    for label, point in (("midpoint", tuple((a + b) / 2 for a, b in zip(v[0], v[1]))), ("repeated", v[0])):
+        yield f"simplex5-{label}", PLSurface(simplex.poset, vertices=tuple(v[:2] + [point] + v[3:]))
+    lists = {d: [ids[1:] + ids[:1] for ids in rows] for d, rows in simplex.poset.vertex_ids.items()}
+    yield "simplex5-rotated", PLSurface(FacePoset(5, {0: 6}, vertex_ids=lists), vertices=simplex.vertices)
+
+
+def test_geometry_pass_matches_reference():
+    # in vertex mode, preflight's report, points and projections are those
+    # of every face's own elimination from scratch (_face_geometry without
+    # a prefix) and complementary_projection of its basis: resuming a
+    # simplex and the back-substitution leave every table as it was
     outcomes = Counter()
-    for label, s in geometry_families():
-        want = preflight(s)
-        got = prepared[label]
-        assert got.report == want.report, label
-        assert got.points == want.points and got.projections == want.projections, label
-        outcomes[got.ok] += 1
-    assert min(outcomes.values()) >= 10, outcomes
+    for label, s in list(geometry_families()) + list(_resuming_surfaces()):
+        prepared = preflight(s)
+        if s.mode != "vertices" or any(v.code != "DEGENERATE_FACE" for v in prepared.report.violations):
+            continue
+        poset, n = s.poset, s.n
+        coords = [homogeneous(v) for v in s.vertices]
+        points, bases, defects = {0: coords}, [], []
+        for d in filter(None, (poset.dim_low, poset.dim_mid, poset.dim_top)):
+            points[d] = []
+            for f in poset.faces(d):
+                point, basis, defect = surface_mod._face_geometry(d, [coords[v] for v in poset.vertex_ids[d][f.index]])
+                points[d].append(point)
+                if d == poset.dim_low:
+                    bases.append([row for _, row in basis])
+                if defect is not None:
+                    defects.append(pc.Violation("DEGENERATE_FACE", f, defect))
+        if n > 3:
+            del points[0]
+            projections = [None if defects else pc.complementary_projection(b, n) for b in bases]
+        else:
+            projections = [pc.complementary_projection((), 3)] * poset.count(0)
+        assert prepared.report.violations == tuple(defects), label
+        assert prepared.points == points and prepared.projections == projections, label
+        outcomes[n > 3, prepared.ok] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 2, outcomes
 
 
 def test_face_geometry_repeated_and_collinear_vertices():

@@ -100,28 +100,60 @@ def test_dented_cube_witness_near_dent():
     assert pc.oracle_verdict(s).convex is False
 
 
-@pytest.mark.parametrize(
-    "surface",
-    [pc.gen_hypercube(5), pc.gen_prism(64), pc.gen_cross_polytope(5)],
-    ids=["hypercube5", "prism64", "cross5"],
-)
-def test_verify_eliminates_each_face_at_most_once(surface, monkeypatch):
+# per base: the faces eliminated from scratch and the simplices resumed from
+# a face one rank down; the 5-cube's faces are cubes, and at n = 3 no face
+# of dimension 2 or more lies below the facets
+ELIMINATIONS = {
+    "hypercube5": (lambda: pc.gen_hypercube(5), 130, 0),
+    "prism64": (lambda: pc.gen_prism(64), 258, 0),
+    "cross5": (lambda: pc.relabel(pc.rigid_motion(pc.gen_cross_polytope(5), 1), 3), 80, 112),
+    "simplex6": (lambda: pc.rigid_motion(pc.gen_simplex(6), 1), 35, 28),
+    "cross4": (lambda: pc.gen_cross_polytope(4), 56, 16),
+}
+
+
+@pytest.mark.parametrize("name", list(ELIMINATIONS))
+def test_verify_eliminates_each_face_at_most_once(name, monkeypatch):
     # surface._face_geometry runs one face's elimination; a face is told
     # apart by its dimension and its vertices' points; a vertex is its own
-    # point and gets none, so prism64's 128 vertices are not counted
-    eliminated = Counter()
-    face_geometry = surface_mod._face_geometry
+    # point and gets none, so prism64's 128 vertices are not counted.  Each
+    # row a scan reduces is one _pivot call.  A fresh scan reduces at most
+    # one row per point after the first; a simplex whose first ids list a
+    # face of dimension 2 or more one rank down resumes that face's result,
+    # computed once before it, and reduces its last row alone, so no row is
+    # reduced twice for one face
+    make, fresh, resumes = ELIMINATIONS[name]
+    surface = make()
+    eliminated, results = Counter(), {}
+    rows, resumed = Counter(), []
+    face_geometry, pivot = surface_mod._face_geometry, surface_mod._pivot
 
-    def counting(dim, points):
-        eliminated[dim, tuple(points)] += 1
-        return face_geometry(dim, points)
+    def counting(dim, points, prefix=None):
+        key = dim, tuple(points)
+        eliminated[key] += 1
+        before = rows["pivot"]
+        results[key] = got = face_geometry(dim, points, prefix)
+        scanned = rows["pivot"] - before
+        if prefix is None:
+            assert scanned <= len(points) - 1
+        else:
+            assert prefix == results[dim - 1, tuple(points[:-1])][:2]
+            assert dim >= 3 and scanned == 1
+            resumed.append(key)
+        return got
+
+    def counting_pivot(r):
+        rows["pivot"] += 1
+        return pivot(r)
 
     monkeypatch.setattr(surface_mod, "_face_geometry", counting)
+    monkeypatch.setattr(surface_mod, "_pivot", counting_pivot)
     assert verify(surface).kind == "CONVEX"
     poset = surface.poset
     faces = sum(poset.count(d) for d in {poset.dim_low, poset.dim_mid, poset.dim_top} - {0})
-    assert sum(eliminated.values()) == faces
+    assert sum(eliminated.values()) == faces == fresh + resumes
     assert max(eliminated.values()) == 1 and all(dim > 0 for dim, _ in eliminated)
+    assert len(resumed) == resumes
 
 
 def _moved_bases():
@@ -133,8 +165,9 @@ def _moved_bases():
 def test_verify_takes_each_projection_once(surface, monkeypatch):
     # preflight tables every star's projection: in equations mode the incident
     # normals are its rows, so no nullspace is taken; in vertex mode each
-    # (n-3)-face gets one complementary_projection of its basis, and at
-    # n = 3 none, since every star shares the identity
+    # (n-3)-face's projection comes off its basis in one _echelon_projection,
+    # with no nullspace and no complementary_projection, and at n = 3 none
+    # is taken, since every star shares the identity
     eq = pc.as_equations(surface)
     calls = Counter()
 
@@ -146,13 +179,14 @@ def test_verify_takes_each_projection_once(surface, monkeypatch):
         return wrapped
 
     for owner in (surface_mod, exactgeom_mod):
-        for name in ("nullspace", "complementary_projection"):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        for name in ("nullspace", "complementary_projection", "_echelon_projection"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     low = surface.poset.count(surface.poset.dim_low)
     assert verify(eq, collect_all=True).kind == "CONVEX"
     assert calls == Counter()
     assert verify(surface, collect_all=True).kind == "CONVEX"
-    assert calls["complementary_projection"] == (low if surface.n > 3 else 0)
+    assert calls == (Counter(_echelon_projection=low) if surface.n > 3 else Counter())
 
 
 def test_verify_face_cube_all_pointed(cube):
