@@ -3,8 +3,8 @@
 Every decision in the verifier reduces to the sign of a rational
 expression, and no decision anywhere in the package goes through a
 float.  Inputs are exact coordinates, each an ``int`` or a
-``fractions.Fraction`` (``Number``): the readers in ``formats`` give an
-``int`` for every integer value and the generators build ``Fraction``s.
+``fractions.Fraction`` (``Number``): a surface shows an ``int`` for
+every integer value it reads and the generators build ``Fraction``s.
 The verifier's hot path carries them in homogeneous form
 (``homogeneous``: integer numerators over one positive denominator), so
 elimination, nullspaces and projections run on Python integers,
@@ -12,13 +12,16 @@ fraction-free.
 
 Who converts and who trusts integer rows: ``_reduce`` and ``_pivot``
 are the one elimination routine; they take rows of ints as they are
-and never convert.  ``homogeneous`` alone converts: it scales a row to
+and never convert.  ``homogeneous`` converts values: it scales a row to
 integers over its least common denominator, so a row of ints comes back
-with its values over weight 1.  The public entry points ``nullspace``
-and ``complementary_projection`` accept any exact rows and pass each
-through ``homogeneous`` before reducing it, so integer rows reach
-``_reduce`` with their values; a rank is the width less the size of the
-nullspace.  ``_echelon_projection`` trusts its rows: they are integer
+with its values over weight 1.  The PLS reader (``formats._row``) gives
+that same ``HomPoint`` straight from the text, with int() and gcd, and
+a parsed surface keeps it (``surface.SurfaceRows``), so the geometry
+pass converts only the rows of a surface built from values.  The public
+entry points ``nullspace`` and ``complementary_projection`` accept any
+exact rows and pass each through ``homogeneous`` before reducing it, so
+integer rows reach ``_reduce`` with their values; a rank is the width
+less the size of the nullspace.  ``_echelon_projection`` trusts its rows: they are integer
 echelon rows with their pivot columns (``Echelon``), as ``_reduce``
 leaves them, and it takes one back-substitution to the projection.
 The geometry pass (``surface``) reduces rows itself, each face's once,

@@ -1,11 +1,19 @@
 """File formats: the PLS document (JSON) and a small OFF subset for n = 3.
 
 PLS documents carry exact rationals as strings "p/q" (or JSON integers);
-decimal floats are rejected so no rounding can sneak in.  Every number
-either reader returns, in vertex coordinates, witnesses, normals and
-offsets, follows one rule (``_exact``): a value that is an integer is
-an ``int`` ("-12", "4/2", 7, and 3.0 in OFF), any other a ``Fraction``.
-So the geometry pass takes integer rows at weight 1, and a parsed surface
+decimal floats are rejected so no rounding can sneak in.  ``parse_pls``
+reads each number once: every coordinate, witness and normal row becomes
+integer numerators over the row's least common denominator as it is read
+(``_row``, the ``HomPoint`` that ``exactgeom.homogeneous`` gives for the
+row's values), and every offset a numerator over a positive denominator
+in lowest terms.  A row of strings of the strict form -?digits(/digits)?
+is read with int() and gcd alone; any other goes through ``Fraction``
+value by value.  The surface keeps these rows (``surface.SurfaceRows``)
+and the geometry pass reads them as they are.  The values a surface
+shows, from either reader, in vertex coordinates, witnesses, normals and
+offsets, follow one rule (``_exact``): a value that is an integer is an
+``int`` ("-12", "4/2", 7, and 3.0 in OFF), any other a ``Fraction``.  A
+parsed surface derives them from its rows when they are first read, and
 equals the ``Fraction``-typed one it was emitted from.  Vertex-mode
 documents list coordinates plus per-face vertex lists.  Equations-mode
 documents list facet hyperplanes plus explicit upward links and a
@@ -44,13 +52,15 @@ in three facets and ``verify`` answers INVALID NOT_CLOSED.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 from itertools import chain
 
-from .exactgeom import Number, Vec
+from .exactgeom import HomPoint, Number, homogeneous
 from .instances import surface_from_polygons
 from .poset import FacePoset
-from .surface import EQUATION_MODE, FacetEquation, PLSurface, VERTEX_MODE, _require_records
+from .surface import EQUATION_MODE, FacetRow, PLSurface, SurfaceRows, VERTEX_MODE, _require_records
 
 
 class ParseError(Exception):
@@ -94,19 +104,9 @@ def _decimal(text: str) -> Number:
 
 
 def _frac(value, where: str) -> Number:
-    """One exact number of a PLS document, as ``_exact``: a JSON integer or a rational string."""
+    """One exact number of a PLS document that ``_row`` does not read in one pass, as ``_exact``: a JSON integer or a rational string."""
     try:
         if type(value) is str:
-            # the strict form -?digits(/digits)? skips Fraction's regex; any
-            # other string (sign '+', spaces, '1.5', '1e3') goes to
-            # Fraction(value) through _decimal, which first refuses '_',
-            # non-ASCII text and inner whitespace
-            num, slash, den = value.partition("/")
-            neg = num[:1] == "-"
-            digits = num[1:] if neg else num
-            if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-                p = -int(digits) if neg else int(digits)
-                return _exact(Fraction(p, int(den))) if slash else p
             return _decimal(value)
         if type(value) is int:
             return value
@@ -123,10 +123,39 @@ def _off_int(token: str) -> int:
     return int(token)
 
 
-def _vec(values, where: str) -> Vec:
+# a row of numbers in the strict form -?digits(/digits)?, joined by ','
+_STRICT_ROW = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
+
+
+def _row(values, where: str) -> HomPoint:
+    """A PLS coordinate list as integer numerators over their least common denominator: ``homogeneous`` of its values.
+
+    A row of strings in the strict form -?digits(/digits)? is read with
+    int() and gcd alone.  Any other row, and one with a zero denominator
+    or a number longer than int() takes, goes through ``_frac`` value by
+    value, which reads it with Fraction or raises its ParseError.
+    """
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a coordinate list")
-    return tuple([_frac(x, where) for x in values])
+    try:
+        if _STRICT_ROW.fullmatch(",".join(values)):
+            nums, dens = [], []
+            for x in values:
+                p, slash, q = x.partition("/")
+                nums.append(int(p))
+                dens.append(int(q) if slash else 1)
+            if 0 not in dens:
+                w = math.lcm(*dens)
+                nums = [p * (w // q) for p, q in zip(nums, dens)]
+                # over the lcm of unreduced denominators a row may share a
+                # factor with w; most share none, and skip the divisions
+                g = math.gcd(w, *nums)
+                if g > 1:
+                    return tuple([x // g for x in nums]), w // g
+                return tuple(nums), w
+    except (TypeError, ValueError):  # a value that is no string, or one with a ',' or too long for int()
+        pass
+    return homogeneous([_frac(x, where) for x in values])
 
 
 def _records(doc_faces, dim: int, where: str) -> list[dict]:
@@ -163,8 +192,10 @@ def parse_pls(text: str) -> PLSurface:
     incidence itself, so the poset checks (closedness, connectedness,
     realization) are left to ``verify``.  The face records fill the
     per-dimension tables directly, without a ``Face`` per record: the
-    poset's ``up_ids`` or ``vertex_ids`` and, in equations mode, the
-    surface's ``witnesses[d][i]`` and ``equations[h]``, in id order.
+    poset's ``up_ids`` or ``vertex_ids`` and the surface's rows
+    (``SurfaceRows``): its vertices, or in equations mode its
+    ``witnesses[d][i]`` and ``equations[h]``, in id order.  The surface
+    is built ``PLSurface.from_rows``, so no value table is made here.
 
     A list that repeats an id is read as its set, in both modes, as a
     hand-built vertex list is: "vertices" [0, 1, 0] is [0, 1], and "up"
@@ -198,8 +229,8 @@ def parse_pls(text: str) -> PLSurface:
         verts_doc = doc.get("vertices")
         if not isinstance(verts_doc, list) or not verts_doc:
             raise ParseError("vertex mode needs a nonempty 'vertices' list")
-        coords = [_vec(v, f"vertices[{i}]") for i, v in enumerate(verts_doc)]
-        if any(len(c) != n for c in coords):
+        coords = [_row(v, f"vertices[{i}]") for i, v in enumerate(verts_doc)]
+        if any(len(c) != n for c, _ in coords):
             raise ParseError("every vertex needs exactly n coordinates")
         nv = len(coords)
         lists: dict[int, list[tuple[int, ...]]] = {}
@@ -224,14 +255,14 @@ def parse_pls(text: str) -> PLSurface:
                 lists[d].append(tuple(sorted(set(vs))))
         poset = FacePoset(n, {0: nv}, vertex_ids=lists)
         counts = poset.faces_per_dim
-        surface = PLSurface(poset, vertices=tuple(coords))
+        surface = PLSurface.from_rows(poset, SurfaceRows(tuple(coords), [], {}))
     else:
         dims = sorted({n - 3, n - 2, n - 1})
         recs_by_dim = {d: _records(faces_doc, d, f"faces[{d}]") for d in dims}
         counts = {d: len(recs) for d, recs in recs_by_dim.items()}
         up: dict[int, list[tuple[int, ...]]] = {}
-        witnesses: dict[int, list[Vec | None]] = {}
-        equations: list[FacetEquation | None] = []
+        witnesses: dict[int, list[HomPoint]] = {}
+        equations: list[FacetRow] = []
         for d in dims:
             if d < n - 1:
                 rows = up[d] = []
@@ -240,7 +271,7 @@ def parse_pls(text: str) -> PLSurface:
                 w = rec.get("witness")
                 if w is None:
                     raise ParseError(f"faces[{d}][{i}]: equations mode requires a witness")
-                points.append(_vec(w, f"faces[{d}][{i}].witness"))
+                points.append(_row(w, f"faces[{d}][{i}].witness"))
                 if d < n - 1:
                     ups = rec.get("up")
                     if not isinstance(ups, list) or not all(_is_int(u) for u in ups):
@@ -251,12 +282,12 @@ def parse_pls(text: str) -> PLSurface:
                 else:
                     if "normal" not in rec or "offset" not in rec:
                         raise ParseError(f"faces[{d}][{i}]: facet needs 'normal' and 'offset'")
-                    equations.append(FacetEquation(
-                        _vec(rec["normal"], f"faces[{d}][{i}].normal"),
-                        _frac(rec["offset"], f"faces[{d}][{i}].offset"),
-                    ))
+                    normal = _row(rec["normal"], f"faces[{d}][{i}].normal")
+                    # a row of one number is that number in lowest terms
+                    (num,), den = _row([rec["offset"]], f"faces[{d}][{i}].offset")
+                    equations.append(FacetRow(*normal, num, den))
         poset = FacePoset(n=n, faces_per_dim=counts, up_ids=up)
-        surface = PLSurface(poset, equations=equations, witnesses=witnesses)
+        surface = PLSurface.from_rows(poset, SurfaceRows((), equations, witnesses))
 
     empty = [d for d, c in sorted(counts.items()) if not c]
     if empty:
@@ -269,8 +300,11 @@ def emit_pls(surface: PLSurface) -> str:
 
     The first line holds ``n``, ``mode`` and the opening of the first
     list; every vertex row and face record follows on a line of its own.
-    A surface that lacks a face's record is a ValueError that names the
-    face and the code ``verify`` reports (``surface._require_records``).
+    A surface whose records ``verify`` rejects (a lacking, extra or
+    repeated record, an id out of range, a coordinate row of another
+    length than n) is a ValueError with the code, face and message of
+    the first violation ``verify`` reports there
+    (``surface._require_records``).
     """
     _require_records(surface)
     n = surface.n

@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Sequence
 
 from .exactgeom import Vec, as_vec, dot, homogeneous
-from .poset import Face, FacePoset
+from .poset import FacePoset
 from .surface import PLSurface, _require_records
 
 F0 = Fraction(0)
@@ -305,10 +305,12 @@ def scale(surface: PLSurface, factor: Fraction) -> PLSurface:
 def relabel(surface: PLSurface, seed: int) -> PLSurface:
     """Permute face indices within every rank (a pure renaming; in vertex mode, of the lists).
 
-    ValueError, as in ``emit_pls``, for a lacking or extra record, and for
-    a vertex id or upward reference outside 0..count-1, which names no
-    face (as ``validate_poset``'s INVALID_ID: -1 is not the last one).
-    Witness and equation rows past the count are dropped, as ``verify`` does.
+    ValueError, as in ``emit_pls``, for the first violation ``verify``
+    reports among the records it moves (``surface._require_records``):
+    a lacking or extra record, or a vertex id or upward reference outside
+    0..count-1, which names no face (-1 is not the last one).  A vertex
+    list of dimension 0, which the poset ignores, is dropped, and so are
+    witness and equation rows past the count, as ``verify`` does.
     """
     _require_records(surface)
     rng = random.Random(seed)
@@ -318,11 +320,6 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
 
     def moved(d: int, rows: Sequence, inner: list[int] | None = None) -> list:
         """Row i of dimension d moved to index perms[d][i]; with ``inner``, a tuple of ids renamed by it."""
-        if inner is not None:  # one bulk test of the table's ids, then the first face that fails it
-            ids = list(chain.from_iterable(rows))
-            if ids and (min(ids) < 0 or max(ids) >= len(inner)):
-                i = next(i for i, row in enumerate(rows) if any(not 0 <= g < len(inner) for g in row))
-                raise ValueError(f"INVALID_ID: {Face(d, i)} names an id outside 0..{len(inner) - 1}")
         perm, new = perms[d], [None] * len(rows)
         for i, row in enumerate(rows):
             new[perm[i]] = row if inner is None else tuple(sorted([inner[g] for g in row]))
@@ -332,7 +329,7 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
         n=poset.n,
         faces_per_dim=dict(poset.faces_per_dim),
         up_ids={} if poset.vertex_ids else {d: moved(d, rows, perms[d + 1]) for d, rows in poset.up_ids.items()},
-        vertex_ids={d: moved(d, rows, p0) for d, rows in poset.vertex_ids.items()},
+        vertex_ids={d: moved(d, rows, p0) for d, rows in poset.vertex_ids.items() if d},
     )
     if surface.mode == "vertices":
         return PLSurface(new_poset, vertices=tuple(moved(0, surface.vertices)))

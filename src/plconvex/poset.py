@@ -180,10 +180,11 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     coordinate is read.  In vertex mode the lists above dimension 0 must
     be present, nonempty and in range; the incidences are what
     construction derived from them, so none is checked.  In equations
-    mode an upward table shorter than its count misses the records of
-    its last faces, a longer one holds records of faces out of range, and
-    a table of another dimension than n-3 or n-2 is recorded at an
-    unexpected rank.  A ``Face`` is made only for a violation.
+    mode a None record is missing, an upward table shorter than its
+    count misses the records of its last faces, a longer one holds
+    records of faces out of range, and a table of another dimension than
+    n-3 or n-2 is recorded at an unexpected rank.  A ``Face`` is made
+    only for a violation.
     """
     bad: list[Violation] = []
     n = poset.n
@@ -224,6 +225,9 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
         for i, ups in enumerate(rows):
             if i >= n_here:
                 bad.append(Violation("INVALID_ID", Face(d, i), "face index out of range"))
+                continue
+            if ups is None:
+                bad.append(Violation("INVALID_ID", Face(d, i), "missing upward incidence record"))
                 continue
             if len(set(ups)) != len(ups):
                 bad.append(Violation("INVALID_ID", Face(d, i), "duplicate upward reference"))

@@ -6,13 +6,24 @@ each facet carries an exact hyperplane (normal, offset) and every listed
 face of dims n-3, n-2, n-1 carries a witness point in its relative
 interior; vertex coordinates are not needed then.
 
+A surface holds its numbers in one of two forms.  One built from values
+(the generators, ``rigid_motion``, ``as_equations``, ``parse_off``)
+holds ``int``s and ``Fraction``s in ``vertices``, ``equations`` and
+``witnesses``.  One that ``formats.parse_pls`` reads holds the reader's
+integer rows (``SurfaceRows``: each point and normal the ``HomPoint``
+that ``exactgeom.homogeneous`` gives for its values, each offset in
+lowest terms) and derives those three tables from them only when
+something reads one (``PLSurface.from_rows``), so building it converts
+nothing and ``verify`` builds no table.
+
 ``_geometry_pass`` is the one geometry pass.  ``verifier.preflight``,
 the one front end, runs it once over the whole surface, and only on a
 poset that ``validate_poset``, ``check_closed`` and ``check_connected``
 accepted, so it reads vertex lists and upward records without checking
-their ids again.  It converts every vertex, witness and facet equation
-it reads to integer homogeneous form once (``exactgeom.homogeneous``;
-a row of ints keeps its values at weight 1) and fills two tables by
+their ids again.  It reads a parsed surface's rows as they are, and
+converts every vertex, witness and facet equation of a surface built
+from values to integer homogeneous form once (``exactgeom.homogeneous``;
+a row of ints keeps its values at weight 1).  It fills two tables by
 face index: ``preflight(s).points[d][i]``, the interior point of face i
 of dimension d (d = n-3, n-2, n-1), and ``preflight(s).projections[i]``,
 the projection of (n-3)-face i's star.  They are the verifier's only
@@ -52,7 +63,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactgeom import (
     _IDENTITY3,
@@ -71,7 +82,7 @@ from .exactgeom import (
     homogeneous,
     nullspace,
 )
-from .poset import Face, FacePoset, ValidationReport, Violation
+from .poset import Face, FacePoset, ValidationReport, Violation, validate_poset
 
 VERTEX_MODE = "vertices"
 EQUATION_MODE = "equations"
@@ -83,6 +94,51 @@ class FacetEquation:
     offset: Number
 
 
+class FacetRow(NamedTuple):
+    """A facet equation in integers, as the PLS reader reads it: normal / weight . x = num / den.
+
+    ``(normal, weight)`` is the ``HomPoint`` that ``homogeneous`` gives
+    for the normal's values, and num / den is the offset in lowest terms
+    with den > 0.
+    """
+
+    normal: IVec
+    weight: int
+    num: int
+    den: int
+
+
+class SurfaceRows(NamedTuple):
+    """A parsed surface's numbers as ``formats.parse_pls`` reads them, every row in integers.
+
+    ``vertices[v]`` is vertex v's coordinates (vertex mode);
+    ``witnesses[d][i]`` is face i's witness point and ``equations[h]``
+    facet h's ``FacetRow`` (equations mode).  Each point is the
+    ``HomPoint`` that ``homogeneous`` gives for its values.  Every table
+    holds one row per face, of the counts of the poset read with it.
+    """
+
+    vertices: tuple[HomPoint, ...]
+    equations: list[FacetRow]
+    witnesses: dict[int, list[HomPoint]]
+
+
+def _values(row: HomPoint) -> Vec:
+    """The exact values of an integer row, as the readers give them: an int for an integer value, else a Fraction."""
+    nums, w = row
+    return tuple([x // w if x % w == 0 else Fraction(x, w) for x in nums])
+
+
+# the tables that a surface built from rows derives on their first read
+_VIEWS = {
+    "vertices": lambda rows: tuple(map(_values, rows.vertices)),
+    "equations": lambda rows: [
+        FacetEquation(_values((r.normal, r.weight)), r.num if r.den == 1 else Fraction(r.num, r.den)) for r in rows.equations
+    ],
+    "witnesses": lambda rows: {d: list(map(_values, points)) for d, points in rows.witnesses.items()},
+}
+
+
 @dataclass(frozen=True)
 class PLSurface:
     """A face poset and its realization, by vertices or by facet equations.
@@ -92,12 +148,35 @@ class PLSurface:
     ``witnesses[d][i]``, a point in the relative interior of face i of
     dimension d, for d = n-3, n-2, n-1: the shape of ``preflight(s).points``.
     A missing record is a None entry or a list shorter than its face count.
+
+    A surface that ``parse_pls`` reads is built ``from_rows``: it keeps
+    the reader's ``rows``, which the geometry pass reads as they are, and
+    derives each of those three tables from them the first time something
+    reads it.  A surface built from values has no rows (None), and
+    ``dataclasses.replace`` gives one built from values.
     """
 
     poset: FacePoset
-    vertices: tuple[Vec, ...] = ()
+    vertices: tuple[Vec, ...] = field(default_factory=tuple)
     equations: list[FacetEquation | None] = field(default_factory=list)
     witnesses: dict[int, list[Vec | None]] = field(default_factory=dict)
+    rows: SurfaceRows | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_rows(cls, poset: FacePoset, rows: SurfaceRows) -> PLSurface:
+        """The surface of ``poset`` whose numbers are ``rows``; nothing is converted until a table is read."""
+        surface = object.__new__(cls)
+        object.__setattr__(surface, "poset", poset)
+        object.__setattr__(surface, "rows", rows)
+        return surface
+
+    def __getattr__(self, name: str):
+        # lookup found no attribute: a table that a surface built from rows
+        # has not derived yet, or a name that is no attribute at all
+        if name not in _VIEWS or self.rows is None:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _VIEWS[name](self.rows)
+        return value
 
     @property
     def n(self) -> int:
@@ -105,39 +184,39 @@ class PLSurface:
 
     @property
     def mode(self) -> str:
-        return VERTEX_MODE if self.vertices else EQUATION_MODE
+        rows = self.rows
+        return VERTEX_MODE if (self.vertices if rows is None else rows.vertices) else EQUATION_MODE
+
+
+_COORDINATE_LENGTH = "coordinate of wrong length"
 
 
 def _require_records(surface: PLSurface) -> None:
-    """ValueError for the first face whose record a writer reads and the surface lacks, with ``verify``'s code.
+    """ValueError for the first violation ``verify`` reports among the records a writer reads.
 
-    Per face of dims n-3, n-2, n-1: a nonempty vertex list (vertex mode,
-    dim 0 excepted), or an upward record below the facets, an equation
-    per facet and a witness (equations mode), checked in ``verify``'s
-    order.  A table shorter than its face count or a None entry lacks one.
-    Equations mode reads every upward table first, as ``validate_poset``
-    does: one at a rank other than n-3 and n-2, or longer than its count,
-    holds a face out of range (INVALID_ID).  Vertex mode then needs one
-    coordinate row per vertex (MISSING_COORDS), as the geometry pass does.
+    Its text is the violation's code, face (when it names one) and
+    message.  ``validate_poset``'s violations come first, then the
+    geometry pass's for a record it lacks: a coordinate count other than
+    the vertex count or a coordinate row whose length is not n
+    (MISSING_COORDS), or a facet without its equation (MISSING_EQUATION)
+    and a face of dims n-3, n-2, n-1 without its witness (BAD_WITNESS),
+    where a table shorter than its face count or a None entry lacks one.
     """
-    poset, dims = surface.poset, sorted({surface.n - 3, surface.n - 2, surface.n - 1})
+    poset, n = surface.poset, surface.n
+    found = list(validate_poset(poset, surface.mode).violations)
     if surface.mode == VERTEX_MODE:
-        tables = [("MISSING_VERTEX_LIST", d, poset.vertex_ids.get(d, ())) for d in dims if d]
+        if len(surface.vertices) != poset.count(0):
+            found.append(Violation("MISSING_COORDS", None, _coordinate_count(surface)))
+        elif any(len(v) != n for v in surface.vertices):
+            found.append(Violation("MISSING_COORDS", None, _COORDINATE_LENGTH))
     else:
-        for d, rows in poset.up_ids.items():
-            if rows and d not in dims[:-1]:
-                raise ValueError(f"INVALID_ID: {Face(d, 0)} is recorded at an unexpected rank")
-            if len(rows) > poset.count(d):
-                raise ValueError(f"INVALID_ID: {Face(d, poset.count(d))} is a record past the face count")
-        tables = [("INVALID_ID", d, poset.up_ids.get(d, ())) for d in dims[:-1]] + [("MISSING_EQUATION", dims[-1], surface.equations)]
-        tables += [("BAD_WITNESS", d, surface.witnesses.get(d, ())) for d in dims]
-    for code, d, rows in tables:
-        for i in range(poset.count(d)):
-            record = rows[i] if i < len(rows) else None
-            if record is None or code == "MISSING_VERTEX_LIST" and not record:
-                raise ValueError(f"{code}: {Face(d, i)} has no record to write")
-    if surface.mode == VERTEX_MODE and len(surface.vertices) != poset.count(0):
-        raise ValueError(f"MISSING_COORDS: {_coordinate_count(surface)}")
+        tables = [("MISSING_EQUATION", "facet without equation", poset.dim_top, surface.equations)]
+        tables += [("BAD_WITNESS", "missing witness point", d, surface.witnesses.get(d, ())) for d in (poset.dim_low, poset.dim_mid, poset.dim_top)]
+        for code, message, d, rows in tables:
+            found += [Violation(code, Face(d, i), message) for i in range(poset.count(d)) if i >= len(rows) or rows[i] is None]
+    if found:
+        code, face, message = found[0]
+        raise ValueError(f"{code}: {message}" if face is None else f"{code}: {face}: {message}")
 
 
 def _coordinate_count(surface: PLSurface) -> str:
@@ -327,13 +406,17 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     ``check_closed`` and ``check_connected`` leave them: every listed
     face has its vertex list or upward record, and every id in them is
     in range.  The mode is read once, and each mode has its own loop
-    over those faces; every record that loop reads is converted to
-    integers once.  The interior point of every face and the projection
-    of every (n-3)-face's star go into the per-dimension tables; at
-    n = 3 every projection is the one shared identity.
+    over those faces.  A parsed surface's rows (``surface.rows``) are
+    read as they are, in both modes; every record of a surface built
+    from values that the loop reads is converted to integers once
+    (``homogeneous``).  The interior point of every face and the
+    projection of every (n-3)-face's star go into the per-dimension
+    tables; at n = 3 every projection is the one shared identity.
 
-    Vertex mode first checks the vertex coordinates (MISSING_COORDS) and
-    converts every vertex, the vertices' points at n = 3.  Every other
+    Vertex mode takes the parsed rows, one of n ints per vertex, as
+    they are; it first checks the coordinates of a surface built from
+    values (MISSING_COORDS) and converts every vertex.  The rows are the
+    vertices' points at n = 3.  Every other
     face goes through ``_face_geometry`` once, whose rank defect becomes
     a DEGENERATE_FACE.  A simplex of dimension d whose first d ids are,
     in that order, the list of a simplex of dimension d - 1 >= 2 passes
@@ -345,17 +428,20 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
 
     A value that is no exact number is reported where it is converted:
     MISSING_COORDS for a coordinate, BAD_NORMAL for a normal entry or an
-    offset, BAD_WITNESS for a witness entry.
+    offset, BAD_WITNESS for a witness entry.  The reader refuses such a
+    value itself, so a parsed surface has none.
 
     Equations mode first checks the facet equations (MISSING_EQUATION,
-    BAD_NORMAL, ZERO_NORMAL), then walks once from each face to the
-    facets above it.  At n >= 4 those facets' integer normals are
-    reduced with ``_reduce`` in facet index order: their rank must be
-    3, or the face is a DEGENERATE_FACE, and the three normals that
-    raised it, as they are, are the rows of the (n-3)-face's
-    projection, whose kernel is the face's direction space.  The face's
-    witness must be there (BAD_WITNESS) and lie on each of those
-    facets, in facet index order (BAD_WITNESS), an integer comparison.
+    BAD_NORMAL, ZERO_NORMAL; a parsed surface has every one, so only
+    the length or the zeros of a normal can fail there), then walks
+    once from each face to the facets above it.  At n >= 4 those
+    facets' integer normals are reduced with ``_reduce`` in facet index
+    order: their rank must be 3, or the face is a DEGENERATE_FACE, and
+    the three normals that raised it, as they are, are the rows of the
+    (n-3)-face's projection, whose kernel is the face's direction space.
+    The face's witness must be there (BAD_WITNESS) and lie on each of
+    those facets, in facet index order (BAD_WITNESS), an integer
+    comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
@@ -363,16 +449,20 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     degenerate: list[Violation] = []
     points: dict[int, list[HomPoint | None]] = {d: [None] * poset.count(d) for d in dims}
     projections: list[Projection3 | None] = [_IDENTITY3 if n == 3 else None] * poset.count(low)
+    parsed = surface.rows
     if surface.mode == VERTEX_MODE:
-        vertices = surface.vertices
-        if len(vertices) != poset.count(0):
-            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _coordinate_count(surface)),)))
-        if any(len(v) != n for v in vertices):
-            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, "coordinate of wrong length"),)))
-        try:
-            coords = list(map(homogeneous, vertices))
-        except TypeError as exc:
-            return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
+        if parsed is not None:  # the reader's rows: one per vertex, n ints each
+            coords = list(parsed.vertices)
+        else:
+            vertices = surface.vertices
+            if len(vertices) != poset.count(0):
+                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _coordinate_count(surface)),)))
+            if any(len(v) != n for v in vertices):
+                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _COORDINATE_LENGTH),)))
+            try:
+                coords = list(map(homogeneous, vertices))
+            except TypeError as exc:
+                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
         if n == 3:  # the (n-3)-faces are the vertices, each its own point
             points[0] = coords
         bases: list[Echelon | None] = [None] * poset.count(low)
@@ -399,8 +489,13 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
         return PreparedSurface(report, points, projections)
     bad: list[Violation] = []
     n_facets = poset.count(top)
-    records = list(surface.equations[:n_facets])
-    records += [None] * (n_facets - len(records))
+    # the reader gives one equation per facet, of exact numbers; a table
+    # built from values is cut or padded to the facet count
+    if parsed is not None:
+        records = parsed.equations
+    else:
+        records = list(surface.equations[:n_facets])
+        records += [None] * (n_facets - len(records))
     # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
     equations = []
     for h, eq in enumerate(records):
@@ -410,6 +505,8 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
             bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal of length {len(eq.normal)}, not {n}"))
         elif all(c == 0 for c in eq.normal):
             bad.append(Violation("ZERO_NORMAL", Face(top, h), "facet normal is zero"))
+        elif parsed is not None:
+            equations.append((eq.normal, eq.den, eq.num * eq.weight))
         else:
             try:
                 normal, weight = homogeneous(eq.normal)
@@ -421,7 +518,7 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
     for d in dims:
-        witnesses = surface.witnesses.get(d, ())
+        witnesses = surface.witnesses.get(d, ()) if parsed is None else parsed.witnesses[d]
         for i in range(poset.count(d)):
             above = [i]
             for k in range(d, top):
@@ -443,12 +540,14 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
                 else:
                     defect = "incident facet equations do not determine the face's direction space"
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
-            witness = witnesses[i] if i < len(witnesses) else None
-            try:
-                points[d][i] = point = None if witness is None else homogeneous(witness)
-            except TypeError as exc:
-                bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness entry {exc}"))
-                continue
+            point = witnesses[i] if i < len(witnesses) else None
+            if parsed is None and point is not None:
+                try:
+                    point = homogeneous(point)
+                except TypeError as exc:
+                    bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness entry {exc}"))
+                    continue
+            points[d][i] = point
             if point is None or len(point[0]) != n:
                 bad.append(Violation("BAD_WITNESS", Face(d, i), "missing witness point"))
                 continue

@@ -10,8 +10,10 @@ import pytest
 
 import plconvex as pc
 import plconvex.formats as formats
+import plconvex.surface as surface_mod
 import plconvex.verifier as verifier
 from plconvex.cli import run_cli
+from plconvex.exactgeom import homogeneous
 from plconvex.formats import (
     NonManifoldError,
     ParseError,
@@ -186,11 +188,13 @@ class TestPls:
         back = parse_pls(emit_pls(scaled))
         assert back.vertices[7] == (F(1, 3), F(1, 3), F(1, 3))
 
-    def test_frac_matches_fraction(self):
-        # _frac reads -?digits(/digits)? with int() and hands every other
-        # value to Fraction; either way the value, or the ParseError text
-        # built from Fraction's own exception, must be Fraction(value)'s,
-        # and the value an int exactly when it is an integer.
+    def test_row_matches_fraction(self):
+        # _row reads a row of -?digits(/digits)? strings with int() and gcd
+        # and hands any other row to _frac, which reads each value with
+        # Fraction; either way the row, or the ParseError text built from
+        # Fraction's own exception, must be homogeneous's of the values that
+        # Fraction reads, and _frac's value an int exactly when it is an
+        # integer.
         # Two exceptions are ParseErrors before Fraction sees the string:
         # one with '_', a non-ASCII character or whitespace inside it, which
         # Fraction reads differently from one Python version to the next or
@@ -208,22 +212,24 @@ class TestPls:
             digits = m.group(1).replace("_", "") if m else ""
             return digits != "" and int(digits) > 4300
 
-        def expected(value):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                return f"at: bad rational {value!r} ({exc})"
+        def expected(row):
+            for value in row:
+                try:
+                    Fraction(value)
+                except (ValueError, ZeroDivisionError, TypeError) as exc:
+                    return f"at: bad rational {value!r} ({exc})"
+            return homogeneous([Fraction(value) for value in row])
 
-        def got(value):
+        def got(row):
             try:
-                return formats._frac(value, "at")
+                return formats._row(row, "at")
             except ParseError as exc:
                 return str(exc)
 
         long = "7" * 4301
         values = ["1/0", "-0/5", "007/3", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1.5", "1e3", "-", "", "/3"]
         values += ["1/", "1/-2", "--1", "-0/0", "-5/0", "12", "-12", "4/6", "-4/6", "0", "1/2 ", "1//2", "1/2/3"]
-        values += ["1/ 2", "1 /2", "1/+2", "1/2_", "_1"]  # int() takes these parts, Fraction not
+        values += ["1/ 2", "1 /2", "1/+2", "1/2_", "_1", "1,2", "1/2,3", "-1,-2"]  # int() takes these parts, Fraction not
         values += [long, "-" + long, long + "/3", "3/" + long, "-3/" + long, long + "/0", "0/" + long]
         values += [0, -7, 10**40, -(10**40)]  # JSON integers
         values += ["1e4300", "-1E-4300", "1e4301", "1e-4301", "1E+4_301", "1e\u0664\u0663\u0660\u0661", "e5000 "]
@@ -238,19 +244,25 @@ class TestPls:
         refused = set()
         for value in values:
             if version_dependent(value) or exponent_beyond_limit(value):
-                assert got(value).startswith(f"at: bad rational {value!r} ("), value
+                assert got([value]).startswith(f"at: bad rational {value!r} ("), value
                 refused.add(value)
                 continue
-            want = expected(value)
-            assert got(value) == want, value
-            # the readers' number rule: an int exactly when the value is an integer
-            kind = str if isinstance(want, str) else int if want.denominator == 1 else Fraction
-            assert type(got(value)) is kind, value
+            want = expected([value])
+            assert got([value]) == want, value
+            kind = str if isinstance(want, str) else int if want[1] == 1 else Fraction
+            if kind is not str:
+                # the readers' number rule: an int exactly when the value is an integer
+                assert type(formats._frac(value, "at")) is kind, value
             outcomes[kind] += 1
         assert min(outcomes.values()) >= 1000, outcomes
         # among them the seeded 6e5619\u0663 and 5e5561
         assert {"1e4301", "1e-4301", "1e999999999", "6e5619\u0663", "5e5561"} <= refused, refused
         assert {"1_0/3", "1/ 2", "1 /2", "1/2_", "_1", "1E+4_301", "\u0663/4"} <= refused, refused
+        # rows of three: numbers over their least common denominator, or the first value's error
+        accepted = [value for value in values if value not in refused]
+        for _ in range(3000):
+            row = rng.sample(accepted, 3)
+            assert got(row) == expected(row), row
 
     def test_equations_mode_requires_witness(self, cube):
         doc = json.loads(emit_pls(as_equations(cube)))
@@ -560,6 +572,58 @@ def test_integer_values_parse_as_int():
     assert min(kinds[int], kinds[Fraction]) >= 1000, kinds
 
 
+def _strict_family_texts():
+    """Each geometry family, labelled, with its emitted text."""
+    return [(label, built, emit_pls(built)) for label, built in geometry_families()]
+
+
+def test_parsed_rows_reach_the_geometry_pass_as_they_are(monkeypatch):
+    # parse_pls reads every coordinate, witness and normal row straight to
+    # integers over its least common denominator, the HomPoint that
+    # homogeneous gives; the geometry pass reads those rows as they are, so
+    # verify answers as on the built surface with homogeneous made to raise,
+    # in both modes, and builds none of the parsed surface's value tables
+    cases = [(label, built, parse_pls(text)) for label, built, text in _strict_family_texts()]
+    assert {parsed.mode for _, _, parsed in cases} == {"vertices", "equations"}
+    want = [pc.verify(built, collect_all=True) for _, built, _ in cases]
+
+    def refuse(row):
+        raise AssertionError(f"homogeneous({row!r}) on a parsed surface")
+
+    monkeypatch.setattr(surface_mod, "homogeneous", refuse)
+    for (label, built, parsed), v in zip(cases, want):
+        assert pc.verify(parsed, collect_all=True) == v, label
+        assert not {"vertices", "equations", "witnesses"} & parsed.__dict__.keys(), label
+    monkeypatch.undo()
+    for label, built, parsed in cases:
+        # the tables, read now, are the built surface's values
+        assert (parsed.vertices, parsed.equations, parsed.witnesses) == (built.vertices, built.equations, built.witnesses), label
+        assert preflight(parsed) == preflight(built), label
+
+
+def test_strict_documents_build_no_fraction(monkeypatch):
+    # a document whose numbers are all -?digits(/digits)? strings is read
+    # and decided without a Fraction: the reader computes each row's
+    # numerators and common denominator with int() and gcd alone
+    texts = [text for _, _, text in _strict_family_texts()]
+    calls = Counter()
+
+    def counting(*args):
+        calls["Fraction"] += 1
+        return Fraction(*args)
+
+    for module in (formats, surface_mod):
+        monkeypatch.setattr(module, "Fraction", counting)
+    for text in texts:
+        pc.verify(parse_pls(text), collect_all=True)
+    assert calls["Fraction"] == 0
+    # the spy sees a row that holds a decimal: Fraction reads each of its values
+    doc = json.loads(texts[0])
+    doc["vertices"][0][0] = "0.5"
+    parse_pls(json.dumps(doc))
+    assert calls["Fraction"] == len(doc["vertices"][0])
+
+
 @pytest.mark.parametrize("m", [3, 8, 33])
 def test_emitted_layout_is_one_line_per_record(m):
     # a first line with the header, then one line per vertex row and face
@@ -669,28 +733,39 @@ def _incomplete_cubes():
         ("upward table at the facets", eqs(up={**poset.up_ids, 2: [(0,)] * 6}), pc.Face(2, 0), "INVALID_ID"),
         ("ninth coordinate row", pc.PLSurface(cube.poset, vertices=cube.vertices + cube.vertices[:1]), None, "MISSING_COORDS"),
         ("last coordinate row dropped", pc.PLSurface(cube.poset, vertices=cube.vertices[:-1]), None, "MISSING_COORDS"),
+        ("coordinate row one short", pc.PLSurface(cube.poset, vertices=(cube.vertices[0][:-1], *cube.vertices[1:])), None, "MISSING_COORDS"),
+        ("None upward record", eqs(up={**poset.up_ids, 1: _none_at(poset.up_ids[1], 3)}), pc.Face(1, 3), "INVALID_ID"),
+        # two faults each, in tables that a writer reading them in table
+        # order would meet the other way round: verify's first comes first
+        ("short vertex table, then a bad reference", eqs(up={0: poset.up_ids[0][:-1], 1: [(0, 9), *poset.up_ids[1][1:]]}), pc.Face(1, 0), "INVALID_ID"),
+        (
+            "short vertex table, then a repeated reference",
+            eqs(up={0: poset.up_ids[0][:-1], 1: [*poset.up_ids[1][:2], (poset.up_ids[1][2][0],) * 2, *poset.up_ids[1][3:]]}),
+            pc.Face(1, 2),
+            "INVALID_ID",
+        ),
+        ("bad reference, then no witness", eqs(up={0: poset.up_ids[0], 1: [*poset.up_ids[1][:-1], (-1, 0)]}, witnesses={**w, 0: _none_at(w[0], 0)}), pc.Face(1, 11), "INVALID_ID"),
+        ("empty facet list after a bad edge list", verts({1: [*vids[1][:5], (0, 8), *vids[1][6:]], 2: [(), *vids[2][1:]]}), pc.Face(1, 5), "INVALID_ID"),
+        (
+            "bad edge list, then a short coordinate row",
+            pc.PLSurface(pc.FacePoset(3, {0: 8}, vertex_ids={**vids, 1: [(0, -1), *vids[1][1:]]}), vertices=(cube.vertices[0][:2], *cube.vertices[1:])),
+            pc.Face(1, 0),
+            "INVALID_ID",
+        ),
     ]
 
 
 @pytest.mark.parametrize("label, surface, face, code", _incomplete_cubes(), ids=lambda x: x if isinstance(x, str) else "")
 def test_writers_refuse_incomplete_tables(label, surface, face, code):
-    # emit_pls and relabel raise ValueError naming the first face without
-    # its record, the first record past the count of an upward table or the
-    # first of a table at a rank without upward records, and the code that
-    # verify reports there, instead of writing a document without it (or
-    # without the extra records) or failing inside their record loops; a
-    # coordinate count other than the vertex count names no face, and they
-    # give verify's message for it
+    # emit_pls and relabel raise ValueError with the code, face and message
+    # of the first violation that verify reports among the records they
+    # read, instead of writing a document without a record (or with a
+    # record that verify rejects) or failing inside their record loops; a
+    # coordinate count or row length that is wrong names no face
     v = pc.verify(surface)
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
-    if face is None:
-        message = f"{code}: {preflight(surface).report.violations[0].message}"
-    elif face.dim not in (surface.n - 3, surface.n - 2) and code == "INVALID_ID":
-        message = f"{code}: {face} is recorded at an unexpected rank"
-    elif face.index >= surface.poset.count(face.dim):
-        message = f"{code}: {face} is a record past the face count"
-    else:
-        message = f"{code}: {face} has no record to write"
+    first = preflight(surface).report.violations[0]
+    message = f"{code}: {first.message}" if face is None else f"{code}: {face}: {first.message}"
     for write in (emit_pls, lambda s: pc.relabel(s, 3)):
         with pytest.raises(ValueError) as info:
             write(surface)

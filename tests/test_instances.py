@@ -205,9 +205,8 @@ def test_relabel_refuses_ids_out_of_range(kind, value, surface, face):
         assert v.kind == "CONVEX" and pc.verify(pc.relabel(surface, 5)) == v
         return
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, "INVALID_ID")
-    count = 8 if kind == "vertex" else 6
-    message = f"{face} is a record past the face count" if kind == "row" else f"{face} names an id outside 0..{count - 1}"
-    with pytest.raises(ValueError, match=re.escape(f"INVALID_ID: {message}")):
+    message = {"vertex": "vertex index out of range", "facet": f"bad upward reference {pc.Face(2, value)}", "row": "face index out of range"}[kind]
+    with pytest.raises(ValueError, match=re.escape(f"INVALID_ID: {face}: {message}")):
         pc.relabel(surface, 5)
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -119,6 +121,51 @@ def test_a_vertex_is_its_own_point():
     listed = PLSurface(replace(cube.poset, vertex_ids={**cube.poset.vertex_ids, 0: [(0, 1)] * 8}), vertices=cube.vertices)
     assert preflight(listed) == prepared and pc.verify(listed).kind == "CONVEX"
     assert as_equations(listed) == as_equations(cube)
+    # relabel drops the ignored list, whatever ids it holds
+    for ids in [(0, 1), (0, 99)]:
+        shuffled = pc.relabel(PLSurface(replace(cube.poset, vertex_ids={**cube.poset.vertex_ids, 0: [ids] * 8}), vertices=cube.vertices), 3)
+        assert 0 not in shuffled.poset.vertex_ids and pc.verify(shuffled).kind == "CONVEX"
+
+
+def test_parsed_surface_derives_its_tables_on_first_read():
+    # a parsed surface keeps the reader's integer rows and derives vertices,
+    # equations and witnesses from them when one is first read, as the
+    # values the text holds; it compares, copies and pickles as the surface
+    # built from those values, replace() gives a surface built from
+    # values, and a name that is no table stays an AttributeError
+    built = pc.rigid_motion(pc.gen_prism(5), 3)
+    for s in (built, as_equations(built)):
+        parsed = pc.parse_pls(pc.emit_pls(s))
+        assert s.rows is None and parsed.rows is not None and parsed.mode == s.mode
+        assert not {"vertices", "equations", "witnesses"} & vars(parsed).keys()
+        assert copy.deepcopy(parsed) == s and pickle.loads(pickle.dumps(parsed)) == s
+        assert parsed == s
+        assert parsed.vertices is parsed.vertices and parsed.witnesses is parsed.witnesses
+        again = replace(parsed, poset=parsed.poset)
+        assert again.rows is None and again == s and preflight(again) == preflight(parsed)
+        for surface in (parsed, pc.parse_pls(pc.emit_pls(s)), s):
+            assert getattr(surface, "no_such_table", None) is None
+            with pytest.raises(AttributeError, match="no_such_table"):
+                surface.no_such_table
+
+
+def test_parsed_rows_give_the_rejection_texts():
+    # the geometry pass checks a parsed equations-mode surface's normals and
+    # witnesses on its rows, with the texts it gives for the built surface
+    eq = as_equations(pc.gen_hypercube(3))
+    h, v0 = Face(2, 1), Face(0, 0)
+    fe = eq.equations[h.index]
+    cases = [
+        replace_geometry(eq, equations={h: FacetEquation((F(0),) * 3, fe.offset)}),
+        replace_geometry(eq, equations={h: FacetEquation(fe.normal + (F(1, 2),), fe.offset)}),
+        replace_geometry(eq, equations={h: FacetEquation(fe.normal, fe.offset + F(1, 3))}),
+        replace_geometry(eq, witnesses={v0: eq.witnesses[0][0][:2]}),
+        replace_geometry(eq, witnesses={h: tuple(x + a for x, a in zip(eq.witnesses[2][h.index], fe.normal))}),
+    ]
+    for surface in cases:
+        report = preflight(surface).report
+        assert not report.ok
+        assert preflight(pc.parse_pls(pc.emit_pls(surface))).report == report
 
 
 def test_check_realization_accepts_cube(cube):

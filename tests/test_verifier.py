@@ -515,7 +515,7 @@ def test_vertex_mode_surface_is_its_lists(label, base):
         try:
             text = pc.emit_pls(s)
         except ValueError as exc:
-            assert edit == "empty" and str(exc) == f"MISSING_VERTEX_LIST: {v.witness} has no record to write", exc
+            assert edit == "empty" and str(exc) == f"MISSING_VERTEX_LIST: {v.witness}: no vertex list", exc
             continue
         w = verify(pc.parse_pls(text))
         assert (v.kind, v.witness, v.reason) == (w.kind, w.witness, w.reason), edit
