@@ -17,21 +17,24 @@ integers over its least common denominator, so a row of ints comes back
 with its values over weight 1.  The PLS reader (``formats._row``) gives
 that same ``HomPoint`` straight from the text, with int() and gcd, and
 a parsed surface keeps it (``surface.SurfaceRows``), so the geometry
-pass converts only the rows of a surface built from values.  The public
-entry points ``nullspace`` and ``complementary_projection`` accept any
-exact rows and pass each through ``homogeneous`` before reducing it, so
-integer rows reach ``_reduce`` with their values; a rank is the width
-less the size of the nullspace.  ``_echelon_projection`` trusts its rows: they are integer
-echelon rows with their pivot columns (``Echelon``), as ``_reduce``
-leaves them, and it takes one back-substitution to the projection.
-The geometry pass (``surface``) reduces rows itself, each face's once,
-and tables each star's integer ``Projection3`` once
-(``verifier.preflight(s).projections``): ``_echelon_projection`` of
-its face's echelon rows in vertex mode, which is
-``complementary_projection`` of its direction basis, three incident
-facet normals in equations mode.  ``nullspace`` gives the facet
-equations (``surface.facet_equation``, ``as_equations``).  ``fan.build_fan``
-applies those rows as they are: it takes no other rows.
+pass converts only the rows of a surface built from values.
+
+Two helpers run every kernel on integer rows: ``_independent`` reduces
+rows in order and keeps the ones that raise the rank, and
+``_free_basis`` reads the primitive free-column basis orthogonal to
+echelon rows off one back-substitution.  ``nullspace`` is
+``_free_basis`` of ``_independent``; ``complementary_projection`` is
+``_echelon_projection`` (the axis triple, else ``_free_basis``) of
+``_independent``; both take any exact rows through ``homogeneous``.  The
+geometry pass (``surface``) reduces each face's rows once, in
+``_face_geometry``'s own scan, and tables each star's ``Projection3``
+once (``verifier.preflight(s).projections``): ``_echelon_projection``
+of its face's echelon rows in vertex mode, the three incident facet
+normals that ``_independent`` keeps in equations mode.  A facet's
+equation (``surface.facet_equation``, ``as_equations``) is
+``_free_basis`` of its echelon rows.  ``fan.build_fan`` applies a
+projection's rows as they are.  A rank is the width less the size of
+the nullspace.
 
 Vectors are plain tuples of exact numbers (``Fraction`` or ``int``);
 matrices are sequences of such row vectors.
@@ -130,40 +133,65 @@ def _pivot(r: IVec) -> int | None:
     return None
 
 
-def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
-    """Deterministic integer basis of {x : row . x = 0 for each row}.
+def _independent(rows: Iterable[IVec]) -> tuple[Echelon, list[int]]:
+    """Reduce integer rows in order and keep each one that raises the rank.
 
-    The rows are brought to reduced echelon form fraction-free (each new
-    pivot row is also cleared out of the earlier ones).  The basis has
-    one vector per free column f, in increasing order: L at f, 0 at the
-    other free columns and -L * row[f] / row[pivot] at each pivot
-    column, with one positive integer L for the whole basis.  It is L
-    times the basis read off the rational reduced row echelon form, and
-    each vector's last nonzero entry is L, at its own free column.
-    Each row goes through ``homogeneous``, so rows of ints are reduced
-    with their values.
+    Each row is reduced (``_reduce``) against the rows kept before it
+    and kept, with its pivot column (``_pivot``), unless it reduces to
+    zero.  The result is the kept rows as ``Echelon`` pairs and the
+    indices of the rows that raised the rank, in increasing order.
     """
     pivots: list[tuple[int, IVec]] = []
-    for v in rows:
-        r = _reduce(pivots, homogeneous(v)[0])
+    kept = []
+    for i, v in enumerate(rows):
+        r = _reduce(pivots, v)
         col = _pivot(r)
         if col is not None:
-            pivots = [(c, _reduce([(col, r)], row)) for c, row in pivots]
             pivots.append((col, r))
-    pivots.sort()
-    scale = math.lcm(*[row[c] for c, row in pivots])  # lcm of the absolute values
-    pivot_cols = {c for c, _ in pivots}
+            kept.append(i)
+    return tuple(pivots), kept
+
+
+def _free_basis(pivots: Echelon, width: int) -> tuple[IVec, ...]:
+    """Integer basis of the vectors of length ``width`` orthogonal to echelon rows, from one back-substitution.
+
+    ``pivots`` are (col, row) pairs as ``_reduce`` keeps them: col is
+    the row's first nonzero column, and no two rows share one.  The rows
+    are taken last pivot column first, each cleared of the pivot columns
+    taken before it (``_reduce``): the reduced echelon form, up to one
+    scale per row.  The basis has one vector per free column f, in
+    increasing order: L at f, 0 at the other free columns and
+    -L * row[f] / row[pivot] at each pivot column, with the least
+    positive integer L that makes every entry an integer.  It is L times
+    the basis read off the rational reduced row echelon form, so it
+    depends on the span of the rows alone.
+    """
+    reduced: list[tuple[int, IVec]] = []
+    for col, row in sorted(pivots, reverse=True):
+        reduced.append((col, _reduce(reduced, row)))
+    scale = math.lcm(*[row[c] for c, row in reduced])  # lcm of the absolute values
+    pivot_cols = {c for c, _ in reduced}
     basis = []
     for f in range(width):
         if f in pivot_cols:
             continue
         x = [0] * width
         x[f] = scale
-        for c, row in pivots:
+        for c, row in reduced:
             x[c] = -row[f] * (scale // row[c])
-        basis.append(tuple(x))
+        basis.append(x)
     g = math.gcd(*[x for b in basis for x in b])  # 0 only for an empty basis
-    return tuple(tuple(x // g for x in b) for b in basis)
+    return tuple([tuple([x // g for x in b]) for b in basis])
+
+
+def nullspace(rows: Sequence[Sequence], width: int) -> tuple[IVec, ...]:
+    """Deterministic integer basis of {x : row . x = 0 for each row}: ``_free_basis`` of the rows.
+
+    Each row goes through ``homogeneous``, so rows of ints are reduced
+    with their values; each vector's last nonzero entry is one common
+    positive L, at its own free column.
+    """
+    return _free_basis(_independent([homogeneous(v)[0] for v in rows])[0], width)
 
 
 class Projection3(NamedTuple):
@@ -183,18 +211,13 @@ _IDENTITY3 = Projection3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 2))
 
 
 def _echelon_projection(pivots: Echelon, n: int) -> Projection3:
-    """Rank-3 map killing exactly the span of n - 3 integer echelon rows, from one back-substitution.
+    """Rank-3 map killing exactly the span of n - 3 integer echelon rows.
 
-    ``pivots`` are (col, row) pairs as ``_reduce`` keeps them: col is
-    the row's first nonzero column, and no two rows share one.  When the
+    ``pivots`` are (col, row) pairs as ``_reduce`` keeps them.  When the
     rows are zero at three common columns, the map extracts the first
-    three such coordinates (``axes``).  Otherwise the rows are taken
-    last pivot column first, each cleared of the pivot columns taken
-    before it (``_reduce``): the reduced echelon form, up to one scale
-    per row.  The map's rows are the basis ``nullspace`` reads off that
-    form, one per free column in increasing order, as one primitive
-    integer multiple.  That basis depends on the span alone, so it is
-    ``nullspace``'s for any rows that span it.
+    three such coordinates (``axes``).  Otherwise the map's rows are the
+    ``_free_basis`` of the echelon rows, which depends on their span
+    alone, so it is ``nullspace``'s for any rows that span it.
     """
     zero_cols = [i for i, col in enumerate(zip(*[row for _, row in pivots])) if not any(col)]
     if len(zero_cols) >= 3:
@@ -203,22 +226,7 @@ def _echelon_projection(pivots: Echelon, n: int) -> Projection3:
             tuple(1 if k == i else 0 for k in range(n)) for i in triple
         )
         return Projection3(rows, triple)
-    reduced: list[tuple[int, IVec]] = []
-    for col, row in sorted(pivots, reverse=True):
-        reduced.append((col, _reduce(reduced, row)))
-    scale = math.lcm(*[row[c] for c, row in reduced])  # lcm of the absolute values
-    pivot_cols = {c for c, _ in reduced}
-    basis = []
-    for f in range(n):
-        if f in pivot_cols:
-            continue
-        x = [0] * n
-        x[f] = scale
-        for c, row in reduced:
-            x[c] = -row[f] * (scale // row[c])
-        basis.append(x)
-    g = math.gcd(*[x for b in basis for x in b])
-    return Projection3(tuple([tuple([x // g for x in b]) for b in basis]))
+    return Projection3(_free_basis(pivots, n))
 
 
 def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
@@ -226,7 +234,7 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
 
     At n = 3 the kernel is empty and the map is one shared identity.
     Otherwise each kernel vector goes through ``homogeneous`` and is
-    reduced against the ones before it (``_reduce``), and the echelon
+    reduced against the ones before it (``_independent``), and the echelon
     rows that result give the map (``_echelon_projection``): the axis
     triple when the kernel is spanned by axes outside one, else the
     ``nullspace`` basis of the kernel, which spans its orthogonal
@@ -237,11 +245,7 @@ def complementary_projection(kernel: Sequence[Vec], n: int) -> Projection3:
         raise ValueError(f"kernel size {len(kernel)} != n-3 = {n - 3}")
     if not kernel:
         return _IDENTITY3
-    pivots: list[tuple[int, IVec]] = []
-    for v in kernel:
-        r = _reduce(pivots, homogeneous(v)[0])
-        col = _pivot(r)
-        if col is None:
-            raise ValueError("kernel vectors are not linearly independent")
-        pivots.append((col, r))
+    pivots, kept = _independent(homogeneous(v)[0] for v in kernel)
+    if len(kept) < len(kernel):
+        raise ValueError("kernel vectors are not linearly independent")
     return _echelon_projection(pivots, n)

@@ -310,7 +310,8 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     a lacking or extra record, or a vertex id or upward reference outside
     0..count-1, which names no face (-1 is not the last one).  A vertex
     list of dimension 0, which the poset ignores, is dropped, and so are
-    witness and equation rows past the count, as ``verify`` does.
+    witness and equation rows past the count and a witness table of a
+    dimension other than n-3, n-2, n-1, as ``verify`` does.
     """
     _require_records(surface)
     rng = random.Random(seed)
@@ -333,7 +334,8 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
     )
     if surface.mode == "vertices":
         return PLSurface(new_poset, vertices=tuple(moved(0, surface.vertices)))
-    witnesses = {d: moved(d, rows[: poset.count(d)]) for d, rows in surface.witnesses.items()}
+    dims = (poset.dim_low, poset.dim_mid, poset.dim_top)
+    witnesses = {d: moved(d, rows[: poset.count(d)]) for d, rows in surface.witnesses.items() if d in dims}
     return PLSurface(new_poset, equations=moved(poset.dim_top, surface.equations[: poset.count(poset.dim_top)]), witnesses=witnesses)
 
 

@@ -242,10 +242,10 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
 
 
 def check_closed(poset: FacePoset) -> ValidationReport:
-    """Every (n-2)-face must lie in exactly two facets; a face without a record lies in none."""
+    """Every (n-2)-face must lie in exactly two facets; a face without a record, or with a None one, lies in none."""
     mid = poset.dim_mid
     count, rows = poset.count(mid), poset.up_ids.get(mid, ())
-    facets = [len(ups) for ups in rows[:count]] + [0] * (count - len(rows))
+    facets = [len(ups or ()) for ups in rows[:count]] + [0] * (count - len(rows))
     bad = [Violation("NOT_CLOSED", Face(mid, i), f"(n-2)-face lies in {k} facets") for i, k in enumerate(facets) if k != 2]
     return ValidationReport(tuple(bad))
 
@@ -254,8 +254,8 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     """The facet adjacency graph (edges = shared (n-2)-faces) must be connected.
 
     Always returns a report, on any poset: a reference outside facets
-    0..count-1 is not a facet and joins nothing (``validate_poset``
-    reports it as INVALID_ID).
+    0..count-1 is not a facet and a None record names none, so neither
+    joins anything (``validate_poset`` reports both as INVALID_ID).
     """
     total = poset.count(poset.dim_top)
     if total == 0:
@@ -264,7 +264,7 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     facets = range(total)
     neighbors: list[list[int]] = [[] for _ in facets]
     for ups in poset.up_ids.get(mid, ())[: poset.count(mid)]:
-        if len(ups) == 2:
+        if ups and len(ups) == 2:
             a, b = ups
             if a in facets and b in facets:
                 neighbors[a].append(b)

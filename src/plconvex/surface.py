@@ -38,12 +38,15 @@ projection comes off its face's echelon rows in one back-substitution
 (``exactgeom._echelon_projection``), the map that
 ``complementary_projection`` gives for any basis of the same span.  In
 equations mode a face's witness is its point, and at n >= 4
-the first three incident facet normals that raise the rank are the rows
-of a star's projection.  At n = 3 both modes table one shared identity.
-``as_equations`` runs ``_face_geometry`` once per face but a vertex to
-write witnesses and facet equations, and ``facet_equation`` once per
-facet; both look vertices up through ``_vertex_points``, which refuses
-an empty list or an id out of range itself.
+the first three incident facet normals that raise the rank
+(``exactgeom._independent``) are the rows of a star's projection.  At
+n = 3 both modes table one shared identity.  ``as_equations`` runs
+``_face_geometry`` once per face but a vertex to write witnesses and
+facet equations, and ``facet_equation`` once per facet; a facet's
+normal comes off its echelon rows in one back-substitution
+(``exactgeom._free_basis``).  Both look vertices up through
+``_vertex_points``, which refuses an empty list or an id out of range
+itself.
 
 The pass enforces the geometric half of the input contract in its
 report: vertex coordinates of length n, faces that affinely span
@@ -75,12 +78,13 @@ from .exactgeom import (
     Projection3,
     Vec,
     _echelon_projection,
+    _free_basis,
+    _independent,
     _pivot,
     _reduce,
     dehomogenise,
     dot,
     homogeneous,
-    nullspace,
 )
 from .poset import Face, FacePoset, ValidationReport, Violation, validate_poset
 
@@ -188,7 +192,15 @@ class PLSurface:
         return VERTEX_MODE if (self.vertices if rows is None else rows.vertices) else EQUATION_MODE
 
 
-_COORDINATE_LENGTH = "coordinate of wrong length"
+def _coordinate_violation(surface: PLSurface) -> Violation | None:
+    """MISSING_COORDS for a vertex-mode surface without one coordinate row of length n per vertex, else None."""
+    vertices, count = surface.vertices, surface.poset.count(0)
+    if len(vertices) != count:
+        return Violation("MISSING_COORDS", None, f"{count} vertices declared, {len(vertices)} coordinates")
+    n = surface.n
+    if any(len(v) != n for v in vertices):
+        return Violation("MISSING_COORDS", None, "coordinate of wrong length")
+    return None
 
 
 def _require_records(surface: PLSurface) -> None:
@@ -202,13 +214,12 @@ def _require_records(surface: PLSurface) -> None:
     and a face of dims n-3, n-2, n-1 without its witness (BAD_WITNESS),
     where a table shorter than its face count or a None entry lacks one.
     """
-    poset, n = surface.poset, surface.n
+    poset = surface.poset
     found = list(validate_poset(poset, surface.mode).violations)
     if surface.mode == VERTEX_MODE:
-        if len(surface.vertices) != poset.count(0):
-            found.append(Violation("MISSING_COORDS", None, _coordinate_count(surface)))
-        elif any(len(v) != n for v in surface.vertices):
-            found.append(Violation("MISSING_COORDS", None, _COORDINATE_LENGTH))
+        missing = _coordinate_violation(surface)
+        if missing is not None:
+            found.append(missing)
     else:
         tables = [("MISSING_EQUATION", "facet without equation", poset.dim_top, surface.equations)]
         tables += [("BAD_WITNESS", "missing witness point", d, surface.witnesses.get(d, ())) for d in (poset.dim_low, poset.dim_mid, poset.dim_top)]
@@ -217,11 +228,6 @@ def _require_records(surface: PLSurface) -> None:
     if found:
         code, face, message = found[0]
         raise ValueError(f"{code}: {message}" if face is None else f"{code}: {face}: {message}")
-
-
-def _coordinate_count(surface: PLSurface) -> str:
-    """The MISSING_COORDS message for a vertex count that the coordinate rows do not match."""
-    return f"{surface.poset.count(0)} vertices declared, {len(surface.vertices)} coordinates"
 
 
 def _face_geometry(
@@ -250,6 +256,9 @@ def _face_geometry(
     which is where the scan of ``points`` stands after that many points,
     since a scan over dim points keeps at most dim - 1 rows.  Only the
     last point's row is reduced then.
+
+    The scan is its own loop over ``_reduce``, not ``_independent``:
+    the point sum, the early stop and the prefix resume are interleaved with it.
     """
     base = points[0]
     vb, wb = base
@@ -287,15 +296,15 @@ def _face_geometry(
 def _facet_geometry(facet: Face, points: Sequence[HomPoint], n: int) -> tuple[HomPoint, FacetEquation]:
     """A facet's interior point and exact hyperplane, from ``_face_geometry``'s one elimination.
 
-    The normal is the rational nullspace basis vector of the direction
-    basis, which spans the vertex differences: the integer one divided
-    by its last nonzero entry, its free column's value (see
-    ``nullspace``).  The hyperplane passes through the first point.
+    The normal is the ``_free_basis`` vector of its echelon rows, which
+    span the vertex differences, divided by its last nonzero entry, its
+    free column's value: the rational ``nullspace`` basis vector, with
+    no second elimination.  The hyperplane passes through the first point.
     """
     point, basis, defect = _face_geometry(facet.dim, points)
     if defect is not None:
         raise DegenerateFaceError(facet, "facet does not span a hyperplane")
-    (normal,) = nullspace([row for _, row in basis], n)
+    (normal,) = _free_basis(basis, n)
     scale = next(x for x in reversed(normal) if x)
     base, weight = points[0]
     return point, FacetEquation(dehomogenise(normal, scale), Fraction(dot(normal, base), scale * weight))
@@ -415,7 +424,7 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
 
     Vertex mode takes the parsed rows, one of n ints per vertex, as
     they are; it first checks the coordinates of a surface built from
-    values (MISSING_COORDS) and converts every vertex.  The rows are the
+    values (``_coordinate_violation``) and converts every vertex.  The rows are the
     vertices' points at n = 3.  Every other
     face goes through ``_face_geometry`` once, whose rank defect becomes
     a DEGENERATE_FACE.  A simplex of dimension d whose first d ids are,
@@ -435,10 +444,11 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     BAD_NORMAL, ZERO_NORMAL; a parsed surface has every one, so only
     the length or the zeros of a normal can fail there), then walks
     once from each face to the facets above it.  At n >= 4 those
-    facets' integer normals are reduced with ``_reduce`` in facet index
-    order: their rank must be 3, or the face is a DEGENERATE_FACE, and
-    the three normals that raised it, as they are, are the rows of the
-    (n-3)-face's projection, whose kernel is the face's direction space.
+    facets' integer normals are reduced in facet index order
+    (``_independent``): their rank must be 3, or the face is a
+    DEGENERATE_FACE, and the three normals that raised it, as they are
+    and not as reduced, are the rows of the (n-3)-face's projection,
+    whose kernel is the face's direction space.
     The face's witness must be there (BAD_WITNESS) and lie on each of
     those facets, in facet index order (BAD_WITNESS), an integer
     comparison.
@@ -454,13 +464,11 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
         if parsed is not None:  # the reader's rows: one per vertex, n ints each
             coords = list(parsed.vertices)
         else:
-            vertices = surface.vertices
-            if len(vertices) != poset.count(0):
-                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _coordinate_count(surface)),)))
-            if any(len(v) != n for v in vertices):
-                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, _COORDINATE_LENGTH),)))
+            missing = _coordinate_violation(surface)
+            if missing is not None:
+                return PreparedSurface(ValidationReport((missing,)))
             try:
-                coords = list(map(homogeneous, vertices))
+                coords = list(map(homogeneous, surface.vertices))
             except TypeError as exc:
                 return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
         if n == 3:  # the (n-3)-faces are the vertices, each its own point
@@ -526,17 +534,11 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
                 above = [h for g in above for h in rows[g]]
             above = sorted(set(above))
             if d == low and n > 3:
-                pivots: list[tuple[int, IVec]] = []  # the echelon rows of _reduce
-                picked = []  # the normals that raised the rank
-                for h in above:
-                    normal = equations[h][0]
-                    r = _reduce(pivots, normal)
-                    col = _pivot(r)
-                    if col is not None:
-                        pivots.append((col, r))
-                        picked.append(normal)
+                normals = [equations[h][0] for h in above]
+                picked = _independent(normals)[1]  # the normals that raised the rank
                 if len(picked) == 3:
-                    projections[i] = Projection3(tuple(picked))
+                    a, b, c = picked
+                    projections[i] = Projection3((normals[a], normals[b], normals[c]))
                 else:
                     defect = "incident facet equations do not determine the face's direction space"
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))

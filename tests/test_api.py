@@ -62,19 +62,36 @@ def test_one_elimination_per_facet():
 def test_as_equations_reduces_each_face_once(monkeypatch):
     # each face of dims n-3, n-2, n-1 gets one _face_geometry call, a facet's
     # giving both its witness and its equation: 80 + 40 + 10 on the 5-cube;
-    # a face is told apart by its dimension and its vertices' points
+    # a face is told apart by its dimension and its vertices' points.  A
+    # facet's normal is one _free_basis of its echelon rows, with no second
+    # elimination: nullspace is never called, by as_equations or facet_equation
     calls = Counter()
-    face_geometry = pc.surface._face_geometry
+    face_geometry, free_basis = pc.surface._face_geometry, pc.surface._free_basis
 
     def spy(dim, points):
         calls[dim, tuple(points)] += 1
         return face_geometry(dim, points)
 
+    def basis_spy(pivots, width):
+        calls["_free_basis"] += 1
+        return free_basis(pivots, width)
+
+    def no_nullspace(*args):
+        raise AssertionError("nullspace called")
+
     monkeypatch.setattr(pc.surface, "_face_geometry", spy)
+    monkeypatch.setattr(pc.surface, "_free_basis", basis_spy)
+    monkeypatch.setattr(pc.exactgeom, "nullspace", no_nullspace)
+    assert "nullspace" not in vars(pc.surface)
     cube5 = pc.gen_hypercube(5)
     pc.as_equations(cube5)
+    assert calls.pop("_free_basis") == cube5.poset.count(4) == 10
     assert set(calls.values()) == {1} and sum(calls.values()) == 130
     assert Counter(dim for dim, _ in calls) == {d: cube5.poset.count(d) for d in (2, 3, 4)}
+    calls.clear()
+    for h in cube5.poset.faces(4):
+        pc.facet_equation(cube5, h)
+    assert calls.pop("_free_basis") == 10 and sum(calls.values()) == 10
 
 
 def _count_face_hashes(run):

@@ -67,6 +67,10 @@ NULLSPACE_CASES = [
     ([[F(1, 3), F(-2, 5), 0, 7, F(1, 2)], [2, 0, F(3, 4), 1, 0], [F(2, 3), F(-4, 5), 0, 14, 1]], 5),
     ([[2**60 + 1, 2**60, 3], [2**60, 2**60 - 1, 5]], 3),
     ([], 3),
+    # a dependent row, zero rows, and rows whose pivot columns come in decreasing order
+    ([[1, 2, 3, 4], [F(1, 2), 1, F(3, 2), 2], [0, 1, 1, 1]], 4),
+    ([[0, 0, 0, 0, 0], [1, 0, 2, 0, F(1, 2)], [0, 0, 0, 0, 0]], 5),
+    ([[0, 0, 1, 2], [0, 1, 5, 0], [1, 3, 0, -1]], 4),
 ]
 
 
@@ -163,14 +167,36 @@ def echelon_rows(draw):
     return n, tuple(pivots)
 
 
+def fraction_rank(rows) -> int:
+    """The rank of exact rows, by plain Gaussian elimination over ``Fraction``s."""
+    rows = [[F(x) for x in r] for r in rows]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((k for k, x in enumerate(pivot) if x), None)
+        if col is not None:
+            rank += 1
+            rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+    return rank
+
+
 @given(echelon_rows())
 def test_echelon_projection_is_the_nullspace_of_its_rows(case):
-    # one back-substitution gives nullspace's basis of the rows, the rows
-    # that complementary_projection takes for any basis of the same span,
-    # and the axis triple exactly when three columns are zero in every row
+    # one back-substitution gives a basis of the vectors orthogonal to the
+    # rows in reduced shape (checked without the package's elimination),
+    # nullspace's basis of the rows, the rows that complementary_projection
+    # takes for any basis of the same span, and the axis triple exactly
+    # when three columns are zero in every row
     n, pivots = case
     rows = [r for _, r in pivots]
     p = _echelon_projection(pivots, n)
+    assert all(dot(r, b) == 0 for r in rows for b in p.rows)
+    assert fraction_rank(p.rows) == 3
+    free = sorted(set(range(n)) - {c for c, _ in pivots})
+    scale = p.rows[0][free[0]]
+    assert scale > 0
+    for b, f in zip(p.rows, free):
+        assert [b[g] for g in free] == [scale if g == f else 0 for g in free]
     assert p.rows == nullspace(rows, n)
     assert p.axes == _lexicographic_zero_triple(rows, n)
     assert complementary_projection(rows, n) == p

@@ -170,7 +170,8 @@ def _ids_out_of_range():
 
     Then the equations-mode cube with one row past the count of a table:
     a 13th upward row, whose face is out of range, and a 13th edge
-    witness or 7th facet equation, which no face reads (no face named).
+    witness or 7th facet equation, which no face reads (no face named);
+    last a witness table of dimension 5, which no face reads either.
     """
     cube = pc.gen_hypercube(3)
     edge = pc.Face(1, cube.poset.vertex_ids[1].index((6, 7)))
@@ -187,6 +188,7 @@ def _ids_out_of_range():
     yield "row", 12, pc.PLSurface(long, equations=eq.equations, witnesses=eq.witnesses), pc.Face(1, 12)
     yield "witness", 12, pc.PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, 1: eq.witnesses[1] + eq.witnesses[1][:1]}), None
     yield "equation", 6, pc.PLSurface(eq.poset, equations=eq.equations + eq.equations[:1], witnesses=eq.witnesses), None
+    yield "table", 5, pc.PLSurface(eq.poset, equations=eq.equations, witnesses={**eq.witnesses, 5: eq.witnesses[0][:1]}), None
 
 
 OUT_OF_RANGE = list(_ids_out_of_range())
@@ -199,10 +201,13 @@ def test_relabel_refuses_ids_out_of_range(kind, value, surface, face):
     # relabelled copy was CONVEX) and one past the end raised IndexError.
     # A row past its table's count, which raised IndexError too, is refused
     # where verify rejects it (an upward row) and dropped where verify
-    # reads past it (a witness or an equation)
+    # reads past it (a witness or an equation), and so is a witness table
+    # of a dimension verify does not read, where relabel raised KeyError
     v = pc.verify(surface)
     if face is None:
-        assert v.kind == "CONVEX" and pc.verify(pc.relabel(surface, 5)) == v
+        moved = pc.relabel(surface, 5)
+        assert v.kind == "CONVEX" and pc.verify(moved) == v
+        assert pc.verify(pc.parse_pls(pc.emit_pls(moved))) == v
         return
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, "INVALID_ID")
     message = {"vertex": "vertex index out of range", "facet": f"bad upward reference {pc.Face(2, value)}", "row": "face index out of range"}[kind]

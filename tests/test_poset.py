@@ -284,6 +284,14 @@ def test_check_closed_face_without_record_lies_in_no_facet(cube):
     counts = {**cube.poset.faces_per_dim, 1: 13}
     report = pc.check_closed(_cube_with(cube, counts=counts))
     assert report.violations == (Violation("NOT_CLOSED", Face(1, 12), "(n-2)-face lies in 0 facets"),)
+    # a None record is no record: it lies in no facet and joins none, where
+    # both checks raised TypeError; verify stops at validate_poset's INVALID_ID
+    poset = _cube_with(cube, up={Face(1, 3): None})
+    assert pc.check_closed(poset).violations == (Violation("NOT_CLOSED", Face(1, 3), "(n-2)-face lies in 0 facets"),)
+    assert pc.check_connected(poset) == ValidationReport()
+    eq = pc.as_equations(cube)
+    v = pc.verify(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses))
+    assert (v.kind, v.witness, v.reason) == ("INVALID", Face(1, 3), "INVALID_ID")
 
 
 def test_validate_poset_ambient_dimension_below_3():
