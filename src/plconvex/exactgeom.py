@@ -16,8 +16,9 @@ and never convert.  ``homogeneous`` converts values: it scales a row to
 integers over its least common denominator, so a row of ints comes back
 with its values over weight 1.  The PLS reader (``formats._row``) gives
 that same ``HomPoint`` straight from the text, with int() and gcd, and
-a parsed surface keeps it (``surface.SurfaceRows``), so the geometry
-pass converts only the rows of a surface built from values.
+a parsed surface keeps it (``surface.SurfaceRows``), so ``surface._rows``,
+which the geometry pass and the writers read, converts only the rows of
+a surface built from values.
 
 Two helpers run every kernel on integer rows: ``_independent`` reduces
 rows in order and keeps the ones that raise the rank, and

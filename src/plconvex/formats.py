@@ -295,6 +295,20 @@ def parse_pls(text: str) -> PLSurface:
     return surface
 
 
+def _text(value) -> str:
+    """A value's PLS text, from its numerator and denominator: "p" or "p/q", so True is "1".
+
+    ``_require_records`` refuses any other value that ``verify`` reads;
+    only a facet whose normal ``verify`` rejects for its length or its
+    zeros can still carry one, and it is written as ``str`` gives it.
+    """
+    try:
+        num, den = value.numerator, value.denominator
+    except AttributeError:
+        return str(value)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def emit_pls(surface: PLSurface) -> str:
     """Serialize to the canonical PLS document (parse_pls round-trips it).
 
@@ -302,9 +316,10 @@ def emit_pls(surface: PLSurface) -> str:
     list; every vertex row and face record follows on a line of its own.
     A surface whose records ``verify`` rejects (a lacking, extra or
     repeated record, an id out of range, a coordinate row of another
-    length than n) is a ValueError with the code, face and message of
-    the first violation ``verify`` reports there
-    (``surface._require_records``).
+    length than n, a value that is no exact number) is a ValueError with
+    the code, face and message of the first violation ``verify`` reports
+    there (``surface._require_records``).  Each number is written from
+    its numerator and denominator (``_text``), so a bool is 0 or 1.
     """
     _require_records(surface)
     n = surface.n
@@ -312,7 +327,7 @@ def emit_pls(surface: PLSurface) -> str:
     doc: dict = {"n": n, "mode": surface.mode}
     faces: dict[str, list] = {}
     if surface.mode == VERTEX_MODE:
-        doc["vertices"] = [[str(c) for c in v] for v in surface.vertices]
+        doc["vertices"] = [list(map(_text, v)) for v in surface.vertices]
         for d in sorted({n - 3, n - 2, n - 1} - {0}):
             faces[str(d)] = [{"id": i, "vertices": list(vs)} for i, vs in enumerate(poset.vertex_ids[d])]
     else:
@@ -320,13 +335,13 @@ def emit_pls(surface: PLSurface) -> str:
             recs = []
             points = surface.witnesses[d]
             for i in range(poset.count(d)):
-                rec: dict = {"id": i, "witness": [str(c) for c in points[i]]}
+                rec: dict = {"id": i, "witness": list(map(_text, points[i]))}
                 if d < n - 1:
                     rec["up"] = list(poset.up_ids[d][i])
                 else:
                     eq = surface.equations[i]
-                    rec["normal"] = [str(c) for c in eq.normal]
-                    rec["offset"] = str(eq.offset)
+                    rec["normal"] = list(map(_text, eq.normal))
+                    rec["offset"] = _text(eq.offset)
                 recs.append(rec)
             faces[str(d)] = recs
     doc["faces"] = faces

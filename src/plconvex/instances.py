@@ -307,11 +307,12 @@ def relabel(surface: PLSurface, seed: int) -> PLSurface:
 
     ValueError, as in ``emit_pls``, for the first violation ``verify``
     reports among the records it moves (``surface._require_records``):
-    a lacking or extra record, or a vertex id or upward reference outside
-    0..count-1, which names no face (-1 is not the last one).  A vertex
-    list of dimension 0, which the poset ignores, is dropped, and so are
-    witness and equation rows past the count and a witness table of a
-    dimension other than n-3, n-2, n-1, as ``verify`` does.
+    a lacking or extra record, a vertex id or upward reference outside
+    0..count-1, which names no face (-1 is not the last one), or a value
+    that is no exact number.  A vertex list of dimension 0, which the
+    poset ignores, is dropped, and so are witness and equation rows past
+    the count and a witness table of a dimension other than n-3, n-2,
+    n-1, as ``verify`` does.
     """
     _require_records(surface)
     rng = random.Random(seed)

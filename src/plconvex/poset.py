@@ -21,6 +21,15 @@ gives ``Face``s, for callers that read a face at a time.
 The poset is immutable after construction, which in vertex mode derives
 every incidence and every count above dimension 0 from the vertex lists
 (``FacePoset``); all operations here are pure reads.
+
+A hand-built table may be None, hold None, or be shorter or longer than
+its face count.  Every reader here takes a None table as one without
+records and a None record as no record, and answers instead of raising.
+``_per_face`` reads a table as exactly one entry per face, None where a
+record is lacking; ``check_closed``, ``check_connected`` and
+``surface._rows`` read their tables through it.  ``validate_poset``
+reads the tables as they are, since a record past the count is a fault
+it reports.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ class FacePoset:
     dimension 0: construction derives them (``_containment``), so a
     hand-built poset is the surface its lists describe.  Only
     ``faces_per_dim[0]`` is the caller's, a ``vertex_ids[0]`` is ignored,
+    a None table of lists holds no lists, so its dimension has no faces,
     and an ``up_ids`` or a count passed beside the lists that they do not
     imply is a ValueError.  In equations mode (no lists) the counts are
     kept apart from the tables, so ``validate_poset`` can tell a table
@@ -93,7 +103,7 @@ class FacePoset:
 
     def __post_init__(self) -> None:
         if self.vertex_ids:
-            lists = {d: list(rows) for d, rows in sorted(self.vertex_ids.items())}
+            lists = {d: list(rows or ()) for d, rows in sorted(self.vertex_ids.items())}  # a None table holds no lists
             counts = {0: self.faces_per_dim.get(0, 0), **{d: len(rows) for d, rows in lists.items() if d}}
             up = _containment(self.n, counts[0], lists)
             if self.up_ids and self.up_ids != up or any(c != counts.get(d) for d, c in self.faces_per_dim.items()):
@@ -121,12 +131,12 @@ class FacePoset:
             yield Face(dim, i)
 
     def up(self, face: Face) -> tuple[Face, ...]:
-        """The faces one rank above ``face``; () for a face without a record."""
+        """The faces one rank above ``face``; () for a face without a record, in a None table or a None one."""
         d, i = face
-        rows = self.up_ids.get(d, ())
+        rows = self.up_ids.get(d) or ()
         if not 0 <= i < len(rows):
             return ()
-        return tuple([Face(d + 1, g) for g in rows[i]])
+        return tuple([Face(d + 1, g) for g in rows[i] or ()])
 
     @cached_property
     def vertex_lists(self) -> Mapping[Face, tuple[int, ...]]:
@@ -136,6 +146,18 @@ class FacePoset:
     def required_dims(self, mode: str) -> tuple[int, ...]:
         low = {0, self.n - 3} if mode == "vertices" else {self.n - 3}
         return tuple(sorted(low | {self.n - 2, self.n - 1}))
+
+
+def _per_face(table, count: int) -> list:
+    """Exactly ``count`` entries of a per-face table, one per face index.
+
+    An entry is None where the table holds None, where it ends before
+    the count, or everywhere when the table itself is None; entries past
+    the count are dropped.
+    """
+    rows = [] if table is None else list(table[:count])
+    rows += [None] * (count - len(rows))
+    return rows
 
 
 def _containment(n: int, n_vertices: int, lists: Table) -> Table:
@@ -180,11 +202,11 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
     coordinate is read.  In vertex mode the lists above dimension 0 must
     be present, nonempty and in range; the incidences are what
     construction derived from them, so none is checked.  In equations
-    mode a None record is missing, an upward table shorter than its
-    count misses the records of its last faces, a longer one holds
-    records of faces out of range, and a table of another dimension than
-    n-3 or n-2 is recorded at an unexpected rank.  A ``Face`` is made
-    only for a violation.
+    mode a None record, and every record of a None table, is missing,
+    an upward table shorter than its count misses the records of its
+    last faces, a longer one holds records of faces out of range, and a
+    table of another dimension than n-3 or n-2 is recorded at an
+    unexpected rank.  A ``Face`` is made only for a violation.
     """
     bad: list[Violation] = []
     n = poset.n
@@ -218,6 +240,7 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
 
     counts, up = poset.faces_per_dim, poset.up_ids
     for d, rows in up.items():
+        rows = rows or ()  # a None table holds no records
         if d != n - 3 and d != n - 2:
             bad += [Violation("INVALID_ID", Face(d, i), "incidences recorded at unexpected rank") for i in range(len(rows))]
             continue
@@ -236,7 +259,7 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
                     bad.append(Violation("INVALID_ID", Face(d, i), f"bad upward reference {Face(d + 1, g)}"))
 
     for d in (n - 3, n - 2):
-        missing = range(len(up.get(d, ())), counts.get(d, 0))
+        missing = range(len(up.get(d) or ()), counts.get(d, 0))
         bad += [Violation("INVALID_ID", Face(d, i), "missing upward incidence record") for i in missing]
     return ValidationReport(tuple(bad))
 
@@ -244,8 +267,7 @@ def validate_poset(poset: FacePoset, mode: str) -> ValidationReport:
 def check_closed(poset: FacePoset) -> ValidationReport:
     """Every (n-2)-face must lie in exactly two facets; a face without a record, or with a None one, lies in none."""
     mid = poset.dim_mid
-    count, rows = poset.count(mid), poset.up_ids.get(mid, ())
-    facets = [len(ups or ()) for ups in rows[:count]] + [0] * (count - len(rows))
+    facets = [len(ups or ()) for ups in _per_face(poset.up_ids.get(mid), poset.count(mid))]
     bad = [Violation("NOT_CLOSED", Face(mid, i), f"(n-2)-face lies in {k} facets") for i, k in enumerate(facets) if k != 2]
     return ValidationReport(tuple(bad))
 
@@ -263,7 +285,7 @@ def check_connected(poset: FacePoset) -> ValidationReport:
     mid = poset.dim_mid
     facets = range(total)
     neighbors: list[list[int]] = [[] for _ in facets]
-    for ups in poset.up_ids.get(mid, ())[: poset.count(mid)]:
+    for ups in _per_face(poset.up_ids.get(mid), poset.count(mid)):
         if ups and len(ups) == 2:
             a, b = ups
             if a in facets and b in facets:
@@ -296,23 +318,24 @@ def link_cycle(poset: FacePoset, center: Face) -> tuple[int, ...]:
     Raises ValueError when ``center`` is not an (n-3)-face, and
     LinkCycleError (the input is not a closed manifold near ``center``)
     when a face has the wrong local valence or the walk closes before
-    meeting all k incident (n-2)-faces; an index outside the records
-    names no face.  The valence checks make each step a bijection on
-    (g, h) incidences, so the walk needs no step bound.
+    meeting all k incident (n-2)-faces; an index outside the records,
+    a None table and a None record name no face.  The valence checks
+    make each step a bijection on (g, h) incidences, so the walk needs
+    no step bound.
     """
     d, c = center
     low = poset.n - 3
     if d != low:
         raise ValueError(f"{center} is not an (n-3)-face")
-    below, above = poset.up_ids.get(low, ()), poset.up_ids.get(low + 1, ())
-    mid_faces = below[c] if 0 <= c < len(below) else ()
+    below, above = poset.up_ids.get(low) or (), poset.up_ids.get(low + 1) or ()
+    mid_faces = (below[c] or ()) if 0 <= c < len(below) else ()
     k = len(mid_faces)
     if k < 2:
         raise LinkCycleError(center, "fewer than two (n-2)-faces at center")
     n_above = len(above)
     rim: dict[int, list[int]] = {}
     for g in mid_faces:
-        ups = above[g] if 0 <= g < n_above else ()
+        ups = (above[g] or ()) if 0 <= g < n_above else ()
         if len(ups) != 2:
             raise LinkCycleError(center, f"{Face(low + 1, g)} lies in {len(ups)} facets")
         for h in ups:

@@ -14,16 +14,19 @@ integer rows (``SurfaceRows``: each point and normal the ``HomPoint``
 that ``exactgeom.homogeneous`` gives for its values, each offset in
 lowest terms) and derives those three tables from them only when
 something reads one (``PLSurface.from_rows``), so building it converts
-nothing and ``verify`` builds no table.
+nothing and ``verify`` builds no table.  ``_rows`` is the one place
+where a surface's records become the integer rows: a parsed surface's
+are its rows as they are, and a built surface's records are converted
+once each (``homogeneous``; a row of ints keeps its values at weight
+1), every table read through ``poset._per_face``, so that a None table
+or entry or a short table is a missing record.  The geometry pass and
+the writers' record check (``_require_records``) both read ``_rows``.
 
 ``_geometry_pass`` is the one geometry pass.  ``verifier.preflight``,
 the one front end, runs it once over the whole surface, and only on a
 poset that ``validate_poset``, ``check_closed`` and ``check_connected``
 accepted, so it reads vertex lists and upward records without checking
-their ids again.  It reads a parsed surface's rows as they are, and
-converts every vertex, witness and facet equation of a surface built
-from values to integer homogeneous form once (``exactgeom.homogeneous``;
-a row of ints keeps its values at weight 1).  It fills two tables by
+their ids again.  It reads only ``_rows``.  It fills two tables by
 face index: ``preflight(s).points[d][i]``, the interior point of face i
 of dimension d (d = n-3, n-2, n-1), and ``preflight(s).projections[i]``,
 the projection of (n-3)-face i's star.  They are the verifier's only
@@ -66,6 +69,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .exactgeom import (
@@ -86,7 +90,7 @@ from .exactgeom import (
     dot,
     homogeneous,
 )
-from .poset import Face, FacePoset, ValidationReport, Violation, validate_poset
+from .poset import Face, FacePoset, ValidationReport, Violation, _per_face, validate_poset
 
 VERTEX_MODE = "vertices"
 EQUATION_MODE = "equations"
@@ -151,10 +155,11 @@ class PLSurface:
     Equations mode gives ``equations[h]``, facet h's hyperplane, and
     ``witnesses[d][i]``, a point in the relative interior of face i of
     dimension d, for d = n-3, n-2, n-1: the shape of ``preflight(s).points``.
-    A missing record is a None entry or a list shorter than its face count.
+    A missing record is a None entry, a None table or a list shorter
+    than its face count.
 
     A surface that ``parse_pls`` reads is built ``from_rows``: it keeps
-    the reader's ``rows``, which the geometry pass reads as they are, and
+    the reader's ``rows``, which ``_rows`` gives the pass as they are, and
     derives each of those three tables from them the first time something
     reads it.  A surface built from values has no rows (None), and
     ``dataclasses.replace`` gives one built from values.
@@ -192,39 +197,75 @@ class PLSurface:
         return VERTEX_MODE if (self.vertices if rows is None else rows.vertices) else EQUATION_MODE
 
 
-def _coordinate_violation(surface: PLSurface) -> Violation | None:
-    """MISSING_COORDS for a vertex-mode surface without one coordinate row of length n per vertex, else None."""
-    vertices, count = surface.vertices, surface.poset.count(0)
-    if len(vertices) != count:
-        return Violation("MISSING_COORDS", None, f"{count} vertices declared, {len(vertices)} coordinates")
-    n = surface.n
-    if any(len(v) != n for v in vertices):
-        return Violation("MISSING_COORDS", None, "coordinate of wrong length")
-    return None
+def _rows(surface: PLSurface) -> SurfaceRows | Violation:
+    """The integer rows the geometry pass reads: a parsed surface's as they are, a built one's converted once.
+
+    A built surface's records go through ``homogeneous`` once each.  In
+    vertex mode a coordinate count other than the vertex count, a row
+    that is no sequence (None too) or whose length is not n, or a value
+    that is no exact number is the one MISSING_COORDS ``Violation``
+    returned.  In equations mode every facet and every face of dims
+    n-3, n-2, n-1 gets one slot (``poset._per_face``): its ``FacetRow``
+    or ``HomPoint``, or the ``Violation`` the pass reports at that face:
+    MISSING_EQUATION for a facet without its equation, BAD_NORMAL for a
+    normal entry or an offset that is no exact number, BAD_WITNESS for a
+    face without its witness or with an entry that is no exact number.
+    A facet whose normal has another length than n or is zero is left
+    unconverted, so that the pass reports its normal first.
+    """
+    if surface.rows is not None:
+        return surface.rows
+    poset, n = surface.poset, surface.n
+    if surface.mode == VERTEX_MODE:
+        vertices, count = surface.vertices, poset.count(0)
+        if len(vertices) != count:
+            return Violation("MISSING_COORDS", None, f"{count} vertices declared, {len(vertices)} coordinates")
+        if any(not hasattr(v, "__len__") or len(v) != n for v in vertices):  # None or a number too
+            return Violation("MISSING_COORDS", None, "coordinate of wrong length")
+        try:
+            return SurfaceRows(tuple(map(homogeneous, vertices)), [], {})
+        except TypeError as exc:
+            return Violation("MISSING_COORDS", None, f"coordinate {exc}")
+    top = poset.dim_top
+    equations: list = []
+    for h, eq in enumerate(_per_face(surface.equations, poset.count(top))):
+        if eq is None:
+            equations.append(Violation("MISSING_EQUATION", Face(top, h), "facet without equation"))
+        elif len(eq.normal) != n or all(c == 0 for c in eq.normal):
+            equations.append(eq)
+        else:
+            try:
+                equations.append(FacetRow(*homogeneous(eq.normal), eq.offset.numerator, eq.offset.denominator))
+            except TypeError as exc:
+                equations.append(Violation("BAD_NORMAL", Face(top, h), f"normal entry {exc}"))
+            except AttributeError:  # an offset without a numerator or denominator
+                equations.append(Violation("BAD_NORMAL", Face(top, h), f"offset {eq.offset!r} is not an exact number"))
+    witnesses: dict[int, list] = {}
+    tables = surface.witnesses or {}
+    for d in (poset.dim_low, poset.dim_mid, top):
+        points = witnesses[d] = []
+        for i, point in enumerate(_per_face(tables.get(d), poset.count(d))):
+            try:
+                points.append(Violation("BAD_WITNESS", Face(d, i), "missing witness point") if point is None else homogeneous(point))
+            except TypeError as exc:
+                points.append(Violation("BAD_WITNESS", Face(d, i), f"witness entry {exc}"))
+    return SurfaceRows((), equations, witnesses)
 
 
 def _require_records(surface: PLSurface) -> None:
     """ValueError for the first violation ``verify`` reports among the records a writer reads.
 
     Its text is the violation's code, face (when it names one) and
-    message.  ``validate_poset``'s violations come first, then the
-    geometry pass's for a record it lacks: a coordinate count other than
-    the vertex count or a coordinate row whose length is not n
-    (MISSING_COORDS), or a facet without its equation (MISSING_EQUATION)
-    and a face of dims n-3, n-2, n-1 without its witness (BAD_WITNESS),
-    where a table shorter than its face count or a None entry lacks one.
+    message.  ``validate_poset``'s violations come first, then
+    ``_rows``'s: a coordinate record that is lacking, of another length
+    than n or not exact numbers (MISSING_COORDS), or a facet without its
+    equation (MISSING_EQUATION), a normal entry or offset that is no
+    exact number (BAD_NORMAL), and a face of dims n-3, n-2, n-1 without
+    its witness or with an entry that is no exact number (BAD_WITNESS).
     """
-    poset = surface.poset
-    found = list(validate_poset(poset, surface.mode).violations)
-    if surface.mode == VERTEX_MODE:
-        missing = _coordinate_violation(surface)
-        if missing is not None:
-            found.append(missing)
-    else:
-        tables = [("MISSING_EQUATION", "facet without equation", poset.dim_top, surface.equations)]
-        tables += [("BAD_WITNESS", "missing witness point", d, surface.witnesses.get(d, ())) for d in (poset.dim_low, poset.dim_mid, poset.dim_top)]
-        for code, message, d, rows in tables:
-            found += [Violation(code, Face(d, i), message) for i in range(poset.count(d)) if i >= len(rows) or rows[i] is None]
+    rows = _rows(surface)
+    slots = [rows] if isinstance(rows, Violation) else chain(rows.equations, *rows.witnesses.values())
+    found = [*validate_poset(surface.poset, surface.mode).violations, *[s for s in slots if isinstance(s, Violation)]]
     if found:
         code, face, message = found[0]
         raise ValueError(f"{code}: {message}" if face is None else f"{code}: {face}: {message}")
@@ -414,20 +455,19 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     and reads the poset's tables as ``validate_poset``,
     ``check_closed`` and ``check_connected`` leave them: every listed
     face has its vertex list or upward record, and every id in them is
-    in range.  The mode is read once, and each mode has its own loop
-    over those faces.  A parsed surface's rows (``surface.rows``) are
-    read as they are, in both modes; every record of a surface built
-    from values that the loop reads is converted to integers once
-    (``homogeneous``).  The interior point of every face and the
-    projection of every (n-3)-face's star go into the per-dimension
-    tables; at n = 3 every projection is the one shared identity.
+    in range.  Its numbers are ``_rows(surface)``, the same for a parsed
+    surface and a built one; a ``Violation`` there (a vertex-mode
+    coordinate record that is lacking, of another length than n or not
+    exact numbers, MISSING_COORDS) is the report.  The mode is read
+    once, and each mode has its own loop over those faces.  The interior
+    point of every face and the projection of every (n-3)-face's star go
+    into the per-dimension tables; at n = 3 every projection is the one
+    shared identity.
 
-    Vertex mode takes the parsed rows, one of n ints per vertex, as
-    they are; it first checks the coordinates of a surface built from
-    values (``_coordinate_violation``) and converts every vertex.  The rows are the
-    vertices' points at n = 3.  Every other
-    face goes through ``_face_geometry`` once, whose rank defect becomes
-    a DEGENERATE_FACE.  A simplex of dimension d whose first d ids are,
+    Vertex mode takes the rows, one of n ints per vertex, as they are;
+    they are the vertices' points at n = 3.  Every other face goes
+    through ``_face_geometry`` once, whose rank defect becomes a
+    DEGENERATE_FACE.  A simplex of dimension d whose first d ids are,
     in that order, the list of a simplex of dimension d - 1 >= 2 passes
     that face's point and basis as its ``prefix``, so only its last row
     is reduced; the simplices of each dimension from 2 up to n-2 are
@@ -435,42 +475,32 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
     the report is ok, at n >= 4, each (n-3)-face's projection is
     ``_echelon_projection`` of its basis.
 
-    A value that is no exact number is reported where it is converted:
-    MISSING_COORDS for a coordinate, BAD_NORMAL for a normal entry or an
-    offset, BAD_WITNESS for a witness entry.  The reader refuses such a
-    value itself, so a parsed surface has none.
-
-    Equations mode first checks the facet equations (MISSING_EQUATION,
-    BAD_NORMAL, ZERO_NORMAL; a parsed surface has every one, so only
-    the length or the zeros of a normal can fail there), then walks
-    once from each face to the facets above it.  At n >= 4 those
-    facets' integer normals are reduced in facet index order
-    (``_independent``): their rank must be 3, or the face is a
-    DEGENERATE_FACE, and the three normals that raised it, as they are
-    and not as reduced, are the rows of the (n-3)-face's projection,
-    whose kernel is the face's direction space.
-    The face's witness must be there (BAD_WITNESS) and lie on each of
-    those facets, in facet index order (BAD_WITNESS), an integer
-    comparison.
+    Equations mode first checks the facet equations, in facet index
+    order: a slot that ``_rows`` filled with a ``Violation``
+    (MISSING_EQUATION, or BAD_NORMAL for a value that is no exact
+    number), then a normal of another length than n (BAD_NORMAL) or a
+    zero normal (ZERO_NORMAL); a parsed surface has every equation, of
+    exact numbers.  It then walks once from each face to the facets
+    above it.  At n >= 4 those facets' integer normals are reduced in
+    facet index order (``_independent``): their rank must be 3, or the
+    face is a DEGENERATE_FACE, and the three normals that raised it, as
+    they are and not as reduced, are the rows of the (n-3)-face's
+    projection, whose kernel is the face's direction space.  The face's
+    witness must be there with exact numbers (``_rows``'s BAD_WITNESS),
+    be of length n (BAD_WITNESS) and lie on each of those facets, in
+    facet index order (BAD_WITNESS), an integer comparison.
     """
     poset = surface.poset
     n, low, top = surface.n, poset.dim_low, poset.dim_top
     dims = (low, poset.dim_mid, top)
+    rows = _rows(surface)
+    if isinstance(rows, Violation):
+        return PreparedSurface(ValidationReport((rows,)))
     degenerate: list[Violation] = []
     points: dict[int, list[HomPoint | None]] = {d: [None] * poset.count(d) for d in dims}
     projections: list[Projection3 | None] = [_IDENTITY3 if n == 3 else None] * poset.count(low)
-    parsed = surface.rows
     if surface.mode == VERTEX_MODE:
-        if parsed is not None:  # the reader's rows: one per vertex, n ints each
-            coords = list(parsed.vertices)
-        else:
-            missing = _coordinate_violation(surface)
-            if missing is not None:
-                return PreparedSurface(ValidationReport((missing,)))
-            try:
-                coords = list(map(homogeneous, surface.vertices))
-            except TypeError as exc:
-                return PreparedSurface(ValidationReport((Violation("MISSING_COORDS", None, f"coordinate {exc}"),)))
+        coords = list(rows.vertices)
         if n == 3:  # the (n-3)-faces are the vertices, each its own point
             points[0] = coords
         bases: list[Echelon | None] = [None] * poset.count(low)
@@ -478,10 +508,10 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
         # to resume; only dims 2 and up below the facets keep theirs
         simplices: dict[tuple[int, ...], tuple[HomPoint, Echelon]] = {}
         for d in filter(None, dims):
-            rows, table = poset.vertex_ids[d], points[d]
+            lists, table = poset.vertex_ids[d], points[d]
             below, simplices, keep = simplices, {}, 2 <= d < top
             for i in range(len(table)):
-                ids = rows[i]
+                ids = lists[i]
                 # every key has d ids, so only a simplex's first ids can match one
                 prefix = below.get(tuple(ids[:-1])) if below else None
                 table[i], basis, defect = _face_geometry(d, [coords[v] for v in ids], prefix)
@@ -496,42 +526,25 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
             projections = [_echelon_projection(basis, n) for basis in bases]
         return PreparedSurface(report, points, projections)
     bad: list[Violation] = []
-    n_facets = poset.count(top)
-    # the reader gives one equation per facet, of exact numbers; a table
-    # built from values is cut or padded to the facet count
-    if parsed is not None:
-        records = parsed.equations
-    else:
-        records = list(surface.equations[:n_facets])
-        records += [None] * (n_facets - len(records))
     # normal a / w_a and offset b: a . x / w_x == b  <=>  a . x * den(b) == num(b) * w_a * w_x
     equations = []
-    for h, eq in enumerate(records):
-        if eq is None:
-            bad.append(Violation("MISSING_EQUATION", Face(top, h), "facet without equation"))
+    for h, eq in enumerate(rows.equations):
+        if isinstance(eq, Violation):
+            bad.append(eq)
         elif len(eq.normal) != n:
             bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal of length {len(eq.normal)}, not {n}"))
         elif all(c == 0 for c in eq.normal):
             bad.append(Violation("ZERO_NORMAL", Face(top, h), "facet normal is zero"))
-        elif parsed is not None:
-            equations.append((eq.normal, eq.den, eq.num * eq.weight))
         else:
-            try:
-                normal, weight = homogeneous(eq.normal)
-                equations.append((normal, eq.offset.denominator, eq.offset.numerator * weight))
-            except TypeError as exc:
-                bad.append(Violation("BAD_NORMAL", Face(top, h), f"normal entry {exc}"))
-            except AttributeError:  # an offset without a denominator
-                bad.append(Violation("BAD_NORMAL", Face(top, h), f"offset {eq.offset!r} is not an exact number"))
+            equations.append((eq.normal, eq.den, eq.num * eq.weight))
     if bad:
         return PreparedSurface(ValidationReport(tuple(bad)))
     for d in dims:
-        witnesses = surface.witnesses.get(d, ()) if parsed is None else parsed.witnesses[d]
         for i in range(poset.count(d)):
             above = [i]
             for k in range(d, top):
-                rows = poset.up_ids[k]
-                above = [h for g in above for h in rows[g]]
+                ups = poset.up_ids[k]
+                above = [h for g in above for h in ups[g]]
             above = sorted(set(above))
             if d == low and n > 3:
                 normals = [equations[h][0] for h in above]
@@ -542,16 +555,13 @@ def _geometry_pass(surface: PLSurface) -> PreparedSurface:
                 else:
                     defect = "incident facet equations do not determine the face's direction space"
                     degenerate.append(Violation("DEGENERATE_FACE", Face(d, i), defect))
-            point = witnesses[i] if i < len(witnesses) else None
-            if parsed is None and point is not None:
-                try:
-                    point = homogeneous(point)
-                except TypeError as exc:
-                    bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness entry {exc}"))
-                    continue
+            point = rows.witnesses[d][i]
+            if isinstance(point, Violation):
+                bad.append(point)
+                continue
             points[d][i] = point
-            if point is None or len(point[0]) != n:
-                bad.append(Violation("BAD_WITNESS", Face(d, i), "missing witness point"))
+            if len(point[0]) != n:
+                bad.append(Violation("BAD_WITNESS", Face(d, i), f"witness of length {len(point[0])}, not {n}"))
                 continue
             x, weight = point
             for h in above:

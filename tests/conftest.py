@@ -394,6 +394,30 @@ def duoprism(p: int, q: int) -> pc.PLSurface:
     return pc.PLSurface(FacePoset(4, {0: p * q}, vertex_ids={1: edges, 2: ridges, 3: facets}), vertices=coords)
 
 
+def polygon_join(p: int, q: int, lift: Fraction | int = 0) -> pc.PLSurface:
+    """The boundary of the convex hull in R^4 of a p-gon in the (x1, x2)-plane and a q-gon in the (x3, x4)-plane.
+
+    Both polygons are ``circle_points`` shifted by (-1/2, 0), so each
+    holds the origin inside.  Vertex i < p is the p-gon's a_i, vertex
+    p + j the q-gon's b_j, moved by ``lift`` along x1 for even j and by
+    -lift for odd j.  The facets are the p*q tetrahedra over an edge of
+    each polygon; the 2-faces are the triangles of an edge of one polygon
+    and a vertex of the other; the edges are the polygons' edges and
+    every segment a_i b_j.  The star of a p-gon edge has 2q entries.
+    Without lift this is the join (free sum) of the two polygons, the
+    dual of ``duoprism(p, q)``.
+    """
+    half = Fraction(1, 2)
+    coords = [(x - half, y, Fraction(0), Fraction(0)) for x, y in circle_points(p)]
+    coords += [(lift if j % 2 == 0 else -lift, Fraction(0), x - half, y) for j, (x, y) in enumerate(circle_points(q))]
+    a_edges = [tuple(sorted((i, (i + 1) % p))) for i in range(p)]
+    b_edges = [tuple(sorted((p + j, p + (j + 1) % q))) for j in range(q)]
+    edges = a_edges + b_edges + [(i, p + j) for i in range(p) for j in range(q)]
+    ridges = [tuple(sorted((*e, p + j))) for e in a_edges for j in range(q)] + [(i, *f) for i in range(p) for f in b_edges]
+    facets = [(*e, *f) for e in a_edges for f in b_edges]
+    return pc.PLSurface(FacePoset(4, {0: p + q}, vertex_ids={1: edges, 2: ridges, 3: facets}), vertices=tuple(coords))
+
+
 def geometry_families():
     """Labelled surfaces for the geometry pass, in both modes.
 

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -23,7 +24,7 @@ from plconvex.formats import (
     parse_pls,
 )
 from plconvex.poset import validate_poset
-from plconvex.surface import as_equations
+from plconvex.surface import FacetEquation, as_equations
 from plconvex.verifier import preflight
 
 from conftest import geometry_families, replace_records
@@ -702,8 +703,13 @@ def _short(table, d):
     return {k: list(rows[:-1] if k == d else rows) for k, rows in table.items()}
 
 
+def _with_at(rows, i, row):
+    """``rows`` with row i replaced by ``row``, as a list."""
+    return [row if k == i else r for k, r in enumerate(rows)]
+
+
 def _none_at(rows, i):
-    return [None if k == i else row for k, row in enumerate(rows)]
+    return _with_at(rows, i, None)
 
 
 # each corruption of a cube's tables, the face it leaves without a record,
@@ -735,6 +741,20 @@ def _incomplete_cubes():
         ("last coordinate row dropped", pc.PLSurface(cube.poset, vertices=cube.vertices[:-1]), None, "MISSING_COORDS"),
         ("coordinate row one short", pc.PLSurface(cube.poset, vertices=(cube.vertices[0][:-1], *cube.vertices[1:])), None, "MISSING_COORDS"),
         ("None upward record", eqs(up={**poset.up_ids, 1: _none_at(poset.up_ids[1], 3)}), pc.Face(1, 3), "INVALID_ID"),
+        # a None table is a table without records, where each of these raised
+        # TypeError or AttributeError in verify and in both writers
+        ("None upward table", eqs(up={**poset.up_ids, 0: None}), pc.Face(0, 0), "INVALID_ID"),
+        ("None witness table", eqs(witnesses={**w, 1: None}), pc.Face(1, 0), "BAD_WITNESS"),
+        ("no witnesses", eqs(witnesses=None), pc.Face(0, 0), "BAD_WITNESS"),
+        ("no equations", eqs(equations=None), pc.Face(2, 0), "MISSING_EQUATION"),
+        ("None coordinate row", pc.PLSurface(cube.poset, vertices=(*cube.vertices[:5], None, *cube.vertices[6:])), None, "MISSING_COORDS"),
+        ("number for a coordinate row", pc.PLSurface(cube.poset, vertices=(*cube.vertices[:2], 0.5, *cube.vertices[3:])), None, "MISSING_COORDS"),
+        ("None vertex-list table", verts({**vids, 1: None}), None, "MISSING_RANK"),
+        # a value that is no exact number, which the writers wrote as its str
+        ("Decimal coordinate", pc.PLSurface(cube.poset, vertices=((Decimal(0), 0, 0), *cube.vertices[1:])), None, "MISSING_COORDS"),
+        ("float normal entry", eqs(equations=_with_at(eq.equations, 3, FacetEquation((0.5, *eq.equations[3].normal[1:]), eq.equations[3].offset))), pc.Face(2, 3), "BAD_NORMAL"),
+        ("None offset", eqs(equations=_with_at(eq.equations, 1, FacetEquation(eq.equations[1].normal, None))), pc.Face(2, 1), "BAD_NORMAL"),
+        ("str witness entry", eqs(witnesses={**w, 1: _with_at(w[1], 7, ("1/2", *w[1][7][1:]))}), pc.Face(1, 7), "BAD_WITNESS"),
         # two faults each, in tables that a writer reading them in table
         # order would meet the other way round: verify's first comes first
         ("short vertex table, then a bad reference", eqs(up={0: poset.up_ids[0][:-1], 1: [(0, 9), *poset.up_ids[1][1:]]}), pc.Face(1, 0), "INVALID_ID"),
@@ -755,6 +775,12 @@ def _incomplete_cubes():
     ]
 
 
+def _text_of(violation):
+    """A writer's refusal text for a violation: code, face (when it names one) and message."""
+    code, face, message = violation
+    return f"{code}: {message}" if face is None else f"{code}: {face}: {message}"
+
+
 @pytest.mark.parametrize("label, surface, face, code", _incomplete_cubes(), ids=lambda x: x if isinstance(x, str) else "")
 def test_writers_refuse_incomplete_tables(label, surface, face, code):
     # emit_pls and relabel raise ValueError with the code, face and message
@@ -764,9 +790,153 @@ def test_writers_refuse_incomplete_tables(label, surface, face, code):
     # coordinate count or row length that is wrong names no face
     v = pc.verify(surface)
     assert (v.kind, v.witness, v.reason) == ("INVALID", face, code)
-    first = preflight(surface).report.violations[0]
-    message = f"{code}: {first.message}" if face is None else f"{code}: {face}: {first.message}"
+    message = _text_of(preflight(surface).report.violations[0])
     for write in (emit_pls, lambda s: pc.relabel(s, 3)):
         with pytest.raises(ValueError) as info:
             write(surface)
         assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_emit_writes_each_number_from_numerator_and_denominator():
+    # a bool is written as the number verify reads, 0 or 1, where the
+    # writer gave "True", which parse_pls refuses; an int or a Fraction
+    # keeps its str text
+    cube = pc.gen_hypercube(3)
+    flags = pc.PLSurface(cube.poset, vertices=tuple(tuple(bool(x) for x in v) for v in cube.vertices))
+    assert emit_pls(flags) == emit_pls(cube) and pc.verify(flags) == pc.verify(cube)
+    eq = as_equations(pc.rigid_motion(cube, 2))
+    h = next(i for i, e in enumerate(eq.equations) if e.offset in (0, 1))
+    flagged = dataclasses.replace(eq, equations=_with_at(eq.equations, h, FacetEquation(eq.equations[h].normal, eq.equations[h].offset == 1)))
+    assert emit_pls(flagged) == emit_pls(eq) and parse_pls(emit_pls(flagged)) == eq
+    values = [F(-7, 3), F(12), 0, -5, F(1, 10**30)]
+    surface = pc.PLSurface(cube.poset, vertices=tuple((x, *v[1:]) for x, v in zip(values * 2, cube.vertices)))
+    assert json.loads(emit_pls(surface))["vertices"] == [[str(c) for c in v] for v in surface.vertices]
+
+
+def test_facet_with_two_faults_reports_its_normal_first():
+    # a normal of the wrong length or all zeros, beside a value that is no
+    # exact number in the same facet: verify reports the normal, as it
+    # checks it before converting, and the writers write the facet as it
+    # is, each such value as str gives it, so the text reads back to the
+    # same answer
+    eq = as_equations(pc.gen_hypercube(3))
+    facet = eq.equations[1]
+    cases = [
+        (FacetEquation((*facet.normal, 0.5), facet.offset), "BAD_NORMAL", "normal of length 4, not 3"),
+        (FacetEquation((0, 0, 0), 0.5), "ZERO_NORMAL", "facet normal is zero"),
+    ]
+    for bad, code, message in cases:
+        s = dataclasses.replace(eq, equations=_with_at(eq.equations, 1, bad))
+        assert preflight(s).report.violations == (pc.Violation(code, pc.Face(2, 1), message),)
+        record = json.loads(emit_pls(s))["faces"]["2"][1]
+        assert (record["normal"], record["offset"]) == ([str(x) for x in bad.normal], str(bad.offset))
+        for out in (parse_pls(emit_pls(s)), pc.relabel(s, 3)):
+            v = pc.verify(out)
+            assert (v.kind, v.reason) == ("INVALID", code)
+
+
+def _inexact(x):
+    """Five stand-ins for the exact number x that are no exact number, or a bool: a float, a Decimal, a str, a bool and None."""
+    return [float(x), Decimal(x.numerator) / Decimal(x.denominator), str(x), bool(x), None]
+
+
+def _table_edits(rows, rng):
+    """The four single edits of a per-face table: None for it, None for one entry, its last entry dropped, one entry repeated."""
+    i = rng.randrange(len(rows))
+    return {"None": None, f"[{i}] None": _none_at(rows, i), "short": list(rows[:-1]), f"[{i}] repeated": [*rows, rows[i]]}
+
+
+def _with_value(row, j, x):
+    return (*row[:j], x, *row[j + 1 :])
+
+
+def _shape_edits(seed=35):
+    """Every single edit of a table's shape, and of one value slot, of each ``geometry_families()`` surface, seeded.
+
+    Vertex mode edits each vertex-list table and the coordinates, and
+    one coordinate; equations mode each upward table, each witness table,
+    the whole witness dict and the equations, and one witness entry, one
+    normal entry and one offset.  A value slot gets each of ``_inexact``.
+    """
+    rng = random.Random(seed)
+    for label, s in geometry_families():
+        poset, n = s.poset, s.n
+        if s.mode == "vertices":
+            for d, rows in poset.vertex_ids.items():
+                for name, table in _table_edits(rows, rng).items():
+                    lists = {**poset.vertex_ids, d: table}
+                    yield f"{label} vertex_ids[{d}] {name}", pc.PLSurface(pc.FacePoset(n, {0: poset.count(0)}, vertex_ids=lists), vertices=s.vertices)
+            for name, table in _table_edits(s.vertices, rng).items():
+                yield f"{label} vertices {name}", pc.PLSurface(poset, vertices=table)
+            v, j = rng.randrange(len(s.vertices)), rng.randrange(n)
+            for x in _inexact(s.vertices[v][j]):
+                table = [*s.vertices[:v], _with_value(s.vertices[v], j, x), *s.vertices[v + 1 :]]
+                yield f"{label} vertices[{v}][{j}] = {x!r}", pc.PLSurface(poset, vertices=tuple(table))
+            continue
+        for d, rows in poset.up_ids.items():
+            for name, table in _table_edits(rows, rng).items():
+                yield f"{label} up_ids[{d}] {name}", dataclasses.replace(s, poset=dataclasses.replace(poset, up_ids={**poset.up_ids, d: table}))
+        for d, rows in s.witnesses.items():
+            for name, table in _table_edits(rows, rng).items():
+                yield f"{label} witnesses[{d}] {name}", dataclasses.replace(s, witnesses={**s.witnesses, d: table})
+        yield f"{label} witnesses None", dataclasses.replace(s, witnesses=None)
+        for name, table in _table_edits(s.equations, rng).items():
+            yield f"{label} equations {name}", dataclasses.replace(s, equations=table)
+        d = rng.choice(sorted(s.witnesses))
+        i, j = rng.randrange(poset.count(d)), rng.randrange(n)
+        h, k = rng.randrange(poset.count(poset.dim_top)), rng.randrange(n)
+        eq = s.equations[h]
+        for x in _inexact(s.witnesses[d][i][j]):
+            yield f"{label} witnesses[{d}][{i}][{j}] = {x!r}", dataclasses.replace(s, witnesses={**s.witnesses, d: _with_at(s.witnesses[d], i, _with_value(s.witnesses[d][i], j, x))})
+        for x in _inexact(eq.normal[k]):
+            facet = FacetEquation(_with_value(eq.normal, k, x), eq.offset)
+            yield f"{label} equations[{h}].normal[{k}] = {x!r}", dataclasses.replace(s, equations=_with_at(s.equations, h, facet))
+        for x in _inexact(Fraction(eq.offset)):
+            yield f"{label} equations[{h}].offset = {x!r}", dataclasses.replace(s, equations=_with_at(s.equations, h, FacetEquation(eq.normal, x)))
+
+
+def _reasons(surface):
+    """The verdict kind and every reason it rests on, in sorted order: each failing star's, or each violation's."""
+    prepared = preflight(surface)
+    v = pc.verify(surface, collect_all=True)
+    reasons = [r for _, r in v.failures] if prepared.ok else [code for code, _, _ in prepared.report.violations]
+    return v.kind, sorted(reasons)
+
+
+def test_hand_built_shapes_and_values_answer():
+    # every single edit of a hand-built table's shape (None for the table,
+    # None for an entry, an entry dropped or repeated) or of a value (a
+    # float, Decimal, str, bool or None) gets an answer from every check
+    # and no TypeError, AttributeError or IndexError; the writers refuse
+    # with verify's first violation and code, or write a surface that
+    # verify answers alike
+    seen = Counter()
+    for label, s in _shape_edits():
+        v, v_all = pc.verify(s), pc.verify(s, collect_all=True)
+        prepared = preflight(s)
+        assert prepared.ok == (v.kind != "INVALID" or v.reason == "ZERO_DIRECTION"), label
+        poset = s.poset
+        validate_poset(poset, s.mode), pc.check_closed(poset), pc.check_connected(poset)
+        for f in poset.faces(poset.dim_low):
+            try:
+                pc.link_cycle(poset, f)
+            except pc.LinkCycleError:
+                pass
+        for name, write in (("emit", lambda s: parse_pls(emit_pls(s))), ("relabel", lambda s: pc.relabel(s, 3))):
+            try:
+                out = write(s)
+            except ValueError as exc:
+                # verify's first violation, but for a witness off its facet
+                # (the bad-witness families), which the writers, judging
+                # records and not geometry, write
+                records = [x for x in prepared.report.violations if not x.message.startswith("witness not on facet")]
+                assert v.kind == "INVALID" and str(exc) == _text_of(records[0]), label
+                assert str(exc).split(":")[0] == v.reason, label
+                seen[name, "refused"] += 1
+                continue
+            if name == "emit":
+                assert pc.verify(out) == v and pc.verify(out, collect_all=True) == v_all, label
+            else:  # a renaming may change which failing face comes first, and so the reason
+                assert _reasons(out) == _reasons(s), label
+            seen[name, "written"] += 1
+    assert min(seen.values()) >= 100, seen

@@ -11,6 +11,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import plconvex as pc
 import plconvex.fan as fan_mod
 import plconvex.verifier as verifier_mod
@@ -18,7 +20,7 @@ from plconvex.formats import emit_pls, parse_pls
 from plconvex.oracle import FlatSurfaceError
 from plconvex.surface import as_equations
 
-from conftest import crowned_prism, rank, stacked_cube, stacked_tesseract, wedge_cube
+from conftest import crowned_prism, polygon_join, rank, stacked_cube, stacked_tesseract, wedge_cube
 
 F = Fraction
 
@@ -200,6 +202,21 @@ def test_stacked_tesseracts_agree_with_oracle_and_equations_mode():
             assert equations == verdict, seed
         kinds[verdict.kind, flat] += 1
     assert min(kinds.values()) >= 5 and len(kinds) == 4, kinds
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_polygon_joins_agree_with_oracle_and_equations_mode(q):
+    # n = 4 surfaces with stars of degree 2q, at the triangle's edges: the
+    # join of a triangle and a q-gon is convex, and lifting the q-gon's
+    # vertices by 1/50 alternately bends it from q = 8 on; every star is
+    # classified in both modes, and the oracle agrees
+    for lift, failing in ((0, 0), (F(1, 50), {4: 0, 8: 7, 16: 40}[q])):
+        surface = polygon_join(3, q, lift)
+        verdict = pc.verify(surface, collect_all=True)
+        assert (verdict.kind, verdict.reason) == (("NOT_CONVEX", "WRONG_TURN_SIGN") if failing else ("CONVEX", None)), (q, lift)
+        assert len(verdict.failures) == failing
+        assert pc.oracle_verdict(surface).convex == verdict.convex, (q, lift)
+        assert pc.verify(as_equations(surface), collect_all=True) == verdict, (q, lift)
 
 
 def test_huge_translations_and_linear_maps_keep_verdicts():

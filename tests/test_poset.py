@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,39 @@ def test_check_closed_face_without_record_lies_in_no_facet(cube):
     eq = pc.as_equations(cube)
     v = pc.verify(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses))
     assert (v.kind, v.witness, v.reason) == ("INVALID", Face(1, 3), "INVALID_ID")
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_none_upward_table_or_record_is_no_record(cube, dim):
+    # a None upward table holds no records and a None record is no
+    # record: validate_poset reports every face of the table missing, up
+    # gives (), and each link walk through it and check_closed and
+    # check_connected answer, where each raised TypeError
+    eq = pc.as_equations(cube)
+    table = dataclasses.replace(eq.poset, up_ids={**eq.poset.up_ids, dim: None})
+    missing = [Violation("INVALID_ID", Face(dim, i), "missing upward incidence record") for i in range(cube.poset.count(dim))]
+    assert pc.validate_poset(table, "equations").violations == tuple(missing)
+    record = _cube_with(cube, up={Face(dim, 0): None})
+    assert pc.validate_poset(record, "equations").violations == (missing[0],)
+    for poset in (table, record):
+        assert poset.up(Face(dim, 0)) == ()
+        pc.check_closed(poset), pc.check_connected(poset)
+        for walk in (link_cycle, reference_link_cycle):
+            with pytest.raises(LinkCycleError):
+                walk(poset, Face(0, 0))
+        v = pc.verify(pc.PLSurface(poset, equations=eq.equations, witnesses=eq.witnesses))
+        assert (v.kind, v.witness, v.reason) == ("INVALID", Face(dim, 0), "INVALID_ID")
+
+
+def test_none_vertex_list_table_holds_no_lists(cube):
+    # a None table of lists is a dimension without faces: MISSING_RANK,
+    # where construction raised TypeError
+    lists = {**cube.poset.vertex_ids, 1: None}
+    poset = FacePoset(3, {0: 8}, vertex_ids=lists)
+    assert poset.count(1) == 0 and poset.vertex_ids[1] == []
+    assert pc.validate_poset(poset, "vertices").violations[0] == Violation("MISSING_RANK", None, "no faces of dimension 1")
+    v = pc.verify(pc.PLSurface(poset, vertices=cube.vertices))
+    assert (v.kind, v.witness, v.reason) == ("INVALID", None, "MISSING_RANK")
 
 
 def test_validate_poset_ambient_dimension_below_3():

@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from itertools import combinations, product
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -301,7 +302,7 @@ def _inexact_inputs():
     """The cube with one float or str where an exact number belongs, in both modes, and the face and code verify reports."""
     cube = pc.gen_hypercube(3)
     eq = as_equations(cube)
-    for x in (0.5, "1/2"):
+    for x in (0.5, "1/2", Decimal("0.5"), None):
         verts = list(cube.vertices)
         verts[3] = (verts[3][0], x, verts[3][2])
         yield "vertex", x, PLSurface(cube.poset, vertices=tuple(verts)), None, "MISSING_COORDS"
@@ -327,6 +328,13 @@ def test_inexact_number_is_invalid(kind, x, surface, face, code):
     assert all(verify_face(surface, c) == (False, code) for c in surface.poset.faces(0))
     with pytest.raises(TypeError, match=f"{re.escape(repr(x))} is not an exact number"):
         homogeneous((1, x))
+    # the writers refuse the value with verify's code, face and message,
+    # where they wrote it as its str and parse_pls read "0.5" as 1/2
+    text = f"{code}: {first.message}" if face is None else f"{code}: {face}: {first.message}"
+    for write in (pc.emit_pls, lambda s: pc.relabel(s, 3)):
+        with pytest.raises(ValueError) as info:
+            write(surface)
+        assert str(info.value) == text
     if kind == "vertex":
         for convert in (as_equations, pc.oracle_verdict):
             with pytest.raises(TypeError, match=f"{re.escape(repr(x))} is not an exact number"):
@@ -709,6 +717,8 @@ def test_preflight_rejection_texts(cube):
         (replace_geometry(eq, equations={h: zero}), ("ZERO_NORMAL", h, "facet normal is zero")),
         (replace_geometry(eq, witnesses={v0: None}), ("BAD_WITNESS", v0, "missing witness point")),
         (replace(eq, witnesses={**eq.witnesses, 0: eq.witnesses[0][:-1]}), ("BAD_WITNESS", Face(0, 7), "missing witness point")),
+        (replace_geometry(eq, witnesses={v0: eq.witnesses[0][0] + (F(0),)}), ("BAD_WITNESS", v0, "witness of length 4, not 3")),
+        (replace_geometry(eq, witnesses={h: eq.witnesses[2][h.index][:2]}), ("BAD_WITNESS", h, "witness of length 2, not 3")),
         (replace_geometry(eq, witnesses={h: off}), ("BAD_WITNESS", h, f"witness not on facet {h}")),
     ]
     for surface, expected in cases:

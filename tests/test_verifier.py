@@ -18,6 +18,7 @@ from plconvex.verifier import preflight, verify, verify_face
 
 from conftest import (
     crowned_prism,
+    polygon_join,
     cycle_faces,
     duoprism,
     geometry_families,
@@ -878,6 +879,28 @@ def test_crowned_prism_reaches_pairwise_support(m, monkeypatch):
     assert failures == tuple((f, "WRONG_TURN_SIGN") for f in [Face(0, 0), Face(0, m + 1), *low])
     assert calls["pairwise"] == m // 2
     assert pc.oracle_verdict(s).convex is False
+
+
+def test_polygon_join_reaches_pairwise_support(monkeypatch):
+    # the lifted join of a triangle and a 16-gon: each triangle edge's star
+    # has 2q = 32 entries, and under collect_all 23 stars reach the
+    # pairwise support search in each mode
+    q = 16
+    s = polygon_join(3, q, F(1, 50))
+    assert [len(pc.link_cycle(s.poset, Face(1, i))) for i in range(3)] == [2 * q] * 3
+    calls = Counter()
+    pairwise = fan_mod._pairwise_support
+
+    def counting(dirs):
+        calls["pairwise"] += 1
+        return pairwise(dirs)
+
+    monkeypatch.setattr(fan_mod, "_pairwise_support", counting)
+    for surface in (s, pc.as_equations(s)):
+        calls.clear()
+        v = verify(surface, collect_all=True)
+        assert (v.kind, v.reason, len(v.failures)) == ("NOT_CONVEX", "WRONG_TURN_SIGN", 40)
+        assert calls["pairwise"] == 23
 
 
 def test_pentagram_pyramid_bad_rotation_index():
